@@ -6,8 +6,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ros_core::encode::SpatialCode;
 use ros_core::reader::{DriveBy, ReaderConfig};
+use ros_dsp::window::{Window, WindowTable};
 use ros_em::{Complex64, Vec3};
 use ros_radar::echo::{Echo, Pose};
+use ros_radar::processing::DetectScratch;
 use ros_radar::radar::FmcwRadar;
 
 fn bench_if_synthesis(c: &mut Criterion) {
@@ -37,11 +39,17 @@ fn bench_frame_detection(c: &mut Criterion) {
         Echo::new(Vec3::new(1.5, 4.0, 0.0), Complex64::from_polar(5e-3, 1.0)),
     ];
     let frame = radar.capture(Pose::side_looking(Vec3::ZERO), &echoes, &mut rng);
+    let mut scratch = DetectScratch::default();
+    let mut points = Vec::new();
     c.bench_function("frame_detect", |b| {
-        b.iter(|| black_box(radar.detect(&frame).len()))
+        b.iter(|| {
+            radar.detect_with(&frame, &mut scratch, &mut points);
+            black_box(points.len())
+        })
     });
+    let table = WindowTable::new(Window::Hann, frame.n_samples());
     c.bench_function("frame_spotlight", |b| {
-        b.iter(|| black_box(radar.spotlight(&frame, Vec3::new(0.0, 3.0, 0.0))))
+        b.iter(|| black_box(radar.spotlight_with(&frame, Vec3::new(0.0, 3.0, 0.0), &table)))
     });
 }
 
@@ -58,7 +66,7 @@ fn bench_drive_by_decode(c: &mut Criterion) {
             b.iter(|| {
                 let tag = code.encode(&[true; 4]).unwrap();
                 let outcome = DriveBy::new(tag, 3.0).run(&ReaderConfig::fast());
-                black_box(outcome.bits.len())
+                black_box(outcome.bits().len())
             });
         });
     }

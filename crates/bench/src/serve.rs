@@ -35,9 +35,7 @@
 
 use crate::util::should_overwrite;
 use ros_cache::GeomCache;
-use ros_serve::{
-    run_corridor, run_corridor_uncached, run_corridor_with, CorridorConfig, ServeReport,
-};
+use ros_serve::{run_corridor_uncached, run_corridor_with, CorridorConfig, ServeReport};
 
 /// Corridor shape for the full benchmark (the ISSUE acceptance
 /// scenario): 3 radars × 8 vehicles × 2 tags = 48 passes.
@@ -109,7 +107,7 @@ pub fn run(smoke: bool, require_valid: bool, force: bool) {
         );
     }
 
-    let report = run_corridor(&cfg, 0);
+    let report = run_corridor_with(&cfg, 0, &GeomCache::new());
     let secs = report.elapsed_ns as f64 / 1e9;
     let fps = if secs > 0.0 {
         report.frames_consumed as f64 / secs
@@ -150,8 +148,8 @@ pub fn run(smoke: bool, require_valid: bool, force: bool) {
 
     // Worker-count invariance: the canonical read log must be
     // bit-identical however the encounters shard.
-    let lo = run_corridor(&cfg, 1);
-    let hi = run_corridor(&cfg, report.workers.max(8));
+    let lo = run_corridor_with(&cfg, 1, &GeomCache::new());
+    let hi = run_corridor_with(&cfg, report.workers.max(8), &GeomCache::new());
     let equal = lo.log() == hi.log() && lo.log() == report.log();
     println!(
         "  worker invariance (1 vs {} workers): {}",

@@ -10,7 +10,9 @@
 //!   directly from the scene echoes plus calibrated receiver noise.
 //!   Physically equivalent to the full pipeline when the tag is range-
 //!   isolated (the spotlight's single-bin DFT rejects everything else),
-//!   and ~100× cheaper. Used for parameter sweeps.
+//!   and ~100× cheaper. Used for parameter sweeps. A fast pass drains
+//!   one [`DriveBySource`], so the batch reader and the streaming
+//!   service share a single frame loop.
 //! * [`ReaderMode::FullPipeline`] — every strided frame is synthesized
 //!   at the IF level in both Tx modes; detection runs the §6 point-
 //!   cloud → DBSCAN → two-feature flow; decoding spotlights the
@@ -19,9 +21,10 @@
 
 use crate::decode::{decode_into, DecodeResult, DecodeScratch, DecoderConfig, RssSample};
 use crate::detector::{pick_tag, score_clusters, DetectorConfig, ScoredCluster};
+use crate::stream::{DriveBySource, FrameSource, PassId, StreamEvent};
 use crate::tag::Tag;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use ros_dsp::window::{Window, WindowTable};
 use ros_em::jones::Polarization;
 use ros_em::units::cast::AsF64;
@@ -251,7 +254,7 @@ impl DriveBy {
         }
     }
 
-    fn all_reflectors(&self) -> Vec<&dyn Reflector> {
+    pub(crate) fn all_reflectors(&self) -> Vec<&dyn Reflector> {
         let mut v: Vec<&dyn Reflector> = vec![&self.tag];
         for t in &self.extra_tags {
             v.push(t);
@@ -263,11 +266,65 @@ impl DriveBy {
     }
 
     /// Runs the scenario.
+    ///
+    /// Fast mode drains one [`DriveBySource`] pass — the frame loop the
+    /// streaming service runs — and decodes its frames with the context
+    /// the source's `PassStart` carries, through the same call
+    /// [`StreamingReader`](crate::stream::StreamingReader) makes.
     pub fn run(&self, cfg: &ReaderConfig) -> Outcome {
-        match cfg.mode {
-            ReaderMode::Fast => self.run_fast(cfg),
-            ReaderMode::FullPipeline => self.run_full(cfg),
+        if cfg.mode == ReaderMode::FullPipeline {
+            return self.run_full(cfg);
         }
+        let _span = ros_obs::span("reader.run_fast");
+        let mut source = DriveBySource::new(self.clone(), cfg, PassId::default());
+        let mut samples = Vec::with_capacity(source.n_frames());
+        let mut events = Vec::with_capacity(FAST_CHUNK);
+        let mut more = true;
+        while more {
+            more = source.next_events(FAST_CHUNK, &mut events);
+            for ev in events.drain(..) {
+                if let StreamEvent::Frame { sample, .. } = ev {
+                    samples.push(sample);
+                }
+            }
+        }
+
+        // Fault counters and per-frame verdicts come from the realized
+        // schedule in one serial step, so the frame loop does no
+        // bookkeeping. Fast mode has no point cloud to corrupt.
+        let frame_verdicts = match source.schedule() {
+            Some(sch) => account_faults(sch, source.n_frames(), |_| 0),
+            None => Vec::new(),
+        };
+        ros_obs::count("reader.frames", samples.len());
+        if ros_obs::detail() {
+            for (i, s) in samples.iter().enumerate() {
+                let rss_dbm = 10.0 * s.rss.norm_sqr().max(1e-300).log10();
+                ros_obs::event_detail(
+                    "reader.frame",
+                    &[("i", i.into()), ("rss_dbm", rss_dbm.into())],
+                );
+            }
+        }
+
+        let mut decode_scratch = DecodeScratch::new();
+        let mut dec = DecodeResult::default();
+        let decode_result = source
+            .context()
+            .decode_into(&samples, &cfg.decoder, &mut decode_scratch, &mut dec)
+            .map(|()| dec);
+        let mut outcome = Outcome::from_parts(samples, decode_result, None, Vec::new());
+        outcome.frame_verdicts = frame_verdicts;
+        ros_obs::event(
+            "reader.pass",
+            &[
+                ("mode", "fast".into()),
+                ("frames", outcome.rss_trace.len().into()),
+                ("decoded", outcome.decode.is_ok().into()),
+                ("verdict", outcome.verdict.name().into()),
+            ],
+        );
+        outcome
     }
 
     /// Ground-truth radar track for this scenario.
@@ -296,109 +353,6 @@ impl DriveBy {
                 .map(|(i, s)| (i, Vec3::new(s.dx_m, s.dy_m, 0.0))),
         );
         Some(schedule)
-    }
-
-    fn run_fast(&self, cfg: &ReaderConfig) -> Outcome {
-        let _span = ros_obs::span("reader.run_fast");
-        let (times, truth, mut believed) = self.track(cfg);
-        let schedule = self.fault_schedule(&times, &mut believed);
-        let ctx = self.context();
-        let (tx, rx) = RadarMode::PolarizationSwitched.polarizations(self.radar.array.native_pol);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let sigma = self.noise_sigma();
-        let spot = SpotlightModel::new(&self.radar);
-
-        // Anchor the decode centre the way detection would: the tag
-        // centre estimate is consistent with the *believed* track, so a
-        // constant tracking offset cancels (the §6 pipeline estimates
-        // the centre from the same drifted point cloud).
-        let mut best_i = 0;
-        let mut best_d = f64::INFINITY;
-        for (i, p) in truth.iter().enumerate() {
-            let d = p.distance(self.tag.mount());
-            if d < best_d {
-                best_d = d;
-                best_i = i;
-            }
-        }
-        let center_est = self.tag.mount() + (believed[best_i] - truth[best_i]);
-
-        // Per-frame deterministic spotlight RSS fans out over worker
-        // threads; receiver noise is then added serially in frame
-        // order so the RNG stream (two draws per frame) is consumed
-        // exactly as the historical serial loop did — the output is
-        // bit-identical at any thread count.
-        let frame_jobs: Vec<(f64, Vec3)> = times.iter().copied().zip(truth.iter().copied()).collect();
-        let clean_rss: Vec<Complex64> = ros_exec::par_map(&frame_jobs, |&(t, pos_true)| {
-            self.fast_clean_rss(t, pos_true, tx, rx, &ctx, &spot)
-        });
-
-        let mut samples = Vec::with_capacity(truth.len());
-        let mut frame_verdicts = Vec::new();
-        let mut degraded = 0usize;
-        for (i, (rss_clean, pos_believed)) in clean_rss.into_iter().zip(&believed).enumerate() {
-            let ff = match &schedule {
-                Some(sch) => *sch.get(i),
-                None => FrameFaults::clean(),
-            };
-            let rss = fast_frame_rss(rss_clean, i, &mut rng, sigma, &ff);
-            if !ff.is_clean() {
-                degraded += 1;
-                ff.record(0);
-            }
-            if schedule.is_some() {
-                frame_verdicts.push(FrameVerdict::from_faults(i, &ff, 0));
-            }
-            if ff.dropped {
-                continue;
-            }
-            let s = RssSample {
-                radar_pos: *pos_believed,
-                rss,
-            };
-            samples.push(s);
-            if ff.duplicated {
-                samples.push(s);
-            }
-        }
-        if degraded > 0 {
-            ros_obs::count("reader.frames_degraded", degraded);
-        }
-        ros_obs::count("reader.frames", samples.len());
-        if ros_obs::detail() {
-            for (i, s) in samples.iter().enumerate() {
-                let rss_dbm = 10.0 * s.rss.norm_sqr().max(1e-300).log10();
-                ros_obs::event_detail(
-                    "reader.frame",
-                    &[("i", i.into()), ("rss_dbm", rss_dbm.into())],
-                );
-            }
-        }
-
-        let mut decode_scratch = DecodeScratch::new();
-        let mut dec = DecodeResult::default();
-        let decode_result = decode_into(
-            &samples,
-            center_est,
-            0.0,
-            self.tag.code(),
-            &cfg.decoder,
-            &mut decode_scratch,
-            &mut dec,
-        )
-        .map(|()| dec);
-        let mut outcome = Outcome::from_parts(samples, decode_result, None, Vec::new());
-        outcome.frame_verdicts = frame_verdicts;
-        ros_obs::event(
-            "reader.pass",
-            &[
-                ("mode", "fast".into()),
-                ("frames", outcome.rss_trace.len().into()),
-                ("decoded", outcome.decode.is_ok().into()),
-                ("verdict", outcome.verdict.name().into()),
-            ],
-        );
-        outcome
     }
 
     fn run_full(&self, cfg: &ReaderConfig) -> Outcome {
@@ -537,22 +491,10 @@ impl DriveBy {
 
         // One serial bookkeeping pass per frame: fault counters and the
         // per-frame verdicts the outcome reports.
-        let mut frame_verdicts = Vec::new();
-        if let Some(sch) = &schedule {
-            let mut degraded = 0usize;
-            for i in 0..switched_frames.len() {
-                let ff = sch.get(i);
-                let cp = corrupted_points[i];
-                if !ff.is_clean() {
-                    degraded += 1;
-                    ff.record(cp);
-                }
-                frame_verdicts.push(FrameVerdict::from_faults(i, ff, cp));
-            }
-            if degraded > 0 {
-                ros_obs::count("reader.frames_degraded", degraded);
-            }
-        }
+        let frame_verdicts = match &schedule {
+            Some(sch) => account_faults(sch, switched_frames.len(), |i| corrupted_points[i]),
+            None => Vec::new(),
+        };
 
         // Score clusters; the RSS probe spotlights the candidate centre
         // across the pass in both modes, skipping frames where another
@@ -757,110 +699,35 @@ impl DriveBy {
     }
 }
 
-/// Fast-mode spotlight selectivity parameters, mirrored from the full
-/// pipeline: a single-bin DFT at the tag's beat frequency plus a
-/// 4-antenna beamformer. Echoes away from the spotlighted
-/// range/azimuth are attenuated by the corresponding Dirichlet
-/// kernels. Extracted from `run_fast` so the streaming
-/// [`crate::stream::DriveBySource`] evaluates the identical
-/// expression (bit-for-bit) one frame at a time.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SpotlightModel {
-    n_fft: usize,
-    n_rx: usize,
-    slope: f64,
-    fs: f64,
-    lambda: f64,
-    rx_spacing_m: f64,
-}
+/// Events pulled from the fast reader's source per chunk.
+const FAST_CHUNK: usize = 256;
 
-impl SpotlightModel {
-    /// Captures the spotlight parameters of `radar`.
-    pub(crate) fn new(radar: &FmcwRadar) -> Self {
-        SpotlightModel {
-            n_fft: radar.chirp.n_samples,
-            n_rx: radar.array.n_rx,
-            slope: radar.chirp.slope_hz_per_s,
-            fs: radar.chirp.sample_rate_hz,
-            lambda: radar.chirp.wavelength_m(),
-            rx_spacing_m: radar.array.rx_spacing_m,
-        }
-    }
-
-    /// Combined range × azimuth spotlight gate for an echo at `e_pos`
-    /// while the radar at `pose` spotlights `target`.
-    fn gain(&self, pose: Vec3, e_pos: Vec3, target: Vec3) -> f64 {
-        let p = Pose::side_looking(pose);
-        let dr = p.range_to(e_pos) - p.range_to(target);
-        let df = 2.0 * self.slope * dr / ros_em::constants::C;
-        let g_range = ros_em::special::dirichlet(std::f64::consts::TAU * df / self.fs, self.n_fft);
-        let du = p.azimuth_to(e_pos).sin() - p.azimuth_to(target).sin();
-        let g_az = ros_em::special::dirichlet(
-            std::f64::consts::TAU * self.rx_spacing_m * du / self.lambda,
-            self.n_rx,
-        );
-        (g_range * g_az).abs()
-    }
-}
-
-impl DriveBy {
-    /// One frame's clean (noise-free, fault-free) fast-mode spotlight
-    /// RSS at time `t`, true radar position `pos_true`. Shared by
-    /// `run_fast`'s parallel fan-out and the streaming source — both
-    /// paths call this exact function, so their RSS values are
-    /// bit-identical by construction.
-    pub(crate) fn fast_clean_rss(
-        &self,
-        t: f64,
-        pos_true: Vec3,
-        tx: Polarization,
-        rx: Polarization,
-        ctx: &EchoContext,
-        spot: &SpotlightModel,
-    ) -> Complex64 {
-        let block_amp = self
-            .blockages
-            .iter()
-            .filter(|b| t >= b.t_start_s && t <= b.t_end_s)
-            .map(|b| ros_em::db::db_to_lin(-b.attenuation_db))
-            .fold(1.0, f64::min);
-        let mut rss = Complex64::ZERO;
-        for refl in self.all_reflectors() {
-            for e in refl.echoes(pos_true, tx, rx, ctx) {
-                let az = Pose::side_looking(pos_true).azimuth_to(e.pos);
-                let g = ros_radar::frontend::radar_pattern(az);
-                let gate = spot.gain(pos_true, e.pos, self.tag.mount());
-                rss += e.amp * (g * g * gate * block_amp);
+/// Emits the `fault.*` counters and `reader.frames_degraded` for the
+/// first `n_frames` frames of a realized schedule and returns their
+/// per-frame verdicts. `corrupted_points(i)` is the number of point
+/// returns mangled in frame `i`. Serial, so the exported totals are
+/// thread-count invariant.
+fn account_faults(
+    schedule: &FaultSchedule,
+    n_frames: usize,
+    corrupted_points: impl Fn(usize) -> usize,
+) -> Vec<FrameVerdict> {
+    let mut degraded = 0usize;
+    let verdicts = (0..n_frames)
+        .map(|i| {
+            let ff = schedule.get(i);
+            let cp = corrupted_points(i);
+            if !ff.is_clean() {
+                degraded += 1;
+                ff.record(cp);
             }
-        }
-        rss
+            FrameVerdict::from_faults(i, ff, cp)
+        })
+        .collect();
+    if degraded > 0 {
+        ros_obs::count("reader.frames_degraded", degraded);
     }
-}
-
-/// Receiver noise + per-frame signal faults for one fast-mode frame.
-/// Noise is drawn for every frame — faulted or not, dropped or not —
-/// so the RNG stream stays aligned with the clean run and a zero-rate
-/// plan is bit-identical to no plan at all. Shared by `run_fast` and
-/// the streaming source; the draw order (noise, burst, saturation) is
-/// part of the bit-compatibility contract.
-pub(crate) fn fast_frame_rss(
-    rss_clean: Complex64,
-    i: usize,
-    rng: &mut StdRng,
-    sigma: f64,
-    ff: &FrameFaults,
-) -> Complex64 {
-    let mut rss = rss_clean + Complex64::new(gauss(rng) * sigma, gauss(rng) * sigma);
-    if let Some(b) = &ff.burst {
-        let sigma_b = sigma * ros_em::db::db_to_lin(b.excess_db);
-        // lint: allow-cast(frame index, lossless widening)
-        let (g_re, g_im) = b.gaussian_pair(i as u64);
-        rss += Complex64::new(g_re * sigma_b, g_im * sigma_b);
-    }
-    if let Some(fs) = ff.saturation {
-        rss = Complex64::new(rss.re.clamp(-fs, fs), rss.im.clamp(-fs, fs));
-    }
-    rss
+    verdicts
 }
 
 /// Applies frame-stream faults to a per-frame spotlight trace:
@@ -1082,12 +949,6 @@ impl Outcome {
             .collect();
         ros_dsp::stats::median(&mid)
     }
-}
-
-fn gauss<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(1e-300);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]

@@ -16,28 +16,32 @@
 //!   free pool. Peak memory is `O(open passes × frames per pass)`,
 //!   independent of drive length.
 //!
-//! ## Bit-compatibility contract
+//! ## One frame loop
 //!
-//! [`DriveBySource`] streams the exact computation of
-//! `DriveBy::run_fast`: the same `fast_clean_rss` spotlight expression,
-//! the same serial receiver-noise RNG (two draws per frame, drawn even
-//! for dropped frames), the same fault schedule realization, and the
-//! same decode-centre anchoring. A [`SignRead`] produced by feeding a
-//! `DriveBySource` through a `StreamingReader` carries bit-identical
-//! bits and SNR to the `Outcome` of the equivalent batch run — at any
-//! worker or thread count. `tests/serve_stream.rs` pins this.
+//! [`DriveBySource`] is the only implementation of the fast-mode frame
+//! loop: the spotlight RSS expression, the serial receiver-noise RNG
+//! (two draws per frame, drawn even for dropped frames), the fault
+//! schedule realization, and the closest-approach decode-centre anchor.
+//! [`DriveBy::run`] in fast mode drains one source and decodes through
+//! the same [`PassContext`] call as [`StreamingReader`], so a
+//! [`SignRead`] and the `Outcome` of the equivalent batch run carry
+//! bit-identical bits and SNR by construction — at any chunk size and
+//! any worker or thread count. `tests/serve_stream.rs` keeps one
+//! end-to-end check of this.
 
 use crate::decode::{
     decode_into, DecodeError, DecodeResult, DecodeScratch, DecoderConfig, RssSample,
 };
 use crate::encode::SpatialCode;
-use crate::reader::{DriveBy, PassVerdict, ReaderConfig, SpotlightModel};
+use crate::reader::{DriveBy, PassVerdict, ReaderConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use ros_em::jones::Polarization;
 use ros_em::units::cast::AsF64;
-use ros_em::{Vec3};
+use ros_em::{Complex64, Vec3};
 use ros_fault::{FaultSchedule, FrameFaults};
+use ros_radar::echo::Pose;
+use ros_radar::radar::FmcwRadar;
 use ros_scene::reflector::EchoContext;
 use ros_scene::tracking::TrackingStream;
 use ros_scene::trajectory::{ManoeuvreTrajectory, Trajectory};
@@ -47,7 +51,7 @@ use std::collections::BTreeMap;
 /// (derived lexicographically: radar, vehicle, tag, seq) defines the
 /// canonical read-log order, which is how the service proves its
 /// output is invariant under worker count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PassId {
     /// Roadside radar index.
     pub radar: u32,
@@ -72,12 +76,34 @@ impl PassId {
 #[derive(Clone, Copy, Debug)]
 pub struct PassContext {
     /// Decode-centre estimate (believed-track anchored, see
-    /// `DriveBy::run_fast`).
+    /// [`DriveBySource::new`]).
     pub center_est: Vec3,
     /// The tag's spatial code.
     pub code: SpatialCode,
     /// Tag axis yaw \[rad\] passed to the decoder.
     pub tag_axis_yaw: f64,
+}
+
+impl PassContext {
+    /// Decodes a closed pass's frames. The one decode call of the fast
+    /// reader and the streaming reader alike.
+    pub(crate) fn decode_into(
+        &self,
+        samples: &[RssSample],
+        decoder: &DecoderConfig,
+        scratch: &mut DecodeScratch,
+        out: &mut DecodeResult,
+    ) -> Result<(), DecodeError> {
+        decode_into(
+            samples,
+            self.center_est,
+            self.tag_axis_yaw,
+            &self.code,
+            decoder,
+            scratch,
+            out,
+        )
+    }
 }
 
 /// One event of a frame stream.
@@ -249,11 +275,8 @@ impl StreamingReader {
     fn close(&mut self, pass: PassId, mut p: OpenPass) -> SignRead {
         let n_frames = p.samples.len();
         self.buffered -= n_frames;
-        let decode = decode_into(
+        let decode = p.ctx.decode_into(
             &p.samples,
-            p.ctx.center_est,
-            p.ctx.tag_axis_yaw,
-            &p.ctx.code,
             &self.decoder,
             &mut self.scratch,
             &mut self.result,
@@ -314,13 +337,10 @@ enum SourcePhase {
 
 /// Streams one [`DriveBy`] pass as [`StreamEvent`]s, frame by frame,
 /// in O(1) memory per frame (the fault schedule, when a plan is
-/// attached, is the one O(n)-per-pass allocation — identical to the
-/// batch reader's).
+/// attached, is the one O(n)-per-pass allocation).
 ///
-/// The emitted frame stream matches `DriveBy::run_fast` bit for bit:
-/// same spotlight RSS, same receiver-noise RNG consumption (noise is
-/// drawn for dropped frames too), same believed-track perturbation,
-/// same decode-centre anchor. See the module docs for the contract.
+/// This is the fast reader's frame loop: [`DriveBy::run`] in fast mode
+/// drains one of these. See the module docs.
 pub struct DriveBySource {
     drive: DriveBy,
     pass: PassId,
@@ -332,7 +352,7 @@ pub struct DriveBySource {
     i: usize,
     traj: ManoeuvreTrajectory,
     schedule: Option<FaultSchedule>,
-    // Per-frame state shared with run_fast's serial loop.
+    // Per-frame state of the spotlight and noise model.
     echo_ctx: EchoContext,
     spot: SpotlightModel,
     tx: Polarization,
@@ -346,10 +366,10 @@ pub struct DriveBySource {
 
 impl DriveBySource {
     /// Prepares the streaming pass. Runs an O(1)-memory prepass over
-    /// the frame timeline to anchor the decode centre exactly as
-    /// `run_fast` does (closest-approach frame of the *truth* track,
-    /// offset by the believed-track error at that frame), then rewinds
-    /// for streaming.
+    /// the frame timeline to anchor the decode centre the way detection
+    /// would (closest-approach frame of the *truth* track, offset by the
+    /// believed-track error at that frame, so a constant tracking
+    /// offset cancels), then rewinds for streaming.
     pub fn new(drive: DriveBy, cfg: &ReaderConfig, pass: PassId) -> Self {
         let base = Trajectory::drive_by(drive.speed_mps, drive.half_span_m, drive.radar_height_m);
         let traj = ManoeuvreTrajectory::new(base, drive.lateral);
@@ -358,7 +378,7 @@ impl DriveBySource {
         let n_last = ros_em::units::cast::floor_usize(base.duration_s * rate_hz);
 
         // Fault plans are realized against the materialized timeline —
-        // one Vec<f64> per pass, exactly like the batch reader.
+        // one Vec<f64> per pass.
         let schedule = drive.faults.as_ref().map(|p| {
             let times: Vec<f64> = (0..=n_last)
                 .step_by(stride)
@@ -429,6 +449,113 @@ impl DriveBySource {
     pub fn n_frames(&self) -> usize {
         self.n_last / self.stride + 1
     }
+
+    /// The decode context the source's `PassStart` carries.
+    pub(crate) fn context(&self) -> &PassContext {
+        &self.ctx_pass
+    }
+
+    /// The fault plan realized against this pass's frame timeline.
+    pub(crate) fn schedule(&self) -> Option<&FaultSchedule> {
+        self.schedule.as_ref()
+    }
+
+    /// One frame's clean (noise-free, fault-free) spotlight RSS at time
+    /// `t`, true radar position `pos_true`.
+    fn fast_clean_rss(&self, t: f64, pos_true: Vec3) -> Complex64 {
+        let drive = &self.drive;
+        let block_amp = drive
+            .blockages
+            .iter()
+            .filter(|b| t >= b.t_start_s && t <= b.t_end_s)
+            .map(|b| ros_em::db::db_to_lin(-b.attenuation_db))
+            .fold(1.0, f64::min);
+        let mut rss = Complex64::ZERO;
+        for refl in drive.all_reflectors() {
+            for e in refl.echoes(pos_true, self.tx, self.rx, &self.echo_ctx) {
+                let az = Pose::side_looking(pos_true).azimuth_to(e.pos);
+                let g = ros_radar::frontend::radar_pattern(az);
+                let gate = self.spot.gain(pos_true, e.pos, drive.tag.mount());
+                rss += e.amp * (g * g * gate * block_amp);
+            }
+        }
+        rss
+    }
+}
+
+/// Fast-mode spotlight selectivity parameters, mirrored from the full
+/// pipeline: a single-bin DFT at the tag's beat frequency plus a
+/// 4-antenna beamformer. Echoes away from the spotlighted
+/// range/azimuth are attenuated by the corresponding Dirichlet
+/// kernels.
+#[derive(Clone, Copy, Debug)]
+struct SpotlightModel {
+    n_fft: usize,
+    n_rx: usize,
+    slope: f64,
+    fs: f64,
+    lambda: f64,
+    rx_spacing_m: f64,
+}
+
+impl SpotlightModel {
+    /// Captures the spotlight parameters of `radar`.
+    fn new(radar: &FmcwRadar) -> Self {
+        SpotlightModel {
+            n_fft: radar.chirp.n_samples,
+            n_rx: radar.array.n_rx,
+            slope: radar.chirp.slope_hz_per_s,
+            fs: radar.chirp.sample_rate_hz,
+            lambda: radar.chirp.wavelength_m(),
+            rx_spacing_m: radar.array.rx_spacing_m,
+        }
+    }
+
+    /// Combined range × azimuth spotlight gate for an echo at `e_pos`
+    /// while the radar at `pose` spotlights `target`.
+    fn gain(&self, pose: Vec3, e_pos: Vec3, target: Vec3) -> f64 {
+        let p = Pose::side_looking(pose);
+        let dr = p.range_to(e_pos) - p.range_to(target);
+        let df = 2.0 * self.slope * dr / ros_em::constants::C;
+        let g_range = ros_em::special::dirichlet(std::f64::consts::TAU * df / self.fs, self.n_fft);
+        let du = p.azimuth_to(e_pos).sin() - p.azimuth_to(target).sin();
+        let g_az = ros_em::special::dirichlet(
+            std::f64::consts::TAU * self.rx_spacing_m * du / self.lambda,
+            self.n_rx,
+        );
+        (g_range * g_az).abs()
+    }
+}
+
+/// Receiver noise + per-frame signal faults for one fast-mode frame.
+/// Noise is drawn for every frame — faulted or not, dropped or not —
+/// so the RNG stream stays aligned with the clean run and a zero-rate
+/// plan is bit-identical to no plan at all. The draw order (noise,
+/// burst, saturation) is fixed: the golden fixtures pin it.
+fn fast_frame_rss(
+    rss_clean: Complex64,
+    i: usize,
+    rng: &mut StdRng,
+    sigma: f64,
+    ff: &FrameFaults,
+) -> Complex64 {
+    let mut rss = rss_clean + Complex64::new(gauss(rng) * sigma, gauss(rng) * sigma);
+    if let Some(b) = &ff.burst {
+        let sigma_b = sigma * ros_em::db::db_to_lin(b.excess_db);
+        // lint: allow-cast(frame index, lossless widening)
+        let (g_re, g_im) = b.gaussian_pair(i as u64);
+        rss += Complex64::new(g_re * sigma_b, g_im * sigma_b);
+    }
+    if let Some(fs) = ff.saturation {
+        rss = Complex64::new(rss.re.clamp(-fs, fs), rss.im.clamp(-fs, fs));
+    }
+    rss
+}
+
+fn gauss<R: Rng>(rng: &mut R) -> f64 {
+    let u1: f64 = rng.gen::<f64>().max(1e-300);
+    let u2: f64 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 impl FrameSource for DriveBySource {
@@ -465,21 +592,9 @@ impl FrameSource for DriveBySource {
                     if let Some(s) = ff.spike {
                         believed += Vec3::new(s.dx_m, s.dy_m, 0.0);
                     }
-                    let rss_clean = self.drive.fast_clean_rss(
-                        t,
-                        truth,
-                        self.tx,
-                        self.rx,
-                        &self.echo_ctx,
-                        &self.spot,
-                    );
-                    let rss = crate::reader::fast_frame_rss(
-                        rss_clean,
-                        self.frame_no,
-                        &mut self.rng,
-                        self.sigma,
-                        &ff,
-                    );
+                    let rss_clean = self.fast_clean_rss(t, truth);
+                    let rss =
+                        fast_frame_rss(rss_clean, self.frame_no, &mut self.rng, self.sigma, &ff);
                     self.i += self.stride;
                     self.frame_no += 1;
                     if ff.dropped {
@@ -537,73 +652,6 @@ mod tests {
             tag: 0,
             seq: 0,
         }
-    }
-
-    fn stream_read(drive: &DriveBy, cfg: &ReaderConfig, chunk: usize) -> SignRead {
-        let mut src = DriveBySource::new(drive.clone(), cfg, pid());
-        let mut reader = StreamingReader::new(cfg.decoder);
-        let mut events = Vec::new();
-        let mut read = None;
-        loop {
-            events.clear();
-            let more = src.next_events(chunk, &mut events);
-            for ev in events.drain(..) {
-                if let Some(r) = reader.ingest(ev) {
-                    read = Some(r);
-                }
-            }
-            if !more {
-                break;
-            }
-        }
-        read.unwrap_or_else(|| reader.finish().pop().expect("one pass"))
-    }
-
-    #[test]
-    fn streaming_matches_batch_bitwise() {
-        let cfg = ReaderConfig::fast();
-        let drive = DriveBy::new(tag8(&[true, false, true, true]), 2.0).with_seed(42);
-        let batch = drive.run(&cfg);
-        for chunk in [2, 7, 64, 100_000] {
-            let read = stream_read(&drive, &cfg, chunk);
-            assert_eq!(read.bits.as_deref(), batch.decoded_bits(), "chunk {chunk}");
-            assert_eq!(
-                read.snr_db.map(f64::to_bits),
-                batch.snr_db().map(f64::to_bits),
-                "chunk {chunk}"
-            );
-            assert_eq!(read.verdict, batch.verdict, "chunk {chunk}");
-            assert_eq!(read.n_frames, batch.rss_trace.len(), "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn streaming_matches_batch_under_faults() {
-        use ros_fault::{FaultKind, FaultPlan};
-        let cfg = ReaderConfig::fast();
-        let drive = DriveBy::new(tag8(&[true, true, false, true]), 2.5)
-            .with_seed(9)
-            .with_tracking(ros_scene::tracking::TrackingError {
-                drift: 0.03,
-                jitter_m: 0.01,
-                seed: 4,
-            })
-            .with_faults(
-                FaultPlan::new(77)
-                    .with(FaultKind::FrameDrop, 0.08)
-                    .with(FaultKind::FrameDuplicate, 0.05)
-                    .with(FaultKind::InterferenceBurst { excess_db: 12.0 }, 0.04)
-                    .with(FaultKind::TrackingSpike { magnitude_m: 0.4 }, 0.03),
-            );
-        let batch = drive.run(&cfg);
-        let read = stream_read(&drive, &cfg, 33);
-        assert_eq!(read.bits.as_deref(), batch.decoded_bits());
-        assert_eq!(
-            read.snr_db.map(f64::to_bits),
-            batch.snr_db().map(f64::to_bits)
-        );
-        assert_eq!(read.verdict, batch.verdict);
-        assert_eq!(read.n_frames, batch.rss_trace.len());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! arbitrary (fractional) frequency per frame — a full FFT would waste
 //! work and force on-grid frequencies. This module provides direct
 //! single-bin evaluation with optional windowing, used by
-//! `ros_radar::processing::spotlight` and anywhere else a matched
+//! `ros_radar::processing::spotlight_with` (through the table-driven
+//! [`single_bin_windowed_table`]) and anywhere else a matched
 //! single-tone correlation is needed.
 
 use crate::window::{Window, WindowTable};
@@ -31,7 +32,8 @@ pub fn single_bin(signal: &[Complex64], cycles_per_sample: f64) -> Complex64 {
 }
 
 /// Windowed single-bin DFT, compensated for the window's coherent
-/// gain so tone amplitudes stay calibrated.
+/// gain so tone amplitudes stay calibrated. The direct reference the
+/// table-driven [`single_bin_windowed_table`] is pinned against.
 pub fn single_bin_windowed(
     signal: &[Complex64],
     cycles_per_sample: f64,

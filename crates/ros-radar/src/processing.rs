@@ -10,9 +10,9 @@ use crate::array::RadarArray;
 use crate::chirp::ChirpConfig;
 use crate::frontend::Frame;
 use crate::pointcloud::RadarPoint;
-use ros_dsp::cfar::{ca_cfar, ca_cfar_into, CfarParams, Detection};
+use ros_dsp::cfar::{ca_cfar_into, CfarParams, Detection};
 use ros_dsp::fft::{fft_in_place, FftPlan};
-use ros_dsp::peaks::{find_peaks, find_peaks_into, Peak, PeakParams};
+use ros_dsp::peaks::{find_peaks_into, Peak, PeakParams};
 use ros_dsp::window::WindowTable;
 use ros_dsp::PlanCache;
 use ros_em::Complex64;
@@ -170,8 +170,12 @@ struct DetectBufs {
     peaks: Vec<Peak>,
 }
 
-/// Scratch-arena twin of [`detect_points`]: identical points written
-/// into `out`. Resolves the frame's FFT plan from the scratch's cache
+/// Detects prominent reflectors in one frame, written into `out`.
+///
+/// Range detection uses CA-CFAR on the integrated profile; each
+/// detected range bin is then swept in angle, keeping up to
+/// `max_targets_per_bin` beamforming peaks within 6 dB of the bin's
+/// strongest. Resolves the frame's FFT plan from the scratch's cache
 /// (allocating on first use only), then runs the allocation-free
 /// [`detect_points_core`] kernel.
 pub fn detect_points_with(
@@ -191,8 +195,7 @@ pub fn detect_points_with(
 }
 
 /// The steady-state detect kernel: range FFT → CFAR → AoA sweep with
-/// every intermediate in a reusable buffer. Mirrors [`detect_points`]
-/// operation-for-operation, so the output is bit-identical.
+/// every intermediate in a reusable buffer.
 // lint: hot-path
 fn detect_points_core(
     frame: &Frame,
@@ -251,94 +254,15 @@ fn detect_points_core(
     }
 }
 
-/// Detects prominent reflectors in one frame.
-///
-/// Range detection uses CA-CFAR on the integrated profile; each
-/// detected range bin is then swept in angle, keeping up to
-/// `max_targets_per_bin` beamforming peaks within 6 dB of the bin's
-/// strongest.
-pub fn detect_points(
-    frame: &Frame,
-    chirp: &ChirpConfig,
-    array: &RadarArray,
-    cfar: &CfarParams,
-    max_targets_per_bin: usize,
-) -> Vec<RadarPoint> {
-    let spectra = range_spectra(frame);
-    let profile = range_power_profile(&spectra);
-    // Only the first half of the spectrum is physical (positive beat).
-    let half = profile.len() / 2;
-    let detections = ca_cfar(&profile[..half], cfar);
-    ros_obs::count("radar.cfar_detections", detections.len());
-
-    let lambda = chirp.wavelength_m();
-    let mut points = Vec::new();
-    for det in detections {
-        let range = chirp.bin_to_range_m(det.index, spectra[0].len());
-        if range < 0.3 {
-            continue; // direct leakage region
-        }
-        let (azs, pws) = aoa_spectrum(&spectra, det.index, array, lambda);
-        let peaks = find_peaks(
-            &pws,
-            &PeakParams {
-                min_separation: cast::floor_usize(0.25 / AOA_GRID_STEP_RAD),
-                ..Default::default()
-            },
-        );
-        if peaks.is_empty() {
-            continue;
-        }
-        let strongest = peaks[0].value;
-        for p in peaks.iter().take(max_targets_per_bin) {
-            if p.value < strongest / 4.0 {
-                break; // >6 dB below the bin's dominant target
-            }
-            points.push(RadarPoint {
-                range_m: range,
-                azimuth_rad: azs[p.index],
-                power_mw: p.value,
-            });
-        }
-    }
-    points
-}
-
 /// "Spotlight" beamforming measurement (§6): the complex RSS amplitude
 /// of a known target position, combining a single-bin DFT at the exact
 /// (fractional) beat frequency with a matched steering vector.
 ///
-/// Returns the complex amplitude in √mW; `|·|²` is the RSS in mW.
-pub fn spotlight(
-    frame: &Frame,
-    chirp: &ChirpConfig,
-    array: &RadarArray,
-    target_world: ros_em::Vec3,
-) -> Complex64 {
-    let range = frame.pose.range_to(target_world);
-    let az = frame.pose.azimuth_to(target_world);
-    let f_beat = chirp.beat_frequency_hz(range);
-    let w = std::f64::consts::TAU * f_beat / chirp.sample_rate_hz;
-    let lambda = chirp.wavelength_m();
-
-    // Hann-windowed single-bin DFT: −31 dB range sidelobes keep nearby
-    // objects out of the measurement (amplitude calibration handled by
-    // the goertzel helper).
-    let cycles = w / std::f64::consts::TAU;
-    let mut y = Complex64::ZERO;
-    for (k, ant) in frame.data.iter().enumerate() {
-        let acc =
-            ros_dsp::goertzel::single_bin_windowed(ant, cycles, ros_dsp::window::Window::Hann);
-        let steer = Complex64::cis(-array.steering_phase(k, az, lambda));
-        y += steer * acc;
-    }
-    y / frame.n_rx().as_f64()
-}
-
-/// Scratch-arena twin of [`spotlight`]: identical complex amplitude,
-/// but the Hann window comes from a precomputed [`WindowTable`] (sized
-/// for the frame's sample count) instead of being regenerated per
-/// call. Safe in `lint: hot-path` kernels.
+/// The Hann window (−31 dB range sidelobes keep nearby objects out of
+/// the measurement) comes from a precomputed [`WindowTable`] sized for
+/// the frame's sample count, so the call is safe in `lint: hot-path`
+/// kernels. Returns the complex amplitude in √mW; `|·|²` is the RSS in
+/// mW.
 // lint: hot-path
 pub fn spotlight_with(
     frame: &Frame,
@@ -382,6 +306,24 @@ mod tests {
         (f, c, a)
     }
 
+    fn points_in(
+        f: &Frame,
+        c: &ChirpConfig,
+        a: &RadarArray,
+        max_targets_per_bin: usize,
+    ) -> Vec<RadarPoint> {
+        let mut pts = Vec::new();
+        let mut scratch = DetectScratch::default();
+        let cfar = CfarParams::default();
+        detect_points_with(f, c, a, &cfar, max_targets_per_bin, &mut scratch, &mut pts);
+        pts
+    }
+
+    fn spotlight_at(f: &Frame, c: &ChirpConfig, a: &RadarArray, target: Vec3) -> Complex64 {
+        let table = WindowTable::new(ros_dsp::window::Window::Hann, f.n_samples());
+        spotlight_with(f, c, a, target, &table)
+    }
+
     fn strong_echo(pos: Vec3) -> Echo {
         // −30 dBm: far above the −62 dBm floor.
         Echo::new(pos, Complex64::from_polar(10f64.powf(-30.0 / 20.0), 1.0))
@@ -391,7 +333,7 @@ mod tests {
     fn detects_single_target_range_and_angle() {
         let pos = Vec3::new(1.0, 3.0, 0.0);
         let (f, c, a) = capture(&[strong_echo(pos)], 11);
-        let pts = detect_points(&f, &c, &a, &CfarParams::default(), 2);
+        let pts = points_in(&f, &c, &a, 2);
         assert!(!pts.is_empty(), "no detections");
         let best = pts
             .iter()
@@ -418,7 +360,7 @@ mod tests {
         let p1 = Vec3::new(-1.0, 2.5, 0.0);
         let p2 = Vec3::new(1.5, 4.5, 0.0);
         let (f, c, a) = capture(&[strong_echo(p1), strong_echo(p2)], 12);
-        let pts = detect_points(&f, &c, &a, &CfarParams::default(), 2);
+        let pts = points_in(&f, &c, &a, 2);
         let found1 = pts
             .iter()
             .any(|p| (p.range_m - p1.norm()).abs() < 0.15 && (p.azimuth_rad + 0.38).abs() < 0.15);
@@ -431,7 +373,7 @@ mod tests {
     #[test]
     fn no_detections_on_noise() {
         let (f, c, a) = capture(&[], 13);
-        let pts = detect_points(&f, &c, &a, &CfarParams::default(), 2);
+        let pts = points_in(&f, &c, &a, 2);
         assert!(pts.len() <= 1, "false alarms: {pts:?}");
     }
 
@@ -439,7 +381,7 @@ mod tests {
     fn detected_power_matches_echo_power() {
         let pos = Vec3::new(0.0, 3.0, 0.0);
         let (f, c, a) = capture(&[strong_echo(pos)], 14);
-        let pts = detect_points(&f, &c, &a, &CfarParams::default(), 1);
+        let pts = points_in(&f, &c, &a, 1);
         let best = pts
             .iter()
             .max_by(|x, y| x.power_mw.total_cmp(&y.power_mw))
@@ -459,7 +401,7 @@ mod tests {
         let pos = Vec3::new(0.8, 2.7, 0.0);
         let amp = Complex64::from_polar(10f64.powf(-35.0 / 20.0), 0.7);
         let (f, c, a) = capture(&[Echo::new(pos, amp)], 15);
-        let y = spotlight(&f, &c, &a, pos);
+        let y = spotlight_at(&f, &c, &a, pos);
         // The measurement includes the radar's own two-way antenna
         // pattern at the target azimuth.
         let az = (0.8f64).atan2(2.7);
@@ -478,7 +420,7 @@ mod tests {
         let amp_t = Complex64::from_polar(10f64.powf(-45.0 / 20.0), 0.0);
         let amp_i = Complex64::from_polar(10f64.powf(-25.0 / 20.0), 0.0);
         let (f, c, a) = capture(&[Echo::new(target, amp_t), Echo::new(interferer, amp_i)], 16);
-        let y = spotlight(&f, &c, &a, target);
+        let y = spotlight_at(&f, &c, &a, target);
         let err_db = 20.0 * (y.abs() / amp_t.abs()).log10();
         assert!(err_db.abs() < 3.0, "spotlight leakage {err_db} dB");
     }
@@ -518,33 +460,6 @@ mod tests {
         for (d, v) in direct_azs.iter().zip(&azs).chain(direct_pws.iter().zip(&pws)) {
             assert_eq!(d.to_bits(), v.to_bits());
         }
-
-        // Whole chain through the scratch arena, reused across frames.
-        let mut scratch = DetectScratch::default();
-        let mut pts = Vec::new();
-        for seed in [21u64, 22, 23] {
-            let (f, c, a) = capture(&[strong_echo(p1), strong_echo(p2)], seed);
-            let direct = detect_points(&f, &c, &a, &CfarParams::default(), 2);
-            detect_points_with(&f, &c, &a, &CfarParams::default(), 2, &mut scratch, &mut pts);
-            assert_eq!(direct.len(), pts.len());
-            for (d, p) in direct.iter().zip(&pts) {
-                assert_eq!(d.range_m.to_bits(), p.range_m.to_bits());
-                assert_eq!(d.azimuth_rad.to_bits(), p.azimuth_rad.to_bits());
-                assert_eq!(d.power_mw.to_bits(), p.power_mw.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn spotlight_with_table_bit_identical_to_direct() {
-        let pos = Vec3::new(0.8, 2.7, 0.0);
-        let amp = Complex64::from_polar(10f64.powf(-35.0 / 20.0), 0.7);
-        let (f, c, a) = capture(&[Echo::new(pos, amp)], 15);
-        let direct = spotlight(&f, &c, &a, pos);
-        let table = WindowTable::new(ros_dsp::window::Window::Hann, f.n_samples());
-        let with_table = spotlight_with(&f, &c, &a, pos, &table);
-        assert_eq!(direct.re.to_bits(), with_table.re.to_bits());
-        assert_eq!(direct.im.to_bits(), with_table.im.to_bits());
     }
 
     #[test]

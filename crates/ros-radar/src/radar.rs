@@ -37,7 +37,7 @@ impl RadarMode {
     }
 }
 
-/// Reusable per-batch scratch arena for [`FmcwRadar::capture_batch_into`]:
+/// Reusable per-batch scratch arena for [`FmcwRadar::capture_batch_with`]:
 /// the pre-drawn flat noise/phase-walk buffers plus one
 /// [`SynthScratch`] per worker thread. A long-lived pipeline keeps one
 /// of these per run so steady-state frames allocate nothing.
@@ -85,24 +85,13 @@ impl FmcwRadar {
         frame
     }
 
-    /// Captures a batch of frames, bit-identical to calling
-    /// [`FmcwRadar::capture`] once per job in order.
-    ///
-    /// Convenience wrapper over [`FmcwRadar::capture_batch_with`] with
-    /// a throwaway scratch arena; steady-state pipelines keep a
-    /// [`CaptureScratch`] alive and call the `_with`/`_into` form so
-    /// warm frames allocate nothing.
-    pub fn capture_batch<R: Rng>(&self, jobs: &[(Pose, Vec<Echo>)], rng: &mut R) -> Vec<Frame> {
-        let mut scratch = CaptureScratch::default();
-        let mut out = Vec::new();
-        self.capture_batch_with(jobs, rng, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`FmcwRadar::capture_batch_into`] plus the telemetry the legacy
-    /// entry point always emitted (batch span + frame counter). Kept
-    /// outside the hot-path kernel so the observability layer's own
-    /// bookkeeping never counts against the zero-alloc budget.
+    /// Captures a batch of frames into `out`, bit-identical to calling
+    /// [`FmcwRadar::capture`] once per job in order, at any thread
+    /// count. A long-lived pipeline keeps one [`CaptureScratch`] alive
+    /// across batches so warm frames allocate nothing. The telemetry
+    /// (batch span + frame counter) stays outside the hot-path kernel,
+    /// so the observability layer's own bookkeeping never counts
+    /// against the zero-alloc budget.
     pub fn capture_batch_with<R: Rng>(
         &self,
         jobs: &[(Pose, Vec<Echo>)],
@@ -115,9 +104,7 @@ impl FmcwRadar {
         self.capture_batch_into(jobs, rng, scratch, out);
     }
 
-    /// Scratch-arena batch capture: writes one frame per job into
-    /// `out`, bit-identical to the serial [`FmcwRadar::capture`] loop
-    /// at any thread count.
+    /// The batch-capture kernel behind [`FmcwRadar::capture_batch_with`].
     ///
     /// The RNG is consumed serially up front — per frame, the thermal
     /// noise draws then the impairment phase walk, exactly the order
@@ -127,7 +114,7 @@ impl FmcwRadar {
     /// worker, so output frames (and every intermediate) depend only on
     /// the job order, never on thread scheduling.
     // lint: hot-path
-    pub fn capture_batch_into<R: Rng>(
+    fn capture_batch_into<R: Rng>(
         &self,
         jobs: &[(Pose, Vec<Echo>)],
         rng: &mut R,
@@ -194,16 +181,9 @@ impl FmcwRadar {
         });
     }
 
-    /// Detects prominent reflectors in a frame (local polar points).
-    pub fn detect(&self, frame: &Frame) -> Vec<RadarPoint> {
-        let pts = processing::detect_points(frame, &self.chirp, &self.array, &self.cfar, 2);
-        ros_obs::hist("radar.points_per_frame", pts.len().as_f64());
-        pts
-    }
-
-    /// Scratch-arena twin of [`FmcwRadar::detect`]: identical points
-    /// written into `out`, with every intermediate (and the FFT plan)
-    /// reused from `scratch` so steady-state frames allocate nothing.
+    /// Detects prominent reflectors in a frame (local polar points),
+    /// written into `out`. Every intermediate (and the FFT plan) is
+    /// reused from `scratch`, so steady-state frames allocate nothing.
     pub fn detect_with(
         &self,
         frame: &Frame,
@@ -214,22 +194,10 @@ impl FmcwRadar {
         ros_obs::hist("radar.points_per_frame", out.len().as_f64());
     }
 
-    /// Runs [`FmcwRadar::detect`] (range FFT + CFAR + AoA sweep) over
-    /// a batch of frames in parallel. Detection is a pure function of
-    /// each frame, so the output is identical to a serial loop.
-    pub fn detect_batch(&self, frames: &[Frame]) -> Vec<Vec<RadarPoint>> {
-        ros_exec::par_map(frames, |f| self.detect(f))
-    }
-
     /// Spotlight-beamforms on a known world position, returning the
-    /// complex RSS amplitude \[√mW\].
-    pub fn spotlight(&self, frame: &Frame, target_world: Vec3) -> Complex64 {
-        processing::spotlight(frame, &self.chirp, &self.array, target_world)
-    }
-
-    /// [`FmcwRadar::spotlight`] with a precomputed Hann window table
-    /// (sized for the frame's sample count); bit-identical and safe in
-    /// hot-path kernels.
+    /// complex RSS amplitude \[√mW\]. `table` is a precomputed Hann
+    /// window sized for the frame's sample count; safe in hot-path
+    /// kernels.
     pub fn spotlight_with(
         &self,
         frame: &Frame,
@@ -250,6 +218,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use ros_dsp::window::{Window, WindowTable};
 
     #[test]
     fn mode_polarizations() {
@@ -259,6 +228,12 @@ mod tests {
         assert_eq!((tx, rx), (Polarization::H, Polarization::V));
     }
 
+    fn points_of(radar: &FmcwRadar, frame: &Frame) -> Vec<RadarPoint> {
+        let mut pts = Vec::new();
+        radar.detect_with(frame, &mut processing::DetectScratch::default(), &mut pts);
+        pts
+    }
+
     #[test]
     fn end_to_end_capture_detect() {
         let radar = FmcwRadar::ti_eval();
@@ -266,11 +241,12 @@ mod tests {
         let pos = Vec3::new(0.5, 3.5, 0.0);
         let echo = Echo::new(pos, Complex64::from_polar(10f64.powf(-35.0 / 20.0), 0.3));
         let frame = radar.capture(Pose::side_looking(Vec3::ZERO), &[echo], &mut rng);
-        let pts = radar.detect(&frame);
+        let pts = points_of(&radar, &frame);
         assert!(pts
             .iter()
             .any(|p| (p.range_m - pos.norm()).abs() < 0.15 && (p.rss_dbm() + 35.0).abs() < 3.0));
-        let y = radar.spotlight(&frame, pos);
+        let table = WindowTable::new(Window::Hann, frame.n_samples());
+        let y = radar.spotlight_with(&frame, pos, &table);
         assert!((20.0 * y.abs().log10() - (-35.0)).abs() < 2.0);
     }
 
@@ -282,7 +258,7 @@ mod tests {
         // −75 dBm: 13 dB below the −62 dBm floor.
         let echo = Echo::new(pos, Complex64::from_polar(10f64.powf(-75.0 / 20.0), 0.0));
         let frame = radar.capture(Pose::side_looking(Vec3::ZERO), &[echo], &mut rng);
-        let pts = radar.detect(&frame);
+        let pts = points_of(&radar, &frame);
         assert!(
             !pts.iter()
                 .any(|p| (p.range_m - 4.0).abs() < 0.2 && p.rss_dbm() > -70.0),
@@ -311,7 +287,8 @@ mod tests {
                 .map(|(pose, echoes)| radar.capture(*pose, echoes, &mut rng))
                 .collect();
             let mut rng = StdRng::seed_from_u64(77);
-            let batch = radar.capture_batch(&jobs, &mut rng);
+            let mut batch = Vec::new();
+            radar.capture_batch_with(&jobs, &mut rng, &mut CaptureScratch::default(), &mut batch);
             assert_eq!(serial.len(), batch.len());
             for (a, b) in serial.iter().zip(&batch) {
                 for (ra, rb) in a.data.iter().zip(&b.data) {
@@ -351,7 +328,7 @@ mod tests {
                 .map(|(pose, echoes)| radar.capture(*pose, echoes, &mut rng))
                 .collect();
             let mut rng = StdRng::seed_from_u64(1234);
-            radar.capture_batch_into(&make_jobs(n_jobs), &mut rng, &mut scratch, &mut out);
+            radar.capture_batch_with(&make_jobs(n_jobs), &mut rng, &mut scratch, &mut out);
             assert_eq!(out.len(), serial.len());
             for (a, b) in serial.iter().zip(&out) {
                 for (ra, rb) in a.data.iter().zip(&b.data) {
@@ -360,33 +337,6 @@ mod tests {
                         assert_eq!(sa.im.to_bits(), sb.im.to_bits());
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn detect_batch_matches_serial_detect() {
-        let radar = FmcwRadar::ti_eval();
-        let mut rng = StdRng::seed_from_u64(42);
-        let jobs: Vec<(Pose, Vec<Echo>)> = (0..4)
-            .map(|i| {
-                let echo = Echo::new(
-                    Vec3::new(0.3 * i as f64, 3.5, 0.0),
-                    Complex64::from_polar(10f64.powf(-35.0 / 20.0), 0.0),
-                );
-                (Pose::side_looking(Vec3::ZERO), vec![echo])
-            })
-            .collect();
-        let frames = radar.capture_batch(&jobs, &mut rng);
-        let serial: Vec<Vec<RadarPoint>> = frames.iter().map(|f| radar.detect(f)).collect();
-        let batch = radar.detect_batch(&frames);
-        assert_eq!(serial.len(), batch.len());
-        for (a, b) in serial.iter().zip(&batch) {
-            assert_eq!(a.len(), b.len());
-            for (pa, pb) in a.iter().zip(b) {
-                assert_eq!(pa.range_m.to_bits(), pb.range_m.to_bits());
-                assert_eq!(pa.azimuth_rad.to_bits(), pb.azimuth_rad.to_bits());
-                assert_eq!(pa.power_mw.to_bits(), pb.power_mw.to_bits());
             }
         }
     }

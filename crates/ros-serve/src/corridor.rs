@@ -129,46 +129,34 @@ impl CorridorConfig {
         }
     }
 
-    fn drive_with_tag(&self, e: &Encounter, tag: Tag) -> DriveBy {
-        DriveBy::new(tag, self.standoff_m)
+    fn source_with_tag(&self, e: &Encounter, tag: Tag) -> DriveBySource {
+        let drive = DriveBy::new(tag, self.standoff_m)
             .with_speed(e.speed_mps)
-            .with_seed(e.seed)
+            .with_seed(e.seed);
+        DriveBySource::new(drive, &self.reader, e.pass)
     }
 
-    /// The drive-by scenario of one encounter.
-    // lint: allow-dead-pub(scenario API for external drivers; the service consumes it via source_for)
-    pub fn drive_for(&self, e: &Encounter) -> DriveBy {
+    /// A streaming frame source for one encounter, its tag built with
+    /// no table cache (the uncached reference).
+    // lint: allow-dead-pub(uncached per-encounter source factory; run_corridor_uncached consumes it in-crate)
+    pub fn source_for(&self, e: &Encounter) -> DriveBySource {
         let tag = Self::code()
             .encode(&e.word)
             // paper_4bit with 8 rows encodes any 4-bit word; the config
             // space cannot make this fail.
             .unwrap_or_else(|err| unreachable!("4-bit encode is total: {err}")); // lint: allow-panic(encode of a 4-bit word into a 4-bit code is total)
-        self.drive_with_tag(e, tag)
+        self.source_with_tag(e, tag)
     }
 
-    /// [`CorridorConfig::drive_for`] with the tag built through an
-    /// injected [`GeomCache`]: the shaping profile and per-frequency
-    /// scatterer tables of each distinct (radar, tag) design build
-    /// once per cache — bit-identical physics either way.
-    // lint: allow-dead-pub(cached twin of drive_for; external drivers pick per cache policy)
-    pub fn drive_for_with(&self, e: &Encounter, cache: &GeomCache) -> DriveBy {
+    /// A streaming frame source for one encounter, its tag built
+    /// through an injected [`GeomCache`]: the shaping profile and
+    /// per-frequency scatterer tables of each distinct (radar, tag)
+    /// design build once per cache — bit-identical physics either way.
+    pub fn source_for_with(&self, e: &Encounter, cache: &GeomCache) -> DriveBySource {
         let tag = Self::code()
             .encode_with(cache, &e.word)
             .unwrap_or_else(|err| unreachable!("4-bit encode is total: {err}")); // lint: allow-panic(encode of a 4-bit word into a 4-bit code is total)
-        self.drive_with_tag(e, tag)
-    }
-
-    /// A streaming frame source for one encounter.
-    // lint: allow-dead-pub(per-encounter source factory; in-crate producers and external drivers share it)
-    pub fn source_for(&self, e: &Encounter) -> DriveBySource {
-        DriveBySource::new(self.drive_for(e), &self.reader, e.pass)
-    }
-
-    /// [`CorridorConfig::source_for`] with the tag design memoized in
-    /// an injected cache (see [`CorridorConfig::drive_for_with`]).
-    // lint: allow-dead-pub(cached twin of source_for; the service consumes it in-crate)
-    pub fn source_for_with(&self, e: &Encounter, cache: &GeomCache) -> DriveBySource {
-        DriveBySource::new(self.drive_for_with(e, cache), &self.reader, e.pass)
+        self.source_with_tag(e, tag)
     }
 }
 

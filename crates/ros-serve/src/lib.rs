@@ -26,16 +26,16 @@
 //!
 //! Geometry memoization: every worker shares one injected
 //! [`ros_cache::GeomCache`] snapshot, so a K-tag corridor builds each
-//! distinct tag design's tables exactly once per run regardless of the
-//! encounter count; [`run_corridor`] owns a fresh cache per call,
-//! [`run_corridor_with`] shares a caller-provided one, and
-//! [`run_corridor_uncached`] is the no-memoization baseline. Cache
-//! traffic surfaces as the `cache.*` counters and in
-//! [`ServeReport`]'s `cache_hits`/`cache_misses`.
+//! distinct tag design's tables exactly once per cache regardless of
+//! the encounter count. [`run_corridor_with`] is the entry point (pass
+//! `&GeomCache::new()` for a cold run); [`run_corridor_uncached`] is
+//! the no-memoization reference. Cache traffic surfaces as the
+//! `cache.*` counters and in [`ServeReport`]'s
+//! `cache_hits`/`cache_misses`.
 
 pub mod corridor;
 // lint: allow-dead-pub(consumed through the crate-root re-exports below)
 pub mod service;
 
 pub use corridor::{CorridorConfig, Encounter};
-pub use service::{run_corridor, run_corridor_uncached, run_corridor_with, ServeReport};
+pub use service::{run_corridor_uncached, run_corridor_with, ServeReport};

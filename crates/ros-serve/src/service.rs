@@ -113,27 +113,20 @@ struct ShardOutcome {
 
 /// Runs the corridor with `workers` shards (`0` = auto: the
 /// [`ros_exec::threads`] resolution, so `ROS_EXEC_THREADS` governs the
-/// service exactly as it governs `par_map`).
+/// service exactly as it governs `par_map`), all per-radar workers
+/// sharing the injected cache.
 ///
 /// Blocks until every pass has decoded; returns the aggregate report
-/// with the `serve.*` metric family emitted as a side effect.
-pub fn run_corridor(cfg: &CorridorConfig, workers: usize) -> ServeReport {
-    // This composition root owns a fresh cache per run: a K-tag
-    // corridor builds each distinct design's tables exactly once and
-    // every encounter after the first reuses them.
-    run_corridor_with(cfg, workers, &GeomCache::new())
-}
-
-/// [`run_corridor`] sharing an *injected* cache: all per-radar workers
-/// read one snapshot, and tables survive across runs that pass the
-/// same handle (the `bench serve` cache section and the streaming
-/// service reuse path). Reads are bit-identical to the uncached run at
+/// with the `serve.*` metric family emitted as a side effect. Every
+/// worker reads one cache snapshot, and tables survive across runs
+/// that pass the same handle; a caller that wants a cold run passes
+/// `&GeomCache::new()`. Reads are bit-identical to the uncached run at
 /// any cache temperature — `tests/cache_determinism.rs` pins this.
 pub fn run_corridor_with(cfg: &CorridorConfig, workers: usize, cache: &GeomCache) -> ServeReport {
     run_corridor_impl(cfg, workers, Some(cache))
 }
 
-/// [`run_corridor`] with table caching disabled — every encounter
+/// [`run_corridor_with`] with table caching disabled — every encounter
 /// recomputes its design's tables from scratch. The no-cache baseline
 /// of the `bench serve` comparison.
 pub fn run_corridor_uncached(cfg: &CorridorConfig, workers: usize) -> ServeReport {
@@ -328,7 +321,7 @@ mod tests {
     #[test]
     fn corridor_decodes_every_pass_and_conserves_frames() {
         let cfg = small();
-        let report = run_corridor(&cfg, 2);
+        let report = run_corridor_with(&cfg, 2, &GeomCache::new());
         assert_eq!(report.reads.len(), 2);
         assert_eq!(report.decodes, 2);
         assert_eq!(report.frames_produced, report.frames_consumed);
@@ -340,8 +333,8 @@ mod tests {
     #[test]
     fn log_is_worker_count_invariant() {
         let cfg = small();
-        let one = run_corridor(&cfg, 1);
-        let four = run_corridor(&cfg, 4);
+        let one = run_corridor_with(&cfg, 1, &GeomCache::new());
+        let four = run_corridor_with(&cfg, 4, &GeomCache::new());
         assert_eq!(one.log(), four.log());
         assert_eq!(one.log_digest(), four.log_digest());
     }

@@ -170,47 +170,19 @@ fn capture_jobs() -> Vec<(Pose, Vec<Echo>)> {
 fn capture_batch_bit_identical_across_thread_counts() {
     let radar = FmcwRadar::ti_eval();
     let jobs = capture_jobs();
-    let reference = with_threads(1, || {
+    let capture = || {
         let mut rng = StdRng::seed_from_u64(0xA11CE);
-        radar.capture_batch(&jobs, &mut rng)
-    });
+        let mut frames = Vec::new();
+        radar.capture_batch_with(&jobs, &mut rng, &mut CaptureScratch::default(), &mut frames);
+        frames
+    };
+    let reference = with_threads(1, capture);
     for t in THREAD_COUNTS {
-        let frames = with_threads(t, || {
-            let mut rng = StdRng::seed_from_u64(0xA11CE);
-            radar.capture_batch(&jobs, &mut rng)
-        });
+        let frames = with_threads(t, capture);
         assert_eq!(frames.len(), reference.len());
         for (f, r) in frames.iter().zip(&reference) {
             for (fa, ra) in f.data.iter().zip(&r.data) {
                 assert_complex_bits_eq(ra, fa, &format!("capture_batch@{t}"));
-            }
-        }
-    }
-}
-
-#[test]
-fn detect_batch_bit_identical_across_thread_counts() {
-    let radar = FmcwRadar::ti_eval();
-    let jobs = capture_jobs();
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    let frames = {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        radar.capture_batch(&jobs, &mut rng)
-    };
-    let reference = with_threads(1, || radar.detect_batch(&frames));
-    for t in THREAD_COUNTS {
-        let points = with_threads(t, || radar.detect_batch(&frames));
-        assert_eq!(points.len(), reference.len());
-        for (ps, rs) in points.iter().zip(&reference) {
-            assert_eq!(ps.len(), rs.len(), "detect_batch@{t}: point count");
-            for (p, r) in ps.iter().zip(rs) {
-                assert_eq!(p.range_m.to_bits(), r.range_m.to_bits(), "range@{t}");
-                assert_eq!(
-                    p.azimuth_rad.to_bits(),
-                    r.azimuth_rad.to_bits(),
-                    "azimuth@{t}"
-                );
-                assert_eq!(p.power_mw.to_bits(), r.power_mw.to_bits(), "power@{t}");
             }
         }
     }
@@ -415,7 +387,8 @@ fn drive_by_full_bit_identical_across_thread_counts() {
 /// shards the encounters landed on.
 #[test]
 fn corridor_service_bit_identical_across_thread_counts() {
-    use ros_serve::{run_corridor, CorridorConfig};
+    use ros_cache::GeomCache;
+    use ros_serve::{run_corridor_with, CorridorConfig};
     let cfg = CorridorConfig {
         n_radars: 2,
         n_vehicles: 2,
@@ -424,10 +397,10 @@ fn corridor_service_bit_identical_across_thread_counts() {
         chunk_frames: 32,
         ..CorridorConfig::default()
     };
-    let reference = with_threads(1, || run_corridor(&cfg, 0));
+    let reference = with_threads(1, || run_corridor_with(&cfg, 0, &GeomCache::new()));
     assert_eq!(reference.workers, 1);
     for t in THREAD_COUNTS {
-        let r = with_threads(t, || run_corridor(&cfg, 0));
+        let r = with_threads(t, || run_corridor_with(&cfg, 0, &GeomCache::new()));
         assert_eq!(r.workers, t, "auto resolution follows the pinned pool");
         assert_eq!(r.log(), reference.log(), "read log @ {t} threads");
         assert_eq!(r.frames_produced, reference.frames_produced, "@ {t} threads");

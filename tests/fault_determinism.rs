@@ -6,7 +6,7 @@
 //! both reader modes, including the fault counters the pass emits.
 
 use ros_core::encode::SpatialCode;
-use ros_core::reader::{DriveBy, Outcome, ReaderConfig};
+use ros_core::reader::{DriveBy, Outcome, ReaderConfig, ReaderMode};
 use ros_core::tag::Tag;
 use ros_exec::ThreadGuard;
 use ros_fault::FaultPlan;
@@ -101,46 +101,77 @@ fn storm_and_windowed_plans_are_thread_invariant_in_full_mode() {
     }
 }
 
-/// Runs the full fixture under the storm plan with telemetry routed to
-/// memory and returns the exported `fault.*` / `reader.frames_degraded`
-/// metric lines verbatim.
-fn fault_metric_lines(threads: usize) -> Vec<String> {
+/// Runs the full fixture's drive in `mode` under the storm plan with
+/// telemetry routed to memory. Returns the exported `fault.*` /
+/// `reader.frames_degraded` metric lines verbatim, plus the number of
+/// degraded frame verdicts the outcome reports.
+fn fault_metric_lines(mode: ReaderMode, threads: usize) -> (Vec<String>, usize) {
     let _pin = ThreadGuard::pin(Some(threads));
     let buffer = ros_obs::install_memory_sink();
     ros_obs::reset_metrics();
     ros_obs::set_level(Level::Summary);
 
-    let (base, cfg) = full_fixture();
+    let (base, mut cfg) = full_fixture();
+    cfg.mode = mode;
     let storm = FaultPlan::canonical_matrix(MATRIX_SEED)
         .pop()
         .expect("matrix is non-empty");
-    let _ = base.with_faults(storm).run(&cfg);
+    let outcome = base.with_faults(storm).run(&cfg);
 
     ros_obs::flush();
     ros_obs::set_level(Level::Off);
     ros_obs::reset_metrics();
     let lines = buffer.lock().expect("sink buffer").clone();
-    lines
+    let lines = lines
         .into_iter()
-        .filter(|l| l.contains("\"name\":\"fault.") || l.contains("\"name\":\"reader.frames_degraded\""))
-        .collect()
+        .filter(|l| {
+            l.contains("\"name\":\"fault.") || l.contains("\"name\":\"reader.frames_degraded\"")
+        })
+        .collect();
+    (lines, fingerprint(&outcome).3)
 }
 
 #[test]
 fn fault_counters_are_identical_across_thread_counts() {
     let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let one = fault_metric_lines(1);
-    assert!(
-        !one.is_empty(),
-        "storm plan must export fault counters"
-    );
-    for t in [2, 8] {
-        assert_eq!(
-            one,
-            fault_metric_lines(t),
-            "fault counters diverged at {t} threads"
+    for mode in [ReaderMode::FullPipeline, ReaderMode::Fast] {
+        let one = fault_metric_lines(mode, 1);
+        assert!(
+            !one.0.is_empty(),
+            "storm plan must export fault counters ({mode:?})"
         );
+        for t in [2, 8] {
+            assert_eq!(
+                one,
+                fault_metric_lines(mode, t),
+                "fault counters diverged at {t} threads ({mode:?})"
+            );
+        }
     }
+}
+
+/// The fast reader's fault accounting is pinned to literal values: the
+/// storm plan on the full fixture's drive, in fast mode. Point
+/// corruption needs a point cloud, so in fast mode it degrades frames
+/// (`reader.frames_degraded`) without marking a frame verdict or
+/// emitting `fault.points_corrupted`.
+#[test]
+fn fast_mode_fault_accounting_is_pinned() {
+    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let (lines, degraded_verdicts) = fault_metric_lines(ReaderMode::Fast, 2);
+    let counter = |name: &str, value: usize| {
+        format!("{{\"ev\":\"metric\",\"name\":\"{name}\",\"kind\":\"counter\",\"value\":{value}}}")
+    };
+    assert_eq!(
+        lines,
+        vec![
+            counter("fault.frames_dropped", 38),
+            counter("fault.frames_saturated", 39),
+            counter("fault.tracking_spikes", 17),
+            counter("reader.frames_degraded", 138),
+        ]
+    );
+    assert_eq!(degraded_verdicts, 81);
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! encounter must build each table kind exactly once per run,
 //! observable through the `cache.*` counters.
 
-use ros_serve::{run_corridor, CorridorConfig};
+use ros_cache::GeomCache;
+use ros_serve::{run_corridor_with, CorridorConfig};
 
 fn base() -> CorridorConfig {
     CorridorConfig {
@@ -35,7 +36,7 @@ fn zero_encounter_corridor_completes_empty() {
     ] {
         assert!(cfg.encounters().is_empty());
         for workers in [1usize, 4] {
-            let r = run_corridor(&cfg, workers);
+            let r = run_corridor_with(&cfg, workers, &GeomCache::new());
             assert!(r.reads.is_empty(), "no pass, no read");
             assert_eq!(r.decodes, 0);
             assert_eq!(r.frames_produced, 0);
@@ -58,7 +59,7 @@ fn single_frame_passes_surface_typed_failures() {
     let mut cfg = base();
     cfg.reader.frame_stride = 100_000;
     let passes = cfg.encounters().len();
-    let reference = run_corridor(&cfg, 1);
+    let reference = run_corridor_with(&cfg, 1, &GeomCache::new());
     assert_eq!(reference.reads.len(), passes, "every pass reports");
     assert_eq!(
         reference.frames_produced,
@@ -71,7 +72,7 @@ fn single_frame_passes_surface_typed_failures() {
         assert!(r.error.is_some(), "typed error travels with the read");
     }
     assert_eq!(reference.decoded_reads(), 0);
-    let two = run_corridor(&cfg, 2);
+    let two = run_corridor_with(&cfg, 2, &GeomCache::new());
     assert_eq!(two.log(), reference.log(), "degenerate log still invariant");
 }
 
@@ -88,7 +89,9 @@ fn k1_corridor_misses_each_table_kind_exactly_once() {
         n_tags: 1,
         ..base()
     };
-    let (report, obs) = ros_obs::capture_scope(ros_obs::Level::Summary, || run_corridor(&cfg, 2));
+    let (report, obs) = ros_obs::capture_scope(ros_obs::Level::Summary, || {
+        run_corridor_with(&cfg, 2, &GeomCache::new())
+    });
     assert_eq!(report.reads.len(), 4);
     // The corridor path exercises exactly two table kinds: the DE
     // shaping profile and the per-frequency row-scatterer table.

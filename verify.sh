@@ -15,8 +15,8 @@ cargo test --workspace -q
 # The executor honours ROS_EXEC_THREADS as the pool-size default; the
 # determinism suite must hold whether the process defaults to one
 # worker or several (it also pins 1/2/8 internally -- this exercises
-# the env-override path on top). The suite includes the planned-path
-# twins (capture_batch_with + detect_with, decode_into under FFT and
+# the env-override path on top). The suite runs the planned stage entry
+# points (capture_batch_with + detect_with, decode_into under FFT and
 # CZT plans), so plan/scratch reuse is re-proven bit-identical across
 # thread counts on every verify pass.
 echo "==> determinism suite at ROS_EXEC_THREADS=1"
@@ -24,6 +24,14 @@ ROS_EXEC_THREADS=1 cargo test -q -p ros-tests --test determinism
 
 echo "==> determinism suite at ROS_EXEC_THREADS=4"
 ROS_EXEC_THREADS=4 cargo test -q -p ros-tests --test determinism
+
+# The benchmark (crates/bench/src/bin/rosbench) is a standalone
+# package outside the workspace, so the stages above never compile it.
+# Build and unit-test it here: a library API change that breaks the
+# benchmark fails verify instead of surfacing at benchmark time.
+echo "==> rosbench build + unit tests (standalone benchmark package)"
+cargo build --release --offline --manifest-path crates/bench/src/bin/rosbench/Cargo.toml
+cargo test --offline --manifest-path crates/bench/src/bin/rosbench/Cargo.toml
 
 # Steady-state allocation budget: one full planned frame (capture ->
 # detect -> spotlight -> decode) must allocate exactly zero bytes

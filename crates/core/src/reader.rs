@@ -268,7 +268,9 @@ impl DriveBy {
     /// Runs the scenario.
     ///
     /// Fast mode drains one [`DriveBySource`] pass — the frame loop the
-    /// streaming service runs — and decodes its frames with the context
+    /// streaming service runs — as a single chunk whose per-frame
+    /// spotlight RSS fans out over the `ros_exec` pool (bit-identical
+    /// at any thread count), and decodes its frames with the context
     /// the source's `PassStart` carries, through the same call
     /// [`StreamingReader`](crate::stream::StreamingReader) makes.
     pub fn run(&self, cfg: &ReaderConfig) -> Outcome {
@@ -276,12 +278,16 @@ impl DriveBy {
             return self.run_full(cfg);
         }
         let _span = ros_obs::span("reader.run_fast");
-        let mut source = DriveBySource::new(self.clone(), cfg, PassId::default());
+        let mut source = DriveBySource::new(self.clone(), cfg, BATCH_PASS).fanned_out();
         let mut samples = Vec::with_capacity(source.n_frames());
-        let mut events = Vec::with_capacity(FAST_CHUNK);
+        // One chunk fits the whole pass (a duplicated frame emits two
+        // events, plus PassStart and PassEnd), so its clean-RSS map fans
+        // out once per pass.
+        let whole_pass = 2 * source.n_frames() + 2;
+        let mut events = Vec::with_capacity(source.n_frames() + 2);
         let mut more = true;
         while more {
-            more = source.next_events(FAST_CHUNK, &mut events);
+            more = source.next_events(whole_pass, &mut events);
             for ev in events.drain(..) {
                 if let StreamEvent::Frame { sample, .. } = ev {
                     samples.push(sample);
@@ -699,8 +705,13 @@ impl DriveBy {
     }
 }
 
-/// Events pulled from the fast reader's source per chunk.
-const FAST_CHUNK: usize = 256;
+/// Placeholder identity of the one pass a fast [`DriveBy::run`] drains.
+const BATCH_PASS: PassId = PassId {
+    radar: 0,
+    vehicle: 0,
+    tag: 0,
+    seq: 0,
+};
 
 /// Emits the `fault.*` counters and `reader.frames_degraded` for the
 /// first `n_frames` frames of a realized schedule and returns their

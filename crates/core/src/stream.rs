@@ -22,6 +22,9 @@
 //! loop: the spotlight RSS expression, the serial receiver-noise RNG
 //! (two draws per frame, drawn even for dropped frames), the fault
 //! schedule realization, and the closest-approach decode-centre anchor.
+//! Per chunk it plans the frames serially, maps their clean spotlight
+//! RSS (over the `ros_exec` pool when [`DriveBy::run`] drains it, on
+//! one worker otherwise) and draws the noise serially.
 //! [`DriveBy::run`] in fast mode drains one source and decodes through
 //! the same [`PassContext`] call as [`StreamingReader`], so a
 //! [`SignRead`] and the `Outcome` of the equivalent batch run carry
@@ -51,7 +54,7 @@ use std::collections::BTreeMap;
 /// (derived lexicographically: radar, vehicle, tag, seq) defines the
 /// canonical read-log order, which is how the service proves its
 /// output is invariant under worker count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PassId {
     /// Roadside radar index.
     pub radar: u32,
@@ -362,6 +365,20 @@ pub struct DriveBySource {
     tracking: TrackingStream,
     frame_no: usize,
     phase: SourcePhase,
+    // Frames of the chunk being emitted (reused across chunks), and
+    // whether their clean RSS fans out over the `ros_exec` pool.
+    plan: Vec<PlannedFrame>,
+    fan_out: bool,
+}
+
+/// One frame of a chunk, planned serially (timeline, tracking and
+/// fault lookups advance in frame order) before its clean RSS is
+/// evaluated.
+#[derive(Clone, Copy, Debug)]
+struct PlannedFrame {
+    t: f64,
+    truth: Vec3,
+    believed: Vec3,
 }
 
 impl DriveBySource {
@@ -441,7 +458,18 @@ impl DriveBySource {
             tracking,
             frame_no: 0,
             phase: SourcePhase::Start,
+            plan: Vec::new(),
+            fan_out: false,
         }
+    }
+
+    /// Spreads each chunk's clean-RSS evaluation over the `ros_exec`
+    /// pool. [`DriveBy::run`] drains its pass on the caller's thread, so
+    /// it fans out; a corridor runs one serial source per worker. The
+    /// emitted events are bit-identical either way.
+    pub(crate) fn fanned_out(mut self) -> Self {
+        self.fan_out = true;
+        self
     }
 
     /// Total decoding frames on the timeline (before drop/duplicate
@@ -480,6 +508,71 @@ impl DriveBySource {
             }
         }
         rss
+    }
+
+    /// The realized faults of frame `frame_no` (clean without a plan).
+    fn faults(&self, frame_no: usize) -> FrameFaults {
+        match &self.schedule {
+            Some(sch) => *sch.get(frame_no),
+            None => FrameFaults::clean(),
+        }
+    }
+
+    /// Emits the frames whose events fit in `room` and returns how many
+    /// events it pushed. The timeline and tracking advance serially in
+    /// frame order; the clean RSS of the planned frames — the per-frame
+    /// cost — is mapped over the workers; receiver noise is then drawn
+    /// serially in frame order, so the events are bit-identical at any
+    /// worker count.
+    fn emit_frames(&mut self, room: usize, out: &mut Vec<StreamEvent>) -> usize {
+        let mut plan = std::mem::take(&mut self.plan);
+        plan.clear();
+        // A duplicated frame emits two events; reserve room so a chunk
+        // boundary never splits the RNG draw from its emission.
+        let mut planned = 0usize;
+        while self.i <= self.n_last && room - planned >= 2 {
+            let t = self.i.as_f64() / self.rate_hz;
+            let truth = self.traj.position_at(t);
+            let mut believed = self.tracking.advance(truth);
+            let ff = self.faults(self.frame_no + plan.len());
+            if let Some(s) = ff.spike {
+                believed += Vec3::new(s.dx_m, s.dy_m, 0.0);
+            }
+            planned += match (ff.dropped, ff.duplicated) {
+                (true, _) => 0,
+                (false, true) => 2,
+                (false, false) => 1,
+            };
+            plan.push(PlannedFrame { t, truth, believed });
+            self.i += self.stride;
+        }
+
+        let workers = if self.fan_out { ros_exec::threads() } else { 1 };
+        let clean = ros_exec::par_map_with(workers, &plan, |f| self.fast_clean_rss(f.t, f.truth));
+        for (f, rss_clean) in plan.iter().zip(clean) {
+            let ff = self.faults(self.frame_no);
+            let rss = fast_frame_rss(rss_clean, self.frame_no, &mut self.rng, self.sigma, &ff);
+            self.frame_no += 1;
+            if ff.dropped {
+                continue;
+            }
+            let sample = RssSample {
+                radar_pos: f.believed,
+                rss,
+            };
+            out.push(StreamEvent::Frame {
+                pass: self.pass,
+                sample,
+            });
+            if ff.duplicated {
+                out.push(StreamEvent::Frame {
+                    pass: self.pass,
+                    sample,
+                });
+            }
+        }
+        self.plan = plan;
+        planned
     }
 }
 
@@ -576,46 +669,10 @@ impl FrameSource for DriveBySource {
                         self.phase = SourcePhase::End;
                         continue;
                     }
-                    // A duplicated frame emits two events; reserve room
-                    // so a chunk boundary never splits the RNG draw
-                    // from its emission.
                     if max - emitted < 2 {
                         return true;
                     }
-                    let t = self.i.as_f64() / self.rate_hz;
-                    let truth = self.traj.position_at(t);
-                    let mut believed = self.tracking.advance(truth);
-                    let ff = match &self.schedule {
-                        Some(sch) => *sch.get(self.frame_no),
-                        None => FrameFaults::clean(),
-                    };
-                    if let Some(s) = ff.spike {
-                        believed += Vec3::new(s.dx_m, s.dy_m, 0.0);
-                    }
-                    let rss_clean = self.fast_clean_rss(t, truth);
-                    let rss =
-                        fast_frame_rss(rss_clean, self.frame_no, &mut self.rng, self.sigma, &ff);
-                    self.i += self.stride;
-                    self.frame_no += 1;
-                    if ff.dropped {
-                        continue;
-                    }
-                    let sample = RssSample {
-                        radar_pos: believed,
-                        rss,
-                    };
-                    out.push(StreamEvent::Frame {
-                        pass: self.pass,
-                        sample,
-                    });
-                    emitted += 1;
-                    if ff.duplicated {
-                        out.push(StreamEvent::Frame {
-                            pass: self.pass,
-                            sample,
-                        });
-                        emitted += 1;
-                    }
+                    emitted += self.emit_frames(max - emitted, out);
                 }
                 SourcePhase::End => {
                     out.push(StreamEvent::PassEnd { pass: self.pass });

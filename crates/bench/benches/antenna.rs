@@ -52,18 +52,16 @@ fn bench_stack_pattern(c: &mut Criterion) {
 
 fn bench_shaping_cost_landscape(c: &mut Criterion) {
     // One DE objective evaluation for an 8-row flat-top (the §4.3
-    // search's inner loop).
-    c.bench_function("flat_top_optimize_8row_small", |b| {
+    // search's inner loop): a 4-phase half-profile mirrored over 8 rows.
+    let half = [0.0, 0.9, 2.1, 3.4];
+    let width = ros_em::units::Degrees::new(10.0).radians().value();
+    c.bench_function("flat_top_objective_8row", |b| {
         b.iter(|| {
-            // A miniature DE run (small budget) exercising the full
-            // objective path deterministically.
-            let profile = ros_antenna::shaping::optimize_flat_top_with_budget(
+            black_box(ros_antenna::shaping::flat_top_objective(
+                black_box(&half),
                 8,
-                (10.0f64).to_radians(),
-                12,
-                10,
-            );
-            black_box(profile.phases[0])
+                width,
+            ))
         })
     });
 }

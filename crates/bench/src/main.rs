@@ -28,6 +28,14 @@
 //! `ROS_OBS_FILE` when set — see `ros-obs` and DESIGN.md §10. `smoke`
 //! runs a single 3-stack full-pipeline drive-by, the smallest command
 //! that exercises capture → CFAR → DBSCAN → discrimination → decode.
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::as_conversions,
+    clippy::panic,
+    reason = "a measurement harness: it prints tables, converts counts for display, \
+              and aborts on a broken experiment; the library-only lints do not apply"
+)]
 
 mod faults;
 mod figures;

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! # ros-core — the RoS passive smart surface
 //!
 //! The paper's primary contribution: a fully passive, chipless,

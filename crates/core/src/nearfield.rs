@@ -32,6 +32,7 @@ use ros_em::units::cast::AsF64;
 
 /// Near-field decode result.
 #[derive(Clone, Debug)]
+// lint: allow-dead-pub(returned by decode_nearfield; callers bind fields, never the name)
 pub struct NearFieldDecodeResult {
     /// Decoded bits.
     pub bits: Vec<bool>,

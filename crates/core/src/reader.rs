@@ -478,8 +478,8 @@ impl DriveBy {
                                 p.range_m = f64::INFINITY;
                                 p.power_mw = f64::INFINITY;
                             }
+                            #[expect(clippy::as_conversions, reason = "point index widens losslessly")]
                             CorruptionMode::Outlier { offset_m } => {
-                                // lint: allow-cast(point index, lossless widening)
                                 p.range_m += (2.0 * c.unit(k as u64) - 1.0) * offset_m;
                             }
                         }
@@ -834,6 +834,7 @@ impl PassVerdict {
 /// Per-frame fault exposure of one pass (populated only when a fault
 /// plan was attached; indexed by decoding-frame number).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+// lint: allow-dead-pub(element of Outcome::frame_verdicts; callers bind fields, never the name)
 pub struct FrameVerdict {
     /// Decoding-frame index.
     pub index: usize,
@@ -877,6 +878,7 @@ impl FrameVerdict {
 
 /// One decoded tag in a multi-tag scene.
 #[derive(Clone, Debug)]
+// lint: allow-dead-pub(element of Outcome::all_tags; callers bind fields, never the name)
 pub struct DecodedTag {
     /// Detected tag centre \[m\].
     pub center: Vec3,

@@ -635,7 +635,7 @@ fn fast_frame_rss(
     let mut rss = rss_clean + Complex64::new(gauss(rng) * sigma, gauss(rng) * sigma);
     if let Some(b) = &ff.burst {
         let sigma_b = sigma * ros_em::db::db_to_lin(b.excess_db);
-        // lint: allow-cast(frame index, lossless widening)
+        #[expect(clippy::as_conversions, reason = "frame index widens losslessly")]
         let (g_re, g_im) = b.gaussian_pair(i as u64);
         rss += Complex64::new(g_re * sigma_b, g_im * sigma_b);
     }

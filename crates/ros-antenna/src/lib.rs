@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! # ros-antenna — antenna substrate for RoS
 //!
 //! The analytic electromagnetics of the RoS tag (§4 of the paper),
@@ -32,6 +30,7 @@ pub mod design;
 pub mod patch;
 pub mod shaping;
 pub mod stack;
+// lint: allow-dead-pub(section 4.2 strip-line design calculator, a reference model exercised by its unit tests)
 pub mod stripline;
 pub mod taper;
 pub mod tl;

@@ -211,9 +211,10 @@ impl GeomCache {
             // replace the entry deterministically.
             g.by_kind[kind.index()].misses += 1;
             let value: Arc<T> = Arc::new(build());
+            let erased: Arc<dyn Any + Send + Sync> = Arc::<T>::clone(&value);
             let entry = Entry {
                 kind,
-                value: Arc::clone(&value) as Arc<dyn Any + Send + Sync>,
+                value: erased,
             };
             g.by_kind[kind.index()].inserts += 1;
             g.map.insert(key, entry);
@@ -232,11 +233,12 @@ impl GeomCache {
             }
         }
         g.order.push_back(key.clone());
+        let erased: Arc<dyn Any + Send + Sync> = Arc::<T>::clone(&value);
         g.map.insert(
             key,
             Entry {
                 kind,
-                value: Arc::clone(&value) as Arc<dyn Any + Send + Sync>,
+                value: erased,
             },
         );
         value

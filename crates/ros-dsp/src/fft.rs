@@ -122,6 +122,7 @@ impl FftPlan {
     ///
     /// # Panics
     /// Panics if `n` is not a power of two.
+    #[expect(clippy::as_conversions, reason = "a bit-reversal index is < n, which fits u32")]
     pub fn new(n: usize) -> Self {
         assert!(
             is_power_of_two(n),
@@ -132,7 +133,7 @@ impl FftPlan {
         let mut rev = Vec::with_capacity(n);
         let mut j = 0usize;
         for _ in 0..n {
-            rev.push(j as u32); // lint: allow-cast(index < n, fits u32)
+            rev.push(j as u32);
             let mut m = n >> 1;
             while m >= 1 && j & m != 0 {
                 j ^= m;
@@ -202,7 +203,8 @@ impl FftPlan {
             return;
         }
         for i in 0..n {
-            let j = self.rev[i] as usize; // lint: allow-cast(u32 widens losslessly)
+            #[expect(clippy::as_conversions, reason = "u32 widens losslessly to usize")]
+            let j = self.rev[i] as usize;
             if i < j {
                 data.swap(i, j);
             }

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! # ros-dsp — signal-processing substrate for RoS
 //!
 //! Everything the radar pipeline needs to turn raw IF samples into

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! # ros-em — electromagnetics substrate for RoS
 //!
 //! Foundational electromagnetic and mathematical building blocks used by
@@ -35,10 +33,12 @@ pub mod circular;
 pub(crate) mod complex;
 pub mod constants;
 pub mod db;
+// lint: allow-dead-pub(section 5.3 near/far-field region helpers, a reference model exercised by its unit tests)
 pub mod fresnel;
 pub mod geom;
 pub mod jones;
 pub mod radar_eq;
+// lint: allow-dead-pub(section 2 canonical-shape RCS references, exercised by their unit tests)
 pub mod rcs_shapes;
 pub mod special;
 pub mod units;

@@ -46,7 +46,6 @@ pub fn q_function(x: f64) -> f64 {
 
 /// Normalized sinc: `sin(πx)/(πx)` with `sinc(0) = 1`.
 pub fn sinc(x: f64) -> f64 {
-    // lint: allow-float-eq(removable singularity: only exact 0 needs the branch)
     if x == 0.0 {
         1.0
     } else {

@@ -411,8 +411,9 @@ pub mod cast {
         ($($t:ty),*) => {$(
             impl AsF64 for $t {
                 #[inline]
+                #[expect(clippy::as_conversions, reason = "lossless widening defined once, here")]
                 fn as_f64(self) -> f64 {
-                    self as f64 // lint: allow-cast(lossless widening defined once, here)
+                    self as f64
                 }
             }
         )*};
@@ -425,13 +426,14 @@ pub mod cast {
     /// NaN maps to 0. Use for converting non-negative continuous
     /// quantities (sample positions, bin indices) to array indexes.
     #[inline]
+    #[expect(clippy::as_conversions, reason = "clamp bound, and a floor range-checked above")]
     pub fn floor_usize(x: f64) -> usize {
         if x.is_nan() || x <= 0.0 {
             0
-        } else if x >= usize::MAX as f64 { // lint: allow-cast(clamp bound)
+        } else if x >= usize::MAX as f64 {
             usize::MAX
         } else {
-            x.floor() as usize // lint: allow-cast(range checked above)
+            x.floor() as usize
         }
     }
 
@@ -450,21 +452,23 @@ pub mod cast {
     /// Nearest integer of `x` as an `i64`, saturating at the type
     /// bounds; NaN maps to 0.
     #[inline]
+    #[expect(clippy::as_conversions, reason = "float-to-int `as` saturates, which is the documented contract")]
     pub fn round_i64(x: f64) -> i64 {
         if x.is_nan() {
             0
         } else {
             // `as` from float to int saturates since Rust 1.45, which
             // is exactly the contract documented here.
-            x.round() as i64 // lint: allow-cast(saturating by language contract)
+            x.round() as i64
         }
     }
 
     /// Converts a `usize` to `u64` (lossless on every supported
     /// platform).
     #[inline]
+    #[expect(clippy::as_conversions, reason = "usize is at most 64 bits on every supported target")]
     pub fn u64_from_usize(n: usize) -> u64 {
-        n as u64 // lint: allow-cast(usize is at most 64 bits here)
+        n as u64
     }
 
     /// Converts a `u64` to `usize`, saturating on 32-bit platforms.

@@ -31,14 +31,15 @@ pub mod channel;
 
 /// Runs `f` inside a scoped-thread region, as `std::thread::scope` does.
 ///
-/// This crate is the workspace's single spawn boundary (the no-raw-spawn
-/// lint bans direct `std::thread` spawning everywhere else), and the
-/// `par_map` family only covers slice-shaped fan-out. Long-running
-/// services — `ros-serve`'s producer/worker/aggregator topology — need
-/// free-form scoped workers wired by [`channel`]s, so the escape hatch
-/// lives here where the spawn policy is audited. Workers spawned on the
-/// scope are joined before `scope` returns and panics propagate, same
-/// as the underlying std primitive.
+/// This crate is the workspace's single spawn boundary (clippy's
+/// `disallowed_methods` bans direct `std::thread` spawning everywhere
+/// else), and the `par_map` family only covers slice-shaped fan-out.
+/// Long-running services — `ros-serve`'s producer/worker/aggregator
+/// topology — need free-form scoped workers wired by [`channel`]s, so
+/// the escape hatch lives here where the spawn policy is audited.
+/// Workers spawned on the scope are joined before `scope` returns and
+/// panics propagate, same as the underlying std primitive.
+#[expect(clippy::disallowed_methods, reason = "ros-exec is the workspace's one spawn boundary")]
 pub fn scope<'env, F, T>(f: F) -> T
 where
     F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> T,
@@ -184,6 +185,7 @@ where
 /// Chunks are contiguous index ranges assembled back in chunk order, so
 /// the output ordering never depends on thread scheduling. A panic in
 /// any worker is propagated to the caller after the scope joins.
+#[expect(clippy::disallowed_methods, reason = "ros-exec is the workspace's one spawn boundary")]
 fn run_chunked<T, R, F>(n_threads: usize, items: &[T], f: &F) -> Vec<R>
 where
     T: Sync,
@@ -246,6 +248,7 @@ where
 /// # Panics
 /// Panics if `scratches` is empty while `items` is not, and propagates
 /// worker panics after the scope joins.
+#[expect(clippy::disallowed_methods, reason = "ros-exec is the workspace's one spawn boundary")]
 // lint: hot-path
 pub fn par_for_each_mut<S, T, F>(scratches: &mut [S], items: &mut [T], f: F)
 where

@@ -103,6 +103,7 @@ impl TimeWindow {
 /// One fault stream: a kind, its per-frame firing rate, and the time
 /// window it is active in.
 #[derive(Clone, Copy, Debug, PartialEq)]
+// lint: allow-dead-pub(element of FaultPlan::specs, built through FaultPlan::with; callers never write the name)
 pub struct FaultSpec {
     /// What to inject.
     pub kind: FaultKind,
@@ -178,7 +179,7 @@ impl FaultPlan {
         let mut plans = Vec::new();
         for (ki, kind) in kinds.iter().enumerate() {
             for (ri, rate) in RATES.iter().enumerate() {
-                // lint: allow-cast(matrix indices, lossless widening)
+                #[expect(clippy::as_conversions, reason = "matrix indices widen losslessly")]
                 let plan_seed = ParSeed::new(seed).substream(ki as u64, ri as u64);
                 plans.push(FaultPlan::single(plan_seed, *kind, *rate));
             }
@@ -222,14 +223,14 @@ impl FaultPlan {
                 if !spec.window.contains(t) {
                     continue;
                 }
-                // lint: allow-cast(spec/frame indices, lossless widening)
+                #[expect(clippy::as_conversions, reason = "spec/frame indices widen losslessly")]
                 let fires = unit01(seeds.substream(s as u64, i as u64)) < spec.rate;
                 if !fires {
                     continue;
                 }
                 // Kind-specific magnitudes draw from a disjoint tag so
                 // adding a spec never perturbs another spec's stream.
-                // lint: allow-cast(spec/frame indices, lossless widening)
+                #[expect(clippy::as_conversions, reason = "spec/frame indices widen losslessly")]
                 let mag_seed = seeds.substream(TAG_MAGNITUDE ^ (s as u64), i as u64);
                 match spec.kind {
                     FaultKind::FrameDrop => ff.dropped = true,

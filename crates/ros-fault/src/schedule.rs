@@ -5,8 +5,8 @@ use ros_exec::ParSeed;
 
 /// Maps a 64-bit draw onto \[0, 1): the top 53 bits scaled by 2⁻⁵³,
 /// the standard exact-mantissa construction.
+#[expect(clippy::as_conversions, reason = "a 53-bit value is exactly representable in f64")]
 pub(crate) fn unit01(bits: u64) -> f64 {
-    // lint: allow-cast(53-bit value is exactly representable in f64)
     (bits >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
 }
 
@@ -219,7 +219,7 @@ mod tests {
             sum += a + bb;
             sq += a * a + bb * bb;
         }
-        let count = (2 * n) as f64; // lint: allow-cast(small integer)
+        let count = (2 * n) as f64;
         let mean = sum / count;
         let var = sq / count - mean * mean;
         assert!(mean.abs() < 0.05, "mean {mean}");

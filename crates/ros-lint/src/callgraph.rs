@@ -5,8 +5,8 @@
 //! resolved **by name** — the same deliberate over-approximation
 //! `dead-pub`'s reference graph uses, with the same justification: no
 //! type inference, total over malformed input, and the consuming rule
-//! (`alloc-in-hot-path`) has both a baseline and a marker escape, so a
-//! spurious edge costs an annotation, never a missed regression.
+//! (`alloc-in-hot-path`) has a marker escape, so a spurious edge costs
+//! an annotation, never a missed regression.
 //!
 //! Resolution, in decreasing specificity:
 //!
@@ -23,8 +23,7 @@
 //! comment on the line of (or directly above) the `fn` keyword.
 //! [`build`] runs a BFS from every entry and records, per reachable
 //! node, a deterministic *witness* — the lexicographically first entry
-//! that reaches it — so `alloc-in-hot-path` messages are stable
-//! baseline keys.
+//! that reaches it — so `alloc-in-hot-path` messages are stable.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -1,15 +1,14 @@
 //! Workspace loading and the gate driver.
 //!
 //! The engine walks the repository, lexes and scans every Rust file,
-//! runs the per-file and cross-crate rules, applies the baseline, and
-//! renders the human and JSON reports. It never prints and never
-//! exits — `xtask` owns the terminal and the exit code.
+//! runs the per-file and cross-crate rules, and renders the human
+//! report. It never prints and never exits — `xtask` owns the terminal
+//! and the exit code.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{self, Baseline};
 use crate::lexer::{self, Token};
 use crate::report;
 use crate::rules;
@@ -23,8 +22,9 @@ pub enum FileRole {
     /// `crates/{bench,xtask}/src` — measurement harnesses: the
     /// crate-wide rules apply, the library-API rules do not.
     Harness,
-    /// Integration tests, examples, per-crate `tests/` — scanned only
-    /// as a reference corpus (for `dead-pub`), no rules applied.
+    /// Integration tests, examples, per-crate `tests/` and `benches/`
+    /// — scanned only as a reference corpus (for `dead-pub`), no rules
+    /// applied.
     Reference,
 }
 
@@ -48,9 +48,6 @@ pub struct FileAnalysis {
     pub facts: FileFacts,
     /// `lint: allow-…(…)` markers by 1-based line.
     pub markers: HashMap<usize, Vec<String>>,
-    /// The file opens with module-level inner docs (`//!` / `/*!`),
-    /// the repo's convention for documenting file modules.
-    pub has_module_docs: bool,
     /// Marker lines that suppressed at least one rule probe this run —
     /// what `stale-suppression` subtracts from the declared markers.
     /// Interior mutability because rules hold `&FileAnalysis`.
@@ -82,7 +79,6 @@ impl FileAnalysis {
                 markers.entry(t.line).or_default().push(body.to_string());
             }
         }
-        let has_module_docs = leading_inner_docs(&text, &tokens);
         FileAnalysis {
             rel,
             crate_name,
@@ -91,7 +87,6 @@ impl FileAnalysis {
             tokens,
             facts,
             markers,
-            has_module_docs,
             used_markers: RefCell::new(BTreeSet::new()),
         }
     }
@@ -122,29 +117,10 @@ impl FileAnalysis {
     }
 }
 
-/// True when the token stream opens with inner docs (`//!` or `/*!`),
-/// skipping plain comments. Used both for whole files (module docs)
-/// and for inline `mod` bodies.
-pub fn leading_inner_docs<'a, I>(text: &str, tokens: I) -> bool
-where
-    I: IntoIterator<Item = &'a Token>,
-{
-    for t in tokens {
-        match t.kind {
-            lexer::TokenKind::LineComment | lexer::TokenKind::BlockComment => {}
-            lexer::TokenKind::DocComment => {
-                let s = t.text(text);
-                return s.starts_with("//!") || s.starts_with("/*!");
-            }
-            _ => return false,
-        }
-    }
-    false
-}
-
 /// Walks the workspace and analyzes every relevant Rust file:
-/// `crates/*/src` (rule targets) plus `crates/*/tests`, `tests/`, and
-/// `examples/` (reference corpus). Files come back sorted by path.
+/// `crates/*/src` (rule targets) plus `crates/*/{tests,benches}`,
+/// `tests/`, and `examples/` (reference corpus). Files come back
+/// sorted by path.
 pub fn load_workspace(root: &Path) -> std::io::Result<Vec<FileAnalysis>> {
     Ok(load_workspace_timed(root, None)?.0)
 }
@@ -182,9 +158,11 @@ fn load_workspace_timed(
             };
             collect_rs(&src, &mut paths, &name, role)?;
         }
-        let tests = dir.join("tests");
-        if tests.is_dir() {
-            collect_rs(&tests, &mut paths, &name, FileRole::Reference)?;
+        for sub in ["tests", "benches"] {
+            let reference = dir.join(sub);
+            if reference.is_dir() {
+                collect_rs(&reference, &mut paths, &name, FileRole::Reference)?;
+            }
         }
     }
     for (sub, crate_name) in [("tests", "ros-tests"), ("examples", "ros-examples")] {
@@ -233,25 +211,10 @@ fn collect_rs(
     Ok(())
 }
 
-/// Options for one gate run.
-#[derive(Debug, Default)]
-pub struct GateOptions {
-    /// Write the machine-readable findings artifact here.
-    pub json_path: Option<PathBuf>,
-    /// Rewrite the baseline to match the current findings instead of
-    /// judging against it.
-    pub update_baseline: bool,
-    /// Ignore the baseline entirely (every finding is "new").
-    pub no_baseline: bool,
-    /// Monotonic nanosecond clock injected by the driver; `None`
-    /// leaves every reported pass time at zero (the engine itself
-    /// never reads the OS clock — that is the driver's edge).
-    pub clock: Option<fn() -> u64>,
-}
-
 /// Wall time of each analyzer pass, nanoseconds. All zero unless the
-/// driver injects a clock via [`GateOptions::clock`].
+/// driver injects a clock into [`run_gate`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+// lint: allow-dead-pub(GateOutcome::timings; the driver reads fields, never the name)
 pub struct PassTimings {
     /// Lexing every workspace file.
     pub lex_ns: u64,
@@ -269,80 +232,40 @@ pub struct PassTimings {
 
 /// The outcome of one gate run, ready for the driver to print.
 pub struct GateOutcome {
-    /// The gate passed (no non-baselined findings).
+    /// The gate passed (no findings).
     pub passed: bool,
     /// Human-readable report (print as-is).
     pub human_report: String,
-    /// Actions the engine performed (file writes), for the driver log.
-    pub notes: Vec<String>,
     /// Per-pass wall time (zeros without an injected clock).
     pub timings: PassTimings,
 }
 
-/// Runs the full gate: load → analyze → baseline → report.
+/// Runs the full gate: load → analyze → report. Any finding fails it.
 ///
-/// `root` is the workspace root (the directory holding `crates/` and
-/// `lint-baseline.json`).
-pub fn run_gate(root: &Path, opts: &GateOptions) -> Result<GateOutcome, String> {
-    let t0 = now(opts.clock);
-    let (files, lex_ns, scan_ns) = load_workspace_timed(root, opts.clock)
+/// `root` is the workspace root (the directory holding `crates/`).
+/// `clock` is a monotonic nanosecond clock injected by the driver;
+/// `None` leaves every reported pass time at zero (the engine itself
+/// never reads the OS clock — that is the driver's edge).
+pub fn run_gate(root: &Path, clock: Option<fn() -> u64>) -> Result<GateOutcome, String> {
+    let t0 = now(clock);
+    let (files, lex_ns, scan_ns) = load_workspace_timed(root, clock)
         .map_err(|e| format!("cannot walk {}: {e}", root.display()))?;
-    let (findings, callgraph_ns, lockgraph_ns, rules_ns) =
-        rules::check_all_timed(&files, opts.clock);
-    let mut timings = PassTimings {
+    let (findings, callgraph_ns, lockgraph_ns, rules_ns) = rules::check_all_timed(&files, clock);
+    let n_files = files
+        .iter()
+        .filter(|f| f.role != FileRole::Reference)
+        .count();
+    let timings = PassTimings {
         lex_ns,
         scan_ns,
         callgraph_ns,
         lockgraph_ns,
         rules_ns,
-        total_ns: 0,
+        total_ns: now(clock).saturating_sub(t0),
     };
-
-    let baseline_path = root.join(baseline::BASELINE_FILE);
-    let mut notes = Vec::new();
-
-    if opts.update_baseline {
-        let rendered = baseline::render(&findings);
-        std::fs::write(&baseline_path, rendered)
-            .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
-        notes.push(format!(
-            "baseline updated: {} ({} finding(s) grandfathered)",
-            baseline_path.display(),
-            findings.len()
-        ));
-    }
-
-    let baseline = if opts.no_baseline {
-        Baseline::default()
-    } else {
-        baseline::load(&baseline_path)?
-    };
-    let judged = baseline.judge(&findings);
-
-    let n_files = files
-        .iter()
-        .filter(|f| f.role != FileRole::Reference)
-        .count();
-    timings.total_ns = now(opts.clock).saturating_sub(t0);
-    if let Some(json_path) = &opts.json_path {
-        let artifact = report::json_report(&judged, n_files, &timings);
-        if let Some(parent) = json_path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-            }
-        }
-        std::fs::write(json_path, artifact)
-            .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
-        notes.push(format!("findings artifact: {}", json_path.display()));
-    }
-
-    let passed = judged.new_count() == 0;
-    let human_report = report::human_report(&judged, n_files);
     Ok(GateOutcome {
-        passed,
-        human_report,
-        notes,
+        passed: findings.is_empty(),
+        human_report: report::human_report(&findings, n_files),
         timings,
     })
 }
@@ -363,37 +286,19 @@ mod tests {
     #[test]
     fn marker_probes_finding_line_and_line_above() {
         let f = fa(
-            "// lint: allow-cast(above)\nlet a = n as f64;\nlet b = m as f64; // lint: allow-cast(same)\n\nlet c = k as f64;\n",
+            "// lint: allow-nondet-iter(above)\nlet a = m.keys();\nlet b = m.keys(); // lint: allow-nondet-iter(same)\n\nlet c = m.keys();\n",
         );
-        assert!(f.has_marker(2, "allow-cast"));
-        assert!(f.has_marker(3, "allow-cast"));
-        assert!(!f.has_marker(5, "allow-cast"));
+        assert!(f.has_marker(2, "allow-nondet-iter"));
+        assert!(f.has_marker(3, "allow-nondet-iter"));
+        assert!(!f.has_marker(5, "allow-nondet-iter"));
         // Marker names do not cross-suppress.
-        assert!(!f.has_marker(2, "allow-panic"));
+        assert!(!f.has_marker(2, "allow-dead-pub"));
     }
 
     #[test]
     fn marker_in_string_literal_is_not_a_marker() {
-        let f = fa("let s = \"lint: allow-cast(nope)\";\nlet a = n as f64;\n");
-        assert!(!f.has_marker(2, "allow-cast"));
-    }
-
-    #[test]
-    fn leading_inner_docs_rules() {
-        let yes = fa("//! module docs\nfn f() {}\n");
-        assert!(yes.has_module_docs);
-        let block = fa("/*! module docs */\nfn f() {}\n");
-        assert!(block.has_module_docs);
-        // Plain comments may precede the inner doc.
-        let after_comment = fa("// SPDX-ish header\n//! docs\n");
-        assert!(after_comment.has_module_docs);
-        // An item before any `//!` means the file has no module docs.
-        let no = fa("fn f() {}\n//! too late\n");
-        assert!(!no.has_module_docs);
-        // Outer docs at the top document the first item, not the module.
-        let outer = fa("/// item docs\nfn f() {}\n");
-        assert!(!outer.has_module_docs);
-        assert!(!fa("").has_module_docs);
+        let f = fa("let s = \"lint: allow-nondet-iter(nope)\";\nlet a = m.keys();\n");
+        assert!(!f.has_marker(2, "allow-nondet-iter"));
     }
 
     #[test]

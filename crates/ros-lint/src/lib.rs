@@ -1,35 +1,33 @@
-//! ros-lint — token-level static analysis for the RoS workspace.
+//! ros-lint — workspace static analysis for the RoS pipeline.
 //!
-//! The pipeline's correctness story (bit-identical parallelism, typed
-//! degradation, fixed-order telemetry) is guarded by conventions that
-//! `rustc` cannot see. This crate is the gate that enforces them: a
-//! dependency-free analyzer that lexes every workspace source file
-//! into a real token stream ([`lexer`]), recovers the item structure
-//! lint rules need ([`scan`]), and runs a catalog of rules with stable
-//! IDs ([`rules::RULES`]) — including cross-crate rules the old
-//! line-oriented scanner structurally could not express (`dead-pub`'s
-//! reference graph, `obs-names`' reconciliation against
-//! `ros_obs::names::ALL`).
+//! rustc and clippy gate the generic conventions (no `unwrap`, no
+//! `panic!`, no printing, no bare `as` casts, no raw thread spawns or
+//! wall-clock reads, documented pub items) through the root
+//! `[workspace.lints]` table and `clippy.toml`. This crate keeps the
+//! rules those tools cannot express because they need the whole
+//! workspace or this repo's own vocabulary: a cross-crate reference
+//! graph (`dead-pub`), reconciliation of instrumentation sites against
+//! `ros_obs::names::ALL` (`obs-names`), hot-path allocation reachability
+//! over a call graph, lock-order and blocking rules over a lock graph,
+//! and an audit of its own suppression markers.
 //!
-//! Findings are judged against a checked-in baseline
-//! (`lint-baseline.json`, see [`baseline`]): grandfathered debt is
-//! tracked, anything new fails the gate. [`engine::run_gate`] is the
-//! whole entry point; `cargo run -p xtask -- lint` is the thin driver
-//! around it:
+//! It is a dependency-free analyzer that lexes every workspace source
+//! file into a real token stream ([`lexer`]), recovers the item
+//! structure lint rules need ([`scan`]), and runs a catalog of rules
+//! with stable IDs ([`rules::RULES`]). Any finding fails the gate.
+//! [`engine::run_gate`] is the whole entry point;
+//! `cargo run -p xtask -- lint` is the thin driver around it:
 //!
 //! ```text
-//! cargo run -p xtask -- lint                      # gate (human report)
-//! cargo run -p xtask -- lint --json target/lint.json
-//! cargo run -p xtask -- lint --update-baseline    # re-grandfather
+//! cargo run -p xtask -- lint                  # gate (human report)
+//! cargo run -p xtask -- lint --explain ID     # one rule's rationale and fix
 //! ```
 //!
 //! The crate never prints and never exits — it returns strings and
-//! verdicts, which keeps it honest under its own `no-println` rule.
+//! verdicts; the driver owns the terminal.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod engine;
-pub mod json;
 pub mod lexer;
 pub mod lockgraph;
 pub mod report;
@@ -37,5 +35,5 @@ pub mod rules;
 pub mod scan;
 pub mod syntax;
 
-pub use engine::{run_gate, FileAnalysis, FileRole, GateOptions, GateOutcome};
-pub use rules::{Finding, RuleInfo, Severity, RULES};
+pub use engine::{run_gate, FileAnalysis, FileRole, GateOutcome};
+pub use rules::{Finding, RuleInfo, RULES};

@@ -1,241 +1,69 @@
-//! Report rendering: the human console report and the `--json`
-//! machine artifact. Pure string builders — the driver decides where
-//! they go.
+//! Report rendering: the human console report. A pure string builder —
+//! the driver decides where it goes.
 
 use std::collections::BTreeMap;
 
-use crate::baseline::Judged;
-use crate::engine::PassTimings;
-use crate::json;
-use crate::rules::RULES;
+use crate::rules::{Finding, RULES};
 
-/// Per-rule tallies of one run.
-#[derive(Debug, Default, Clone, Copy)]
-struct Tally {
-    found: usize,
-    baselined: usize,
-}
-
-fn tallies(judged: &Judged) -> BTreeMap<&'static str, Tally> {
-    let mut map: BTreeMap<&'static str, Tally> = BTreeMap::new();
-    for r in RULES {
-        map.insert(r.id, Tally::default());
-    }
-    for jf in &judged.findings {
-        let t = map.entry(jf.finding.rule).or_default();
-        t.found += 1;
-        if jf.baselined {
-            t.baselined += 1;
-        }
-    }
-    map
-}
-
-/// Renders the human console report: new findings in full, baselined
-/// debt and stale entries summarized, then the per-rule table and the
-/// verdict line.
-pub fn human_report(judged: &Judged, n_files: usize) -> String {
+/// Renders the human console report: every finding in full, then the
+/// per-rule count table and the verdict line.
+pub fn human_report(findings: &[Finding], n_files: usize) -> String {
     let mut s = String::new();
-    for jf in judged.findings.iter().filter(|f| !f.baselined) {
-        let f = &jf.finding;
-        s.push_str(&format!(
-            "{}:{}: [{}] {}\n",
-            f.file, f.line, f.rule, f.message
-        ));
+    for f in findings {
+        s.push_str(&format!("{}:{}: [{}] {}\n", f.file, f.line, f.rule, f.message));
     }
 
-    let map = tallies(judged);
-    let any_found = map.values().any(|t| t.found > 0);
-    if any_found {
-        s.push_str(&format!(
-            "\n{:<20} {:>6} {:>10} {:>6}\n",
-            "rule", "found", "baselined", "new"
-        ));
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+    for f in findings {
+        *counts.entry(f.rule).or_default() += 1;
+    }
+    if !counts.is_empty() {
+        s.push_str(&format!("\n{:<22} {:>6}\n", "rule", "found"));
         for r in RULES {
-            let t = map.get(r.id).copied().unwrap_or_default();
-            if t.found == 0 {
-                continue;
+            if let Some(n) = counts.get(r.id) {
+                s.push_str(&format!("{:<22} {n:>6}\n", r.id));
             }
-            s.push_str(&format!(
-                "{:<20} {:>6} {:>10} {:>6}\n",
-                r.id,
-                t.found,
-                t.baselined,
-                t.found - t.baselined
-            ));
         }
     }
 
-    if !judged.stale.is_empty() {
-        s.push_str(&format!(
-            "\nnote: {} stale baseline entr{} (debt repaid); run \
-             `cargo run -p xtask -- lint --update-baseline` to re-tighten:\n",
-            judged.stale.len(),
-            if judged.stale.len() == 1 { "y" } else { "ies" }
-        ));
-        for (rule, file, _msg, n) in &judged.stale {
-            s.push_str(&format!("  {file}: [{rule}] x{n}\n"));
-        }
-    }
-
-    let new = judged.new_count();
-    let baselined = judged.baselined_count();
-    if new == 0 {
-        s.push_str(&format!(
-            "\nros-lint: {n_files} files clean ({baselined} baselined finding(s) tracked)\n"
-        ));
+    if findings.is_empty() {
+        s.push_str(&format!("\nros-lint: {n_files} files clean\n"));
     } else {
         s.push_str(&format!(
-            "\nros-lint: {new} new violation(s) in {n_files} files scanned \
-             ({baselined} baselined)\n"
+            "\nros-lint: {} violation(s) in {n_files} files scanned\n",
+            findings.len()
         ));
     }
-    s
-}
-
-/// Renders the machine-readable findings artifact. `timings` lands as
-/// a flat nanosecond object — verify.sh reads `total_ns` to fail on
-/// analyzer-runtime regressions (all zeros without an injected clock).
-pub fn json_report(judged: &Judged, n_files: usize, timings: &PassTimings) -> String {
-    let map = tallies(judged);
-    let mut s = String::from("{\n");
-    s.push_str("  \"version\": 1,\n");
-    s.push_str(&format!("  \"files_scanned\": {n_files},\n"));
-    s.push_str(&format!("  \"clean\": {},\n", judged.new_count() == 0));
-    s.push_str(&format!(
-        "  \"timings\": {{\"lex_ns\": {}, \"scan_ns\": {}, \"callgraph_ns\": {}, \
-         \"lockgraph_ns\": {}, \"rules_ns\": {}, \"total_ns\": {}}},\n",
-        timings.lex_ns,
-        timings.scan_ns,
-        timings.callgraph_ns,
-        timings.lockgraph_ns,
-        timings.rules_ns,
-        timings.total_ns
-    ));
-    s.push_str("  \"rules\": [\n");
-    for (i, r) in RULES.iter().enumerate() {
-        let t = map.get(r.id).copied().unwrap_or_default();
-        let comma = if i + 1 < RULES.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"id\": \"{}\", \"severity\": \"{}\", \"summary\": \"{}\", \
-             \"found\": {}, \"baselined\": {}, \"new\": {}}}{comma}\n",
-            r.id,
-            r.severity.as_str(),
-            json::escape(r.summary),
-            t.found,
-            t.baselined,
-            t.found - t.baselined
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"findings\": [\n");
-    let total = judged.findings.len();
-    for (i, jf) in judged.findings.iter().enumerate() {
-        let f = &jf.finding;
-        let comma = if i + 1 < total { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \
-             \"line\": {}, \"baselined\": {}, \"message\": \"{}\"}}{comma}\n",
-            f.rule,
-            f.severity.as_str(),
-            json::escape(&f.file),
-            f.line,
-            jf.baselined,
-            json::escape(&f.message)
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"stale_baseline\": [\n");
-    let total = judged.stale.len();
-    for (i, (rule, file, message, n)) in judged.stale.iter().enumerate() {
-        let comma = if i + 1 < total { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"count\": {n}, \"message\": \"{}\"}}{comma}\n",
-            json::escape(rule),
-            json::escape(file),
-            json::escape(message)
-        ));
-    }
-    s.push_str("  ]\n}\n");
     s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{Finding, Severity};
-
-    fn judged() -> Judged {
-        let mk = |rule: &'static str, file: &str, line: usize, msg: &str, baselined: bool| {
-            crate::baseline::JudgedFinding {
-                finding: Finding {
-                    rule,
-                    severity: Severity::Error,
-                    file: file.to_string(),
-                    line,
-                    message: msg.to_string(),
-                },
-                baselined,
-            }
-        };
-        Judged {
-            findings: vec![
-                mk("no-unwrap", "crates/a/src/x.rs", 3, "`.unwrap()` in library code", false),
-                mk("float-eq", "crates/b/src/y.rs", 9, "`==` on floats", true),
-            ],
-            stale: vec![(
-                "no-panic".to_string(),
-                "crates/c/src/z.rs".to_string(),
-                "panic! in library code".to_string(),
-                2,
-            )],
-        }
-    }
 
     #[test]
     fn human_report_shows_new_debt_and_verdict() {
-        let r = human_report(&judged(), 42);
-        assert!(r.contains("crates/a/src/x.rs:3: [no-unwrap]"));
-        // Baselined findings are tallied, not listed line-by-line.
-        assert!(!r.contains("crates/b/src/y.rs:9:"));
-        assert!(r.contains("stale baseline"));
-        assert!(r.contains("1 new violation(s) in 42 files"));
+        let findings = vec![
+            Finding {
+                rule: "dead-pub",
+                file: "crates/a/src/x.rs".to_string(),
+                line: 3,
+                message: "pub fn `orphan` is never referenced outside `a`".to_string(),
+            },
+            Finding {
+                rule: "nondet-iter",
+                file: "crates/b/src/y.rs".to_string(),
+                line: 9,
+                message: "`m.keys()` iterates a HashMap".to_string(),
+            },
+        ];
+        let r = human_report(&findings, 42);
+        assert!(r.contains("crates/a/src/x.rs:3: [dead-pub]"));
+        assert!(r.contains("crates/b/src/y.rs:9: [nondet-iter]"));
+        assert!(r.contains("2 violation(s) in 42 files"));
 
-        let clean = Judged {
-            findings: vec![],
-            stale: vec![],
-        };
-        let r = human_report(&clean, 7);
+        let r = human_report(&[], 7);
         assert!(r.contains("7 files clean"));
-    }
-
-    #[test]
-    fn json_report_round_trips_through_own_parser() {
-        let timings = PassTimings {
-            lex_ns: 10,
-            scan_ns: 20,
-            callgraph_ns: 30,
-            lockgraph_ns: 40,
-            rules_ns: 50,
-            total_ns: 160,
-        };
-        let s = json_report(&judged(), 42, &timings);
-        let v = crate::json::parse(&s).expect("self-produced JSON must parse");
-        assert_eq!(v.get("version").and_then(|x| x.as_f64()), Some(1.0));
-        assert_eq!(v.get("files_scanned").and_then(|x| x.as_f64()), Some(42.0));
-        let t = v.get("timings").expect("timings object");
-        assert_eq!(t.get("lockgraph_ns").and_then(|x| x.as_f64()), Some(40.0));
-        assert_eq!(t.get("total_ns").and_then(|x| x.as_f64()), Some(160.0));
-        assert_eq!(v.get("clean"), Some(&crate::json::Value::Bool(false)));
-        let rules = v.get("rules").and_then(|x| x.as_arr()).expect("rules");
-        assert_eq!(rules.len(), RULES.len());
-        let findings = v.get("findings").and_then(|x| x.as_arr()).expect("findings");
-        assert_eq!(findings.len(), 2);
-        let f0 = &findings[0];
-        assert_eq!(f0.get("rule").and_then(|x| x.as_str()), Some("no-unwrap"));
-        assert_eq!(f0.get("baselined"), Some(&crate::json::Value::Bool(false)));
-        let stale = v.get("stale_baseline").and_then(|x| x.as_arr()).expect("stale");
-        assert_eq!(stale.len(), 1);
-        assert_eq!(stale[0].get("count").and_then(|x| x.as_f64()), Some(2.0));
+        assert!(!r.contains("found"), "no table without findings: {r}");
     }
 }

@@ -92,17 +92,6 @@ pub struct FileFacts {
     pub in_test: Vec<bool>,
 }
 
-impl FileFacts {
-    /// The innermost `fn` item whose body contains token `idx`, if
-    /// any (used for the approx-helper exemption of `float-eq`).
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&Item> {
-        self.items
-            .iter()
-            .filter(|it| it.body.is_some_and(|(s, e)| s <= idx && idx < e))
-            .last()
-    }
-}
-
 /// Scans the token stream of one file.
 pub fn analyze(src: &str, toks: &[Token]) -> FileFacts {
     let mut facts = FileFacts {
@@ -727,19 +716,6 @@ pub fn after() {}
         let f = facts(src);
         assert_eq!(item(&f, "T").kind, ItemKind::Const);
         assert_eq!(item(&f, "after").kind, ItemKind::Fn);
-    }
-
-    #[test]
-    fn enclosing_fn_finds_innermost_body() {
-        let src = "pub fn approx_eq(a: f64, b: f64) -> bool { a == b }\n";
-        let toks = lexer::lex(src);
-        let f = analyze(src, &toks);
-        // Find the `==` token.
-        let eq = toks
-            .iter()
-            .position(|t| t.text(src) == "==")
-            .expect("has ==");
-        assert_eq!(f.enclosing_fn(eq).map(|i| i.name.as_str()), Some("approx_eq"));
     }
 
     #[test]

@@ -49,8 +49,9 @@ impl From<u64> for Value<'_> {
 }
 
 impl From<usize> for Value<'_> {
+    #[expect(clippy::as_conversions, reason = "usize widens losslessly to u64")]
     fn from(v: usize) -> Self {
-        Value::U64(v as u64) // lint: allow-cast(usize widens losslessly to u64)
+        Value::U64(v as u64)
     }
 }
 
@@ -86,6 +87,7 @@ impl<'a> From<&'a str> for Value<'a> {
 
 /// Appends `s` with JSON string escaping (quotes, backslash, control
 /// characters).
+#[expect(clippy::as_conversions, reason = "char-to-u32 is the lossless codepoint value")]
 pub(crate) fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
@@ -94,9 +96,8 @@ pub(crate) fn push_escaped(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            // lint: allow-cast(char-to-u32 is the lossless codepoint value)
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32); // lint: allow-cast(codepoint)
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -112,7 +113,6 @@ pub(crate) fn push_u64(out: &mut String, v: u64) {
 pub(crate) fn push_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
-    // lint: allow-float-eq(exact zero selects the short "0" spelling)
     } else if v == 0.0 {
         out.push('0');
     } else if v.abs() >= 1e-4 && v.abs() < 1e16 {

@@ -25,24 +25,33 @@ const N_BUCKETS: usize = N_OCTAVES * SUB_PER_OCTAVE;
 /// The sketch bucket a sample falls into. Values `<= 1` (including
 /// zero, negatives, and NaN) all collapse into bucket 0 — quantile
 /// answers are clamped to the exact observed min/max anyway.
+#[expect(
+    clippy::as_conversions,
+    reason = "floor(log2 v) of v > 1 is a small non-negative integer, octave < 64 fits i32, \
+              and frac in [0, 1) scaled by 4 truncates to 0..=3"
+)]
 fn bucket_index(v: f64) -> usize {
     if !(v > 1.0) {
         return 0;
     }
-    let octave = (v.log2().floor() as usize).min(N_OCTAVES - 1); // lint: allow-cast(floor of log2 of v>1 is a small non-negative integer)
-    let base = (2.0f64).powi(octave as i32); // lint: allow-cast(octave < 64 fits i32)
+    let octave = (v.log2().floor() as usize).min(N_OCTAVES - 1);
+    let base = (2.0f64).powi(octave as i32);
     let frac = (v / base - 1.0).clamp(0.0, 1.0 - f64::EPSILON);
-    let sub = (frac * SUB_PER_OCTAVE as f64) as usize; // lint: allow-cast(frac in [0,1) scaled by 4 truncates to 0..=3)
+    let sub = (frac * SUB_PER_OCTAVE as f64) as usize;
     octave * SUB_PER_OCTAVE + sub.min(SUB_PER_OCTAVE - 1)
 }
 
 /// Representative value (geometric bucket midpoint) of sketch bucket
 /// `idx`; callers clamp the answer into the observed `[min, max]`.
+#[expect(
+    clippy::as_conversions,
+    reason = "octave < 64 fits i32 and the sub-bucket index 0..=3 is exact in f64"
+)]
 fn bucket_value(idx: usize) -> f64 {
     let octave = idx / SUB_PER_OCTAVE;
     let sub = idx % SUB_PER_OCTAVE;
-    let base = (2.0f64).powi(octave as i32); // lint: allow-cast(octave < 64 fits i32)
-    base * (1.0 + (sub as f64 + 0.5) / SUB_PER_OCTAVE as f64) // lint: allow-cast(sub-bucket index 0..=3 is exact in f64)
+    let base = (2.0f64).powi(octave as i32);
+    base * (1.0 + (sub as f64 + 0.5) / SUB_PER_OCTAVE as f64)
 }
 
 /// One registered metric with its aggregate state.
@@ -96,12 +105,13 @@ fn with_metric(name: &str, kind: Kind, f: impl FnOnce(&mut Metric)) {
 }
 
 /// Adds `n` to a counter. No-op when telemetry is off.
+#[expect(clippy::as_conversions, reason = "usize widens losslessly to u64")]
 pub fn count(name: &str, n: usize) {
     if !crate::enabled() {
         return;
     }
     with_metric(name, Kind::Counter, |m| {
-        m.count += n as u64; // lint: allow-cast(usize widens losslessly to u64)
+        m.count += n as u64;
         m.touched = true;
     });
 }
@@ -158,7 +168,11 @@ pub fn hist_quantile(name: &str, q: f64) -> Option<f64> {
     if q >= 1.0 {
         return Some(m.max);
     }
-    let rank = ((q * m.count as f64).ceil() as u64).max(1); // lint: allow-cast(count and a clamped ceil both fit u64 exactly at realistic sample counts)
+    #[expect(
+        clippy::as_conversions,
+        reason = "count and a clamped ceil both fit u64 exactly at realistic sample counts"
+    )]
+    let rank = ((q * m.count as f64).ceil() as u64).max(1);
     let mut cum = 0u64;
     for (i, &c) in buckets.iter().enumerate() {
         cum += c;
@@ -170,12 +184,13 @@ pub fn hist_quantile(name: &str, q: f64) -> Option<f64> {
 }
 
 /// Records a span duration (ns) into the `time.<stage>` histogram.
+#[expect(clippy::as_conversions, reason = "span durations are far below 2^53 ns")]
 pub(crate) fn hist_time(stage: &str, dur_ns: u64) {
     let mut name = String::with_capacity(5 + stage.len());
     name.push_str("time.");
     name.push_str(stage);
     // Precision loss above 2^53 ns (~104 days per span) is acceptable.
-    hist(&name, dur_ns as f64); // lint: allow-cast(span durations are far below 2^53)
+    hist(&name, dur_ns as f64);
 }
 
 fn metric_json_body(m: &Metric, out: &mut String) {

@@ -100,6 +100,7 @@ pub struct DeResult {
 /// # Panics
 /// Panics if `bounds` is empty, any `lo > hi`, or
 /// `config.population < 4`.
+#[expect(clippy::float_cmp, reason = "a degenerate lo == hi bound pins the coordinate; exact by design")]
 pub fn minimize<F>(mut f: F, bounds: &[(f64, f64)], config: &DeConfig) -> DeResult
 where
     F: FnMut(&[f64]) -> f64,
@@ -224,6 +225,7 @@ where
 ///
 /// # Panics
 /// Panics on the same invalid inputs as [`minimize`].
+#[expect(clippy::float_cmp, reason = "a degenerate lo == hi bound pins the coordinate; exact by design")]
 pub fn minimize_par<F>(f: F, bounds: &[(f64, f64)], config: &DeConfig) -> DeResult
 where
     F: Fn(&[f64]) -> f64 + Sync,

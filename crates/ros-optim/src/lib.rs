@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! # ros-optim — differential evolution for RoS beam shaping
 //!
 //! §4.3 of the paper: *"we use a differential evolution genetic

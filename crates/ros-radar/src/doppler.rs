@@ -62,6 +62,7 @@ pub struct MovingEcho {
 /// (Doppler processing needs only one antenna; AoA uses the
 /// single-chirp [`crate::frontend::Frame`] path.)
 #[derive(Clone, Debug)]
+// lint: allow-dead-pub(returned by synthesize_burst; callers bind it, never write the name)
 pub struct Burst {
     /// Per-chirp IF samples.
     pub data: Vec<Vec<Complex64>>,
@@ -192,6 +193,7 @@ pub fn strongest_cell(map: &[Vec<f64>]) -> (usize, usize, f64) {
 
 /// A detection in the range–Doppler map.
 #[derive(Clone, Copy, Debug, PartialEq)]
+// lint: allow-dead-pub(returned by rd_cfar; callers bind fields, never the name)
 pub struct RdDetection {
     /// Doppler bin (FFT-shifted).
     pub doppler_bin: usize,

@@ -60,10 +60,10 @@ impl Impairments {
 
     /// True when every impairment is disabled.
     pub fn is_clean(&self) -> bool {
-        self.phase_noise_rad_per_sample == 0.0 // lint: allow-float-eq(disabled-flag sentinel)
+        self.phase_noise_rad_per_sample == 0.0
             && self.adc_bits == 0
-            && self.iq_gain_mismatch == 0.0 // lint: allow-float-eq(disabled-flag sentinel)
-            && self.iq_phase_skew_rad == 0.0 // lint: allow-float-eq(disabled-flag sentinel)
+            && self.iq_gain_mismatch == 0.0
+            && self.iq_phase_skew_rad == 0.0
     }
 
     /// Applies the impairments to a frame in place.
@@ -121,7 +121,6 @@ impl Impairments {
                 if self.phase_noise_rad_per_sample > 0.0 {
                     v = v * Complex64::cis(walk[i]);
                 }
-                // lint: allow-float-eq(exact-zero config disables IQ mixing)
                 if self.iq_gain_mismatch != 0.0 || self.iq_phase_skew_rad != 0.0 {
                     // Q rail sees gain (1+g) and a skewed mixing angle.
                     let i_rail = v.re;

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! # ros-scene — roadside scene simulator for RoS
 //!
 //! Everything around the tag: the clutter objects of Fig. 11/13

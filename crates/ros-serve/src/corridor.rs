@@ -140,11 +140,12 @@ impl CorridorConfig {
     /// no table cache (the uncached reference).
     // lint: allow-dead-pub(uncached per-encounter source factory; run_corridor_uncached consumes it in-crate)
     pub fn source_for(&self, e: &Encounter) -> DriveBySource {
+        // paper_4bit with 8 rows encodes any 4-bit word; the config
+        // space cannot make this fail.
+        #[expect(clippy::unreachable, reason = "encode of a 4-bit word into a 4-bit code is total")]
         let tag = Self::code()
             .encode(&e.word)
-            // paper_4bit with 8 rows encodes any 4-bit word; the config
-            // space cannot make this fail.
-            .unwrap_or_else(|err| unreachable!("4-bit encode is total: {err}")); // lint: allow-panic(encode of a 4-bit word into a 4-bit code is total)
+            .unwrap_or_else(|err| unreachable!("4-bit encode is total: {err}"));
         self.source_with_tag(e, tag)
     }
 
@@ -153,9 +154,10 @@ impl CorridorConfig {
     /// per-frequency scatterer tables of each distinct (radar, tag)
     /// design build once per cache — bit-identical physics either way.
     pub fn source_for_with(&self, e: &Encounter, cache: &GeomCache) -> DriveBySource {
+        #[expect(clippy::unreachable, reason = "encode of a 4-bit word into a 4-bit code is total")]
         let tag = Self::code()
             .encode_with(cache, &e.word)
-            .unwrap_or_else(|err| unreachable!("4-bit encode is total: {err}")); // lint: allow-panic(encode of a 4-bit word into a 4-bit code is total)
+            .unwrap_or_else(|err| unreachable!("4-bit encode is total: {err}"));
         self.source_with_tag(e, tag)
     }
 }

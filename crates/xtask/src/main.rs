@@ -6,56 +6,34 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint                        # static-analysis gate
-//! cargo run -p xtask -- lint --json target/lint.json
-//! cargo run -p xtask -- lint --update-baseline      # re-grandfather current debt
-//! cargo run -p xtask -- lint --no-baseline          # judge without the baseline
 //! cargo run -p xtask -- lint --explain RULE-ID      # rationale + fix guidance
-//! cargo run -p xtask -- lint-artifact target/lint.json   # validate + summarize artifact
-//! cargo run -p xtask -- lint-config                # baseline/ratchet vs registry drift
 //! ```
 //!
-//! The gate exits non-zero on any finding not covered by
-//! `lint-baseline.json` at the workspace root. `lint-artifact`
-//! re-parses a findings artifact written by `--json` (verify.sh uses
-//! it to assert the artifact is well-formed) and prints the per-rule
-//! counts. `lint-config` cross-checks both config files against the
-//! rule registry so a renamed rule cannot orphan its debt entries and
-//! a new rule cannot ship without a ratchet ceiling.
+//! The gate exits non-zero on any finding. It complements
+//! `cargo clippy --workspace`, which enforces the generic conventions.
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a terminal driver: printing is its job"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ros_lint::engine::PassTimings;
-use ros_lint::json::Value;
-use ros_lint::GateOptions;
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") => lint(&args[1..]),
-        Some("lint-artifact") => lint_artifact(&args[1..]),
-        Some("lint-config") => lint_config(),
-        Some("ratchet") => ratchet(&args[1..]),
-        Some(other) => {
-            eprintln!("unknown task `{other}`");
-            usage();
-            ExitCode::from(2)
-        }
-        None => {
-            usage();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        ["lint"] => lint(),
+        ["lint", "--explain", id] => explain(id),
+        _ => {
+            eprintln!(
+                "usage: cargo run -p xtask -- lint\n\
+                        cargo run -p xtask -- lint --explain RULE-ID"
+            );
             ExitCode::from(2)
         }
     }
-}
-
-fn usage() {
-    eprintln!(
-        "usage: cargo run -p xtask -- lint [--json PATH] [--update-baseline] [--no-baseline]\n\
-                cargo run -p xtask -- lint --explain RULE-ID\n\
-                cargo run -p xtask -- lint-artifact PATH\n\
-                cargo run -p xtask -- lint-config\n\
-                cargo run -p xtask -- ratchet [--tighten]"
-    );
 }
 
 /// Prints one rule's catalog entry: summary, rationale, fix guidance.
@@ -67,7 +45,7 @@ fn explain(id: &str) -> ExitCode {
         }
         return ExitCode::from(2);
     };
-    println!("{} ({})", r.id, r.severity.as_str());
+    println!("{}", r.id);
     println!("  {}", r.summary);
     println!("\nwhy:\n  {}", r.rationale);
     println!("\nfix:\n  {}", r.fix);
@@ -89,7 +67,12 @@ fn workspace_root() -> PathBuf {
 
 /// Monotonic nanoseconds since the first call — the clock xtask
 /// injects into the gate so `PassTimings` measures real wall time.
-/// The engine itself stays clock-free (its own `no-wallclock` rule).
+/// The engine itself stays clock-free.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the driver is a process edge; it owns the wall clock it injects"
+)]
 fn lint_clock_ns() -> u64 {
     use std::sync::OnceLock;
     use std::time::Instant;
@@ -98,40 +81,11 @@ fn lint_clock_ns() -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn lint(args: &[String]) -> ExitCode {
-    let mut opts = GateOptions::default();
-    opts.clock = Some(lint_clock_ns);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => match it.next() {
-                Some(p) => opts.json_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("xtask lint: --json needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--update-baseline" => opts.update_baseline = true,
-            "--no-baseline" => opts.no_baseline = true,
-            "--explain" => match it.next() {
-                Some(id) => return explain(id),
-                None => {
-                    eprintln!("xtask lint: --explain needs a rule ID");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("xtask lint: unknown flag `{other}`");
-                usage();
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    match ros_lint::run_gate(&workspace_root(), &opts) {
+fn lint() -> ExitCode {
+    match ros_lint::run_gate(&workspace_root(), Some(lint_clock_ns)) {
         Ok(outcome) => {
             print!("{}", outcome.human_report);
-            let t: PassTimings = outcome.timings;
+            let t = outcome.timings;
             println!(
                 "xtask lint: passes lex {}us scan {}us callgraph {}us lockgraph {}us \
                  rules {}us (total {}us)",
@@ -142,9 +96,6 @@ fn lint(args: &[String]) -> ExitCode {
                 t.rules_ns / 1_000,
                 t.total_ns / 1_000,
             );
-            for note in &outcome.notes {
-                println!("xtask lint: {note}");
-            }
             if outcome.passed {
                 ExitCode::SUCCESS
             } else {
@@ -155,167 +106,5 @@ fn lint(args: &[String]) -> ExitCode {
             eprintln!("xtask lint: {e}");
             ExitCode::from(2)
         }
-    }
-}
-
-/// Checks the per-rule debt ratchet: `lint-ratchet.json` pins the
-/// exact baselined debt each listed rule may carry, so a rule's
-/// grandfathered count can only move *down* through history. Debt
-/// above a ceiling is a regression; debt below one fails too until
-/// `--tighten` rewrites the ceilings to the (lower) current counts.
-fn ratchet(args: &[String]) -> ExitCode {
-    let mut tighten = false;
-    for a in args {
-        match a.as_str() {
-            "--tighten" => tighten = true,
-            other => {
-                eprintln!("xtask ratchet: unknown flag `{other}`");
-                usage();
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let root = workspace_root();
-    let baseline = match ros_lint::baseline::load(&root.join(ros_lint::baseline::BASELINE_FILE)) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("xtask ratchet: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let ratchet_path = root.join(ros_lint::baseline::RATCHET_FILE);
-    let ceilings = match ros_lint::baseline::load_ratchet(&ratchet_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("xtask ratchet: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if ceilings.is_empty() {
-        println!("xtask ratchet: no ceilings in {}", ratchet_path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if tighten {
-        let tightened: std::collections::BTreeMap<String, usize> = ceilings
-            .keys()
-            .map(|rule| (rule.clone(), baseline.rule_debt(rule)))
-            .collect();
-        let doc = ros_lint::baseline::render_ratchet(&tightened);
-        if let Err(e) = std::fs::write(&ratchet_path, doc) {
-            eprintln!("xtask ratchet: cannot write {}: {e}", ratchet_path.display());
-            return ExitCode::from(2);
-        }
-        for (rule, max) in &tightened {
-            println!("{rule:<22} ceiling -> {max}");
-        }
-        println!("tightened {}", ratchet_path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    for (rule, max) in &ceilings {
-        println!(
-            "{rule:<22} debt {:>4} / ceiling {max}",
-            baseline.rule_debt(rule)
-        );
-    }
-    let violations = ros_lint::baseline::judge_ratchet(&baseline, &ceilings);
-    if violations.is_empty() {
-        println!("ratchet holds");
-        ExitCode::SUCCESS
-    } else {
-        for v in &violations {
-            eprintln!("xtask ratchet: {v}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-/// Cross-checks `lint-baseline.json` and `lint-ratchet.json` against
-/// the compiled-in rule registry: no debt for unregistered rules, no
-/// ceiling for unregistered rules, and a ceiling for every registered
-/// rule. Keeps the three sources from drifting apart silently when a
-/// rule is added, renamed, or retired.
-fn lint_config() -> ExitCode {
-    let root = workspace_root();
-    let baseline = match ros_lint::baseline::load(&root.join(ros_lint::baseline::BASELINE_FILE)) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("xtask lint-config: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let ceilings = match ros_lint::baseline::load_ratchet(&root.join(ros_lint::baseline::RATCHET_FILE))
-    {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("xtask lint-config: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let violations = ros_lint::baseline::check_registry_drift(&baseline, &ceilings);
-    if violations.is_empty() {
-        println!(
-            "lint config coherent: {} registered rules, {} with baseline debt, {} ceilings",
-            ros_lint::RULES.len(),
-            baseline.rules().len(),
-            ceilings.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for v in &violations {
-            eprintln!("xtask lint-config: {v}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-/// Validates a findings artifact written by `lint --json` and prints
-/// the per-rule counts — the machine-check verify.sh runs so a
-/// truncated or hand-mangled artifact cannot pass silently.
-fn lint_artifact(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("xtask lint-artifact: need a path");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask lint-artifact: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let doc = match ros_lint::json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("xtask lint-artifact: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(rules) = doc.get("rules").and_then(Value::as_arr) else {
-        eprintln!("xtask lint-artifact: {path}: missing `rules` array");
-        return ExitCode::FAILURE;
-    };
-    let clean = matches!(doc.get("clean"), Some(Value::Bool(true)));
-    println!("{:<20} {:>6} {:>10} {:>6}", "rule", "found", "baselined", "new");
-    for r in rules {
-        let field = |k: &str| r.get(k).and_then(Value::as_f64).unwrap_or(-1.0);
-        println!(
-            "{:<20} {:>6} {:>10} {:>6}",
-            r.get("id").and_then(Value::as_str).unwrap_or("?"),
-            field("found"),
-            field("baselined"),
-            field("new"),
-        );
-    }
-    println!(
-        "lint artifact {path}: {} ({} finding records)",
-        if clean { "clean" } else { "NEW VIOLATIONS" },
-        doc.get("findings").and_then(Value::as_arr).map_or(0, <[Value]>::len),
-    );
-    if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }

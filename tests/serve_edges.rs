@@ -2,9 +2,9 @@
 //! satellite 3): zero-encounter corridors, single-frame passes, and
 //! the K=1 reuse contract — one mounted-tag design shared by every
 //! encounter must build each table kind exactly once per run,
-//! observable through the `cache.*` counters.
+//! observable through the run's own cache statistics.
 
-use ros_cache::GeomCache;
+use ros_cache::{GeomCache, TableKind};
 use ros_serve::{run_corridor_with, CorridorConfig};
 
 fn base() -> CorridorConfig {
@@ -79,8 +79,8 @@ fn single_frame_passes_surface_typed_failures() {
 /// K = 1: one mounted-tag design serves all encounters (the corridor's
 /// tags share one stack geometry, and a single radar means a single
 /// word), so a whole run must build exactly one shaping profile and
-/// one scatterer table — one `cache.<kind>.miss` each — no matter how
-/// many vehicles pass.
+/// one scatterer table — one miss per kind on the run's own cache —
+/// no matter how many vehicles pass.
 #[test]
 fn k1_corridor_misses_each_table_kind_exactly_once() {
     let cfg = CorridorConfig {
@@ -89,22 +89,15 @@ fn k1_corridor_misses_each_table_kind_exactly_once() {
         n_tags: 1,
         ..base()
     };
-    let (report, obs) = ros_obs::capture_scope(ros_obs::Level::Summary, || {
-        run_corridor_with(&cfg, 2, &GeomCache::new())
-    });
+    let cache = GeomCache::new();
+    let report = run_corridor_with(&cfg, 2, &cache);
     assert_eq!(report.reads.len(), 4);
     // The corridor path exercises exactly two table kinds: the DE
     // shaping profile and the per-frequency row-scatterer table.
     assert_eq!(report.cache_misses, 2, "one build per table kind");
     assert!(report.cache_hits > 0, "reuse must register as hits");
-    for metric in [
-        r#""name":"cache.shaping.miss","kind":"counter","value":1"#,
-        r#""name":"cache.pattern.miss","kind":"counter","value":1"#,
-    ] {
-        assert!(
-            obs.metrics.contains(metric),
-            "missing {metric} in: {}",
-            obs.metrics
-        );
+    let snap = cache.snapshot();
+    for kind in [TableKind::Shaping, TableKind::Pattern] {
+        assert_eq!(snap.kind(kind).misses, 1, "{kind:?} built more than once");
     }
 }

@@ -5,11 +5,6 @@
 //! cargo run --release -p bench -- fig15
 //! cargo run --release -p bench -- design
 //! cargo run --release -p bench -- --par all   # figure-level fan-out
-//! cargo run --release -p bench -- perf        # serial-vs-parallel timings
-//! cargo run --release -p bench -- perf --require-valid   # canonical multi-core record
-//! cargo run --release -p bench -- perf --force   # may replace a valid record with an invalid one
-//! cargo run --release -p bench -- serve       # corridor reader service benchmark
-//! cargo run --release -p bench -- serve --smoke   # reduced CI corridor
 //! cargo run --release -p bench -- smoke       # one full-pipeline drive-by
 //! cargo run --release -p bench -- faults      # fault-injection sweep
 //! cargo run --release -p bench -- faults --smoke   # reduced CI matrix
@@ -19,9 +14,9 @@
 //! With `--par`, independent figure jobs fan out over the
 //! [`ros_exec`] scoped-thread executor (console tables from different
 //! figures may interleave; the CSV mirrors are per-figure files and
-//! unaffected). `perf` times each parallelized pipeline stage at one
-//! thread versus the full thread pool and writes `BENCH_pipeline.json`
-//! at the repository root.
+//! unaffected). Speed is not measured here: the repository's one
+//! benchmark is `rosbench` (`crates/bench/src/bin/rosbench`), which
+//! times whole passes and their stages against the 1 ms frame budget.
 //!
 //! Telemetry: `ROS_OBS=1` (summary) or `ROS_OBS=2` (per-frame detail)
 //! streams ndjson from every pipeline stage to stderr, or to
@@ -39,8 +34,6 @@
 
 mod faults;
 mod figures;
-mod perf;
-mod serve;
 mod util;
 
 use figures::*;
@@ -52,23 +45,6 @@ fn main() {
     let parallel = args.iter().any(|a| a == "--par");
     args.retain(|a| a != "--par");
 
-    if args.iter().any(|a| a == "perf") {
-        perf::run(
-            args.iter().any(|a| a == "--require-valid"),
-            args.iter().any(|a| a == "--force"),
-        );
-        ros_obs::flush();
-        return;
-    }
-    if args.iter().any(|a| a == "serve") {
-        serve::run(
-            args.iter().any(|a| a == "--smoke"),
-            args.iter().any(|a| a == "--require-valid"),
-            args.iter().any(|a| a == "--force"),
-        );
-        ros_obs::flush();
-        return;
-    }
     if args.iter().any(|a| a == "smoke") {
         smoke();
         ros_obs::flush();

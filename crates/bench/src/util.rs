@@ -82,24 +82,6 @@ pub fn f(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
 }
 
-/// True when `json` is a benchmark record marked valid.
-///
-/// Every `BENCH_*.json` artifact in this repository is written by a
-/// hand-rolled renderer in this crate, so a plain token scan is an
-/// exact parse of our own output format.
-pub fn record_is_valid(json: &str) -> bool {
-    json.contains("\"valid\": true")
-}
-
-/// The overwrite policy shared by every `BENCH_*.json` writer (`perf`,
-/// `serve`): a valid (multi-core) record is never clobbered by an
-/// invalid (single-effective-worker) one unless the caller passes
-/// `--force`. Every other transition — valid over anything, invalid
-/// over invalid, first write — proceeds.
-pub fn should_overwrite(existing: Option<&str>, new_valid: bool, force: bool) -> bool {
-    force || new_valid || !existing.is_some_and(record_is_valid)
-}
-
 /// Prints a paper-comparison note under a table.
 pub fn note(text: &str) {
     println!("   paper: {text}\n");

@@ -171,7 +171,7 @@ pub(crate) fn optimize_flat_top_with_budget(
     // calibration (ASK levels, cached standard profiles) is frozen to
     // this exact trajectory. The parallel generation-synchronous
     // `minimize_par` follows a different (equally good) trajectory and
-    // is exercised by the bench perf harness and determinism tests.
+    // is exercised by the determinism tests.
     let result = minimize(
         |half| flat_top_cost(half, n_rows, target_width_rad),
         &bounds,

@@ -159,8 +159,8 @@ where
 
 /// [`par_map`] at an explicit worker count, ignoring the global setting.
 ///
-/// Used by determinism tests and the `perf` benchmark to compare the
-/// same path at several thread counts inside one process.
+/// Used by determinism tests to compare the same path at several
+/// thread counts inside one process.
 pub fn par_map_with<T, R, F>(n_threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

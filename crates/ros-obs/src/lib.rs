@@ -18,7 +18,7 @@
 //!   same sequence regardless of which stage touched them first.
 //! * **Events** ([`event`], [`event_detail`]) emit one ndjson object
 //!   per line to the configured sink (stderr, `ROS_OBS_FILE`, or an
-//!   in-memory buffer for tests and bench embedding).
+//!   in-memory buffer for tests and [`capture_scope`]).
 //!
 //! Everything is gated by the process-wide [`Level`]:
 //!
@@ -45,7 +45,7 @@ mod sink;
 
 pub use clock::{install_monotonic_clock, install_null_clock};
 pub use json::Value;
-pub use metrics::{count, gauge, hist, hist_quantile, metrics_json, metrics_json_touched, reset_metrics};
+pub use metrics::{count, gauge, hist, metrics_json, metrics_json_touched, reset_metrics};
 pub use sink::install_memory_sink;
 
 use clock::now_ns;
@@ -241,8 +241,8 @@ pub struct CaptureReport {
 /// them). Metrics are reset on entry and on exit, so the report holds
 /// exactly the scope's activity.
 ///
-/// Used by `bench perf` to embed a telemetry summary next to timing
-/// rows without disturbing a `ROS_OBS` session the user may have
+/// Used by rosbench's traced runs to measure a pass with telemetry on
+/// without disturbing a `ROS_OBS` session the user may have
 /// configured.
 pub fn capture_scope<R>(lvl: Level, f: impl FnOnce() -> R) -> (R, CaptureReport) {
     let prior_level = level();

@@ -12,48 +12,6 @@ use crate::json;
 use crate::names::{Kind, ALL};
 use std::sync::Mutex;
 
-/// Quantile sketch resolution: 4 sub-buckets per power of two keeps
-/// the relative estimation error under ~12.5% per sample, which is
-/// plenty for p50/p99 latency reporting.
-const SUB_PER_OCTAVE: usize = 4;
-/// Octaves covered by the sketch; 2^64 ns ≈ 585 years, so every
-/// realistic latency/value lands inside the table.
-const N_OCTAVES: usize = 64;
-/// Total sketch buckets per histogram.
-const N_BUCKETS: usize = N_OCTAVES * SUB_PER_OCTAVE;
-
-/// The sketch bucket a sample falls into. Values `<= 1` (including
-/// zero, negatives, and NaN) all collapse into bucket 0 — quantile
-/// answers are clamped to the exact observed min/max anyway.
-#[expect(
-    clippy::as_conversions,
-    reason = "floor(log2 v) of v > 1 is a small non-negative integer, octave < 64 fits i32, \
-              and frac in [0, 1) scaled by 4 truncates to 0..=3"
-)]
-fn bucket_index(v: f64) -> usize {
-    if !(v > 1.0) {
-        return 0;
-    }
-    let octave = (v.log2().floor() as usize).min(N_OCTAVES - 1);
-    let base = (2.0f64).powi(octave as i32);
-    let frac = (v / base - 1.0).clamp(0.0, 1.0 - f64::EPSILON);
-    let sub = (frac * SUB_PER_OCTAVE as f64) as usize;
-    octave * SUB_PER_OCTAVE + sub.min(SUB_PER_OCTAVE - 1)
-}
-
-/// Representative value (geometric bucket midpoint) of sketch bucket
-/// `idx`; callers clamp the answer into the observed `[min, max]`.
-#[expect(
-    clippy::as_conversions,
-    reason = "octave < 64 fits i32 and the sub-bucket index 0..=3 is exact in f64"
-)]
-fn bucket_value(idx: usize) -> f64 {
-    let octave = idx / SUB_PER_OCTAVE;
-    let sub = idx % SUB_PER_OCTAVE;
-    let base = (2.0f64).powi(octave as i32);
-    base * (1.0 + (sub as f64 + 0.5) / SUB_PER_OCTAVE as f64)
-}
-
 /// One registered metric with its aggregate state.
 struct Metric {
     name: String,
@@ -66,10 +24,6 @@ struct Metric {
     max: f64,
     /// Whether anything has written to it since the last reset.
     touched: bool,
-    /// Log₂-bucketed sample counts for [`hist_quantile`]; allocated on
-    /// a histogram's first sample, absent for counters/gauges. Not
-    /// exported — the JSON/ndjson formats stay count/sum/min/max.
-    buckets: Option<Box<[u64; N_BUCKETS]>>,
 }
 
 impl Metric {
@@ -82,7 +36,6 @@ impl Metric {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             touched: false,
-            buckets: None,
         }
     }
 }
@@ -138,49 +91,7 @@ pub fn hist(name: &str, v: f64) {
         m.min = m.min.min(v);
         m.max = m.max.max(v);
         m.touched = true;
-        m.buckets.get_or_insert_with(|| Box::new([0u64; N_BUCKETS]))[bucket_index(v)] += 1;
     });
-}
-
-/// Estimated `q`-quantile (`q` in `[0, 1]`, clamped) of histogram
-/// `name` from its log₂-bucketed sketch, or `None` when the metric is
-/// unknown, not a histogram, or has no samples since the last reset.
-///
-/// The estimate is the geometric midpoint of the bucket holding the
-/// rank-`⌈q·count⌉` sample, clamped into the exact observed
-/// `[min, max]` — so `hist_quantile(n, 0.0)` is the true minimum,
-/// `hist_quantile(n, 1.0)` the true maximum, and interior quantiles
-/// carry at most one sub-bucket (~12.5%) of relative error. This is
-/// how `bench serve` turns `serve.decode_latency_ns` into p50/p99.
-pub fn hist_quantile(name: &str, q: f64) -> Option<f64> {
-    let reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-    let m = reg.iter().find(|m| m.name == name)?;
-    if m.kind != Kind::Histogram || m.count == 0 {
-        return None;
-    }
-    let buckets = m.buckets.as_ref()?;
-    let q = if q.is_nan() { 0.5 } else { q.clamp(0.0, 1.0) };
-    // The extreme quantiles are tracked exactly; only interior ranks
-    // need the sketch.
-    if q <= 0.0 {
-        return Some(m.min);
-    }
-    if q >= 1.0 {
-        return Some(m.max);
-    }
-    #[expect(
-        clippy::as_conversions,
-        reason = "count and a clamped ceil both fit u64 exactly at realistic sample counts"
-    )]
-    let rank = ((q * m.count as f64).ceil() as u64).max(1);
-    let mut cum = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        cum += c;
-        if cum >= rank {
-            return Some(bucket_value(i).clamp(m.min, m.max));
-        }
-    }
-    Some(m.max)
 }
 
 /// Records a span duration (ns) into the `time.<stage>` histogram.
@@ -256,7 +167,7 @@ pub fn metrics_json() -> String {
 }
 
 /// Like [`metrics_json`] but only metrics written since the last
-/// [`reset_metrics`] — what `bench perf` embeds per timed path.
+/// [`reset_metrics`] — what [`crate::capture_scope`] reports.
 pub fn metrics_json_touched() -> String {
     snapshot(true)
 }
@@ -286,9 +197,6 @@ pub fn reset_metrics() {
         m.min = f64::INFINITY;
         m.max = f64::NEG_INFINITY;
         m.touched = false;
-        if let Some(b) = m.buckets.as_mut() {
-            b.fill(0);
-        }
     }
 }
 
@@ -329,55 +237,6 @@ mod tests {
         hist("decode.snr_db", 1.0);
         crate::set_level(crate::Level::Summary);
         assert_eq!(metrics_json_touched(), "[]");
-        crate::set_level(crate::Level::Off);
-    }
-
-    #[test]
-    fn hist_quantile_brackets_true_quantiles() {
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        crate::set_level(crate::Level::Summary);
-        reset_metrics();
-        // 1..=1000 µs in ns: true p50 = 500_000, true p99 = 990_000.
-        for i in 1..=1000u32 {
-            hist("serve.decode_latency_ns", f64::from(i) * 1000.0);
-        }
-        let p0 = hist_quantile("serve.decode_latency_ns", 0.0).unwrap();
-        let p50 = hist_quantile("serve.decode_latency_ns", 0.5).unwrap();
-        let p99 = hist_quantile("serve.decode_latency_ns", 0.99).unwrap();
-        let p100 = hist_quantile("serve.decode_latency_ns", 1.0).unwrap();
-        assert_eq!(p0, 1000.0, "q=0 is the exact min");
-        assert_eq!(p100, 1_000_000.0, "q=1 is the exact max");
-        assert!(p50 >= 1000.0 && p50 <= p99 && p99 <= p100, "monotone: {p50} {p99}");
-        // One sub-bucket of a log2/4 sketch is at most 2^(1/4) ≈ 1.19×
-        // wide; allow a generous 25% band around the true values.
-        assert!((p50 - 500_000.0).abs() / 500_000.0 < 0.25, "p50 = {p50}");
-        assert!((p99 - 990_000.0).abs() / 990_000.0 < 0.25, "p99 = {p99}");
-        crate::set_level(crate::Level::Off);
-        reset_metrics();
-    }
-
-    #[test]
-    fn hist_quantile_edge_cases() {
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        crate::set_level(crate::Level::Summary);
-        reset_metrics();
-        // Unknown name / wrong kind / empty histogram all yield None.
-        assert_eq!(hist_quantile("no.such.metric", 0.5), None);
-        count("decode.attempts", 1);
-        assert_eq!(hist_quantile("decode.attempts", 0.5), None);
-        assert_eq!(hist_quantile("decode.snr_db", 0.5), None);
-        // Non-positive samples collapse into bucket 0 but min/max
-        // clamping keeps the answers exact for a constant stream.
-        hist("decode.snr_db", 0.0);
-        hist("decode.snr_db", 0.0);
-        assert_eq!(hist_quantile("decode.snr_db", 0.5), Some(0.0));
-        // Out-of-range q is clamped, NaN falls back to the median.
-        assert_eq!(hist_quantile("decode.snr_db", -3.0), Some(0.0));
-        assert_eq!(hist_quantile("decode.snr_db", 7.0), Some(0.0));
-        assert_eq!(hist_quantile("decode.snr_db", f64::NAN), Some(0.0));
-        // Reset drops the sketch contents along with the aggregates.
-        reset_metrics();
-        assert_eq!(hist_quantile("decode.snr_db", 0.5), None);
         crate::set_level(crate::Level::Off);
     }
 

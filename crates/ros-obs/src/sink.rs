@@ -1,5 +1,5 @@
 //! The ndjson output sink: stderr (default), a file, or an in-memory
-//! buffer for tests and `bench perf` telemetry embedding.
+//! buffer for tests and [`crate::capture_scope`].
 //!
 //! All writers go through one mutex so lines from parallel workers
 //! never interleave mid-line. The disabled path never reaches this
@@ -67,7 +67,7 @@ pub(crate) fn install_file_sink(path: &str) {
 }
 
 /// Routes subsequent lines into a shared in-memory buffer and returns
-/// it. Used by tests (golden traces) and `bench perf`.
+/// it. Used by tests (golden traces) and [`crate::capture_scope`].
 pub fn install_memory_sink() -> Arc<Mutex<Vec<String>>> {
     let buf = Arc::new(Mutex::new(Vec::new()));
     *SINK.lock().unwrap_or_else(|p| p.into_inner()) = Some(Out::Memory(Arc::clone(&buf)));

@@ -51,7 +51,7 @@ pub fn range_spectra(frame: &Frame) -> Vec<Vec<Complex64>> {
 /// the frame's zero-padded length, `n_samples.next_power_of_two()`).
 /// Allocation-free once the rows have grown to capacity.
 // lint: hot-path
-pub fn range_spectra_into(frame: &Frame, plan: &FftPlan, out: &mut Vec<Vec<Complex64>>) {
+pub(crate) fn range_spectra_into(frame: &Frame, plan: &FftPlan, out: &mut Vec<Vec<Complex64>>) {
     let k_rx = frame.data.len();
     out.truncate(k_rx);
     while out.len() < k_rx {

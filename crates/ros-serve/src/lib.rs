@@ -22,7 +22,7 @@
 //! Observability: the service emits the `serve.*` metric family
 //! (declared in `ros_obs::names::ALL`) — frames in/out, reads,
 //! backpressure stalls, channel high-water mark, and a decode-latency
-//! histogram queryable for p50/p99 via `ros_obs::hist_quantile`.
+//! histogram (count/sum/min/max, like every `ros_obs` histogram).
 //!
 //! Geometry memoization: every worker shares one injected
 //! [`ros_cache::GeomCache`] snapshot, so a K-tag corridor builds each

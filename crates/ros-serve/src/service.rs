@@ -58,8 +58,6 @@ pub struct ServeReport {
     /// High-water mark of buffered frames in any worker — the memory
     /// bound.
     pub peak_buffered: usize,
-    /// Wall time of the run \[ns\] (0 when no clock is installed).
-    pub elapsed_ns: u64,
     /// Shard/worker count the run used.
     pub workers: usize,
     /// Geometry/EM table-cache hits during this run (0 when the run
@@ -127,8 +125,9 @@ pub fn run_corridor_with(cfg: &CorridorConfig, workers: usize, cache: &GeomCache
 }
 
 /// [`run_corridor_with`] with table caching disabled — every encounter
-/// recomputes its design's tables from scratch. The no-cache baseline
-/// of the `bench serve` comparison.
+/// recomputes its design's tables from scratch. The no-memoization
+/// reference that `tests/cache_determinism.rs` compares cached runs
+/// against.
 pub fn run_corridor_uncached(cfg: &CorridorConfig, workers: usize) -> ServeReport {
     run_corridor_impl(cfg, workers, None)
 }
@@ -145,7 +144,6 @@ fn run_corridor_impl(
     }
     .max(1);
     let cache_before = cache.map(|c| c.snapshot());
-    let t0 = ros_obs::clock::now_ns();
     let encounters = cfg.encounters();
     let cap = cfg.channel_capacity.max(1);
     let chunk = cfg.chunk_frames.max(2);
@@ -234,16 +232,14 @@ fn run_corridor_impl(
         while let Some(r) = read_rx.recv() {
             reads.push(r);
         }
+        // A panicked shard re-raises on this thread: its missing frames
+        // and reads must never pass for a short but successful run.
         let shards: Vec<ShardOutcome> = handles
             .into_iter()
             .map(|(p, w)| {
-                let produced = p.join().unwrap_or(0);
+                let produced = p.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
                 let (consumed, decodes, peak_open, peak_buffered, stats) =
-                    w.join().unwrap_or((0, 0, 0, 0, ChannelStats {
-                        stalls: 0,
-                        max_occupancy: 0,
-                        capacity: cap,
-                    }));
+                    w.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
                 ShardOutcome {
                     produced,
                     consumed,
@@ -270,7 +266,6 @@ fn run_corridor_impl(
         capacity: cap,
         peak_open: 0,
         peak_buffered: 0,
-        elapsed_ns: ros_obs::clock::now_ns().saturating_sub(t0),
         workers,
         cache_hits: 0,
         cache_misses: 0,

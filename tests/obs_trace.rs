@@ -12,11 +12,17 @@
 //! The trace must also be identical with the pool fanned out: summary
 //! events are only emitted from serial code (workers touch counters,
 //! which aggregate), so thread count must not change a single line.
+//!
+//! The corridor service's `serve.*` and `cache.*` families are pinned
+//! the same way: exported once from the service's serial epilogue, so
+//! their metric lines must not depend on the worker count.
 
+use ros_cache::GeomCache;
 use ros_core::encode::SpatialCode;
 use ros_core::reader::{DriveBy, ReaderConfig};
 use ros_exec::ThreadGuard;
 use ros_obs::Level;
+use ros_serve::{run_corridor_with, CorridorConfig, ServeReport};
 use std::sync::Mutex;
 
 /// Serializes the tests in this binary: they share the process-global
@@ -171,4 +177,72 @@ fn trace_is_identical_across_thread_counts() {
             "summary trace must be bit-identical at {t} threads"
         );
     }
+}
+
+/// Metrics that record scheduling, not work: how full a channel got
+/// and how often a producer blocked depend on thread interleaving.
+const SCHEDULING_METRICS: &[&str] = &["serve.backpressure_stalls", "serve.channel_max_occupancy"];
+
+/// Runs a 2×2×1 corridor on `workers` shards with a fresh cache and
+/// telemetry routed to memory, returning the report and the flushed
+/// `serve.*`/`cache.*` metric lines, minus [`SCHEDULING_METRICS`].
+/// Worker-side histograms such as `decode.slot_amp` are left out as
+/// well: their float sums depend on the order shards add samples in.
+fn run_corridor_traced(workers: usize) -> (ServeReport, Vec<String>) {
+    let cfg = CorridorConfig {
+        n_radars: 2,
+        n_vehicles: 2,
+        n_tags: 1,
+        ..CorridorConfig::default()
+    };
+    let buffer = ros_obs::install_memory_sink();
+    ros_obs::reset_metrics();
+    ros_obs::set_level(Level::Summary);
+    let report = run_corridor_with(&cfg, workers, &GeomCache::new());
+    ros_obs::flush();
+    ros_obs::set_level(Level::Off);
+    ros_obs::reset_metrics();
+    let metrics = buffer
+        .lock()
+        .expect("sink buffer")
+        .iter()
+        .filter(|l| {
+            let name = field(l, "name").unwrap_or_default();
+            l.starts_with("{\"ev\":\"metric\"")
+                && (name.starts_with("serve.") || name.starts_with("cache."))
+                && !SCHEDULING_METRICS.contains(&name.as_str())
+        })
+        .cloned()
+        .collect();
+    (report, metrics)
+}
+
+/// The value of counter `name` among flushed metric lines.
+fn counter(lines: &[String], name: &str) -> u64 {
+    let tag = format!("\"name\":\"{name}\",\"kind\":\"counter\",\"value\":");
+    let (_, value) = lines
+        .iter()
+        .find_map(|l| l.split_once(&tag))
+        .unwrap_or_else(|| panic!("no counter {name} in {lines:#?}"));
+    value.trim_end_matches('}').parse().expect("counter value")
+}
+
+#[test]
+fn corridor_serve_and_cache_metrics_match_report_at_any_worker_count() {
+    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let (report, one) = run_corridor_traced(1);
+    let (_, two) = run_corridor_traced(2);
+    assert_eq!(one, two, "serve.*/cache.* lines must not depend on the worker count");
+
+    assert_eq!(counter(&one, "serve.frames_in"), report.frames_produced);
+    assert_eq!(counter(&one, "serve.frames_out"), report.frames_consumed);
+    assert_eq!(counter(&one, "serve.reads"), 4);
+    assert_eq!(counter(&one, "cache.hit"), report.cache_hits);
+    assert_eq!(counter(&one, "cache.miss"), report.cache_misses);
+    assert_eq!(
+        counter(&one, "cache.shaping.miss") + counter(&one, "cache.pattern.miss"),
+        report.cache_misses,
+        "per-kind misses account for every build"
+    );
+    assert!(report.cache_hits > 0 && report.cache_misses > 0, "cache must see traffic");
 }

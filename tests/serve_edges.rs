@@ -1,8 +1,8 @@
-//! Edge-case tests for the corridor reader service (ISSUE 9
-//! satellite 3): zero-encounter corridors, single-frame passes, and
-//! the K=1 reuse contract — one mounted-tag design shared by every
-//! encounter must build each table kind exactly once per run,
-//! observable through the run's own cache statistics.
+//! Edge-case tests for the corridor reader service: zero-encounter
+//! corridors, single-frame passes, a panicking shard, and the K=1
+//! reuse contract — one mounted-tag design shared by every encounter
+//! must build each table kind exactly once per run, observable through
+//! the run's own cache statistics.
 
 use ros_cache::{GeomCache, TableKind};
 use ros_serve::{run_corridor_with, CorridorConfig};
@@ -99,5 +99,33 @@ fn k1_corridor_misses_each_table_kind_exactly_once() {
     let snap = cache.snapshot();
     for kind in [TableKind::Shaping, TableKind::Pattern] {
         assert_eq!(snap.kind(kind).misses, 1, "{kind:?} built more than once");
+    }
+}
+
+/// A shard whose decode worker panics must take the run down with it.
+/// `zero_pad = 0` makes the spectrum decoder's FFT length zero, which
+/// panics inside the worker's `decode_into`. Turning that into a
+/// report with zero reads and unconsumed frames would hide the crash
+/// behind a plausible-looking short run; the panic has to reach the
+/// caller instead.
+#[test]
+fn shard_panic_propagates_instead_of_short_report() {
+    let mut cfg = CorridorConfig {
+        n_radars: 2,
+        n_vehicles: 1,
+        n_tags: 1,
+        ..base()
+    };
+    cfg.reader.decoder.zero_pad = 0;
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_corridor_with(&cfg, 2, &GeomCache::new())
+    }));
+    if let Ok(r) = outcome {
+        panic!(
+            "shard panic was swallowed: reads = {}, frames produced = {}, consumed = {}",
+            r.reads.len(),
+            r.frames_produced,
+            r.frames_consumed
+        );
     }
 }

@@ -95,60 +95,4 @@ grep -q '"name":"reader.frames_degraded"' "$FAULT_TRACE" || {
     exit 1
 }
 
-# Corridor service smoke: the reduced corridor must decode at least
-# one pass, prove its read log identical at 1 vs 8 workers (the bench
-# exits non-zero itself on divergence; the grep double-checks), and
-# emit the serve.* metric family. The smoke artifact lands under
-# target/, never touching the checked-in BENCH_serve.json.
-echo "==> corridor serve smoke (bench serve --smoke)"
-SERVE_TRACE=target/serve_smoke.ndjson
-rm -f "$SERVE_TRACE"
-SERVE_OUT=$(ROS_OBS=1 ROS_OBS_FILE="$SERVE_TRACE" cargo run -q --release -p bench -- serve --smoke)
-echo "$SERVE_OUT"
-echo "$SERVE_OUT" | grep -q "logs identical" || {
-    echo "verify: serve smoke: worker-count invariance failed" >&2
-    exit 1
-}
-echo "$SERVE_OUT" | grep -Eq "\([1-9][0-9]* decoded\)" || {
-    echo "verify: serve smoke decoded no pass" >&2
-    exit 1
-}
-grep -q '"name":"serve\.' "$SERVE_TRACE" || {
-    echo "verify: serve trace missing serve.* metrics" >&2
-    exit 1
-}
-
-# Geometry-cache stage: the serve smoke above already runs its
-# corridor twice against one shared GeomCache in a single process (the
-# cold/warm halves of the cache comparison), so the trace must carry
-# nonzero cache.hit traffic, a per-kind miss breakdown, and the
-# console must prove the cached/uncached read logs bit-identical.
-echo "==> geometry cache smoke (cache.* counters from the serve run)"
-grep -Eq '"name":"cache\.hit","kind":"counter","value":[1-9]' "$SERVE_TRACE" || {
-    echo "verify: serve trace has no nonzero cache.hit counter" >&2
-    exit 1
-}
-grep -Eq '"name":"cache\.(shaping|pattern)\.miss","kind":"counter","value":[1-9]' "$SERVE_TRACE" || {
-    echo "verify: serve trace missing per-kind cache miss counters" >&2
-    exit 1
-}
-echo "$SERVE_OUT" | grep -q "cache decodes/s:.*logs identical" || {
-    echo "verify: serve smoke: cache-temperature invariance failed" >&2
-    exit 1
-}
-
-# Benchmark-record hygiene: every BENCH_*.json checked in at the root
-# is either "valid": true or explicitly waived (with a reason) in
-# .bench-waivers. An invalid record can document a limitation, but
-# never silently.
-echo "==> benchmark record validity (BENCH_*.json vs .bench-waivers)"
-for rec in BENCH_*.json; do
-    [ -e "$rec" ] || continue
-    grep -q '"valid": true' "$rec" && continue
-    grep -qx "$rec" .bench-waivers || {
-        echo "verify: $rec is not \"valid\": true and not waived in .bench-waivers" >&2
-        exit 1
-    }
-done
-
 echo "verify: all checks passed"

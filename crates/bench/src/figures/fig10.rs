@@ -38,9 +38,8 @@ pub fn fig10c(cache: &GeomCache) {
             .encode_with(cache, &bits)
             .unwrap_or_else(|e| panic!("tag encode: {e}"));
         let pos = tag.stack_positions_m().to_vec();
-        let rcs = rcs_model::sample_rcs_factor_cached(cache, &pos, LAMBDA_CENTER_M, 1.0, 1024);
-        let spectrum = rcs_model::rcs_spectrum_cached(cache, &rcs, 1.0, LAMBDA_CENTER_M, 8);
-        let (spacings, mags) = (&spectrum.0, &spectrum.1);
+        let rcs = rcs_model::sample_rcs_factor(&pos, LAMBDA_CENTER_M, 1.0, 1024);
+        let (spacings, mags) = rcs_model::rcs_spectrum(&rcs, 1.0, LAMBDA_CENTER_M, 8);
         let mut t = Table::new(
             &format!("Fig. 10c — RCS frequency spectrum, bits {label}"),
             &["spacing_lambda", "normalized magnitude"],
@@ -64,7 +63,7 @@ pub fn fig10c(cache: &GeomCache) {
             &["slot_lambda", "bit", "normalized amplitude"],
         );
         for (k, slot) in code.slot_spacings_lambda().iter().enumerate() {
-            let m = rcs_model::magnitude_at_spacing(spacings, mags, slot * LAMBDA_CENTER_M);
+            let m = rcs_model::magnitude_at_spacing(&spacings, &mags, slot * LAMBDA_CENTER_M);
             s.row(vec![
                 f(*slot, 1),
                 format!("{}", bits[k] as u8),

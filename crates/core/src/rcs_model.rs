@@ -14,13 +14,11 @@
 //! frequency spectrum whose coding-band peaks carry the bits. With
 //! `u ∈ [−1, 1]` the spacing resolution is λ/4 (§5.1).
 
-use ros_cache::{GeomCache, KeyBuilder, TableKind};
 use ros_dsp::czt::CztPlan;
 use ros_dsp::fft::{magnitudes, spectrum_padded, FftPlan};
 use ros_dsp::window::{Window, WindowTable};
 use ros_em::units::cast::AsF64;
 use ros_em::Complex64;
-use std::sync::Arc;
 
 /// The analytic array factor `|Σ e^{j4πd·u/λ}|²` of Eq. 6.
 pub fn multi_stack_factor(positions_m: &[f64], u: f64, lambda_m: f64) -> f64 {
@@ -43,7 +41,7 @@ const PAR_GRID_THRESHOLD: usize = 256;
 ///
 /// Each grid point is an independent evaluation of
 /// [`multi_stack_factor`], so large sweeps fan out over
-/// [`ros_exec::par_map_indexed`]; results are bit-identical at any
+/// [`ros_exec::par_map`]; results are bit-identical at any
 /// thread count (per-point arithmetic is untouched and output order
 /// is the grid order).
 pub fn sample_rcs_factor(positions_m: &[f64], lambda_m: f64, u_max: f64, n: usize) -> Vec<f64> {
@@ -57,50 +55,6 @@ pub fn sample_rcs_factor(positions_m: &[f64], lambda_m: f64, u_max: f64, n: usiz
     }
     let grid: Vec<usize> = (0..n).collect();
     ros_exec::par_map(&grid, |&i| point(i))
-}
-
-/// [`sample_rcs_factor`] memoized in an injected cache: the grid for
-/// one exact `(positions, λ, u_max, n)` tuple (f64s keyed by bit
-/// pattern) builds once per cache and is shared as an immutable
-/// table. Bit-identical to the uncached path by construction.
-pub fn sample_rcs_factor_cached(
-    cache: &GeomCache,
-    positions_m: &[f64],
-    lambda_m: f64,
-    u_max: f64,
-    n: usize,
-) -> Arc<Vec<f64>> {
-    let key = KeyBuilder::new("core.rcs_model.sample_rcs_factor")
-        .f64s(positions_m)
-        .f64(lambda_m)
-        .f64(u_max)
-        .usize(n)
-        .finish();
-    cache.get_or_build(TableKind::RcsFactor, key, || {
-        sample_rcs_factor(positions_m, lambda_m, u_max, n)
-    })
-}
-
-/// [`rcs_spectrum`] memoized in an injected cache: one
-/// `(spacings, magnitudes)` pair per exact input trace and transform
-/// parameters. Resolve any cached `rcs` input *before* this call (no
-/// cache re-entry from build closures).
-pub fn rcs_spectrum_cached(
-    cache: &GeomCache,
-    rcs: &[f64],
-    u_max: f64,
-    lambda_m: f64,
-    zero_pad_factor: usize,
-) -> Arc<(Vec<f64>, Vec<f64>)> {
-    let key = KeyBuilder::new("core.rcs_model.rcs_spectrum")
-        .f64s(rcs)
-        .f64(u_max)
-        .f64(lambda_m)
-        .usize(zero_pad_factor)
-        .finish();
-    cache.get_or_build(TableKind::RcsFactor, key, || {
-        rcs_spectrum(rcs, u_max, lambda_m, zero_pad_factor)
-    })
 }
 
 /// The RCS frequency spectrum of a sampled RCS trace.

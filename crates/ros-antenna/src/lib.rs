@@ -30,9 +30,6 @@ pub mod design;
 pub mod patch;
 pub mod shaping;
 pub mod stack;
-// lint: allow-dead-pub(section 4.2 strip-line design calculator, a reference model exercised by its unit tests)
-pub mod stripline;
-pub mod taper;
 pub mod tl;
 pub mod vaa;
 

@@ -38,9 +38,6 @@ pub(crate) const DEFAULT_CAPACITY: usize = 512;
 /// targeted invalidation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TableKind {
-    /// RCS factor grids (`core::rcs_model::sample_rcs_factor`) and
-    /// their derived spectra.
-    RcsFactor,
     /// Radiation/array-factor pattern tables (stack elevation cuts,
     /// VAA azimuth cuts, whole-tag layouts).
     Pattern,
@@ -52,8 +49,7 @@ pub enum TableKind {
 
 impl TableKind {
     /// All kinds, in counter-emission order.
-    pub const ALL: [TableKind; 4] = [
-        TableKind::RcsFactor,
+    pub const ALL: [TableKind; 3] = [
         TableKind::Pattern,
         TableKind::Dispersion,
         TableKind::Shaping,
@@ -61,10 +57,9 @@ impl TableKind {
 
     fn index(self) -> usize {
         match self {
-            TableKind::RcsFactor => 0,
-            TableKind::Pattern => 1,
-            TableKind::Dispersion => 2,
-            TableKind::Shaping => 3,
+            TableKind::Pattern => 0,
+            TableKind::Dispersion => 1,
+            TableKind::Shaping => 2,
         }
     }
 
@@ -92,7 +87,7 @@ pub struct CacheStats {
 // lint: allow-dead-pub(returned by GeomCache::snapshot; callers bind methods, never the name)
 pub struct StatsSnapshot {
     /// Per-kind stats, indexed by [`TableKind::ALL`] order.
-    pub by_kind: [CacheStats; 4],
+    pub by_kind: [CacheStats; 3],
     /// Live entries at snapshot time.
     pub entries: usize,
 }
@@ -135,7 +130,7 @@ struct Inner {
     /// reordered on hit (FIFO, not LRU) so eviction is a pure function
     /// of the insert sequence.
     order: VecDeque<Key>,
-    by_kind: [CacheStats; 4],
+    by_kind: [CacheStats; 3],
     capacity: usize,
 }
 
@@ -178,7 +173,7 @@ impl GeomCache {
             inner: Arc::new(Mutex::new(Inner {
                 map: BTreeMap::new(),
                 order: VecDeque::new(),
-                by_kind: [CacheStats::default(); 4],
+                by_kind: [CacheStats::default(); 3],
                 capacity: capacity.max(1),
             })),
         }
@@ -314,13 +309,6 @@ impl GeomCache {
         // Per-kind miss counters stay literal call sites so the
         // obs-names reconciliation can resolve them.
         ros_obs::count(
-            "cache.rcs_factor.miss",
-            d(
-                now.kind(TableKind::RcsFactor).misses,
-                since.kind(TableKind::RcsFactor).misses,
-            ),
-        );
-        ros_obs::count(
             "cache.pattern.miss",
             d(
                 now.kind(TableKind::Pattern).misses,
@@ -373,8 +361,8 @@ mod tests {
     #[test]
     fn distinct_keys_build_distinct_tables() {
         let cache = GeomCache::new();
-        let a = cache.get_or_build(TableKind::RcsFactor, key(1), || 1u32);
-        let b = cache.get_or_build(TableKind::RcsFactor, key(2), || 2u32);
+        let a = cache.get_or_build(TableKind::Pattern, key(1), || 1u32);
+        let b = cache.get_or_build(TableKind::Pattern, key(2), || 2u32);
         assert_eq!((*a, *b), (1, 2));
         assert_eq!(cache.snapshot().misses(), 2);
     }
@@ -461,7 +449,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for n in 0..16u64 {
-                        let v = cache.get_or_build(TableKind::RcsFactor, key(n), || {
+                        let v = cache.get_or_build(TableKind::Pattern, key(n), || {
                             builds.fetch_add(1, Ordering::Relaxed);
                             n * 3
                         });

@@ -242,16 +242,6 @@ pub fn spectrum_padded(signal: &[f64], min_len: usize) -> Vec<Complex64> {
     buf
 }
 
-/// Forward FFT of a complex sequence, zero-padded likewise.
-// lint: allow-dead-pub(complex twin of spectrum_padded, kept for API symmetry)
-pub fn spectrum_padded_complex(signal: &[Complex64], min_len: usize) -> Vec<Complex64> {
-    let n = next_power_of_two(signal.len().max(min_len).max(1));
-    let mut buf = signal.to_vec();
-    buf.resize(n, Complex64::ZERO);
-    fft_in_place(&mut buf);
-    buf
-}
-
 /// Magnitudes of a complex spectrum.
 pub fn magnitudes(spec: &[Complex64]) -> Vec<f64> {
     spec.iter().map(|c| c.abs()).collect()

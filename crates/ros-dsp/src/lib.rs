@@ -30,7 +30,6 @@ pub mod dbscan;
 pub mod eig;
 pub mod fft;
 pub mod goertzel;
-pub mod interp;
 pub mod music;
 pub mod peaks;
 pub mod plan;

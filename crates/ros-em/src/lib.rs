@@ -9,8 +9,6 @@
 //! * [`circular`] — circular-polarization basis and reflection
 //!   operators (the paper's §8 range-extension path),
 //! * [`radar_eq`] — the monostatic radar equation and link budgets,
-//! * [`rcs_shapes`] — closed-form reference RCS of canonical shapes
-//!   (sphere, plate, corner reflectors),
 //! * [`atten`] — atmospheric (fog / rain) attenuation at mmWave,
 //! * [`db`] — decibel conversions,
 //! * [`special`] — special functions (`erfc`, `sinc`) used by the
@@ -33,13 +31,9 @@ pub mod circular;
 pub(crate) mod complex;
 pub mod constants;
 pub mod db;
-// lint: allow-dead-pub(section 5.3 near/far-field region helpers, a reference model exercised by its unit tests)
-pub mod fresnel;
 pub mod geom;
 pub mod jones;
 pub mod radar_eq;
-// lint: allow-dead-pub(section 2 canonical-shape RCS references, exercised by their unit tests)
-pub mod rcs_shapes;
 pub mod special;
 pub mod units;
 

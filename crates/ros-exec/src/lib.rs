@@ -134,69 +134,29 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    run_chunked(threads(), items, &|_, item| f(item))
-}
-
-/// [`par_map`] with the item index: `out[i] = f(i, &items[i])`.
-///
-/// The index makes per-item seed derivation trivial:
-///
-/// ```
-/// use ros_exec::{par_map_indexed, ParSeed};
-/// let seeds = ParSeed::new(42);
-/// let draws = par_map_indexed(&[(); 3], |i, _| seeds.stream(i as u64));
-/// assert_eq!(draws.len(), 3);
-/// assert_ne!(draws[0], draws[1]);
-/// ```
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_chunked(threads(), items, &f)
+    par_map_with(threads(), items, f)
 }
 
 /// [`par_map`] at an explicit worker count, ignoring the global setting.
 ///
 /// Used by determinism tests to compare the same path at several
-/// thread counts inside one process.
+/// thread counts inside one process. Chunks are contiguous index ranges
+/// assembled back in chunk order, so the output ordering never depends
+/// on thread scheduling. A panic in any worker is propagated to the
+/// caller after the scope joins.
+#[expect(clippy::disallowed_methods, reason = "ros-exec is the workspace's one spawn boundary")]
 pub fn par_map_with<T, R, F>(n_threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    run_chunked(n_threads, items, &|_, item| f(item))
-}
-
-/// [`par_map_indexed`] at an explicit worker count.
-pub fn par_map_indexed_with<T, R, F>(n_threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_chunked(n_threads, items, &f)
-}
-
-/// The chunked scoped-thread executor behind every `par_map` variant.
-///
-/// Chunks are contiguous index ranges assembled back in chunk order, so
-/// the output ordering never depends on thread scheduling. A panic in
-/// any worker is propagated to the caller after the scope joins.
-#[expect(clippy::disallowed_methods, reason = "ros-exec is the workspace's one spawn boundary")]
-fn run_chunked<T, R, F>(n_threads: usize, items: &[T], f: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
+    let f = &f;
     let n = items.len();
     let workers = n_threads.max(1).min(n);
     if workers <= 1 {
         // Serial fast path: no thread setup, identical evaluation order.
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return items.iter().map(f).collect();
     }
     let chunk_len = n.div_ceil(workers);
     let mut chunks: Vec<Vec<R>> = Vec::with_capacity(workers);
@@ -209,13 +169,7 @@ where
                 break;
             }
             let slice = &items[start..end];
-            handles.push(scope.spawn(move || {
-                slice
-                    .iter()
-                    .enumerate()
-                    .map(|(j, t)| f(start + j, t))
-                    .collect::<Vec<R>>()
-            }));
+            handles.push(scope.spawn(move || slice.iter().map(f).collect::<Vec<R>>()));
         }
         for handle in handles {
             match handle.join() {
@@ -369,14 +323,6 @@ mod tests {
             let par = par_map_with(t, &items, |x| x * 3 + 1);
             assert_eq!(par, serial, "threads={t}");
         }
-    }
-
-    #[test]
-    fn indexed_variant_sees_global_indices() {
-        let items = vec![10u64; 100];
-        let out = par_map_indexed_with(7, &items, |i, v| i as u64 + v);
-        let expect: Vec<u64> = (0..100).map(|i| i + 10).collect();
-        assert_eq!(out, expect);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod callgraph;
 pub mod engine;
 pub mod lexer;
 pub mod lockgraph;
-pub mod report;
+mod report;
 pub mod rules;
 pub mod scan;
 pub mod syntax;

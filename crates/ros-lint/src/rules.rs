@@ -62,9 +62,14 @@ pub const RULES: &[RuleInfo] = &[
         id: "dead-pub",
         summary: "pub library items must be referenced from another crate, tests, or examples",
         rationale: "Unreferenced API surface rots silently — it compiles, is never \
-                    exercised, and constrains refactors for no benefit.",
+                    exercised, and constrains refactors for no benefit. Any identifier \
+                    of the same name counts as a reference to an item, except for a \
+                    `pub mod`: a module counts as referenced only where its name is a \
+                    path segment (`m::x`, `a::m`) or sits in a `use` declaration, so a \
+                    same-named method or field cannot keep an orphan module alive.",
         fix: "Delete it, demote to pub(crate), or mark `lint: allow-dead-pub(reason)` \
-              with the keep justification.",
+              with the keep justification. A module that outside code reaches only \
+              through crate-root `pub use` re-exports should be a private `mod`.",
     },
     RuleInfo {
         id: "obs-names",
@@ -796,40 +801,74 @@ fn is_api_item(item: &Item) -> bool {
         && !item.in_trait_impl
 }
 
+/// One reference set of the cross-crate graph: which identifiers occur
+/// in each crate's non-test code, and which occur in test code or the
+/// examples/tests trees. BTree containers for the per-crate side: the
+/// membership queries are order-free, but ros-lint's own `nondet-iter`
+/// rule judges this crate too, and `.iter().any` over a hash map below
+/// would (rightly) trip it.
+#[derive(Default)]
+struct Refs<'a> {
+    nontest: BTreeMap<&'a str, BTreeSet<&'a str>>,
+    testref: HashSet<&'a str>,
+}
+
+impl<'a> Refs<'a> {
+    fn insert(&mut self, krate: &'a str, test: bool, ident: &'a str) {
+        if test {
+            self.testref.insert(ident);
+        } else {
+            self.nontest.entry(krate).or_default().insert(ident);
+        }
+    }
+
+    /// True when `name` occurs in test code or in a crate other than
+    /// `krate`.
+    fn reach(&self, krate: &str, name: &str) -> bool {
+        self.testref.contains(name)
+            || self
+                .nontest
+                .iter()
+                .any(|(&c, set)| c != krate && set.contains(name))
+    }
+}
+
 /// Cross-crate reference graph: a `pub` item in a library crate must
 /// be referenced from another crate, from test code, or from the
-/// examples/tests trees — otherwise it is dead API surface.
+/// examples/tests trees — otherwise it is dead API surface. Most items
+/// count any same-named identifier as a reference; a `pub mod` counts
+/// only a path occurrence (next to `::`, or inside a `use`
+/// declaration), so a method or field that shares its name cannot keep
+/// an orphan module alive.
 fn dead_pub(files: &[FileAnalysis], out: &mut Vec<Finding>) {
-    // Ident occurrence sets: per-crate non-test code, and one global
-    // set of test regions + reference files. BTree containers: the
-    // membership queries are order-free, but ros-lint's own
-    // `nondet-iter` rule judges this crate too, and `.iter().any` over
-    // a hash map below would (rightly) trip it.
-    let mut nontest: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    let mut testref: HashSet<&str> = HashSet::new();
+    let mut any = Refs::default();
+    let mut paths = Refs::default();
     for fa in files {
-        for (i, t) in fa.tokens.iter().enumerate() {
-            if !matches!(t.kind, TokenKind::Ident | TokenKind::RawIdent) {
+        let v = View::new(fa);
+        let mut in_use = false;
+        for ci in 0..v.len() {
+            if v.is_punct(ci, ";") {
+                in_use = false;
+            }
+            if !matches!(v.kind(ci), Some(TokenKind::Ident | TokenKind::RawIdent)) {
                 continue;
             }
-            let txt = t.text(&fa.text).trim_start_matches("r#");
-            if fa.role == FileRole::Reference || fa.facts.in_test.get(i).copied().unwrap_or(false)
-            {
-                testref.insert(txt);
-            } else {
-                nontest.entry(fa.crate_name.as_str()).or_default().insert(txt);
+            in_use |= v.is_ident(ci, "use");
+            let i = v.tok_idx(ci);
+            let ident = fa.tokens[i].text(&fa.text).trim_start_matches("r#");
+            let test =
+                fa.role == FileRole::Reference || fa.facts.in_test.get(i).copied().unwrap_or(false);
+            any.insert(&fa.crate_name, test, ident);
+            if in_use || (ci > 0 && v.is_punct(ci - 1, "::")) || v.is_punct(ci + 1, "::") {
+                paths.insert(&fa.crate_name, test, ident);
             }
         }
     }
 
     for fa in files.iter().filter(|f| f.is_library()) {
         for item in fa.facts.items.iter().filter(|i| is_api_item(i)) {
-            let name = item.name.as_str();
-            let referenced = testref.contains(name)
-                || nontest
-                    .iter()
-                    .any(|(&c, set)| c != fa.crate_name && set.contains(name));
-            if referenced {
+            let refs = if matches!(item.kind, ItemKind::Mod) { &paths } else { &any };
+            if refs.reach(&fa.crate_name, &item.name) {
                 continue;
             }
             // Marker probe after the reference check: a marker on a
@@ -846,7 +885,7 @@ fn dead_pub(files: &[FileAnalysis], out: &mut Vec<Finding>) {
                     "pub {} `{}` is never referenced outside `{}`; demote to pub(crate), \
                      delete it, or mark `lint: allow-dead-pub(reason)`",
                     item_kind_str(item.kind),
-                    name,
+                    item.name,
                     fa.crate_name
                 ),
             );
@@ -1103,6 +1142,30 @@ mod tests {
         let src = "//! m\n/// D.\npub fn self_used() {}\nfn f() { self_used(); }\n";
         let f = fa("crates/ros-em/src/s.rs", src);
         assert!(all_hits(&[f]).iter().any(|h| h.starts_with("dead-pub")));
+    }
+
+    #[test]
+    fn dead_pub_module_counts_only_path_references() {
+        let module = "//! m\n/// D.\npub mod taper;\n";
+        let dead_pub_hits = |files: &[FileAnalysis]| -> Vec<String> {
+            all_hits(files)
+                .into_iter()
+                .filter(|h| h.starts_with("dead-pub"))
+                .collect()
+        };
+        // A same-named method call in another crate does not reach the module.
+        let api = fa("crates/ros-antenna/src/lib.rs", module);
+        let method = fa("crates/core/src/u.rs", "//! m\nfn f(x: W) { x.taper(); }\n");
+        assert_eq!(
+            dead_pub_hits(&[api, method]),
+            ["dead-pub:crates/ros-antenna/src/lib.rs:3"]
+        );
+        // A `use` path does, and so does an entry in a `use` group.
+        for import in ["use ros_antenna::taper;", "use ros_antenna::{shaping, taper};"] {
+            let api = fa("crates/ros-antenna/src/lib.rs", module);
+            let user = fa("crates/core/src/u.rs", &format!("//! m\n{import}\n"));
+            assert!(dead_pub_hits(&[api, user]).is_empty(), "{import}");
+        }
     }
 
     #[test]

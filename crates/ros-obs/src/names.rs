@@ -73,7 +73,6 @@ pub const ALL: &[(&str, Kind)] = &[
     ("cache.insert", Kind::Counter),
     ("cache.evict", Kind::Counter),
     ("cache.entries", Kind::Gauge),
-    ("cache.rcs_factor.miss", Kind::Counter),
     ("cache.pattern.miss", Kind::Counter),
     ("cache.dispersion.miss", Kind::Counter),
     ("cache.shaping.miss", Kind::Counter),

@@ -16,8 +16,8 @@
 //! Price 1997) with bound constraints and a couple of mutation
 //! strategies, tested on standard benchmark functions.
 
-pub mod de;
-pub mod pso;
+mod de;
+mod pso;
 pub mod testfn;
 
 pub use de::{minimize, minimize_par, DeConfig, DeResult, Strategy};

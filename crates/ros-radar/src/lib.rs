@@ -31,8 +31,6 @@ pub mod impairments;
 pub mod pointcloud;
 pub mod processing;
 pub mod radar;
-// lint: allow-dead-pub(alpha-beta tracker extension, exercised by its unit tests)
-pub mod tracker;
 
 pub use array::RadarArray;
 pub use chirp::ChirpConfig;

@@ -73,16 +73,6 @@ fn par_map_preserves_order_and_values() {
             ros_exec::par_map(&items, |&x| (x as f64 + 0.5).sqrt().sin())
         });
         assert_f64_bits_eq(&serial, &par, &format!("par_map@{n}"));
-
-        let indexed = with_threads(n, || {
-            ros_exec::par_map_indexed(&items, |i, &x| i as f64 * 1e-3 + (x as f64).cos())
-        });
-        let expect: Vec<f64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| i as f64 * 1e-3 + (x as f64).cos())
-            .collect();
-        assert_f64_bits_eq(&expect, &indexed, &format!("par_map_indexed@{n}"));
     }
 }
 

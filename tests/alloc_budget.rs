@@ -80,7 +80,7 @@ struct Fixture {
 }
 
 fn capture_jobs() -> Vec<(Pose, Vec<Echo>)> {
-    (0..4)
+    let mut jobs: Vec<(Pose, Vec<Echo>)> = (0..4)
         .map(|i| {
             let echoes: Vec<Echo> = (0..6)
                 .map(|k| {
@@ -95,7 +95,9 @@ fn capture_jobs() -> Vec<(Pose, Vec<Echo>)> {
                 echoes,
             )
         })
-        .collect()
+        .collect();
+    jobs.push(ros_tests::crowded_capture_job());
+    jobs
 }
 
 /// Builds the decoder input the canonical way: a fast-mode drive-by of

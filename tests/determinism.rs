@@ -138,7 +138,7 @@ fn de_minimize_par_bit_identical_across_thread_counts() {
 }
 
 fn capture_jobs() -> Vec<(Pose, Vec<Echo>)> {
-    (0..5)
+    let mut jobs: Vec<(Pose, Vec<Echo>)> = (0..5)
         .map(|i| {
             let echoes: Vec<Echo> = (0..7)
                 .map(|k| {
@@ -153,7 +153,9 @@ fn capture_jobs() -> Vec<(Pose, Vec<Echo>)> {
                 echoes,
             )
         })
-        .collect()
+        .collect();
+    jobs.push(ros_tests::crowded_capture_job());
+    jobs
 }
 
 #[test]

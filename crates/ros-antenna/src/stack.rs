@@ -51,6 +51,10 @@ pub struct StackRow {
 #[derive(Clone, Debug)]
 pub struct PsvaaStack {
     rows: Vec<StackRow>,
+    /// [`Self::layout_key`], built once from `rows`. The stack has no
+    /// `&mut` methods, so the key cannot go stale; clones share its
+    /// bytes.
+    layout: Key,
 }
 
 impl PsvaaStack {
@@ -82,6 +86,7 @@ impl PsvaaStack {
         let base = base_row_pitch_m();
         let h_per_rad = height_per_phase_m_per_rad();
         let mut rows = Vec::with_capacity(phases.len());
+        let mut z = Vec::with_capacity(phases.len());
         let mut z_bottom = 0.0;
         for (i, &phi) in phases.iter().enumerate() {
             let row_height = base + phi * h_per_rad;
@@ -91,14 +96,20 @@ impl PsvaaStack {
             // recorded for layout faithfulness via the array handle.
             let _ = i;
             let array = VanAttaArray::new(ArrayKind::Psvaa, 3).with_extra_line(extra_line);
+            let z_m = z_bottom + row_height / 2.0;
+            z.push(z_m);
             rows.push(StackRow {
-                z_m: z_bottom + row_height / 2.0,
+                z_m,
                 phase_rad: phi,
                 array,
             });
             z_bottom += row_height;
         }
-        PsvaaStack { rows }
+        let layout = KeyBuilder::new("antenna.stack.layout")
+            .f64s(&z)
+            .f64s(phases)
+            .finish();
+        PsvaaStack { rows, layout }
     }
 
     /// Number of PSVAA rows.
@@ -191,13 +202,10 @@ impl PsvaaStack {
     /// Structural layout key of this stack: the exact row geometry and
     /// phase weights — everything [`Self::elevation_array_factor`]
     /// reads. Two stacks share cached tables iff this key is equal.
-    pub(crate) fn layout_key(&self) -> Key {
-        let z: Vec<f64> = self.rows.iter().map(|r| r.z_m).collect();
-        let phi: Vec<f64> = self.rows.iter().map(|r| r.phase_rad).collect();
-        KeyBuilder::new("antenna.stack.layout")
-            .f64s(&z)
-            .f64s(&phi)
-            .finish()
+    /// Built once by [`Self::with_phases`], so a per-frame table lookup
+    /// borrows it instead of re-encoding the rows.
+    pub(crate) fn layout_key(&self) -> &Key {
+        &self.layout
     }
 
     /// Elevation pattern cut \[dB\] sampled at `epsilons`, memoized in
@@ -212,7 +220,7 @@ impl PsvaaStack {
         freq_hz: f64,
     ) -> Arc<Vec<f64>> {
         let key = KeyBuilder::new("antenna.stack.elevation_pattern")
-            .nested(&self.layout_key())
+            .nested(self.layout_key())
             .f64(freq_hz)
             .f64s(epsilons)
             .finish();
@@ -259,7 +267,7 @@ impl PsvaaStack {
         freq_hz: f64,
     ) -> Arc<Vec<(f64, Complex64)>> {
         let key = KeyBuilder::new("antenna.stack.row_scatterers")
-            .nested(&self.layout_key())
+            .nested(self.layout_key())
             .f64(freq_hz)
             .finish();
         cache.get_or_build(TableKind::Pattern, key, || self.row_scatterers(freq_hz))
@@ -421,6 +429,23 @@ mod tests {
         assert!(sc[1].1.abs() > 0.9);
         // Heights ascend.
         assert!(sc[0].0 < sc[1].0 && sc[1].0 < sc[2].0);
+    }
+
+    #[test]
+    fn stored_layout_key_matches_rows() {
+        let phases = [0.0, deg_to_rad(40.0), deg_to_rad(90.0), 0.0];
+        for s in [PsvaaStack::uniform(5), PsvaaStack::with_phases(&phases)] {
+            let z: Vec<f64> = s.rows().iter().map(|r| r.z_m).collect();
+            let phi: Vec<f64> = s.rows().iter().map(|r| r.phase_rad).collect();
+            let fresh = KeyBuilder::new("antenna.stack.layout")
+                .f64s(&z)
+                .f64s(&phi)
+                .finish();
+            assert_eq!(s.layout_key(), &fresh);
+            assert_eq!(s.layout_key().fingerprint(), fresh.fingerprint());
+            // Clones share the key.
+            assert_eq!(s.clone().layout_key(), &fresh);
+        }
     }
 
     #[test]

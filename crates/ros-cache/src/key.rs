@@ -7,6 +7,10 @@
 //! * into a 64-bit FNV-1a fingerprint (fast `Ord` discrimination), and
 //! * into an exact, type-tagged byte encoding of the inputs.
 //!
+//! A nested key is the one exception to byte-wise hashing: its bytes
+//! are copied in whole and its own fingerprint is folded into the
+//! outer one ([`KeyBuilder::nested`]).
+//!
 //! `f64`s are keyed by their `to_bits()` bit pattern, exactly like
 //! `ros_dsp::plan::PlanCache` keys CZT arcs: two calls share a table
 //! only when the computation would be bit-identical. Because the full
@@ -21,6 +25,7 @@
 //! `cache_props` suite pins this property).
 
 use ros_em::units::cast::u64_from_usize;
+use std::sync::Arc;
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -29,12 +34,16 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A content-addressed cache key: FNV-1a fingerprint plus the exact
 /// structural byte encoding of the inputs it was built from.
+///
+/// The bytes are shared: cloning a key (e.g. with every stack of a tag
+/// that holds its layout key) bumps a reference count instead of
+/// copying the encoding.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key {
     /// Fingerprint first: `Ord` discriminates on it before falling
     /// back to the exact bytes, keeping `BTreeMap` comparisons cheap.
     fp: u64,
-    bytes: Box<[u8]>,
+    bytes: Arc<[u8]>,
 }
 
 impl Key {
@@ -153,13 +162,19 @@ impl KeyBuilder {
 
     /// Embeds a previously built [`Key`] (e.g. a layout key inside a
     /// pattern-table key) as one length-prefixed component.
+    ///
+    /// The inner bytes are copied whole and the fingerprint folds in
+    /// the inner key's fingerprint instead of re-hashing those bytes
+    /// one at a time. `Ord` stays consistent with `Eq`: the encoding is
+    /// prefix-free, so equal outer bytes hold equal inner bytes at the
+    /// same place, every key's fingerprint is a function of its own
+    /// bytes, and so equal bytes still imply equal fingerprints.
     #[must_use]
     pub fn nested(mut self, k: &Key) -> Self {
         self.push(tag::NESTED);
         self.raw_u64(u64_from_usize(k.bytes.len()));
-        for i in 0..k.bytes.len() {
-            self.push(k.bytes[i]);
-        }
+        self.bytes.extend_from_slice(&k.bytes);
+        self.h = (self.h ^ k.fp).wrapping_mul(FNV_PRIME);
         self
     }
 
@@ -167,7 +182,7 @@ impl KeyBuilder {
     pub fn finish(self) -> Key {
         Key {
             fp: self.h,
-            bytes: self.bytes.into_boxed_slice(),
+            bytes: self.bytes.into(),
         }
     }
 }

@@ -4,9 +4,9 @@
 //! arbitrary (fractional) frequency per frame — a full FFT would waste
 //! work and force on-grid frequencies. This module provides direct
 //! single-bin evaluation with optional windowing, used by
-//! `ros_radar::processing::spotlight_with` (through the table-driven
-//! [`single_bin_windowed_table`]) and anywhere else a matched
-//! single-tone correlation is needed.
+//! `ros_radar::processing::spotlight_with` (through the table-driven,
+//! all-antennas-at-once [`single_bin_windowed_each`]) and anywhere else
+//! a matched single-tone correlation is needed.
 
 use crate::window::{Window, WindowTable};
 use ros_em::Complex64;
@@ -26,14 +26,14 @@ pub fn single_bin(signal: &[Complex64], cycles_per_sample: f64) -> Complex64 {
     let mut acc = Complex64::ZERO;
     for &s in signal {
         acc += s * ph;
-        ph = ph * step;
+        ph *= step;
     }
     acc / signal.len().as_f64()
 }
 
 /// Windowed single-bin DFT, compensated for the window's coherent
 /// gain so tone amplitudes stay calibrated. The direct reference the
-/// table-driven [`single_bin_windowed_table`] is pinned against.
+/// table-driven [`single_bin_windowed_each`] is pinned against.
 pub fn single_bin_windowed(
     signal: &[Complex64],
     cycles_per_sample: f64,
@@ -49,45 +49,72 @@ pub fn single_bin_windowed(
     let mut acc = Complex64::ZERO;
     for (i, &s) in signal.iter().enumerate() {
         acc += s * ph * window.coeff(i, n);
-        ph = ph * step;
+        ph *= step;
     }
     let gain = window.coherent_gain(n).max(1e-12);
     acc / (n.as_f64() * gain)
 }
 
-/// Windowed single-bin DFT driven by a precomputed [`WindowTable`].
+/// Signals one pass of [`single_bin_windowed_each`] correlates side by
+/// side against the shared phasor chain.
+const SINGLE_BIN_LANES: usize = 4;
+
+/// [`single_bin_windowed`] of every signal in `signals` (e.g. one per
+/// Rx antenna), driven by a precomputed [`WindowTable`]: `each(k, y)`
+/// receives signal `k`'s result, in order.
 ///
-/// Bit-identical to [`single_bin_windowed`] for a table of matching
-/// shape and length, but allocation-free: the per-call
-/// `coherent_gain` scratch vector of the direct version is replaced by
-/// the table's stored gain. This is the variant the spotlight
-/// beamformer uses on the per-frame hot path.
+/// The `ph ← ph·step` chain is the same for every signal, so one walk
+/// over the samples advances it once and updates up to
+/// [`SINGLE_BIN_LANES`] accumulators per step. Each signal's sum still
+/// gets the terms `s·ph·w` in sample order from the same `ph` values,
+/// so every result is bit-identical to [`single_bin_windowed`] for a
+/// table of matching shape and length. Allocation-free: the table
+/// carries the coherent gain the direct version recomputes. This is
+/// the form the spotlight beamformer uses on the per-frame hot path.
 ///
 /// # Panics
-/// Panics if the table length differs from `signal.len()` (empty
-/// signals short-circuit first, as in the direct version).
+/// Panics if the signals differ in length, or if the table length
+/// differs from theirs (empty signals short-circuit to zero first, as
+/// in the direct version).
 // lint: hot-path
-pub fn single_bin_windowed_table(
-    signal: &[Complex64],
+pub fn single_bin_windowed_each<S: AsRef<[Complex64]>>(
+    signals: &[S],
     cycles_per_sample: f64,
     table: &WindowTable,
-) -> Complex64 {
-    if signal.is_empty() {
-        return Complex64::ZERO;
+    mut each: impl FnMut(usize, Complex64),
+) {
+    let n = signals.first().map_or(0, |s| s.as_ref().len());
+    for s in signals {
+        assert_eq!(s.as_ref().len(), n, "signals differ in length");
     }
-    let n = signal.len();
+    if n == 0 {
+        for k in 0..signals.len() {
+            each(k, Complex64::ZERO);
+        }
+        return;
+    }
     let coeffs = table.coeffs();
     assert_eq!(coeffs.len(), n, "window table is for length {}", coeffs.len());
     let w = -std::f64::consts::TAU * cycles_per_sample;
     let step = Complex64::cis(w);
-    let mut ph = Complex64::ONE;
-    let mut acc = Complex64::ZERO;
-    for (i, &s) in signal.iter().enumerate() {
-        acc += s * ph * coeffs[i];
-        ph = ph * step;
+    let norm = n.as_f64() * table.gain().max(1e-12);
+    for (c, chunk) in signals.chunks(SINGLE_BIN_LANES).enumerate() {
+        // Lanes past a short last chunk re-read its first signal; their
+        // sums are dropped.
+        let lanes: [&[Complex64]; SINGLE_BIN_LANES] =
+            std::array::from_fn(|l| chunk.get(l).unwrap_or(&chunk[0]).as_ref());
+        let mut ph = Complex64::ONE;
+        let mut acc = [Complex64::ZERO; SINGLE_BIN_LANES];
+        for (i, &wi) in coeffs.iter().enumerate() {
+            for (a, lane) in acc.iter_mut().zip(lanes) {
+                *a += lane[i] * ph * wi;
+            }
+            ph *= step;
+        }
+        for (l, &a) in acc.iter().take(chunk.len()).enumerate() {
+            each(c * SINGLE_BIN_LANES + l, a / norm);
+        }
     }
-    let gain = table.gain().max(1e-12);
-    acc / (n.as_f64() * gain)
 }
 
 #[cfg(test)]
@@ -159,19 +186,36 @@ mod tests {
         assert_eq!(single_bin(&[], 0.1), Complex64::ZERO);
         assert_eq!(single_bin_windowed(&[], 0.1, Window::Hann), Complex64::ZERO);
         let table = WindowTable::new(Window::Hann, 0);
-        assert_eq!(single_bin_windowed_table(&[], 0.1, &table), Complex64::ZERO);
+        let mut got = Vec::new();
+        single_bin_windowed_each(&[[]; 3], 0.1, &table, |k, y| got.push((k, y)));
+        assert_eq!(got, [(0, Complex64::ZERO), (1, Complex64::ZERO), (2, Complex64::ZERO)]);
     }
 
     #[test]
     fn table_variant_bit_identical() {
+        // Antenna counts around the lane width (one short chunk, one
+        // full, one full plus a short one, two full) at the empty,
+        // single-sample and frame lengths.
         let f = 10.37 / 256.0;
-        let x = tone(256, f, 1.7, -0.4);
-        for win in [Window::Rect, Window::Hann, Window::Hamming, Window::Blackman] {
-            let table = WindowTable::new(win, x.len());
-            let direct = single_bin_windowed(&x, f, win);
-            let tabled = single_bin_windowed_table(&x, f, &table);
-            assert_eq!(direct.re.to_bits(), tabled.re.to_bits(), "{win:?}");
-            assert_eq!(direct.im.to_bits(), tabled.im.to_bits(), "{win:?}");
+        for n_rx in [1usize, 3, 4, 5, 8] {
+            for n in [0usize, 1, 256] {
+                let signals: Vec<Vec<Complex64>> = (0..n_rx)
+                    .map(|k| tone(n, f + k as f64 * 0.013, 1.7 - 0.1 * k as f64, -0.4 + k as f64))
+                    .collect();
+                for win in [Window::Rect, Window::Hann, Window::Hamming, Window::Blackman] {
+                    let table = WindowTable::new(win, n);
+                    let mut got = Vec::new();
+                    single_bin_windowed_each(&signals, f, &table, |k, y| got.push((k, y)));
+                    assert_eq!(got.len(), n_rx);
+                    for (k, (idx, y)) in got.into_iter().enumerate() {
+                        let direct = single_bin_windowed(&signals[k], f, win);
+                        let at = format!("{win:?} n_rx {n_rx} n {n} k {k}");
+                        assert_eq!(idx, k, "{at}");
+                        assert_eq!(direct.re.to_bits(), y.re.to_bits(), "{at}");
+                        assert_eq!(direct.im.to_bits(), y.im.to_bits(), "{at}");
+                    }
+                }
+            }
         }
     }
 

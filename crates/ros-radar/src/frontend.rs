@@ -115,19 +115,31 @@ pub(crate) fn synthesize_signal(
     Frame { data, pose }
 }
 
-/// Echoes whose phasor chains one antenna-lane pass advances together.
+/// Echoes whose phasor chains one lane-pair pass advances together.
 /// Each chain's rotate waits on its previous step, so one chain per
 /// pass leaves the core idle for the multiply latency; four
 /// independent chains fill that wait while their phasors and rotations
 /// still fit in registers. Chosen by measurement on rosbench
-/// `full_pass` (2-vCPU x86-64, SSE2 baseline): 2, 6 and 8 chains gave
-/// a per-pass time 1.5×, 1.2× and 1.03× that of 4.
+/// `full_pass` (2-vCPU x86-64, SSE2 baseline, 12 s runs, two lanes):
+/// groups of 2, 3 and 6 gave `op_ms_p50` 90–98, 82–85 and 81–82 ms
+/// against 80–83 ms for 4; six is no faster, so the smaller register
+/// set stays.
 const SYNTH_GROUP: usize = 4;
 
-/// Reusable scratch for [`synthesize_signal_into`]: the antenna-major
-/// split-complex accumulator planes (`acc_re[k·n + j]`, the layout of
-/// [`Frame::data`]) plus every live echo's per-sample rotation and its
-/// per-antenna start phasors (`starts[e·k_rx + k]`). One scratch per
+/// Antenna lanes one pass advances side by side. Two lanes of `f64`
+/// fill one 128-bit SSE2 register, so each step of the literal
+/// `Complex64::mul` expansion runs as packed `mulpd`/`addpd`/`subpd`
+/// on portable arrays. Chosen by measurement on the same host and
+/// runs: with groups of 4, one lane gave 94–99 ms and four lanes (two
+/// registers per value) 87–89 ms against 80–83 ms for two.
+const SYNTH_LANES: usize = 2;
+
+/// Reusable scratch for [`synthesize_signal_into`]: the lane-pair
+/// interleaved split-complex accumulator planes
+/// (`acc_re[(p·n + j)·SYNTH_LANES + l]` holds sample `j` of antenna
+/// `k = p·SYNTH_LANES + l`) plus every live echo's per-sample rotation
+/// and its start phasors (`starts[e·k_pad + k]`, `k_pad` = `k_rx`
+/// rounded up to whole lane groups, padded lanes zero). One scratch per
 /// worker keeps the batch path allocation-free after warm-up.
 #[derive(Clone, Debug, Default)]
 pub struct SynthScratch {
@@ -142,16 +154,20 @@ pub struct SynthScratch {
 ///
 /// A precompute pass applies the reference's skips in the same order
 /// and collects each live echo's rotation and start phasors. Then, per
-/// antenna lane, groups of [`SYNTH_GROUP`] echoes walk the samples
-/// together with their phasors held in locals, so the independent
-/// rotate chains overlap; a scalar pass takes the last `m mod G`.
+/// group of [`SYNTH_LANES`] antenna lanes, groups of [`SYNTH_GROUP`]
+/// echoes walk the samples together with their phasors held in locals,
+/// so the independent rotate chains overlap and each step covers both
+/// lanes in one packed operation; a scalar-echo pass takes the last
+/// `m mod G`. An odd `k_rx` leaves one padded lane that starts from
+/// zero phasors and is never copied out.
 ///
 /// Bit-identity with the reference holds because every accumulator
 /// cell still receives its echoes' phasors one add at a time in the
 /// original echo order, starting from zero, and every phasor step is
 /// the literal expansion of `Complex64::mul`,
 /// `(pr·cr − pi·ci, pr·ci + pi·cr)`, with no fused multiply-add. Only
-/// the loop nest changes, never the per-element operation sequence.
+/// the loop nest and the lane packing change, never the per-element
+/// operation sequence.
 // lint: hot-path
 pub(crate) fn synthesize_signal_into(
     chirp: &ChirpConfig,
@@ -163,6 +179,7 @@ pub(crate) fn synthesize_signal_into(
 ) {
     let n = chirp.n_samples;
     let k_rx = array.n_rx;
+    let k_pad = k_rx.div_ceil(SYNTH_LANES) * SYNTH_LANES;
     let lambda = chirp.wavelength_m();
 
     frame.pose = pose;
@@ -178,6 +195,11 @@ pub(crate) fn synthesize_signal_into(
             row.clear();
             row.resize(n, Complex64::ZERO);
         }
+    }
+    if n == 0 {
+        // Nothing to synthesize, and the planes below are chunked by a
+        // width that must not be zero.
+        return;
     }
 
     let SynthScratch {
@@ -208,70 +230,86 @@ pub(crate) fn synthesize_signal_into(
         for k in 0..k_rx {
             starts.push(amp * Complex64::cis(array.steering_phase(k, az, lambda)));
         }
+        starts.resize(starts.len() + k_pad - k_rx, Complex64::ZERO);
     }
 
     acc_re.clear();
-    acc_re.resize(k_rx * n, 0.0);
+    acc_re.resize(k_pad * n, 0.0);
     acc_im.clear();
-    acc_im.resize(k_rx * n, 0.0);
+    acc_im.resize(k_pad * n, 0.0);
     let m = rots.len();
     let grouped = m - m % SYNTH_GROUP;
-    for k in 0..k_rx {
-        let lane_re = &mut acc_re[k * n..(k + 1) * n];
-        let lane_im = &mut acc_im[k * n..(k + 1) * n];
+    let planes = acc_re
+        .chunks_exact_mut(SYNTH_LANES * n)
+        .zip(acc_im.chunks_exact_mut(SYNTH_LANES * n));
+    for (p, (plane_re, plane_im)) in planes.enumerate() {
+        let (plane_re, _) = plane_re.as_chunks_mut::<SYNTH_LANES>();
+        let (plane_im, _) = plane_im.as_chunks_mut::<SYNTH_LANES>();
+        let k0 = p * SYNTH_LANES;
         let groups = rots
             .chunks_exact(SYNTH_GROUP)
-            .zip(starts.chunks_exact(SYNTH_GROUP * k_rx));
+            .zip(starts.chunks_exact(SYNTH_GROUP * k_pad));
         for (r, s) in groups {
-            add_tones::<SYNTH_GROUP>(r, s, k, lane_re, lane_im);
+            add_tones::<SYNTH_GROUP>(r, s, k0, plane_re, plane_im);
         }
         for e in grouped..m {
             add_tones::<1>(
                 &rots[e..=e],
-                &starts[e * k_rx..(e + 1) * k_rx],
-                k,
-                lane_re,
-                lane_im,
+                &starts[e * k_pad..(e + 1) * k_pad],
+                k0,
+                plane_re,
+                plane_im,
             );
         }
     }
 
-    for (k, row) in frame.data.iter_mut().enumerate() {
-        let lane = acc_re[k * n..(k + 1) * n]
-            .iter()
-            .zip(&acc_im[k * n..(k + 1) * n]);
-        for (s, (&re, &im)) in row.iter_mut().zip(lane) {
-            *s = Complex64::new(re, im);
+    // A short last row group leaves the padded lane behind.
+    let planes = acc_re
+        .chunks_exact(SYNTH_LANES * n)
+        .zip(acc_im.chunks_exact(SYNTH_LANES * n));
+    for (rows, (plane_re, plane_im)) in frame.data.chunks_mut(SYNTH_LANES).zip(planes) {
+        let (plane_re, _) = plane_re.as_chunks::<SYNTH_LANES>();
+        let (plane_im, _) = plane_im.as_chunks::<SYNTH_LANES>();
+        for (l, row) in rows.iter_mut().enumerate() {
+            for (s, (re, im)) in row.iter_mut().zip(plane_re.iter().zip(plane_im)) {
+                *s = Complex64::new(re[l], im[l]);
+            }
         }
     }
 }
 
-/// Adds `G` echoes' tones onto one antenna lane. `rots` holds the `G`
-/// rotations and `starts` their start phasors echo-major (`k_rx` per
-/// echo); lane `k` takes `starts[g·k_rx + k]`. Per sample, the lane
-/// cell gains the `G` current phasors in echo order, then each phasor
-/// takes one `Complex64::mul` step by its rotation.
+/// Adds `G` echoes' tones onto one lane group. `rots` holds the `G`
+/// rotations and `starts` their start phasors echo-major (`k_pad` per
+/// echo); lane `l` of the group takes `starts[g·k_pad + k0 + l]`. Per
+/// sample, each lane's cell gains the `G` current phasors in echo
+/// order, then each phasor takes one `Complex64::mul` step by its
+/// rotation; the lanes share the rotation and run side by side.
 #[inline(always)]
 fn add_tones<const G: usize>(
     rots: &[Complex64],
     starts: &[Complex64],
-    k: usize,
-    lane_re: &mut [f64],
-    lane_im: &mut [f64],
+    k0: usize,
+    plane_re: &mut [[f64; SYNTH_LANES]],
+    plane_im: &mut [[f64; SYNTH_LANES]],
 ) {
-    let k_rx = starts.len() / G;
-    let mut pr: [f64; G] = std::array::from_fn(|g| starts[g * k_rx + k].re);
-    let mut pi: [f64; G] = std::array::from_fn(|g| starts[g * k_rx + k].im);
+    let k_pad = starts.len() / G;
+    let start = |g: usize, l: usize| starts[g * k_pad + k0 + l];
+    let mut pr: [[f64; SYNTH_LANES]; G] =
+        std::array::from_fn(|g| std::array::from_fn(|l| start(g, l).re));
+    let mut pi: [[f64; SYNTH_LANES]; G] =
+        std::array::from_fn(|g| std::array::from_fn(|l| start(g, l).im));
     let cr: [f64; G] = std::array::from_fn(|g| rots[g].re);
     let ci: [f64; G] = std::array::from_fn(|g| rots[g].im);
-    for (sr, si) in lane_re.iter_mut().zip(lane_im.iter_mut()) {
+    for (sr, si) in plane_re.iter_mut().zip(plane_im.iter_mut()) {
         let (mut ar, mut ai) = (*sr, *si);
         for g in 0..G {
-            ar += pr[g];
-            ai += pi[g];
-            let (a, b) = (pr[g], pi[g]);
-            pr[g] = a * cr[g] - b * ci[g];
-            pi[g] = a * ci[g] + b * cr[g];
+            for l in 0..SYNTH_LANES {
+                ar[l] += pr[g][l];
+                ai[l] += pi[g][l];
+                let (a, b) = (pr[g][l], pi[g][l]);
+                pr[g][l] = a * cr[g] - b * ci[g];
+                pi[g][l] = a * ci[g] + b * cr[g];
+            }
         }
         *sr = ar;
         *si = ai;
@@ -513,7 +551,7 @@ mod tests {
 
     #[test]
     fn signal_into_bit_identical_to_direct() {
-        let (c, a, _) = setup();
+        let (ti, a, _) = setup();
         let pose = Pose::side_looking(Vec3::new(0.2, -0.1, 0.0));
         let echoes = [
             Echo::new(Vec3::new(0.5, 3.0, 0.0), Complex64::from_polar(2e-3, 0.4)),
@@ -521,21 +559,24 @@ mod tests {
             Echo::new(Vec3::new(0.0, -2.0, 0.0), Complex64::from_polar(1e-3, 0.0)), // behind
             Echo::new(Vec3::new(1.0, 1.0, 0.0), Complex64::ZERO),                   // skipped
         ];
-        let direct = synthesize_signal(&c, &a, pose, &echoes);
-        let mut scratch = SynthScratch::default();
-        let mut frame = Frame {
-            data: vec![vec![Complex64::new(9.0, 9.0); 3]; 7], // wrong shape, dirty
-            pose: Pose::side_looking(Vec3::ZERO),
-        };
-        // Twice through the same scratch: reuse must not change bits.
-        for _ in 0..2 {
-            synthesize_signal_into(&c, &a, pose, &echoes, &mut scratch, &mut frame);
-            assert_eq!(frame.n_rx(), direct.n_rx());
-            assert_eq!(frame.n_samples(), direct.n_samples());
-            for (da, fa) in direct.data.iter().zip(&frame.data) {
-                for (d, f) in da.iter().zip(fa) {
-                    assert_eq!(d.re.to_bits(), f.re.to_bits());
-                    assert_eq!(d.im.to_bits(), f.im.to_bits());
+        // The TI chirp, and one with no samples at all.
+        for c in [ti, ChirpConfig { n_samples: 0, ..ti }] {
+            let direct = synthesize_signal(&c, &a, pose, &echoes);
+            let mut scratch = SynthScratch::default();
+            let mut frame = Frame {
+                data: vec![vec![Complex64::new(9.0, 9.0); 3]; 7], // wrong shape, dirty
+                pose: Pose::side_looking(Vec3::ZERO),
+            };
+            // Twice through the same scratch: reuse must not change bits.
+            for _ in 0..2 {
+                synthesize_signal_into(&c, &a, pose, &echoes, &mut scratch, &mut frame);
+                assert_eq!(frame.n_rx(), direct.n_rx());
+                assert_eq!(frame.n_samples(), direct.n_samples());
+                for (da, fa) in direct.data.iter().zip(&frame.data) {
+                    for (d, f) in da.iter().zip(fa) {
+                        assert_eq!(d.re.to_bits(), f.re.to_bits());
+                        assert_eq!(d.im.to_bits(), f.im.to_bits());
+                    }
                 }
             }
         }
@@ -547,24 +588,29 @@ mod tests {
         /// The grouped kernel against the per-echo reference, bit for
         /// bit: echo counts from none through three full groups plus a
         /// remainder, with zero-amplitude (kind 0) and behind-the-array
-        /// (kind 1) echoes at random positions, and one scratch reused
-        /// while the counts shrink and grow (the call list, then the
-        /// same list reversed).
+        /// (kind 1) echoes at random positions, and antenna counts that
+        /// leave a padded lane (1, 3, 5) or fill one or more lane pairs
+        /// (2, 4, 8). One scratch is reused while the counts shrink and
+        /// grow (the call list, then the same list reversed).
         #[test]
         fn grouped_signal_into_bit_identical_to_direct(
             calls in proptest::prop::collection::vec(
-                proptest::prop::collection::vec(
-                    (0u8..6, -2.0f64..2.0, 0.3f64..6.0, -3.2f64..3.2),
-                    0..=3 * SYNTH_GROUP + 1,
+                (
+                    0usize..6,
+                    proptest::prop::collection::vec(
+                        (0u8..6, -2.0f64..2.0, 0.3f64..6.0, -3.2f64..3.2),
+                        0..=3 * SYNTH_GROUP + 1,
+                    ),
                 ),
                 2..5,
             )
         ) {
-            let (c, a, _) = setup();
+            let (c, ti, _) = setup();
             let pose = Pose::side_looking(Vec3::new(0.1, -0.2, 0.0));
             let mut scratch = SynthScratch::default();
             let mut frame = Frame { data: Vec::new(), pose };
-            for spec in calls.iter().chain(calls.iter().rev()) {
+            for (rx, spec) in calls.iter().chain(calls.iter().rev()) {
+                let a = RadarArray { n_rx: [1, 2, 3, 4, 5, 8][*rx], ..ti };
                 let echoes: Vec<Echo> = spec
                     .iter()
                     .map(|&(kind, x, y, phase)| match kind {
@@ -575,7 +621,7 @@ mod tests {
                     .collect();
                 let direct = synthesize_signal(&c, &a, pose, &echoes);
                 synthesize_signal_into(&c, &a, pose, &echoes, &mut scratch, &mut frame);
-                proptest::prop_assert_eq!(frame.n_rx(), direct.n_rx());
+                proptest::prop_assert_eq!(frame.n_rx(), a.n_rx);
                 proptest::prop_assert_eq!(frame.n_samples(), direct.n_samples());
                 for (da, fa) in direct.data.iter().zip(&frame.data) {
                     for (d, f) in da.iter().zip(fa) {

@@ -279,11 +279,10 @@ pub fn spotlight_with(
 
     let cycles = w / std::f64::consts::TAU;
     let mut y = Complex64::ZERO;
-    for (k, ant) in frame.data.iter().enumerate() {
-        let acc = ros_dsp::goertzel::single_bin_windowed_table(ant, cycles, table);
+    ros_dsp::goertzel::single_bin_windowed_each(&frame.data, cycles, table, |k, acc| {
         let steer = Complex64::cis(-array.steering_phase(k, az, lambda));
         y += steer * acc;
-    }
+    });
     y / frame.n_rx().as_f64()
 }
 

@@ -23,6 +23,15 @@ fn slice_key(bits: &[u64]) -> Key {
 /// when not); `(false, k)` probes it without mutating (`contains`).
 type Op = (bool, u8);
 
+/// A pattern-table key around a layout key built from `bits`, the
+/// shape of the stack and array table keys.
+fn nested_key(bits: &[u64], freq_bits: u64) -> Key {
+    KeyBuilder::new("props.table")
+        .nested(&slice_key(bits))
+        .f64(f64::from_bits(freq_bits))
+        .finish()
+}
+
 fn small_key(i: u8) -> Key {
     KeyBuilder::new("props.evict").u64(u64::from(i)).finish()
 }
@@ -94,6 +103,39 @@ proptest! {
         let mut swapped = bits.clone();
         swapped.swap(i, i + 1);
         prop_assert_ne!(slice_key(&bits), slice_key(&swapped));
+    }
+
+    /// Equal inner layouts give equal outer keys with equal
+    /// fingerprints, so `Ord` (fingerprint first) agrees with `Eq`
+    /// although `nested` folds the inner fingerprint instead of
+    /// re-hashing the inner bytes.
+    #[test]
+    fn nested_equal_inner_equal_outer(
+        bits in prop::collection::vec(any::<u64>(), 0..32),
+        freq in any::<u64>(),
+    ) {
+        let a = nested_key(&bits, freq);
+        let b = nested_key(&bits.clone(), freq);
+        prop_assert_eq!(a.fingerprint(), b.fingerprint());
+        prop_assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
+        prop_assert_eq!(a, b);
+    }
+
+    /// Flipping any single bit of any inner `f64` gives a distinct
+    /// outer key: the inner bytes are part of the outer encoding.
+    #[test]
+    fn nested_inner_bit_flip_changes_the_outer_key(
+        bits in prop::collection::vec(any::<u64>(), 1..32),
+        idx in any::<usize>(),
+        bit in 0u8..64,
+        freq in any::<u64>(),
+    ) {
+        let i = idx % bits.len();
+        let mut flipped = bits.clone();
+        flipped[i] ^= 1u64 << bit;
+        let (a, b) = (nested_key(&bits, freq), nested_key(&flipped, freq));
+        prop_assert_ne!(a.cmp(&b), std::cmp::Ordering::Equal);
+        prop_assert_ne!(a, b);
     }
 
     /// Replaying the same interleaved insert/get workload on two

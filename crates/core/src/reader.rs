@@ -22,7 +22,7 @@
 use crate::decode::{decode_into, DecodeResult, DecodeScratch, DecoderConfig, RssSample};
 use crate::detector::{pick_tag, score_clusters, DetectorConfig, ScoredCluster};
 use crate::stream::{DriveBySource, FrameSource, PassId, StreamEvent};
-use crate::tag::Tag;
+use crate::tag::{ResolvedTag, Tag};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ros_dsp::window::{Window, WindowTable};
@@ -36,7 +36,7 @@ use ros_radar::pointcloud::{PointCloud, RadarPoint};
 use ros_radar::processing::DetectScratch;
 use ros_radar::radar::{CaptureScratch, FmcwRadar, RadarMode};
 use ros_scene::objects::ClutterObject;
-use ros_scene::reflector::{EchoContext, Reflector};
+use ros_scene::reflector::{EchoContext, Reflector, SceneEcho};
 use ros_scene::tracking::TrackingError;
 use ros_scene::trajectory::{LateralProfile, ManoeuvreTrajectory, Trajectory};
 use ros_scene::weather::FogLevel;
@@ -254,17 +254,6 @@ impl DriveBy {
         }
     }
 
-    pub(crate) fn all_reflectors(&self) -> Vec<&dyn Reflector> {
-        let mut v: Vec<&dyn Reflector> = vec![&self.tag];
-        for t in &self.extra_tags {
-            v.push(t);
-        }
-        for c in &self.clutter {
-            v.push(c);
-        }
-        v
-    }
-
     /// Runs the scenario.
     ///
     /// Fast mode drains one [`DriveBySource`] pass — the frame loop the
@@ -365,7 +354,6 @@ impl DriveBy {
         let _span = ros_obs::span("reader.run_full");
         let (times, truth, mut believed) = self.track(cfg);
         let schedule = self.fault_schedule(&times, &mut believed);
-        let ctx = self.context();
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xf011);
         let native = RadarMode::Native.polarizations(self.radar.array.native_pol);
         let switched =
@@ -380,6 +368,7 @@ impl DriveBy {
         let mut jobs: Vec<(Pose, Vec<Echo>)> = Vec::with_capacity(truth.len() * 2);
         {
             let _gather = ros_obs::span("reader.gather_echoes");
+            let scene = EchoScene::new(self);
             for (i, pos_true) in truth.iter().enumerate() {
                 let pose_true = Pose::side_looking(*pos_true);
                 // An interference burst is one extra strong scatterer in
@@ -389,14 +378,13 @@ impl DriveBy {
                     .as_ref()
                     .and_then(|sch| sch.get(i).burst.as_ref())
                     .map(|b| self.burst_echo(&pose_true, b));
-                let mut sw_echoes = self.gather_echoes(*pos_true, switched.0, switched.1, &ctx);
+                let mut sw_echoes = scene.gather(*pos_true, switched);
                 if let Some(e) = &burst {
                     sw_echoes.push(*e);
                 }
                 jobs.push((pose_true, sw_echoes));
                 if i % cfg.detect_stride == 0 {
-                    let mut nat_echoes =
-                        self.gather_echoes(*pos_true, native.0, native.1, &ctx);
+                    let mut nat_echoes = scene.gather(*pos_true, native);
                     if let Some(e) = &burst {
                         nat_echoes.push(*e);
                     }
@@ -687,20 +675,59 @@ impl DriveBy {
         let phase = std::f64::consts::TAU * b.unit(2);
         Echo::new(pos, Complex64::from_polar(amp, phase))
     }
+}
 
-    fn gather_echoes(
+/// The echo sources of one pass, resolved once: the echo context,
+/// every tag's radar-independent rows ([`ResolvedTag`]) and the
+/// clutter. Both frame loops export it per frame, in the order the
+/// echoes have always accumulated: the tag (its rows, then its board
+/// echoes when `tx == rx`), each extra tag the same way, then the
+/// clutter through [`Reflector::echoes`].
+pub(crate) struct EchoScene {
+    ctx: EchoContext,
+    tags: Vec<ResolvedTag>,
+    clutter: Vec<ClutterObject>,
+}
+
+impl EchoScene {
+    /// Resolves `drive`'s tags at the radar's carrier frequency.
+    pub(crate) fn new(drive: &DriveBy) -> Self {
+        let ctx = drive.context();
+        let freq_hz = ctx.budget.freq_hz;
+        EchoScene {
+            ctx,
+            tags: std::iter::once(&drive.tag)
+                .chain(&drive.extra_tags)
+                .map(|t| t.resolved_at(freq_hz))
+                .collect(),
+            clutter: drive.clutter.clone(),
+        }
+    }
+
+    /// Calls `each` for every echo a radar at `radar_pos` receives
+    /// with polarizations `tx`/`rx`, in scene order.
+    pub(crate) fn for_each(
         &self,
         radar_pos: Vec3,
         tx: Polarization,
         rx: Polarization,
-        ctx: &EchoContext,
-    ) -> Vec<Echo> {
-        let mut echoes = Vec::new();
-        for refl in self.all_reflectors() {
-            for e in refl.echoes(radar_pos, tx, rx, ctx) {
-                echoes.push(Echo::new(e.pos, e.amp));
+        mut each: impl FnMut(SceneEcho),
+    ) {
+        for tag in &self.tags {
+            tag.echoes(radar_pos, tx, rx, &self.ctx, &mut each);
+        }
+        for c in &self.clutter {
+            for e in c.echoes(radar_pos, tx, rx, &self.ctx) {
+                each(e);
             }
         }
+    }
+
+    /// Every echo for a radar at `radar_pos`, in scene order — one
+    /// IF-synthesis job's echo list.
+    fn gather(&self, radar_pos: Vec3, (tx, rx): (Polarization, Polarization)) -> Vec<Echo> {
+        let mut echoes = Vec::new();
+        self.for_each(radar_pos, tx, rx, |e| echoes.push(Echo::new(e.pos, e.amp)));
         echoes
     }
 }

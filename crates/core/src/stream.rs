@@ -22,9 +22,16 @@
 //! loop: the spotlight RSS expression, the serial receiver-noise RNG
 //! (two draws per frame, drawn even for dropped frames), the fault
 //! schedule realization, and the closest-approach decode-centre anchor.
-//! Per chunk it plans the frames serially, maps their clean spotlight
-//! RSS (over the `ros_exec` pool when [`DriveBy::run`] drains it, on
-//! one worker otherwise) and draws the noise serially.
+//! Work is done at the rate it changes. Per pass, [`DriveBySource::new`]
+//! resolves the echo scene once: each tag's row positions, weights and
+//! row array, and the cache lookups for its row tables. Per frame, the
+//! spotlight gate is aimed once (the pose and the tag's range and
+//! azimuth sine), and each echo's azimuth feeds both the radar pattern
+//! and the gate. Per chunk it plans the frames serially, maps their
+//! clean spotlight RSS (over the `ros_exec` pool when [`DriveBy::run`]
+//! drains it, on one worker otherwise) and draws the noise serially.
+//! The echoes accumulate in the order they always have, so the bits
+//! match a per-frame export of every reflector.
 //! [`DriveBy::run`] in fast mode drains one source and decodes through
 //! the same [`PassContext`] call as [`StreamingReader`], so a
 //! [`SignRead`] and the `Outcome` of the equivalent batch run carry
@@ -36,7 +43,7 @@ use crate::decode::{
     decode_into, DecodeError, DecodeResult, DecodeScratch, DecoderConfig, RssSample,
 };
 use crate::encode::SpatialCode;
-use crate::reader::{DriveBy, PassVerdict, ReaderConfig};
+use crate::reader::{DriveBy, EchoScene, PassVerdict, ReaderConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ros_em::jones::Polarization;
@@ -45,7 +52,6 @@ use ros_em::{Complex64, Vec3};
 use ros_fault::{FaultSchedule, FrameFaults};
 use ros_radar::echo::Pose;
 use ros_radar::radar::FmcwRadar;
-use ros_scene::reflector::EchoContext;
 use ros_scene::tracking::TrackingStream;
 use ros_scene::trajectory::{ManoeuvreTrajectory, Trajectory};
 use std::collections::BTreeMap;
@@ -189,11 +195,20 @@ impl SignRead {
 /// `false` once the stream is exhausted (nothing appended, nothing
 /// ever again). Chunked pulling keeps the producer's working set
 /// bounded regardless of drive length.
+///
+/// A `max` below 2 is treated as 2: a duplicated frame emits two
+/// events that are never split across chunks, so a smaller chunk could
+/// not make progress. The event sequence does not depend on the chunk
+/// size.
 pub trait FrameSource {
-    /// Appends up to `max` events to `out`; returns `false` when the
-    /// stream is exhausted.
+    /// Appends up to `max.max(2)` events to `out`; returns `false` when
+    /// the stream is exhausted.
     fn next_events(&mut self, max: usize, out: &mut Vec<StreamEvent>) -> bool;
 }
+
+/// The smallest chunk a [`FrameSource`] emits: the two events of a
+/// duplicated frame.
+const MIN_CHUNK_EVENTS: usize = 2;
 
 /// Per-open-pass buffer held by the streaming reader.
 #[derive(Debug)]
@@ -355,8 +370,9 @@ pub struct DriveBySource {
     i: usize,
     traj: ManoeuvreTrajectory,
     schedule: Option<FaultSchedule>,
-    // Per-frame state of the spotlight and noise model.
-    echo_ctx: EchoContext,
+    // The pass's echo sources, resolved once, and the per-frame state
+    // of the spotlight and noise model.
+    scene: EchoScene,
     spot: SpotlightModel,
     tx: Polarization,
     rx: Polarization,
@@ -432,7 +448,7 @@ impl DriveBySource {
             tag_axis_yaw: 0.0,
         };
 
-        let echo_ctx = drive.context();
+        let scene = EchoScene::new(&drive);
         let (tx, rx) = ros_radar::radar::RadarMode::PolarizationSwitched
             .polarizations(drive.radar.array.native_pol);
         let sigma = drive.noise_sigma();
@@ -449,7 +465,7 @@ impl DriveBySource {
             i: 0,
             traj,
             schedule,
-            echo_ctx,
+            scene,
             spot,
             tx,
             rx,
@@ -489,7 +505,9 @@ impl DriveBySource {
     }
 
     /// One frame's clean (noise-free, fault-free) spotlight RSS at time
-    /// `t`, true radar position `pos_true`.
+    /// `t`, true radar position `pos_true`: every echo of the resolved
+    /// scene, in scene order, through the radar pattern and the gate
+    /// aimed at the tag for this frame.
     fn fast_clean_rss(&self, t: f64, pos_true: Vec3) -> Complex64 {
         let drive = &self.drive;
         let block_amp = drive
@@ -498,15 +516,13 @@ impl DriveBySource {
             .filter(|b| t >= b.t_start_s && t <= b.t_end_s)
             .map(|b| ros_em::db::db_to_lin(-b.attenuation_db))
             .fold(1.0, f64::min);
+        let gate = self.spot.aim(pos_true, drive.tag.mount());
         let mut rss = Complex64::ZERO;
-        for refl in drive.all_reflectors() {
-            for e in refl.echoes(pos_true, self.tx, self.rx, &self.echo_ctx) {
-                let az = Pose::side_looking(pos_true).azimuth_to(e.pos);
-                let g = ros_radar::frontend::radar_pattern(az);
-                let gate = self.spot.gain(pos_true, e.pos, drive.tag.mount());
-                rss += e.amp * (g * g * gate * block_amp);
-            }
-        }
+        self.scene.for_each(pos_true, self.tx, self.rx, |e| {
+            let az = gate.pose.azimuth_to(e.pos);
+            let g = ros_radar::frontend::radar_pattern(az);
+            rss += e.amp * (g * g * gate.gain(e.pos, az) * block_amp);
+        });
         rss
     }
 
@@ -604,17 +620,40 @@ impl SpotlightModel {
         }
     }
 
-    /// Combined range × azimuth spotlight gate for an echo at `e_pos`
-    /// while the radar at `pose` spotlights `target`.
-    fn gain(&self, pose: Vec3, e_pos: Vec3, target: Vec3) -> f64 {
-        let p = Pose::side_looking(pose);
-        let dr = p.range_to(e_pos) - p.range_to(target);
-        let df = 2.0 * self.slope * dr / ros_em::constants::C;
-        let g_range = ros_em::special::dirichlet(std::f64::consts::TAU * df / self.fs, self.n_fft);
-        let du = p.azimuth_to(e_pos).sin() - p.azimuth_to(target).sin();
+    /// The gate of one frame: the radar at `pos` spotlighting
+    /// `target`. The pose and the target's range and azimuth sine are
+    /// computed here, once per frame.
+    fn aim(&self, pos: Vec3, target: Vec3) -> SpotlightGate<'_> {
+        let pose = Pose::side_looking(pos);
+        SpotlightGate {
+            model: self,
+            pose,
+            target_range_m: pose.range_to(target),
+            target_sin_az: pose.azimuth_to(target).sin(),
+        }
+    }
+}
+
+/// A [`SpotlightModel`] aimed for one frame ([`SpotlightModel::aim`]).
+struct SpotlightGate<'a> {
+    model: &'a SpotlightModel,
+    pose: Pose,
+    target_range_m: f64,
+    target_sin_az: f64,
+}
+
+impl SpotlightGate<'_> {
+    /// Combined range × azimuth spotlight gate for an echo at `e_pos`,
+    /// whose azimuth from the pose is `az` \[rad\].
+    fn gain(&self, e_pos: Vec3, az: f64) -> f64 {
+        let m = self.model;
+        let dr = self.pose.range_to(e_pos) - self.target_range_m;
+        let df = 2.0 * m.slope * dr / ros_em::constants::C;
+        let g_range = ros_em::special::dirichlet(std::f64::consts::TAU * df / m.fs, m.n_fft);
+        let du = az.sin() - self.target_sin_az;
         let g_az = ros_em::special::dirichlet(
-            std::f64::consts::TAU * self.rx_spacing_m * du / self.lambda,
-            self.n_rx,
+            std::f64::consts::TAU * m.rx_spacing_m * du / m.lambda,
+            m.n_rx,
         );
         (g_range * g_az).abs()
     }
@@ -653,6 +692,7 @@ fn gauss<R: Rng>(rng: &mut R) -> f64 {
 
 impl FrameSource for DriveBySource {
     fn next_events(&mut self, max: usize, out: &mut Vec<StreamEvent>) -> bool {
+        let max = max.max(MIN_CHUNK_EVENTS);
         let mut emitted = 0usize;
         while emitted < max {
             match self.phase {
@@ -669,7 +709,7 @@ impl FrameSource for DriveBySource {
                         self.phase = SourcePhase::End;
                         continue;
                     }
-                    if max - emitted < 2 {
+                    if max - emitted < MIN_CHUNK_EVENTS {
                         return true;
                     }
                     emitted += self.emit_frames(max - emitted, out);
@@ -734,6 +774,62 @@ mod tests {
         assert_eq!(reader.decodes(), 3);
         assert_eq!(reader.buffered(), 0, "all pass buffers returned");
         assert_eq!(reader.peak_open(), 1, "sequential passes never overlap");
+    }
+
+    /// An event as bit patterns: kind, then positions and RSS.
+    fn event_bits(ev: &StreamEvent) -> Vec<u64> {
+        let v = |p: Vec3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+        match ev {
+            StreamEvent::PassStart { ctx, .. } => [&[0][..], &v(ctx.center_est)].concat(),
+            StreamEvent::Frame { sample, .. } => [
+                &[1][..],
+                &v(sample.radar_pos),
+                &[sample.rss.re.to_bits(), sample.rss.im.to_bits()],
+            ]
+            .concat(),
+            StreamEvent::PassEnd { .. } => vec![2],
+        }
+    }
+
+    /// A chunk below 2 events is treated as 2: pulls of 0, 1 and 2
+    /// events terminate and emit the whole-pass event sequence bit for
+    /// bit, also when frames are duplicated (two events that never
+    /// split across chunks) and dropped.
+    #[test]
+    fn tiny_chunks_terminate_with_identical_events() {
+        use ros_fault::{FaultKind, FaultPlan};
+        let cfg = ReaderConfig::fast();
+        let clean = DriveBy::new(tag8(&[true, false, true, true]), 2.0).with_seed(5);
+        let faulted = clean.clone().with_faults(
+            FaultPlan::new(9)
+                .with(FaultKind::FrameDuplicate, 0.2)
+                .with(FaultKind::FrameDrop, 0.1),
+        );
+        for (name, drive) in [("clean", clean), ("faulted", faulted)] {
+            let drain = |chunk: usize| {
+                let mut src = DriveBySource::new(drive.clone(), &cfg, pid());
+                let max_calls = 4 * src.n_frames() + 8;
+                let mut events = Vec::new();
+                let mut calls = 0usize;
+                while src.next_events(chunk, &mut events) {
+                    calls += 1;
+                    assert!(calls <= max_calls, "{name}: chunk {chunk} never finishes");
+                }
+                events.iter().map(event_bits).collect::<Vec<_>>()
+            };
+            let whole = drain(usize::MAX);
+            assert!(matches!(whole.first().map(|e| e[0]), Some(0)), "{name}: PassStart first");
+            assert_eq!(whole.last(), Some(&vec![2]), "{name}: PassEnd last");
+            if name == "faulted" {
+                assert!(
+                    whole.windows(2).any(|w| w[0][0] == 1 && w[0] == w[1]),
+                    "{name}: the plan duplicates at least one frame"
+                );
+            }
+            for chunk in [0usize, 1, 2] {
+                assert_eq!(drain(chunk), whole, "{name}: chunk {chunk}");
+            }
+        }
     }
 
     #[test]

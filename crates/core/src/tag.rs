@@ -50,9 +50,9 @@ pub struct Tag {
     bow_m: f64,
     /// Seed for the per-column bow realization.
     bow_seed: u64,
-    /// Injected geometry/EM memo store; when present, per-frame
-    /// scatterer exports read shared cached tables instead of
-    /// recomputing (bit-identical either way). Never a global —
+    /// Injected geometry/EM memo store; when present, each resolve
+    /// ([`Tag::resolved_at`]) reads shared cached row tables instead
+    /// of recomputing them (bit-identical either way). Never a global —
     /// attached explicitly from a composition root.
     cache: Option<GeomCache>,
 }
@@ -72,8 +72,8 @@ impl Tag {
     /// [`Tag::new`] with the stack geometry resolved through an
     /// injected cache: the DE-optimized shaping profile for
     /// `code.rows_per_stack` builds once per cache, and the returned
-    /// tag keeps the cache handle so per-frame scatterer exports read
-    /// shared tables. The physics are bit-identical to [`Tag::new`].
+    /// tag keeps the cache handle so each resolve reads shared row
+    /// tables. The physics are bit-identical to [`Tag::new`].
     pub(crate) fn new_with(
         cache: &GeomCache,
         code: SpatialCode,
@@ -114,8 +114,8 @@ impl Tag {
         }
     }
 
-    /// Attaches an injected table cache: subsequent scatterer exports
-    /// memoize their per-(layout, frequency) row tables in it. Results
+    /// Attaches an injected table cache: subsequent resolves memoize
+    /// their per-(layout, frequency) row tables in it. Results
     /// are bit-identical with or without a cache attached.
     pub(crate) fn with_table_cache(mut self, cache: &GeomCache) -> Self {
         self.cache = Some(cache.clone());
@@ -213,14 +213,17 @@ impl Tag {
     ///
     /// The tag faces −y (toward the road); positive azimuth toward +x.
     pub fn azimuth_from_boresight(&self, radar_pos: Vec3) -> f64 {
-        let dx = radar_pos.x - self.mount.x;
-        let dy = radar_pos.y - self.mount.y;
-        dx.atan2(-dy) - self.yaw
+        boresight_azimuth(self.mount, self.yaw, radar_pos)
     }
 
     /// Exports every PSVAA row of every stack as a scatterer:
     /// `(world position, complex RCS amplitude √m²)` for the given
     /// radar position and polarizations.
+    ///
+    /// One implementation: this resolves the tag at `freq_hz`, then
+    /// exports the rows for `radar_pos`. The frame loops take the same
+    /// two steps with the resolve hoisted out to once per pass, so
+    /// their echoes carry the same bits as a call here.
     pub fn scatterers(
         &self,
         radar_pos: Vec3,
@@ -228,21 +231,26 @@ impl Tag {
         rx: Polarization,
         freq_hz: f64,
     ) -> Vec<(Vec3, Complex64)> {
-        let az = self.azimuth_from_boresight(radar_pos);
-        // Shared azimuth retro-response of a single PSVAA row.
-        let row = VanAttaArray::new(ArrayKind::Psvaa, 3);
-        let row_field = row.monostatic_field(az, freq_hz, tx, rx);
-        if row_field == Complex64::ZERO {
-            return Vec::new();
-        }
+        let mut out = Vec::new();
+        self.resolved_at(freq_hz)
+            .scatterers(radar_pos, tx, rx, &mut |pos, f| out.push((pos, f)));
+        out
+    }
 
+    /// Resolves everything the tag's echoes need that does not depend
+    /// on the radar position, at carrier `freq_hz`: each row's world
+    /// position and complex weight (stack-major, in table order), the
+    /// PSVAA row array, and the board scatter centres. A frame loop
+    /// calls this once per pass; with a cache attached, each stack's
+    /// row table is one cache lookup per call.
+    pub(crate) fn resolved_at(&self, freq_hz: f64) -> ResolvedTag {
         // Stack x-axis runs along the road (+x) when yaw = 0.
         let (sin_y, cos_y) = self.yaw.sin_cos();
 
-        let mut out = Vec::new();
+        let mut rows = Vec::new();
         for (si, ts) in self.stacks.iter().enumerate() {
             let xs = ts.x_m;
-            let rows: Arc<Vec<(f64, Complex64)>> = match &self.cache {
+            let table: Arc<Vec<(f64, Complex64)>> = match &self.cache {
                 Some(cache) => ts.stack.row_scatterers_table_in(cache, freq_hz),
                 None => Arc::new(ts.stack.row_scatterers(freq_hz)),
             };
@@ -260,19 +268,48 @@ impl Tag {
             } else {
                 0.0
             };
-            for &(z, w) in rows.iter() {
+            for &(z, w) in table.iter() {
                 let zc = z - z_center;
                 // Parabolic deflection toward/away from the road,
                 // maximal at the column centre, zero at the clamped ends.
                 let dy = bow * (1.0 - (zc / half_h).powi(2));
                 let pos = self.mount
                     + Vec3::new(xs * cos_y - dy * sin_y, xs * sin_y - dy * cos_y, zc);
-                let el = pos.elevation_to(radar_pos);
-                let g_el = ros_antenna::patch::elevation_pattern(el);
-                out.push((pos, row_field * w * g_el));
+                rows.push((pos, w));
             }
         }
-        out
+
+        // Structural board scattering: total RCS sits
+        // [`BOARD_COPOL_EXCESS_DB`] above the tag's fringe-averaged
+        // cross-pol retro RCS, split over one scatter centre per stack.
+        let n_stacks = self.positions_m.len().as_f64();
+        let cross_avg_dbsm = crate::capacity::estimated_tag_rcs_dbsm(
+            self.positions_m.len(),
+            self.code.rows_per_stack,
+            self.code.beam_shaped,
+        ) + 10.0 * n_stacks.log10();
+        let board_dbsm = cross_avg_dbsm + BOARD_COPOL_EXCESS_DB;
+        let board = self
+            .positions_m
+            .iter()
+            .enumerate()
+            .map(|(i, &xs)| {
+                let pos = self.mount + Vec3::new(xs * cos_y, xs * sin_y, 0.0);
+                // Static speckle phase per stack.
+                let phase = (i.as_f64() * 2.399963).rem_euclid(std::f64::consts::TAU);
+                (pos, phase)
+            })
+            .collect();
+
+        ResolvedTag {
+            mount: self.mount,
+            yaw: self.yaw,
+            freq_hz,
+            row: VanAttaArray::new(ArrayKind::Psvaa, 3),
+            rows,
+            board,
+            board_amp: ros_em::db::db_to_lin(board_dbsm) / n_stacks.sqrt(),
+        }
     }
 
     /// Far-field RCS of the whole tag at azimuth `az` from boresight
@@ -302,41 +339,117 @@ impl Tag {
 /// co-polarized energy that the PSVAAs do not switch).
 pub(crate) const BOARD_COPOL_EXCESS_DB: f64 = 11.0;
 
-impl Tag {
-    /// The tag's structural co-polarized ("board") echoes: wide-angle
-    /// scattering from the PCB strips and mounting frame, one scatter
-    /// centre per stack. Total RCS sits [`BOARD_COPOL_EXCESS_DB`] above
-    /// the tag's fringe-averaged cross-pol retro RCS.
-    fn board_echoes(&self, radar_pos: Vec3, ctx: &EchoContext) -> Vec<SceneEcho> {
-        let az = self.azimuth_from_boresight(radar_pos);
-        if az.cos() <= 0.0 {
-            return Vec::new();
+/// Azimuth of `radar_pos` from the boresight of a tag mounted at
+/// `mount` with yaw `yaw` \[rad\].
+fn boresight_azimuth(mount: Vec3, yaw: f64, radar_pos: Vec3) -> f64 {
+    let dx = radar_pos.x - mount.x;
+    let dy = radar_pos.y - mount.y;
+    dx.atan2(-dy) - yaw
+}
+
+/// A [`Tag`] resolved at one carrier frequency ([`Tag::resolved_at`]):
+/// the radar-independent part of its echoes. Exporting it for a radar
+/// position computes only what depends on that position — the
+/// azimuth, the row array's retro-response, each row's elevation
+/// pattern and the board echoes' angular rolloff — so a frame loop
+/// that resolves once per pass emits bit-identical echoes to a
+/// per-frame [`Tag::scatterers`] or [`Reflector::echoes`] call.
+pub(crate) struct ResolvedTag {
+    mount: Vec3,
+    yaw: f64,
+    freq_hz: f64,
+    /// The PSVAA row whose azimuth retro-response every row shares.
+    row: VanAttaArray,
+    /// Every row of every stack, stack-major: world position and
+    /// complex weight.
+    rows: Vec<(Vec3, Complex64)>,
+    /// The co-polarized board scatter centres, one per stack: world
+    /// position and static speckle phase \[rad\].
+    board: Vec<(Vec3, f64)>,
+    /// Boresight RCS amplitude of one board scatter centre \[√m²\].
+    board_amp: f64,
+}
+
+impl ResolvedTag {
+    /// Calls `each(world position, complex RCS amplitude √m²)` for
+    /// every row, in row order, as seen from `radar_pos` with azimuth
+    /// `az` from boresight. Behind the tag (zero retro-response) no
+    /// row is exported.
+    fn rows_at(
+        &self,
+        radar_pos: Vec3,
+        az: f64,
+        tx: Polarization,
+        rx: Polarization,
+        each: &mut impl FnMut(Vec3, Complex64),
+    ) {
+        // The row array's retro-response, shared by every row.
+        let row_field = self.row.monostatic_field(az, self.freq_hz, tx, rx);
+        if row_field != Complex64::ZERO {
+            self.export_rows(row_field, radar_pos, each);
         }
-        let cross_avg_dbsm = crate::capacity::estimated_tag_rcs_dbsm(
-            self.positions_m.len(),
-            self.code.rows_per_stack,
-            self.code.beam_shaped,
-        ) + 10.0 * (self.positions_m.len().as_f64()).log10();
-        let board_dbsm = cross_avg_dbsm + BOARD_COPOL_EXCESS_DB;
-        let per_stack_amp =
-            ros_em::db::db_to_lin(board_dbsm) / (self.positions_m.len().as_f64()).sqrt();
-        let (sin_y, cos_y) = self.yaw.sin_cos();
+    }
+
+    /// The per-frame row export: `each(position, row_field · weight ·
+    /// elevation gain)` for every row, in row order.
+    // lint: hot-path
+    fn export_rows(
+        &self,
+        row_field: Complex64,
+        radar_pos: Vec3,
+        each: &mut impl FnMut(Vec3, Complex64),
+    ) {
+        for &(pos, w) in &self.rows {
+            let el = pos.elevation_to(radar_pos);
+            let g_el = ros_antenna::patch::elevation_pattern(el);
+            each(pos, row_field * w * g_el);
+        }
+    }
+
+    /// The rows as point scatterers for a radar at `radar_pos`:
+    /// `each(world position, complex RCS amplitude √m²)`.
+    pub(crate) fn scatterers(
+        &self,
+        radar_pos: Vec3,
+        tx: Polarization,
+        rx: Polarization,
+        each: &mut impl FnMut(Vec3, Complex64),
+    ) {
+        let az = boresight_azimuth(self.mount, self.yaw, radar_pos);
+        self.rows_at(radar_pos, az, tx, rx, each);
+    }
+
+    /// The tag's echoes for a radar at `radar_pos`, in emission order:
+    /// every row, then — co-polarized (`tx == rx`) and in front of the
+    /// tag only — one structural board echo per stack (wide-angle
+    /// scattering from the PCB strips and mounting frame).
+    pub(crate) fn echoes(
+        &self,
+        radar_pos: Vec3,
+        tx: Polarization,
+        rx: Polarization,
+        ctx: &EchoContext,
+        each: &mut impl FnMut(SceneEcho),
+    ) {
+        let az = boresight_azimuth(self.mount, self.yaw, radar_pos);
+        self.rows_at(radar_pos, az, tx, rx, &mut |pos, f| {
+            each(SceneEcho {
+                pos,
+                amp: ctx.echo_amplitude_at(f, radar_pos, pos),
+            });
+        });
+        if tx != rx || az.cos() <= 0.0 {
+            return;
+        }
         // Mild angular rolloff (frame scattering is wide-angle).
         let g = az.cos().powf(0.5);
-        self.positions_m
-            .iter()
-            .enumerate()
-            .map(|(i, &xs)| {
-                let pos = self.mount + Vec3::new(xs * cos_y, xs * sin_y, 0.0);
-                // Static speckle phase per stack.
-                let phase = (i.as_f64() * 2.399963).rem_euclid(std::f64::consts::TAU);
-                let f = Complex64::from_polar(per_stack_amp * g, phase);
-                SceneEcho {
-                    pos,
-                    amp: ctx.echo_amplitude_at(f, radar_pos, pos),
-                }
-            })
-            .collect()
+        for &(pos, phase) in &self.board {
+            let f = Complex64::from_polar(self.board_amp * g, phase);
+            each(SceneEcho {
+                pos,
+                amp: ctx.echo_amplitude_at(f, radar_pos, pos),
+            });
+        }
     }
 }
 
@@ -348,18 +461,9 @@ impl Reflector for Tag {
         rx: Polarization,
         ctx: &EchoContext,
     ) -> Vec<SceneEcho> {
-        let mut echoes: Vec<SceneEcho> = self
-            .scatterers(radar_pos, tx, rx, ctx.budget.freq_hz)
-            .into_iter()
-            .map(|(pos, f)| SceneEcho {
-                pos,
-                amp: ctx.echo_amplitude_at(f, radar_pos, pos),
-            })
-            .collect();
-        // Structural (co-polarized) board scattering.
-        if tx == rx {
-            echoes.extend(self.board_echoes(radar_pos, ctx));
-        }
+        let mut echoes = Vec::new();
+        self.resolved_at(ctx.budget.freq_hz)
+            .echoes(radar_pos, tx, rx, ctx, &mut |e| echoes.push(e));
         echoes
     }
 
@@ -488,6 +592,171 @@ mod tests {
         );
         let p: f64 = sc.iter().map(|(_, f)| f.norm_sqr()).sum();
         assert!(p < 1e-12);
+    }
+
+    /// The per-frame tag export that [`Tag::resolved_at`] split into
+    /// a per-pass and a per-frame part, kept verbatim as the oracle:
+    /// every row (row table, bow and mount recomputed per call), then,
+    /// co-polarized only, the board echoes.
+    fn per_frame_tag_echoes(
+        tag: &Tag,
+        radar_pos: Vec3,
+        tx: Polarization,
+        rx: Polarization,
+        ctx: &EchoContext,
+    ) -> Vec<SceneEcho> {
+        let freq_hz = ctx.budget.freq_hz;
+        let az = tag.azimuth_from_boresight(radar_pos);
+        let (sin_y, cos_y) = tag.yaw.sin_cos();
+        let mut out = Vec::new();
+        let row = VanAttaArray::new(ArrayKind::Psvaa, 3);
+        let row_field = row.monostatic_field(az, freq_hz, tx, rx);
+        if row_field != Complex64::ZERO {
+            for (si, ts) in tag.stacks.iter().enumerate() {
+                let xs = ts.x_m;
+                let rows: Arc<Vec<(f64, Complex64)>> = match &tag.cache {
+                    Some(cache) => ts.stack.row_scatterers_table_in(cache, freq_hz),
+                    None => Arc::new(ts.stack.row_scatterers(freq_hz)),
+                };
+                let z_center = ts.stack.center_z_m();
+                let half_h = (ts.stack.height_m() / 2.0).max(1e-9);
+                let bow = if tag.bow_m > 0.0 {
+                    let h = tag
+                        .bow_seed
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        .wrapping_add(cast::u64_from_usize(si))
+                        .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                    let unit = (h >> 11).as_f64() / (1u64 << 53).as_f64();
+                    (2.0 * unit - 1.0) * tag.bow_m
+                } else {
+                    0.0
+                };
+                for &(z, w) in rows.iter() {
+                    let zc = z - z_center;
+                    let dy = bow * (1.0 - (zc / half_h).powi(2));
+                    let pos = tag.mount
+                        + Vec3::new(xs * cos_y - dy * sin_y, xs * sin_y - dy * cos_y, zc);
+                    let g_el = ros_antenna::patch::elevation_pattern(pos.elevation_to(radar_pos));
+                    let f = row_field * w * g_el;
+                    out.push(SceneEcho {
+                        pos,
+                        amp: ctx.echo_amplitude_at(f, radar_pos, pos),
+                    });
+                }
+            }
+        }
+        if tx == rx && az.cos() > 0.0 {
+            let n = tag.positions_m.len();
+            let cross_avg_dbsm = crate::capacity::estimated_tag_rcs_dbsm(
+                n,
+                tag.code.rows_per_stack,
+                tag.code.beam_shaped,
+            ) + 10.0 * (n.as_f64()).log10();
+            let board_dbsm = cross_avg_dbsm + BOARD_COPOL_EXCESS_DB;
+            let per_stack_amp = ros_em::db::db_to_lin(board_dbsm) / (n.as_f64()).sqrt();
+            let g = az.cos().powf(0.5);
+            for (i, &xs) in tag.positions_m.iter().enumerate() {
+                let pos = tag.mount + Vec3::new(xs * cos_y, xs * sin_y, 0.0);
+                let phase = (i.as_f64() * 2.399963).rem_euclid(std::f64::consts::TAU);
+                let f = Complex64::from_polar(per_stack_amp * g, phase);
+                out.push(SceneEcho {
+                    pos,
+                    amp: ctx.echo_amplitude_at(f, radar_pos, pos),
+                });
+            }
+        }
+        out
+    }
+
+    /// An echo as the bit patterns of its position and amplitude.
+    fn echo_bits(e: &SceneEcho) -> [u64; 5] {
+        [
+            e.pos.x.to_bits(),
+            e.pos.y.to_bits(),
+            e.pos.z.to_bits(),
+            e.amp.re.to_bits(),
+            e.amp.im.to_bits(),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        /// A pass's resolved scene emits, at every radar position, the
+        /// echoes the per-frame export emitted — same sequence, same
+        /// bits — in the old reflector order: the tag, the extra tag,
+        /// then the clutter through `Reflector::echoes`. Drawn: radar
+        /// positions (some behind the tags), tag yaw and column bow,
+        /// co- or cross-polarization (board echoes only in co-pol), a
+        /// cached or uncached tag, and a `ScenePreset` clutter set.
+        /// `Reflector::echoes` on each tag matches the oracle too.
+        #[test]
+        fn resolved_scene_matches_per_frame_reflectors(
+            radars in proptest::prop::collection::vec(
+                (-6.0f64..6.0, -1.0f64..3.0, 0.3f64..1.7),
+                1..6,
+            ),
+            yaw_deg in -15.0f64..15.0,
+            bow_m in 0.0f64..0.01,
+            word in 0u8..16,
+            seed in 0u64..1_000_000,
+            copol in proptest::prelude::any::<bool>(),
+            cached in proptest::prelude::any::<bool>(),
+            preset in 0usize..5,
+        ) {
+            let bits: Vec<bool> = (0..4).map(|b| word >> b & 1 == 1).collect();
+            let code = SpatialCode {
+                rows_per_stack: 8,
+                ..SpatialCode::paper_4bit()
+            };
+            // One cache for every case, so the shaping profile builds
+            // once; an uncached tag drops the handle and recomputes
+            // its row tables.
+            static CACHE: std::sync::OnceLock<GeomCache> = std::sync::OnceLock::new();
+            let cache = CACHE.get_or_init(GeomCache::new);
+            let mut tag = code.encode_with(cache, &bits).unwrap();
+            if !cached {
+                tag.cache = None;
+            }
+            let extra = code
+                .encode_with(cache, &[true, false, false, true])
+                .unwrap()
+                .mounted_at(Vec3::new(1.5, 2.4, 1.1))
+                .with_yaw(deg_to_rad(-yaw_deg / 2.0));
+            let drive = crate::reader::DriveBy::new(
+                tag.with_yaw(deg_to_rad(yaw_deg)).with_column_bow(bow_m, seed),
+                2.0,
+            )
+            .with_extra_tag(extra)
+            .with_scene(ros_scene::scenario::ScenePreset::ALL[preset], seed);
+            let (tx, rx) = if copol {
+                (Polarization::V, Polarization::V)
+            } else {
+                (Polarization::H, Polarization::V)
+            };
+            let ctx = drive.context();
+            let scene = crate::reader::EchoScene::new(&drive);
+            for &(x, y, z) in &radars {
+                let radar = Vec3::new(x, y, z);
+                let mut got = Vec::new();
+                scene.for_each(radar, tx, rx, |e| got.push(echo_bits(&e)));
+                let mut want = Vec::new();
+                for t in std::iter::once(&drive.tag).chain(&drive.extra_tags) {
+                    let oracle: Vec<[u64; 5]> = per_frame_tag_echoes(t, radar, tx, rx, &ctx)
+                        .iter()
+                        .map(echo_bits)
+                        .collect();
+                    let via_trait: Vec<[u64; 5]> =
+                        t.echoes(radar, tx, rx, &ctx).iter().map(echo_bits).collect();
+                    proptest::prop_assert_eq!(&via_trait, &oracle);
+                    want.extend(oracle);
+                }
+                for c in &drive.clutter {
+                    want.extend(c.echoes(radar, tx, rx, &ctx).iter().map(echo_bits));
+                }
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,15 @@
 //! `None` once the buffer is empty and every sender is gone; `send`
 //! returns the rejected value once the receiver is gone.
 //!
+//! **Batches cross under one lock.** [`Sender::send_all`] drains a
+//! `Vec` into the buffer, as many items per lock as fit, and
+//! [`Receiver::recv_into`] moves up to `max` buffered items out under
+//! one lock — so a producer that emits frames in chunks pays one lock
+//! round-trip and one wakeup per chunk, not per frame. Capacity and
+//! occupancy are still counted in items, and the single-item and batch
+//! forms share one wait loop and one set of stall and occupancy
+//! bookkeeping.
+//!
 //! Determinism note: a channel transports values, it does not create
 //! them. Cross-thread *arrival order* at an MPSC fan-in is scheduler
 //! dependent; consumers that need a reproducible aggregate (the serve
@@ -29,13 +38,13 @@
 //! exactly what `ros-serve` does.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Snapshot of a channel's backpressure counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
-    /// Number of `send` calls that had to block on a full buffer
-    /// (counted once per blocking send, not once per wakeup).
+    /// Number of `send`/`send_all` calls that had to block on a full
+    /// buffer (counted once per blocking call, not once per wakeup).
     pub stalls: u64,
     /// High-water mark of buffered items; `<= capacity` always.
     pub max_occupancy: usize,
@@ -61,13 +70,66 @@ struct Shared<T> {
 }
 
 impl<T> Shared<T> {
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn stats(&self) -> ChannelStats {
-        let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let st = self.lock();
         ChannelStats {
             stalls: st.stalls,
             max_occupancy: st.max_occupancy,
             capacity: self.cap,
         }
+    }
+
+    /// The sender's wait loop: blocks while the buffer is full and
+    /// returns the guard once there is room, or `None` once the
+    /// receiver is gone. The first wait of a call (tracked by
+    /// `stalled`) counts one stall.
+    fn wait_for_room<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, State<T>>,
+        stalled: &mut bool,
+    ) -> Option<MutexGuard<'a, State<T>>> {
+        loop {
+            if !st.recv_alive {
+                return None;
+            }
+            if st.buf.len() < self.cap {
+                return Some(st);
+            }
+            if !*stalled {
+                *stalled = true;
+                st.stalls += 1;
+            }
+            st = self.not_full.wait(st).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+
+    /// The receiver's wait loop: blocks while the buffer is empty and
+    /// returns the guard once it holds an item, or `None` once it is
+    /// drained and every sender is gone.
+    fn wait_for_item<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, State<T>>,
+    ) -> Option<MutexGuard<'a, State<T>>> {
+        loop {
+            if !st.buf.is_empty() {
+                return Some(st);
+            }
+            if st.senders == 0 {
+                return None;
+            }
+            st = self.not_empty.wait(st).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+}
+
+impl<T> State<T> {
+    /// Records the occupancy after a push.
+    fn note_occupancy(&mut self) {
+        self.max_occupancy = self.max_occupancy.max(self.buf.len());
     }
 }
 
@@ -83,12 +145,15 @@ pub struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// Construction-time channel errors.
+/// Channel errors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChannelError {
     /// The requested capacity was 0 — a zero-capacity buffer could
     /// never accept a send, so [`try_bounded`] refuses to build one.
     ZeroCapacity,
+    /// The receiver is gone: [`Sender::send_all`] stopped, and the
+    /// items it could not send are still in the caller's `Vec`.
+    Disconnected,
 }
 
 /// Fallible twin of [`bounded`]: rejects `cap == 0` with a typed error
@@ -135,31 +200,37 @@ impl<T> Sender<T> {
     /// the receiver is gone (the value is handed back, never dropped
     /// silently).
     pub fn send(&self, v: T) -> Result<(), T> {
-        let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        let mut stalled = false;
-        loop {
-            if !st.recv_alive {
-                return Err(v);
-            }
-            if st.buf.len() < self.shared.cap {
-                break;
-            }
-            if !stalled {
-                stalled = true;
-                st.stalls += 1;
-            }
-            st = self
-                .shared
-                .not_full
-                .wait(st)
-                .unwrap_or_else(|p| p.into_inner());
-        }
+        let st = self.shared.lock();
+        let Some(mut st) = self.shared.wait_for_room(st, &mut false) else {
+            return Err(v);
+        };
         st.buf.push_back(v);
-        if st.buf.len() > st.max_occupancy {
-            st.max_occupancy = st.buf.len();
-        }
+        st.note_occupancy();
         drop(st);
         self.shared.not_empty.notify_one();
+        Ok(())
+    }
+
+    /// Sends every item of `items` in order, draining the `Vec`: each
+    /// lock pushes as many items as fit, and the call blocks while the
+    /// buffer is full. A call that blocks counts one stall, however
+    /// often it waits. Returns [`ChannelError::Disconnected`] when the
+    /// receiver is gone; the items not yet sent stay in `items`, in
+    /// order, so nothing is dropped silently.
+    pub fn send_all(&self, items: &mut Vec<T>) -> Result<(), ChannelError> {
+        let mut st = self.shared.lock();
+        let mut stalled = false;
+        while !items.is_empty() {
+            st = self
+                .shared
+                .wait_for_room(st, &mut stalled)
+                .ok_or(ChannelError::Disconnected)?;
+            let n = (self.shared.cap - st.buf.len()).min(items.len());
+            st.buf.extend(items.drain(..n));
+            st.note_occupancy();
+            // Wake the receiver before this call can wait for room.
+            self.shared.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -171,7 +242,7 @@ impl<T> Sender<T> {
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut st = self.shared.lock();
         st.senders += 1;
         drop(st);
         Sender {
@@ -182,7 +253,7 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut st = self.shared.lock();
         st.senders -= 1;
         let last = st.senders == 0;
         drop(st);
@@ -199,22 +270,27 @@ impl<T> Receiver<T> {
     /// Returns `None` once the buffer is drained and every sender has
     /// been dropped — by then every sent item has been delivered.
     pub fn recv(&self) -> Option<T> {
-        let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(v) = st.buf.pop_front() {
-                drop(st);
-                self.shared.not_full.notify_one();
-                return Some(v);
-            }
-            if st.senders == 0 {
-                return None;
-            }
-            st = self
-                .shared
-                .not_empty
-                .wait(st)
-                .unwrap_or_else(|p| p.into_inner());
-        }
+        let mut st = self.shared.wait_for_item(self.shared.lock())?;
+        let v = st.buf.pop_front();
+        drop(st);
+        self.shared.not_full.notify_one();
+        v
+    }
+
+    /// Appends up to `max` buffered items to `out` under one lock,
+    /// blocking while the buffer is empty (a `max` of 0 is treated as
+    /// 1). Returns `false` — with nothing appended — only once the
+    /// buffer is drained and every sender has been dropped.
+    pub fn recv_into(&self, out: &mut Vec<T>, max: usize) -> bool {
+        let Some(mut st) = self.shared.wait_for_item(self.shared.lock()) else {
+            return false;
+        };
+        let n = max.max(1).min(st.buf.len());
+        out.extend(st.buf.drain(..n));
+        drop(st);
+        // Up to `n` slots opened: wake every sender waiting for room.
+        self.shared.not_full.notify_all();
+        true
     }
 
     /// Backpressure counters as of now.
@@ -225,7 +301,7 @@ impl<T> Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut st = self.shared.lock();
         st.recv_alive = false;
         drop(st);
         // Wake every producer parked on a full buffer so their sends
@@ -276,6 +352,59 @@ mod tests {
             assert!(stats.max_occupancy <= cap, "occupancy {stats:?}");
             assert!(stats.stalls > 0, "producer never stalled: {stats:?}");
         });
+    }
+
+    #[test]
+    fn batch_larger_than_capacity_arrives_in_order_within_capacity() {
+        let cap = 4;
+        let (tx, rx) = bounded(cap);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut items: Vec<u64> = (0..50).collect();
+                tx.send_all(&mut items).map_err(|e| format!("{e:?}")).unwrap();
+                assert!(items.is_empty(), "send_all drains the batch");
+            });
+            let mut got = Vec::new();
+            while rx.recv_into(&mut got, 3) {}
+            assert_eq!(got, (0..50).collect::<Vec<u64>>(), "FIFO across batches");
+            let stats = rx.stats();
+            assert!(stats.max_occupancy <= cap, "occupancy {stats:?}");
+            assert_eq!(stats.max_occupancy, cap, "a 50-item batch fills the buffer");
+        });
+    }
+
+    #[test]
+    fn blocking_send_all_counts_exactly_one_stall() {
+        let (tx, rx) = bounded(2);
+        // Fits: no stall.
+        tx.send_all(&mut vec![1u64, 2]).map_err(|e| format!("{e:?}")).unwrap();
+        let mut got = Vec::new();
+        assert!(rx.recv_into(&mut got, 8));
+        assert_eq!(tx.stats().stalls, 0);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                // Twenty items through two slots: the call waits many
+                // times but is one blocking call.
+                let mut items: Vec<u64> = (3..23).collect();
+                tx.send_all(&mut items).map_err(|e| format!("{e:?}")).unwrap();
+            });
+            while rx.recv_into(&mut got, 1) {
+                std::thread::sleep(std::time::Duration::from_micros(100));
+            }
+        });
+        assert_eq!(got, (1..23).collect::<Vec<u64>>());
+        assert_eq!(rx.stats().stalls, 1, "{:?}", rx.stats());
+    }
+
+    #[test]
+    fn empty_batch_is_a_no_op() {
+        let (tx, rx) = bounded::<u8>(1);
+        tx.send_all(&mut Vec::new()).map_err(|e| format!("{e:?}")).unwrap();
+        drop(tx);
+        let mut got = Vec::new();
+        assert!(!rx.recv_into(&mut got, 4));
+        assert!(got.is_empty());
+        assert_eq!(rx.stats().max_occupancy, 0);
     }
 
     #[test]

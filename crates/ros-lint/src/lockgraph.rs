@@ -45,7 +45,7 @@ use crate::syntax::{brace_tree, calls_in, BraceNode, CodeView};
 pub const LOCK_METHODS: &[&str] = &["lock", "read", "write"];
 
 /// Blocking channel/condvar operation names (pseudo-locks).
-pub const BLOCKING_METHODS: &[&str] = &["send", "recv", "wait"];
+pub const BLOCKING_METHODS: &[&str] = &["send", "send_all", "recv", "recv_into", "wait"];
 
 /// Method/fn names excluded from transitive lock resolution: trait and
 /// std-idiom names so common that the by-name over-approximation would
@@ -60,7 +60,8 @@ pub const UBIQUITOUS_CALLEES: &[&str] = &[
     "is_empty", "is_finite", "is_nan", "iter",
     "iter_mut", "join", "len", "lock", "map", "map_err", "max", "min", "ne", "new", "next",
     "ok_or", "ok_or_else", "parse", "partial_cmp", "pop", "pop_front", "position", "push",
-    "push_back", "push_str", "read", "recv", "remove", "replace", "retain", "send", "sort",
+    "push_back", "push_str", "read", "recv", "recv_into", "remove", "replace", "retain", "send",
+    "send_all", "sort",
     "sort_by", "sort_unstable", "split", "take", "to_owned", "to_string", "to_vec", "trim",
     "try_from", "try_into", "unwrap", "unwrap_or", "unwrap_or_else", "wait", "write",
 ];
@@ -646,6 +647,33 @@ pub fn f(a: M, tx: Tx, cv: Cv) {
         let i_direct = &lg.may_lock[i];
         assert!(i_direct.contains("ros-exec:tx"));
         assert!(!i_direct.contains("ros-exec:cv"));
+    }
+
+    /// `op` on channel `ch` with a guard held: recorded as blocking
+    /// under that guard, and a pseudo-lock on the channel.
+    fn assert_blocking_channel_op(op: &str, call: &str) {
+        let src = format!(
+            "pub fn f(a: M, ch: C, buf: &mut Vec<u8>) {{\n    \
+             let st = a.lock().unwrap_or_else(|p| p.into_inner());\n    {call};\n}}\n"
+        );
+        let files = [fa("crates/ros-serve/src/s.rs", &src)];
+        let (g, lg) = graph_and_locks(&files);
+        let i = node_idx(&g, "f");
+        let b = &lg.per_node[i].blocking;
+        assert_eq!(b.len(), 1, "{b:?}");
+        assert_eq!((b[0].op.as_str(), b[0].recv_name.as_str()), (op, "ch"));
+        assert_eq!(b[0].held, vec![Held { lock: "ros-serve:a".into(), guard: Some("st".into()) }]);
+        assert!(lg.may_lock[i].contains("ros-serve:ch"), "{:?}", lg.may_lock[i]);
+    }
+
+    #[test]
+    fn send_all_is_a_blocking_channel_op() {
+        assert_blocking_channel_op("send_all", "ch.send_all(buf)");
+    }
+
+    #[test]
+    fn recv_into_is_a_blocking_channel_op() {
+        assert_blocking_channel_op("recv_into", "ch.recv_into(buf, 8)");
     }
 
     #[test]

@@ -33,7 +33,10 @@ pub struct CorridorConfig {
     pub seed: u64,
     /// Reader configuration used by every pass.
     pub reader: ReaderConfig,
-    /// Events pulled from a source per producer iteration.
+    /// Events pulled from a source per producer iteration (at least
+    /// 2, see [`FrameSource`](ros_core::stream::FrameSource)); each
+    /// chunk crosses the shard channel under one lock, and a worker
+    /// takes at most this many events per receive.
     pub chunk_frames: usize,
     /// Bounded capacity of each frame channel (backpressure point).
     pub channel_capacity: usize,

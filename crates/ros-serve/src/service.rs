@@ -10,11 +10,14 @@
 //! Encounters shard by `radar % workers`, so each roadside radar's
 //! frame stream stays ordered within its shard. Every producer
 //! synthesizes its shard's frames chunk by chunk through a
-//! [`DriveBySource`](ros_core::stream::DriveBySource) and pushes them
-//! into a *bounded* SPSC channel: when the decode worker falls behind,
-//! the producer **blocks** — a stall is counted
-//! (`serve.backpressure_stalls`), nothing is ever dropped. Workers run
-//! one [`StreamingReader`](ros_core::stream::StreamingReader) each
+//! [`DriveBySource`](ros_core::stream::DriveBySource) and pushes each
+//! chunk into a *bounded* SPSC channel with one `send_all` — one lock
+//! round-trip per chunk; the worker takes at most one chunk per
+//! `recv_into`. When the decode worker falls behind, the producer
+//! **blocks** — a stall is counted (`serve.backpressure_stalls`),
+//! nothing is ever dropped. Capacity and occupancy still count events.
+//! Workers run one
+//! [`StreamingReader`](ros_core::stream::StreamingReader) each
 //! (scratch arenas and pass buffers amortized across the whole shard)
 //! and fan their [`SignRead`]s into a bounded MPSC channel the main
 //! thread drains.
@@ -99,6 +102,15 @@ impl ServeReport {
     }
 }
 
+/// Frame events among `events`.
+fn frame_count(events: &[StreamEvent]) -> u64 {
+    let n = events
+        .iter()
+        .filter(|ev| matches!(ev, StreamEvent::Frame { .. }))
+        .count();
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
 /// Per-shard result carried back from the scoped threads.
 struct ShardOutcome {
     produced: u64,
@@ -146,7 +158,7 @@ fn run_corridor_impl(
     let cache_before = cache.map(|c| c.snapshot());
     let encounters = cfg.encounters();
     let cap = cfg.channel_capacity.max(1);
-    let chunk = cfg.chunk_frames.max(2);
+    let chunk = cfg.chunk_frames;
 
     let (reads, shards) = ros_exec::scope(|s| {
         let (read_tx, read_rx) = bounded::<SignRead>(cap);
@@ -170,17 +182,13 @@ fn run_corridor_impl(
                         None => cfg.source_for(e),
                     };
                     loop {
-                        buf.clear();
                         let more = src.next_events(chunk, &mut buf);
-                        for ev in buf.drain(..) {
-                            if matches!(ev, StreamEvent::Frame { .. }) {
-                                produced += 1;
-                            }
-                            if ev_tx.send(ev).is_err() {
-                                // Worker side is gone: nothing left to
-                                // feed; report what was produced.
-                                return produced;
-                            }
+                        produced += frame_count(&buf);
+                        // One chunk per lock; `send_all` drains `buf`.
+                        if ev_tx.send_all(&mut buf).is_err() {
+                            // Worker side is gone: nothing left to
+                            // feed; report what was produced.
+                            return produced;
                         }
                         if !more {
                             break;
@@ -193,19 +201,21 @@ fn run_corridor_impl(
             let worker = s.spawn(move || {
                 let mut reader = StreamingReader::new(cfg.reader.decoder);
                 let mut consumed = 0u64;
-                while let Some(ev) = ev_rx.recv() {
-                    if matches!(ev, StreamEvent::Frame { .. }) {
-                        consumed += 1;
-                    }
-                    let is_end = matches!(ev, StreamEvent::PassEnd { .. });
-                    let t_dec = if is_end { ros_obs::clock::now_ns() } else { 0 };
-                    if let Some(read) = reader.ingest(ev) {
-                        ros_obs::hist(
-                            "serve.decode_latency_ns",
-                            ros_obs::clock::now_ns().saturating_sub(t_dec).as_f64(),
-                        );
-                        if read_tx.send(read).is_err() {
-                            break;
+                // At most one chunk in hand at a time.
+                let mut inbox: Vec<StreamEvent> = Vec::with_capacity(chunk);
+                'recv: while ev_rx.recv_into(&mut inbox, chunk) {
+                    consumed += frame_count(&inbox);
+                    for ev in inbox.drain(..) {
+                        let is_end = matches!(ev, StreamEvent::PassEnd { .. });
+                        let t_dec = if is_end { ros_obs::clock::now_ns() } else { 0 };
+                        if let Some(read) = reader.ingest(ev) {
+                            ros_obs::hist(
+                                "serve.decode_latency_ns",
+                                ros_obs::clock::now_ns().saturating_sub(t_dec).as_f64(),
+                            );
+                            if read_tx.send(read).is_err() {
+                                break 'recv;
+                            }
                         }
                     }
                 }

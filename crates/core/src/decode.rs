@@ -29,6 +29,7 @@ use ros_dsp::window::WindowTable;
 use ros_em::radar_eq::RadarLinkBudget;
 use ros_em::{Complex64, Vec3};
 use ros_em::units::cast::AsF64;
+use ros_obs::names;
 
 /// One spotlight measurement.
 #[derive(Clone, Copy, Debug)]
@@ -227,8 +228,8 @@ pub fn decode_into(
     scratch: &mut DecodeScratch,
     out: &mut DecodeResult,
 ) -> Result<(), DecodeError> {
-    let _span = ros_obs::span("decode");
-    ros_obs::count("decode.attempts", 1);
+    let _span = ros_obs::span(names::TIME_DECODE);
+    ros_obs::count(names::DECODE_ATTEMPTS, 1);
     let lambda = ros_em::constants::LAMBDA_CENTER_M;
     let max_span_m = (code.max_pair_spacing_m() / lambda + 8.0) * lambda;
 
@@ -266,14 +267,14 @@ pub fn decode_into(
     );
     match &res {
         Err(DecodeError::TooFewSamples { got }) => {
-            ros_obs::count("decode.errors", 1);
+            ros_obs::count(names::DECODE_ERRORS, 1);
             ros_obs::event(
                 "decode.error",
                 &[("reason", "too_few_samples".into()), ("got", (*got).into())],
             );
         }
         Err(DecodeError::NoNoiseReference) => {
-            ros_obs::count("decode.errors", 1);
+            ros_obs::count(names::DECODE_ERRORS, 1);
             ros_obs::event("decode.error", &[("reason", "no_noise_reference".into())]);
         }
         Ok(()) => {
@@ -282,10 +283,10 @@ pub fn decode_into(
                     .slot_amplitudes
                     .iter()
                     .fold(0.0, |m, &a| f64::max(m, a));
-                ros_obs::count("decode.ok", 1);
-                ros_obs::hist("decode.snr_db", stats::snr_db(out.snr_linear));
+                ros_obs::count(names::DECODE_OK, 1);
+                ros_obs::hist(names::DECODE_SNR_DB, stats::snr_db(out.snr_linear));
                 for a in &out.slot_amplitudes {
-                    ros_obs::hist("decode.slot_amp", *a);
+                    ros_obs::hist(names::DECODE_SLOT_AMP, *a);
                 }
                 if ros_obs::detail() {
                     for (i, (a, b)) in out.slot_amplitudes.iter().zip(&out.bits).enumerate() {

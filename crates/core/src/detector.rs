@@ -16,6 +16,7 @@
 //!    centre of gravity becomes the decode spotlight position.
 
 use ros_dsp::dbscan::{dbscan, summarize_clusters, ClusterSummary, DbscanParams};
+use ros_obs::names;
 use ros_radar::pointcloud::PointCloud;
 use ros_em::Vec3;
 
@@ -122,7 +123,7 @@ pub fn score_clusters<F>(
 where
     F: FnMut(&[usize], Vec3, &[Vec3]) -> (f64, f64),
 {
-    let _span = ros_obs::span("detector.score");
+    let _span = ros_obs::span(names::TIME_DETECTOR_SCORE);
     let with_members = cluster_members(cloud, cfg);
     let centers: Vec<Vec3> = with_members
         .iter()
@@ -150,9 +151,9 @@ where
             };
             let is_tag = features.size_m2 <= cfg.max_tag_area_m2
                 && features.rss_loss_db() <= cfg.max_rss_loss_db;
-            ros_obs::count("detector.clusters_scored", 1);
+            ros_obs::count(names::DETECTOR_CLUSTERS_SCORED, 1);
             if is_tag {
-                ros_obs::count("detector.tags_classified", 1);
+                ros_obs::count(names::DETECTOR_TAGS_CLASSIFIED, 1);
             }
             ros_obs::event_detail(
                 "detector.cluster",

@@ -30,6 +30,7 @@ use ros_em::jones::Polarization;
 use ros_em::units::cast::AsF64;
 use ros_em::{Complex64, Vec3};
 use ros_fault::{BurstDraw, CorruptionMode, FaultPlan, FaultSchedule, FrameFaults};
+use ros_obs::names;
 use ros_radar::echo::{Echo, Pose};
 use ros_radar::impairments::saturate_frame;
 use ros_radar::pointcloud::{PointCloud, RadarPoint};
@@ -266,7 +267,7 @@ impl DriveBy {
         if cfg.mode == ReaderMode::FullPipeline {
             return self.run_full(cfg);
         }
-        let _span = ros_obs::span("reader.run_fast");
+        let _span = ros_obs::span(names::TIME_READER_RUN_FAST);
         let mut source = DriveBySource::new(self.clone(), cfg, BATCH_PASS).fanned_out();
         let mut samples = Vec::with_capacity(source.n_frames());
         // One chunk fits the whole pass (a duplicated frame emits two
@@ -291,7 +292,7 @@ impl DriveBy {
             Some(sch) => account_faults(sch, source.n_frames(), |_| 0),
             None => Vec::new(),
         };
-        ros_obs::count("reader.frames", samples.len());
+        ros_obs::count(names::READER_FRAMES, samples.len());
         if ros_obs::detail() {
             for (i, s) in samples.iter().enumerate() {
                 let rss_dbm = 10.0 * s.rss.norm_sqr().max(1e-300).log10();
@@ -351,7 +352,7 @@ impl DriveBy {
     }
 
     fn run_full(&self, cfg: &ReaderConfig) -> Outcome {
-        let _span = ros_obs::span("reader.run_full");
+        let _span = ros_obs::span(names::TIME_READER_RUN_FULL);
         let (times, truth, mut believed) = self.track(cfg);
         let schedule = self.fault_schedule(&times, &mut believed);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xf011);
@@ -367,7 +368,7 @@ impl DriveBy {
         // synthesis itself runs on worker threads.
         let mut jobs: Vec<(Pose, Vec<Echo>)> = Vec::with_capacity(truth.len() * 2);
         {
-            let _gather = ros_obs::span("reader.gather_echoes");
+            let _gather = ros_obs::span(names::TIME_READER_GATHER_ECHOES);
             let scene = EchoScene::new(self);
             for (i, pos_true) in truth.iter().enumerate() {
                 let pose_true = Pose::side_looking(*pos_true);
@@ -434,7 +435,7 @@ impl DriveBy {
         let mut cloud = PointCloud::new();
         let mut corrupted_points = vec![0usize; switched_frames.len()];
         {
-            let _detect = ros_obs::span("reader.detect");
+            let _detect = ros_obs::span(names::TIME_READER_DETECT);
             let workers = ros_exec::threads().max(1).min(native_frames.len().max(1));
             let mut detect_scratches = vec![DetectScratch::default(); workers];
             let mut detections: Vec<Vec<RadarPoint>> = vec![Vec::new(); native_frames.len()];
@@ -481,7 +482,7 @@ impl DriveBy {
                 }
             }
         }
-        ros_obs::gauge("reader.cloud_points", cloud.len().as_f64());
+        ros_obs::gauge(names::READER_CLOUD_POINTS, cloud.len().as_f64());
 
         // One serial bookkeeping pass per frame: fault counters and the
         // per-frame verdicts the outcome reports.
@@ -582,14 +583,14 @@ impl DriveBy {
         // true mount if detection failed, flagged in the outcome).
         let spot = tag_center.unwrap_or(self.tag.mount());
         let samples: Vec<RssSample> = {
-            let _spotlight = ros_obs::span("reader.spotlight");
+            let _spotlight = ros_obs::span(names::TIME_READER_SPOTLIGHT);
             let raw = ros_exec::par_map(&switched_frames, |(frame, pos_believed)| RssSample {
                 radar_pos: *pos_believed,
                 rss: self.radar.spotlight_with(frame, spot, &spot_table),
             });
             apply_stream_faults(raw, schedule.as_ref())
         };
-        ros_obs::count("reader.frames", samples.len());
+        ros_obs::count(names::READER_FRAMES, samples.len());
 
         // One decode arena for the pass: the main decode and every
         // per-cluster decode share the same plans and buffers.
@@ -763,7 +764,7 @@ fn account_faults(
         })
         .collect();
     if degraded > 0 {
-        ros_obs::count("reader.frames_degraded", degraded);
+        ros_obs::count(names::READER_FRAMES_DEGRADED, degraded);
     }
     verdicts
 }

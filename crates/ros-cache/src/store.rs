@@ -21,6 +21,7 @@
 //! epilogue exports them as `cache.*` metrics via
 //! [`GeomCache::emit_obs`].
 
+use ros_obs::names;
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -301,34 +302,18 @@ impl GeomCache {
     pub fn emit_obs(&self, since: &StatsSnapshot) {
         let now = self.snapshot();
         let d = |cur: u64, old: u64| usize::try_from(cur.saturating_sub(old)).unwrap_or(usize::MAX);
-        ros_obs::count("cache.hit", d(now.hits(), since.hits()));
-        ros_obs::count("cache.miss", d(now.misses(), since.misses()));
-        ros_obs::count("cache.insert", d(now.inserts(), since.inserts()));
-        ros_obs::count("cache.evict", d(now.evictions(), since.evictions()));
-        ros_obs::gauge("cache.entries", entries_gauge(now.entries));
-        // Per-kind miss counters stay literal call sites so the
-        // obs-names reconciliation can resolve them.
-        ros_obs::count(
-            "cache.pattern.miss",
-            d(
-                now.kind(TableKind::Pattern).misses,
-                since.kind(TableKind::Pattern).misses,
-            ),
-        );
-        ros_obs::count(
-            "cache.dispersion.miss",
-            d(
-                now.kind(TableKind::Dispersion).misses,
-                since.kind(TableKind::Dispersion).misses,
-            ),
-        );
-        ros_obs::count(
-            "cache.shaping.miss",
-            d(
-                now.kind(TableKind::Shaping).misses,
-                since.kind(TableKind::Shaping).misses,
-            ),
-        );
+        ros_obs::count(names::CACHE_HIT, d(now.hits(), since.hits()));
+        ros_obs::count(names::CACHE_MISS, d(now.misses(), since.misses()));
+        ros_obs::count(names::CACHE_INSERT, d(now.inserts(), since.inserts()));
+        ros_obs::count(names::CACHE_EVICT, d(now.evictions(), since.evictions()));
+        ros_obs::gauge(names::CACHE_ENTRIES, entries_gauge(now.entries));
+        for (kind, id) in [
+            (TableKind::Pattern, names::CACHE_PATTERN_MISS),
+            (TableKind::Dispersion, names::CACHE_DISPERSION_MISS),
+            (TableKind::Shaping, names::CACHE_SHAPING_MISS),
+        ] {
+            ros_obs::count(id, d(now.kind(kind).misses, since.kind(kind).misses));
+        }
     }
 }
 
@@ -466,26 +451,22 @@ mod tests {
 
     #[test]
     fn emit_obs_exports_deltas() {
-        let (_, report) = ros_obs::capture_scope(ros_obs::Level::Summary, || {
+        let (_, lines) = ros_obs::capture_scope(ros_obs::Level::Summary, || {
             let cache = GeomCache::new();
             let before = cache.snapshot();
             cache.get_or_build(TableKind::Shaping, key(1), || 1u8);
             cache.get_or_build(TableKind::Shaping, key(1), || 1u8);
             cache.emit_obs(&before);
+            ros_obs::flush();
         });
+        let metrics = lines.join("\n");
         assert!(
-            report
-                .metrics
-                .contains(r#""name":"cache.hit","kind":"counter","value":1"#),
-            "metrics: {}",
-            report.metrics
+            metrics.contains(r#""name":"cache.hit","kind":"counter","value":1"#),
+            "metrics: {metrics}"
         );
         assert!(
-            report
-                .metrics
-                .contains(r#""name":"cache.shaping.miss","kind":"counter","value":1"#),
-            "metrics: {}",
-            report.metrics
+            metrics.contains(r#""name":"cache.shaping.miss","kind":"counter","value":1"#),
+            "metrics: {metrics}"
         );
     }
 }

@@ -11,6 +11,7 @@
 //! border points join them, everything else is noise.
 
 use ros_em::units::cast::AsF64;
+use ros_obs::names;
 
 /// DBSCAN parameters.
 #[derive(Clone, Copy, Debug)]
@@ -45,7 +46,7 @@ pub enum Label {
 /// Complexity is O(n²) distance checks — fine for the few hundred
 /// points a merged radar point cloud contains.
 pub fn dbscan(points: &[[f64; 2]], params: &DbscanParams) -> (Vec<Label>, usize) {
-    let _span = ros_obs::span("dsp.dbscan");
+    let _span = ros_obs::span(names::TIME_DSP_DBSCAN);
     let n = points.len();
     let mut labels = vec![Option::<Label>::None; n];
     let mut cluster_id = 0usize;
@@ -116,9 +117,9 @@ pub fn dbscan(points: &[[f64; 2]], params: &DbscanParams) -> (Vec<Label>, usize)
         .collect();
     if ros_obs::enabled() {
         let noise = labels.iter().filter(|l| **l == Label::Noise).count();
-        ros_obs::count("dsp.dbscan.runs", 1);
-        ros_obs::count("dsp.dbscan.clusters", cluster_id);
-        ros_obs::count("dsp.dbscan.noise_points", noise);
+        ros_obs::count(names::DSP_DBSCAN_RUNS, 1);
+        ros_obs::count(names::DSP_DBSCAN_CLUSTERS, cluster_id);
+        ros_obs::count(names::DSP_DBSCAN_NOISE_POINTS, noise);
         ros_obs::event(
             "dbscan",
             &[

@@ -15,19 +15,38 @@
 //!    stream. `par_map` at 1, 2, or 64 threads therefore produces outputs
 //!    whose `f64::to_bits()` are identical to the serial evaluation.
 //!
-//! The worker count comes from, in priority order: the scoped
-//! [`ThreadGuard`] override, the `ROS_EXEC_THREADS` environment variable,
+//! The worker count comes from, in priority order: the calling thread's
+//! [`ThreadGuard`] pin, the `ROS_EXEC_THREADS` environment variable,
 //! and finally [`std::thread::available_parallelism`]. `ROS_EXEC_THREADS=1`
 //! turns every wired path back into plain serial execution (used by
-//! `verify.sh` to cross-check determinism).
+//! `verify.sh` to cross-check determinism). Workers inherit their
+//! spawner's pin and telemetry run ([`ros_obs::RunContext`]).
 //!
 //! The crate is std-only: scoped threads (`std::thread::scope`) carry
 //! borrowed slices into the workers, so no `'static` bounds, no channels,
-//! and no external dependencies.
+//! and no external dependencies beyond the std-only `ros-obs`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::thread::ScopedJoinHandle;
 
 pub mod channel;
+
+thread_local! {
+    /// The calling thread's worker-count pin (0 = unset).
+    static PIN: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Wraps `f` for a worker thread: the worker enters the calling
+/// thread's telemetry run and worker pin, then runs `f`.
+fn inherit<R>(f: impl FnOnce() -> R) -> impl FnOnce() -> R {
+    let (run, pin) = (ros_obs::RunContext::current(), PIN.get());
+    move || {
+        run.within(|| {
+            PIN.set(pin);
+            f()
+        })
+    }
+}
 
 /// Runs `f` inside a scoped-thread region, as `std::thread::scope` does.
 ///
@@ -42,22 +61,35 @@ pub mod channel;
 #[expect(clippy::disallowed_methods, reason = "ros-exec is the workspace's one spawn boundary")]
 pub fn scope<'env, F, T>(f: F) -> T
 where
-    F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> T,
+    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
 {
-    std::thread::scope(f)
+    std::thread::scope(|inner| f(&Scope { inner }))
 }
 
-/// Global programmatic thread-count override (0 = unset).
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+/// `std::thread::Scope`, but each worker enters its spawner's run and pin.
+// lint: allow-dead-pub(argument type of scope's closure; callers never spell the name)
+pub struct Scope<'scope, 'env: 'scope> {
+    inner: &'scope std::thread::Scope<'scope, 'env>,
+}
+
+impl<'scope> Scope<'scope, '_> {
+    /// Spawns a scoped worker, as `std::thread::Scope::spawn` does.
+    pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
+    where
+        F: FnOnce() -> T + Send + 'scope,
+        T: Send + 'scope,
+    {
+        self.inner.spawn(inherit(f))
+    }
+}
 
 /// An RAII worker-count override: pins the pool size for its scope and
 /// restores the *prior* value on drop (including on panic).
 ///
 /// This replaces a bare `set_threads(Some(1))` → `set_threads(None)`
 /// pair, which clobbered any enclosing override and left the pool in
-/// the wrong state when the code between the calls panicked — a race
-/// waiting to happen for any test running concurrently in the same
-/// process. Guards nest correctly:
+/// the wrong state when the code between the calls panicked. Guards
+/// nest correctly:
 ///
 /// ```
 /// use ros_exec::ThreadGuard;
@@ -74,9 +106,7 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Takes precedence over `ROS_EXEC_THREADS`. Intended for benchmarks
 /// and determinism tests that compare the same code path at several
 /// thread counts within one process; library code should not pin.
-/// Overlapping guards from *different* threads still contend for one
-/// global — hold a process-wide lock around cross-thread pinning (as
-/// `tests/determinism.rs` does).
+/// The pin is the calling thread's, inherited by the workers it spawns.
 #[must_use = "dropping the guard immediately restores the prior thread count"]
 pub struct ThreadGuard {
     prev: usize,
@@ -87,14 +117,14 @@ impl ThreadGuard {
     /// `None`) until the guard drops.
     pub fn pin(n: Option<usize>) -> Self {
         ThreadGuard {
-            prev: THREAD_OVERRIDE.swap(n.unwrap_or(0), Ordering::SeqCst),
+            prev: PIN.replace(n.unwrap_or(0)),
         }
     }
 }
 
 impl Drop for ThreadGuard {
     fn drop(&mut self) {
-        THREAD_OVERRIDE.store(self.prev, Ordering::SeqCst);
+        PIN.set(self.prev);
     }
 }
 
@@ -104,7 +134,7 @@ impl Drop for ThreadGuard {
 /// (a positive integer), then [`std::thread::available_parallelism`]
 /// (1 if unavailable).
 pub fn threads() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
+    let forced = PIN.get();
     if forced > 0 {
         return forced;
     }
@@ -137,7 +167,7 @@ where
     par_map_with(threads(), items, f)
 }
 
-/// [`par_map`] at an explicit worker count, ignoring the global setting.
+/// [`par_map`] at an explicit worker count, ignoring the pin.
 ///
 /// Used by determinism tests to compare the same path at several
 /// thread counts inside one process. Chunks are contiguous index ranges
@@ -169,7 +199,7 @@ where
                 break;
             }
             let slice = &items[start..end];
-            handles.push(scope.spawn(move || slice.iter().map(f).collect::<Vec<R>>()));
+            handles.push(scope.spawn(inherit(move || slice.iter().map(f).collect::<Vec<R>>())));
         }
         for handle in handles {
             match handle.join() {
@@ -246,11 +276,11 @@ where
             let scratch = &mut scratch[0];
             let base = start;
             let f = &f;
-            scope.spawn(move || {
+            scope.spawn(inherit(move || {
                 for (j, item) in chunk.iter_mut().enumerate() {
                     f(scratch, base + j, item);
                 }
-            });
+            }));
             start += take;
         }
     });
@@ -382,6 +412,64 @@ mod tests {
         });
         assert!(result.is_err());
         assert_eq!(threads(), before, "guard must restore across unwind");
+    }
+
+    #[test]
+    fn a_pin_stays_on_its_own_thread() {
+        let unpinned = threads();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _pin = ThreadGuard::pin(Some(unpinned + 5));
+                barrier.wait();
+                barrier.wait();
+            });
+            s.spawn(|| {
+                barrier.wait();
+                assert_eq!(threads(), unpinned, "another thread's pin leaked in");
+                barrier.wait();
+            });
+        });
+    }
+
+    #[test]
+    fn workers_inherit_the_spawners_run_and_pin() {
+        use ros_obs::names::{DECODE_ATTEMPTS, DECODE_ERRORS, DECODE_OK};
+        let _pin = ThreadGuard::pin(Some(4));
+        let ((), lines) = ros_obs::capture_scope(ros_obs::Level::Summary, || {
+            let seen = par_map_with(4, &[0u8; 4], |_| {
+                ros_obs::count(DECODE_OK, 1);
+                threads()
+            });
+            assert_eq!(seen, [4; 4], "par_map_with workers see the pin");
+
+            let mut items = [0usize; 4];
+            par_for_each_mut(&mut [(); 4], &mut items, |_, _, item| {
+                ros_obs::count(DECODE_ATTEMPTS, 1);
+                *item = threads();
+            });
+            assert_eq!(items, [4; 4], "par_for_each_mut workers see the pin");
+
+            let spawned = scope(|s| {
+                s.spawn(|| {
+                    ros_obs::count(DECODE_ERRORS, 1);
+                    threads()
+                })
+                .join()
+            });
+            assert_eq!(spawned.ok(), Some(4), "scope workers see the pin");
+            ros_obs::flush();
+        });
+        for (name, n) in [
+            ("decode.attempts", 4),
+            ("decode.ok", 4),
+            ("decode.errors", 1),
+        ] {
+            let line = format!(
+                "{{\"ev\":\"metric\",\"name\":\"{name}\",\"kind\":\"counter\",\"value\":{n}}}"
+            );
+            assert!(lines.contains(&line), "{name} missing from {lines:?}");
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::plan::CorruptionMode;
 use ros_exec::ParSeed;
+use ros_obs::names;
 
 /// Maps a 64-bit draw onto \[0, 1): the top 53 bits scaled by 2⁻⁵³,
 /// the standard exact-mantissa construction.
@@ -117,22 +118,22 @@ impl FrameFaults {
     /// emission, so traces stay bit-identical across thread counts.
     pub fn record(&self, corrupted_points: usize) {
         if self.dropped {
-            ros_obs::count("fault.frames_dropped", 1);
+            ros_obs::count(names::FAULT_FRAMES_DROPPED, 1);
         }
         if self.duplicated {
-            ros_obs::count("fault.frames_duplicated", 1);
+            ros_obs::count(names::FAULT_FRAMES_DUPLICATED, 1);
         }
         if self.saturation.is_some() {
-            ros_obs::count("fault.frames_saturated", 1);
+            ros_obs::count(names::FAULT_FRAMES_SATURATED, 1);
         }
         if self.burst.is_some() {
-            ros_obs::count("fault.bursts_injected", 1);
+            ros_obs::count(names::FAULT_BURSTS_INJECTED, 1);
         }
         if corrupted_points > 0 {
-            ros_obs::count("fault.points_corrupted", corrupted_points);
+            ros_obs::count(names::FAULT_POINTS_CORRUPTED, corrupted_points);
         }
         if self.spike.is_some() {
-            ros_obs::count("fault.tracking_spikes", 1);
+            ros_obs::count(names::FAULT_TRACKING_SPIKES, 1);
         }
     }
 }
@@ -228,9 +229,6 @@ mod tests {
 
     #[test]
     fn record_counts_every_active_fault() {
-        let buffer = ros_obs::install_memory_sink();
-        ros_obs::reset_metrics();
-        ros_obs::set_level(ros_obs::Level::Summary);
         let f = FrameFaults {
             dropped: true,
             duplicated: true,
@@ -239,11 +237,11 @@ mod tests {
             corruption: Some(CorruptDraw::new(CorruptionMode::NaN, 2)),
             spike: Some(SpikeDraw { dx_m: 0.1, dy_m: 0.0 }),
         };
-        f.record(17);
-        ros_obs::flush();
-        ros_obs::set_level(ros_obs::Level::Off);
-        ros_obs::reset_metrics();
-        let lines = buffer.lock().expect("sink buffer").join("\n");
+        let ((), lines) = ros_obs::capture_scope(ros_obs::Level::Summary, || {
+            f.record(17);
+            ros_obs::flush();
+        });
+        let lines = lines.join("\n");
         for name in [
             "fault.frames_dropped",
             "fault.frames_duplicated",

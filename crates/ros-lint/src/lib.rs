@@ -6,9 +6,8 @@
 //! `[workspace.lints]` table and `clippy.toml`. This crate keeps the
 //! rules those tools cannot express because they need the whole
 //! workspace or this repo's own vocabulary: a cross-crate reference
-//! graph (`dead-pub`), reconciliation of instrumentation sites against
-//! `ros_obs::names::ALL` (`obs-names`), hot-path allocation reachability
-//! over a call graph, lock-order and blocking rules over a lock graph,
+//! graph (`dead-pub`), hot-path allocation reachability over a call
+//! graph, lock-order and blocking rules over a lock graph,
 //! and an audit of its own suppression markers.
 //!
 //! It is a dependency-free analyzer that lexes every workspace source

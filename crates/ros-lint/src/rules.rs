@@ -3,9 +3,8 @@
 //! Two rule shapes exist. *Per-file* rules see one analyzed file at a
 //! time (`typed-conversions`, `typed-db-params`, `nondet-iter`).
 //! *Workspace* rules see every file at once (`dead-pub` builds a
-//! cross-crate reference graph; `obs-names` reconciles instrumentation
-//! sites against `ros_obs::names::ALL`; the hot-path and lock rules
-//! run over the call and lock graphs). All rules work on the token
+//! cross-crate reference graph; the hot-path and lock rules run over
+//! the call and lock graphs). All rules work on the token
 //! stream from [`crate::lexer`] — string literals, comments, and
 //! `#[cfg(test)]` regions cannot fool them the way they fooled the old
 //! line scanner.
@@ -70,14 +69,6 @@ pub const RULES: &[RuleInfo] = &[
         fix: "Delete it, demote to pub(crate), or mark `lint: allow-dead-pub(reason)` \
               with the keep justification. A module that outside code reaches only \
               through crate-root `pub use` re-exports should be a private `mod`.",
-    },
-    RuleInfo {
-        id: "obs-names",
-        summary: "instrumentation names must match ros_obs::names::ALL (both directions)",
-        rationale: "The metric export order is fixed by the names table; an \
-                    undeclared or stale name silently breaks trace consumers.",
-        fix: "Add the metric to ros_obs::names::ALL (or remove the stale entry), \
-              keeping kinds consistent.",
     },
     RuleInfo {
         id: "nondet-iter",
@@ -169,9 +160,6 @@ pub struct Finding {
 /// The one file allowed to spell out raw dB/angle conversions.
 const UNITS_MODULE: &str = "crates/ros-em/src/units.rs";
 
-/// The file declaring the canonical metric name table.
-const NAMES_MODULE: &str = "crates/ros-obs/src/names.rs";
-
 /// Runs every rule over the analyzed workspace; findings come back
 /// sorted by (file, line, rule).
 pub fn check_all(files: &[FileAnalysis]) -> Vec<Finding> {
@@ -197,7 +185,6 @@ pub fn check_all_timed(
         check_file(fa, &mut out);
     }
     dead_pub(files, &mut out);
-    obs_names(files, &mut out);
     alloc_in_hot_path(files, &graph, &mut out);
     lock_rules(files, &graph, &lg, &mut out);
     // Must run after every other rule: it audits which markers the
@@ -893,121 +880,6 @@ fn dead_pub(files: &[FileAnalysis], out: &mut Vec<Finding>) {
     }
 }
 
-/// Instrumentation functions and the metric kind each implies.
-const OBS_FUNCS: &[(&str, &str)] = &[
-    ("count", "Counter"),
-    ("gauge", "Gauge"),
-    ("hist", "Histogram"),
-    ("span", "Histogram"),
-];
-
-/// Reconciles every `ros_obs::{count,gauge,hist,span}("…")` call site
-/// against the `ros_obs::names::ALL` table, both directions, kinds
-/// included (span names map to `time.<stage>` histograms).
-fn obs_names(files: &[FileAnalysis], out: &mut Vec<Finding>) {
-    // Direction 1 inputs: the declared table.
-    let mut declared: BTreeMap<String, (String, usize)> = BTreeMap::new();
-    let Some(names_fa) = files.iter().find(|f| f.rel == NAMES_MODULE) else {
-        return; // no table, nothing to reconcile
-    };
-    let nv = View::new(names_fa);
-    for ci in 0..nv.len() {
-        if nv.is_punct(ci, "(")
-            && nv.kind(ci + 1) == Some(TokenKind::Str)
-            && nv.is_punct(ci + 2, ",")
-            && nv.is_ident(ci + 3, "Kind")
-            && nv.is_punct(ci + 4, "::")
-            && nv.kind(ci + 5) == Some(TokenKind::Ident)
-            && nv.is_punct(ci + 6, ")")
-        {
-            let name = str_lit_value(nv.text(ci + 1));
-            declared.insert(name, (nv.text(ci + 5).to_string(), nv.line(ci + 1)));
-        }
-    }
-    if declared.is_empty() {
-        return;
-    }
-
-    // Direction 2 inputs: every literal-name instrumentation site in
-    // non-test pipeline code.
-    let mut used: HashSet<String> = HashSet::new();
-    for fa in files.iter().filter(|f| f.role != FileRole::Reference) {
-        let v = View::new(fa);
-        for ci in 0..v.len() {
-            if v.in_test(ci)
-                || !v.is_ident(ci, "ros_obs")
-                || !v.is_punct(ci + 1, "::")
-                || v.kind(ci + 2) != Some(TokenKind::Ident)
-            {
-                continue;
-            }
-            let Some((_, kind)) = OBS_FUNCS.iter().find(|(f, _)| *f == v.text(ci + 2)) else {
-                continue;
-            };
-            if !v.is_punct(ci + 3, "(") || v.kind(ci + 4) != Some(TokenKind::Str) {
-                continue; // dynamic name: not statically checkable
-            }
-            let func = v.text(ci + 2).to_string();
-            let lit = str_lit_value(v.text(ci + 4));
-            let metric = if func == "span" {
-                format!("time.{lit}")
-            } else {
-                lit.clone()
-            };
-            used.insert(metric.clone());
-            match declared.get(&metric) {
-                None => push(
-                    out,
-                    "obs-names",
-                    fa,
-                    v.line(ci + 4),
-                    format!(
-                        "metric `{metric}` (via ros_obs::{func}) is not declared in \
-                         ros_obs::names::ALL; add it so the export order stays fixed"
-                    ),
-                ),
-                Some((declared_kind, _)) if declared_kind != kind => push(
-                    out,
-                    "obs-names",
-                    fa,
-                    v.line(ci + 4),
-                    format!(
-                        "metric `{metric}` is declared as Kind::{declared_kind} in \
-                         ros_obs::names::ALL but used via ros_obs::{func} (implies \
-                         Kind::{kind})"
-                    ),
-                ),
-                Some(_) => {}
-            }
-        }
-    }
-
-    // Direction 1: every declared name must have a live call site.
-    for (name, (_, line)) in &declared {
-        if !used.contains(name) {
-            push(
-                out,
-                "obs-names",
-                names_fa,
-                *line,
-                format!(
-                    "metric `{name}` is declared in ros_obs::names::ALL but no \
-                     instrumentation site emits it; remove the entry or wire the metric"
-                ),
-            );
-        }
-    }
-}
-
-/// The value of a plain `"…"` string-literal token (quotes stripped,
-/// common escapes resolved — metric names use none).
-fn str_lit_value(text: &str) -> String {
-    text.trim_start_matches('"')
-        .trim_end_matches('"')
-        .replace("\\\"", "\"")
-        .replace("\\\\", "\\")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1175,86 +1047,6 @@ mod tests {
         assert!(all_hits(&[f]).iter().all(|h| !h.starts_with("dead-pub")));
     }
 
-    // ---- obs-names ----
-
-    const NAMES_SRC: &str = "\
-//! names
-pub enum Kind { Counter, Gauge, Histogram }
-pub const ALL: &[(&str, Kind)] = &[
-    (\"decode.ok\", Kind::Counter),
-    (\"reader.cloud_points\", Kind::Gauge),
-    (\"time.decode\", Kind::Histogram),
-];
-";
-
-    fn names_fa() -> FileAnalysis {
-        fa(NAMES_MODULE, NAMES_SRC)
-    }
-
-    fn obs_hits(user_src: &str) -> Vec<String> {
-        let user = fa("crates/core/src/u.rs", user_src);
-        all_hits(&[names_fa(), user])
-            .into_iter()
-            .filter(|h| h.starts_with("obs-names"))
-            .collect()
-    }
-
-    #[test]
-    fn obs_names_clean_when_reconciled() {
-        let src = "\
-//! m
-fn f() {
-    ros_obs::count(\"decode.ok\", 1);
-    ros_obs::gauge(\"reader.cloud_points\", 2.0);
-    let _span = ros_obs::span(\"decode\");
-}
-";
-        assert!(obs_hits(src).is_empty());
-    }
-
-    #[test]
-    fn obs_names_flags_undeclared_metric() {
-        let src = "//! m\nfn f() { ros_obs::count(\"decode.ok\", 1); ros_obs::gauge(\"reader.cloud_points\", 0.0); let _s = ros_obs::span(\"decode\"); ros_obs::count(\"decode.mystery\", 1); }\n";
-        let hits = obs_hits(src);
-        assert_eq!(hits, ["obs-names:crates/core/src/u.rs:2"]);
-    }
-
-    #[test]
-    fn obs_names_flags_kind_mismatch() {
-        // decode.ok is declared Counter but used as a gauge.
-        let src = "//! m\nfn f() { ros_obs::gauge(\"decode.ok\", 1.0); ros_obs::gauge(\"reader.cloud_points\", 0.0); let _s = ros_obs::span(\"decode\"); }\n";
-        let hits = obs_hits(src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-    }
-
-    #[test]
-    fn obs_names_flags_declared_but_never_emitted() {
-        // Nothing emits time.decode: the declaration is stale.
-        let src = "//! m\nfn f() { ros_obs::count(\"decode.ok\", 1); ros_obs::gauge(\"reader.cloud_points\", 0.0); }\n";
-        let hits = obs_hits(src);
-        assert_eq!(hits, [format!("obs-names:{NAMES_MODULE}:6")]);
-    }
-
-    #[test]
-    fn obs_names_ignores_dynamic_names_and_test_sites() {
-        // A non-literal name cannot be checked statically; test-region
-        // emissions are exempt.
-        let src = "\
-//! m
-fn f(name: &str) {
-    ros_obs::count(\"decode.ok\", 1);
-    ros_obs::gauge(\"reader.cloud_points\", 0.0);
-    let _s = ros_obs::span(\"decode\");
-    ros_obs::count(name, 1);
-}
-#[cfg(test)]
-mod tests {
-    fn t() { ros_obs::count(\"test.only\", 1); }
-}
-";
-        assert!(obs_hits(src).is_empty());
-    }
-
     #[test]
     fn rules_catalog_is_consistent() {
         // Stable IDs: every rule resolvable, no duplicates; every rule
@@ -1267,7 +1059,7 @@ mod tests {
             assert!(!r.rationale.is_empty(), "{} has no rationale", r.id);
             assert!(!r.fix.is_empty(), "{} has no fix guidance", r.id);
         }
-        assert_eq!(RULES.len(), 10);
+        assert_eq!(RULES.len(), 9);
     }
 
     // ---- nondet-iter ----

@@ -13,14 +13,17 @@
 //!   OS clock on its own, so determinism tests stay clock-free (an
 //!   uninstalled clock reads 0 and traces stay bit-stable).
 //! * **Metrics** ([`count`], [`gauge`], [`hist`]) aggregate counters,
-//!   gauges, and histograms in a registry with a *fixed registration
-//!   order* ([`names::ALL`]), so two runs always export metrics in the
-//!   same sequence regardless of which stage touched them first.
+//!   gauges, and histograms, named by typed ids, in a *fixed
+//!   registration order* ([`names::ALL`]), so two runs always export
+//!   metrics in the same sequence regardless of which stage touched
+//!   them first.
 //! * **Events** ([`event`], [`event_detail`]) emit one ndjson object
-//!   per line to the configured sink (stderr, `ROS_OBS_FILE`, or an
-//!   in-memory buffer for tests and [`capture_scope`]).
+//!   per line to the run's sink (stderr, `ROS_OBS_FILE`, or the
+//!   in-memory buffer of a [`capture_scope`]).
 //!
-//! Everything is gated by the process-wide [`Level`]:
+//! Level, clock, metrics and sink belong to the calling thread's run
+//! ([`RunContext`]), which `ros-exec` workers inherit, so concurrent
+//! runs never mix. Everything is gated by the run's [`Level`]:
 //!
 //! | `ROS_OBS` | level              | behaviour                                  |
 //! |-----------|--------------------|--------------------------------------------|
@@ -32,7 +35,7 @@
 //! library/test processes that never call it stay [`Level::Off`] even
 //! with `ROS_OBS` exported, which keeps `cargo test` hermetic.
 //!
-//! The disabled path is zero-cost: one relaxed atomic load, no locks,
+//! The disabled path is zero-cost: one thread-local load, no locks,
 //! no allocation (asserted by the `zero_alloc` integration test). The
 //! crate is std-only and dependency-free so every pipeline crate can
 //! depend on it without cycles.
@@ -41,15 +44,17 @@ pub mod clock;
 mod json;
 mod metrics;
 pub mod names;
+mod run;
 mod sink;
 
-pub use clock::{install_monotonic_clock, install_null_clock};
+pub use clock::install_monotonic_clock;
 pub use json::Value;
-pub use metrics::{count, gauge, hist, metrics_json, metrics_json_touched, reset_metrics};
-pub use sink::install_memory_sink;
+pub use metrics::{count, gauge, hist};
+pub use run::{level, set_level, RunContext};
 
 use clock::now_ns;
-use std::sync::atomic::{AtomicU8, Ordering};
+use names::Hist;
+use sink::Out;
 
 /// Observability level, ordered: `Off < Summary < Detail`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -71,54 +76,25 @@ impl Level {
             _ => Level::Off,
         }
     }
-
-    fn from_u8(v: u8) -> Level {
-        match v {
-            1 => Level::Summary,
-            2 => Level::Detail,
-            _ => Level::Off,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            Level::Off => 0,
-            Level::Summary => 1,
-            Level::Detail => 2,
-        }
-    }
-}
-
-/// The process-wide level; 0 until somebody opts in.
-static LEVEL: AtomicU8 = AtomicU8::new(0);
-
-/// The current observability level (one relaxed atomic load).
-#[inline]
-pub fn level() -> Level {
-    Level::from_u8(LEVEL.load(Ordering::Relaxed))
 }
 
 /// True when summary-level telemetry is on.
 #[inline]
 pub fn enabled() -> bool {
-    LEVEL.load(Ordering::Relaxed) >= 1
+    level() >= Level::Summary
 }
 
 /// True when detail-level (per-frame/per-slot) telemetry is on.
 #[inline]
 pub fn detail() -> bool {
-    LEVEL.load(Ordering::Relaxed) >= 2
+    level() >= Level::Detail
 }
 
-/// Sets the process-wide level programmatically (tests, bench).
-pub fn set_level(l: Level) {
-    LEVEL.store(l.as_u8(), Ordering::Relaxed);
-}
-
-/// Reads `ROS_OBS` / `ROS_OBS_FILE` and configures level, clock, and
-/// sink accordingly. Call once from binary entry points.
+/// Reads `ROS_OBS` / `ROS_OBS_FILE` and starts the calling thread's
+/// run accordingly. Call once from binary entry points, before any
+/// fan-out.
 ///
-/// With `ROS_OBS` unset (or 0) this is a no-op and the process stays
+/// With `ROS_OBS` unset (or 0) this is a no-op and the thread stays
 /// [`Level::Off`]. Otherwise the monotonic clock is installed and the
 /// ndjson sink goes to `ROS_OBS_FILE` (falling back to stderr if the
 /// file cannot be created, and by default).
@@ -128,57 +104,56 @@ pub fn init_from_env() {
         return;
     }
     install_monotonic_clock();
-    if let Ok(path) = std::env::var("ROS_OBS_FILE") {
-        if !path.is_empty() {
-            sink::install_file_sink(&path);
-        }
-    }
+    // An unset or empty path, or a file that cannot be created, means stderr.
+    let file = std::env::var("ROS_OBS_FILE")
+        .ok()
+        .and_then(|p| std::fs::File::create(p).ok());
+    run::install(file.map_or(Out::Stderr, |f| Out::File(std::io::BufWriter::new(f))));
     set_level(lvl);
 }
 
 /// A stage-timing guard: emits `{"ev":"span","stage":...,"dur_ns":...}`
-/// on drop and records the duration in the `time.<stage>` histogram.
+/// on drop and records the duration in its `time.<stage>` histogram.
 ///
 /// Inert (no allocation, no clock read) when the level is
 /// [`Level::Off`] at construction.
 #[must_use = "a span measures the scope it is bound to; bind it to a `_span` local"]
 // lint: allow-dead-pub(RAII guard returned by span(); callers never spell the name)
 pub struct Span {
-    stage: &'static str,
-    start_ns: u64,
-    live: bool,
+    id: Hist,
+    /// `None` when telemetry was off at construction.
+    start_ns: Option<u64>,
 }
 
-/// Opens a span over the current scope.
-pub fn span(stage: &'static str) -> Span {
-    if !enabled() {
-        return Span {
-            stage,
-            start_ns: 0,
-            live: false,
-        };
-    }
+/// Opens a span over the current scope, timed into `id`'s
+/// `time.<stage>` histogram.
+pub fn span(id: Hist) -> Span {
     Span {
-        stage,
-        start_ns: now_ns(),
-        live: true,
+        id,
+        start_ns: enabled().then(now_ns),
     }
 }
 
 impl Drop for Span {
+    #[expect(
+        clippy::as_conversions,
+        reason = "span durations are far below 2^53 ns"
+    )]
     fn drop(&mut self) {
-        if !self.live {
+        let Some(start_ns) = self.start_ns else {
             return;
-        }
-        let dur = now_ns().saturating_sub(self.start_ns);
-        metrics::hist_time(self.stage, dur);
+        };
+        let dur = now_ns().saturating_sub(start_ns);
+        let name = names::ALL[self.id.0].0;
         let mut line = String::with_capacity(64);
         line.push_str("{\"ev\":\"span\",\"stage\":\"");
-        json::push_escaped(&mut line, self.stage);
+        json::push_escaped(&mut line, name.strip_prefix("time.").unwrap_or(name));
         line.push_str("\",\"dur_ns\":");
         json::push_u64(&mut line, dur);
         line.push('}');
-        sink::write_line(&line);
+        // Precision loss above 2^53 ns (~104 days per span) is acceptable.
+        hist(self.id, dur as f64);
+        run::with_state(|s| s.out.write_line(line));
     }
 }
 
@@ -211,61 +186,41 @@ fn emit(ev: &str, fields: &[(&str, Value<'_>)]) {
         v.push_json(&mut line);
     }
     line.push('}');
-    sink::write_line(&line);
+    run::with_state(|s| s.out.write_line(line));
 }
 
-/// Exports every registered metric as one `{"ev":"metric",...}` line
+/// Exports every touched metric as one `{"ev":"metric",...}` line
 /// (in registration order) and flushes the sink.
 pub fn flush() {
-    if enabled() {
-        for line in metrics::metric_lines() {
-            sink::write_line(&line);
+    let on = enabled();
+    run::with_state(|s| {
+        if on {
+            for line in s.metrics.lines() {
+                s.out.write_line(line);
+            }
         }
-    }
-    sink::flush();
+        s.out.flush();
+    });
 }
 
-/// A telemetry capture taken by [`capture_scope`].
-#[derive(Clone, Debug)]
-// lint: allow-dead-pub(returned by capture_scope; callers destructure, never name it)
-pub struct CaptureReport {
-    /// Every ndjson line emitted inside the scope, in order.
-    pub lines: Vec<String>,
-    /// JSON array of the metrics touched inside the scope, in fixed
-    /// registration order.
-    pub metrics: String,
-}
-
-/// Runs `f` with telemetry captured into memory, restoring the prior
-/// level and sink afterwards (even though `f` may have emitted through
-/// them). Metrics are reset on entry and on exit, so the report holds
-/// exactly the scope's activity.
+/// Runs `f` in a fresh run at `lvl` — an in-memory sink, zeroed
+/// metrics, the caller's clock — and returns every line it emitted
+/// (call [`flush`] inside `f` for the metric lines). The caller's run
+/// is restored when `f` returns or unwinds.
 ///
 /// Used by rosbench's traced runs to measure a pass with telemetry on
 /// without disturbing a `ROS_OBS` session the user may have
 /// configured.
-pub fn capture_scope<R>(lvl: Level, f: impl FnOnce() -> R) -> (R, CaptureReport) {
-    let prior_level = level();
-    let prior_sink = sink::take();
-    let buffer = sink::install_memory_sink();
-    metrics::reset_metrics();
-    set_level(lvl);
-    let result = f();
-    set_level(prior_level);
-    let metrics_snapshot = metrics::metrics_json_touched();
-    metrics::reset_metrics();
-    let lines = buffer
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .clone();
-    sink::restore(prior_sink);
-    (
-        result,
-        CaptureReport {
-            lines,
-            metrics: metrics_snapshot,
-        },
-    )
+pub fn capture_scope<R>(lvl: Level, f: impl FnOnce() -> R) -> (R, Vec<String>) {
+    let ctx = RunContext::fresh(lvl, Out::Memory(Vec::new()));
+    let result = ctx.within(f);
+    let mut lines = Vec::new();
+    if let Some(run) = &ctx.run {
+        if let Out::Memory(buf) = &mut run.lock().out {
+            lines = std::mem::take(buf);
+        }
+    }
+    (result, lines)
 }
 
 #[cfg(test)]
@@ -283,12 +238,4 @@ mod tests {
         assert_eq!(Level::parse("bogus"), Level::Off);
         assert!(Level::Off < Level::Summary && Level::Summary < Level::Detail);
     }
-
-    #[test]
-    fn level_round_trips_through_u8() {
-        for l in [Level::Off, Level::Summary, Level::Detail] {
-            assert_eq!(Level::from_u8(l.as_u8()), l);
-        }
-    }
-
 }

@@ -1,17 +1,26 @@
-//! The fixed metric registration order.
+//! The fixed metric registration order and the typed metric ids.
 //!
 //! Every metric the pipeline emits is declared here, in the order it
-//! appears in exports (`metrics_json`, the `flush` metric lines).
-//! Pre-registering the full set at registry creation makes the export
+//! appears in exports (the `flush` metric lines), which makes the export
 //! order a property of this table — not of which stage happened to
 //! touch its metric first, which would vary with configuration and
-//! thread scheduling. Names not in this table still work; they are
-//! appended after the fixed block in first-use order.
+//! thread scheduling. Code names a metric by its typed id, which a
+//! `const fn` checks against [`ALL`] at compile time, so an id cannot
+//! drift from the table and a misspelt id or a counter handed to
+//! `gauge` does not compile:
+//!
+//! ```compile_fail
+//! ros_obs::count(ros_obs::names::DECODE_OKK, 1);
+//! ```
+//!
+//! ```compile_fail
+//! ros_obs::gauge(ros_obs::names::DECODE_OK, 1.0);
+//! ```
 //!
 //! Naming scheme: `<crate-or-stage>.<what>`, dB/meter suffixes spelled
 //! out (`_db`, `_m2`). Span durations land in `time.<stage>`.
 
-/// Metric kinds (mirrored by the registry's internal state).
+/// Metric kinds (mirrored by each run's metric table).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 // lint: allow-dead-pub(tuple component of ALL; consumed positionally)
 pub enum Kind {
@@ -91,3 +100,119 @@ pub const ALL: &[(&str, Kind)] = &[
     ("time.reader.spotlight", Kind::Histogram),
     ("time.decode", Kind::Histogram),
 ];
+
+/// The id of a [`Kind::Counter`] row of [`ALL`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// lint: allow-dead-pub(parameter type of ros_obs::count; callers pass the consts)
+pub struct Counter(pub(crate) usize);
+
+/// The id of a [`Kind::Gauge`] row of [`ALL`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// lint: allow-dead-pub(parameter type of ros_obs::gauge; callers pass the consts)
+pub struct Gauge(pub(crate) usize);
+
+/// The id of a [`Kind::Histogram`] row of [`ALL`]; a span's id is its
+/// `time.<stage>` row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// lint: allow-dead-pub(parameter type of ros_obs::{hist, span}; callers pass the consts)
+pub struct Hist(pub(crate) usize);
+
+/// The index of `name` in [`ALL`]. Evaluated at compile time for every
+/// id, so an undeclared name or a kind mismatch is a build error.
+const fn row(name: &str, kind: Kind) -> usize {
+    let mut i = 0;
+    while i < ALL.len() && !str_eq(ALL[i].0, name) {
+        i += 1;
+    }
+    assert!(i < ALL.len(), "metric is not declared in names::ALL");
+    let same_kind = matches!(
+        (ALL[i].1, kind),
+        (Kind::Counter, Kind::Counter)
+            | (Kind::Gauge, Kind::Gauge)
+            | (Kind::Histogram, Kind::Histogram)
+    );
+    assert!(
+        same_kind,
+        "metric is declared in names::ALL with another kind"
+    );
+    i
+}
+
+const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut i = 0;
+    while i < a.len() && i < b.len() && a[i] == b[i] {
+        i += 1;
+    }
+    i == a.len() && i == b.len()
+}
+
+const fn counter(name: &str) -> Counter {
+    Counter(row(name, Kind::Counter))
+}
+
+const fn gauge(name: &str) -> Gauge {
+    Gauge(row(name, Kind::Gauge))
+}
+
+const fn hist(name: &str) -> Hist {
+    Hist(row(name, Kind::Histogram))
+}
+
+pub use ids::*;
+
+/// One id per row of [`ALL`]: the name upper-cased, `.` as `_`.
+#[expect(
+    missing_docs,
+    reason = "an id's documentation is the name it is built from"
+)]
+mod ids {
+    use super::{counter, gauge, hist, Counter, Gauge, Hist};
+
+    pub const RADAR_FRAMES_SYNTHESIZED: Counter = counter("radar.frames_synthesized");
+    pub const RADAR_CFAR_DETECTIONS: Counter = counter("radar.cfar_detections");
+    pub const RADAR_POINTS_PER_FRAME: Hist = hist("radar.points_per_frame");
+    pub const DSP_DBSCAN_RUNS: Counter = counter("dsp.dbscan.runs");
+    pub const DSP_DBSCAN_CLUSTERS: Counter = counter("dsp.dbscan.clusters");
+    pub const DSP_DBSCAN_NOISE_POINTS: Counter = counter("dsp.dbscan.noise_points");
+    pub const DETECTOR_CLUSTERS_SCORED: Counter = counter("detector.clusters_scored");
+    pub const DETECTOR_TAGS_CLASSIFIED: Counter = counter("detector.tags_classified");
+    pub const DECODE_ATTEMPTS: Counter = counter("decode.attempts");
+    pub const DECODE_OK: Counter = counter("decode.ok");
+    pub const DECODE_ERRORS: Counter = counter("decode.errors");
+    pub const DECODE_SNR_DB: Hist = hist("decode.snr_db");
+    pub const DECODE_SLOT_AMP: Hist = hist("decode.slot_amp");
+    pub const FAULT_FRAMES_DROPPED: Counter = counter("fault.frames_dropped");
+    pub const FAULT_FRAMES_DUPLICATED: Counter = counter("fault.frames_duplicated");
+    pub const FAULT_FRAMES_SATURATED: Counter = counter("fault.frames_saturated");
+    pub const FAULT_BURSTS_INJECTED: Counter = counter("fault.bursts_injected");
+    pub const FAULT_POINTS_CORRUPTED: Counter = counter("fault.points_corrupted");
+    pub const FAULT_TRACKING_SPIKES: Counter = counter("fault.tracking_spikes");
+    pub const OPTIM_DE_GENERATIONS: Counter = counter("optim.de.generations");
+    pub const SERVE_FRAMES_IN: Counter = counter("serve.frames_in");
+    pub const SERVE_FRAMES_OUT: Counter = counter("serve.frames_out");
+    pub const SERVE_READS: Counter = counter("serve.reads");
+    pub const SERVE_BACKPRESSURE_STALLS: Counter = counter("serve.backpressure_stalls");
+    pub const SERVE_CHANNEL_MAX_OCCUPANCY: Gauge = gauge("serve.channel_max_occupancy");
+    pub const SERVE_DECODE_LATENCY_NS: Hist = hist("serve.decode_latency_ns");
+    pub const CACHE_HIT: Counter = counter("cache.hit");
+    pub const CACHE_MISS: Counter = counter("cache.miss");
+    pub const CACHE_INSERT: Counter = counter("cache.insert");
+    pub const CACHE_EVICT: Counter = counter("cache.evict");
+    pub const CACHE_ENTRIES: Gauge = gauge("cache.entries");
+    pub const CACHE_PATTERN_MISS: Counter = counter("cache.pattern.miss");
+    pub const CACHE_DISPERSION_MISS: Counter = counter("cache.dispersion.miss");
+    pub const CACHE_SHAPING_MISS: Counter = counter("cache.shaping.miss");
+    pub const READER_FRAMES: Counter = counter("reader.frames");
+    pub const READER_CLOUD_POINTS: Gauge = gauge("reader.cloud_points");
+    pub const READER_FRAMES_DEGRADED: Counter = counter("reader.frames_degraded");
+    pub const TIME_READER_RUN_FAST: Hist = hist("time.reader.run_fast");
+    pub const TIME_READER_RUN_FULL: Hist = hist("time.reader.run_full");
+    pub const TIME_READER_GATHER_ECHOES: Hist = hist("time.reader.gather_echoes");
+    pub const TIME_RADAR_CAPTURE_BATCH: Hist = hist("time.radar.capture_batch");
+    pub const TIME_READER_DETECT: Hist = hist("time.reader.detect");
+    pub const TIME_DSP_DBSCAN: Hist = hist("time.dsp.dbscan");
+    pub const TIME_DETECTOR_SCORE: Hist = hist("time.detector.score");
+    pub const TIME_READER_SPOTLIGHT: Hist = hist("time.reader.spotlight");
+    pub const TIME_DECODE: Hist = hist("time.decode");
+}

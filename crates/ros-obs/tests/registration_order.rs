@@ -8,47 +8,39 @@ use ros_obs::{names, Level};
 
 #[test]
 fn export_order_is_the_names_table_regardless_of_touch_order() {
-    ros_obs::set_level(Level::Summary);
-    ros_obs::reset_metrics();
+    // Touch a scrambled subset: stage time first, decode before radar,
+    // reader last.
+    let ((), lines) = ros_obs::capture_scope(Level::Summary, || {
+        drop(ros_obs::span(names::TIME_DECODE));
+        ros_obs::hist(names::DECODE_SNR_DB, 21.0);
+        ros_obs::count(names::RADAR_FRAMES_SYNTHESIZED, 7);
+        ros_obs::gauge(names::READER_CLOUD_POINTS, 41.0);
+        ros_obs::flush();
+    });
 
-    // Touch a scrambled subset — decode before radar, a dynamic name
-    // in the middle, reader last.
-    ros_obs::hist("decode.snr_db", 21.0);
-    ros_obs::count("zz.dynamic.late", 3);
-    ros_obs::count("radar.frames_synthesized", 7);
-    ros_obs::count("aa.dynamic.early", 1);
-    ros_obs::gauge("reader.cloud_points", 41.0);
+    let touched = [
+        "time.decode",
+        "decode.snr_db",
+        "radar.frames_synthesized",
+        "reader.cloud_points",
+    ];
+    let in_table_order: Vec<&str> = names::ALL
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|name| touched.contains(name))
+        .collect();
+    assert_eq!(
+        in_table_order.len(),
+        touched.len(),
+        "every touched id is a table row"
+    );
 
-    let json = ros_obs::metrics_json();
-
-    // Every fixed name appears, in exactly the table's order.
-    let mut last_pos = 0usize;
-    for (name, _) in names::ALL {
-        let needle = format!("\"name\":\"{name}\"");
-        let pos = json
-            .find(&needle)
-            .unwrap_or_else(|| panic!("{name} missing from metrics_json"));
-        assert!(
-            pos > last_pos || last_pos == 0,
-            "{name} exported out of table order"
-        );
-        last_pos = pos;
-    }
-
-    // Dynamic names append after the fixed block, in first-use order
-    // ("zz" was touched before "aa", so it exports first).
-    let zz = json.find("zz.dynamic.late").expect("dynamic name exported");
-    let aa = json.find("aa.dynamic.early").expect("dynamic name exported");
-    assert!(zz > last_pos && aa > last_pos, "dynamics before fixed block");
-    assert!(zz < aa, "dynamic names must export in first-use order");
-
-    // The touched-only view preserves the same relative order.
-    let touched = ros_obs::metrics_json_touched();
-    let r = touched.find("\"name\":\"radar.frames_synthesized\"").expect("touched");
-    let d = touched.find("\"name\":\"decode.snr_db\"").expect("touched");
-    let g = touched.find("\"name\":\"reader.cloud_points\"").expect("touched");
-    assert!(r < d && d < g, "touched export must keep table order");
-
-    ros_obs::set_level(Level::Off);
-    ros_obs::reset_metrics();
+    // The flushed metric lines follow the table and hold nothing
+    // untouched.
+    let exported: Vec<&str> = lines
+        .iter()
+        .filter_map(|l| l.strip_prefix("{\"ev\":\"metric\",\"name\":\""))
+        .filter_map(|l| l.split('"').next())
+        .collect();
+    assert_eq!(exported, in_table_order, "export must keep table order");
 }

@@ -1,10 +1,11 @@
 //! The disabled path ([`ros_obs::Level::Off`]) must be zero-cost: the
 //! crate promises instrumented hot loops (per-frame capture, per-point
-//! CFAR) pay one relaxed atomic load and nothing else. This test pins
+//! CFAR) pay one thread-local load and nothing else. This test pins
 //! the "no allocation" half of that promise with a counting global
 //! allocator; if somebody adds an eager `format!` or `to_string` ahead
 //! of the level check, the count goes non-zero and this fails loudly.
 
+use ros_obs::names;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,10 +36,10 @@ fn disabled_telemetry_does_not_allocate() {
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..1_000u64 {
-        let _span = ros_obs::span("reader.run_fast");
-        ros_obs::count("decode.attempts", 1);
-        ros_obs::hist("decode.snr_db", 17.5);
-        ros_obs::gauge("reader.cloud_points", i as f64);
+        let _span = ros_obs::span(names::TIME_READER_RUN_FAST);
+        ros_obs::count(names::DECODE_ATTEMPTS, 1);
+        ros_obs::hist(names::DECODE_SNR_DB, 17.5);
+        ros_obs::gauge(names::READER_CLOUD_POINTS, i as f64);
         ros_obs::event(
             "reader.pass",
             &[("frames", 1001u64.into()), ("decoded", true.into())],

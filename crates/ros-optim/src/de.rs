@@ -25,6 +25,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ros_obs::names;
 
 /// Mutation/crossover strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -202,7 +203,7 @@ where
         }
     }
 
-    ros_obs::count("optim.de.generations", generation);
+    ros_obs::count(names::OPTIM_DE_GENERATIONS, generation);
     DeResult {
         x: pop[best_idx].clone(),
         cost: costs[best_idx],
@@ -340,7 +341,7 @@ where
 
     // Emitted from the serial epilogue, after the last par_map batch —
     // the count is identical at every thread count.
-    ros_obs::count("optim.de.generations", generation);
+    ros_obs::count(names::OPTIM_DE_GENERATIONS, generation);
     DeResult {
         x: pop[best_idx].clone(),
         cost: costs[best_idx],

@@ -17,6 +17,7 @@ use ros_dsp::window::WindowTable;
 use ros_dsp::PlanCache;
 use ros_em::Complex64;
 use ros_em::units::cast::{self, AsF64};
+use ros_obs::names;
 
 /// Azimuth search grid half-width \[rad\] (the radar antenna FoV).
 pub(crate) const AOA_GRID_HALF_RAD: f64 = 1.2;
@@ -191,7 +192,7 @@ pub fn detect_points_with(
     let DetectScratch { plans, bufs } = scratch;
     let plan = plans.fft(n_fft);
     detect_points_core(frame, chirp, array, cfar, max_targets_per_bin, plan, bufs, out);
-    ros_obs::count("radar.cfar_detections", bufs.detections.len());
+    ros_obs::count(names::RADAR_CFAR_DETECTIONS, bufs.detections.len());
 }
 
 /// The steady-state detect kernel: range FFT → CFAR → AoA sweep with

@@ -13,6 +13,7 @@ use ros_em::jones::Polarization;
 use ros_em::radar_eq::RadarLinkBudget;
 use ros_em::units::cast::AsF64;
 use ros_em::{Complex64, Vec3};
+use ros_obs::names;
 
 /// Which Tx port the radar fires (§7.1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,7 +79,7 @@ impl FmcwRadar {
     /// Captures one frame of IF data from the given echoes, applying
     /// the configured front-end impairments.
     pub fn capture<R: Rng>(&self, pose: Pose, echoes: &[Echo], rng: &mut R) -> Frame {
-        ros_obs::count("radar.frames_synthesized", 1);
+        ros_obs::count(names::RADAR_FRAMES_SYNTHESIZED, 1);
         let mut frame =
             synthesize_frame(&self.chirp, &self.array, &self.budget, pose, echoes, rng);
         self.impairments.apply(&mut frame, rng);
@@ -99,8 +100,8 @@ impl FmcwRadar {
         scratch: &mut CaptureScratch,
         out: &mut Vec<Frame>,
     ) {
-        let _span = ros_obs::span("radar.capture_batch");
-        ros_obs::count("radar.frames_synthesized", jobs.len());
+        let _span = ros_obs::span(names::TIME_RADAR_CAPTURE_BATCH);
+        ros_obs::count(names::RADAR_FRAMES_SYNTHESIZED, jobs.len());
         self.capture_batch_into(jobs, rng, scratch, out);
     }
 
@@ -191,7 +192,7 @@ impl FmcwRadar {
         out: &mut Vec<RadarPoint>,
     ) {
         processing::detect_points_with(frame, &self.chirp, &self.array, &self.cfar, 2, scratch, out);
-        ros_obs::hist("radar.points_per_frame", out.len().as_f64());
+        ros_obs::hist(names::RADAR_POINTS_PER_FRAME, out.len().as_f64());
     }
 
     /// Spotlight-beamforms on a known world position, returning the

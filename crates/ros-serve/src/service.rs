@@ -35,6 +35,7 @@ use ros_cache::GeomCache;
 use ros_core::stream::{FrameSource, SignRead, StreamEvent, StreamingReader};
 use ros_em::units::cast::AsF64;
 use ros_exec::channel::{bounded, ChannelStats};
+use ros_obs::names;
 
 /// Aggregate outcome of one corridor run.
 #[derive(Clone, Debug)]
@@ -210,7 +211,7 @@ fn run_corridor_impl(
                         let t_dec = if is_end { ros_obs::clock::now_ns() } else { 0 };
                         if let Some(read) = reader.ingest(ev) {
                             ros_obs::hist(
-                                "serve.decode_latency_ns",
+                                names::SERVE_DECODE_LATENCY_NS,
                                 ros_obs::clock::now_ns().saturating_sub(t_dec).as_f64(),
                             );
                             if read_tx.send(read).is_err() {
@@ -292,11 +293,11 @@ fn run_corridor_impl(
 
     // Counters are emitted once, from this serial epilogue, so the
     // exported totals are worker-count invariant.
-    ros_obs::count("serve.frames_in", usize::try_from(report.frames_produced).unwrap_or(usize::MAX));
-    ros_obs::count("serve.frames_out", usize::try_from(report.frames_consumed).unwrap_or(usize::MAX));
-    ros_obs::count("serve.reads", report.reads.len());
-    ros_obs::count("serve.backpressure_stalls", usize::try_from(report.stalls).unwrap_or(usize::MAX));
-    ros_obs::gauge("serve.channel_max_occupancy", report.max_occupancy.as_f64());
+    ros_obs::count(names::SERVE_FRAMES_IN, usize::try_from(report.frames_produced).unwrap_or(usize::MAX));
+    ros_obs::count(names::SERVE_FRAMES_OUT, usize::try_from(report.frames_consumed).unwrap_or(usize::MAX));
+    ros_obs::count(names::SERVE_READS, report.reads.len());
+    ros_obs::count(names::SERVE_BACKPRESSURE_STALLS, usize::try_from(report.stalls).unwrap_or(usize::MAX));
+    ros_obs::gauge(names::SERVE_CHANNEL_MAX_OCCUPANCY, report.max_occupancy.as_f64());
     if let (Some(cache), Some(before)) = (cache, cache_before) {
         // Delta export from the same serial epilogue, so `cache.*`
         // totals are worker-count invariant too.

@@ -13,13 +13,9 @@ use ros_core::encode::SpatialCode;
 use ros_core::reader::{DriveBy, Outcome, ReaderConfig};
 use ros_core::tag::Tag;
 use ros_serve::{run_corridor_uncached, run_corridor_with, CorridorConfig};
-use std::sync::Mutex;
 
-/// Serializes thread-pinning tests (ThreadGuard state is global).
-static LOCK: Mutex<()> = Mutex::new(());
-
+/// Runs `f` with this thread's executor pinned to `n` workers.
 fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let _pin = ros_exec::ThreadGuard::pin(Some(n));
     f()
 }

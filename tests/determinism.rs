@@ -8,10 +8,11 @@
 //! packets are pre-drawn serially in the historical order, so the
 //! streams are unchanged too.
 //!
-//! The executor override is process-global; the shared [`LOCK`]
-//! serializes these tests within the binary, and the RAII
-//! [`ros_exec::ThreadGuard`] restores the default (`ROS_EXEC_THREADS`
-//! / core count) even on panic.
+//! Each test pins its own thread with the RAII
+//! [`ros_exec::ThreadGuard`]; the pin is that thread's alone (its
+//! `ros-exec` workers inherit it), so the tests run in parallel without
+//! a shared lock, and the guard restores the default
+//! (`ROS_EXEC_THREADS` / core count) even on panic.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,17 +31,13 @@ use ros_radar::pointcloud::RadarPoint;
 use ros_radar::processing::DetectScratch;
 use ros_radar::radar::{CaptureScratch, FmcwRadar};
 use ros_scene::reflector::{EchoContext, Reflector};
-use std::sync::Mutex;
-
-static LOCK: Mutex<()> = Mutex::new(());
 
 /// The worker counts every path is checked at (1 is the reference).
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Runs `f` with the executor pinned to `n` workers, holding the
-/// global lock and restoring the default afterwards (even on panic).
+/// Runs `f` with this thread's executor pinned to `n` workers,
+/// restoring the default afterwards (even on panic).
 fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let _pin = ros_exec::ThreadGuard::pin(Some(n));
     f()
 }

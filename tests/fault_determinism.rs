@@ -11,10 +11,6 @@ use ros_core::tag::Tag;
 use ros_exec::ThreadGuard;
 use ros_fault::FaultPlan;
 use ros_obs::Level;
-use std::sync::Mutex;
-
-/// Serializes tests touching the process-global obs state.
-static LOCK: Mutex<()> = Mutex::new(());
 
 /// Master seed of the canonical matrix (shared with `bench faults`).
 const MATRIX_SEED: u64 = 0xfa17;
@@ -65,7 +61,6 @@ fn run_pinned(drive: &DriveBy, cfg: &ReaderConfig, threads: usize) -> Outcome {
 
 #[test]
 fn canonical_matrix_is_thread_invariant_in_fast_mode() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let cfg = ReaderConfig::fast();
     for (pi, plan) in FaultPlan::canonical_matrix(MATRIX_SEED)
         .into_iter()
@@ -84,7 +79,6 @@ fn canonical_matrix_is_thread_invariant_in_fast_mode() {
 
 #[test]
 fn storm_and_windowed_plans_are_thread_invariant_in_full_mode() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let matrix = FaultPlan::canonical_matrix(MATRIX_SEED);
     // The two most entangled plans: the mid-pass burst window and the
     // multi-stream storm (the tail of the canonical matrix).
@@ -107,21 +101,16 @@ fn storm_and_windowed_plans_are_thread_invariant_in_full_mode() {
 /// degraded frame verdicts the outcome reports.
 fn fault_metric_lines(mode: ReaderMode, threads: usize) -> (Vec<String>, usize) {
     let _pin = ThreadGuard::pin(Some(threads));
-    let buffer = ros_obs::install_memory_sink();
-    ros_obs::reset_metrics();
-    ros_obs::set_level(Level::Summary);
-
-    let (base, mut cfg) = full_fixture();
-    cfg.mode = mode;
-    let storm = FaultPlan::canonical_matrix(MATRIX_SEED)
-        .pop()
-        .expect("matrix is non-empty");
-    let outcome = base.with_faults(storm).run(&cfg);
-
-    ros_obs::flush();
-    ros_obs::set_level(Level::Off);
-    ros_obs::reset_metrics();
-    let lines = buffer.lock().expect("sink buffer").clone();
+    let (outcome, lines) = ros_obs::capture_scope(Level::Summary, || {
+        let (base, mut cfg) = full_fixture();
+        cfg.mode = mode;
+        let storm = FaultPlan::canonical_matrix(MATRIX_SEED)
+            .pop()
+            .expect("matrix is non-empty");
+        let outcome = base.with_faults(storm).run(&cfg);
+        ros_obs::flush();
+        outcome
+    });
     let lines = lines
         .into_iter()
         .filter(|l| {
@@ -133,7 +122,6 @@ fn fault_metric_lines(mode: ReaderMode, threads: usize) -> (Vec<String>, usize) 
 
 #[test]
 fn fault_counters_are_identical_across_thread_counts() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     for mode in [ReaderMode::FullPipeline, ReaderMode::Fast] {
         let one = fault_metric_lines(mode, 1);
         assert!(
@@ -157,7 +145,6 @@ fn fault_counters_are_identical_across_thread_counts() {
 /// emitting `fault.points_corrupted`.
 #[test]
 fn fast_mode_fault_accounting_is_pinned() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let (lines, degraded_verdicts) = fault_metric_lines(ReaderMode::Fast, 2);
     let counter = |name: &str, value: usize| {
         format!("{{\"ev\":\"metric\",\"name\":\"{name}\",\"kind\":\"counter\",\"value\":{value}}}")
@@ -176,7 +163,6 @@ fn fast_mode_fault_accounting_is_pinned() {
 
 #[test]
 fn zero_rate_plan_matches_no_plan_bit_for_bit() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     // Attaching a plan that never fires must not perturb the RNG
     // stream: the fault layer draws from its own seed space.
     let cfg = ReaderConfig::fast();

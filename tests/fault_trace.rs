@@ -13,11 +13,6 @@ use ros_core::reader::{DriveBy, ReaderConfig};
 use ros_exec::ThreadGuard;
 use ros_fault::FaultPlan;
 use ros_obs::Level;
-use std::sync::Mutex;
-
-/// Serializes the tests in this binary: they share the process-global
-/// level, sink, and metric registry.
-static LOCK: Mutex<()> = Mutex::new(());
 
 /// Fixture seed — the end-to-end detecting fixture's, reused.
 const SEED: u64 = 90125;
@@ -82,7 +77,7 @@ const EXPECTED: &[&str] = &[
 fn run_traced(threads: usize) -> Vec<String> {
     let _pin = ThreadGuard::pin(Some(threads));
 
-    // Fixture built before the sink installs: encoding runs the
+    // Fixture built before the capture starts: encoding runs the
     // one-shot DE beam-shaping optimization (cached per process,
     // `optim.de.generations`), and the golden pins the pipeline
     // trace, not cache-temperature-dependent setup.
@@ -92,9 +87,6 @@ fn run_traced(threads: usize) -> Vec<String> {
     };
     let tag = code.encode_with(ros_tests::fixture_cache(), &[true, false, true, true]).expect("word encodes");
 
-    let buffer = ros_obs::install_memory_sink();
-    ros_obs::reset_metrics();
-    ros_obs::set_level(Level::Summary);
     let mut drive = DriveBy::new(tag, 3.0).with_seed(SEED);
     drive.half_span_m = 3.0;
     let storm = FaultPlan::canonical_matrix(MATRIX_SEED)
@@ -103,17 +95,15 @@ fn run_traced(threads: usize) -> Vec<String> {
     let drive = drive.with_faults(storm);
     let mut cfg = ReaderConfig::full();
     cfg.frame_stride = 8;
-    let outcome = drive.run(&cfg);
+    let (outcome, lines) = ros_obs::capture_scope(Level::Summary, || {
+        let outcome = drive.run(&cfg);
+        ros_obs::flush();
+        outcome
+    });
     assert!(
         outcome.frame_verdicts.iter().any(|v| v.is_degraded()),
         "the storm plan must visibly degrade frames"
     );
-
-    ros_obs::flush();
-    ros_obs::set_level(Level::Off);
-    ros_obs::reset_metrics();
-    let lines = buffer.lock().expect("sink buffer").clone();
-    drop(buffer);
     lines
 }
 
@@ -142,7 +132,6 @@ fn field(line: &str, key: &str) -> Option<String> {
 
 #[test]
 fn degraded_trace_skeleton_matches_golden() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let lines = run_traced(1);
 
     for l in &lines {
@@ -172,7 +161,6 @@ fn degraded_trace_skeleton_matches_golden() {
 
 #[test]
 fn degraded_trace_is_identical_across_thread_counts() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let one = run_traced(1);
     for t in [2, 8] {
         let many = run_traced(t);

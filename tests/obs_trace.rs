@@ -16,6 +16,10 @@
 //! The corridor service's `serve.*` and `cache.*` families are pinned
 //! the same way: exported once from the service's serial epilogue, so
 //! their metric lines must not depend on the worker count.
+//!
+//! Each fixture captures through `ros_obs::capture_scope`, which gives
+//! it a run of its own that its `ros-exec` workers inherit, so the
+//! tests here run in parallel without a shared lock.
 
 use ros_cache::GeomCache;
 use ros_core::encode::SpatialCode;
@@ -23,11 +27,6 @@ use ros_core::reader::{DriveBy, ReaderConfig};
 use ros_exec::ThreadGuard;
 use ros_obs::Level;
 use ros_serve::{run_corridor_with, CorridorConfig, ServeReport};
-use std::sync::Mutex;
-
-/// Serializes the tests in this binary: they share the process-global
-/// level, sink, and metric registry.
-static LOCK: Mutex<()> = Mutex::new(());
 
 /// Fixture seed — the end-to-end detecting fixture's, reused.
 const SEED: u64 = 90125;
@@ -36,8 +35,7 @@ const SEED: u64 = 90125;
 /// order: pipeline spans/events first (spans appear where they *drop*),
 /// then the flushed metric lines in `ros_obs::names` order.
 ///
-/// Regenerate by running this fixture with a memory sink and printing
-/// `skeleton(&lines)` — see `trace_skeleton()` below.
+/// Regenerate by printing `skeleton(&run_traced(1))`.
 const EXPECTED: &[&str] = &[
     "span:reader.gather_echoes",
     "span:radar.capture_batch",
@@ -84,7 +82,7 @@ fn run_traced(threads: usize) -> Vec<String> {
 
     // A 32-row 4-bit tag, big enough for the discriminator to
     // classify — the trace must cover a genuine detection, not the
-    // true-mount fallback. Built *before* the sink installs: tag
+    // true-mount fallback. Built *before* the capture starts: tag
     // construction runs the one-shot DE beam-shaping optimization
     // (cached per process, `optim.de.generations`), and the golden
     // pins the pipeline trace, not cache-temperature-dependent setup.
@@ -95,22 +93,17 @@ fn run_traced(threads: usize) -> Vec<String> {
     let bits = [true, false, true, true];
     let tag = code.encode_with(ros_tests::fixture_cache(), &bits).expect("4-bit word encodes");
 
-    let buffer = ros_obs::install_memory_sink();
-    ros_obs::reset_metrics();
-    ros_obs::set_level(Level::Summary);
     let mut drive = DriveBy::new(tag, 3.0).with_seed(SEED);
     drive.half_span_m = 3.0;
     let mut cfg = ReaderConfig::full();
     cfg.frame_stride = 8;
-    let outcome = drive.run(&cfg);
+    let (outcome, lines) = ros_obs::capture_scope(Level::Summary, || {
+        let outcome = drive.run(&cfg);
+        ros_obs::flush();
+        outcome
+    });
     assert!(outcome.detected_center.is_some(), "fixture must detect");
     assert_eq!(outcome.bits(), bits, "fixture must decode");
-
-    ros_obs::flush();
-    ros_obs::set_level(Level::Off);
-    ros_obs::reset_metrics();
-    let lines = buffer.lock().expect("sink buffer").clone();
-    drop(buffer);
     lines
 }
 
@@ -139,7 +132,6 @@ fn field(line: &str, key: &str) -> Option<String> {
 
 #[test]
 fn trace_skeleton_matches_golden() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let lines = run_traced(1);
 
     // Every line is a flat, braced, parseable-looking object.
@@ -168,7 +160,6 @@ fn trace_skeleton_matches_golden() {
 
 #[test]
 fn trace_is_identical_across_thread_counts() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let one = run_traced(1);
     for t in [2, 8] {
         let many = run_traced(t);
@@ -195,16 +186,12 @@ fn run_corridor_traced(workers: usize) -> (ServeReport, Vec<String>) {
         n_tags: 1,
         ..CorridorConfig::default()
     };
-    let buffer = ros_obs::install_memory_sink();
-    ros_obs::reset_metrics();
-    ros_obs::set_level(Level::Summary);
-    let report = run_corridor_with(&cfg, workers, &GeomCache::new());
-    ros_obs::flush();
-    ros_obs::set_level(Level::Off);
-    ros_obs::reset_metrics();
-    let metrics = buffer
-        .lock()
-        .expect("sink buffer")
+    let (report, lines) = ros_obs::capture_scope(Level::Summary, || {
+        let report = run_corridor_with(&cfg, workers, &GeomCache::new());
+        ros_obs::flush();
+        report
+    });
+    let metrics = lines
         .iter()
         .filter(|l| {
             let name = field(l, "name").unwrap_or_default();
@@ -229,7 +216,6 @@ fn counter(lines: &[String], name: &str) -> u64 {
 
 #[test]
 fn corridor_serve_and_cache_metrics_match_report_at_any_worker_count() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let (report, one) = run_corridor_traced(1);
     let (_, two) = run_corridor_traced(2);
     assert_eq!(one, two, "serve.*/cache.* lines must not depend on the worker count");

@@ -39,6 +39,14 @@ echo "==> rosbench build + unit tests (standalone benchmark package)"
 cargo build --release --offline --manifest-path crates/bench/src/bin/rosbench/Cargo.toml
 cargo test --offline --manifest-path crates/bench/src/bin/rosbench/Cargo.toml
 
+# Telemetry and worker pins are per run: these suites take no lock, so
+# run their tests overlapped on purpose to catch any cross-talk.
+echo "==> overlapping-run suites (release, --test-threads=8)"
+cargo test -q --release -p ros-tests \
+    --test cache_determinism --test determinism --test fault_determinism \
+    --test fault_trace --test obs_trace --test serve_stream \
+    -- --test-threads=8
+
 # Steady-state allocation budget: one full planned frame (capture ->
 # detect -> spotlight -> decode) must allocate exactly zero bytes
 # after warm-up. Release mode so the measured path is the shipped
@@ -56,7 +64,7 @@ echo "==> cargo clippy --workspace"
 cargo clippy --workspace
 
 # Workspace-analysis gate (ros-lint): the rules clippy cannot express
-# (dead-pub, obs-names, nondet-iter, hot-path allocation, lock order,
+# (dead-pub, nondet-iter, hot-path allocation, lock order,
 # blocking under lock, suppression audit, typed units). Any finding
 # fails; the last line reports each pass's wall time.
 echo "==> xtask lint (ros-lint gate)"

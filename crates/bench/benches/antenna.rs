@@ -66,5 +66,20 @@ fn bench_shaping_cost_landscape(c: &mut Criterion) {
     });
 }
 
-criterion_group!(antenna, bench_vaa_response, bench_azimuth_sweep, bench_stack_pattern, bench_shaping_cost_landscape);
+fn bench_shaping_search(c: &mut Criterion) {
+    // One whole 8-row DE shaping search: the objective above, with
+    // rejected trials stopped early against their target's cost.
+    c.bench_function("standard_profile_8row", |b| {
+        b.iter(|| black_box(ros_antenna::shaping::standard_profile(black_box(8))))
+    });
+}
+
+criterion_group!(
+    antenna,
+    bench_vaa_response,
+    bench_azimuth_sweep,
+    bench_stack_pattern,
+    bench_shaping_cost_landscape,
+    bench_shaping_search
+);
 criterion_main!(antenna);

@@ -248,7 +248,7 @@ pub fn optimizer_ablation() {
     };
 
     let de = minimize(
-        |h| flat_top_objective(h, n_rows, target),
+        |h, _| flat_top_objective(h, n_rows, target),
         &bounds,
         &DeConfig {
             population: 32,

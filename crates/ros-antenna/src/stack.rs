@@ -50,10 +50,11 @@ pub struct StackRow {
 /// A vertical stack of PSVAAs with optional per-row phase weights.
 #[derive(Clone, Debug)]
 pub struct PsvaaStack {
-    rows: Vec<StackRow>,
-    /// [`Self::layout_key`], built once from `rows`. The stack has no
-    /// `&mut` methods, so the key cannot go stale; clones share its
-    /// bytes.
+    /// The rows, bottom to top. The stack has no `&mut` methods, so
+    /// clones (a tag's stacks, one per slot) share one allocation.
+    rows: Arc<[StackRow]>,
+    /// [`Self::layout_key`], built once from `rows`; it cannot go
+    /// stale, and clones share its bytes too.
     layout: Key,
 }
 
@@ -109,7 +110,10 @@ impl PsvaaStack {
             .f64s(&z)
             .f64s(phases)
             .finish();
-        PsvaaStack { rows, layout }
+        PsvaaStack {
+            rows: rows.into(),
+            layout,
+        }
     }
 
     /// Number of PSVAA rows.

@@ -61,8 +61,8 @@ pub const ALL: &[(&str, Kind)] = &[
     ("fault.points_corrupted", Kind::Counter),
     ("fault.tracking_spikes", Kind::Counter),
     // Optimizer (ros-optim): DE generations actually run, summed over
-    // every minimize / minimize_par call. Emitted from the serial
-    // epilogue of each run, so the value is thread-count invariant.
+    // every minimize call. Emitted once per run, after its serial
+    // loop, so the value is thread-count invariant.
     ("optim.de.generations", Kind::Counter),
     // Corridor reader service (ros-serve). Counters are aggregated
     // across workers, so totals are thread-count invariant even though

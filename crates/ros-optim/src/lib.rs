@@ -20,5 +20,5 @@ mod de;
 mod pso;
 pub mod testfn;
 
-pub use de::{minimize, minimize_par, DeConfig, DeResult, Strategy};
+pub use de::{minimize, DeConfig, DeResult, Strategy};
 pub use pso::{minimize_pso, PsoConfig};

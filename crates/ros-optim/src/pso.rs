@@ -132,6 +132,7 @@ where
         cost: g_cost,
         generations: iterations,
         evaluations,
+        pruned: 0,
     }
 }
 

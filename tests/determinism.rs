@@ -25,7 +25,6 @@ use ros_em::constants::LAMBDA_CENTER_M;
 use ros_em::jones::Polarization;
 use ros_em::{Complex64, Vec3};
 use ros_exec::ParSeed;
-use ros_optim::{minimize_par, DeConfig, Strategy};
 use ros_radar::echo::{Echo, Pose};
 use ros_radar::pointcloud::RadarPoint;
 use ros_radar::processing::DetectScratch;
@@ -108,29 +107,6 @@ fn rcs_u_grid_bit_identical_across_thread_counts() {
             rcs_model::sample_rcs_factor(&positions, LAMBDA_CENTER_M, 1.0, n)
         });
         assert_f64_bits_eq(&reference, &par, &format!("sample_rcs_factor@{t}"));
-    }
-}
-
-#[test]
-fn de_minimize_par_bit_identical_across_thread_counts() {
-    let sphere = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-    let bounds = vec![(-4.0, 4.0); 6];
-    let cfg = DeConfig {
-        population: 24,
-        f: 0.7,
-        cr: 0.9,
-        max_generations: 60,
-        strategy: Strategy::RandToBest1Bin,
-        seed: 0xBEEF,
-        ..Default::default()
-    };
-    let reference = with_threads(1, || minimize_par(sphere, &bounds, &cfg));
-    for t in THREAD_COUNTS {
-        let r = with_threads(t, || minimize_par(sphere, &bounds, &cfg));
-        assert_eq!(r.cost.to_bits(), reference.cost.to_bits(), "cost@{t}");
-        assert_f64_bits_eq(&reference.x, &r.x, &format!("minimize_par x@{t}"));
-        assert_eq!(r.evaluations, reference.evaluations, "evaluations@{t}");
-        assert_eq!(r.generations, reference.generations, "generations@{t}");
     }
 }
 

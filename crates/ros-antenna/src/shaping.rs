@@ -390,7 +390,8 @@ mod tests {
 
     #[test]
     fn standard_profile_order_is_bit_stable() {
-        // Regression for the nondet-iter arc: the cached profile must
+        // Regression for hash-ordered containers (clippy now bans
+        // HashMap/HashSet in library code): the cached profile must
         // be bit-identical to a fresh optimization, in row order —
         // the cache (container choice, eviction, temperature) must
         // never reorder or perturb what callers see.

@@ -7,15 +7,19 @@
 //!
 //! * **Lookup** is exact: keys compare on their full structural byte
 //!   encoding, so two different inputs can never alias one table.
-//! * **Build-under-lock**: a miss computes the table while holding the
-//!   store lock, so a key is built exactly once no matter how many
-//!   threads race on it (counters stay thread-count-invariant).
-//!   Build closures must therefore never re-enter the cache — compose
-//!   nested lookups in two phases (resolve the inner table first, then
-//!   pass it into the outer build).
+//! * **One slot per key, no build under the lock**: a lookup reserves
+//!   the key's slot (a `OnceLock`) under the store lock, releases the
+//!   lock, and only then builds. A concurrent lookup of the same key
+//!   finds the reserved slot and waits on it, so every key is still
+//!   built exactly once regardless of thread count, while lookups of
+//!   other keys — including lookups made from inside a build, on its
+//!   own thread or on `ros-exec` workers — proceed. The store lock is a
+//!   leaf: nothing else is locked, built or blocked on while it is held.
 //! * **Eviction** is insertion-order (FIFO), never hash-order or
-//!   recency-order, so which entry dies is a pure function of the
-//!   lookup sequence.
+//!   recency-order. Every counter and the eviction order are updated
+//!   at reservation time, under the lock, so which entry dies is a
+//!   pure function of the lookup sequence, not of which build finishes
+//!   first.
 //!
 //! Every table kind carries hit/miss/insert/evict counters; a serial
 //! epilogue exports them as `cache.*` metrics via
@@ -24,7 +28,7 @@
 use ros_obs::names;
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ros_em::units::cast::AsF64;
 
@@ -70,15 +74,17 @@ impl TableKind {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 // lint: allow-dead-pub(returned by StatsSnapshot::kind; callers bind fields, never the name)
 pub struct CacheStats {
-    /// Lookups served from an existing entry.
+    /// Lookups that found the key's slot already reserved, built or
+    /// still building.
     pub hits: u64,
-    /// Lookups that had to build the table.
+    /// Lookups that reserved the key's slot and built the table.
     pub misses: u64,
     /// Entries inserted (== misses unless a downcast mismatch replaced
     /// an entry in place).
     pub inserts: u64,
-    /// Entries evicted by the capacity bound or dropped by
-    /// `clear`/`invalidate_kind`.
+    /// Entries evicted by the capacity bound, dropped by
+    /// `clear`/`invalidate_kind`, or dropped because their build
+    /// panicked.
     pub evictions: u64,
 }
 
@@ -120,9 +126,14 @@ impl StatsSnapshot {
     }
 }
 
+/// A key's table: reserved under the store lock, filled by the
+/// reserving lookup after the lock is released. The concrete type is
+/// `OnceLock<Arc<T>>`, erased so one map holds every table type.
+type Slot = Arc<dyn Any + Send + Sync>;
+
 struct Entry {
     kind: TableKind,
-    value: Arc<dyn Any + Send + Sync>,
+    slot: Slot,
 }
 
 struct Inner {
@@ -181,62 +192,40 @@ impl GeomCache {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A poisoned lock means a build closure panicked; the map
-        // itself is still structurally sound (entries are only
-        // inserted complete), so recover rather than cascade.
+        // Nothing that can panic runs under the lock (builds run after
+        // it is released), but recover from poisoning rather than
+        // cascade should that ever change.
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Fetch-or-build the table for `key`. On a miss, `build` runs
-    /// while the store lock is held, so every distinct key is built
-    /// exactly once regardless of thread count. `build` must not
-    /// re-enter this cache (resolve nested tables *before* calling).
+    /// Fetch-or-build the table for `key`.
+    ///
+    /// The lookup reserves `key`'s slot under the store lock (a miss,
+    /// with its insert and any FIFO eviction) or finds it reserved (a
+    /// hit, whether or not its table is built yet), then releases the
+    /// lock. The lookup that reserved the slot runs `build`; a
+    /// concurrent lookup of the same key waits for that build, so
+    /// every distinct key is built exactly once regardless of thread
+    /// count. If `build` panics the slot is removed again, so the next
+    /// lookup builds afresh and counts a miss (a lookup already waiting
+    /// on the slot builds in its place).
+    ///
+    /// `build` may look up *other* keys of this cache, from its own
+    /// thread or from `ros-exec` workers. It must not look up its own
+    /// key: that waits on the slot it is filling, and `OnceLock`
+    /// deadlocks on such re-entry.
     pub fn get_or_build<T, F>(&self, kind: TableKind, key: Key, build: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        let mut g = self.lock();
-        if let Some(entry) = g.map.get(&key) {
-            if let Ok(v) = Arc::downcast::<T>(Arc::clone(&entry.value)) {
-                g.by_kind[kind.index()].hits += 1;
-                return v;
-            }
-            // Type mismatch under a colliding key (distinct domains
-            // make this unreachable in practice): treat as a miss and
-            // replace the entry deterministically.
-            g.by_kind[kind.index()].misses += 1;
-            let value: Arc<T> = Arc::new(build());
-            let erased: Arc<dyn Any + Send + Sync> = Arc::<T>::clone(&value);
-            let entry = Entry {
-                kind,
-                value: erased,
-            };
-            g.by_kind[kind.index()].inserts += 1;
-            g.map.insert(key, entry);
-            return value;
-        }
-        g.by_kind[kind.index()].misses += 1;
-        let value: Arc<T> = Arc::new(build());
-        g.by_kind[kind.index()].inserts += 1;
-        if g.map.len() >= g.capacity {
-            // Evict the oldest insert whose entry is still live.
-            while let Some(victim) = g.order.pop_front() {
-                if let Some(old) = g.map.remove(&victim) {
-                    g.by_kind[old.kind.index()].evictions += 1;
-                    break;
-                }
-            }
-        }
-        g.order.push_back(key.clone());
-        let erased: Arc<dyn Any + Send + Sync> = Arc::<T>::clone(&value);
-        g.map.insert(
-            key,
-            Entry {
-                kind,
-                value: erased,
-            },
-        );
+        let (slot, reserved) = self.lock().reserve::<T>(kind, &key);
+        let mut unreserve = Unreserve {
+            cache: self,
+            reserved: reserved.map(|erased| (key, erased)),
+        };
+        let value = Arc::clone(slot.get_or_init(|| Arc::new(build())));
+        unreserve.reserved = None;
         value
     }
 
@@ -314,6 +303,72 @@ impl GeomCache {
         ] {
             ros_obs::count(id, d(now.kind(kind).misses, since.kind(kind).misses));
         }
+    }
+}
+
+impl Inner {
+    /// Finds `key`'s slot for a `T` table (a hit) or reserves a fresh
+    /// one (a miss); all counters and the eviction order change here.
+    /// Returns the slot and, when this lookup reserved it, its erased
+    /// handle.
+    fn reserve<T: Send + Sync + 'static>(
+        &mut self,
+        kind: TableKind,
+        key: &Key,
+    ) -> (Arc<OnceLock<Arc<T>>>, Option<Slot>) {
+        let stats = &mut self.by_kind[kind.index()];
+        let found = self.map.get_mut(key);
+        if let Some(entry) = &found {
+            if let Ok(slot) = Arc::downcast::<OnceLock<Arc<T>>>(Arc::clone(&entry.slot)) {
+                stats.hits += 1;
+                return (slot, None);
+            }
+        }
+        stats.misses += 1;
+        stats.inserts += 1;
+        let slot = Arc::new(OnceLock::new());
+        let erased: Slot = Arc::<OnceLock<Arc<T>>>::clone(&slot);
+        if let Some(entry) = found {
+            // Type mismatch under a colliding key (distinct domains
+            // make this unreachable in practice): a miss that replaces
+            // the entry in place, leaving `order` as it is.
+            *entry = Entry { kind, slot: Arc::clone(&erased) };
+            return (slot, Some(erased));
+        }
+        if self.map.len() >= self.capacity {
+            // Evict the oldest insert whose entry is still live.
+            while let Some(victim) = self.order.pop_front() {
+                if let Some(old) = self.map.remove(&victim) {
+                    self.by_kind[old.kind.index()].evictions += 1;
+                    break;
+                }
+            }
+        }
+        self.order.push_back(key.clone());
+        self.map.insert(key.clone(), Entry { kind, slot: Arc::clone(&erased) });
+        (slot, Some(erased))
+    }
+}
+
+/// Removes the slot a lookup reserved if its build unwinds, unless a
+/// later lookup already replaced it; defused by clearing `reserved`
+/// once the build returns.
+struct Unreserve<'a> {
+    cache: &'a GeomCache,
+    reserved: Option<(Key, Slot)>,
+}
+
+impl Drop for Unreserve<'_> {
+    fn drop(&mut self) {
+        let Some((key, slot)) = self.reserved.take() else { return };
+        let mut g = self.cache.lock();
+        if !g.map.get(&key).is_some_and(|e| Arc::ptr_eq(&e.slot, &slot)) {
+            return;
+        }
+        if let Some(dead) = g.map.remove(&key) {
+            g.by_kind[dead.kind.index()].evictions += 1;
+        }
+        g.order.retain(|k| *k != key);
     }
 }
 

@@ -4,7 +4,7 @@
 //! The decode and detect prologues resolve plans here once per
 //! configuration; the `lint: hot-path` kernels then borrow the plans
 //! and run allocation-free. Lookups use `BTreeMap` so any iteration
-//! over cached plans is deterministic (the `nondet-iter` contract),
+//! over cached plans is deterministic (clippy's `HashMap` ban),
 //! and CZT arc parameters are keyed by their exact `f64` bit patterns
 //! — two configurations share a plan only when the planned transform
 //! would be bit-identical.

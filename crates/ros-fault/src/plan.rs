@@ -273,7 +273,8 @@ mod tests {
 
     #[test]
     fn schedule_output_order_is_bit_stable() {
-        // Regression for the nondet-iter arc: scheduling the canonical
+        // Regression for hash-ordered containers (clippy now bans
+        // HashMap/HashSet in library code): scheduling the canonical
         // matrix twice must yield identical per-frame fault sequences —
         // no hash-ordered structure may reach the realized schedule.
         let ts = times(64);

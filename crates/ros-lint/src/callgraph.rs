@@ -80,9 +80,7 @@ impl CallGraph {
 pub const HOT_PATH_MARKER: &str = "lint: hot-path";
 
 /// Name-based call resolution over a node set — the one implementation
-/// of the over-approximation documented at the top of this module,
-/// shared by [`build`] and by [`crate::lockgraph`] (which resolves the
-/// same call sites a second time to propagate may-lock sets).
+/// of the over-approximation documented at the top of this module.
 pub struct Resolver<'a> {
     free: BTreeMap<&'a str, Vec<usize>>,
     methods: BTreeMap<&'a str, Vec<usize>>,

@@ -7,8 +7,11 @@
 //! rules those tools cannot express because they need the whole
 //! workspace or this repo's own vocabulary: a cross-crate reference
 //! graph (`dead-pub`), hot-path allocation reachability over a call
-//! graph, lock-order and blocking rules over a lock graph,
-//! and an audit of its own suppression markers.
+//! graph, unit-typed dB/angle math, and an audit of its own
+//! suppression markers. Lock discipline is not analyzed here: the
+//! workspace has three mutexes, and a test proves each is a leaf
+//! (DESIGN.md §17). Hash-ordered iteration cannot happen in library
+//! code at all: clippy bans `HashMap`/`HashSet` there.
 //!
 //! It is a dependency-free analyzer that lexes every workspace source
 //! file into a real token stream ([`lexer`]), recovers the item
@@ -28,7 +31,6 @@
 pub mod callgraph;
 pub mod engine;
 pub mod lexer;
-pub mod lockgraph;
 mod report;
 pub mod rules;
 pub mod scan;

@@ -1,26 +1,25 @@
 //! The rule engine: stable rule IDs and the checks.
 //!
 //! Two rule shapes exist. *Per-file* rules see one analyzed file at a
-//! time (`typed-conversions`, `typed-db-params`, `nondet-iter`).
-//! *Workspace* rules see every file at once (`dead-pub` builds a
-//! cross-crate reference graph; the hot-path and lock rules run over
-//! the call and lock graphs). All rules work on the token
+//! time (`typed-conversions`, `typed-db-params`). *Workspace* rules see
+//! every file at once (`dead-pub` builds a cross-crate reference graph;
+//! the hot-path rule runs over the call graph). All rules work on the token
 //! stream from [`crate::lexer`] — string literals, comments, and
 //! `#[cfg(test)]` regions cannot fool them the way they fooled the old
 //! line scanner.
 //!
 //! The generic conventions (unwrap, panic, print, raw casts, raw
-//! spawns, wall-clock reads, float equality, pub docs) are rustc and
-//! clippy lints configured in the root `Cargo.toml`, not rules here.
+//! spawns, wall-clock reads, hash collections, float equality, pub
+//! docs) are rustc and clippy lints configured in the root `Cargo.toml`
+//! and `clippy.toml`, not rules here.
 //! Rule IDs are stable: they name the `lint: allow-<rule>(reason)`
 //! markers and the report tags.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph;
 use crate::engine::{FileAnalysis, FileRole};
 use crate::lexer::TokenKind;
-use crate::lockgraph;
 use crate::scan::{Item, ItemKind, Visibility};
 use crate::syntax::{self, CodeView as View};
 
@@ -40,7 +39,7 @@ pub struct RuleInfo {
 
 /// The rule catalog, in report order: the unit-safety and API rules
 /// on the token stream, then the rules built on the semantic layer
-/// ([`crate::syntax`] / [`crate::callgraph`] / [`crate::lockgraph`]).
+/// ([`crate::syntax`] / [`crate::callgraph`]).
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "typed-conversions",
@@ -71,15 +70,6 @@ pub const RULES: &[RuleInfo] = &[
               through crate-root `pub use` re-exports should be a private `mod`.",
     },
     RuleInfo {
-        id: "nondet-iter",
-        summary: "HashMap/HashSet iteration forbidden in library crates (order is random)",
-        rationale: "Hash iteration order changes run to run, so any hash-ordered loop \
-                    that reaches a golden trace or accumulation order breaks \
-                    bit-identical determinism (the PR 5 cache-temperature incident).",
-        fix: "Use BTreeMap/BTreeSet, or collect-and-sort before iterating; mark a \
-              provably order-free loop with `lint: allow-nondet-iter(reason)`.",
-    },
-    RuleInfo {
         id: "alloc-in-hot-path",
         summary: "allocation idioms forbidden in fns reachable from `lint: hot-path` entries",
         rationale: "ROADMAP item 2 targets zero allocations per steady-state frame on \
@@ -87,45 +77,6 @@ pub const RULES: &[RuleInfo] = &[
                     annotated entry points is that path, statically.",
         fix: "Hoist the allocation into a constructor/scratch buffer, or mark \
               `lint: allow-alloc(reason)` for setup-only code.",
-    },
-    RuleInfo {
-        id: "lock-order",
-        summary: "two locks acquired in opposite orders somewhere in the workspace",
-        rationale: "Inconsistent acquisition order is the classic deadlock: each \
-                    thread holds one lock and waits forever for the other. The \
-                    sharded corridor workers share the geometry cache and channels at \
-                    production rates, so an ordering bug that never fires under test \
-                    load will fire on the road. The lock graph sees both direct \
-                    nesting and locks taken inside callees (may-lock closure).",
-        fix: "Pick one global acquisition order for the two locks and restructure \
-              the deviating path (or release the first guard before taking the \
-              second); a reviewed exception may mark \
-              `lint: allow-lock-order(reason)`.",
-    },
-    RuleInfo {
-        id: "blocking-under-lock",
-        summary: "channel send/recv, Condvar wait, or a transitively-locking call \
-                  while a guard from a different lock is live",
-        rationale: "A bounded-channel send can block until a consumer drains; doing \
-                    that while holding an unrelated guard stalls every thread queued \
-                    on that lock — and if the consumer needs the same lock, the \
-                    system deadlocks. Guard liveness comes from the brace tree; \
-                    `Condvar::wait(g)` is exempt for `g`'s own lock because wait \
-                    atomically releases it.",
-        fix: "Drop the guard (end its scope or call drop) before the blocking \
-              operation, or move the blocking call out of the critical section; a \
-              reviewed exception may mark `lint: allow-blocking-under-lock(reason)`.",
-    },
-    RuleInfo {
-        id: "guard-across-hot-call",
-        summary: "a live lock guard spans a call into a `lint: hot-path` region",
-        rationale: "The hot path is budgeted to run at hardware speed with zero \
-                    steady-state allocation; entering it with a lock held serializes \
-                    the parallel pipeline behind that lock and inverts the latency \
-                    budget (ROADMAP item 2).",
-        fix: "Copy what the critical section needs, release the guard, then call \
-              into the hot region; setup-only code may mark \
-              `lint: allow-guard-across-hot-call(reason)`.",
     },
     RuleInfo {
         id: "stale-suppression",
@@ -167,18 +118,16 @@ pub fn check_all(files: &[FileAnalysis]) -> Vec<Finding> {
 }
 
 /// [`check_all`] plus per-pass wall time: `(findings, callgraph_ns,
-/// lockgraph_ns, rules_ns)`. The clock is injected by the driver
-/// (see [`crate::engine::run_gate`]); `None` reports zeros.
+/// rules_ns)`. The clock is injected by the driver (see
+/// [`crate::engine::run_gate`]); `None` reports zeros.
 pub fn check_all_timed(
     files: &[FileAnalysis],
     clock: Option<fn() -> u64>,
-) -> (Vec<Finding>, u64, u64, u64) {
+) -> (Vec<Finding>, u64, u64) {
     let now = |c: Option<fn() -> u64>| c.map_or(0, |f| f());
     let t0 = now(clock);
     let graph = callgraph::build(files);
     let t1 = now(clock);
-    let lg = lockgraph::build(files, &graph);
-    let t2 = now(clock);
 
     let mut out = Vec::new();
     for fa in files.iter().filter(|f| f.role != FileRole::Reference) {
@@ -186,20 +135,14 @@ pub fn check_all_timed(
     }
     dead_pub(files, &mut out);
     alloc_in_hot_path(files, &graph, &mut out);
-    lock_rules(files, &graph, &lg, &mut out);
     // Must run after every other rule: it audits which markers the
     // probes above actually consumed.
     stale_suppression(files, &mut out);
     out.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
-    let t3 = now(clock);
-    (
-        out,
-        t1.saturating_sub(t0),
-        t2.saturating_sub(t1),
-        t3.saturating_sub(t2),
-    )
+    let t2 = now(clock);
+    (out, t1.saturating_sub(t0), t2.saturating_sub(t1))
 }
 
 fn push(out: &mut Vec<Finding>, id: &'static str, fa: &FileAnalysis, line: usize, message: String) {
@@ -217,7 +160,6 @@ pub fn check_file(fa: &FileAnalysis, out: &mut Vec<Finding>) {
     let v = View::new(fa);
     typed_conversions(&v, out);
     typed_db_params(fa, out);
-    nondet_iter(&v, out);
 }
 
 /// Literal receivers of `.powf(` that spell a dB-to-linear conversion.
@@ -358,104 +300,6 @@ fn typed_db_params(fa: &FileAnalysis, out: &mut Vec<Finding>) {
     }
 }
 
-/// Iteration adaptors whose visit order follows the hash map's
-/// internal state.
-const NONDET_ITER_METHODS: &[&str] = &[
-    "drain", "into_iter", "into_keys", "into_values", "iter", "iter_mut", "keys", "retain",
-    "values", "values_mut",
-];
-
-/// Flags order-nondeterministic iteration over `HashMap`/`HashSet`
-/// receivers in library code. Receivers are resolved by declared type
-/// (bindings, params, statics) and by struct-field name — see
-/// [`syntax::hash_bindings`] / [`syntax::hash_fields`]; no inference,
-/// deliberate over-approximation with a marker escape.
-fn nondet_iter(v: &View<'_>, out: &mut Vec<Finding>) {
-    if !v.fa.is_library() {
-        return;
-    }
-    let mut watched = syntax::hash_bindings(v, 0, v.len());
-    watched.extend(syntax::hash_fields(v));
-    if watched.is_empty() {
-        return;
-    }
-    let flag = |out: &mut Vec<Finding>, line: usize, what: String| {
-        if v.fa.has_marker(line, "lint: allow-nondet-iter(") {
-            return;
-        }
-        push(
-            out,
-            "nondet-iter",
-            v.fa,
-            line,
-            format!(
-                "{what} iterates a HashMap/HashSet in hash (nondeterministic) order; \
-                 use BTreeMap/BTreeSet or sort first, or mark an order-free loop with \
-                 `lint: allow-nondet-iter(reason)`"
-            ),
-        );
-    };
-    for ci in 0..v.len() {
-        if v.in_test(ci) {
-            continue;
-        }
-        // `recv.iter()`-family on a watched receiver.
-        if v.is_punct(ci, ".")
-            && v.ident_in(ci + 1, NONDET_ITER_METHODS)
-            && ci > 0
-            && matches!(v.kind(ci - 1), Some(TokenKind::Ident))
-            && watched.contains(v.text(ci - 1))
-        {
-            let after = syntax::skip_turbofish(v, ci + 2);
-            if v.is_punct(after, "(") {
-                flag(out, v.line(ci + 1), format!("`{}.{}()`", v.text(ci - 1), v.text(ci + 1)));
-            }
-        }
-        // `for pat in <expr> {` whose iterated expression names a
-        // watched binding.
-        if v.is_ident(ci, "for") {
-            // Locate `in` at bracket depth 0 (bounded by `{` / `;`).
-            let mut j = ci + 1;
-            let mut depth: isize = 0;
-            let mut in_at = None;
-            while j < v.len() {
-                if v.kind(j) == Some(TokenKind::Punct) {
-                    match v.text(j) {
-                        "(" | "[" => depth += 1,
-                        ")" | "]" => depth -= 1,
-                        "{" | ";" if depth == 0 => break,
-                        _ => {}
-                    }
-                } else if depth == 0 && v.is_ident(j, "in") {
-                    in_at = Some(j);
-                    break;
-                }
-                j += 1;
-            }
-            let Some(in_at) = in_at else { continue };
-            // Scan the iterated expression for a watched name.
-            let mut k = in_at + 1;
-            let mut depth: isize = 0;
-            while k < v.len() {
-                if v.kind(k) == Some(TokenKind::Punct) {
-                    match v.text(k) {
-                        "(" | "[" => depth += 1,
-                        ")" | "]" => depth -= 1,
-                        "{" | ";" if depth == 0 => break,
-                        _ => {}
-                    }
-                } else if matches!(v.kind(k), Some(TokenKind::Ident))
-                    && watched.contains(v.text(k))
-                {
-                    flag(out, v.line(ci), format!("`for … in {}`", v.text(k)));
-                    break;
-                }
-                k += 1;
-            }
-        }
-    }
-}
-
 /// Constructor owners whose associated fns allocate.
 const ALLOC_OWNERS: &[&str] = &["Box", "Vec"];
 
@@ -515,173 +359,11 @@ fn alloc_in_hot_path(files: &[FileAnalysis], graph: &callgraph::CallGraph, out: 
     }
 }
 
-/// The three lock-graph rules — `lock-order`, `blocking-under-lock`,
-/// `guard-across-hot-call` — over the events [`lockgraph::build`]
-/// recovered. Messages name fns and canonical lock ids.
-fn lock_rules(
-    files: &[FileAnalysis],
-    graph: &callgraph::CallGraph,
-    lg: &lockgraph::LockGraph,
-    out: &mut Vec<Finding>,
-) {
-    // Union of may-lock sets over a call's resolved callees.
-    let callee_locks = |callees: &[usize]| -> BTreeSet<&str> {
-        callees
-            .iter()
-            .flat_map(|&c| lg.may_lock[c].iter().map(String::as_str))
-            .collect()
-    };
-
-    // lock-order: collect every directed (held, then-acquired) pair in
-    // the workspace — direct nesting and acquisition inside a callee —
-    // then flag the sites of any pair whose reverse also exists.
-    let mut pairs: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut sites: BTreeSet<(usize, usize, String, String, Option<String>)> = BTreeSet::new();
-    for (i, nl) in lg.per_node.iter().enumerate() {
-        for acq in &nl.acquires {
-            for h in &acq.held {
-                if h.lock != acq.lock {
-                    pairs.insert((h.lock.clone(), acq.lock.clone()));
-                    sites.insert((i, acq.line, h.lock.clone(), acq.lock.clone(), None));
-                }
-            }
-        }
-        for cu in &nl.calls_under {
-            for l in callee_locks(&cu.callees) {
-                for h in &cu.held {
-                    if h.lock != l {
-                        pairs.insert((h.lock.clone(), l.to_string()));
-                        sites.insert((
-                            i,
-                            cu.line,
-                            h.lock.clone(),
-                            l.to_string(),
-                            Some(cu.callee.clone()),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    for (i, line, first, second, via) in &sites {
-        if !pairs.contains(&(second.clone(), first.clone())) {
-            continue;
-        }
-        let node = &graph.nodes[*i];
-        let fa = &files[node.file];
-        if fa.has_marker(*line, "lint: allow-lock-order(") {
-            continue;
-        }
-        let how = match via {
-            Some(callee) => format!("may be acquired via `{callee}(…)`"),
-            None => "is acquired".to_string(),
-        };
-        push(
-            out,
-            "lock-order",
-            fa,
-            *line,
-            format!(
-                "`{second}` {how} while `{first}` is held in `{}`, but the opposite \
-                 order exists elsewhere in the workspace (potential deadlock); pick \
-                 one global acquisition order or mark `lint: allow-lock-order(reason)`",
-                node.qualified_name()
-            ),
-        );
-    }
-
-    // blocking-under-lock and guard-across-hot-call, per node.
-    for (i, nl) in lg.per_node.iter().enumerate() {
-        let node = &graph.nodes[i];
-        let fa = &files[node.file];
-        for b in &nl.blocking {
-            // `Condvar::wait(g)` atomically releases `g`'s own lock:
-            // only *other* live guards make the wait a finding.
-            let held: Vec<&lockgraph::Held> = b
-                .held
-                .iter()
-                .filter(|h| !(b.op == "wait" && b.wait_arg.is_some() && h.guard == b.wait_arg))
-                .collect();
-            let Some(h) = held.first() else { continue };
-            if fa.has_marker(b.line, "lint: allow-blocking-under-lock(") {
-                continue;
-            }
-            push(
-                out,
-                "blocking-under-lock",
-                fa,
-                b.line,
-                format!(
-                    "blocking `.{}(…)` on `{}` while a guard on `{}` is live in `{}`; \
-                     the consumer may need that lock (deadlock) and every thread \
-                     queued on it stalls — drop the guard first or mark \
-                     `lint: allow-blocking-under-lock(reason)`",
-                    b.op,
-                    b.recv_name,
-                    h.lock,
-                    node.qualified_name()
-                ),
-            );
-        }
-        for cu in &nl.calls_under {
-            let held_ids: BTreeSet<&str> = cu.held.iter().map(|h| h.lock.as_str()).collect();
-            let extra: Vec<&str> = callee_locks(&cu.callees)
-                .into_iter()
-                .filter(|l| !held_ids.contains(l))
-                .collect();
-            if let (Some(first_extra), Some(h)) = (extra.first(), cu.held.first()) {
-                if !fa.has_marker(cu.line, "lint: allow-blocking-under-lock(") {
-                    push(
-                        out,
-                        "blocking-under-lock",
-                        fa,
-                        cu.line,
-                        format!(
-                            "call to `{}(…)` (which may acquire or block on \
-                             `{first_extra}`) while a guard on `{}` is live in `{}`; \
-                             drop the guard before the call or mark \
-                             `lint: allow-blocking-under-lock(reason)`",
-                            cu.callee,
-                            h.lock,
-                            node.qualified_name()
-                        ),
-                    );
-                }
-            }
-            let hot = cu.callees.iter().find_map(|&c| graph.hot_witness(c));
-            if let (Some(witness), Some(h)) = (hot, cu.held.first()) {
-                if !fa.has_marker(cu.line, "lint: allow-guard-across-hot-call(") {
-                    push(
-                        out,
-                        "guard-across-hot-call",
-                        fa,
-                        cu.line,
-                        format!(
-                            "guard on `{}` is live across a call to `{}(…)` on the \
-                             hot path from `{}` in `{}`; release the guard before \
-                             entering the hot region or mark \
-                             `lint: allow-guard-across-hot-call(reason)`",
-                            h.lock,
-                            cu.callee,
-                            witness.qualified_name(),
-                            node.qualified_name()
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Marker names the rules consult, with the owning rule id —
 /// `stale-suppression`'s registry for spotting typos.
 const KNOWN_MARKERS: &[(&str, &str)] = &[
     ("alloc", "alloc-in-hot-path"),
-    ("blocking-under-lock", "blocking-under-lock"),
     ("dead-pub", "dead-pub"),
-    ("guard-across-hot-call", "guard-across-hot-call"),
-    ("lock-order", "lock-order"),
-    ("nondet-iter", "nondet-iter"),
 ];
 
 /// Audits the suppression surface: every `lint: allow-*` marker whose
@@ -790,14 +472,11 @@ fn is_api_item(item: &Item) -> bool {
 
 /// One reference set of the cross-crate graph: which identifiers occur
 /// in each crate's non-test code, and which occur in test code or the
-/// examples/tests trees. BTree containers for the per-crate side: the
-/// membership queries are order-free, but ros-lint's own `nondet-iter`
-/// rule judges this crate too, and `.iter().any` over a hash map below
-/// would (rightly) trip it.
+/// examples/tests trees.
 #[derive(Default)]
 struct Refs<'a> {
     nontest: BTreeMap<&'a str, BTreeSet<&'a str>>,
-    testref: HashSet<&'a str>,
+    testref: BTreeSet<&'a str>,
 }
 
 impl<'a> Refs<'a> {
@@ -1051,7 +730,7 @@ mod tests {
     fn rules_catalog_is_consistent() {
         // Stable IDs: every rule resolvable, no duplicates; every rule
         // carries the --explain texts.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = BTreeSet::new();
         for r in RULES {
             assert!(seen.insert(r.id), "duplicate rule id {}", r.id);
             assert_eq!(rule(r.id).map(|x| x.id), Some(r.id));
@@ -1059,45 +738,7 @@ mod tests {
             assert!(!r.rationale.is_empty(), "{} has no rationale", r.id);
             assert!(!r.fix.is_empty(), "{} has no fix guidance", r.id);
         }
-        assert_eq!(RULES.len(), 9);
-    }
-
-    // ---- nondet-iter ----
-
-    #[test]
-    fn nondet_iter_flags_hash_iteration() {
-        let src = "\
-fn f(m: &HashMap<u32, u32>) {
-    for (k, v) in m.iter() {}
-}
-";
-        let hits = scan_str(src);
-        // Both the `for … in` shape and the `.iter()` shape fire on
-        // this site; one line, two lenses.
-        assert!(hits.contains(&"nondet-iter:2".to_string()), "{hits:?}");
-        assert_eq!(scan_str("fn f(s: HashSet<u8>) { let n: Vec<u8> = s.drain().collect(); }\n"), ["nondet-iter:1"]);
-        let field = "\
-struct S { cache: HashMap<u8, u8> }
-fn f(s: &S) { for k in s.cache.keys() {} }
-";
-        assert!(scan_str(field).iter().any(|h| h == "nondet-iter:2"));
-    }
-
-    #[test]
-    fn nondet_iter_clean_cases() {
-        // BTree containers are ordered.
-        assert!(scan_str("fn f(m: &BTreeMap<u32, u32>) { for (k, v) in m.iter() {} }\n").is_empty());
-        // Membership queries do not iterate.
-        assert!(scan_str("fn f(m: &HashMap<u32, u32>) -> bool { m.contains_key(&1) }\n").is_empty());
-        // Test regions are exempt.
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(m: HashMap<u8, u8>) { for k in m.keys() {} }\n}\n";
-        assert!(scan_str(src).is_empty());
-        // Marker escape.
-        let src = "// lint: allow-nondet-iter(count only)\nfn f(m: &HashMap<u8, u8>) -> usize { m.values().filter(|v| **v > 0).count() }\n";
-        assert!(scan_str(src).is_empty());
-        // Harness crates are exempt (library rule).
-        let src = "fn f(m: &HashMap<u8, u8>) { for k in m.keys() {} }\n";
-        assert!(hits_in("crates/bench/src/sample.rs", src).is_empty());
+        assert_eq!(RULES.len(), 5);
     }
 
     // ---- alloc-in-hot-path ----
@@ -1177,230 +818,8 @@ fn unrelated() { let v = Vec::with_capacity(8); }
         assert!(alloc_hits(&[f]).is_empty());
     }
 
-    // ---- lock-order ----
-
     fn rule_hits(files: &[FileAnalysis], id: &str) -> Vec<Finding> {
         check_all(files).into_iter().filter(|v| v.rule == id).collect()
-    }
-
-    #[test]
-    fn lock_order_flags_inconsistent_acquisition_order() {
-        let src = "\
-//! m
-fn first(a: &M, b: &M) {
-    let ga = a.lock();
-    let gb = b.lock();
-}
-fn second(a: &M, b: &M) {
-    let gb = b.lock();
-    let ga = a.lock();
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        let hits = rule_hits(&[f], "lock-order");
-        assert_eq!(hits.len(), 2, "both conflicting sites flagged: {hits:?}");
-        assert!(hits[0].message.contains("`ros-dsp:a`"), "{}", hits[0].message);
-        assert!(hits[0].message.contains("`ros-dsp:b`"), "{}", hits[0].message);
-        assert!(hits[0].message.contains("in `first`"), "{}", hits[0].message);
-        assert!(hits[1].message.contains("in `second`"), "{}", hits[1].message);
-    }
-
-    #[test]
-    fn lock_order_clean_cases() {
-        // Consistent order everywhere: no pair conflict.
-        let src = "\
-//! m
-fn first(a: &M, b: &M) {
-    let ga = a.lock();
-    let gb = b.lock();
-}
-fn second(a: &M, b: &M) {
-    let ga = a.lock();
-    let gb = b.lock();
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "lock-order").is_empty());
-        // Dropping the first guard before the second acquisition means
-        // no order pair at all.
-        let src = "\
-//! m
-fn first(a: &M, b: &M) {
-    let ga = a.lock();
-    drop(ga);
-    let gb = b.lock();
-}
-fn second(a: &M, b: &M) {
-    let gb = b.lock();
-    drop(gb);
-    let ga = a.lock();
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "lock-order").is_empty());
-    }
-
-    #[test]
-    fn lock_order_marker_suppresses() {
-        let src = "\
-//! m
-fn first(a: &M, b: &M) {
-    let ga = a.lock();
-    // lint: allow-lock-order(init-only path, never concurrent)
-    let gb = b.lock();
-}
-fn second(a: &M, b: &M) {
-    let gb = b.lock();
-    // lint: allow-lock-order(init-only path, never concurrent)
-    let ga = a.lock();
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "lock-order").is_empty());
-        // The consumed markers are not stale.
-        assert!(rule_hits(&[fa("crates/ros-dsp/src/s.rs", src)], "stale-suppression").is_empty());
-    }
-
-    // ---- blocking-under-lock ----
-
-    #[test]
-    fn blocking_flags_channel_op_under_guard() {
-        let src = "\
-//! m
-fn f(q: &Chan, m: &M) {
-    let g = m.lock();
-    q.tx.send(1);
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        let hits = rule_hits(&[f], "blocking-under-lock");
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 4);
-        assert!(hits[0].message.contains("`.send(\u{2026})`"), "{}", hits[0].message);
-        assert!(hits[0].message.contains("`ros-dsp:m`"), "{}", hits[0].message);
-    }
-
-    #[test]
-    fn blocking_flags_transitively_locking_call_under_guard() {
-        let src = "\
-//! m
-fn f(m: &M, x: &X) {
-    let g = m.lock();
-    helper(x);
-}
-fn helper(x: &X) {
-    let g2 = SINK.lock();
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        let hits = rule_hits(&[f], "blocking-under-lock");
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 4);
-        assert!(hits[0].message.contains("`helper(\u{2026})`"), "{}", hits[0].message);
-        assert!(hits[0].message.contains("`ros-dsp:SINK`"), "{}", hits[0].message);
-    }
-
-    #[test]
-    fn blocking_clean_cases() {
-        // Condvar wait that consumes the held guard is the sanctioned
-        // blocking-while-locked idiom, not a deadlock.
-        let src = "\
-//! m
-fn f(cv: &Condvar, m: &M) {
-    let g = m.lock().unwrap();
-    let g = cv.wait(g);
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "blocking-under-lock").is_empty());
-        // Guard dropped before the send.
-        let src = "\
-//! m
-fn f(q: &Chan, m: &M) {
-    let g = m.lock();
-    drop(g);
-    q.tx.send(1);
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "blocking-under-lock").is_empty());
-        // Marker escape on the blocking line.
-        let src = "\
-//! m
-fn f(q: &Chan, m: &M) {
-    let g = m.lock();
-    // lint: allow-blocking-under-lock(bounded queue, consumer never takes m)
-    q.tx.send(1);
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "blocking-under-lock").is_empty());
-    }
-
-    // ---- guard-across-hot-call ----
-
-    #[test]
-    fn guard_across_hot_call_flags_live_guard_spanning_hot_callee() {
-        let src = "\
-//! m
-// lint: hot-path
-pub fn entry() { inner(); }
-fn inner() {}
-fn cold(m: &M) {
-    let g = m.lock();
-    inner();
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        let hits = rule_hits(&[f], "guard-across-hot-call");
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 7);
-        assert!(hits[0].message.contains("`inner(\u{2026})`"), "{}", hits[0].message);
-        assert!(hits[0].message.contains("from `entry`"), "{}", hits[0].message);
-        assert!(hits[0].message.contains("`ros-dsp:m`"), "{}", hits[0].message);
-    }
-
-    #[test]
-    fn guard_across_hot_call_clean_cases() {
-        // Guard released before the hot call.
-        let src = "\
-//! m
-// lint: hot-path
-pub fn entry() { inner(); }
-fn inner() {}
-fn cold(m: &M) {
-    let g = m.lock();
-    drop(g);
-    inner();
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "guard-across-hot-call").is_empty());
-        // Callee not on any hot path.
-        let src = "\
-//! m
-fn inner() {}
-fn cold(m: &M) {
-    let g = m.lock();
-    inner();
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "guard-across-hot-call").is_empty());
-        // Marker escape.
-        let src = "\
-//! m
-// lint: hot-path
-pub fn entry() { inner(); }
-fn inner() {}
-fn cold(m: &M) {
-    let g = m.lock();
-    // lint: allow-guard-across-hot-call(read-mostly lock, ns-scale hold)
-    inner();
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "guard-across-hot-call").is_empty());
     }
 
     // ---- stale-suppression ----
@@ -1409,19 +828,24 @@ fn cold(m: &M) {
     fn stale_suppression_flags_unconsumed_and_unknown_markers() {
         let src = "\
 //! m
-// lint: allow-nondet-iter(legacy shim)
-/// D.
-pub fn quiet() {}
+// lint: allow-alloc(legacy shim)
+fn quiet() {}
 ";
         let f = fa("crates/ros-dsp/src/s.rs", src);
         let hits = rule_hits(&[f], "stale-suppression");
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].line, 2);
         assert!(hits[0].message.contains("suppresses nothing"), "{}", hits[0].message);
-        assert!(hits[0].message.contains("nondet-iter"), "{}", hits[0].message);
+        assert!(hits[0].message.contains("alloc-in-hot-path"), "{}", hits[0].message);
 
-        // A typo, and a rule clippy now owns: neither is consulted.
-        for marker in ["allow-pancake(typo)", "allow-cast(exact)"] {
+        // A typo, and rules clippy now owns or that were retired: none
+        // is consulted.
+        for marker in [
+            "allow-pancake(typo)",
+            "allow-cast(exact)",
+            "allow-nondet-iter(count only)",
+            "allow-lock-order(legacy)",
+        ] {
             let src = format!("//! m\n// lint: {marker}\nfn f() {{}}\n");
             let f = fa("crates/ros-dsp/src/s.rs", &src);
             let hits = rule_hits(&[f], "stale-suppression");
@@ -1461,9 +885,9 @@ pub fn entry(a: u32, b: u32) {}
 
     #[test]
     fn stale_suppression_clean_cases() {
-        // A consumed marker is live, not stale (and the iteration stays
+        // A consumed marker is live, not stale (and the finding stays
         // suppressed).
-        let src = "//! m\n// lint: allow-nondet-iter(order-free count)\nfn f(m: &HashMap<u8, u8>) -> usize { m.values().count() }\n";
+        let src = "//! m\n/// D.\n// lint: allow-dead-pub(API symmetry)\npub fn kept() {}\n";
         let f = fa("crates/ros-dsp/src/s.rs", src);
         let hits = all_hits(&[f]);
         assert!(hits.is_empty(), "{hits:?}");

@@ -1,28 +1,14 @@
-//! The semantic layer: brace tree, path/call resolution, bindings.
+//! The semantic layer: path/call resolution over a trivia-free view.
 //!
-//! [`crate::scan`] recovers *items*; this module recovers the three
-//! structural facts the semantic rule family needs on top of them:
-//!
-//! * a **brace tree** ([`brace_tree`]) — the nesting structure of every
-//!   `{ … }` group in the token stream, so rules can reason about
-//!   scopes without re-counting delimiters;
-//! * **call sites** ([`calls_in`]) — every `f(…)`, `path::f(…)`,
-//!   `recv.m(…)`, and `recv.m::<T>(…)` in a token range, with the
-//!   callee name, its last path qualifier, and whether it is a method
-//!   call (the edges of [`crate::callgraph`]);
-//! * **hash bindings** ([`hash_bindings`] / [`hash_fields`]) — the
-//!   local `let` bindings, parameters, and struct fields whose declared
-//!   type (or constructor) is `HashMap`/`HashSet`, which is what lets
-//!   `nondet-iter` flag order-nondeterministic iteration without type
-//!   inference.
+//! [`crate::scan`] recovers *items*; this module recovers the **call
+//! sites** ([`calls_in`]) on top of them — every `f(…)`, `path::f(…)`,
+//! `recv.m(…)`, and `recv.m::<T>(…)` in a token range, with the callee
+//! name, its last path qualifier, and whether it is a method call (the
+//! edges of [`crate::callgraph`]).
 //!
 //! Like the lexer and the item scanner, everything here is *total*:
-//! malformed input degrades (an unbalanced brace closes at end of
-//! file), nothing panics. [`CodeView`] is the shared trivia-free
-//! window the rules iterate over; it lived privately in `rules` until
-//! the semantic layer needed it too.
-
-use std::collections::BTreeSet;
+//! malformed input degrades, nothing panics. [`CodeView`] is the shared
+//! trivia-free window the rules iterate over.
 
 use crate::engine::FileAnalysis;
 use crate::lexer::TokenKind;
@@ -106,60 +92,6 @@ impl<'a> CodeView<'a> {
     pub fn ci_at_or_after(&self, tok: usize) -> usize {
         self.code.partition_point(|&i| i < tok)
     }
-}
-
-/// One node of the brace tree: a `{ … }` group and its nested groups.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BraceNode {
-    /// Code index (into a [`CodeView`]) of the opening `{`.
-    pub open: usize,
-    /// Code index of the matching `}`; `view.len()` when the group
-    /// never closes (malformed input degrades, never panics).
-    pub close: usize,
-    /// Nested groups, in source order.
-    pub children: Vec<BraceNode>,
-}
-
-impl BraceNode {
-    /// Depth-first size of this subtree (self included) — golden
-    /// corpus helper.
-    pub fn subtree_size(&self) -> usize {
-        1 + self.children.iter().map(BraceNode::subtree_size).sum::<usize>()
-    }
-}
-
-/// Builds the brace tree of a whole file: the forest of top-level
-/// `{ … }` groups, each with its nested groups as children. Stray
-/// closers are ignored; unclosed groups run to `view.len()`.
-pub fn brace_tree(view: &CodeView<'_>) -> Vec<BraceNode> {
-    let mut roots: Vec<BraceNode> = Vec::new();
-    let mut stack: Vec<BraceNode> = Vec::new();
-    for ci in 0..view.len() {
-        if view.is_punct(ci, "{") {
-            stack.push(BraceNode {
-                open: ci,
-                close: view.len(),
-                children: Vec::new(),
-            });
-        } else if view.is_punct(ci, "}") {
-            if let Some(mut node) = stack.pop() {
-                node.close = ci;
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(node),
-                    None => roots.push(node),
-                }
-            }
-            // Stray `}` with an empty stack: recovered input, skip.
-        }
-    }
-    // Unclosed groups fold into their parents (still spanning to EOF).
-    while let Some(node) = stack.pop() {
-        match stack.last_mut() {
-            Some(parent) => parent.children.push(node),
-            None => roots.push(node),
-        }
-    }
-    roots
 }
 
 /// One resolved call site.
@@ -292,129 +224,6 @@ fn qualifier_before_generics(view: &CodeView<'_>, close_ci: usize) -> Option<Str
     }
 }
 
-/// The hash-collection type names whose iteration order is
-/// nondeterministic.
-pub const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
-
-/// Collects the names bound to `HashMap`/`HashSet` values in the code
-/// range `[start, end)` — the receivers `nondet-iter` watches.
-///
-/// Three binding shapes are recognized, all by declared type or
-/// constructor (no inference):
-///
-/// * `let [mut] name : …HashMap<…>… = …;` / `let [mut] name =
-///   HashMap::new();` (any `HashMap`/`HashSet` token before the
-///   statement's terminating `;` counts — over-approximation is fine,
-///   the rule has a marker escape);
-/// * `name : …HashMap<…>…` parameter/field declarations;
-/// * `static NAME : …HashMap<…>… = …;`.
-pub fn hash_bindings(view: &CodeView<'_>, start: usize, end: usize) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let end = end.min(view.len());
-    let mut ci = start;
-    while ci < end {
-        // `let [mut] name … ;` statements.
-        if view.is_ident(ci, "let") || view.is_ident(ci, "static") {
-            let mut j = ci + 1;
-            if view.is_ident(j, "mut") {
-                j += 1;
-            }
-            if view.kind(j) == Some(TokenKind::Ident) {
-                let name = view.text(j).to_string();
-                // Scan to the end of the statement (`;` at depth 0
-                // relative to here, counting all bracket kinds).
-                let mut k = j + 1;
-                let mut depth: isize = 0;
-                let mut is_hash = false;
-                while k < end {
-                    match view.text(k) {
-                        "(" | "[" | "{" if view.kind(k) == Some(TokenKind::Punct) => depth += 1,
-                        ")" | "]" | "}" if view.kind(k) == Some(TokenKind::Punct) => {
-                            depth -= 1;
-                            if depth < 0 {
-                                break;
-                            }
-                        }
-                        ";" if depth == 0 && view.kind(k) == Some(TokenKind::Punct) => break,
-                        t if view.kind(k) == Some(TokenKind::Ident)
-                            && HASH_TYPES.contains(&t) =>
-                        {
-                            is_hash = true;
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                if is_hash {
-                    out.insert(name);
-                }
-                ci = k;
-                continue;
-            }
-        }
-        // `name : …Hash…` parameter-style annotations (fn signatures).
-        if view.kind(ci) == Some(TokenKind::Ident)
-            && view.is_punct(ci + 1, ":")
-            && !view.is_punct(ci + 2, ":")
-        {
-            // Scan the type up to `,` or `)` at angle/paren depth 0.
-            let mut k = ci + 2;
-            let mut depth: isize = 0;
-            let mut is_hash = false;
-            while k < end {
-                match view.text(k) {
-                    "(" | "<" if view.kind(k) == Some(TokenKind::Punct) => depth += 1,
-                    "<<" if view.kind(k) == Some(TokenKind::Punct) => depth += 2,
-                    ")" | ">" if view.kind(k) == Some(TokenKind::Punct) => {
-                        depth -= 1;
-                        if depth < 0 {
-                            break;
-                        }
-                    }
-                    ">>" if view.kind(k) == Some(TokenKind::Punct) => {
-                        depth -= 2;
-                        if depth < 0 {
-                            break;
-                        }
-                    }
-                    "," | "=" | "{" | ";" if depth == 0 && view.kind(k) == Some(TokenKind::Punct) => {
-                        break
-                    }
-                    t if view.kind(k) == Some(TokenKind::Ident) && HASH_TYPES.contains(&t) => {
-                        is_hash = true;
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-            if is_hash {
-                out.insert(view.text(ci).to_string());
-            }
-        }
-        ci += 1;
-    }
-    out
-}
-
-/// Collects, across one file, the names of struct fields declared with
-/// a `HashMap`/`HashSet` type. Name-based (like `dead-pub`'s reference
-/// graph): a field named `cache` of hash type anywhere makes
-/// `recv.cache.iter()` suspect everywhere.
-pub fn hash_fields(view: &CodeView<'_>) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for item in &view.fa.facts.items {
-        if item.kind != crate::scan::ItemKind::Struct {
-            continue;
-        }
-        let Some((s, e)) = item.body else { continue };
-        let (cs, ce) = (view.ci_at_or_after(s), view.ci_at_or_after(e));
-        // Field declarations are exactly the `name : Type` pairs the
-        // parameter scan recognizes.
-        out.extend(hash_bindings(view, cs, ce));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,31 +236,6 @@ mod tests {
             FileRole::Library,
             src.to_string(),
         )
-    }
-
-    #[test]
-    fn brace_tree_nests_and_recovers() {
-        let f = fa("fn a() { if x { y(); } } fn b() {}\n");
-        let v = CodeView::new(&f);
-        let roots = brace_tree(&v);
-        assert_eq!(roots.len(), 2);
-        assert_eq!(roots[0].children.len(), 1);
-        assert!(roots[1].children.is_empty());
-        // Stray closer and unclosed opener both degrade, never panic.
-        let f = fa("} fn a() { {\n");
-        let v = CodeView::new(&f);
-        let roots = brace_tree(&v);
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].close, v.len());
-    }
-
-    #[test]
-    fn brace_contents_are_opaque_to_strings() {
-        let f = fa("fn a() { let s = \"}\"; let c = '}'; }\n");
-        let v = CodeView::new(&f);
-        let roots = brace_tree(&v);
-        assert_eq!(roots.len(), 1);
-        assert!(roots[0].close < v.len(), "string braces must not close the group");
     }
 
     fn call_names(src: &str) -> Vec<(String, Option<String>, bool)> {
@@ -482,43 +266,6 @@ mod tests {
     fn calls_skip_keywords_and_definitions() {
         let got = call_names("fn f(x: u8) { if (x > 0) { while (x < 9) {} } match (x) { _ => {} } }\n");
         assert!(got.is_empty(), "{got:?}");
-    }
-
-    #[test]
-    fn hash_bindings_let_param_static() {
-        let src = "\
-fn f(seen: &mut HashSet<u32>, plain: &[u32]) {
-    let mut cache: HashMap<usize, f64> = HashMap::new();
-    let inferred = std::collections::HashMap::new();
-    let sorted: BTreeMap<u32, u32> = BTreeMap::new();
-    static TABLE: Mutex<HashMap<u8, u8>> = todo_placeholder();
-}
-";
-        let f = fa(src);
-        let v = CodeView::new(&f);
-        let b = hash_bindings(&v, 0, v.len());
-        assert!(b.contains("seen"));
-        assert!(b.contains("cache"));
-        assert!(b.contains("inferred"));
-        assert!(b.contains("TABLE"));
-        assert!(!b.contains("plain"));
-        assert!(!b.contains("sorted"));
-    }
-
-    #[test]
-    fn hash_fields_from_struct_bodies() {
-        let src = "\
-struct S {
-    cache: HashMap<usize, f64>,
-    order: Vec<u32>,
-}
-struct T(HashMap<u8, u8>);
-";
-        let f = fa(src);
-        let v = CodeView::new(&f);
-        let fields = hash_fields(&v);
-        assert!(fields.contains("cache"));
-        assert!(!fields.contains("order"));
     }
 
     #[test]

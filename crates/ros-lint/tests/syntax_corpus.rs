@@ -2,75 +2,25 @@
 //!
 //! Mirrors `lexer_corpus.rs` one level up the stack: where that file
 //! proves the lexer is total and lossless, this one proves the
-//! structural pass built on top of it — [`ros_lint::syntax`]'s brace
-//! tree and call-site extraction, [`ros_lint::scan`]'s fn-body spans,
-//! and [`ros_lint::callgraph`]'s hot-path propagation — recovers
-//! structure without dropping or double-counting tokens:
+//! structural pass built on top of it — [`ros_lint::syntax`]'s
+//! call-site extraction, [`ros_lint::scan`]'s fn-body spans, and
+//! [`ros_lint::callgraph`]'s name resolution and hot-path propagation
+//! — recovers structure without dropping or double-counting tokens:
 //!
-//! 1. A golden corpus of brace shapes (strings/chars/comments holding
-//!    braces, stray closers, unclosed groups) with pinned tree shapes.
+//! 1. Pinned call-site shapes and resolver precedence.
 //! 2. A proptest property over randomly assembled fn bodies: scanning
-//!    never panics, every body span is brace-matched and disjoint,
-//!    and the brace tree's roots coincide with the scanned bodies.
+//!    never panics, every body span is brace-matched and disjoint, and
+//!    call extraction is total.
 
 use proptest::prelude::*;
-use ros_lint::callgraph::{self, CallGraph, FnNode, HOT_PATH_MARKER};
+use ros_lint::callgraph::{self, CallGraph, FnNode, Resolver, HOT_PATH_MARKER};
 use ros_lint::scan::ItemKind;
-use ros_lint::syntax::{
-    brace_tree, calls_in, hash_bindings, hash_fields, skip_turbofish, BraceNode, CallSite,
-    CodeView, HASH_TYPES,
-};
+use ros_lint::syntax::{calls_in, skip_turbofish, CallSite, CodeView};
 use ros_lint::{FileAnalysis, FileRole};
 
 fn fa(rel: &str, src: &str) -> FileAnalysis {
     let crate_name = rel.split('/').nth(1).unwrap_or("x").to_string();
     FileAnalysis::new(rel.to_string(), crate_name, FileRole::Library, src.to_string())
-}
-
-/// Serializes a brace forest as nested parens: `(()())` is one root
-/// with two children.
-fn shape(nodes: &[BraceNode]) -> String {
-    let mut s = String::new();
-    for n in nodes {
-        s.push('(');
-        s.push_str(&shape(&n.children));
-        s.push(')');
-    }
-    s
-}
-
-/// The golden corpus: `(fragment, pinned tree shape)`. These are the
-/// shapes that defeat naive bracket counters.
-const GOLDEN: &[(&str, &str)] = &[
-    ("fn a() {}", "()"),
-    ("fn a() { if x { y(); } else { z(); } }", "(()())"),
-    // A struct body is a root too; sibling roots stay in order.
-    ("struct S { a: T }\nfn b() { { {} } }", "()((()))"),
-    // Braces inside strings, chars, and comments are not structure.
-    ("fn a() { let s = \"{ not } real\"; let c = '{'; /* { */ }", "()"),
-    // Stray closers are recovered, not matched against nothing.
-    ("} } fn a() {}", "()"),
-    // Unclosed groups fold into their parent and span to EOF.
-    ("fn a() { {", "(())"),
-    ("match e { A => {} B => { f() } }", "(()())"),
-];
-
-#[test]
-fn golden_brace_shapes_are_pinned() {
-    for (src, want) in GOLDEN {
-        let f = fa("crates/x/src/lib.rs", src);
-        let view = CodeView::new(&f);
-        assert_eq!(&shape(&brace_tree(&view)), want, "shape drift for {src:?}");
-    }
-}
-
-#[test]
-fn subtree_size_counts_every_node() {
-    let f = fa("crates/x/src/lib.rs", "fn a() { if x { y(); } else { z(); } }");
-    let view = CodeView::new(&f);
-    let roots = brace_tree(&view);
-    assert_eq!(roots.len(), 1);
-    assert_eq!(roots[0].subtree_size(), 3); // body + both branch blocks
 }
 
 #[test]
@@ -134,17 +84,35 @@ fn turbofish_skipping_lands_on_the_call_paren() {
 }
 
 #[test]
-fn hash_collections_are_watched_by_name() {
-    assert!(HASH_TYPES.contains(&"HashMap") && HASH_TYPES.contains(&"HashSet"));
-    let src = "struct S { cache: HashMap<u32, u32> }\n\
-               fn f() {\n    let m: HashMap<u32, u32> = HashMap::new();\n    let s = HashSet::new();\n    let v = Vec::new();\n}\n";
-    let f = fa("crates/x/src/lib.rs", src);
-    let view = CodeView::new(&f);
-    let bound = hash_bindings(&view, 0, view.len());
-    assert!(bound.contains("m") && bound.contains("s"));
-    assert!(!bound.contains("v"));
-    let fields = hash_fields(&view);
-    assert!(fields.contains("cache"));
+fn resolver_precedence_is_owner_then_namespace() {
+    let src = "\
+pub fn free_fn() {}
+pub struct T;
+impl T { pub fn m(&self) {} }
+pub struct U;
+impl U { pub fn m(&self) {} }
+";
+    let files = [fa("crates/demo/src/lib.rs", src)];
+    let g = callgraph::build(&files);
+    let resolver = Resolver::new(&g.nodes);
+    let call = |name: &str, qualifier: Option<&str>, method: bool| CallSite {
+        name: name.to_string(),
+        qualifier: qualifier.map(str::to_string),
+        method,
+        line: 1,
+        ci: 0,
+    };
+    let names = |ids: &[usize]| -> Vec<String> {
+        ids.iter().map(|&i| g.nodes[i].qualified_name()).collect()
+    };
+    assert_eq!(names(resolver.resolve(&call("free_fn", None, false))), ["free_fn"]);
+    // An unqualified method call is ambiguous across impls: both.
+    assert_eq!(names(resolver.resolve(&call("m", None, true))), ["T::m", "U::m"]);
+    // A known-owner qualifier pins the impl.
+    assert_eq!(names(resolver.resolve(&call("m", Some("T"), false))), ["T::m"]);
+    // A module-ish qualifier falls back to the free namespace.
+    assert_eq!(names(resolver.resolve(&call("free_fn", Some("util"), false))), ["free_fn"]);
+    assert!(resolver.resolve(&call("nope", None, false)).is_empty());
 }
 
 #[test]
@@ -190,8 +158,7 @@ proptest! {
 
     /// Random fn soup: body extraction never panics, spans are
     /// brace-matched and mutually disjoint, the signature ends where
-    /// the body begins, and the brace tree's roots are exactly the
-    /// scanned bodies.
+    /// the body begins, and call extraction is total.
     #[test]
     fn body_extraction_is_span_lossless(
         fns in prop::collection::vec(
@@ -250,17 +217,9 @@ proptest! {
             prop_assert_eq!(depth, 0);
         }
 
-        // The brace forest's roots are exactly the fn bodies.
-        let view = CodeView::new(&f);
-        let roots = brace_tree(&view);
-        prop_assert_eq!(roots.len(), items.len());
-        for (root, it) in roots.iter().zip(&items) {
-            prop_assert_eq!(view.tok_idx(root.open), it.body.unwrap().0);
-            prop_assert_eq!(view.tok_idx(root.close), it.body.unwrap().1 - 1);
-        }
-
         // Call extraction is total on the soup (no panics, indices in
         // range, every callee really is an ident at its code index).
+        let view = CodeView::new(&f);
         for c in calls_in(&view, 0, view.len()) {
             prop_assert!(view.is_ident(c.ci, &c.name));
         }

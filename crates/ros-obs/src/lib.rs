@@ -153,7 +153,7 @@ impl Drop for Span {
         line.push('}');
         // Precision loss above 2^53 ns (~104 days per span) is acceptable.
         hist(self.id, dur as f64);
-        run::with_state(|s| s.out.write_line(line));
+        write_line(line);
     }
 }
 
@@ -186,21 +186,34 @@ fn emit(ev: &str, fields: &[(&str, Value<'_>)]) {
         v.push_json(&mut line);
     }
     line.push('}');
-    run::with_state(|s| s.out.write_line(line));
+    write_line(line);
+}
+
+/// Appends one line to the run's sink; a stderr line is written after
+/// the run-state lock is released.
+fn write_line(line: String) {
+    if let Some(Some(line)) = run::with_state(|s| s.out.push(line)) {
+        sink::write_stderr(std::slice::from_ref(&line));
+    }
 }
 
 /// Exports every touched metric as one `{"ev":"metric",...}` line
-/// (in registration order) and flushes the sink.
+/// (in registration order) and flushes the sink. Stderr lines are
+/// written after the run-state lock is released.
 pub fn flush() {
     let on = enabled();
-    run::with_state(|s| {
-        if on {
-            for line in s.metrics.lines() {
-                s.out.write_line(line);
-            }
-        }
+    let stderr_lines = run::with_state(|s| {
+        let lines: Vec<String> = if on {
+            s.metrics.lines().filter_map(|line| s.out.push(line)).collect()
+        } else {
+            Vec::new()
+        };
         s.out.flush();
+        lines
     });
+    if let Some(lines) = stderr_lines {
+        sink::write_stderr(&lines);
+    }
 }
 
 /// Runs `f` in a fresh run at `lvl` — an in-memory sink, zeroed

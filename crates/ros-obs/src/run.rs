@@ -69,15 +69,13 @@ pub(crate) fn install(out: Out) {
     });
 }
 
-/// Runs `f` on the calling thread's run state; a no-op without a run.
-pub(crate) fn with_state(f: impl FnOnce(&mut State)) {
-    if CTX.get().has_run {
-        RUN.with_borrow(|run| {
-            if let Some(run) = run {
-                f(&mut run.lock());
-            }
-        });
+/// Runs `f` on the calling thread's run state and returns its result;
+/// `None` without a run.
+pub(crate) fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> Option<R> {
+    if !CTX.get().has_run {
+        return None;
     }
+    RUN.with_borrow(|run| run.as_ref().map(|run| f(&mut run.lock())))
 }
 
 impl Run {

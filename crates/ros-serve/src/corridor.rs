@@ -141,8 +141,7 @@ impl CorridorConfig {
 
     /// A streaming frame source for one encounter, its tag built with
     /// no table cache (the uncached reference).
-    // lint: allow-dead-pub(uncached per-encounter source factory; run_corridor_uncached consumes it in-crate)
-    pub fn source_for(&self, e: &Encounter) -> DriveBySource {
+    pub(crate) fn source_for(&self, e: &Encounter) -> DriveBySource {
         // paper_4bit with 8 rows encodes any 4-bit word; the config
         // space cannot make this fail.
         #[expect(clippy::unreachable, reason = "encode of a 4-bit word into a 4-bit code is total")]

@@ -87,12 +87,11 @@ fn lint() -> ExitCode {
             print!("{}", outcome.human_report);
             let t = outcome.timings;
             println!(
-                "xtask lint: passes lex {}us scan {}us callgraph {}us lockgraph {}us \
-                 rules {}us (total {}us)",
+                "xtask lint: passes lex {}us scan {}us callgraph {}us rules {}us \
+                 (total {}us)",
                 t.lex_ns / 1_000,
                 t.scan_ns / 1_000,
                 t.callgraph_ns / 1_000,
-                t.lockgraph_ns / 1_000,
                 t.rules_ns / 1_000,
                 t.total_ns / 1_000,
             );

@@ -41,10 +41,12 @@ cargo test --offline --manifest-path crates/bench/src/bin/rosbench/Cargo.toml
 
 # Telemetry and worker pins are per run: these suites take no lock, so
 # run their tests overlapped on purpose to catch any cross-talk.
+# leaf_locks nests cache builds, telemetry and channel traffic under a
+# bounded wait: a lock that stops being a leaf fails it, overlapped too.
 echo "==> overlapping-run suites (release, --test-threads=8)"
 cargo test -q --release -p ros-tests \
     --test cache_determinism --test determinism --test fault_determinism \
-    --test fault_trace --test obs_trace --test serve_stream \
+    --test fault_trace --test leaf_locks --test obs_trace --test serve_stream \
     -- --test-threads=8
 
 # Steady-state allocation budget: one full planned frame (capture ->
@@ -56,17 +58,16 @@ cargo test -q --release -p ros-tests --test alloc_budget
 
 # Compiler-side gate: [workspace.lints] in the root Cargo.toml (plus
 # clippy.toml) denies unwrap/expect, the panic family, print output,
-# bare `as` casts, float equality, undocumented pub items, and raw
-# thread spawns or wall-clock reads outside ros-exec and the ros-obs
-# clock. Lib and bin targets only, so #[cfg(test)] code stays exempt;
+# bare `as` casts, float equality, undocumented pub items, hash
+# collections, and raw thread spawns or wall-clock reads outside
+# ros-exec and the ros-obs clock. Lib and bin targets only, so #[cfg(test)] code stays exempt;
 # a stale #[expect(...)] fails the build too.
 echo "==> cargo clippy --workspace"
 cargo clippy --workspace
 
 # Workspace-analysis gate (ros-lint): the rules clippy cannot express
-# (dead-pub, nondet-iter, hot-path allocation, lock order,
-# blocking under lock, suppression audit, typed units). Any finding
-# fails; the last line reports each pass's wall time.
+# (dead-pub, hot-path allocation, suppression audit, typed units). Any
+# finding fails; the last line reports each pass's wall time.
 echo "==> xtask lint (ros-lint gate)"
 cargo run -q -p xtask -- lint
 

@@ -329,7 +329,6 @@ pub fn decode_into(
 /// buffers. Allocation-free once the buffers have grown to capacity;
 /// observability stays in [`decode_into`]'s prologue/epilogue.
 #[allow(clippy::too_many_arguments)]
-// lint: hot-path
 fn decode_core(
     samples: &[RssSample],
     tag_center: Vec3,
@@ -389,7 +388,7 @@ fn decode_core(
             // Unit-RCS received power at this range…
             let unit_dbm = budget.received_power_dbm(0.0, d);
             // …and the radar's own two-way pattern toward the tag.
-            let az_radar = v.x.atan2(-v.y) * -1.0;
+            let az_radar = -v.x.atan2(-v.y);
             let g = radar_pattern_proxy(az_radar);
             let env = ros_em::db::db_to_pow(unit_dbm) * g.powi(4);
             if env > 0.0 {

@@ -141,7 +141,7 @@ pub fn protect(bits: &[bool]) -> Vec<bool> {
 /// after frame drops), [`FecError::CodedTooShort`] when fewer blocks
 /// arrived than `message_len` needs.
 pub fn recover(coded: &[bool], message_len: usize) -> Result<(Vec<bool>, usize), FecError> {
-    if coded.len() % 7 != 0 {
+    if !coded.len().is_multiple_of(7) {
         return Err(FecError::LengthNotMultipleOf7 { len: coded.len() });
     }
     let blocks = coded.len() / 7;

@@ -48,6 +48,10 @@ pub fn fuse_amplitudes(passes: &[DecodeResult]) -> FusedDecode {
     let mut fused = vec![0.0; n_slots];
     let mut weight_sum = 0.0;
     for p in passes {
+        #[expect(
+            clippy::manual_clamp,
+            reason = "max/min maps a NaN SNR to the 1e-6 floor; f64::clamp would pass the NaN through"
+        )]
         let w = p.snr_linear.max(1e-6).min(1e6);
         for (f, &a) in fused.iter_mut().zip(&p.slot_amplitudes) {
             *f += w * a;

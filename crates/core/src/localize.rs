@@ -75,8 +75,12 @@ pub fn estimate_correction(
         return Err(LocalizeError::NoObservations);
     }
     let wsum: f64 = observations.iter().map(|o| o.weight).sum();
-    if !(wsum > 0.0) {
-        // lint note: `!(> 0)` also rejects a NaN weight sum.
+    #[expect(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "`!(> 0)` also rejects a NaN weight sum"
+    )]
+    let no_weight = !(wsum > 0.0);
+    if no_weight {
         return Err(LocalizeError::ZeroWeights);
     }
 

@@ -113,7 +113,6 @@ pub fn rcs_spectrum_windowed(
 /// `(rcs.len() · zero_pad_factor).next_power_of_two()`).
 /// Allocation-free once the buffers have grown to capacity.
 #[allow(clippy::too_many_arguments)]
-// lint: hot-path
 pub fn rcs_spectrum_windowed_into(
     rcs: &[f64],
     u_max: f64,
@@ -184,7 +183,6 @@ pub fn czt_zoom_params(
 /// from [`czt_zoom_params`]. Allocation-free once the buffers have
 /// grown to capacity.
 #[allow(clippy::too_many_arguments)]
-// lint: hot-path
 pub fn rcs_spectrum_czt_into(
     rcs: &[f64],
     max_spacing_m: f64,

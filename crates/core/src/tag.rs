@@ -392,7 +392,6 @@ impl ResolvedTag {
 
     /// The per-frame row export: `each(position, row_field · weight ·
     /// elevation gain)` for every row, in row order.
-    // lint: hot-path
     fn export_rows(
         &self,
         row_field: Complex64,

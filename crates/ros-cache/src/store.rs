@@ -247,7 +247,6 @@ impl GeomCache {
     /// Drops every entry (counted as evictions). Stats survive.
     pub fn clear(&self) {
         let mut g = self.lock();
-        // lint: allow-alloc(cold invalidation API; the callgraph resolves `clear` by name and collides with Vec::clear in hot code)
         let kinds: Vec<TableKind> = g.map.values().map(|e| e.kind).collect();
         for kind in kinds {
             g.by_kind[kind.index()].evictions += 1;

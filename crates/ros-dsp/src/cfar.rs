@@ -73,8 +73,7 @@ pub fn ca_cfar(power: &[f64], params: &CfarParams) -> Vec<Detection> {
 
 /// Scratch-buffer twin of [`ca_cfar`]: identical detections written
 /// into `out` (cleared first). Allocation-free once `out` has grown to
-/// capacity, so it is safe to call from `lint: hot-path` kernels.
-// lint: hot-path
+/// capacity, so it is safe to call from the steady-state frame.
 pub fn ca_cfar_into(power: &[f64], params: &CfarParams, out: &mut Vec<Detection>) {
     out.clear();
     let n = power.len();
@@ -123,6 +122,10 @@ pub fn ca_cfar_into(power: &[f64], params: &CfarParams, out: &mut Vec<Detection>
         // the original `>=` semantics on the left while treating NaN
         // as not-larger; the explicit NaN check does the same on the
         // strict right-hand comparison.
+        #[expect(
+            clippy::neg_cmp_op_on_partial_ord,
+            reason = "`!(a < b)` treats NaN as not-larger"
+        )]
         let is_local_max = (i == 0 || !(power[i] < power[i - 1]))
             && (i + 1 >= n || power[i] > power[i + 1] || power[i + 1].is_nan());
 

@@ -88,7 +88,7 @@ fn transform(data: &mut [Complex64], inverse: bool) {
                 let v = data[i + k + len / 2] * w;
                 data[i + k] = u + v;
                 data[i + k + len / 2] = u - v;
-                w = w * wlen;
+                w *= wlen;
             }
             i += len;
         }
@@ -101,8 +101,8 @@ fn transform(data: &mut [Complex64], inverse: bool) {
 /// FFTW-style setup/execute split: [`FftPlan::new`] does all the
 /// trigonometry (per-stage twiddle tables, both signs) and the
 /// bit-reversal permutation once; [`FftPlan::process_forward`] /
-/// [`FftPlan::process_inverse`] then run allocation-free and are safe
-/// to mark `lint: hot-path`. Twiddles are generated with the *same*
+/// [`FftPlan::process_inverse`] then run allocation-free inside the
+/// steady-state frame. Twiddles are generated with the *same*
 /// `w = w · w_len` recurrence the direct [`fft_in_place`] butterfly
 /// uses, so planned transforms are bit-identical to the direct ones —
 /// a property pinned by the plan-identity proptests.
@@ -154,7 +154,7 @@ impl FftPlan {
                 let mut w = Complex64::ONE;
                 for _ in 0..len / 2 {
                     table.push(w);
-                    w = w * wlen;
+                    w *= wlen;
                 }
                 len <<= 1;
             }
@@ -177,7 +177,6 @@ impl FftPlan {
     ///
     /// # Panics
     /// Panics if `data.len()` differs from the planned size.
-    // lint: hot-path
     pub fn process_forward(&self, data: &mut [Complex64]) {
         self.butterflies(data, &self.fwd);
     }
@@ -187,7 +186,6 @@ impl FftPlan {
     ///
     /// # Panics
     /// Panics if `data.len()` differs from the planned size.
-    // lint: hot-path
     pub fn process_inverse(&self, data: &mut [Complex64]) {
         self.butterflies(data, &self.inv);
         let n = self.n.as_f64();

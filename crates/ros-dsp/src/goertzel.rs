@@ -76,7 +76,6 @@ const SINGLE_BIN_LANES: usize = 4;
 /// Panics if the signals differ in length, or if the table length
 /// differs from theirs (empty signals short-circuit to zero first, as
 /// in the direct version).
-// lint: hot-path
 pub fn single_bin_windowed_each<S: AsRef<[Complex64]>>(
     signals: &[S],
     cycles_per_sample: f64,

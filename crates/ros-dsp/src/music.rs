@@ -74,8 +74,8 @@ pub fn music_spectrum(
         let mut denom = 0.0;
         for col in 0..n_noise {
             let mut dot = Complex64::ZERO;
-            for i in 0..n {
-                dot += eig.vectors[(i, col)].conj() * a[i];
+            for (i, &ai) in a.iter().enumerate() {
+                dot += eig.vectors[(i, col)].conj() * ai;
             }
             denom += dot.norm_sqr();
         }

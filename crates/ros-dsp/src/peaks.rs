@@ -109,8 +109,7 @@ fn sort_desc_by_value(peaks: &mut [Peak]) {
 
 /// Scratch-buffer twin of [`find_peaks`]: identical detections written
 /// into `out` (cleared first). Allocation-free once `out` has grown to
-/// capacity, so it is safe to call from `lint: hot-path` kernels.
-// lint: hot-path
+/// capacity, so it is safe to call from the steady-state frame.
 pub fn find_peaks_into(data: &[f64], params: &PeakParams, out: &mut Vec<Peak>) {
     out.clear();
     let n = data.len();

@@ -2,15 +2,15 @@
 //! parameters.
 //!
 //! The decode and detect prologues resolve plans here once per
-//! configuration; the `lint: hot-path` kernels then borrow the plans
-//! and run allocation-free. Lookups use `BTreeMap` so any iteration
+//! configuration; the steady-state kernels then borrow the plans and
+//! run allocation-free. Lookups use `BTreeMap` so any iteration
 //! over cached plans is deterministic (clippy's `HashMap` ban),
 //! and CZT arc parameters are keyed by their exact `f64` bit patterns
 //! — two configurations share a plan only when the planned transform
 //! would be bit-identical.
 //!
 //! Cache misses build a plan (allocating); that is why no method of
-//! [`PlanCache`] may be called from a hot-path kernel. Callers split
+//! [`PlanCache`] may be called from a steady-state kernel. Callers split
 //! resolution (prologue, warm-up) from execution (steady state).
 
 use crate::czt::CztPlan;

@@ -132,7 +132,6 @@ impl WindowTable {
     ///
     /// # Panics
     /// Panics if `signal.len()` differs from the table length.
-    // lint: hot-path
     pub fn taper(&self, signal: &mut [f64]) {
         assert_eq!(
             signal.len(),

@@ -177,6 +177,10 @@ impl Mul for Complex64 {
 impl Div for Complex64 {
     type Output = Complex64;
     #[inline]
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "division is multiplication by the reciprocal; the goldens pin these bits"
+    )]
     fn div(self, rhs: Complex64) -> Complex64 {
         self * rhs.inv()
     }

@@ -12,6 +12,8 @@
 //! matrices acting on them. This is exact for the far-field scalar
 //! channels the simulator uses.
 
+use std::ops::Add;
+
 use crate::complex::Complex64;
 use crate::units::Db;
 
@@ -87,10 +89,13 @@ impl JonesVector {
     pub fn scale(self, k: Complex64) -> JonesVector {
         JonesVector::new(self.v * k, self.h * k)
     }
+}
 
-    /// Adds another field coherently.
+/// Coherent field sum.
+impl Add for JonesVector {
+    type Output = JonesVector;
     #[inline]
-    pub fn add(self, o: JonesVector) -> JonesVector {
+    fn add(self, o: JonesVector) -> JonesVector {
         JonesVector::new(self.v + o.v, self.h + o.h)
     }
 }
@@ -190,11 +195,14 @@ impl JonesMatrix {
     pub fn scale(self, k: Complex64) -> JonesMatrix {
         JonesMatrix::new(self.vv * k, self.vh * k, self.hv * k, self.hh * k)
     }
+}
 
-    /// Matrix sum (coherent superposition of two reflectors at the same
-    /// location).
+/// Matrix sum (coherent superposition of two reflectors at the same
+/// location).
+impl Add for JonesMatrix {
+    type Output = JonesMatrix;
     #[inline]
-    pub fn add(self, o: JonesMatrix) -> JonesMatrix {
+    fn add(self, o: JonesMatrix) -> JonesMatrix {
         JonesMatrix::new(
             self.vv + o.vv,
             self.vh + o.vh,
@@ -268,7 +276,7 @@ mod tests {
     fn matrix_scale_and_add() {
         let m = JonesMatrix::IDENTITY.scale(Complex64::real(2.0));
         assert_eq!(m.vv, Complex64::real(2.0));
-        let s = JonesMatrix::IDENTITY.add(JonesMatrix::SWITCHER);
+        let s = JonesMatrix::IDENTITY + JonesMatrix::SWITCHER;
         assert_eq!(s.vv, Complex64::ONE);
         assert_eq!(s.vh, Complex64::ONE);
     }
@@ -283,8 +291,8 @@ mod tests {
         );
         let a = JonesVector::new(Complex64::ONE, Complex64::I);
         let b = JonesVector::new(Complex64::real(2.0), Complex64::ZERO);
-        let lhs = m.apply(a.add(b));
-        let rhs = m.apply(a).add(m.apply(b));
+        let lhs = m.apply(a + b);
+        let rhs = m.apply(a) + m.apply(b);
         assert!((lhs.v - rhs.v).abs() < 1e-12);
         assert!((lhs.h - rhs.h).abs() < 1e-12);
     }

@@ -66,7 +66,7 @@ pub fn dirichlet(x: f64, n: usize) -> f64 {
         let k = cast::round_i64(x / std::f64::consts::TAU);
         // The limit is (−1)^(k·(n−1)); only the parity of the product
         // matters, and wrapping_sub preserves parity even for n = 0.
-        let product_odd = k % 2 != 0 && n.wrapping_sub(1) % 2 != 0;
+        let product_odd = k % 2 != 0 && !n.wrapping_sub(1).is_multiple_of(2);
         return if product_odd { -1.0 } else { 1.0 };
     }
     (n.as_f64() * half).sin() / (n.as_f64() * denom)

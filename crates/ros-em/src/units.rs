@@ -404,6 +404,10 @@ pub mod cast {
     /// is also what `as f64` does.
     pub trait AsF64 {
         /// This value as an `f64`.
+        #[expect(
+            clippy::wrong_self_convention,
+            reason = "implemented only for Copy primitives, named after the `as f64` cast it replaces"
+        )]
         fn as_f64(self) -> f64;
     }
 

@@ -233,7 +233,6 @@ where
 /// Panics if `scratches` is empty while `items` is not, and propagates
 /// worker panics after the scope joins.
 #[expect(clippy::disallowed_methods, reason = "ros-exec is the workspace's one spawn boundary")]
-// lint: hot-path
 pub fn par_for_each_mut<S, T, F>(scratches: &mut [S], items: &mut [T], f: F)
 where
     S: Send,

@@ -59,19 +59,6 @@ impl FileAnalysis {
     pub fn new(rel: String, crate_name: String, role: FileRole, text: String) -> Self {
         let tokens = lexer::lex(&text);
         let facts = scan::analyze(&text, &tokens);
-        Self::from_parts(rel, crate_name, role, text, tokens, facts)
-    }
-
-    /// Assembles the analysis from an already lexed and scanned file
-    /// (the timed loader measures those two passes separately).
-    fn from_parts(
-        rel: String,
-        crate_name: String,
-        role: FileRole,
-        text: String,
-        tokens: Vec<Token>,
-        facts: FileFacts,
-    ) -> Self {
         let mut markers: BTreeMap<usize, Vec<String>> = BTreeMap::new();
         for t in tokens.iter().filter(|t| t.is_trivia()) {
             let body = t.text(&text);
@@ -122,21 +109,6 @@ impl FileAnalysis {
 /// `tests/`, and `examples/` (reference corpus). Files come back
 /// sorted by path.
 pub fn load_workspace(root: &Path) -> std::io::Result<Vec<FileAnalysis>> {
-    Ok(load_workspace_timed(root, None)?.0)
-}
-
-/// Reads `clock` when injected; a missing clock reads as a frozen zero
-/// so every duration degrades to zero instead of branching everywhere.
-fn now(clock: Option<fn() -> u64>) -> u64 {
-    clock.map_or(0, |c| c())
-}
-
-/// [`load_workspace`] plus per-pass wall time: total nanoseconds spent
-/// lexing and scanning across all files.
-fn load_workspace_timed(
-    root: &Path,
-    clock: Option<fn() -> u64>,
-) -> std::io::Result<(Vec<FileAnalysis>, u64, u64)> {
     let mut paths: Vec<(PathBuf, String, FileRole)> = Vec::new();
 
     let crates_dir = root.join("crates");
@@ -174,7 +146,6 @@ fn load_workspace_timed(
     paths.sort();
 
     let mut out = Vec::with_capacity(paths.len());
-    let (mut lex_ns, mut scan_ns) = (0u64, 0u64);
     for (path, crate_name, role) in paths {
         let text = std::fs::read_to_string(&path)?;
         let rel = path
@@ -182,16 +153,9 @@ fn load_workspace_timed(
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        let t0 = now(clock);
-        let tokens = lexer::lex(&text);
-        let t1 = now(clock);
-        let facts = scan::analyze(&text, &tokens);
-        let t2 = now(clock);
-        lex_ns += t1.saturating_sub(t0);
-        scan_ns += t2.saturating_sub(t1);
-        out.push(FileAnalysis::from_parts(rel, crate_name, role, text, tokens, facts));
+        out.push(FileAnalysis::new(rel, crate_name, role, text));
     }
-    Ok((out, lex_ns, scan_ns))
+    Ok(out)
 }
 
 fn collect_rs(
@@ -211,59 +175,28 @@ fn collect_rs(
     Ok(())
 }
 
-/// Wall time of each analyzer pass, nanoseconds. All zero unless the
-/// driver injects a clock into [`run_gate`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-// lint: allow-dead-pub(GateOutcome::timings; the driver reads fields, never the name)
-pub struct PassTimings {
-    /// Lexing every workspace file.
-    pub lex_ns: u64,
-    /// Item/test-region scanning.
-    pub scan_ns: u64,
-    /// Call-graph construction.
-    pub callgraph_ns: u64,
-    /// Rule execution (everything else in `check_all`).
-    pub rules_ns: u64,
-    /// The whole gate run, load to report.
-    pub total_ns: u64,
-}
-
 /// The outcome of one gate run, ready for the driver to print.
 pub struct GateOutcome {
     /// The gate passed (no findings).
     pub passed: bool,
     /// Human-readable report (print as-is).
     pub human_report: String,
-    /// Per-pass wall time (zeros without an injected clock).
-    pub timings: PassTimings,
 }
 
 /// Runs the full gate: load → analyze → report. Any finding fails it.
 ///
 /// `root` is the workspace root (the directory holding `crates/`).
-/// `clock` is a monotonic nanosecond clock injected by the driver;
-/// `None` leaves every reported pass time at zero (the engine itself
-/// never reads the OS clock — that is the driver's edge).
-pub fn run_gate(root: &Path, clock: Option<fn() -> u64>) -> Result<GateOutcome, String> {
-    let t0 = now(clock);
-    let (files, lex_ns, scan_ns) = load_workspace_timed(root, clock)
-        .map_err(|e| format!("cannot walk {}: {e}", root.display()))?;
-    let (findings, callgraph_ns, rules_ns) = rules::check_all_timed(&files, clock);
+pub fn run_gate(root: &Path) -> Result<GateOutcome, String> {
+    let files =
+        load_workspace(root).map_err(|e| format!("cannot walk {}: {e}", root.display()))?;
+    let findings = rules::check_all(&files);
     let n_files = files
         .iter()
         .filter(|f| f.role != FileRole::Reference)
         .count();
-    let timings = PassTimings {
-        lex_ns,
-        scan_ns,
-        callgraph_ns,
-        rules_ns,
-        total_ns: now(clock).saturating_sub(t0),
-    };
     Ok(GateOutcome {
         passed: findings.is_empty(),
         human_report: report::human_report(&findings, n_files),
-        timings,
     })
 }
 
@@ -283,19 +216,19 @@ mod tests {
     #[test]
     fn marker_probes_finding_line_and_line_above() {
         let f = fa(
-            "// lint: allow-alloc(above)\nlet a = v.clone();\nlet b = v.clone(); // lint: allow-alloc(same)\n\nlet c = v.clone();\n",
+            "// lint: allow-dead-pub(above)\npub fn a() {}\npub fn b() {} // lint: allow-dead-pub(same)\n\npub fn c() {}\n",
         );
-        assert!(f.has_marker(2, "allow-alloc"));
-        assert!(f.has_marker(3, "allow-alloc"));
-        assert!(!f.has_marker(5, "allow-alloc"));
+        assert!(f.has_marker(2, "allow-dead-pub"));
+        assert!(f.has_marker(3, "allow-dead-pub"));
+        assert!(!f.has_marker(5, "allow-dead-pub"));
         // Marker names do not cross-suppress.
-        assert!(!f.has_marker(2, "allow-dead-pub"));
+        assert!(!f.has_marker(2, "allow-typed-conversions"));
     }
 
     #[test]
     fn marker_in_string_literal_is_not_a_marker() {
-        let f = fa("let s = \"lint: allow-alloc(nope)\";\nlet a = v.clone();\n");
-        assert!(!f.has_marker(2, "allow-alloc"));
+        let f = fa("let s = \"lint: allow-dead-pub(nope)\";\npub fn a() {}\n");
+        assert!(!f.has_marker(2, "allow-dead-pub"));
     }
 
     #[test]

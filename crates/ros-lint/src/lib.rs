@@ -6,17 +6,20 @@
 //! `[workspace.lints]` table and `clippy.toml`. This crate keeps the
 //! rules those tools cannot express because they need the whole
 //! workspace or this repo's own vocabulary: a cross-crate reference
-//! graph (`dead-pub`), hot-path allocation reachability over a call
-//! graph, unit-typed dB/angle math, and an audit of its own
-//! suppression markers. Lock discipline is not analyzed here: the
-//! workspace has three mutexes, and a test proves each is a leaf
-//! (DESIGN.md §17). Hash-ordered iteration cannot happen in library
-//! code at all: clippy bans `HashMap`/`HashSet` there.
+//! graph (`dead-pub`), unit-typed dB/angle math, and an audit of its
+//! own suppression markers. Behaviour a test can measure is measured,
+//! not guessed: the zero-allocation steady-state frame is
+//! `tests/alloc_budget.rs`'s counting allocator (DESIGN.md §14), and
+//! lock discipline is a test proving each of the workspace's three
+//! mutexes is a leaf (DESIGN.md §17). Hash-ordered iteration cannot
+//! happen in library code at all: clippy bans `HashMap`/`HashSet`
+//! there.
 //!
 //! It is a dependency-free analyzer that lexes every workspace source
 //! file into a real token stream ([`lexer`]), recovers the item
 //! structure lint rules need ([`scan`]), and runs a catalog of rules
-//! with stable IDs ([`rules::RULES`]). Any finding fails the gate.
+//! with stable IDs ([`rules::RULES`]) over a trivia-free
+//! [`rules::CodeView`] of each file. Any finding fails the gate.
 //! [`engine::run_gate`] is the whole entry point;
 //! `cargo run -p xtask -- lint` is the thin driver around it:
 //!
@@ -28,13 +31,11 @@
 //! The crate never prints and never exits — it returns strings and
 //! verdicts; the driver owns the terminal.
 
-pub mod callgraph;
 pub mod engine;
 pub mod lexer;
 mod report;
 pub mod rules;
 pub mod scan;
-pub mod syntax;
 
 pub use engine::{run_gate, FileAnalysis, FileRole, GateOutcome};
 pub use rules::{Finding, RuleInfo, RULES};

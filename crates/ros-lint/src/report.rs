@@ -51,15 +51,15 @@ mod tests {
                 message: "pub fn `orphan` is never referenced outside `a`".to_string(),
             },
             Finding {
-                rule: "alloc-in-hot-path",
+                rule: "typed-conversions",
                 file: "crates/b/src/y.rs".to_string(),
                 line: 9,
-                message: "allocation `.clone()` in `step` on the hot path".to_string(),
+                message: "inline `.to_radians()` conversion".to_string(),
             },
         ];
         let r = human_report(&findings, 42);
         assert!(r.contains("crates/a/src/x.rs:3: [dead-pub]"));
-        assert!(r.contains("crates/b/src/y.rs:9: [alloc-in-hot-path]"));
+        assert!(r.contains("crates/b/src/y.rs:9: [typed-conversions]"));
         assert!(r.contains("2 violation(s) in 42 files"));
 
         let r = human_report(&[], 7);

@@ -3,25 +3,105 @@
 //! Two rule shapes exist. *Per-file* rules see one analyzed file at a
 //! time (`typed-conversions`, `typed-db-params`). *Workspace* rules see
 //! every file at once (`dead-pub` builds a cross-crate reference graph;
-//! the hot-path rule runs over the call graph). All rules work on the token
-//! stream from [`crate::lexer`] — string literals, comments, and
-//! `#[cfg(test)]` regions cannot fool them the way they fooled the old
-//! line scanner.
+//! `stale-suppression` audits the markers the other rules consumed).
+//! All rules work on the token stream from [`crate::lexer`] through
+//! [`CodeView`] — string literals, comments, and `#[cfg(test)]` regions
+//! cannot fool them the way they fooled the old line scanner.
 //!
 //! The generic conventions (unwrap, panic, print, raw casts, raw
 //! spawns, wall-clock reads, hash collections, float equality, pub
 //! docs) are rustc and clippy lints configured in the root `Cargo.toml`
-//! and `clippy.toml`, not rules here.
+//! and `clippy.toml`, not rules here. The zero-allocation frame is not
+//! a rule either: `tests/alloc_budget.rs` measures it (DESIGN.md §14).
 //! Rule IDs are stable: they name the `lint: allow-<rule>(reason)`
 //! markers and the report tags.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph;
 use crate::engine::{FileAnalysis, FileRole};
 use crate::lexer::TokenKind;
 use crate::scan::{Item, ItemKind, Visibility};
-use crate::syntax::{self, CodeView as View};
+
+/// A trivia-free window over one file's token stream, with the
+/// helpers every token-pattern rule needs.
+pub struct CodeView<'a> {
+    /// The analyzed file this view reads.
+    pub fa: &'a FileAnalysis,
+    /// `code[ci]` = index into `fa.tokens` of the ci-th non-trivia
+    /// token.
+    code: Vec<usize>,
+}
+
+impl<'a> CodeView<'a> {
+    /// Builds the view over `fa`'s token stream.
+    pub fn new(fa: &'a FileAnalysis) -> Self {
+        let code = (0..fa.tokens.len())
+            .filter(|&i| !fa.tokens[i].is_trivia())
+            .collect();
+        CodeView { fa, code }
+    }
+
+    /// Number of code (non-trivia) tokens.
+    pub fn len(&self) -> usize {
+        self.code.len()
+    }
+
+    /// True when the file has no code tokens.
+    pub fn is_empty(&self) -> bool {
+        self.code.is_empty()
+    }
+
+    /// Kind of the ci-th code token (None past the end).
+    pub fn kind(&self, ci: usize) -> Option<TokenKind> {
+        self.code.get(ci).map(|&i| self.fa.tokens[i].kind)
+    }
+
+    /// Text of the ci-th code token ("" past the end).
+    pub fn text(&self, ci: usize) -> &str {
+        self.code
+            .get(ci)
+            .map(|&i| self.fa.tokens[i].text(&self.fa.text))
+            .unwrap_or("")
+    }
+
+    /// 1-based line of the ci-th code token (0 past the end).
+    pub fn line(&self, ci: usize) -> usize {
+        self.code.get(ci).map(|&i| self.fa.tokens[i].line).unwrap_or(0)
+    }
+
+    /// True when the ci-th code token lies in a `#[cfg(test)]` region.
+    pub fn in_test(&self, ci: usize) -> bool {
+        self.code
+            .get(ci)
+            .is_some_and(|&i| self.fa.facts.in_test.get(i).copied().unwrap_or(false))
+    }
+
+    /// True when the ci-th code token is the punctuation `p`.
+    pub fn is_punct(&self, ci: usize, p: &str) -> bool {
+        self.kind(ci) == Some(TokenKind::Punct) && self.text(ci) == p
+    }
+
+    /// True when the ci-th code token is the identifier `id`.
+    pub fn is_ident(&self, ci: usize, id: &str) -> bool {
+        self.kind(ci) == Some(TokenKind::Ident) && self.text(ci) == id
+    }
+
+    /// True when the ci-th code token is an identifier in `set`.
+    pub fn ident_in(&self, ci: usize, set: &[&str]) -> bool {
+        self.kind(ci) == Some(TokenKind::Ident) && set.contains(&self.text(ci))
+    }
+
+    /// Token index (into `fa.tokens`) of the ci-th code token.
+    pub fn tok_idx(&self, ci: usize) -> usize {
+        self.code.get(ci).copied().unwrap_or(0)
+    }
+
+    /// Code index of the first code token at or after raw token index
+    /// `tok` (`len()` when none).
+    pub fn ci_at_or_after(&self, tok: usize) -> usize {
+        self.code.partition_point(|&i| i < tok)
+    }
+}
 
 /// Static description of one rule.
 // lint: allow-dead-pub(element of RULES and returned by rule(); callers read fields, never the name)
@@ -37,9 +117,8 @@ pub struct RuleInfo {
     pub fix: &'static str,
 }
 
-/// The rule catalog, in report order: the unit-safety and API rules
-/// on the token stream, then the rules built on the semantic layer
-/// ([`crate::syntax`] / [`crate::callgraph`]).
+/// The rule catalog, in report order: the unit-safety and API rules,
+/// then the audit of the suppression markers they consume.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "typed-conversions",
@@ -70,23 +149,14 @@ pub const RULES: &[RuleInfo] = &[
               through crate-root `pub use` re-exports should be a private `mod`.",
     },
     RuleInfo {
-        id: "alloc-in-hot-path",
-        summary: "allocation idioms forbidden in fns reachable from `lint: hot-path` entries",
-        rationale: "ROADMAP item 2 targets zero allocations per steady-state frame on \
-                    the capture→detect→decode path; the call-graph closure from the \
-                    annotated entry points is that path, statically.",
-        fix: "Hoist the allocation into a constructor/scratch buffer, or mark \
-              `lint: allow-alloc(reason)` for setup-only code.",
-    },
-    RuleInfo {
         id: "stale-suppression",
-        summary: "a `lint: allow-*` or `lint: hot-path` marker no longer does anything",
+        summary: "a `lint: allow-*` marker no longer does anything",
         rationale: "A suppression that outlives its finding is a silent hole: the \
                     next real violation on that line inherits the stale excuse. \
                     Auditing markers keeps the escape hatches honest.",
-        fix: "Delete the marker, or move it onto the line (or fn, for hot-path) it \
-              was meant to annotate. Unknown `allow-<name>` markers are typos: fix \
-              the rule name.",
+        fix: "Delete the marker, or move it onto the line it was meant to \
+              annotate. Unknown `allow-<name>` markers are typos: fix the rule \
+              name.",
     },
 ];
 
@@ -114,35 +184,18 @@ const UNITS_MODULE: &str = "crates/ros-em/src/units.rs";
 /// Runs every rule over the analyzed workspace; findings come back
 /// sorted by (file, line, rule).
 pub fn check_all(files: &[FileAnalysis]) -> Vec<Finding> {
-    check_all_timed(files, None).0
-}
-
-/// [`check_all`] plus per-pass wall time: `(findings, callgraph_ns,
-/// rules_ns)`. The clock is injected by the driver (see
-/// [`crate::engine::run_gate`]); `None` reports zeros.
-pub fn check_all_timed(
-    files: &[FileAnalysis],
-    clock: Option<fn() -> u64>,
-) -> (Vec<Finding>, u64, u64) {
-    let now = |c: Option<fn() -> u64>| c.map_or(0, |f| f());
-    let t0 = now(clock);
-    let graph = callgraph::build(files);
-    let t1 = now(clock);
-
     let mut out = Vec::new();
     for fa in files.iter().filter(|f| f.role != FileRole::Reference) {
         check_file(fa, &mut out);
     }
     dead_pub(files, &mut out);
-    alloc_in_hot_path(files, &graph, &mut out);
     // Must run after every other rule: it audits which markers the
     // probes above actually consumed.
     stale_suppression(files, &mut out);
     out.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
-    let t2 = now(clock);
-    (out, t1.saturating_sub(t0), t2.saturating_sub(t1))
+    out
 }
 
 fn push(out: &mut Vec<Finding>, id: &'static str, fa: &FileAnalysis, line: usize, message: String) {
@@ -157,7 +210,7 @@ fn push(out: &mut Vec<Finding>, id: &'static str, fa: &FileAnalysis, line: usize
 /// Runs the per-file rules over one file (the workspace rules run
 /// from [`check_all`]).
 pub fn check_file(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    let v = View::new(fa);
+    let v = CodeView::new(fa);
     typed_conversions(&v, out);
     typed_db_params(fa, out);
 }
@@ -168,7 +221,7 @@ const DB_BASE_LITERALS: &[&str] = &["10f64", "10.0f64", "10.0", "10_f64", "10."]
 /// Divisors inside `powf(x / …)` that mark the dB families.
 const DB_DIVISORS: &[&str] = &["10.0", "20.0", "10_f64", "20_f64", "10.0f64", "20.0f64"];
 
-fn typed_conversions(v: &View<'_>, out: &mut Vec<Finding>) {
+fn typed_conversions(v: &CodeView<'_>, out: &mut Vec<Finding>) {
     if v.fa.rel == UNITS_MODULE {
         return;
     }
@@ -300,75 +353,13 @@ fn typed_db_params(fa: &FileAnalysis, out: &mut Vec<Finding>) {
     }
 }
 
-/// Constructor owners whose associated fns allocate.
-const ALLOC_OWNERS: &[&str] = &["Box", "Vec"];
-
-/// Allocating constructor names under [`ALLOC_OWNERS`].
-const ALLOC_CTORS: &[&str] = &["from", "new", "with_capacity"];
-
-/// Allocating method names (any receiver — no inference, deliberate
-/// over-approximation behind the `allow-alloc` marker).
-const ALLOC_METHODS: &[&str] = &["clone", "collect", "to_vec"];
-
-/// Call-graph-propagated allocation lint: every fn reachable from a
-/// `// lint: hot-path` entry point ([`callgraph::build`]) is scanned
-/// for allocation idioms. Messages name the enclosing fn and the
-/// deterministic witness entry.
-fn alloc_in_hot_path(files: &[FileAnalysis], graph: &callgraph::CallGraph, out: &mut Vec<Finding>) {
-    for (i, node) in graph.nodes.iter().enumerate() {
-        let Some(witness) = graph.hot_witness(i) else { continue };
-        let Some((bs, be)) = node.body else { continue };
-        let fa = &files[node.file];
-        let v = View::new(fa);
-        let (cs, ce) = (v.ci_at_or_after(bs), v.ci_at_or_after(be));
-        let mut sites: Vec<(usize, String)> = Vec::new();
-        for call in syntax::calls_in(&v, cs, ce) {
-            if call.method && ALLOC_METHODS.contains(&call.name.as_str()) {
-                sites.push((call.line, format!(".{}()", call.name)));
-            } else if !call.method
-                && ALLOC_CTORS.contains(&call.name.as_str())
-                && call.qualifier.as_deref().is_some_and(|q| ALLOC_OWNERS.contains(&q))
-            {
-                sites.push((call.line, format!("{}::{}", call.qualifier.unwrap_or_default(), call.name)));
-            }
-        }
-        for ci in cs..ce.min(v.len()) {
-            if v.is_ident(ci, "vec") && v.is_punct(ci + 1, "!") {
-                sites.push((v.line(ci), "vec![…]".to_string()));
-            }
-        }
-        sites.sort();
-        for (line, pat) in sites {
-            if fa.has_marker(line, "lint: allow-alloc(") {
-                continue;
-            }
-            push(
-                out,
-                "alloc-in-hot-path",
-                fa,
-                line,
-                format!(
-                    "allocation `{pat}` in `{}` on the hot path from `{}`; hoist it \
-                     into a constructor/scratch buffer or mark \
-                     `lint: allow-alloc(reason)`",
-                    node.qualified_name(),
-                    witness.qualified_name()
-                ),
-            );
-        }
-    }
-}
-
 /// Marker names the rules consult, with the owning rule id —
 /// `stale-suppression`'s registry for spotting typos.
-const KNOWN_MARKERS: &[(&str, &str)] = &[
-    ("alloc", "alloc-in-hot-path"),
-    ("dead-pub", "dead-pub"),
-];
+const KNOWN_MARKERS: &[(&str, &str)] = &[("dead-pub", "dead-pub")];
 
 /// Audits the suppression surface: every `lint: allow-*` marker whose
-/// line no rule probe consumed this run, every `allow-<name>` naming
-/// no known rule, and every `lint: hot-path` marker annotating no fn.
+/// line no rule probe consumed this run, and every `allow-<name>`
+/// naming no known rule.
 /// Runs last in [`check_all`] (marker use is recorded by the other
 /// rules' probes). Doc comments are exempt — prose *about* markers is
 /// not a marker — and so are test regions.
@@ -382,8 +373,7 @@ fn stale_suppression(files: &[FileAnalysis], out: &mut Vec<Finding>) {
             if fa.facts.in_test.get(ti).copied().unwrap_or(false) {
                 continue;
             }
-            let body = t.text(&fa.text);
-            let mut rest = body;
+            let mut rest = t.text(&fa.text);
             while let Some(at) = rest.find("lint: allow-") {
                 let after = &rest[at + "lint: allow-".len()..];
                 let name: String = after
@@ -417,28 +407,6 @@ fn stale_suppression(files: &[FileAnalysis], out: &mut Vec<Finding>) {
                             );
                         }
                     }
-                }
-            }
-            if fa.is_library() && body.contains(callgraph::HOT_PATH_MARKER) {
-                let l = t.line;
-                let annotates = fa.facts.items.iter().any(|it| {
-                    it.kind == ItemKind::Fn
-                        && !it.in_test
-                        && !it.name.is_empty()
-                        && (it.line == l || it.line == l + 1)
-                });
-                if !annotates {
-                    push(
-                        out,
-                        "stale-suppression",
-                        fa,
-                        l,
-                        format!(
-                            "`{}` marker annotates no function (no fn on this line \
-                             or the next); move it onto the entry fn or remove it",
-                            callgraph::HOT_PATH_MARKER
-                        ),
-                    );
                 }
             }
         }
@@ -510,7 +478,7 @@ fn dead_pub(files: &[FileAnalysis], out: &mut Vec<Finding>) {
     let mut any = Refs::default();
     let mut paths = Refs::default();
     for fa in files {
-        let v = View::new(fa);
+        let v = CodeView::new(fa);
         let mut in_use = false;
         for ci in 0..v.len() {
             if v.is_punct(ci, ";") {
@@ -738,84 +706,7 @@ mod tests {
             assert!(!r.rationale.is_empty(), "{} has no rationale", r.id);
             assert!(!r.fix.is_empty(), "{} has no fix guidance", r.id);
         }
-        assert_eq!(RULES.len(), 5);
-    }
-
-    // ---- alloc-in-hot-path ----
-
-    fn alloc_hits(files: &[FileAnalysis]) -> Vec<String> {
-        all_hits(files)
-            .into_iter()
-            .filter(|h| h.starts_with("alloc-in-hot-path"))
-            .collect()
-    }
-
-    #[test]
-    fn alloc_flags_direct_and_transitive_sites() {
-        let src = "\
-//! m
-// lint: hot-path
-pub fn entry() { let v: Vec<u8> = Vec::new(); helper(); }
-fn helper() { let b = Box::new(3); }
-fn cold() { let v = vec![1, 2]; }
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        let hits = alloc_hits(&[f]);
-        assert_eq!(
-            hits,
-            [
-                "alloc-in-hot-path:crates/ros-dsp/src/s.rs:3",
-                "alloc-in-hot-path:crates/ros-dsp/src/s.rs:4",
-            ],
-            "entry and transitive callee flagged, cold fn not"
-        );
-    }
-
-    #[test]
-    fn alloc_message_names_fn_and_witness_entry() {
-        let src = "\
-//! m
-// lint: hot-path
-pub fn entry() { helper(); }
-fn helper() { let xs: Vec<u8> = ys.collect(); }
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        let out = check_all(&[f]);
-        let finding = out
-            .iter()
-            .find(|v| v.rule == "alloc-in-hot-path")
-            .expect("collect() on hot path");
-        assert!(finding.message.contains("`.collect()`"), "{}", finding.message);
-        assert!(finding.message.contains("`helper`"), "{}", finding.message);
-        assert!(finding.message.contains("`entry`"), "{}", finding.message);
-    }
-
-    #[test]
-    fn alloc_clean_cases() {
-        // allow-alloc marker.
-        let src = "\
-//! m
-// lint: hot-path
-pub fn entry() {
-    // lint: allow-alloc(setup only, not steady-state)
-    let v: Vec<u8> = Vec::new();
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(alloc_hits(&[f]).is_empty());
-        // No hot-path annotation anywhere: nothing is judged.
-        let src = "//! m\npub fn f() { let v = vec![1]; }\n";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(alloc_hits(&[f]).is_empty());
-        // Allocation in a fn not reachable from the entry.
-        let src = "\
-//! m
-// lint: hot-path
-pub fn entry() { }
-fn unrelated() { let v = Vec::with_capacity(8); }
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(alloc_hits(&[f]).is_empty());
+        assert_eq!(RULES.len(), 4);
     }
 
     fn rule_hits(files: &[FileAnalysis], id: &str) -> Vec<Finding> {
@@ -828,7 +719,7 @@ fn unrelated() { let v = Vec::with_capacity(8); }
     fn stale_suppression_flags_unconsumed_and_unknown_markers() {
         let src = "\
 //! m
-// lint: allow-alloc(legacy shim)
+// lint: allow-dead-pub(legacy shim)
 fn quiet() {}
 ";
         let f = fa("crates/ros-dsp/src/s.rs", src);
@@ -836,15 +727,16 @@ fn quiet() {}
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].line, 2);
         assert!(hits[0].message.contains("suppresses nothing"), "{}", hits[0].message);
-        assert!(hits[0].message.contains("alloc-in-hot-path"), "{}", hits[0].message);
+        assert!(hits[0].message.contains("dead-pub"), "{}", hits[0].message);
 
-        // A typo, and rules clippy now owns or that were retired: none
-        // is consulted.
+        // A typo, and rules clippy or a test now owns or that were
+        // retired: none is consulted.
         for marker in [
             "allow-pancake(typo)",
             "allow-cast(exact)",
             "allow-nondet-iter(count only)",
             "allow-lock-order(legacy)",
+            "allow-alloc(setup only)",
         ] {
             let src = format!("//! m\n// lint: {marker}\nfn f() {{}}\n");
             let f = fa("crates/ros-dsp/src/s.rs", &src);
@@ -852,35 +744,6 @@ fn quiet() {}
             assert_eq!(hits.len(), 1, "{hits:?}");
             assert!(hits[0].message.contains("unknown suppression marker"), "{}", hits[0].message);
         }
-    }
-
-    #[test]
-    fn stale_suppression_flags_hot_path_marker_on_nothing() {
-        let src = "//! m\n// lint: hot-path\npub struct S;\n";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        let hits = rule_hits(&[f], "stale-suppression");
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("annotates no function"), "{}", hits[0].message);
-        // An attribute between the marker and the fn silently detaches
-        // the annotation — the exact bug this rule exists to catch.
-        let src = "\
-//! m
-// lint: hot-path
-#[allow(clippy::too_many_arguments)]
-pub fn entry(a: u32, b: u32) {}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        let hits = rule_hits(&[f], "stale-suppression");
-        assert_eq!(hits.len(), 1, "marker above an attribute annotates nothing: {hits:?}");
-        // Below the attribute it binds.
-        let src = "\
-//! m
-#[allow(clippy::too_many_arguments)]
-// lint: hot-path
-pub fn entry(a: u32, b: u32) {}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "stale-suppression").is_empty());
     }
 
     #[test]
@@ -905,9 +768,15 @@ mod tests {
         // Reference files are not audited.
         let f = fa("tests/e2e.rs", "// lint: allow-dead-pub(stale here)\nfn t() {}\n");
         assert!(rule_hits(&[f], "stale-suppression").is_empty());
-        // A hot-path marker that annotates a fn is live.
-        let src = "//! m\n// lint: hot-path\npub fn entry() {}\n";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "stale-suppression").is_empty());
+    }
+
+    #[test]
+    fn code_view_maps_raw_token_indices() {
+        let f = fa("crates/ros-em/src/s.rs", "// comment\nfn f() {}\n");
+        let v = CodeView::new(&f);
+        assert!(!v.is_empty());
+        assert_eq!(v.ci_at_or_after(0), 0, "first code token after the comment");
+        assert_eq!(v.text(0), "fn");
+        assert!(v.tok_idx(0) > 0, "comment token precedes");
     }
 }

@@ -3,11 +3,11 @@
 //! This is not a parser — it is the minimal structural recovery the
 //! lint rules need: which tokens are inside `#[cfg(test)]` regions,
 //! which `pub` items exist (with their names, lines, and whether a doc
-//! comment is attached), where each `fn` signature ends and its body
-//! begins. It walks item positions recursively through `mod` and
-//! `impl` blocks, skips function bodies and type bodies wholesale, and
-//! recovers from anything it does not understand by advancing one
-//! token — like the lexer, it is total.
+//! comment is attached), and where each `fn` signature ends. It walks
+//! item positions recursively through `mod` and `impl` blocks, skips
+//! function bodies and type bodies wholesale, and recovers from
+//! anything it does not understand by advancing one token — like the
+//! lexer, it is total.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -68,17 +68,10 @@ pub struct Item {
     /// The item is a method of a trait `impl` block (`impl T for U`);
     /// such fns inherit the trait's API surface and docs.
     pub in_trait_impl: bool,
-    /// For fns declared inside an `impl` block: the self type's name
-    /// (`FmcwRadar` for `impl FmcwRadar { fn capture … }`), which is
-    /// how the call graph resolves `Type::method(…)` calls.
-    pub owner: Option<String>,
     /// For fns: token-index range `[start, end)` of the signature —
     /// from the `fn` keyword up to (not including) the body `{` or
     /// the terminating `;`.
     pub sig: Option<(usize, usize)>,
-    /// For fns with bodies: token-index range `[start, end)` of the
-    /// body, braces included.
-    pub body: Option<(usize, usize)>,
 }
 
 /// Everything the rules need to know about one file's structure.
@@ -108,8 +101,6 @@ pub fn analyze(src: &str, toks: &[Token]) -> FileFacts {
 struct Ctx {
     in_test: bool,
     in_trait_impl: bool,
-    /// Self-type name of the enclosing `impl` block, if any.
-    owner: Option<String>,
 }
 
 struct Scanner<'a> {
@@ -310,7 +301,7 @@ impl Scanner<'_> {
             }
             "use" => {
                 let next = self.skip_to_semi(i, end);
-                self.push(ItemKind::Use, String::new(), vis, line, has_doc, item_test, false, None, None, None);
+                self.push(ItemKind::Use, String::new(), vis, line, has_doc, item_test, false, None);
                 next
             }
             "macro_rules" | "macro" => self.item_macro(i, end, vis, line, has_doc, item_test),
@@ -332,8 +323,7 @@ impl Scanner<'_> {
             }
         }
         let first = idents.first().copied().unwrap_or("");
-        let is_test = first == "test"
-            || (first == "cfg" && idents.iter().any(|t| *t == "test"));
+        let is_test = first == "test" || (first == "cfg" && idents.contains(&"test"));
         let is_doc = first == "doc";
         (is_test, is_doc)
     }
@@ -348,9 +338,7 @@ impl Scanner<'_> {
         has_doc: bool,
         in_test: bool,
         in_trait_impl: bool,
-        owner: Option<String>,
         sig: Option<(usize, usize)>,
-        body: Option<(usize, usize)>,
     ) {
         self.facts.items.push(Item {
             kind,
@@ -360,9 +348,7 @@ impl Scanner<'_> {
             has_doc,
             in_test,
             in_trait_impl,
-            owner,
             sig,
-            body,
         });
     }
 
@@ -389,13 +375,10 @@ impl Scanner<'_> {
         while i < end && !self.is_punct(i, "{") && !self.is_punct(i, ";") {
             i += 1;
         }
-        let sig = (kw, i);
+        self.push(ItemKind::Fn, name, vis, line, has_doc, ctx.in_test, ctx.in_trait_impl, Some((kw, i)));
         if i < end && self.is_punct(i, "{") {
-            let body_end = self.skip_group(i, end, "{", "}");
-            self.push(ItemKind::Fn, name, vis, line, has_doc, ctx.in_test, ctx.in_trait_impl, ctx.owner.clone(), Some(sig), Some((i, body_end)));
-            body_end
+            self.skip_group(i, end, "{", "}")
         } else {
-            self.push(ItemKind::Fn, name, vis, line, has_doc, ctx.in_test, ctx.in_trait_impl, ctx.owner.clone(), Some(sig), None);
             (i + 1).min(end)
         }
     }
@@ -417,15 +400,14 @@ impl Scanner<'_> {
         };
         let mut i = name_i + 1;
         i = self.skip_trivia(i, end);
+        self.push(ItemKind::Mod, name, vis, line, has_doc, in_test, false, None);
         if i < end && self.is_punct(i, "{") {
             let body_end = self.skip_group(i, end, "{", "}");
-            self.push(ItemKind::Mod, name, vis, line, has_doc, in_test, false, None, None, Some((i, body_end)));
             // Recurse into the block (sans the enclosing braces).
             let ctx = Ctx { in_test, ..Ctx::default() };
             self.scan_block(i + 1, body_end.saturating_sub(1), &ctx);
             body_end
         } else {
-            self.push(ItemKind::Mod, name, vis, line, has_doc, in_test, false, None, None, None);
             (i + 1).min(end)
         }
     }
@@ -434,58 +416,21 @@ impl Scanner<'_> {
         // `impl<…> Type { … }` or `impl<…> Trait for Type { … }`.
         let mut i = kw + 1;
         let mut is_trait_impl = false;
-        let mut after_for = kw + 1;
         while i < end && !self.is_punct(i, "{") && !self.is_punct(i, ";") {
-            if self.is_ident(i, "for") {
-                is_trait_impl = true;
-                after_for = i + 1;
-            }
+            is_trait_impl |= self.is_ident(i, "for");
             i += 1;
         }
-        // The self type's name: the last plain ident of the header at
-        // angle-bracket depth 0 (`Bar` in `impl<T> Trait for foo::Bar<T>
-        // where …`), scanning the post-`for` region for trait impls and
-        // the whole header otherwise, stopping at `where`.
-        let owner = self.impl_self_type(after_for.max(kw + 1), i);
         if i < end && self.is_punct(i, "{") {
             let body_end = self.skip_group(i, end, "{", "}");
             let ctx = Ctx {
                 in_test,
                 in_trait_impl: is_trait_impl,
-                owner,
             };
             self.scan_block(i + 1, body_end.saturating_sub(1), &ctx);
             body_end
         } else {
             (i + 1).min(end)
         }
-    }
-
-    /// Extracts the self-type name from an impl header region.
-    fn impl_self_type(&self, from: usize, to: usize) -> Option<String> {
-        let mut angle: isize = 0;
-        let mut owner: Option<String> = None;
-        for k in from..to.min(self.toks.len()) {
-            let t = &self.toks[k];
-            if t.kind == TokenKind::Punct {
-                match t.text(self.src) {
-                    "<" => angle += 1,
-                    "<<" => angle += 2,
-                    ">" => angle -= 1,
-                    ">>" => angle -= 2,
-                    _ => {}
-                }
-            } else if t.kind == TokenKind::Ident && angle <= 0 {
-                let txt = t.text(self.src);
-                if txt == "where" {
-                    break;
-                }
-                if txt != "for" && txt != "dyn" && txt != "mut" {
-                    owner = Some(txt.to_string());
-                }
-            }
-        }
-        owner
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -505,27 +450,23 @@ impl Scanner<'_> {
         } else {
             String::new()
         };
+        self.push(kind, name, vis, line, has_doc, in_test, false, None);
         // Body: `{ … }` (fields/variants/methods — skipped as item
-        // positions, but the span is recorded so the semantic layer
-        // can read field declarations), tuple `( … );`, or unit `;`.
+        // positions), tuple `( … );`, or unit `;`.
         let mut i = name_i + 1;
         while i < end {
             if self.is_punct(i, "{") {
-                let next = self.skip_group(i, end, "{", "}");
-                self.push(kind, name, vis, line, has_doc, in_test, false, None, None, Some((i, next)));
-                return next;
+                return self.skip_group(i, end, "{", "}");
             }
             if self.is_punct(i, "(") {
                 i = self.skip_group(i, end, "(", ")");
                 continue;
             }
             if self.is_punct(i, ";") {
-                self.push(kind, name, vis, line, has_doc, in_test, false, None, None, None);
                 return i + 1;
             }
             i += 1;
         }
-        self.push(kind, name, vis, line, has_doc, in_test, false, None, None, None);
         end
     }
 
@@ -547,7 +488,7 @@ impl Scanner<'_> {
             String::new()
         };
         let next = self.skip_to_semi(kw, end);
-        self.push(kind, name, vis, line, has_doc, in_test, false, None, None, None);
+        self.push(kind, name, vis, line, has_doc, in_test, false, None);
         next
     }
 
@@ -581,7 +522,7 @@ impl Scanner<'_> {
         } else {
             (i + 1).min(end)
         };
-        self.push(ItemKind::MacroDef, name, vis, line, has_doc, in_test, false, None, None, None);
+        self.push(ItemKind::MacroDef, name, vis, line, has_doc, in_test, false, None);
         next
     }
 }
@@ -668,7 +609,6 @@ pub fn after() {}
         assert_eq!(item(&f, "c").kind, ItemKind::Fn, "const fn is a fn");
         assert_eq!(item(&f, "N").kind, ItemKind::Const);
         assert!(item(&f, "q").sig.is_some());
-        assert!(item(&f, "q").body.is_some());
     }
 
     #[test]
@@ -700,10 +640,9 @@ pub mod external;
 ";
         let f = facts(src);
         assert_eq!(item(&f, "outer").kind, ItemKind::Mod);
-        assert!(item(&f, "outer").body.is_some());
         assert_eq!(item(&f, "inner").kind, ItemKind::Mod);
         assert_eq!(item(&f, "deep").kind, ItemKind::Fn);
-        assert!(item(&f, "external").body.is_none());
+        assert_eq!(item(&f, "external").kind, ItemKind::Mod);
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub fn synthesize_burst<R: Rng>(
             let mut phasor = amp * Complex64::cis(doppler_phase);
             for s in chirp_buf.iter_mut() {
                 *s += phasor;
-                phasor = phasor * rot;
+                phasor *= rot;
             }
         }
     }
@@ -158,10 +158,10 @@ pub fn range_doppler_map(burst: &Burst) -> Vec<Vec<f64>> {
             col[c] = spec[r];
         }
         fft_in_place(&mut col);
-        for c in 0..n_chirps {
+        for (c, &v) in col.iter().enumerate() {
             // FFT-shift: negative Doppler bins to the lower half.
             let shifted = (c + n_chirps / 2) % n_chirps;
-            map[shifted][r] = (col[c] / n_chirps.as_f64()).norm_sqr();
+            map[shifted][r] = (v / n_chirps.as_f64()).norm_sqr();
         }
     }
     map
@@ -224,9 +224,10 @@ pub fn rd_cfar(
             let p = map[d][r];
             // Local max over the 8-neighbourhood.
             let mut is_max = true;
-            'nb: for dd in d.saturating_sub(1)..(d + 2).min(nd) {
-                for rr in r.saturating_sub(1)..(r + 2).min(nr) {
-                    if (dd, rr) != (d, r) && map[dd][rr] > p {
+            let (d_nb, r_nb) = (d.saturating_sub(1), r.saturating_sub(1));
+            'nb: for (dd, row) in map.iter().enumerate().take((d + 2).min(nd)).skip(d_nb) {
+                for (rr, &q) in row.iter().enumerate().take((r + 2).min(nr)).skip(r_nb) {
+                    if (dd, rr) != (d, r) && q > p {
                         is_max = false;
                         break 'nb;
                     }
@@ -242,11 +243,11 @@ pub fn rd_cfar(
             let hi_r = (r + training + guard + 1).min(nr);
             let mut sum = 0.0;
             let mut count = 0usize;
-            for dd in lo_d..hi_d {
-                for rr in lo_r..hi_r {
+            for (dd, row) in map.iter().enumerate().take(hi_d).skip(lo_d) {
+                for (rr, &q) in row.iter().enumerate().take(hi_r).skip(lo_r) {
                     let in_guard = dd.abs_diff(d) <= guard && rr.abs_diff(r) <= guard;
                     if !in_guard {
-                        sum += map[dd][rr];
+                        sum += q;
                         count += 1;
                     }
                 }

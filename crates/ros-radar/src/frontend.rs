@@ -168,7 +168,6 @@ pub struct SynthScratch {
 /// `(pr·cr − pi·ci, pr·ci + pi·cr)`, with no fused multiply-add. Only
 /// the loop nest and the lane packing change, never the per-element
 /// operation sequence.
-// lint: hot-path
 pub(crate) fn synthesize_signal_into(
     chirp: &ChirpConfig,
     array: &RadarArray,
@@ -339,7 +338,6 @@ pub(crate) fn draw_noise<R: Rng>(n_rx: usize, n_samples: usize, rng: &mut R) -> 
 /// the [`draw_noise`] order (element-major, one pair per sample). Lets
 /// a batch interleave per-frame noise and phase-walk draws into flat
 /// segments of one reusable buffer.
-// lint: hot-path
 pub(crate) fn fill_noise<R: Rng>(rng: &mut R, out: &mut [Complex64]) {
     for g in out.iter_mut() {
         let (re, im) = gaussian_pair(rng);
@@ -350,7 +348,6 @@ pub(crate) fn fill_noise<R: Rng>(rng: &mut R, out: &mut [Complex64]) {
 /// [`add_noise`] for a flat antenna-major noise buffer laid out
 /// `noise[k·n_samples + j]` (see [`fill_noise`]). Deterministic; safe
 /// on worker threads.
-// lint: hot-path
 pub(crate) fn add_noise_from_slice(frame: &mut Frame, noise: &[Complex64], sigma: f64) {
     let n = frame.n_samples();
     for (k, ant) in frame.data.iter_mut().enumerate() {
@@ -397,7 +394,6 @@ pub fn synthesize_frame<R: Rng>(
 /// `sqrt` *and* a `cos` per single normal. The rejection loop (≈21.5%
 /// of candidates fall outside the unit disc) is deterministic for a
 /// seeded RNG, which is all the capture pipeline requires.
-// lint: hot-path
 fn gaussian_pair<R: Rng>(rng: &mut R) -> (f64, f64) {
     loop {
         let x = 2.0 * rng.gen::<f64>() - 1.0;
@@ -405,7 +401,7 @@ fn gaussian_pair<R: Rng>(rng: &mut R) -> (f64, f64) {
         let s = x * x + y * y;
         // Reject outside the unit disc; also reject a (sub)normal-tiny
         // `s`, where `ln(s)/s` overflows.
-        if s >= 1.0 || s < f64::MIN_POSITIVE {
+        if !(f64::MIN_POSITIVE..1.0).contains(&s) {
             continue;
         }
         let f = (-2.0 * s.ln() / s).sqrt();

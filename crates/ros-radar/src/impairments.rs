@@ -97,7 +97,6 @@ impl Impairments {
     /// Fills a pre-sized slice with the [`draw_walk`] phase walk (same
     /// RNG consumption; the slice is zeroed first). Lets a batch carve
     /// per-frame walk segments out of one reusable flat buffer.
-    // lint: hot-path
     pub(crate) fn fill_walk<R: Rng>(&self, rng: &mut R, out: &mut [f64]) {
         out.fill(0.0);
         if self.phase_noise_rad_per_sample > 0.0 {
@@ -119,7 +118,7 @@ impl Impairments {
             for (i, s) in ant.iter_mut().enumerate() {
                 let mut v = *s;
                 if self.phase_noise_rad_per_sample > 0.0 {
-                    v = v * Complex64::cis(walk[i]);
+                    v *= Complex64::cis(walk[i]);
                 }
                 if self.iq_gain_mismatch != 0.0 || self.iq_phase_skew_rad != 0.0 {
                     // Q rail sees gain (1+g) and a skewed mixing angle.

@@ -51,7 +51,6 @@ pub fn range_spectra(frame: &Frame) -> Vec<Vec<Complex64>> {
 /// into `out` via a precomputed [`FftPlan`] (which must be sized for
 /// the frame's zero-padded length, `n_samples.next_power_of_two()`).
 /// Allocation-free once the rows have grown to capacity.
-// lint: hot-path
 pub(crate) fn range_spectra_into(frame: &Frame, plan: &FftPlan, out: &mut Vec<Vec<Complex64>>) {
     let k_rx = frame.data.len();
     out.truncate(k_rx);
@@ -82,7 +81,6 @@ pub fn range_power_profile(spectra: &[Vec<Complex64>]) -> Vec<f64> {
 
 /// Scratch-buffer twin of [`range_power_profile`]: identical profile
 /// written into `out` (cleared first).
-// lint: hot-path
 pub fn range_power_profile_into(spectra: &[Vec<Complex64>], out: &mut Vec<f64>) {
     out.clear();
     let n = spectra[0].len();
@@ -118,7 +116,6 @@ pub fn aoa_spectrum(
 
 /// Scratch-buffer twin of [`aoa_spectrum`]: identical `(azimuths,
 /// powers)` grids written into `azs`/`pws` (cleared first).
-// lint: hot-path
 pub fn aoa_spectrum_into(
     spectra: &[Vec<Complex64>],
     bin: usize,
@@ -197,7 +194,10 @@ pub fn detect_points_with(
 
 /// The steady-state detect kernel: range FFT → CFAR → AoA sweep with
 /// every intermediate in a reusable buffer.
-// lint: hot-path
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the shared kernel behind detect_points_with; each buffer is passed separately"
+)]
 fn detect_points_core(
     frame: &Frame,
     chirp: &ChirpConfig,
@@ -261,10 +261,9 @@ fn detect_points_core(
 ///
 /// The Hann window (−31 dB range sidelobes keep nearby objects out of
 /// the measurement) comes from a precomputed [`WindowTable`] sized for
-/// the frame's sample count, so the call is safe in `lint: hot-path`
-/// kernels. Returns the complex amplitude in √mW; `|·|²` is the RSS in
+/// the frame's sample count, so the call allocates nothing (the
+/// steady-state frame of `tests/alloc_budget.rs` runs it). Returns the complex amplitude in √mW; `|·|²` is the RSS in
 /// mW.
-// lint: hot-path
 pub fn spotlight_with(
     frame: &Frame,
     chirp: &ChirpConfig,

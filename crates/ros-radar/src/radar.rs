@@ -114,7 +114,6 @@ impl FmcwRadar {
     /// [`ros_exec::par_for_each_mut`] with one [`SynthScratch`] per
     /// worker, so output frames (and every intermediate) depend only on
     /// the job order, never on thread scheduling.
-    // lint: hot-path
     fn capture_batch_into<R: Rng>(
         &self,
         jobs: &[(Pose, Vec<Echo>)],
@@ -197,8 +196,8 @@ impl FmcwRadar {
 
     /// Spotlight-beamforms on a known world position, returning the
     /// complex RSS amplitude \[√mW\]. `table` is a precomputed Hann
-    /// window sized for the frame's sample count; safe in hot-path
-    /// kernels.
+    /// window sized for the frame's sample count, so the call
+    /// allocates nothing.
     pub fn spotlight_with(
         &self,
         frame: &Frame,

@@ -65,36 +65,10 @@ fn workspace_root() -> PathBuf {
     PathBuf::from(".")
 }
 
-/// Monotonic nanoseconds since the first call — the clock xtask
-/// injects into the gate so `PassTimings` measures real wall time.
-/// The engine itself stays clock-free.
-#[expect(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "the driver is a process edge; it owns the wall clock it injects"
-)]
-fn lint_clock_ns() -> u64 {
-    use std::sync::OnceLock;
-    use std::time::Instant;
-    static START: OnceLock<Instant> = OnceLock::new();
-    let start = *START.get_or_init(Instant::now);
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 fn lint() -> ExitCode {
-    match ros_lint::run_gate(&workspace_root(), Some(lint_clock_ns)) {
+    match ros_lint::run_gate(&workspace_root()) {
         Ok(outcome) => {
             print!("{}", outcome.human_report);
-            let t = outcome.timings;
-            println!(
-                "xtask lint: passes lex {}us scan {}us callgraph {}us rules {}us \
-                 (total {}us)",
-                t.lex_ns / 1_000,
-                t.scan_ns / 1_000,
-                t.callgraph_ns / 1_000,
-                t.rules_ns / 1_000,
-                t.total_ns / 1_000,
-            );
             if outcome.passed {
                 ExitCode::SUCCESS
             } else {

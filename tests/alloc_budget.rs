@@ -3,12 +3,42 @@
 //! DESIGN.md §14: after a warm-up pass has resolved every FFT/CZT/
 //! window plan and grown every scratch buffer to its high-water mark,
 //! a steady-state frame — capture → detect → spotlight → decode — must
-//! perform **zero** heap allocations. This test pins that budget with
-//! a counting global allocator: warm-up runs the exact per-frame work
-//! that the measured rounds repeat (same job seeds, same trace, both
-//! the FFT and CZT decode configurations), so every buffer capacity
-//! the measurement needs has already been reached, and any allocation
-//! observed afterwards is a real hot-path regression.
+//! perform **zero** heap allocations. This test is the one enforcer of
+//! that budget: a counting global allocator measures it. Warm-up runs
+//! the exact per-frame work that the measured rounds repeat (same job
+//! seeds, same trace, both the FFT and CZT decode configurations), so
+//! every buffer capacity the measurement needs has already been
+//! reached, and any allocation observed afterwards is a real
+//! steady-state regression.
+//!
+//! The measured loop reaches every steady-state kernel:
+//!
+//! * capture — `FmcwRadar::capture_batch_with` → `capture_batch_into`
+//!   (`frontend::fill_noise` / `gaussian_pair`,
+//!   `Impairments::fill_walk`, then per frame
+//!   `frontend::synthesize_signal_into`, `add_noise_from_slice` and
+//!   `Impairments::apply_with_walk`). The radar carries the
+//!   `Impairments::eval_board` profile so the impairment kernels run;
+//!   a clean front-end skips them.
+//! * detect — `FmcwRadar::detect_with` → `processing::detect_points_core`
+//!   (`range_spectra_into` over `FftPlan::process_forward`,
+//!   `range_power_profile_into`, `cfar::ca_cfar_into`,
+//!   `aoa_spectrum_into`, `peaks::find_peaks_into`).
+//! * spotlight — `FmcwRadar::spotlight_with` →
+//!   `goertzel::single_bin_windowed_each`.
+//! * decode — `decode_into` → `decode_core` (`resample_uniform_into`,
+//!   `WindowTable::taper`, `rcs_spectrum_windowed_into` on the FFT
+//!   configuration, `rcs_spectrum_czt_into` → `CztPlan::process` →
+//!   `FftPlan::process_forward`/`process_inverse` on the CZT one).
+//!
+//! Two steady-state paths stay outside the per-frame contract:
+//!
+//! * the multi-worker branch of `ros_exec::par_for_each_mut` spawns
+//!   scoped threads, and spawning allocates. The budget runs pinned to
+//!   one worker, whose serial branch allocates nothing.
+//! * `ResolvedTag::export_rows` runs inside per-frame echo gathering,
+//!   which builds each frame's echo list on purpose; the capture jobs
+//!   here are pre-gathered.
 //!
 //! This file intentionally contains a single `#[test]`: the harness
 //! runs tests of one binary concurrently, and a sibling test's setup
@@ -26,6 +56,7 @@ use ros_dsp::window::{Window, WindowTable};
 use ros_em::{Complex64, Vec3};
 use ros_radar::echo::{Echo, Pose};
 use ros_radar::frontend::Frame;
+use ros_radar::impairments::Impairments;
 use ros_radar::pointcloud::RadarPoint;
 use ros_radar::processing::DetectScratch;
 use ros_radar::radar::{CaptureScratch, FmcwRadar};
@@ -152,7 +183,8 @@ fn steady_state_frame_allocates_nothing() {
     let _pin = ros_exec::ThreadGuard::pin(Some(1));
     ros_obs::set_level(ros_obs::Level::Off);
 
-    let radar = FmcwRadar::ti_eval();
+    let mut radar = FmcwRadar::ti_eval();
+    radar.impairments = Impairments::eval_board();
     let (trace, tag_center, code) = drive_by_trace();
     let fx = Fixture {
         spot_table: WindowTable::new(Window::Hann, radar.chirp.n_samples),

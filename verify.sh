@@ -49,10 +49,12 @@ cargo test -q --release -p ros-tests \
     --test fault_trace --test leaf_locks --test obs_trace --test serve_stream \
     -- --test-threads=8
 
-# Steady-state allocation budget: one full planned frame (capture ->
-# detect -> spotlight -> decode) must allocate exactly zero bytes
-# after warm-up. Release mode so the measured path is the shipped
-# code, not debug scaffolding.
+# Steady-state allocation budget, the one enforcer of the zero-alloc
+# frame: after warm-up, planned frames (capture with an impaired
+# front-end -> detect -> spotlight -> decode under FFT and CZT plans)
+# must allocate nothing, measured by a counting allocator. Release
+# mode so the measured path is the shipped code, not debug
+# scaffolding.
 echo "==> allocation budget (tests/alloc_budget.rs, release)"
 cargo test -q --release -p ros-tests --test alloc_budget
 
@@ -61,13 +63,17 @@ cargo test -q --release -p ros-tests --test alloc_budget
 # bare `as` casts, float equality, undocumented pub items, hash
 # collections, and raw thread spawns or wall-clock reads outside
 # ros-exec and the ros-obs clock. Lib and bin targets only, so #[cfg(test)] code stays exempt;
-# a stale #[expect(...)] fails the build too.
-echo "==> cargo clippy --workspace"
-cargo clippy --workspace
+# a stale #[expect(...)] fails the build too. `-D warnings` turns every
+# default-level clippy and rustc warning into a failure as well. The
+# vendored stand-ins (rand, proptest, criterion) sit inside the
+# workspace directory, so cargo makes them implicit members: they are
+# excluded, and --no-deps keeps them out of the lint run as
+# dependencies.
+echo "==> cargo clippy (workspace crates, warnings denied)"
+cargo clippy --workspace --exclude rand --exclude proptest --exclude criterion --no-deps -- -D warnings
 
 # Workspace-analysis gate (ros-lint): the rules clippy cannot express
-# (dead-pub, hot-path allocation, suppression audit, typed units). Any
-# finding fails; the last line reports each pass's wall time.
+# (dead-pub, typed units, suppression audit). Any finding fails.
 echo "==> xtask lint (ros-lint gate)"
 cargo run -q -p xtask -- lint
 

@@ -72,7 +72,11 @@ fn bench_fec(c: &mut Criterion) {
     c.bench_function("hamming74_protect_recover_64bits", |b| {
         b.iter(|| {
             let coded = protect(&msg);
-            black_box(recover(&coded, msg.len()).map(|(bits, _)| bits.len()).unwrap_or(0))
+            black_box(
+                recover(&coded, msg.len())
+                    .map(|(bits, _)| bits.len())
+                    .unwrap_or(0),
+            )
         })
     });
 }

@@ -11,9 +11,7 @@ fn bench_fft(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft");
     for &n in &[256usize, 1024, 4096] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let data: Vec<Complex64> = (0..n)
-                .map(|i| Complex64::cis(i as f64 * 0.37))
-                .collect();
+            let data: Vec<Complex64> = (0..n).map(|i| Complex64::cis(i as f64 * 0.37)).collect();
             b.iter(|| {
                 let mut buf = data.clone();
                 fft_in_place(&mut buf);

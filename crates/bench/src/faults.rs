@@ -156,16 +156,8 @@ pub fn run(smoke: bool) {
                 pins[1]
             );
         }
-        let degraded = lo
-            .frame_verdicts
-            .iter()
-            .filter(|v| v.is_degraded())
-            .count();
-        let erasures = lo
-            .decode
-            .as_ref()
-            .map(|d| d.erasures.len())
-            .unwrap_or(0);
+        let degraded = lo.frame_verdicts.iter().filter(|v| v.is_degraded()).count();
+        let erasures = lo.decode.as_ref().map(|d| d.erasures.len()).unwrap_or(0);
         let rate = match plan.specs.as_slice() {
             [spec] => f(spec.rate, 2),
             [] => "-".to_string(),
@@ -176,7 +168,12 @@ pub fn run(smoke: bool) {
             rate,
             lo.verdict.name().to_string(),
             f(ber(&lo), 2),
-            if lo.detected_center.is_some() { "1" } else { "0" }.to_string(),
+            if lo.detected_center.is_some() {
+                "1"
+            } else {
+                "0"
+            }
+            .to_string(),
             degraded.to_string(),
             erasures.to_string(),
             if identical { "yes" } else { "NO" }.to_string(),

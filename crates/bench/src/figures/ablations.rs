@@ -31,7 +31,11 @@ fn tag_for(bits: &[bool], rows: usize, m_stacks: usize) -> (SpatialCode, ros_cor
         rows_per_stack: rows,
         ..SpatialCode::paper_4bit()
     };
-    (code, code.encode(bits).unwrap_or_else(|e| panic!("tag encode: {e}")))
+    (
+        code,
+        code.encode(bits)
+            .unwrap_or_else(|e| panic!("tag encode: {e}")),
+    )
 }
 
 /// FFT decoder vs near-field matched filter, per distance and capacity.
@@ -58,14 +62,8 @@ pub fn ablate_decoder() {
             let cfg = DecoderConfig::default();
             let fft = decode(&outcome.rss_trace, center, 0.0, &code, &cfg);
             let mf = decode_nearfield(&outcome.rss_trace, center, 0.0, &code, &cfg);
-            let okf = fft
-                .as_ref()
-                .map(|r| r.bits == *bits)
-                .unwrap_or(false);
-            let okm = mf
-                .as_ref()
-                .map(|r| r.bits == *bits)
-                .unwrap_or(false);
+            let okf = fft.as_ref().map(|r| r.bits == *bits).unwrap_or(false);
+            let okm = mf.as_ref().map(|r| r.bits == *bits).unwrap_or(false);
             t.row(vec![
                 label.to_string(),
                 f(d, 1),
@@ -143,7 +141,9 @@ pub fn ask_demo() {
     );
     let symbols = [3u8, 1, 2];
     for d in [2.0, 2.5, 3.0, 3.5, 4.0] {
-        let tag = code.encode(&symbols).unwrap_or_else(|e| panic!("ASK encode: {e}"));
+        let tag = code
+            .encode(&symbols)
+            .unwrap_or_else(|e| panic!("ASK encode: {e}"));
         let mut drive = DriveBy::new(tag, d).with_seed(9100 + d as u64);
         drive.half_span_m = 8.0;
         let outcome = drive.run(&ReaderConfig::fast());
@@ -224,7 +224,13 @@ pub fn optimizer_ablation() {
 
     let mut t = Table::new(
         "Ablation — DE (paper's choice) vs PSO for beam shaping (8-row stack)",
-        &["optimizer", "cost", "evaluations", "beamwidth (°)", "worst in-window (dB)"],
+        &[
+            "optimizer",
+            "cost",
+            "evaluations",
+            "beamwidth (°)",
+            "worst in-window (dB)",
+        ],
     );
     let n_rows = 8;
     let target = deg_to_rad(10.0);
@@ -257,7 +263,13 @@ pub fn optimizer_ablation() {
             ..Default::default()
         },
     );
-    summarize("DE (rand-to-best/1)", &de.x, de.cost, de.evaluations, &mut t);
+    summarize(
+        "DE (rand-to-best/1)",
+        &de.x,
+        de.cost,
+        de.evaluations,
+        &mut t,
+    );
 
     let pso = minimize_pso(
         |h| flat_top_objective(h, n_rows, target),
@@ -268,7 +280,13 @@ pub fn optimizer_ablation() {
             ..Default::default()
         },
     );
-    summarize("PSO (global-best)", &pso.x, pso.cost, pso.evaluations, &mut t);
+    summarize(
+        "PSO (global-best)",
+        &pso.x,
+        pso.cost,
+        pso.evaluations,
+        &mut t,
+    );
 
     t.emit("optimizer_ablation");
     note("at equal evaluation budgets DE reaches a flatter, wider top than PSO — supporting the paper's §4.3 DE-GA choice.");
@@ -306,7 +324,13 @@ pub fn tag_yaw() {
 pub fn ground_effect() {
     let mut t = Table::new(
         "Ablation — two-ray ground bounce (32-row tag, 3 m)",
-        &["radar_height_m", "RSS flat-earth", "RSS two-ray", "SNR flat", "SNR two-ray"],
+        &[
+            "radar_height_m",
+            "RSS flat-earth",
+            "RSS two-ray",
+            "SNR flat",
+            "SNR two-ray",
+        ],
     );
     for h in [0.5, 0.75, 1.0, 1.25, 1.5] {
         let mut row = vec![f(h, 2)];
@@ -344,11 +368,13 @@ pub fn impairments_ablation() {
     );
     for (label, imp) in [
         ("ideal", Impairments::default()),
-        ("eval board (PN + 12-bit ADC + IQ)", Impairments::eval_board()),
+        (
+            "eval board (PN + 12-bit ADC + IQ)",
+            Impairments::eval_board(),
+        ),
     ] {
         let (_, tag) = tag_for(&[true, false, true, true], 32, 5);
-        let mut drive =
-            DriveBy::new(tag.with_column_bow(0.0004, 42), 3.0).with_seed(9500);
+        let mut drive = DriveBy::new(tag.with_column_bow(0.0004, 42), 3.0).with_seed(9500);
         drive.half_span_m = 3.0;
         drive.radar.impairments = imp;
         let mut cfg = ReaderConfig::full();

@@ -4,7 +4,7 @@ use crate::util::{f, Table};
 use ros_antenna::design;
 use ros_core::capacity;
 use ros_core::encode::SpatialCode;
-use ros_em::constants::{LAMBDA_CENTER_M, F_CENTER_HZ};
+use ros_em::constants::{F_CENTER_HZ, LAMBDA_CENTER_M};
 use ros_em::geom::rad_to_deg;
 use ros_em::radar_eq::RadarLinkBudget;
 
@@ -93,7 +93,12 @@ pub fn design() {
     ]);
 
     // SNR↔BER anchors.
-    for (snr, paper) in [(15.8, "0.10%"), (15.0, "0.30%"), (14.0, "0.60%"), (10.0, "5.7%")] {
+    for (snr, paper) in [
+        (15.8, "0.10%"),
+        (15.0, "0.30%"),
+        (14.0, "0.60%"),
+        (10.0, "5.7%"),
+    ] {
         let ber = ros_dsp::stats::ook_ber(ros_em::db::db_to_pow(snr));
         t.row(vec![
             format!("BER at {snr} dB SNR"),

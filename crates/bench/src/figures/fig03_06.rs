@@ -19,7 +19,10 @@ const H: Polarization = Polarization::H;
 
 /// The Fig. 4/5 azimuth grid: −90°..=90° in 5° steps, as radians.
 fn azimuth_grid_rad() -> Vec<f64> {
-    (-90..=90).step_by(5).map(|d| deg_to_rad(f64::from(d))).collect()
+    (-90..=90)
+        .step_by(5)
+        .map(|d| deg_to_rad(f64::from(d)))
+        .collect()
 }
 
 /// Fig. 3: per-pair RCS vs frequency for 1..6 antenna pairs.
@@ -70,7 +73,11 @@ pub fn fig3(cache: &GeomCache) {
         s.row(vec![
             format!("{}", n + 1),
             f(*db, 2),
-            if n + 1 == best.0 { "← max".into() } else { String::new() },
+            if n + 1 == best.0 {
+                "← max".into()
+            } else {
+                String::new()
+            },
         ]);
     }
     s.emit("fig3_summary");
@@ -148,11 +155,19 @@ pub fn fig5(cache: &GeomCache, cross: bool) {
     let psvaa = VanAttaArray::new(ArrayKind::Psvaa, 3);
     let vaa = VanAttaArray::new(ArrayKind::VanAtta, 3);
     let (tx, rx, name, paper) = if cross {
-        (V, H, "Fig. 5a — RCS, Tx/Rx orthogonal polarization (dBsm)",
-         "PSVAA ≈ −43 dBsm flat across 120°; VAA ≈ −55 dBsm (12 dB lower).")
+        (
+            V,
+            H,
+            "Fig. 5a — RCS, Tx/Rx orthogonal polarization (dBsm)",
+            "PSVAA ≈ −43 dBsm flat across 120°; VAA ≈ −55 dBsm (12 dB lower).",
+        )
     } else {
-        (V, V, "Fig. 5b — RCS, Tx/Rx same polarization (dBsm)",
-         "PSVAA acts as a specular reflector: only the normal direction returns.")
+        (
+            V,
+            V,
+            "Fig. 5b — RCS, Tx/Rx same polarization (dBsm)",
+            "PSVAA acts as a specular reflector: only the normal direction returns.",
+        )
     };
     let mut t = Table::new(name, &["azimuth_deg", "PSVAA", "VAA"]);
     let thetas = azimuth_grid_rad();
@@ -169,15 +184,30 @@ pub fn fig5(cache: &GeomCache, cross: bool) {
 pub fn fig6(cross: bool) {
     let psvaa = VanAttaArray::paper_psvaa();
     let (tx, rx, name, paper) = if cross {
-        (V, H, "Fig. 6a — PSVAA RCS across 76–81 GHz, orthogonal pol (dBsm)",
-         "cross-pol RCS varies by <4 dB across the band.")
+        (
+            V,
+            H,
+            "Fig. 6a — PSVAA RCS across 76–81 GHz, orthogonal pol (dBsm)",
+            "cross-pol RCS varies by <4 dB across the band.",
+        )
     } else {
-        (V, V, "Fig. 6b — PSVAA RCS across 76–81 GHz, same pol (dBsm)",
-         "strong specular main lobe and side lobes across the band.")
+        (
+            V,
+            V,
+            "Fig. 6b — PSVAA RCS across 76–81 GHz, same pol (dBsm)",
+            "strong specular main lobe and side lobes across the band.",
+        )
     };
     let mut t = Table::new(
         name,
-        &["azimuth_deg", "76GHz", "77.25GHz", "78.5GHz", "79.75GHz", "81GHz"],
+        &[
+            "azimuth_deg",
+            "76GHz",
+            "77.25GHz",
+            "78.5GHz",
+            "79.75GHz",
+            "81GHz",
+        ],
     );
     for deg in (-90..=90).step_by(10) {
         let th = deg_to_rad(deg as f64);
@@ -202,6 +232,9 @@ pub fn fig6(cross: bool) {
             lo = lo.min(r);
             hi = hi.max(r);
         }
-        println!("   measured band ripple at 15°: {:.2} dB (paper: <4 dB)\n", hi - lo);
+        println!(
+            "   measured band ripple at 15°: {:.2} dB (paper: <4 dB)\n",
+            hi - lo
+        );
     }
 }

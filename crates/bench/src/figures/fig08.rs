@@ -48,14 +48,16 @@ pub fn fig8b(cache: &GeomCache) {
     let shaped_db = shaped.elevation_pattern_table_in(cache, &epsilons, F_CENTER_HZ);
     let flat_db = flat.elevation_pattern_table_in(cache, &epsilons, F_CENTER_HZ);
     for (k, i) in (-20..=20).enumerate() {
-        t.row(vec![f(f64::from(i), 0), f(shaped_db[k], 1), f(flat_db[k], 1)]);
+        t.row(vec![
+            f(f64::from(i), 0),
+            f(shaped_db[k], 1),
+            f(flat_db[k], 1),
+        ]);
     }
     t.emit("fig8b");
 
     let bw_shaped = rad_to_deg(shaped.measured_beamwidth_rad(F_CENTER_HZ));
     let bw_flat = rad_to_deg(flat.measured_beamwidth_rad(F_CENTER_HZ));
-    println!(
-        "   measured −3 dB beamwidth: shaped {bw_shaped:.1}°, uniform {bw_flat:.1}°"
-    );
+    println!("   measured −3 dB beamwidth: shaped {bw_shaped:.1}°, uniform {bw_flat:.1}°");
     note("beam flattened to ≈10° (from ≈2°), symmetric pattern.");
 }

@@ -14,7 +14,9 @@ use ros_em::constants::LAMBDA_CENTER_M;
 /// Fig. 10b: the multi-stack RCS factor vs azimuth.
 pub fn fig10b() {
     let code = SpatialCode::paper_4bit();
-    let tag = code.encode(&[true; 4]).unwrap_or_else(|e| panic!("tag encode: {e}"));
+    let tag = code
+        .encode(&[true; 4])
+        .unwrap_or_else(|e| panic!("tag encode: {e}"));
     let pos = tag.stack_positions_m().to_vec();
     let mut t = Table::new(
         "Fig. 10b — 4-bit tag RCS (normalized) vs azimuth",

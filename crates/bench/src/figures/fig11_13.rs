@@ -37,7 +37,15 @@ pub fn fig11b() {
     let outcome = drive.run(&ReaderConfig::full());
     let mut t = Table::new(
         "Fig. 11b — clustered point cloud (tag + tripod scene)",
-        &["cluster", "cx_m", "cy_m", "points", "size_m2", "rss_loss_dB", "is_tag"],
+        &[
+            "cluster",
+            "cx_m",
+            "cy_m",
+            "points",
+            "size_m2",
+            "rss_loss_dB",
+            "is_tag",
+        ],
     );
     for (i, c) in outcome.clusters.iter().enumerate() {
         t.row(vec![
@@ -87,7 +95,11 @@ pub fn fig11c() {
             .find(|c| (c.features.center.x - tri_c.x).abs() < 0.5)
             .map(|c| c.features.rss_switched_dbm)
             .unwrap_or(f64::NEG_INFINITY);
-        t.row(vec![f(az_tag, 1), f(rss, 1), f(tri_loss + (az_tri - az_tag) * 0.0, 1)]);
+        t.row(vec![
+            f(az_tag, 1),
+            f(rss, 1),
+            f(tri_loss + (az_tri - az_tag) * 0.0, 1),
+        ]);
     }
     t.emit("fig11c");
     note("tag RSS well above the suppressed (cross-pol) tripod across the pass.");
@@ -150,8 +162,18 @@ pub fn fig13() {
     }
     let bl = BoxStats::from(&tag_losses);
     let bs = BoxStats::from(&tag_sizes);
-    loss_t.row(vec!["RoS".into(), f(bl.q1, 1), f(bl.median, 1), f(bl.q3, 1)]);
-    size_t.row(vec!["RoS".into(), f(bs.q1, 3), f(bs.median, 3), f(bs.q3, 3)]);
+    loss_t.row(vec![
+        "RoS".into(),
+        f(bl.q1, 1),
+        f(bl.median, 1),
+        f(bl.q3, 1),
+    ]);
+    size_t.row(vec![
+        "RoS".into(),
+        f(bs.q1, 3),
+        f(bs.median, 3),
+        f(bs.q3, 3),
+    ]);
 
     for class in ObjectClass::ALL {
         let mut losses = Vec::new();

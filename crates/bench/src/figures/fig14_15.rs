@@ -70,7 +70,14 @@ pub fn fig15() {
     let mut t = Table::new(
         "Fig. 15a/b — RSS (dBm) and SNR (dB) vs radar-to-tag distance",
         &[
-            "dist_m", "RSS 8", "RSS 16", "RSS 32", "SNR 8", "SNR 16", "SNR 32", "bits ok 8/16/32",
+            "dist_m",
+            "RSS 8",
+            "RSS 16",
+            "RSS 32",
+            "SNR 8",
+            "SNR 16",
+            "SNR 32",
+            "bits ok 8/16/32",
         ],
     );
     for step in 0..=8 {

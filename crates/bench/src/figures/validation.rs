@@ -84,7 +84,11 @@ pub fn ber_validation() {
 pub fn music_separation() {
     let mut t = Table::new(
         "Validation — MUSIC resolves sub-beamwidth tag separation",
-        &["separation (Δu)", "beamforming resolves", "MUSIC error (Δu)"],
+        &[
+            "separation (Δu)",
+            "beamforming resolves",
+            "MUSIC error (Δu)",
+        ],
     );
     let spacing = 0.5; // λ/2 array
     let beam_res = 1.0 / 4.0 / spacing; // λ/(N·d) in u units = 0.5
@@ -116,11 +120,7 @@ pub fn music_separation() {
         } else {
             f64::NAN
         };
-        t.row(vec![
-            f(sep, 2),
-            format!("{}", sep > beam_res),
-            f(err, 3),
-        ]);
+        t.row(vec![f(sep, 2), format!("{}", sep > beam_res), f(err, 3)]);
     }
     t.emit("music_separation");
     note("beamforming needs Δu > 0.5 (→ 1.53 m at 6 m, §5.3); MUSIC locates tags at Δu ≈ 0.15.");

@@ -56,14 +56,47 @@ fn main() {
         return;
     }
 
-    let which: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all" || a == "figures")
-    {
+    let which: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all" || a == "figures") {
         vec![
-            "fig3", "fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b", "fig8a", "fig8b",
-            "fig10b", "fig10c", "fig11b", "fig11c", "fig11d", "fig13", "fig14", "fig15",
-            "fig16a", "fig16b", "fig16c", "fig16d", "fig17", "fig18", "design",
-            "ablate_decoder", "ablate_window", "ablate_sampling", "ask_demo",
-            "cp_analysis", "fec_analysis", "ber_validation", "music_separation", "optimizer_ablation", "rain_sweep", "commercial_range", "ground_effect", "impairments", "tag_yaw", "blockage",
+            "fig3",
+            "fig4a",
+            "fig4b",
+            "fig5a",
+            "fig5b",
+            "fig6a",
+            "fig6b",
+            "fig8a",
+            "fig8b",
+            "fig10b",
+            "fig10c",
+            "fig11b",
+            "fig11c",
+            "fig11d",
+            "fig13",
+            "fig14",
+            "fig15",
+            "fig16a",
+            "fig16b",
+            "fig16c",
+            "fig16d",
+            "fig17",
+            "fig18",
+            "design",
+            "ablate_decoder",
+            "ablate_window",
+            "ablate_sampling",
+            "ask_demo",
+            "cp_analysis",
+            "fec_analysis",
+            "ber_validation",
+            "music_separation",
+            "optimizer_ablation",
+            "rain_sweep",
+            "commercial_range",
+            "ground_effect",
+            "impairments",
+            "tag_yaw",
+            "blockage",
         ]
     } else {
         args.iter().map(String::as_str).collect()

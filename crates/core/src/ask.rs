@@ -226,7 +226,13 @@ mod tests {
     #[test]
     fn out_of_range_symbol_is_an_error() {
         let err = AskCode::four_level().encode(&[4, 0, 0]).unwrap_err();
-        assert_eq!(err, EncodeError::SymbolOutOfRange { symbol: 4, levels: 4 });
+        assert_eq!(
+            err,
+            EncodeError::SymbolOutOfRange {
+                symbol: 4,
+                levels: 4
+            }
+        );
     }
 
     #[test]

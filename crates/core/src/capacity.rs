@@ -87,7 +87,11 @@ mod tests {
         // Far field ≈ 2.9 m (19.5λ aperture).
         assert!((a.far_field_m - 2.89).abs() < 0.1, "ff {}", a.far_field_m);
         // ≈38.5 m/s speed bound.
-        assert!((a.max_speed_mps - 38.5).abs() < 3.0, "v {}", a.max_speed_mps);
+        assert!(
+            (a.max_speed_mps - 38.5).abs() < 3.0,
+            "v {}",
+            a.max_speed_mps
+        );
         // ≥1.53 m side-by-side separation.
         assert!((a.min_tag_separation_m - 1.53).abs() < 0.05);
     }
@@ -115,11 +119,7 @@ mod tests {
         let rcs = estimated_tag_rcs_dbsm(5, 32, true);
         assert!((rcs - (-23.0)).abs() < 6.0, "estimate {rcs} dBsm");
         // More rows → more RCS; shaping costs RCS.
-        assert!(
-            estimated_tag_rcs_dbsm(5, 32, false) > estimated_tag_rcs_dbsm(5, 32, true)
-        );
-        assert!(
-            estimated_tag_rcs_dbsm(5, 32, true) > estimated_tag_rcs_dbsm(5, 8, true)
-        );
+        assert!(estimated_tag_rcs_dbsm(5, 32, false) > estimated_tag_rcs_dbsm(5, 32, true));
+        assert!(estimated_tag_rcs_dbsm(5, 32, true) > estimated_tag_rcs_dbsm(5, 8, true));
     }
 }

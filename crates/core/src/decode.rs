@@ -27,8 +27,8 @@ use ros_dsp::resample::{resample_uniform_into, Sample};
 use ros_dsp::stats;
 use ros_dsp::window::WindowTable;
 use ros_em::radar_eq::RadarLinkBudget;
-use ros_em::{Complex64, Vec3};
 use ros_em::units::cast::AsF64;
+use ros_em::{Complex64, Vec3};
 use ros_obs::names;
 
 /// One spotlight measurement.
@@ -210,7 +210,15 @@ pub fn decode(
 ) -> Result<DecodeResult, DecodeError> {
     let mut scratch = DecodeScratch::new();
     let mut out = DecodeResult::default();
-    decode_into(samples, tag_center, tag_axis_yaw, code, cfg, &mut scratch, &mut out)?;
+    decode_into(
+        samples,
+        tag_center,
+        tag_axis_yaw,
+        code,
+        cfg,
+        &mut scratch,
+        &mut out,
+    )?;
     Ok(out)
 }
 
@@ -279,10 +287,7 @@ pub fn decode_into(
         }
         Ok(()) => {
             if ros_obs::enabled() {
-                let max_amp = out
-                    .slot_amplitudes
-                    .iter()
-                    .fold(0.0, |m, &a| f64::max(m, a));
+                let max_amp = out.slot_amplitudes.iter().fold(0.0, |m, &a| f64::max(m, a));
                 ros_obs::count(names::DECODE_OK, 1);
                 ros_obs::hist(names::DECODE_SNR_DB, stats::snr_db(out.snr_linear));
                 for a in &out.slot_amplitudes {
@@ -301,7 +306,11 @@ pub fn decode_into(
                         );
                     }
                 }
-                let word: String = out.bits.iter().map(|b| if *b { '1' } else { '0' }).collect();
+                let word: String = out
+                    .bits
+                    .iter()
+                    .map(|b| if *b { '1' } else { '0' })
+                    .collect();
                 ros_obs::event(
                     "decode.result",
                     &[
@@ -363,7 +372,9 @@ fn decode_core(
     trace.clear();
     let mut nonfinite = 0usize;
     for s in samples {
-        if !s.rss.re.is_finite() || !s.rss.im.is_finite() || !s.radar_pos.x.is_finite()
+        if !s.rss.re.is_finite()
+            || !s.rss.im.is_finite()
+            || !s.radar_pos.x.is_finite()
             || !s.radar_pos.y.is_finite()
         {
             nonfinite += 1;
@@ -573,10 +584,7 @@ mod tests {
             }
             if let Some(floor) = noise_dbm {
                 let sigma = 10f64.powf(floor / 20.0) / std::f64::consts::SQRT_2;
-                rss += Complex64::new(
-                    gauss(&mut rng) * sigma,
-                    gauss(&mut rng) * sigma,
-                );
+                rss += Complex64::new(gauss(&mut rng) * sigma, gauss(&mut rng) * sigma);
             }
             out.push(RssSample {
                 radar_pos: pos,

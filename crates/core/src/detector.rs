@@ -16,9 +16,9 @@
 //!    centre of gravity becomes the decode spotlight position.
 
 use ros_dsp::dbscan::{dbscan, summarize_clusters, ClusterSummary, DbscanParams};
+use ros_em::Vec3;
 use ros_obs::names;
 use ros_radar::pointcloud::PointCloud;
-use ros_em::Vec3;
 
 /// Feature vector of one candidate cluster.
 #[derive(Clone, Copy, Debug)]
@@ -179,10 +179,11 @@ where
 /// Picks the best tag candidate (smallest RSS loss among `is_tag`
 /// clusters), if any.
 pub fn pick_tag(clusters: &[ScoredCluster]) -> Option<&ScoredCluster> {
-    let best = clusters
-        .iter()
-        .filter(|c| c.is_tag)
-        .min_by(|a, b| a.features.rss_loss_db().total_cmp(&b.features.rss_loss_db()));
+    let best = clusters.iter().filter(|c| c.is_tag).min_by(|a, b| {
+        a.features
+            .rss_loss_db()
+            .total_cmp(&b.features.rss_loss_db())
+    });
     match best {
         Some(c) => ros_obs::event(
             "detector.pick",

@@ -142,7 +142,11 @@ mod tests {
         let (bits, passes) = marginal_passes(7, 4.75);
         assert!(passes.len() >= 5, "need passes to fuse");
         let fused = fuse_amplitudes(&passes);
-        assert_eq!(fused.bits, bits, "fused decode failed: {:?}", fused.confidence);
+        assert_eq!(
+            fused.bits, bits,
+            "fused decode failed: {:?}",
+            fused.confidence
+        );
     }
 
     #[test]

@@ -122,10 +122,7 @@ mod tests {
     #[test]
     fn recovers_pure_offset() {
         // Two tags, both observed displaced by (0.4, −0.2).
-        let observations = [
-            obs(0.4, 2.8, 0.0, 3.0, 1.0),
-            obs(5.4, 2.8, 5.0, 3.0, 1.0),
-        ];
+        let observations = [obs(0.4, 2.8, 0.0, 3.0, 1.0), obs(5.4, 2.8, 5.0, 3.0, 1.0)];
         let c = estimate_correction(&observations).unwrap();
         assert!((c.bias.x - 0.4).abs() < 1e-12);
         assert!((c.bias.y + 0.2).abs() < 1e-12);
@@ -158,10 +155,7 @@ mod tests {
     #[test]
     fn residual_reports_inconsistency() {
         // Inconsistent offsets can't be explained by one bias.
-        let observations = [
-            obs(0.5, 3.0, 0.0, 3.0, 1.0),
-            obs(4.5, 3.0, 5.0, 3.0, 1.0),
-        ];
+        let observations = [obs(0.5, 3.0, 0.0, 3.0, 1.0), obs(4.5, 3.0, 5.0, 3.0, 1.0)];
         let c = estimate_correction(&observations).unwrap();
         assert!(c.bias.x.abs() < 1e-12); // offsets cancel
         assert!(c.residual_m > 0.4);
@@ -169,10 +163,7 @@ mod tests {
 
     #[test]
     fn degenerate_observation_sets_are_typed_errors() {
-        assert_eq!(
-            estimate_correction(&[]),
-            Err(LocalizeError::NoObservations)
-        );
+        assert_eq!(estimate_correction(&[]), Err(LocalizeError::NoObservations));
         assert_eq!(
             estimate_correction(&[obs(0.0, 0.0, 0.0, 0.0, 0.0)]),
             Err(LocalizeError::ZeroWeights)
@@ -221,11 +212,7 @@ mod tests {
         // The drift stretches the ±3 m track by 6%; the detected tag
         // centre shifts accordingly and the correction recovers a
         // same-magnitude bias.
-        assert!(
-            c.bias.norm() < 0.4,
-            "implausible bias {:?}",
-            c.bias
-        );
+        assert!(c.bias.norm() < 0.4, "implausible bias {:?}", c.bias);
         // Applying the correction moves the detected centre onto the
         // survey within a few centimetres.
         let corrected = Vec3::new(center.x, center.y, 0.0) - c.bias;

@@ -27,8 +27,8 @@
 use crate::decode::{DecodeError, DecoderConfig, RssSample};
 use crate::encode::SpatialCode;
 use ros_dsp::stats;
-use ros_em::Vec3;
 use ros_em::units::cast::AsF64;
+use ros_em::Vec3;
 
 /// Near-field decode result.
 #[derive(Clone, Debug)]
@@ -167,8 +167,8 @@ pub fn decode_nearfield(
     }
     let noise_rms = (phantom_amps.iter().map(|a| a * a).sum::<f64>()
         / phantom_amps.len().max(1).as_f64())
-        .sqrt()
-        .max(1e-300);
+    .sqrt()
+    .max(1e-300);
 
     let slot_amplitudes: Vec<f64> = slot_amps.iter().map(|a| a / noise_rms).collect();
     let max_amp = slot_amplitudes.iter().cloned().fold(0.0, f64::max);
@@ -259,14 +259,8 @@ mod tests {
     #[test]
     fn too_few_samples_error() {
         let c = code(4, 8);
-        let err = decode_nearfield(
-            &[],
-            ros_em::Vec3::ZERO,
-            0.0,
-            &c,
-            &DecoderConfig::default(),
-        )
-        .unwrap_err();
+        let err = decode_nearfield(&[], ros_em::Vec3::ZERO, 0.0, &c, &DecoderConfig::default())
+            .unwrap_err();
         assert!(matches!(err, DecodeError::TooFewSamples { .. }));
     }
 }

@@ -198,7 +198,11 @@ pub fn rcs_spectrum_czt_into(
     assert!(!rcs.is_empty());
     let n_bins = plan.output_len();
     assert!(n_bins >= 2, "CZT plan must produce at least two bins");
-    assert_eq!(plan.input_len(), rcs.len(), "CZT plan input length mismatch");
+    assert_eq!(
+        plan.input_len(),
+        rcs.len(),
+        "CZT plan input length mismatch"
+    );
     let mean = rcs.iter().sum::<f64>() / rcs.len().as_f64();
     centred.clear();
     for &r in rcs {
@@ -342,7 +346,10 @@ mod tests {
         let p75 = magnitude_at_spacing(&spacings, &mags, 7.5 * LAM);
         let p9 = magnitude_at_spacing(&spacings, &mags, 9.0 * LAM);
         let p105 = magnitude_at_spacing(&spacings, &mags, 10.5 * LAM);
-        assert!(p6 > 4.0 * p75, "bit-1 slot 6λ {p6} vs bit-0 slot 7.5λ {p75}");
+        assert!(
+            p6 > 4.0 * p75,
+            "bit-1 slot 6λ {p6} vs bit-0 slot 7.5λ {p75}"
+        );
         assert!(p9 > 4.0 * p105);
     }
 
@@ -377,8 +384,7 @@ mod tests {
         let pos = paper_positions();
         let rcs = sample_rcs_factor(&pos, LAM, 1.0, 512);
         let (s_fft, m_fft) = rcs_spectrum(&rcs, 1.0, LAM, 8);
-        let (s_czt, m_czt) =
-            rcs_spectrum_czt(&rcs, 1.0, LAM, 25.0 * LAM, 1024, Window::Hann);
+        let (s_czt, m_czt) = rcs_spectrum_czt(&rcs, 1.0, LAM, 25.0 * LAM, 1024, Window::Hann);
         // Compare coding-peak amplitudes between the two spectra.
         for slot in [6.0, 7.5, 9.0, 10.5] {
             let a = magnitude_at_spacing(&s_fft, &m_fft, slot * LAM);
@@ -414,8 +420,7 @@ mod tests {
                 &mut spacings,
                 &mut mags,
             );
-            let (want_s, want_m) =
-                rcs_spectrum_windowed(&rcs, 1.0, LAM, zero_pad, Window::Hamming);
+            let (want_s, want_m) = rcs_spectrum_windowed(&rcs, 1.0, LAM, zero_pad, Window::Hamming);
             assert_eq!(spacings.len(), want_s.len());
             assert_eq!(mags.len(), want_m.len());
             for (a, b) in spacings.iter().zip(&want_s) {

@@ -357,8 +357,7 @@ impl DriveBy {
         let schedule = self.fault_schedule(&times, &mut believed);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xf011);
         let native = RadarMode::Native.polarizations(self.radar.array.native_pol);
-        let switched =
-            RadarMode::PolarizationSwitched.polarizations(self.radar.array.native_pol);
+        let switched = RadarMode::PolarizationSwitched.polarizations(self.radar.array.native_pol);
 
         // Capture both Tx modes per decoding frame. Jobs are laid out
         // in the exact order the serial loop would consume the RNG
@@ -404,7 +403,9 @@ impl DriveBy {
             let Some(frame) = frames.next() else { break };
             switched_frames.push((frame, *pos_believed));
             if i % cfg.detect_stride == 0 {
-                let Some(frame_nat) = frames.next() else { break };
+                let Some(frame_nat) = frames.next() else {
+                    break;
+                };
                 native_frames.push((frame_nat, *pos_believed));
             }
         }
@@ -446,9 +447,7 @@ impl DriveBy {
                     self.radar.detect_with(&native_frames[j].0, scratch, pts);
                 },
             );
-            for (j, ((_, pos_believed), pts)) in
-                native_frames.iter().zip(&detections).enumerate()
-            {
+            for (j, ((_, pos_believed), pts)) in native_frames.iter().zip(&detections).enumerate() {
                 let idx = j * cfg.detect_stride;
                 let ff = match &schedule {
                     Some(sch) => *sch.get(idx),
@@ -467,7 +466,10 @@ impl DriveBy {
                                 p.range_m = f64::INFINITY;
                                 p.power_mw = f64::INFINITY;
                             }
-                            #[expect(clippy::as_conversions, reason = "point index widens losslessly")]
+                            #[expect(
+                                clippy::as_conversions,
+                                reason = "point index widens losslessly"
+                            )]
                             CorruptionMode::Outlier { offset_m } => {
                                 p.range_m += (2.0 * c.unit(k as u64) - 1.0) * offset_m;
                             }
@@ -504,10 +506,7 @@ impl DriveBy {
             // Cluster centroids live on the road plane; objects (and
             // the radar) sit at the radar height.
             let center = Vec3::new(center2d.x, center2d.y, h);
-            let others: Vec<Vec3> = others2d
-                .iter()
-                .map(|o| Vec3::new(o.x, o.y, h))
-                .collect();
+            let others: Vec<Vec3> = others2d.iter().map(|o| Vec3::new(o.x, o.y, h)).collect();
             let clear_of_neighbours = |pose_pos: Vec3| -> bool {
                 let p = Pose::side_looking(pose_pos);
                 let rc = p.range_to(center);

@@ -818,7 +818,10 @@ mod tests {
                 events.iter().map(event_bits).collect::<Vec<_>>()
             };
             let whole = drain(usize::MAX);
-            assert!(matches!(whole.first().map(|e| e[0]), Some(0)), "{name}: PassStart first");
+            assert!(
+                matches!(whole.first().map(|e| e[0]), Some(0)),
+                "{name}: PassStart first"
+            );
             assert_eq!(whole.last(), Some(&vec![2]), "{name}: PassEnd last");
             if name == "faulted" {
                 assert!(

@@ -129,7 +129,10 @@ impl Tag {
     /// # Panics
     /// Panics when `stacks` is empty or the first stack is off-origin.
     pub(crate) fn from_stacks(code: SpatialCode, stacks: Vec<TagStack>, bits: Vec<bool>) -> Self {
-        assert!(!stacks.is_empty(), "a tag needs at least the reference stack");
+        assert!(
+            !stacks.is_empty(),
+            "a tag needs at least the reference stack"
+        );
         assert!(
             stacks[0].x_m.abs() < 1e-12,
             "the reference stack must sit at the origin"
@@ -273,8 +276,8 @@ impl Tag {
                 // Parabolic deflection toward/away from the road,
                 // maximal at the column centre, zero at the clamped ends.
                 let dy = bow * (1.0 - (zc / half_h).powi(2));
-                let pos = self.mount
-                    + Vec3::new(xs * cos_y - dy * sin_y, xs * sin_y - dy * cos_y, zc);
+                let pos =
+                    self.mount + Vec3::new(xs * cos_y - dy * sin_y, xs * sin_y - dy * cos_y, zc);
                 rows.push((pos, w));
             }
         }
@@ -324,8 +327,7 @@ impl Tag {
             .stacks
             .iter()
             .map(|ts| {
-                ts.stack.elevation_array_factor(0.0, freq_hz)
-                    * Complex64::cis(2.0 * k * ts.x_m * u)
+                ts.stack.elevation_array_factor(0.0, freq_hz) * Complex64::cis(2.0 * k * ts.x_m * u)
             })
             .sum();
         let sigma = (row_field * total).norm_sqr();
@@ -513,10 +515,7 @@ mod tests {
         let co = tag.scatterers(radar, Polarization::V, Polarization::V, F_CENTER_HZ);
         let p_cross: f64 = cross.iter().map(|(_, f)| f.norm_sqr()).sum();
         let p_co: f64 = co.iter().map(|(_, f)| f.norm_sqr()).sum();
-        assert!(
-            p_cross > 5.0 * p_co,
-            "cross {p_cross:.3e} vs co {p_co:.3e}"
-        );
+        assert!(p_cross > 5.0 * p_co, "cross {p_cross:.3e} vs co {p_co:.3e}");
     }
 
     #[test]
@@ -633,8 +632,8 @@ mod tests {
                 for &(z, w) in rows.iter() {
                     let zc = z - z_center;
                     let dy = bow * (1.0 - (zc / half_h).powi(2));
-                    let pos = tag.mount
-                        + Vec3::new(xs * cos_y - dy * sin_y, xs * sin_y - dy * cos_y, zc);
+                    let pos =
+                        tag.mount + Vec3::new(xs * cos_y - dy * sin_y, xs * sin_y - dy * cos_y, zc);
                     let g_el = ros_antenna::patch::elevation_pattern(pos.elevation_to(radar_pos));
                     let f = row_field * w * g_el;
                     out.push(SceneEcho {

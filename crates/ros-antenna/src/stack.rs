@@ -130,7 +130,8 @@ impl PsvaaStack {
     pub fn height_m(&self) -> f64 {
         match self.rows.last() {
             Some(last) => {
-                last.z_m + (base_row_pitch_m() + last.phase_rad * height_per_phase_m_per_rad()) / 2.0
+                last.z_m
+                    + (base_row_pitch_m() + last.phase_rad * height_per_phase_m_per_rad()) / 2.0
             }
             None => 0.0,
         }

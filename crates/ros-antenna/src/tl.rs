@@ -176,9 +176,7 @@ mod tests {
         // §4.1: misalignment between band edges ∝ length difference.
         let short = TransmissionLine::of_guided_wavelengths(1.0, 0.0);
         let long = TransmissionLine::of_guided_wavelengths(9.0, 0.0);
-        let mis = |tl: &TransmissionLine| {
-            (tl.phase(81.0e9) - tl.phase(77.0e9)).abs()
-        };
+        let mis = |tl: &TransmissionLine| (tl.phase(81.0e9) - tl.phase(77.0e9)).abs();
         assert!(mis(&long) > 8.0 * mis(&short) * 0.99);
     }
 

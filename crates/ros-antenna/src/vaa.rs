@@ -242,8 +242,7 @@ impl VanAttaArray {
                 let rx_proj = pol_factor(self.element_pol[i], tx);
                 let tx_proj = pol_factor(self.element_pol[j], rx);
                 let geom = Complex64::cis(
-                    k * (self.element_x[i] * theta_in.sin()
-                        + self.element_x[j] * theta_out.sin()),
+                    k * (self.element_x[i] * theta_in.sin() + self.element_x[j] * theta_out.sin()),
                 );
                 field += geom * t * (a0 * g_in * g_out * m * m * rx_proj * tx_proj);
             }
@@ -476,16 +475,12 @@ mod tests {
         let vaa = VanAttaArray::new(ArrayKind::VanAtta, 3);
         let ula = VanAttaArray::new(ArrayKind::Ula, 3);
         let th_in = deg_to_rad(30.0);
-        let retro =
-            vaa.bistatic_rcs_dbsm(th_in, th_in, FC, Polarization::V, Polarization::V);
-        let spec =
-            vaa.bistatic_rcs_dbsm(th_in, -th_in, FC, Polarization::V, Polarization::V);
+        let retro = vaa.bistatic_rcs_dbsm(th_in, th_in, FC, Polarization::V, Polarization::V);
+        let spec = vaa.bistatic_rcs_dbsm(th_in, -th_in, FC, Polarization::V, Polarization::V);
         assert!(retro > spec + 5.0, "VAA retro {retro} vs specular {spec}");
 
-        let ula_retro =
-            ula.bistatic_rcs_dbsm(th_in, th_in, FC, Polarization::V, Polarization::V);
-        let ula_spec =
-            ula.bistatic_rcs_dbsm(th_in, -th_in, FC, Polarization::V, Polarization::V);
+        let ula_retro = ula.bistatic_rcs_dbsm(th_in, th_in, FC, Polarization::V, Polarization::V);
+        let ula_spec = ula.bistatic_rcs_dbsm(th_in, -th_in, FC, Polarization::V, Polarization::V);
         assert!(ula_spec > ula_retro + 5.0);
     }
 
@@ -531,14 +526,8 @@ mod tests {
         // Fig. 5b: with co-polarized Tx/Rx the PSVAA acts as a normal
         // specular reflector.
         let psvaa = VanAttaArray::new(ArrayKind::Psvaa, 3);
-        let broadside =
-            psvaa.monostatic_rcs_dbsm(0.0, FC, Polarization::V, Polarization::V);
-        let off = psvaa.monostatic_rcs_dbsm(
-            deg_to_rad(30.0),
-            FC,
-            Polarization::V,
-            Polarization::V,
-        );
+        let broadside = psvaa.monostatic_rcs_dbsm(0.0, FC, Polarization::V, Polarization::V);
+        let off = psvaa.monostatic_rcs_dbsm(deg_to_rad(30.0), FC, Polarization::V, Polarization::V);
         assert!(broadside - off > 10.0, "co-pol {broadside} vs {off}");
     }
 
@@ -597,9 +586,7 @@ mod tests {
         let base = VanAttaArray::new(ArrayKind::Psvaa, 3);
         let shifted = VanAttaArray::new(ArrayKind::Psvaa, 3).with_extra_line(lg / 4.0);
         // λg/4 of extra line = 90° of phase weight.
-        assert!(
-            (shifted.phase_weight(FC) - std::f64::consts::FRAC_PI_2).abs() < 1e-9
-        );
+        assert!((shifted.phase_weight(FC) - std::f64::consts::FRAC_PI_2).abs() < 1e-9);
         let th = deg_to_rad(20.0);
         let f0 = base.monostatic_field(th, FC, Polarization::V, Polarization::H);
         let f1 = shifted.monostatic_field(th, FC, Polarization::V, Polarization::H);

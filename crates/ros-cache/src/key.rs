@@ -237,8 +237,14 @@ mod tests {
     #[test]
     fn nested_key_round_trips() {
         let layout = KeyBuilder::new("layout").f64s(&[0.0, 1.0]).finish();
-        let a = KeyBuilder::new("pattern").nested(&layout).f64(79e9).finish();
-        let b = KeyBuilder::new("pattern").nested(&layout).f64(79e9).finish();
+        let a = KeyBuilder::new("pattern")
+            .nested(&layout)
+            .f64(79e9)
+            .finish();
+        let b = KeyBuilder::new("pattern")
+            .nested(&layout)
+            .f64(79e9)
+            .finish();
         assert_eq!(a, b);
         let other = KeyBuilder::new("layout").f64s(&[0.0, 2.0]).finish();
         let c = KeyBuilder::new("pattern").nested(&other).f64(79e9).finish();

@@ -67,7 +67,6 @@ impl TableKind {
             TableKind::Shaping => 2,
         }
     }
-
 }
 
 /// Monotonic per-kind lookup accounting.
@@ -331,7 +330,10 @@ impl Inner {
             // Type mismatch under a colliding key (distinct domains
             // make this unreachable in practice): a miss that replaces
             // the entry in place, leaving `order` as it is.
-            *entry = Entry { kind, slot: Arc::clone(&erased) };
+            *entry = Entry {
+                kind,
+                slot: Arc::clone(&erased),
+            };
             return (slot, Some(erased));
         }
         if self.map.len() >= self.capacity {
@@ -344,7 +346,13 @@ impl Inner {
             }
         }
         self.order.push_back(key.clone());
-        self.map.insert(key.clone(), Entry { kind, slot: Arc::clone(&erased) });
+        self.map.insert(
+            key.clone(),
+            Entry {
+                kind,
+                slot: Arc::clone(&erased),
+            },
+        );
         (slot, Some(erased))
     }
 }
@@ -359,7 +367,9 @@ struct Unreserve<'a> {
 
 impl Drop for Unreserve<'_> {
     fn drop(&mut self) {
-        let Some((key, slot)) = self.reserved.take() else { return };
+        let Some((key, slot)) = self.reserved.take() else {
+            return;
+        };
         let mut g = self.cache.lock();
         if !g.map.get(&key).is_some_and(|e| Arc::ptr_eq(&e.slot, &slot)) {
             return;

@@ -12,8 +12,8 @@
 //! spectrum from `f₀` in steps of `δf` (cycles/sample).
 
 use crate::fft::{fft_in_place, ifft_in_place, FftPlan};
-use ros_em::Complex64;
 use ros_em::units::cast::AsF64;
+use ros_em::Complex64;
 
 /// Chirp-Z transform of `x`: `m` output points along the arc defined
 /// by starting point `a` and ratio `w` (both on/near the unit circle).

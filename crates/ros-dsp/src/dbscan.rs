@@ -177,8 +177,12 @@ pub fn summarize_clusters(points: &[[f64; 2]], labels: &[Label]) -> Vec<ClusterS
         let count = members.len();
         let cx = members.iter().map(|p| p[0]).sum::<f64>() / count.as_f64();
         let cy = members.iter().map(|p| p[1]).sum::<f64>() / count.as_f64();
-        let (mut xmin, mut xmax, mut ymin, mut ymax) =
-            (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
+        let (mut xmin, mut xmax, mut ymin, mut ymax) = (
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        );
         let mut rms = 0.0;
         for p in &members {
             xmin = xmin.min(p[0]);
@@ -218,7 +222,13 @@ mod tests {
     fn two_blobs_two_clusters() {
         let mut pts = blob(0.0, 0.0, 20, 0.2);
         pts.extend(blob(5.0, 5.0, 20, 0.2));
-        let (labels, n) = dbscan(&pts, &DbscanParams { eps: 0.5, min_pts: 4 });
+        let (labels, n) = dbscan(
+            &pts,
+            &DbscanParams {
+                eps: 0.5,
+                min_pts: 4,
+            },
+        );
         assert_eq!(n, 2);
         // All first-blob points share a label distinct from the second's.
         let first = labels[0];
@@ -231,7 +241,13 @@ mod tests {
     #[test]
     fn isolated_points_are_noise() {
         let pts = vec![[0.0, 0.0], [10.0, 10.0], [-10.0, 5.0]];
-        let (labels, n) = dbscan(&pts, &DbscanParams { eps: 1.0, min_pts: 3 });
+        let (labels, n) = dbscan(
+            &pts,
+            &DbscanParams {
+                eps: 1.0,
+                min_pts: 3,
+            },
+        );
         assert_eq!(n, 0);
         assert!(labels.iter().all(|&l| l == Label::Noise));
     }
@@ -241,7 +257,13 @@ mod tests {
         let mut pts = blob(0.0, 0.0, 15, 0.2);
         pts.push([2.5, 2.5]); // lone point between blobs
         pts.extend(blob(5.0, 5.0, 15, 0.2));
-        let (labels, n) = dbscan(&pts, &DbscanParams { eps: 0.5, min_pts: 4 });
+        let (labels, n) = dbscan(
+            &pts,
+            &DbscanParams {
+                eps: 0.5,
+                min_pts: 4,
+            },
+        );
         assert_eq!(n, 2);
         assert_eq!(labels[15], Label::Noise);
     }
@@ -249,7 +271,13 @@ mod tests {
     #[test]
     fn min_pts_one_makes_everything_core() {
         let pts = vec![[0.0, 0.0], [100.0, 0.0]];
-        let (labels, n) = dbscan(&pts, &DbscanParams { eps: 0.1, min_pts: 1 });
+        let (labels, n) = dbscan(
+            &pts,
+            &DbscanParams {
+                eps: 0.1,
+                min_pts: 1,
+            },
+        );
         assert_eq!(n, 2);
         assert!(labels.iter().all(|l| matches!(l, Label::Cluster(_))));
     }
@@ -258,7 +286,13 @@ mod tests {
     fn chain_connectivity_merges() {
         // A chain of points each within eps of the next forms one cluster.
         let pts: Vec<[f64; 2]> = (0..30).map(|i| [i as f64 * 0.2, 0.0]).collect();
-        let (_, n) = dbscan(&pts, &DbscanParams { eps: 0.25, min_pts: 2 });
+        let (_, n) = dbscan(
+            &pts,
+            &DbscanParams {
+                eps: 0.25,
+                min_pts: 2,
+            },
+        );
         assert_eq!(n, 1);
     }
 
@@ -271,7 +305,13 @@ mod tests {
         pts.push([0.0, f64::INFINITY]);
         pts.push([f64::NAN, f64::NAN]);
         pts.push([f64::NEG_INFINITY, f64::NAN]);
-        let (labels, n) = dbscan(&pts, &DbscanParams { eps: 0.5, min_pts: 4 });
+        let (labels, n) = dbscan(
+            &pts,
+            &DbscanParams {
+                eps: 0.5,
+                min_pts: 4,
+            },
+        );
         assert_eq!(n, 1);
         assert!(labels[..20].iter().all(|l| matches!(l, Label::Cluster(0))));
         assert!(labels[20..].iter().all(|&l| l == Label::Noise));
@@ -285,7 +325,13 @@ mod tests {
     #[test]
     fn all_nonfinite_input_is_all_noise() {
         let pts = vec![[f64::NAN, f64::NAN]; 12];
-        let (labels, n) = dbscan(&pts, &DbscanParams { eps: 10.0, min_pts: 1 });
+        let (labels, n) = dbscan(
+            &pts,
+            &DbscanParams {
+                eps: 10.0,
+                min_pts: 1,
+            },
+        );
         assert_eq!(n, 0);
         assert!(labels.iter().all(|&l| l == Label::Noise));
     }
@@ -306,7 +352,13 @@ mod tests {
     fn summaries_report_geometry() {
         let mut pts = blob(1.0, 2.0, 25, 0.3);
         pts.extend(blob(8.0, -1.0, 10, 0.1));
-        let (labels, n) = dbscan(&pts, &DbscanParams { eps: 0.5, min_pts: 3 });
+        let (labels, n) = dbscan(
+            &pts,
+            &DbscanParams {
+                eps: 0.5,
+                min_pts: 3,
+            },
+        );
         assert_eq!(n, 2);
         let sums = summarize_clusters(&pts, &labels);
         assert_eq!(sums.len(), 2);
@@ -321,7 +373,13 @@ mod tests {
     #[test]
     fn summaries_skip_noise() {
         let pts = vec![[0.0, 0.0], [50.0, 50.0]];
-        let (labels, _) = dbscan(&pts, &DbscanParams { eps: 0.1, min_pts: 2 });
+        let (labels, _) = dbscan(
+            &pts,
+            &DbscanParams {
+                eps: 0.1,
+                min_pts: 2,
+            },
+        );
         let sums = summarize_clusters(&pts, &labels);
         assert!(sums.is_empty());
     }

@@ -201,9 +201,7 @@ mod tests {
     #[test]
     fn real_symmetric_2x2() {
         // [[2, 1], [1, 2]] → eigenvalues 1, 3.
-        let a = CMatrix::from_fn(2, |i, j| {
-            Complex64::real(if i == j { 2.0 } else { 1.0 })
-        });
+        let a = CMatrix::from_fn(2, |i, j| Complex64::real(if i == j { 2.0 } else { 1.0 }));
         let e = hermitian_eig(&a);
         assert!((e.values[0] - 1.0).abs() < 1e-10);
         assert!((e.values[1] - 3.0).abs() < 1e-10);
@@ -252,10 +250,7 @@ mod tests {
                     dot += e.vectors[(i, p)].conj() * e.vectors[(i, q)];
                 }
                 let expect = if p == q { 1.0 } else { 0.0 };
-                assert!(
-                    (dot.abs() - expect).abs() < 1e-9,
-                    "<v{p}, v{q}> = {dot:?}"
-                );
+                assert!((dot.abs() - expect).abs() < 1e-9, "<v{p}, v{q}> = {dot:?}");
             }
         }
     }

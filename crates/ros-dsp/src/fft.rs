@@ -14,8 +14,8 @@
 //! panics on non-power-of-two lengths to catch programming errors
 //! early, smoltcp-style (explicit > clever).
 
-use ros_em::Complex64;
 use ros_em::units::cast::AsF64;
+use ros_em::Complex64;
 
 /// Returns true when `n` is a power of two (and non-zero).
 #[inline]
@@ -122,7 +122,10 @@ impl FftPlan {
     ///
     /// # Panics
     /// Panics if `n` is not a power of two.
-    #[expect(clippy::as_conversions, reason = "a bit-reversal index is < n, which fits u32")]
+    #[expect(
+        clippy::as_conversions,
+        reason = "a bit-reversal index is < n, which fits u32"
+    )]
     pub fn new(n: usize) -> Self {
         assert!(
             is_power_of_two(n),
@@ -343,7 +346,9 @@ mod tests {
     fn fft_linearity() {
         let n = 16;
         let a: Vec<Complex64> = (0..n).map(|i| Complex64::real(i as f64)).collect();
-        let b: Vec<Complex64> = (0..n).map(|i| Complex64::new(0.0, (i * i) as f64)).collect();
+        let b: Vec<Complex64> = (0..n)
+            .map(|i| Complex64::new(0.0, (i * i) as f64))
+            .collect();
         let sum: Vec<Complex64> = a.iter().zip(&b).map(|(&x, &y)| x + y).collect();
         let mut fa = a.clone();
         let mut fb = b.clone();

@@ -9,8 +9,8 @@
 //! a matched single-tone correlation is needed.
 
 use crate::window::{Window, WindowTable};
-use ros_em::Complex64;
 use ros_em::units::cast::AsF64;
+use ros_em::Complex64;
 
 /// Complex single-bin DFT of `signal` at `cycles_per_sample`
 /// (fractional frequencies welcome), normalized by the signal length:
@@ -93,7 +93,12 @@ pub fn single_bin_windowed_each<S: AsRef<[Complex64]>>(
         return;
     }
     let coeffs = table.coeffs();
-    assert_eq!(coeffs.len(), n, "window table is for length {}", coeffs.len());
+    assert_eq!(
+        coeffs.len(),
+        n,
+        "window table is for length {}",
+        coeffs.len()
+    );
     let w = -std::f64::consts::TAU * cycles_per_sample;
     let step = Complex64::cis(w);
     let norm = n.as_f64() * table.gain().max(1e-12);
@@ -187,7 +192,14 @@ mod tests {
         let table = WindowTable::new(Window::Hann, 0);
         let mut got = Vec::new();
         single_bin_windowed_each(&[[]; 3], 0.1, &table, |k, y| got.push((k, y)));
-        assert_eq!(got, [(0, Complex64::ZERO), (1, Complex64::ZERO), (2, Complex64::ZERO)]);
+        assert_eq!(
+            got,
+            [
+                (0, Complex64::ZERO),
+                (1, Complex64::ZERO),
+                (2, Complex64::ZERO)
+            ]
+        );
     }
 
     #[test]
@@ -199,9 +211,21 @@ mod tests {
         for n_rx in [1usize, 3, 4, 5, 8] {
             for n in [0usize, 1, 256] {
                 let signals: Vec<Vec<Complex64>> = (0..n_rx)
-                    .map(|k| tone(n, f + k as f64 * 0.013, 1.7 - 0.1 * k as f64, -0.4 + k as f64))
+                    .map(|k| {
+                        tone(
+                            n,
+                            f + k as f64 * 0.013,
+                            1.7 - 0.1 * k as f64,
+                            -0.4 + k as f64,
+                        )
+                    })
                     .collect();
-                for win in [Window::Rect, Window::Hann, Window::Hamming, Window::Blackman] {
+                for win in [
+                    Window::Rect,
+                    Window::Hann,
+                    Window::Hamming,
+                    Window::Blackman,
+                ] {
                     let table = WindowTable::new(win, n);
                     let mut got = Vec::new();
                     single_bin_windowed_each(&signals, f, &table, |k, y| got.push((k, y)));

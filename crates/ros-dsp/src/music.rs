@@ -11,8 +11,8 @@
 
 use crate::eig::{hermitian_eig, CMatrix};
 use crate::peaks::{find_peaks, PeakParams};
-use ros_em::Complex64;
 use ros_em::units::cast::AsF64;
+use ros_em::Complex64;
 
 /// Sample covariance matrix `R = (1/T)·Σ x x^H` from snapshots
 /// (`snapshots[t][antenna]`).
@@ -101,11 +101,7 @@ pub fn music_doa(
             ..Default::default()
         },
     );
-    peaks
-        .iter()
-        .take(n_sources)
-        .map(|p| us[p.index])
-        .collect()
+    peaks.iter().take(n_sources).map(|p| us[p.index]).collect()
 }
 
 #[cfg(test)]
@@ -135,9 +131,8 @@ mod tests {
                         for &(u, amp) in sources {
                             // Random per-snapshot source phase.
                             let _ = amp;
-                            x += Complex64::cis(
-                                -std::f64::consts::TAU * k as f64 * spacing * u,
-                            ) * amp;
+                            x += Complex64::cis(-std::f64::consts::TAU * k as f64 * spacing * u)
+                                * amp;
                         }
                         x
                     })
@@ -172,8 +167,7 @@ mod tests {
                         for (s, &(u, amp)) in sources.iter().enumerate() {
                             x += Complex64::from_polar(
                                 amp,
-                                phases[s]
-                                    - std::f64::consts::TAU * k as f64 * spacing * u,
+                                phases[s] - std::f64::consts::TAU * k as f64 * spacing * u,
                             );
                         }
                         x
@@ -207,8 +201,7 @@ mod tests {
         // sources Δu = 0.25 apart are unresolvable classically; MUSIC
         // splits them.
         let (u1, u2) = (0.10, 0.35);
-        let snaps =
-            snapshots_random_phase(&[(u1, 1.0), (u2, 1.0)], 4, 0.5, 256, 0.05, 3);
+        let snaps = snapshots_random_phase(&[(u1, 1.0), (u2, 1.0)], 4, 0.5, 256, 0.05, 3);
         let mut doa = music_doa(&snaps, 2, 0.5);
         doa.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(doa.len(), 2, "found {doa:?}");

@@ -52,7 +52,9 @@ impl PlanCache {
             (w.re.to_bits(), w.im.to_bits()),
             (a.re.to_bits(), a.im.to_bits()),
         );
-        self.czt.entry(key).or_insert_with(|| CztPlan::new(n, m, w, a))
+        self.czt
+            .entry(key)
+            .or_insert_with(|| CztPlan::new(n, m, w, a))
     }
 
     /// The window table for `window` at length `n`, built on first use.
@@ -101,7 +103,10 @@ impl PlanCache {
             (w.re.to_bits(), w.im.to_bits()),
             (a.re.to_bits(), a.im.to_bits()),
         );
-        let plan = self.czt.entry(key).or_insert_with(|| CztPlan::new(n, m, w, a));
+        let plan = self
+            .czt
+            .entry(key)
+            .or_insert_with(|| CztPlan::new(n, m, w, a));
         (table, plan)
     }
 

@@ -23,7 +23,10 @@ pub struct Sample {
 /// Duplicate abscissae occur when the vehicle is nearly stationary
 /// relative to the tag (frames faster than motion); averaging them is
 /// the maximum-likelihood combination under AWGN.
-#[expect(clippy::float_cmp, reason = "only bit-equal abscissae are duplicates; the goldens pin this grouping")]
+#[expect(
+    clippy::float_cmp,
+    reason = "only bit-equal abscissae are duplicates; the goldens pin this grouping"
+)]
 pub fn sort_dedup(samples: &mut Vec<Sample>) {
     samples.sort_by(|a, b| a.x.total_cmp(&b.x));
     let mut out: Vec<Sample> = Vec::with_capacity(samples.len());
@@ -121,7 +124,10 @@ fn merge_sort_by_x(samples: &mut [Sample], aux: &mut Vec<Sample>) {
 /// of exactly-equal abscissae, writing the survivors to the front and
 /// truncating. Same run grouping and summation order as the direct
 /// path, so the averaged values carry the same bits.
-#[expect(clippy::float_cmp, reason = "only bit-equal abscissae are duplicates; the goldens pin this grouping")]
+#[expect(
+    clippy::float_cmp,
+    reason = "only bit-equal abscissae are duplicates; the goldens pin this grouping"
+)]
 fn dedup_average_in_place(samples: &mut Vec<Sample>) {
     let n = samples.len();
     let mut write = 0usize;

@@ -34,9 +34,7 @@ impl Window {
             Window::Rect => 1.0,
             Window::Hann => 0.5 - 0.5 * (tau * x).cos(),
             Window::Hamming => 0.54 - 0.46 * (tau * x).cos(),
-            Window::Blackman => {
-                0.42 - 0.5 * (tau * x).cos() + 0.08 * (2.0 * tau * x).cos()
-            }
+            Window::Blackman => 0.42 - 0.5 * (tau * x).cos() + 0.08 * (2.0 * tau * x).cos(),
         }
     }
 
@@ -180,7 +178,12 @@ mod tests {
 
     #[test]
     fn windows_are_symmetric() {
-        for win in [Window::Rect, Window::Hann, Window::Hamming, Window::Blackman] {
+        for win in [
+            Window::Rect,
+            Window::Hann,
+            Window::Hamming,
+            Window::Blackman,
+        ] {
             let w = win.generate(33);
             for i in 0..w.len() {
                 assert!(
@@ -220,7 +223,12 @@ mod tests {
 
     #[test]
     fn table_matches_direct_window_bitwise() {
-        for win in [Window::Rect, Window::Hann, Window::Hamming, Window::Blackman] {
+        for win in [
+            Window::Rect,
+            Window::Hann,
+            Window::Hamming,
+            Window::Blackman,
+        ] {
             for n in [0usize, 1, 7, 64] {
                 let table = WindowTable::new(win, n);
                 assert_eq!(table.window(), win);
@@ -243,10 +251,15 @@ mod tests {
 
     #[test]
     fn window_keys_distinct() {
-        let keys: Vec<u8> = [Window::Rect, Window::Hann, Window::Hamming, Window::Blackman]
-            .iter()
-            .map(|w| w.key())
-            .collect();
+        let keys: Vec<u8> = [
+            Window::Rect,
+            Window::Hann,
+            Window::Hamming,
+            Window::Blackman,
+        ]
+        .iter()
+        .map(|w| w.key())
+        .collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -273,6 +286,9 @@ mod tests {
         // Far sidelobe well away from the main lobe (and its image).
         let far = spec[nfft / 4]; // bin 16-of-64 equivalent, ~8 bins away
         let ratio_db = 20.0 * (peak / far).log10();
-        assert!(ratio_db > 30.0, "sidelobe suppression only {ratio_db:.1} dB");
+        assert!(
+            ratio_db > 30.0,
+            "sidelobe suppression only {ratio_db:.1} dB"
+        );
     }
 }

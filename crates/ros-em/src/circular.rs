@@ -54,14 +54,8 @@ impl Handedness {
     pub fn jones(self) -> JonesVector {
         let s = std::f64::consts::FRAC_1_SQRT_2;
         match self {
-            Handedness::Right => JonesVector::new(
-                Complex64::real(s),
-                Complex64::new(0.0, -s),
-            ),
-            Handedness::Left => JonesVector::new(
-                Complex64::real(s),
-                Complex64::new(0.0, s),
-            ),
+            Handedness::Right => JonesVector::new(Complex64::real(s), Complex64::new(0.0, -s)),
+            Handedness::Left => JonesVector::new(Complex64::real(s), Complex64::new(0.0, s)),
         }
     }
 }

@@ -177,10 +177,7 @@ impl JonesMatrix {
     /// Applies the operator to an incident field.
     #[inline]
     pub fn apply(self, e: JonesVector) -> JonesVector {
-        JonesVector::new(
-            self.vv * e.v + self.vh * e.h,
-            self.hv * e.v + self.hh * e.h,
-        )
+        JonesVector::new(self.vv * e.v + self.vh * e.h, self.hv * e.v + self.hh * e.h)
     }
 
     /// Scalar channel gain from a `tx`-polarized port through this

@@ -164,13 +164,21 @@ impl RadarLinkBudget {
     /// the full receive gain `G_r = G_ra + G_ri + G_rs` (§5.3 uses
     /// G_r = 55 dB for the TI radar).
     pub fn received_power(&self, rcs: Db, d: Meters) -> Dbm {
-        received_power(self.eirp(), Db::ZERO, self.total_rx_gain(), self.freq(), rcs, d)
+        received_power(
+            self.eirp(),
+            Db::ZERO,
+            self.total_rx_gain(),
+            self.freq(),
+            rcs,
+            d,
+        )
     }
 
     /// Raw-`f64` form of [`Self::received_power`] (dBsm and metres in,
     /// dBm out).
     pub fn received_power_dbm(&self, rcs_dbsm: f64, d_m: f64) -> f64 {
-        self.received_power(Db::new(rcs_dbsm), Meters::new(d_m)).value()
+        self.received_power(Db::new(rcs_dbsm), Meters::new(d_m))
+            .value()
     }
 
     /// Margin of the received power over the noise floor, i.e. the

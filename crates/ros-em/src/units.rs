@@ -430,7 +430,10 @@ pub mod cast {
     /// NaN maps to 0. Use for converting non-negative continuous
     /// quantities (sample positions, bin indices) to array indexes.
     #[inline]
-    #[expect(clippy::as_conversions, reason = "clamp bound, and a floor range-checked above")]
+    #[expect(
+        clippy::as_conversions,
+        reason = "clamp bound, and a floor range-checked above"
+    )]
     pub fn floor_usize(x: f64) -> usize {
         if x.is_nan() || x <= 0.0 {
             0
@@ -456,7 +459,10 @@ pub mod cast {
     /// Nearest integer of `x` as an `i64`, saturating at the type
     /// bounds; NaN maps to 0.
     #[inline]
-    #[expect(clippy::as_conversions, reason = "float-to-int `as` saturates, which is the documented contract")]
+    #[expect(
+        clippy::as_conversions,
+        reason = "float-to-int `as` saturates, which is the documented contract"
+    )]
     pub fn round_i64(x: f64) -> i64 {
         if x.is_nan() {
             0
@@ -470,7 +476,10 @@ pub mod cast {
     /// Converts a `usize` to `u64` (lossless on every supported
     /// platform).
     #[inline]
-    #[expect(clippy::as_conversions, reason = "usize is at most 64 bits on every supported target")]
+    #[expect(
+        clippy::as_conversions,
+        reason = "usize is at most 64 bits on every supported target"
+    )]
     pub fn u64_from_usize(n: usize) -> u64 {
         n as u64
     }
@@ -557,10 +566,7 @@ mod tests {
     fn db_sum_combines_incoherently() {
         let s = db_power_sum([Db::new(0.0), Db::new(0.0)]);
         assert!((s.value() - 3.0103).abs() < 1e-3);
-        assert_eq!(
-            db_power_sum(std::iter::empty()).value(),
-            f64::NEG_INFINITY
-        );
+        assert_eq!(db_power_sum(std::iter::empty()).value(), f64::NEG_INFINITY);
     }
 
     #[test]

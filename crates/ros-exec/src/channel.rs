@@ -361,7 +361,9 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(move || {
                 let mut items: Vec<u64> = (0..50).collect();
-                tx.send_all(&mut items).map_err(|e| format!("{e:?}")).unwrap();
+                tx.send_all(&mut items)
+                    .map_err(|e| format!("{e:?}"))
+                    .unwrap();
                 assert!(items.is_empty(), "send_all drains the batch");
             });
             let mut got = Vec::new();
@@ -377,7 +379,9 @@ mod tests {
     fn blocking_send_all_counts_exactly_one_stall() {
         let (tx, rx) = bounded(2);
         // Fits: no stall.
-        tx.send_all(&mut vec![1u64, 2]).map_err(|e| format!("{e:?}")).unwrap();
+        tx.send_all(&mut vec![1u64, 2])
+            .map_err(|e| format!("{e:?}"))
+            .unwrap();
         let mut got = Vec::new();
         assert!(rx.recv_into(&mut got, 8));
         assert_eq!(tx.stats().stalls, 0);
@@ -386,7 +390,9 @@ mod tests {
                 // Twenty items through two slots: the call waits many
                 // times but is one blocking call.
                 let mut items: Vec<u64> = (3..23).collect();
-                tx.send_all(&mut items).map_err(|e| format!("{e:?}")).unwrap();
+                tx.send_all(&mut items)
+                    .map_err(|e| format!("{e:?}"))
+                    .unwrap();
             });
             while rx.recv_into(&mut got, 1) {
                 std::thread::sleep(std::time::Duration::from_micros(100));
@@ -399,7 +405,9 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let (tx, rx) = bounded::<u8>(1);
-        tx.send_all(&mut Vec::new()).map_err(|e| format!("{e:?}")).unwrap();
+        tx.send_all(&mut Vec::new())
+            .map_err(|e| format!("{e:?}"))
+            .unwrap();
         drop(tx);
         let mut got = Vec::new();
         assert!(!rx.recv_into(&mut got, 4));

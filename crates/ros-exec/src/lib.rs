@@ -58,7 +58,10 @@ fn inherit<R>(f: impl FnOnce() -> R) -> impl FnOnce() -> R {
 /// the escape hatch lives here where the spawn policy is audited.
 /// Workers spawned on the scope are joined before `scope` returns and
 /// panics propagate, same as the underlying std primitive.
-#[expect(clippy::disallowed_methods, reason = "ros-exec is the workspace's one spawn boundary")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "ros-exec is the workspace's one spawn boundary"
+)]
 pub fn scope<'env, F, T>(f: F) -> T
 where
     F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
@@ -174,7 +177,10 @@ where
 /// assembled back in chunk order, so the output ordering never depends
 /// on thread scheduling. A panic in any worker is propagated to the
 /// caller after the scope joins.
-#[expect(clippy::disallowed_methods, reason = "ros-exec is the workspace's one spawn boundary")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "ros-exec is the workspace's one spawn boundary"
+)]
 pub fn par_map_with<T, R, F>(n_threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -232,7 +238,10 @@ where
 /// # Panics
 /// Panics if `scratches` is empty while `items` is not, and propagates
 /// worker panics after the scope joins.
-#[expect(clippy::disallowed_methods, reason = "ros-exec is the workspace's one spawn boundary")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "ros-exec is the workspace's one spawn boundary"
+)]
 pub fn par_for_each_mut<S, T, F>(scratches: &mut [S], items: &mut [T], f: F)
 where
     S: Send,
@@ -360,9 +369,15 @@ mod tests {
         // order ⇒ identical bits no matter the worker count.
         let items: Vec<f64> = (0..1000).map(|i| 1e-3 * i as f64).collect();
         let eval = |x: &f64| (0..50).fold(*x, |acc, k| (acc + 1.0 / (k as f64 + 1.7)).sin());
-        let one: Vec<u64> = par_map_with(1, &items, eval).iter().map(|v| v.to_bits()).collect();
+        let one: Vec<u64> = par_map_with(1, &items, eval)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
         for t in [2, 5, 8] {
-            let many: Vec<u64> = par_map_with(t, &items, eval).iter().map(|v| v.to_bits()).collect();
+            let many: Vec<u64> = par_map_with(t, &items, eval)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
             assert_eq!(one, many, "threads={t}");
         }
     }

@@ -307,10 +307,7 @@ mod tests {
             let s = plan.schedule(&times(2000));
             let hits = s.frames.iter().filter(|f| f.dropped).count();
             let got = hits as f64 / 2000.0;
-            assert!(
-                (got - rate).abs() < 0.05,
-                "rate {rate} realized as {got}"
-            );
+            assert!((got - rate).abs() < 0.05, "rate {rate} realized as {got}");
         }
     }
 

@@ -6,7 +6,10 @@ use ros_obs::names;
 
 /// Maps a 64-bit draw onto \[0, 1): the top 53 bits scaled by 2⁻⁵³,
 /// the standard exact-mantissa construction.
-#[expect(clippy::as_conversions, reason = "a 53-bit value is exactly representable in f64")]
+#[expect(
+    clippy::as_conversions,
+    reason = "a 53-bit value is exactly representable in f64"
+)]
 pub(crate) fn unit01(bits: u64) -> f64 {
     (bits >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
 }
@@ -235,7 +238,10 @@ mod tests {
             saturation: Some(1e-3),
             burst: Some(BurstDraw::new(10.0, 1)),
             corruption: Some(CorruptDraw::new(CorruptionMode::NaN, 2)),
-            spike: Some(SpikeDraw { dx_m: 0.1, dy_m: 0.0 }),
+            spike: Some(SpikeDraw {
+                dx_m: 0.1,
+                dy_m: 0.0,
+            }),
         };
         let ((), lines) = ros_obs::capture_scope(ros_obs::Level::Summary, || {
             f.record(17);
@@ -252,13 +258,18 @@ mod tests {
         ] {
             assert!(lines.contains(name), "missing counter {name}");
         }
-        assert!(lines.contains("\"name\":\"fault.points_corrupted\",\"kind\":\"counter\",\"value\":17"));
+        assert!(
+            lines.contains("\"name\":\"fault.points_corrupted\",\"kind\":\"counter\",\"value\":17")
+        );
     }
 
     #[test]
     fn spikes_iterator_pairs_indices() {
         let mut s = FaultSchedule::clean(4);
-        s.frames[2].spike = Some(SpikeDraw { dx_m: 0.3, dy_m: -0.1 });
+        s.frames[2].spike = Some(SpikeDraw {
+            dx_m: 0.3,
+            dy_m: -0.1,
+        });
         let got: Vec<(usize, SpikeDraw)> = s.spikes().collect();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 2);

@@ -187,8 +187,7 @@ pub struct GateOutcome {
 ///
 /// `root` is the workspace root (the directory holding `crates/`).
 pub fn run_gate(root: &Path) -> Result<GateOutcome, String> {
-    let files =
-        load_workspace(root).map_err(|e| format!("cannot walk {}: {e}", root.display()))?;
+    let files = load_workspace(root).map_err(|e| format!("cannot walk {}: {e}", root.display()))?;
     let findings = rules::check_all(&files);
     let n_files = files
         .iter()

@@ -316,8 +316,8 @@ impl<'a> Lexer<'a> {
         }
         let text = &self.src[start..self.pos];
         // `///` and `//!` are doc comments; `////…` is plain again.
-        let is_doc = (text.starts_with("///") && !text.starts_with("////"))
-            || text.starts_with("//!");
+        let is_doc =
+            (text.starts_with("///") && !text.starts_with("////")) || text.starts_with("//!");
         if is_doc {
             TokenKind::DocComment
         } else {
@@ -383,7 +383,10 @@ impl<'a> Lexer<'a> {
             }
             return TokenKind::Int;
         }
-        while self.peek(0).is_some_and(|c| c.is_ascii_digit() || c == b'_') {
+        while self
+            .peek(0)
+            .is_some_and(|c| c.is_ascii_digit() || c == b'_')
+        {
             self.pos += 1;
         }
         if self.peek(0) == Some(b'.') {
@@ -391,7 +394,10 @@ impl<'a> Lexer<'a> {
             if after.is_some_and(|c| c.is_ascii_digit()) {
                 self.pos += 1;
                 float = true;
-                while self.peek(0).is_some_and(|c| c.is_ascii_digit() || c == b'_') {
+                while self
+                    .peek(0)
+                    .is_some_and(|c| c.is_ascii_digit() || c == b'_')
+                {
                     self.pos += 1;
                 }
             } else if !(after == Some(b'.') || after.is_some_and(is_ident_start)) {
@@ -405,9 +411,16 @@ impl<'a> Lexer<'a> {
             let has_exp = sign.is_some_and(|c| c.is_ascii_digit())
                 || (matches!(sign, Some(b'+' | b'-')) && digit.is_some_and(|c| c.is_ascii_digit()));
             if has_exp {
-                self.pos += if sign.is_some_and(|c| c.is_ascii_digit()) { 2 } else { 3 };
+                self.pos += if sign.is_some_and(|c| c.is_ascii_digit()) {
+                    2
+                } else {
+                    3
+                };
                 float = true;
-                while self.peek(0).is_some_and(|c| c.is_ascii_digit() || c == b'_') {
+                while self
+                    .peek(0)
+                    .is_some_and(|c| c.is_ascii_digit() || c == b'_')
+                {
                     self.pos += 1;
                 }
             }

@@ -10,7 +10,10 @@ use crate::rules::{Finding, RULES};
 pub fn human_report(findings: &[Finding], n_files: usize) -> String {
     let mut s = String::new();
     for f in findings {
-        s.push_str(&format!("{}:{}: [{}] {}\n", f.file, f.line, f.rule, f.message));
+        s.push_str(&format!(
+            "{}:{}: [{}] {}\n",
+            f.file, f.line, f.rule, f.message
+        ));
     }
 
     let mut counts: BTreeMap<&str, usize> = BTreeMap::new();

@@ -66,7 +66,10 @@ impl<'a> CodeView<'a> {
 
     /// 1-based line of the ci-th code token (0 past the end).
     pub fn line(&self, ci: usize) -> usize {
-        self.code.get(ci).map(|&i| self.fa.tokens[i].line).unwrap_or(0)
+        self.code
+            .get(ci)
+            .map(|&i| self.fa.tokens[i].line)
+            .unwrap_or(0)
     }
 
     /// True when the ci-th code token lies in a `#[cfg(test)]` region.
@@ -331,12 +334,10 @@ fn typed_db_params(fa: &FileAnalysis, out: &mut Vec<Finding>) {
             let mut rest = toks[k + 1..].iter().filter(|t| !t.is_trivia());
             let colon = rest.next();
             let ty = rest.next();
-            let is_colon = colon.is_some_and(|t| {
-                t.kind == TokenKind::Punct && t.text(&fa.text) == ":"
-            });
-            let is_f64 = ty.is_some_and(|t| {
-                t.kind == TokenKind::Ident && t.text(&fa.text) == "f64"
-            });
+            let is_colon =
+                colon.is_some_and(|t| t.kind == TokenKind::Punct && t.text(&fa.text) == ":");
+            let is_f64 =
+                ty.is_some_and(|t| t.kind == TokenKind::Ident && t.text(&fa.text) == "f64");
             if is_colon && is_f64 {
                 push(
                     out,
@@ -501,7 +502,11 @@ fn dead_pub(files: &[FileAnalysis], out: &mut Vec<Finding>) {
 
     for fa in files.iter().filter(|f| f.is_library()) {
         for item in fa.facts.items.iter().filter(|i| is_api_item(i)) {
-            let refs = if matches!(item.kind, ItemKind::Mod) { &paths } else { &any };
+            let refs = if matches!(item.kind, ItemKind::Mod) {
+                &paths
+            } else {
+                &any
+            };
             if refs.reach(&fa.crate_name, &item.name) {
                 continue;
             }
@@ -548,7 +553,9 @@ mod tests {
     fn hits_in(rel: &str, src: &str) -> Vec<String> {
         let mut out = Vec::new();
         check_file(&fa(rel, src), &mut out);
-        out.iter().map(|v| format!("{}:{}", v.rule, v.line)).collect()
+        out.iter()
+            .map(|v| format!("{}:{}", v.rule, v.line))
+            .collect()
     }
 
     fn scan_str(src: &str) -> Vec<String> {
@@ -631,7 +638,10 @@ mod tests {
 
     #[test]
     fn dead_pub_flags_unreferenced_api() {
-        let dead = fa("crates/ros-em/src/s.rs", "//! m\n/// D.\npub fn orphan() {}\n");
+        let dead = fa(
+            "crates/ros-em/src/s.rs",
+            "//! m\n/// D.\npub fn orphan() {}\n",
+        );
         let hits = all_hits(&[dead]);
         assert_eq!(hits, ["dead-pub:crates/ros-em/src/s.rs:3"]);
     }
@@ -641,19 +651,28 @@ mod tests {
         let api = "//! m\n/// D.\npub fn used_somewhere() {}\n";
         // Another crate's non-test code.
         let dead = fa("crates/ros-em/src/s.rs", api);
-        let user = fa("crates/ros-dsp/src/u.rs", "//! m\nfn f() { ros_em::used_somewhere(); }\n");
-        assert!(all_hits(&[dead, user]).iter().all(|h| !h.starts_with("dead-pub")));
+        let user = fa(
+            "crates/ros-dsp/src/u.rs",
+            "//! m\nfn f() { ros_em::used_somewhere(); }\n",
+        );
+        assert!(all_hits(&[dead, user])
+            .iter()
+            .all(|h| !h.starts_with("dead-pub")));
         // A test region in the same crate.
         let dead = fa("crates/ros-em/src/s.rs", api);
         let tests = fa(
             "crates/ros-em/src/t.rs",
             "//! m\n#[cfg(test)]\nmod tests {\n    fn t() { super::used_somewhere(); }\n}\n",
         );
-        assert!(all_hits(&[dead, tests]).iter().all(|h| !h.starts_with("dead-pub")));
+        assert!(all_hits(&[dead, tests])
+            .iter()
+            .all(|h| !h.starts_with("dead-pub")));
         // The integration-test reference corpus.
         let dead = fa("crates/ros-em/src/s.rs", api);
         let reference = fa("tests/e2e.rs", "fn t() { ros_em::used_somewhere(); }\n");
-        assert!(all_hits(&[dead, reference]).iter().all(|h| !h.starts_with("dead-pub")));
+        assert!(all_hits(&[dead, reference])
+            .iter()
+            .all(|h| !h.starts_with("dead-pub")));
     }
 
     #[test]
@@ -680,7 +699,10 @@ mod tests {
             ["dead-pub:crates/ros-antenna/src/lib.rs:3"]
         );
         // A `use` path does, and so does an entry in a `use` group.
-        for import in ["use ros_antenna::taper;", "use ros_antenna::{shaping, taper};"] {
+        for import in [
+            "use ros_antenna::taper;",
+            "use ros_antenna::{shaping, taper};",
+        ] {
             let api = fa("crates/ros-antenna/src/lib.rs", module);
             let user = fa("crates/core/src/u.rs", &format!("//! m\n{import}\n"));
             assert!(dead_pub_hits(&[api, user]).is_empty(), "{import}");
@@ -710,7 +732,10 @@ mod tests {
     }
 
     fn rule_hits(files: &[FileAnalysis], id: &str) -> Vec<Finding> {
-        check_all(files).into_iter().filter(|v| v.rule == id).collect()
+        check_all(files)
+            .into_iter()
+            .filter(|v| v.rule == id)
+            .collect()
     }
 
     // ---- stale-suppression ----
@@ -726,7 +751,11 @@ fn quiet() {}
         let hits = rule_hits(&[f], "stale-suppression");
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].line, 2);
-        assert!(hits[0].message.contains("suppresses nothing"), "{}", hits[0].message);
+        assert!(
+            hits[0].message.contains("suppresses nothing"),
+            "{}",
+            hits[0].message
+        );
         assert!(hits[0].message.contains("dead-pub"), "{}", hits[0].message);
 
         // A typo, and rules clippy or a test now owns or that were
@@ -742,7 +771,11 @@ fn quiet() {}
             let f = fa("crates/ros-dsp/src/s.rs", &src);
             let hits = rule_hits(&[f], "stale-suppression");
             assert_eq!(hits.len(), 1, "{hits:?}");
-            assert!(hits[0].message.contains("unknown suppression marker"), "{}", hits[0].message);
+            assert!(
+                hits[0].message.contains("unknown suppression marker"),
+                "{}",
+                hits[0].message
+            );
         }
     }
 
@@ -766,7 +799,10 @@ mod tests {
         let f = fa("crates/ros-dsp/src/s.rs", src);
         assert!(rule_hits(&[f], "stale-suppression").is_empty());
         // Reference files are not audited.
-        let f = fa("tests/e2e.rs", "// lint: allow-dead-pub(stale here)\nfn t() {}\n");
+        let f = fa(
+            "tests/e2e.rs",
+            "// lint: allow-dead-pub(stale here)\nfn t() {}\n",
+        );
         assert!(rule_hits(&[f], "stale-suppression").is_empty());
     }
 

@@ -91,7 +91,11 @@ pub fn analyze(src: &str, toks: &[Token]) -> FileFacts {
         items: Vec::new(),
         in_test: vec![false; toks.len()],
     };
-    let mut s = Scanner { src, toks, facts: &mut facts };
+    let mut s = Scanner {
+        src,
+        toks,
+        facts: &mut facts,
+    };
     s.scan_block(0, toks.len(), &Ctx::default());
     facts
 }
@@ -294,14 +298,29 @@ impl Scanner<'_> {
                 };
                 self.item_type_like(i, end, kind, vis, line, has_doc, item_test)
             }
-            "type" => self.item_terminated(i, end, ItemKind::TypeAlias, vis, line, has_doc, item_test),
+            "type" => {
+                self.item_terminated(i, end, ItemKind::TypeAlias, vis, line, has_doc, item_test)
+            }
             "const" | "static" => {
-                let kind = if kw == "const" { ItemKind::Const } else { ItemKind::Static };
+                let kind = if kw == "const" {
+                    ItemKind::Const
+                } else {
+                    ItemKind::Static
+                };
                 self.item_terminated(i, end, kind, vis, line, has_doc, item_test)
             }
             "use" => {
                 let next = self.skip_to_semi(i, end);
-                self.push(ItemKind::Use, String::new(), vis, line, has_doc, item_test, false, None);
+                self.push(
+                    ItemKind::Use,
+                    String::new(),
+                    vis,
+                    line,
+                    has_doc,
+                    item_test,
+                    false,
+                    None,
+                );
                 next
             }
             "macro_rules" | "macro" => self.item_macro(i, end, vis, line, has_doc, item_test),
@@ -375,7 +394,16 @@ impl Scanner<'_> {
         while i < end && !self.is_punct(i, "{") && !self.is_punct(i, ";") {
             i += 1;
         }
-        self.push(ItemKind::Fn, name, vis, line, has_doc, ctx.in_test, ctx.in_trait_impl, Some((kw, i)));
+        self.push(
+            ItemKind::Fn,
+            name,
+            vis,
+            line,
+            has_doc,
+            ctx.in_test,
+            ctx.in_trait_impl,
+            Some((kw, i)),
+        );
         if i < end && self.is_punct(i, "{") {
             self.skip_group(i, end, "{", "}")
         } else {
@@ -400,11 +428,23 @@ impl Scanner<'_> {
         };
         let mut i = name_i + 1;
         i = self.skip_trivia(i, end);
-        self.push(ItemKind::Mod, name, vis, line, has_doc, in_test, false, None);
+        self.push(
+            ItemKind::Mod,
+            name,
+            vis,
+            line,
+            has_doc,
+            in_test,
+            false,
+            None,
+        );
         if i < end && self.is_punct(i, "{") {
             let body_end = self.skip_group(i, end, "{", "}");
             // Recurse into the block (sans the enclosing braces).
-            let ctx = Ctx { in_test, ..Ctx::default() };
+            let ctx = Ctx {
+                in_test,
+                ..Ctx::default()
+            };
             self.scan_block(i + 1, body_end.saturating_sub(1), &ctx);
             body_end
         } else {
@@ -522,7 +562,16 @@ impl Scanner<'_> {
         } else {
             (i + 1).min(end)
         };
-        self.push(ItemKind::MacroDef, name, vis, line, has_doc, in_test, false, None);
+        self.push(
+            ItemKind::MacroDef,
+            name,
+            vis,
+            line,
+            has_doc,
+            in_test,
+            false,
+            None,
+        );
         next
     }
 }
@@ -603,7 +652,8 @@ pub fn after() {}
 
     #[test]
     fn fn_qualifiers_and_signatures() {
-        let src = "pub async unsafe fn q(x: u32) -> u32 { x }\npub const fn c() {}\nconst N: u8 = 1;\n";
+        let src =
+            "pub async unsafe fn q(x: u32) -> u32 { x }\npub const fn c() {}\nconst N: u8 = 1;\n";
         let f = facts(src);
         assert_eq!(item(&f, "q").kind, ItemKind::Fn);
         assert_eq!(item(&f, "c").kind, ItemKind::Fn, "const fn is a fn");

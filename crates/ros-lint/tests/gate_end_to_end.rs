@@ -62,7 +62,11 @@ fn gate_passes_on_clean_tree() {
     let ws = TempWs::new("clean");
     ws.write("crates/demo/src/lib.rs", CLEAN_LIB);
     let outcome: GateOutcome = run_gate(&ws.root).expect("gate runs");
-    assert!(outcome.passed, "clean tree must pass:\n{}", outcome.human_report);
+    assert!(
+        outcome.passed,
+        "clean tree must pass:\n{}",
+        outcome.human_report
+    );
     assert!(outcome.human_report.contains("files clean"));
 }
 
@@ -79,7 +83,9 @@ fn new_violation_fails_gate_until_fixed() {
     let outcome = run_gate(&ws.root).expect("gate runs");
     assert!(!outcome.passed);
     assert!(
-        outcome.human_report.contains("crates/demo/src/conv.rs:5: [typed-conversions]"),
+        outcome
+            .human_report
+            .contains("crates/demo/src/conv.rs:5: [typed-conversions]"),
         "{}",
         outcome.human_report
     );

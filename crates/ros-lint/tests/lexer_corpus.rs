@@ -49,7 +49,12 @@ fn assert_lossless(src: &str) {
     // Spans are in-bounds, ordered, non-overlapping, on char edges.
     let mut prev_end = 0usize;
     for t in &toks {
-        assert!(t.start >= prev_end, "overlap at {}..{} in {src:?}", t.start, t.end);
+        assert!(
+            t.start >= prev_end,
+            "overlap at {}..{} in {src:?}",
+            t.start,
+            t.end
+        );
         assert!(t.end <= src.len() && t.start < t.end);
         assert!(src.is_char_boundary(t.start) && src.is_char_boundary(t.end));
         // Inter-token gaps are pure whitespace.
@@ -62,7 +67,11 @@ fn assert_lossless(src: &str) {
     }
     assert!(src[prev_end..].chars().all(|c| c.is_whitespace()));
     // Concatenated slices reproduce the non-whitespace content.
-    let rebuilt: String = toks.iter().map(|t| t.text(src)).collect::<Vec<_>>().join(" ");
+    let rebuilt: String = toks
+        .iter()
+        .map(|t| t.text(src))
+        .collect::<Vec<_>>()
+        .join(" ");
     assert_eq!(strip_ws(&rebuilt), strip_ws(src), "lossy lex of {src:?}");
 }
 
@@ -71,7 +80,10 @@ fn assert_lossless(src: &str) {
 const GOLDEN: &[(&str, &[&str])] = &[
     // The '"' Scanner bug: a char literal holding a double quote used
     // to open a phantom string and swallow the rest of the line.
-    ("let c = '\"'; x.unwrap();", &["id", "id", "p", "char", "p", "id", "p", "id", "p", "p", "p"]),
+    (
+        "let c = '\"'; x.unwrap();",
+        &["id", "id", "p", "char", "p", "id", "p", "id", "p", "p", "p"],
+    ),
     // Lifetime vs char: 'a is a lifetime, 'a' is a char.
     ("&'a str", &["p", "life", "id"]),
     ("'x'", &["char"]),
@@ -96,9 +108,17 @@ const GOLDEN: &[(&str, &[&str])] = &[
     ("1..2", &["int", "p", "int"]),
     ("1.0..2.0", &["float", "p", "float"]),
     ("1.max(2)", &["int", "p", "id", "p", "int", "p"]),
-    ("1.5e-3 0x_ff 1_000u64 2f64", &["float", "int", "int", "float"]),
+    (
+        "1.5e-3 0x_ff 1_000u64 2f64",
+        &["float", "int", "int", "float"],
+    ),
     // Maximal-munch operators.
-    ("a..=b a::<B>::c x >>= 1", &["id", "p", "id", "id", "p", "p", "id", "p", "p", "id", "id", "p", "int"]),
+    (
+        "a..=b a::<B>::c x >>= 1",
+        &[
+            "id", "p", "id", "id", "p", "p", "id", "p", "p", "id", "id", "p", "int",
+        ],
+    ),
     // Escapes and a line continuation inside a string are one token.
     ("\"a\\\"b\\\\\" 'q'", &["str", "char"]),
     ("\"line\\\n  cont\"", &["str"]),
@@ -139,11 +159,46 @@ fn real_workspace_sources_are_lossless() {
 /// these adjacently exercises every boundary pair (comment-then-raw,
 /// char-then-string, punct-then-punct munching, …).
 const FRAGMENTS: &[&str] = &[
-    "fn", "ident", "r#match", "'a", "'x'", "'\"'", "b'q'", "0", "42u32", "1.5", "2e-3",
-    "\"str \\\" esc\"", "r\"raw\"", "r#\"raw # \"#", "r##\"raw \"# deep\"##", "b\"bs\"",
-    "br#\"rbs\"#", "// line\n", "/// doc\n", "//! inner\n", "/* blk */", "/* o /* i */ o */",
-    "==", "..=", "::", "->", "=>", "<<=", "(", ")", "{", "}", "[", "]", ";", ",", "#", "?",
-    "§", "\\",
+    "fn",
+    "ident",
+    "r#match",
+    "'a",
+    "'x'",
+    "'\"'",
+    "b'q'",
+    "0",
+    "42u32",
+    "1.5",
+    "2e-3",
+    "\"str \\\" esc\"",
+    "r\"raw\"",
+    "r#\"raw # \"#",
+    "r##\"raw \"# deep\"##",
+    "b\"bs\"",
+    "br#\"rbs\"#",
+    "// line\n",
+    "/// doc\n",
+    "//! inner\n",
+    "/* blk */",
+    "/* o /* i */ o */",
+    "==",
+    "..=",
+    "::",
+    "->",
+    "=>",
+    "<<=",
+    "(",
+    ")",
+    "{",
+    "}",
+    "[",
+    "]",
+    ";",
+    ",",
+    "#",
+    "?",
+    "§",
+    "\\",
 ];
 
 proptest! {

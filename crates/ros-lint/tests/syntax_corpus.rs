@@ -18,7 +18,12 @@ use ros_lint::{FileAnalysis, FileRole};
 
 fn fa(rel: &str, src: &str) -> FileAnalysis {
     let crate_name = rel.split('/').nth(1).unwrap_or("x").to_string();
-    FileAnalysis::new(rel.to_string(), crate_name, FileRole::Library, src.to_string())
+    FileAnalysis::new(
+        rel.to_string(),
+        crate_name,
+        FileRole::Library,
+        src.to_string(),
+    )
 }
 
 #[test]

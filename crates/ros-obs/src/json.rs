@@ -87,7 +87,10 @@ impl<'a> From<&'a str> for Value<'a> {
 
 /// Appends `s` with JSON string escaping (quotes, backslash, control
 /// characters).
-#[expect(clippy::as_conversions, reason = "char-to-u32 is the lossless codepoint value")]
+#[expect(
+    clippy::as_conversions,
+    reason = "char-to-u32 is the lossless codepoint value"
+)]
 pub(crate) fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {

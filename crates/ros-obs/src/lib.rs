@@ -204,7 +204,10 @@ pub fn flush() {
     let on = enabled();
     let stderr_lines = run::with_state(|s| {
         let lines: Vec<String> = if on {
-            s.metrics.lines().filter_map(|line| s.out.push(line)).collect()
+            s.metrics
+                .lines()
+                .filter_map(|line| s.out.push(line))
+                .collect()
         } else {
             Vec::new()
         };

@@ -44,10 +44,7 @@ fn disabled_telemetry_does_not_allocate() {
             "reader.pass",
             &[("frames", 1001u64.into()), ("decoded", true.into())],
         );
-        ros_obs::event_detail(
-            "decode.slot",
-            &[("idx", i.into()), ("amp", 14.2.into())],
-        );
+        ros_obs::event_detail("decode.slot", &[("idx", i.into()), ("amp", 14.2.into())]);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
 

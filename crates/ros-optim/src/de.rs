@@ -105,7 +105,10 @@ pub struct DeResult {
 /// # Panics
 /// Panics if `bounds` is empty, any `lo > hi`, or
 /// `config.population < 4`.
-#[expect(clippy::float_cmp, reason = "a degenerate lo == hi bound pins the coordinate; exact by design")]
+#[expect(
+    clippy::float_cmp,
+    reason = "a degenerate lo == hi bound pins the coordinate; exact by design"
+)]
 pub fn minimize<F>(mut f: F, bounds: &[(f64, f64)], config: &DeConfig) -> DeResult
 where
     F: FnMut(&[f64], f64) -> f64,
@@ -116,7 +119,10 @@ where
         bounds.iter().all(|&(lo, hi)| lo <= hi),
         "every bound must satisfy lo <= hi"
     );
-    assert!(config.population >= 4, "DE needs a population of at least 4");
+    assert!(
+        config.population >= 4,
+        "DE needs a population of at least 4"
+    );
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let np = config.population;
@@ -322,7 +328,11 @@ mod tests {
     #[test]
     fn all_strategies_solve_sphere() {
         let bounds = vec![(-5.0, 5.0); 3];
-        for strategy in [Strategy::Rand1Bin, Strategy::Best1Bin, Strategy::RandToBest1Bin] {
+        for strategy in [
+            Strategy::Rand1Bin,
+            Strategy::Best1Bin,
+            Strategy::RandToBest1Bin,
+        ] {
             let cfg = DeConfig {
                 strategy,
                 ..Default::default()

@@ -51,7 +51,10 @@ impl Default for PsoConfig {
 /// # Panics
 /// Panics when `bounds` is empty, any `lo > hi`, or
 /// `config.particles < 2`.
-#[expect(clippy::float_cmp, reason = "a degenerate lo == hi bound pins the coordinate; exact by design")]
+#[expect(
+    clippy::float_cmp,
+    reason = "a degenerate lo == hi bound pins the coordinate; exact by design"
+)]
 pub fn minimize_pso<F>(mut f: F, bounds: &[(f64, f64)], config: &PsoConfig) -> DeResult
 where
     F: FnMut(&[f64]) -> f64,

@@ -33,9 +33,7 @@ pub fn ackley(x: &[f64]) -> f64 {
     let d = x.len().as_f64();
     let sum_sq: f64 = x.iter().map(|v| v * v).sum();
     let sum_cos: f64 = x.iter().map(|v| (std::f64::consts::TAU * v).cos()).sum();
-    -20.0 * (-0.2 * (sum_sq / d).sqrt()).exp() - (sum_cos / d).exp()
-        + 20.0
-        + std::f64::consts::E
+    -20.0 * (-0.2 * (sum_sq / d).sqrt()).exp() - (sum_cos / d).exp() + 20.0 + std::f64::consts::E
 }
 
 #[cfg(test)]

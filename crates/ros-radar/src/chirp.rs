@@ -155,7 +155,9 @@ mod tests {
         for r in [0.5, 3.0, 6.0] {
             let fb = c.beat_frequency_hz(r);
             let bin = c.range_to_bin(r, 256);
-            assert!((c.bin_to_range_m(bin.round() as usize, 256) - r).abs() < c.range_resolution_m());
+            assert!(
+                (c.bin_to_range_m(bin.round() as usize, 256) - r).abs() < c.range_resolution_m()
+            );
             assert!(fb < c.sample_rate_hz, "aliased at {r} m");
         }
     }

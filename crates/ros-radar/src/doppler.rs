@@ -15,8 +15,8 @@ use crate::echo::{Echo, Pose};
 use rand::Rng;
 use ros_dsp::fft::fft_in_place;
 use ros_em::radar_eq::RadarLinkBudget;
-use ros_em::Complex64;
 use ros_em::units::cast::AsF64;
+use ros_em::Complex64;
 
 /// Burst parameters: `n_chirps` chirps separated by `chirp_interval_s`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,8 +97,7 @@ pub fn synthesize_burst<R: Rng>(
             // carrier phase advances chirp to chirp.
             let dt = c.as_f64() * burst.chirp_interval_s;
             let range = range0 - me.radial_speed_mps * dt;
-            let doppler_phase =
-                2.0 * std::f64::consts::TAU * me.radial_speed_mps * dt / lambda;
+            let doppler_phase = 2.0 * std::f64::consts::TAU * me.radial_speed_mps * dt / lambda;
             let f_beat = chirp.beat_frequency_hz(range);
             let w = std::f64::consts::TAU * f_beat / chirp.sample_rate_hz;
             let rot = Complex64::cis(w);
@@ -168,11 +167,7 @@ pub fn range_doppler_map(burst: &Burst) -> Vec<Vec<f64>> {
 }
 
 /// The radial speed of a (shifted) Doppler bin \[m/s\].
-pub fn doppler_bin_to_speed(
-    bin: usize,
-    burst: &BurstConfig,
-    lambda_m: f64,
-) -> f64 {
+pub fn doppler_bin_to_speed(bin: usize, burst: &BurstConfig, lambda_m: f64) -> f64 {
     let centered = bin.as_f64() - burst.n_chirps.as_f64() / 2.0;
     centered * lambda_m / (2.0 * burst.n_chirps.as_f64() * burst.chirp_interval_s)
 }

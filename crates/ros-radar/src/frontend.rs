@@ -19,8 +19,8 @@ use crate::chirp::ChirpConfig;
 use crate::echo::{Echo, Pose};
 use rand::Rng;
 use ros_em::radar_eq::RadarLinkBudget;
-use ros_em::Complex64;
 use ros_em::units::cast::AsF64;
+use ros_em::Complex64;
 
 /// Exponent of the radar's own antenna element pattern (per way).
 /// Two-way cos^3 gives a ±28° half-power field of view, matching the
@@ -62,7 +62,11 @@ pub fn radar_pattern(az: f64) -> f64 {
 /// component) that yields the link budget's noise floor after the
 /// range FFT (÷N coherent gain) and beamforming (÷K) used by
 /// [`crate::processing`].
-pub(crate) fn per_sample_noise_sigma(budget: &RadarLinkBudget, chirp: &ChirpConfig, array: &RadarArray) -> f64 {
+pub(crate) fn per_sample_noise_sigma(
+    budget: &RadarLinkBudget,
+    chirp: &ChirpConfig,
+    array: &RadarArray,
+) -> f64 {
     let floor_mw = ros_em::db::dbm_to_mw(budget.noise_floor_dbm());
     // Processing averages N samples and K antennas: noise power at the
     // output is σ_total²/(N·K), so σ_total² = floor·N·K. Each of the
@@ -321,7 +325,11 @@ fn add_tones<const G: usize>(
 /// sample-major, one [`gaussian_pair`] per sample giving re then im),
 /// so pre-drawing packets for a batch and applying them later is
 /// bit-identical to the serial capture loop.
-pub(crate) fn draw_noise<R: Rng>(n_rx: usize, n_samples: usize, rng: &mut R) -> Vec<Vec<Complex64>> {
+pub(crate) fn draw_noise<R: Rng>(
+    n_rx: usize,
+    n_samples: usize,
+    rng: &mut R,
+) -> Vec<Vec<Complex64>> {
     (0..n_rx)
         .map(|_| {
             (0..n_samples)
@@ -382,7 +390,11 @@ pub fn synthesize_frame<R: Rng>(
 ) -> Frame {
     let mut frame = synthesize_signal(chirp, array, pose, echoes);
     let noise = draw_noise(array.n_rx, chirp.n_samples, rng);
-    add_noise(&mut frame, &noise, per_sample_noise_sigma(budget, chirp, array));
+    add_noise(
+        &mut frame,
+        &noise,
+        per_sample_noise_sigma(budget, chirp, array),
+    );
     frame
 }
 

@@ -14,8 +14,8 @@
 
 use crate::frontend::Frame;
 use rand::Rng;
-use ros_em::Complex64;
 use ros_em::units::cast::AsF64;
+use ros_em::Complex64;
 
 /// Impairment configuration. `Default` is a clean front-end.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -185,7 +185,14 @@ mod tests {
             Vec3::new(0.0, 3.0, 0.0),
             Complex64::from_polar(10f64.powf(-35.0 / 20.0), 0.4),
         );
-        synthesize_frame(&c, &a, &b, Pose::side_looking(Vec3::ZERO), &[echo], &mut rng)
+        synthesize_frame(
+            &c,
+            &a,
+            &b,
+            Pose::side_looking(Vec3::ZERO),
+            &[echo],
+            &mut rng,
+        )
     }
 
     #[test]

@@ -15,8 +15,8 @@ use ros_dsp::fft::{fft_in_place, FftPlan};
 use ros_dsp::peaks::{find_peaks_into, Peak, PeakParams};
 use ros_dsp::window::WindowTable;
 use ros_dsp::PlanCache;
-use ros_em::Complex64;
 use ros_em::units::cast::{self, AsF64};
+use ros_em::Complex64;
 use ros_obs::names;
 
 /// Azimuth search grid half-width \[rad\] (the radar antenna FoV).
@@ -188,7 +188,16 @@ pub fn detect_points_with(
     let n_fft = frame.n_samples().next_power_of_two();
     let DetectScratch { plans, bufs } = scratch;
     let plan = plans.fft(n_fft);
-    detect_points_core(frame, chirp, array, cfar, max_targets_per_bin, plan, bufs, out);
+    detect_points_core(
+        frame,
+        chirp,
+        array,
+        cfar,
+        max_targets_per_bin,
+        plan,
+        bufs,
+        out,
+    );
     ros_obs::count(names::RADAR_CFAR_DETECTIONS, bufs.detections.len());
 }
 
@@ -418,7 +427,10 @@ mod tests {
         let interferer = Vec3::new(-2.0, 5.0, 0.0);
         let amp_t = Complex64::from_polar(10f64.powf(-45.0 / 20.0), 0.0);
         let amp_i = Complex64::from_polar(10f64.powf(-25.0 / 20.0), 0.0);
-        let (f, c, a) = capture(&[Echo::new(target, amp_t), Echo::new(interferer, amp_i)], 16);
+        let (f, c, a) = capture(
+            &[Echo::new(target, amp_t), Echo::new(interferer, amp_i)],
+            16,
+        );
         let y = spotlight_at(&f, &c, &a, target);
         let err_db = 20.0 * (y.abs() / amp_t.abs()).log10();
         assert!(err_db.abs() < 3.0, "spotlight leakage {err_db} dB");
@@ -456,7 +468,11 @@ mod tests {
         let (direct_azs, direct_pws) = aoa_spectrum(&direct_spectra, 12, &a, lambda);
         let (mut azs, mut pws) = (vec![1.0; 2], Vec::new());
         aoa_spectrum_into(&spectra, 12, &a, lambda, &mut azs, &mut pws);
-        for (d, v) in direct_azs.iter().zip(&azs).chain(direct_pws.iter().zip(&pws)) {
+        for (d, v) in direct_azs
+            .iter()
+            .zip(&azs)
+            .chain(direct_pws.iter().zip(&pws))
+        {
             assert_eq!(d.to_bits(), v.to_bits());
         }
     }

@@ -80,8 +80,7 @@ impl FmcwRadar {
     /// the configured front-end impairments.
     pub fn capture<R: Rng>(&self, pose: Pose, echoes: &[Echo], rng: &mut R) -> Frame {
         ros_obs::count(names::RADAR_FRAMES_SYNTHESIZED, 1);
-        let mut frame =
-            synthesize_frame(&self.chirp, &self.array, &self.budget, pose, echoes, rng);
+        let mut frame = synthesize_frame(&self.chirp, &self.array, &self.budget, pose, echoes, rng);
         self.impairments.apply(&mut frame, rng);
         frame
     }
@@ -148,7 +147,8 @@ impl FmcwRadar {
         for i in 0..n_jobs {
             crate::frontend::fill_noise(rng, &mut noise[i * k_rx * n..(i + 1) * k_rx * n]);
             if !clean {
-                self.impairments.fill_walk(rng, &mut walks[i * n..(i + 1) * n]);
+                self.impairments
+                    .fill_walk(rng, &mut walks[i * n..(i + 1) * n]);
             }
         }
 
@@ -176,7 +176,11 @@ impl FmcwRadar {
                 &noise[i * k_rx * n..(i + 1) * k_rx * n],
                 sigma,
             );
-            let walk = if clean { &[][..] } else { &walks[i * n..(i + 1) * n] };
+            let walk = if clean {
+                &[][..]
+            } else {
+                &walks[i * n..(i + 1) * n]
+            };
             self.impairments.apply_with_walk(frame, walk);
         });
     }
@@ -190,7 +194,15 @@ impl FmcwRadar {
         scratch: &mut processing::DetectScratch,
         out: &mut Vec<RadarPoint>,
     ) {
-        processing::detect_points_with(frame, &self.chirp, &self.array, &self.cfar, 2, scratch, out);
+        processing::detect_points_with(
+            frame,
+            &self.chirp,
+            &self.array,
+            &self.cfar,
+            2,
+            scratch,
+            out,
+        );
         ros_obs::hist(names::RADAR_POINTS_PER_FRAME, out.len().as_f64());
     }
 

@@ -18,8 +18,8 @@ pub mod trajectory;
 pub mod weather;
 
 pub use objects::{ClutterObject, ObjectClass};
-pub use scenario::ScenePreset;
 pub use reflector::{EchoContext, Reflector};
+pub use scenario::ScenePreset;
 pub use tracking::TrackingError;
 pub use trajectory::Trajectory;
 pub use weather::FogLevel;

@@ -10,9 +10,9 @@ use crate::reflector::{EchoContext, Reflector, SceneEcho};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ros_em::jones::{JonesMatrix, Polarization};
-use ros_em::{Complex64, Vec3};
 use ros_em::units::cast::AsF64;
 use ros_em::units::Db;
+use ros_em::{Complex64, Vec3};
 
 /// Clutter object classes evaluated in §7.2.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -248,7 +248,10 @@ mod tests {
             .budget
             .received_power_dbm(ObjectClass::RoadSign.rcs_dbsm(), d);
         // Points sit at slightly different ranges: small spread allowed.
-        assert!((total_dbm - expected).abs() < 1.0, "{total_dbm} vs {expected}");
+        assert!(
+            (total_dbm - expected).abs() < 1.0,
+            "{total_dbm} vs {expected}"
+        );
     }
 
     #[test]

@@ -88,7 +88,11 @@ impl EchoContext {
                 let cross = self.echo_amplitude(f, cross_path)
                     * Complex64::from_polar(
                         gamma.abs(),
-                        if gamma < 0.0 { std::f64::consts::PI } else { 0.0 },
+                        if gamma < 0.0 {
+                            std::f64::consts::PI
+                        } else {
+                            0.0
+                        },
                     )
                     * phase_for_extra_path(d_bounce - d_direct, self.budget.freq_hz);
                 let double = self.echo_amplitude(f, d_bounce)

@@ -126,7 +126,9 @@ mod tests {
     use super::*;
 
     fn straight_track(n: usize, step: f64) -> Vec<Vec3> {
-        (0..n).map(|i| Vec3::new(i as f64 * step, 0.0, 0.0)).collect()
+        (0..n)
+            .map(|i| Vec3::new(i as f64 * step, 0.0, 0.0))
+            .collect()
     }
 
     #[test]
@@ -196,7 +198,10 @@ mod tests {
         let mut track = straight_track(5, 1.0);
         apply_spikes(
             &mut track,
-            [(1, Vec3::new(0.3, -0.2, 0.0)), (99, Vec3::new(9.0, 9.0, 9.0))],
+            [
+                (1, Vec3::new(0.3, -0.2, 0.0)),
+                (99, Vec3::new(9.0, 9.0, 9.0)),
+            ],
         );
         assert_eq!(track[0], Vec3::new(0.0, 0.0, 0.0));
         assert_eq!(track[1], Vec3::new(1.3, -0.2, 0.0));

@@ -5,8 +5,8 @@
 //! sedan at 10–30 mph for the speed experiments (Fig. 18). A
 //! [`Trajectory`] yields the radar pose at each frame instant.
 
-use ros_em::Vec3;
 use ros_em::units::cast::{self, AsF64};
+use ros_em::Vec3;
 
 /// A constant-velocity straight-line pass.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -72,7 +72,6 @@ impl Trajectory {
         self.speed_mps() * stride.as_f64() / frame_rate_hz
     }
 }
-
 
 /// A trajectory with heading changes: piecewise description of real
 /// manoeuvres near a tag (lane changes, gentle curves). Positions are

@@ -104,12 +104,7 @@ impl CorridorConfig {
                     // caching scale with designs, not encounters).
                     let tag_index = u64::from(radar) * u64::from(self.n_tags) + u64::from(tag);
                     let w = seeds.substream(SEED_DOMAIN ^ 0xb17, tag_index);
-                    let word = [
-                        w & 1 != 0,
-                        w & 2 != 0,
-                        w & 4 != 0,
-                        w & 8 != 0,
-                    ];
+                    let word = [w & 1 != 0, w & 2 != 0, w & 4 != 0, w & 8 != 0];
                     out.push(Encounter {
                         pass,
                         seed,
@@ -144,7 +139,10 @@ impl CorridorConfig {
     pub(crate) fn source_for(&self, e: &Encounter) -> DriveBySource {
         // paper_4bit with 8 rows encodes any 4-bit word; the config
         // space cannot make this fail.
-        #[expect(clippy::unreachable, reason = "encode of a 4-bit word into a 4-bit code is total")]
+        #[expect(
+            clippy::unreachable,
+            reason = "encode of a 4-bit word into a 4-bit code is total"
+        )]
         let tag = Self::code()
             .encode(&e.word)
             .unwrap_or_else(|err| unreachable!("4-bit encode is total: {err}"));
@@ -156,7 +154,10 @@ impl CorridorConfig {
     /// per-frequency scatterer tables of each distinct (radar, tag)
     /// design build once per cache — bit-identical physics either way.
     pub fn source_for_with(&self, e: &Encounter, cache: &GeomCache) -> DriveBySource {
-        #[expect(clippy::unreachable, reason = "encode of a 4-bit word into a 4-bit code is total")]
+        #[expect(
+            clippy::unreachable,
+            reason = "encode of a 4-bit word into a 4-bit code is total"
+        )]
         let tag = Self::code()
             .encode_with(cache, &e.word)
             .unwrap_or_else(|err| unreachable!("4-bit encode is total: {err}"));

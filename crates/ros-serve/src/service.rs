@@ -293,11 +293,23 @@ fn run_corridor_impl(
 
     // Counters are emitted once, from this serial epilogue, so the
     // exported totals are worker-count invariant.
-    ros_obs::count(names::SERVE_FRAMES_IN, usize::try_from(report.frames_produced).unwrap_or(usize::MAX));
-    ros_obs::count(names::SERVE_FRAMES_OUT, usize::try_from(report.frames_consumed).unwrap_or(usize::MAX));
+    ros_obs::count(
+        names::SERVE_FRAMES_IN,
+        usize::try_from(report.frames_produced).unwrap_or(usize::MAX),
+    );
+    ros_obs::count(
+        names::SERVE_FRAMES_OUT,
+        usize::try_from(report.frames_consumed).unwrap_or(usize::MAX),
+    );
     ros_obs::count(names::SERVE_READS, report.reads.len());
-    ros_obs::count(names::SERVE_BACKPRESSURE_STALLS, usize::try_from(report.stalls).unwrap_or(usize::MAX));
-    ros_obs::gauge(names::SERVE_CHANNEL_MAX_OCCUPANCY, report.max_occupancy.as_f64());
+    ros_obs::count(
+        names::SERVE_BACKPRESSURE_STALLS,
+        usize::try_from(report.stalls).unwrap_or(usize::MAX),
+    );
+    ros_obs::gauge(
+        names::SERVE_CHANNEL_MAX_OCCUPANCY,
+        report.max_occupancy.as_f64(),
+    );
     if let (Some(cache), Some(before)) = (cache, cache_before) {
         // Delta export from the same serial epilogue, so `cache.*`
         // totals are worker-count invariant too.

@@ -30,7 +30,11 @@ fn main() {
             "{:>10} {:>10.1} {:>10}",
             fog.label(),
             o.snr_db().unwrap_or(f64::NAN),
-            if o.bits() == message.to_vec() { "yes" } else { "NO" }
+            if o.bits() == message.to_vec() {
+                "yes"
+            } else {
+                "NO"
+            }
         );
     }
 

@@ -60,10 +60,18 @@ fn main() {
     let out_b = drive_b.run(&cfg);
 
     let b2u = |bits: &[bool]| bits.iter().map(|&b| b as u8).collect::<Vec<_>>();
-    println!("\ntag A sent {:?} decoded {:?} (SNR {:.1} dB)",
-        b2u(lo), b2u(out_a.bits()), out_a.snr_db().unwrap_or(f64::NAN));
-    println!("tag B sent {:?} decoded {:?} (SNR {:.1} dB)",
-        b2u(hi), b2u(out_b.bits()), out_b.snr_db().unwrap_or(f64::NAN));
+    println!(
+        "\ntag A sent {:?} decoded {:?} (SNR {:.1} dB)",
+        b2u(lo),
+        b2u(out_a.bits()),
+        out_a.snr_db().unwrap_or(f64::NAN)
+    );
+    println!(
+        "tag B sent {:?} decoded {:?} (SNR {:.1} dB)",
+        b2u(hi),
+        b2u(out_b.bits()),
+        out_b.snr_db().unwrap_or(f64::NAN)
+    );
 
     let mut decoded = out_a.bits().to_vec();
     decoded.extend_from_slice(out_b.bits());

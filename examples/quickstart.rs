@@ -39,7 +39,11 @@ fn main() {
     println!("\ndecoded bits: {decoded:?}");
     match &outcome.decode {
         Ok(d) => {
-            println!("decoding SNR: {:.1} dB (BER {:.3}%)", d.snr_db(), d.ber() * 100.0);
+            println!(
+                "decoding SNR: {:.1} dB (BER {:.3}%)",
+                d.snr_db(),
+                d.ber() * 100.0
+            );
             println!(
                 "coding-slot amplitudes: {:?}",
                 d.slot_amplitudes

@@ -152,11 +152,15 @@ fn steady_frame(fx: &Fixture, seed: u64, arena: &mut Arena) -> f64 {
         .capture_batch_with(&fx.jobs, &mut rng, &mut arena.capture, &mut arena.frames);
     let mut acc = 0.0;
     for frame in arena.frames.iter() {
-        fx.radar.detect_with(frame, &mut arena.detect, &mut arena.points);
+        fx.radar
+            .detect_with(frame, &mut arena.detect, &mut arena.points);
         for p in arena.points.iter() {
             acc += p.power_mw;
         }
-        acc += fx.radar.spotlight_with(frame, fx.spot_target, &fx.spot_table).abs();
+        acc += fx
+            .radar
+            .spotlight_with(frame, fx.spot_target, &fx.spot_table)
+            .abs();
     }
     for cfg in &fx.configs {
         decode_into(

@@ -56,8 +56,14 @@ fn tag_at_every_temperature(code: &SpatialCode, bits: &[bool]) -> Vec<(&'static 
     vec![
         ("uncached", code.encode(bits).expect("encodes")),
         ("fresh", code.encode_with(&fresh, bits).expect("encodes")),
-        ("pre-warmed", code.encode_with(&warm, bits).expect("encodes")),
-        ("capacity-1", code.encode_with(&thrash, bits).expect("encodes")),
+        (
+            "pre-warmed",
+            code.encode_with(&warm, bits).expect("encodes"),
+        ),
+        (
+            "capacity-1",
+            code.encode_with(&thrash, bits).expect("encodes"),
+        ),
     ]
 }
 
@@ -127,7 +133,11 @@ fn corridor_log_is_invariant_to_cache_temperature_and_workers() {
             let fresh = run_corridor_with(&cfg, workers, &GeomCache::new());
             let warmed = run_corridor_with(&cfg, workers, &warm);
             let thrashed = run_corridor_with(&cfg, workers, &GeomCache::with_capacity(1));
-            [("fresh", fresh), ("pre-warmed", warmed), ("capacity-1", thrashed)]
+            [
+                ("fresh", fresh),
+                ("pre-warmed", warmed),
+                ("capacity-1", thrashed),
+            ]
         });
         for (name, r) in &runs {
             assert_eq!(

@@ -66,7 +66,11 @@ fn send_all_after_receiver_drop_keeps_every_item() {
     drop(rx);
     let mut items: Vec<u64> = (0..6).collect();
     assert_eq!(tx.send_all(&mut items), Err(ChannelError::Disconnected));
-    assert_eq!(items, (0..6).collect::<Vec<u64>>(), "nothing sent, nothing lost");
+    assert_eq!(
+        items,
+        (0..6).collect::<Vec<u64>>(),
+        "nothing sent, nothing lost"
+    );
 }
 
 #[test]
@@ -88,10 +92,17 @@ fn receiver_drop_mid_batch_leaves_the_unsent_suffix_in_the_vec() {
         drop(rx);
         let (r, left) = producer.join().unwrap();
         assert_eq!(r, Err(ChannelError::Disconnected));
-        assert_eq!(got, (0..got.len() as u64).collect::<Vec<u64>>(), "FIFO prefix received");
+        assert_eq!(
+            got,
+            (0..got.len() as u64).collect::<Vec<u64>>(),
+            "FIFO prefix received"
+        );
         // The unsent items are the batch's tail, in order; the ones in
         // between were in the buffer when the receiver went away.
-        assert!(!left.is_empty(), "a 40-item batch cannot fit 3 slots + 5 taken");
+        assert!(
+            !left.is_empty(),
+            "a 40-item batch cannot fit 3 slots + 5 taken"
+        );
         let first = n - left.len() as u64;
         assert!(first >= got.len() as u64);
         assert_eq!(left, (first..n).collect::<Vec<u64>>());
@@ -102,7 +113,9 @@ fn receiver_drop_mid_batch_leaves_the_unsent_suffix_in_the_vec() {
 fn recv_into_honours_max_and_ends_only_when_drained_and_disconnected() {
     let (tx, rx) = bounded::<u64>(8);
     let mut batch: Vec<u64> = (0..5).collect();
-    tx.send_all(&mut batch).map_err(|_| "receiver gone").unwrap();
+    tx.send_all(&mut batch)
+        .map_err(|_| "receiver gone")
+        .unwrap();
     let tx2 = tx.clone();
     drop(tx);
     let mut out = Vec::new();
@@ -117,7 +130,10 @@ fn recv_into_honours_max_and_ends_only_when_drained_and_disconnected() {
     assert_eq!(out, [0, 1, 2, 3, 4]);
     tx2.send(5).map_err(|_| "receiver gone").unwrap();
     drop(tx2);
-    assert!(rx.recv_into(&mut out, 10), "buffered items outlive the senders");
+    assert!(
+        rx.recv_into(&mut out, 10),
+        "buffered items outlive the senders"
+    );
     assert_eq!(out, [0, 1, 2, 3, 4, 5]);
     assert!(!rx.recv_into(&mut out, 10), "drained and disconnected");
     assert!(!rx.recv_into(&mut out, 10), "end of stream is sticky");

@@ -23,7 +23,9 @@ fn full_fixture() -> (DriveBy, ReaderConfig) {
         rows_per_stack: 32,
         ..SpatialCode::paper_4bit()
     };
-    let tag = code.encode_with(ros_tests::fixture_cache(), &[true, false, true, true]).unwrap();
+    let tag = code
+        .encode_with(ros_tests::fixture_cache(), &[true, false, true, true])
+        .unwrap();
     let mut drive = DriveBy::new(tag, 3.0).with_seed(90125);
     drive.half_span_m = 3.0;
     let mut cfg = ReaderConfig::full();
@@ -123,9 +125,13 @@ fn hard_adc_saturation_in_fast_mode_stays_finite_and_typed() {
     // A full-scale rail far below the echo level clips every frame to
     // the same tiny square-wave — decoding may fail or partially
     // succeed, but the verdict must be typed and all numbers finite.
-    let drive = DriveBy::new(tag8(), 2.0).with_seed(5).with_faults(
-        FaultPlan::single(7, FaultKind::AdcSaturation { full_scale: 1e-9 }, 1.0),
-    );
+    let drive = DriveBy::new(tag8(), 2.0)
+        .with_seed(5)
+        .with_faults(FaultPlan::single(
+            7,
+            FaultKind::AdcSaturation { full_scale: 1e-9 },
+            1.0,
+        ));
     let o = drive.run(&ReaderConfig::fast());
     assert_finite(&o, "saturated fast");
     assert!(o.frame_verdicts.iter().all(|v| v.saturated));

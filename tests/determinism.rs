@@ -16,10 +16,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ros_core::decode::{decode, decode_into, DecodeResult, DecodeScratch, DecoderConfig, RssSample};
+use ros_core::decode::{
+    decode, decode_into, DecodeResult, DecodeScratch, DecoderConfig, RssSample,
+};
 use ros_core::encode::SpatialCode;
-use ros_core::reader::{DriveBy, Outcome, ReaderConfig};
 use ros_core::rcs_model;
+use ros_core::reader::{DriveBy, Outcome, ReaderConfig};
 use ros_core::tag::Tag;
 use ros_em::constants::LAMBDA_CENTER_M;
 use ros_em::jones::Polarization;
@@ -63,7 +65,10 @@ fn assert_complex_bits_eq(a: &[Complex64], b: &[Complex64], what: &str) {
 #[test]
 fn par_map_preserves_order_and_values() {
     let items: Vec<u64> = (0..103).collect();
-    let serial: Vec<f64> = items.iter().map(|&x| (x as f64 + 0.5).sqrt().sin()).collect();
+    let serial: Vec<f64> = items
+        .iter()
+        .map(|&x| (x as f64 + 0.5).sqrt().sin())
+        .collect();
     for n in THREAD_COUNTS {
         let par = with_threads(n, || {
             ros_exec::par_map(&items, |&x| (x as f64 + 0.5).sqrt().sin())
@@ -255,7 +260,10 @@ fn planned_decode_trace(tag: &Tag) -> Vec<RssSample> {
             for e in &echoes {
                 rss += e.amp;
             }
-            RssSample { radar_pos: pos, rss }
+            RssSample {
+                radar_pos: pos,
+                rss,
+            }
         })
         .collect()
 }
@@ -368,7 +376,10 @@ fn corridor_service_bit_identical_across_thread_counts() {
         let r = with_threads(t, || run_corridor_with(&cfg, 0, &GeomCache::new()));
         assert_eq!(r.workers, t, "auto resolution follows the pinned pool");
         assert_eq!(r.log(), reference.log(), "read log @ {t} threads");
-        assert_eq!(r.frames_produced, reference.frames_produced, "@ {t} threads");
+        assert_eq!(
+            r.frames_produced, reference.frames_produced,
+            "@ {t} threads"
+        );
         assert_eq!(r.frames_produced, r.frames_consumed, "@ {t} threads");
     }
 }

@@ -19,13 +19,10 @@ fn all_16_bit_patterns_roundtrip() {
     // tag always keeps its reference stack, but an all-empty coding
     // band is indistinguishable from no tag).
     for word in 1u8..16 {
-        let bits = [
-            word & 1 != 0,
-            word & 2 != 0,
-            word & 4 != 0,
-            word & 8 != 0,
-        ];
-        let tag = code(8).encode_with(ros_tests::fixture_cache(), &bits).unwrap();
+        let bits = [word & 1 != 0, word & 2 != 0, word & 4 != 0, word & 8 != 0];
+        let tag = code(8)
+            .encode_with(ros_tests::fixture_cache(), &bits)
+            .unwrap();
         let outcome = DriveBy::new(tag, 2.5)
             .with_seed(word as u64)
             .run(&ReaderConfig::fast());
@@ -43,7 +40,9 @@ fn snr_exceeds_paper_floor_in_typical_conditions() {
     // §7: "the decoding SNR of RoS consistently exceeds 14 dB in
     // typical scenarios".
     for (rows, standoff) in [(8, 2.0), (8, 3.0), (16, 3.0), (32, 3.0), (32, 4.0)] {
-        let tag = code(rows).encode_with(ros_tests::fixture_cache(), &[true; 4]).unwrap();
+        let tag = code(rows)
+            .encode_with(ros_tests::fixture_cache(), &[true; 4])
+            .unwrap();
         let mut drive = DriveBy::new(tag, standoff).with_seed(7);
         drive.half_span_m = 8.0;
         let outcome = drive.run(&ReaderConfig::fast());
@@ -59,7 +58,9 @@ fn snr_exceeds_paper_floor_in_typical_conditions() {
 fn decode_fails_gracefully_beyond_range() {
     // An 8-row tag at 6 m is under the noise floor (Fig. 15) — the
     // reader must not hallucinate the all-ones pattern.
-    let tag = code(8).encode_with(ros_tests::fixture_cache(), &[true; 4]).unwrap();
+    let tag = code(8)
+        .encode_with(ros_tests::fixture_cache(), &[true; 4])
+        .unwrap();
     let mut drive = DriveBy::new(tag, 6.0).with_seed(11);
     drive.half_span_m = 8.0;
     let outcome = drive.run(&ReaderConfig::fast());
@@ -114,14 +115,22 @@ fn six_bit_code_needs_far_field_and_a_better_radar() {
     let bits = [true, true, false, true, false, true];
 
     // Near field with the TI radar: at least one bit corrupted.
-    let tag = code6.encode_with(ros_tests::fixture_cache(), &bits).unwrap();
+    let tag = code6
+        .encode_with(ros_tests::fixture_cache(), &bits)
+        .unwrap();
     let mut near = DriveBy::new(tag, 4.0).with_seed(66);
     near.half_span_m = 10.0;
     let near_out = near.run(&ReaderConfig::fast());
-    assert_ne!(near_out.bits(), bits.to_vec(), "near-field read should fail");
+    assert_ne!(
+        near_out.bits(),
+        bits.to_vec(),
+        "near-field read should fail"
+    );
 
     // Far field with the commercial radar: clean decode.
-    let tag = code6.encode_with(ros_tests::fixture_cache(), &bits).unwrap();
+    let tag = code6
+        .encode_with(ros_tests::fixture_cache(), &bits)
+        .unwrap();
     let mut far = DriveBy::new(tag, 8.5).with_seed(66);
     far.half_span_m = 14.0;
     far.radar.budget = ros_em::radar_eq::RadarLinkBudget::commercial();
@@ -135,7 +144,10 @@ fn full_pipeline_reads_advertising_board() {
     // pipeline must classify BOTH clusters as tags and decode each.
     let bits_a = [true, false, true, true];
     let bits_b = [true, true, false, true];
-    let tag_a = code(32).encode_with(ros_tests::fixture_cache(), &bits_a).unwrap().with_column_bow(0.0004, 1);
+    let tag_a = code(32)
+        .encode_with(ros_tests::fixture_cache(), &bits_a)
+        .unwrap()
+        .with_column_bow(0.0004, 1);
     let tag_b = code(32)
         .encode_with(ros_tests::fixture_cache(), &bits_b)
         .unwrap()
@@ -163,7 +175,10 @@ fn full_pipeline_reads_advertising_board() {
 fn crowded_scene_preset_still_decodes() {
     use ros_scene::scenario::ScenePreset;
     let bits = [true, false, false, true];
-    let tag = code(32).encode_with(ros_tests::fixture_cache(), &bits).unwrap().with_column_bow(0.0004, 9);
+    let tag = code(32)
+        .encode_with(ros_tests::fixture_cache(), &bits)
+        .unwrap()
+        .with_column_bow(0.0004, 9);
     let mut drive = DriveBy::new(tag, 3.0)
         .with_scene(ScenePreset::UrbanCurb, 77)
         .with_seed(909);
@@ -191,7 +206,9 @@ fn lane_change_pass_still_decodes() {
     // absorb it.
     use ros_scene::trajectory::LateralProfile;
     let bits = [true, true, false, true];
-    let tag = code(32).encode_with(ros_tests::fixture_cache(), &bits).unwrap();
+    let tag = code(32)
+        .encode_with(ros_tests::fixture_cache(), &bits)
+        .unwrap();
     let mut drive = DriveBy::new(tag, 3.5)
         .with_lateral(LateralProfile::LaneChange { offset_m: 1.0 })
         .with_seed(707);
@@ -205,7 +222,9 @@ fn lane_change_pass_still_decodes() {
 fn curved_road_pass_still_decodes() {
     use ros_scene::trajectory::LateralProfile;
     let bits = [true, false, true, true];
-    let tag = code(32).encode_with(ros_tests::fixture_cache(), &bits).unwrap();
+    let tag = code(32)
+        .encode_with(ros_tests::fixture_cache(), &bits)
+        .unwrap();
     let mut drive = DriveBy::new(tag, 3.5)
         .with_lateral(LateralProfile::Curve { sagitta_m: 0.7 })
         .with_seed(708);
@@ -221,7 +240,9 @@ fn decodes_over_reflective_asphalt() {
     // rough on the wavelength scale (Rayleigh criterion), so the
     // specular coefficient is small (|Γ| ≈ 0.2).
     let bits = [true, false, true, true];
-    let tag = code(32).encode_with(ros_tests::fixture_cache(), &bits).unwrap();
+    let tag = code(32)
+        .encode_with(ros_tests::fixture_cache(), &bits)
+        .unwrap();
     let mut drive = DriveBy::new(tag, 3.0).with_ground(-0.2).with_seed(313);
     drive.half_span_m = 8.0;
     let outcome = drive.run(&ReaderConfig::fast());
@@ -233,7 +254,9 @@ fn partial_blockage_tolerated_full_blockage_fails() {
     use ros_core::reader::Blockage;
     let bits = [true, false, true, true];
     // A truck shadows ~20% of the usable (±30° FoV) window.
-    let tag = code(32).encode_with(ros_tests::fixture_cache(), &bits).unwrap();
+    let tag = code(32)
+        .encode_with(ros_tests::fixture_cache(), &bits)
+        .unwrap();
     let mut drive = DriveBy::new(tag, 3.0)
         .with_blockage(Blockage {
             t_start_s: 3.13,
@@ -243,11 +266,17 @@ fn partial_blockage_tolerated_full_blockage_fails() {
         .with_seed(515);
     drive.half_span_m = 8.0;
     let outcome = drive.run(&ReaderConfig::fast());
-    assert_eq!(outcome.bits(), bits.to_vec(), "partial blockage should survive");
+    assert_eq!(
+        outcome.bits(),
+        bits.to_vec(),
+        "partial blockage should survive"
+    );
 
     // Full-pass metal blockage: §7.3 says decoding fails — and it must
     // not hallucinate the message.
-    let tag = code(32).encode_with(ros_tests::fixture_cache(), &bits).unwrap();
+    let tag = code(32)
+        .encode_with(ros_tests::fixture_cache(), &bits)
+        .unwrap();
     let mut drive = DriveBy::new(tag, 3.0)
         .with_blockage(Blockage {
             t_start_s: 0.0,
@@ -257,12 +286,18 @@ fn partial_blockage_tolerated_full_blockage_fails() {
         .with_seed(516);
     drive.half_span_m = 8.0;
     let outcome = drive.run(&ReaderConfig::fast());
-    assert_ne!(outcome.bits(), bits.to_vec(), "ghost decode through a truck");
+    assert_ne!(
+        outcome.bits(),
+        bits.to_vec(),
+        "ghost decode through a truck"
+    );
 }
 
 #[test]
 fn deterministic_given_seed() {
-    let tag = code(8).encode_with(ros_tests::fixture_cache(), &[true, false, false, true]).unwrap();
+    let tag = code(8)
+        .encode_with(ros_tests::fixture_cache(), &[true, false, false, true])
+        .unwrap();
     let a = DriveBy::new(tag.clone(), 3.0)
         .with_seed(123)
         .run(&ReaderConfig::fast());

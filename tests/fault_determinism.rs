@@ -30,7 +30,9 @@ fn full_fixture() -> (DriveBy, ReaderConfig) {
         rows_per_stack: 32,
         ..SpatialCode::paper_4bit()
     };
-    let tag = code.encode_with(ros_tests::fixture_cache(), &[true, false, true, true]).unwrap();
+    let tag = code
+        .encode_with(ros_tests::fixture_cache(), &[true, false, true, true])
+        .unwrap();
     let mut drive = DriveBy::new(tag, 3.0).with_seed(90125);
     drive.half_span_m = 3.0;
     let mut cfg = ReaderConfig::full();
@@ -47,10 +49,7 @@ fn fingerprint(o: &Outcome) -> (Vec<bool>, Vec<(u64, u64)>, String, usize) {
             .map(|s| (s.rss.re.to_bits(), s.rss.im.to_bits()))
             .collect(),
         format!("{:?}", o.verdict),
-        o.frame_verdicts
-            .iter()
-            .filter(|v| v.is_degraded())
-            .count(),
+        o.frame_verdicts.iter().filter(|v| v.is_degraded()).count(),
     )
 }
 
@@ -85,7 +84,10 @@ fn storm_and_windowed_plans_are_thread_invariant_in_full_mode() {
     let picked: Vec<FaultPlan> = matrix.into_iter().rev().take(2).collect();
     let (base, cfg) = full_fixture();
     for plan in picked {
-        let label = format!("{:?}", plan.specs.iter().map(|s| s.kind.name()).collect::<Vec<_>>());
+        let label = format!(
+            "{:?}",
+            plan.specs.iter().map(|s| s.kind.name()).collect::<Vec<_>>()
+        );
         let drive = base.clone().with_faults(plan);
         let one = fingerprint(&run_pinned(&drive, &cfg, 1));
         for t in [2, 8] {
@@ -167,11 +169,10 @@ fn zero_rate_plan_matches_no_plan_bit_for_bit() {
     // stream: the fault layer draws from its own seed space.
     let cfg = ReaderConfig::fast();
     let clean = DriveBy::new(tag8(&[true, true, false, true]), 2.0).with_seed(41);
-    let gated = clean.clone().with_faults(FaultPlan::single(
-        9,
-        ros_fault::FaultKind::FrameDrop,
-        0.0,
-    ));
+    let gated =
+        clean
+            .clone()
+            .with_faults(FaultPlan::single(9, ros_fault::FaultKind::FrameDrop, 0.0));
     let a = run_pinned(&clean, &cfg, 2);
     let b = run_pinned(&gated, &cfg, 2);
     assert_eq!(a.bits(), b.bits());

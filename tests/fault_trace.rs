@@ -85,7 +85,9 @@ fn run_traced(threads: usize) -> Vec<String> {
         rows_per_stack: 32,
         ..SpatialCode::paper_4bit()
     };
-    let tag = code.encode_with(ros_tests::fixture_cache(), &[true, false, true, true]).expect("word encodes");
+    let tag = code
+        .encode_with(ros_tests::fixture_cache(), &[true, false, true, true])
+        .expect("word encodes");
 
     let mut drive = DriveBy::new(tag, 3.0).with_seed(SEED);
     drive.half_span_m = 3.0;
@@ -153,8 +155,7 @@ fn degraded_trace_skeleton_matches_golden() {
 
     let got = skeleton(&lines);
     assert_eq!(
-        got,
-        EXPECTED,
+        got, EXPECTED,
         "degraded telemetry skeleton drifted;\n got: {got:#?}"
     );
 }

@@ -92,7 +92,8 @@ fn golden_holds_at_every_worker_count() {
         let _pin = ros_exec::ThreadGuard::pin(Some(workers));
         let outcome = run_fixture();
         assert_eq!(
-            outcome.bits(), GOLDEN_BITS,
+            outcome.bits(),
+            GOLDEN_BITS,
             "decoded payload drifted at {workers} worker(s)"
         );
         let decode = outcome.decode.as_ref().expect("fixture decodes");

@@ -75,7 +75,11 @@ fn a_lookup_of_a_key_being_built_waits_and_counts_a_hit() {
             (*built, waited, cache.snapshot())
         })
     });
-    assert_eq!((built, waited), (3, Some(3)), "the waiter gets the built table");
+    assert_eq!(
+        (built, waited),
+        (3, Some(3)),
+        "the waiter gets the built table"
+    );
     assert_eq!((snap.misses(), snap.hits()), (1, 1));
 }
 
@@ -94,7 +98,11 @@ fn a_build_may_fan_out_to_workers_that_look_up_the_same_cache() {
         (*sum, cache.snapshot())
     });
     assert_eq!(sum, (10..18).map(|n| n * 2).sum::<u64>());
-    assert_eq!(snap.misses(), 9, "one outer build and eight distinct inner keys");
+    assert_eq!(
+        snap.misses(),
+        9,
+        "one outer build and eight distinct inner keys"
+    );
     assert_eq!(snap.hits(), 0);
 }
 
@@ -123,7 +131,10 @@ fn is_flat_json_object(line: &str) -> bool {
                     .iter()
                     .take_while(|c| c.is_ascii_digit() || b"-+.eE".contains(c))
                     .count();
-                std::str::from_utf8(&s[i..i + len]).ok()?.parse::<f64>().ok()?;
+                std::str::from_utf8(&s[i..i + len])
+                    .ok()?
+                    .parse::<f64>()
+                    .ok()?;
                 Some(i + len)
             }
             _ => ["true", "false", "null"]
@@ -138,11 +149,15 @@ fn is_flat_json_object(line: &str) -> bool {
     }
     let mut i = 1;
     loop {
-        let Some(after_key) = string(s, i) else { return false };
+        let Some(after_key) = string(s, i) else {
+            return false;
+        };
         if s.get(after_key) != Some(&b':') {
             return false;
         }
-        let Some(after_value) = value(s, after_key + 1) else { return false };
+        let Some(after_value) = value(s, after_key + 1) else {
+            return false;
+        };
         match s.get(after_value) {
             Some(b',') => i = after_value + 1,
             Some(b'}') => return after_value + 1 == s.len(),
@@ -163,7 +178,10 @@ fn workers_inside_a_build_emit_whole_telemetry_lines() {
                     ros_obs::count(DECODE_ATTEMPTS, 1);
                     ros_obs::event_detail(
                         "leaf_locks.item",
-                        &[("n", Value::U64(n)), ("tag", Value::Str("a \"quoted\" tag"))],
+                        &[
+                            ("n", Value::U64(n)),
+                            ("tag", Value::Str("a \"quoted\" tag")),
+                        ],
                     );
                     // A worker lookup waits on no lock the build holds.
                     *cache.get_or_build(TableKind::Pattern, key(n % 4), || n)
@@ -176,10 +194,15 @@ fn workers_inside_a_build_emit_whole_telemetry_lines() {
     for l in &lines {
         assert!(is_flat_json_object(l), "torn or malformed ndjson line: {l}");
     }
-    let events = lines.iter().filter(|l| l.contains("\"ev\":\"leaf_locks.item\"")).count();
+    let events = lines
+        .iter()
+        .filter(|l| l.contains("\"ev\":\"leaf_locks.item\""))
+        .count();
     assert_eq!(u64::try_from(events).ok(), Some(ITEMS));
     assert!(
-        lines.iter().any(|l| l.contains(r#""name":"decode.attempts","kind":"counter","value":32"#)),
+        lines
+            .iter()
+            .any(|l| l.contains(r#""name":"decode.attempts","kind":"counter","value":32"#)),
         "every worker's counter update lands: {lines:?}"
     );
 }
@@ -188,15 +211,27 @@ fn workers_inside_a_build_emit_whole_telemetry_lines() {
 fn a_panicking_build_leaves_no_entry() {
     let cache = GeomCache::new();
     let panicked = catch_unwind(AssertUnwindSafe(|| {
-        cache.get_or_build(TableKind::Dispersion, key(7), || -> u32 { panic!("build failed") })
+        cache.get_or_build(TableKind::Dispersion, key(7), || -> u32 {
+            panic!("build failed")
+        })
     }));
     assert!(panicked.is_err());
-    assert!(!cache.contains(&key(7)), "a failed build must not stay reserved");
+    assert!(
+        !cache.contains(&key(7)),
+        "a failed build must not stay reserved"
+    );
     assert_eq!(cache.len(), 0);
     let before = cache.snapshot();
-    assert_eq!(*cache.get_or_build(TableKind::Dispersion, key(7), || 7u32), 7);
+    assert_eq!(
+        *cache.get_or_build(TableKind::Dispersion, key(7), || 7u32),
+        7
+    );
     let after = cache.snapshot();
-    assert_eq!(after.misses() - before.misses(), 1, "the retry builds afresh");
+    assert_eq!(
+        after.misses() - before.misses(),
+        1,
+        "the retry builds afresh"
+    );
     assert_eq!(after.hits(), before.hits());
     assert_eq!(after.entries, 1);
 }

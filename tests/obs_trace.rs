@@ -91,7 +91,9 @@ fn run_traced(threads: usize) -> Vec<String> {
         ..SpatialCode::paper_4bit()
     };
     let bits = [true, false, true, true];
-    let tag = code.encode_with(ros_tests::fixture_cache(), &bits).expect("4-bit word encodes");
+    let tag = code
+        .encode_with(ros_tests::fixture_cache(), &bits)
+        .expect("4-bit word encodes");
 
     let mut drive = DriveBy::new(tag, 3.0).with_seed(SEED);
     drive.half_span_m = 3.0;
@@ -151,11 +153,7 @@ fn trace_skeleton_matches_golden() {
     }
 
     let got = skeleton(&lines);
-    assert_eq!(
-        got,
-        EXPECTED,
-        "telemetry skeleton drifted;\n got: {got:#?}"
-    );
+    assert_eq!(got, EXPECTED, "telemetry skeleton drifted;\n got: {got:#?}");
 }
 
 #[test]
@@ -218,7 +216,10 @@ fn counter(lines: &[String], name: &str) -> u64 {
 fn corridor_serve_and_cache_metrics_match_report_at_any_worker_count() {
     let (report, one) = run_corridor_traced(1);
     let (_, two) = run_corridor_traced(2);
-    assert_eq!(one, two, "serve.*/cache.* lines must not depend on the worker count");
+    assert_eq!(
+        one, two,
+        "serve.*/cache.* lines must not depend on the worker count"
+    );
 
     assert_eq!(counter(&one, "serve.frames_in"), report.frames_produced);
     assert_eq!(counter(&one, "serve.frames_out"), report.frames_consumed);
@@ -230,5 +231,8 @@ fn corridor_serve_and_cache_metrics_match_report_at_any_worker_count() {
         report.cache_misses,
         "per-kind misses account for every build"
     );
-    assert!(report.cache_hits > 0 && report.cache_misses > 0, "cache must see traffic");
+    assert!(
+        report.cache_hits > 0 && report.cache_misses > 0,
+        "cache must see traffic"
+    );
 }

@@ -97,7 +97,9 @@ fn beam_shaping_stabilizes_elevation_mismatch() {
     };
     // Median RSS over a few seeds: shaped must be ≥6 dB stronger.
     let med = |shaped: bool| {
-        let v: Vec<f64> = (0..3).map(|s| run(shaped, 30 + s).median_rss_dbm()).collect();
+        let v: Vec<f64> = (0..3)
+            .map(|s| run(shaped, 30 + s).median_rss_dbm())
+            .collect();
         ros_dsp::stats::median(&v)
     };
     let with = med(true);
@@ -111,8 +113,12 @@ fn beam_shaping_stabilizes_elevation_mismatch() {
 #[test]
 fn fog_does_not_break_decoding() {
     // Fig. 16c.
-    let tag = SpatialCode::paper_4bit().encode_with(ros_tests::fixture_cache(), &[true; 4]).unwrap();
-    let mut drive = DriveBy::new(tag, 3.0).with_fog(FogLevel::Heavy).with_seed(3);
+    let tag = SpatialCode::paper_4bit()
+        .encode_with(ros_tests::fixture_cache(), &[true; 4])
+        .unwrap();
+    let mut drive = DriveBy::new(tag, 3.0)
+        .with_fog(FogLevel::Heavy)
+        .with_seed(3);
     drive.half_span_m = 8.0;
     let outcome = drive.run(&ReaderConfig::fast());
     assert_eq!(outcome.bits(), vec![true; 4]);
@@ -122,7 +128,9 @@ fn fog_does_not_break_decoding() {
 #[test]
 fn sixty_degree_fov_is_sufficient() {
     // Fig. 17 / §7.3.
-    let tag = SpatialCode::paper_4bit().encode_with(ros_tests::fixture_cache(), &[true; 4]).unwrap();
+    let tag = SpatialCode::paper_4bit()
+        .encode_with(ros_tests::fixture_cache(), &[true; 4])
+        .unwrap();
     let mut cfg = ReaderConfig::fast();
     cfg.decoder.fov_rad = deg_to_rad(60.0);
     let mut drive = DriveBy::new(tag, 3.0).with_seed(4);
@@ -134,7 +142,9 @@ fn sixty_degree_fov_is_sufficient() {
 #[test]
 fn driving_speed_does_not_break_decoding() {
     // Fig. 18: 30 mph with every frame kept.
-    let tag = SpatialCode::paper_4bit().encode_with(ros_tests::fixture_cache(), &[true; 4]).unwrap();
+    let tag = SpatialCode::paper_4bit()
+        .encode_with(ros_tests::fixture_cache(), &[true; 4])
+        .unwrap();
     let mut cfg = ReaderConfig::fast();
     cfg.frame_stride = 1;
     let mut drive = DriveBy::new(tag, 3.0)
@@ -150,7 +160,9 @@ fn driving_speed_does_not_break_decoding() {
 fn mild_tracking_drift_is_tolerated() {
     // Fig. 16d: ≤2% drift (what Wheel-INS-class dead reckoning
     // delivers) leaves decoding intact.
-    let tag = SpatialCode::paper_4bit().encode_with(ros_tests::fixture_cache(), &[true; 4]).unwrap();
+    let tag = SpatialCode::paper_4bit()
+        .encode_with(ros_tests::fixture_cache(), &[true; 4])
+        .unwrap();
     let mut drive = DriveBy::new(tag, 3.0)
         .with_tracking(ros_scene::tracking::TrackingError::drift(0.02))
         .with_seed(6);
@@ -187,7 +199,9 @@ fn near_field_decoder_extends_capacity() {
 
     let code6 = SpatialCode::with_bits(6, 8);
     let bits = [true, true, false, true, false, true];
-    let tag = code6.encode_with(ros_tests::fixture_cache(), &bits).unwrap();
+    let tag = code6
+        .encode_with(ros_tests::fixture_cache(), &bits)
+        .unwrap();
     let mut drive = DriveBy::new(tag, 4.0).with_seed(66);
     drive.half_span_m = 10.0;
     let outcome = drive.run(&ReaderConfig::fast());

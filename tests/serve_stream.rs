@@ -86,7 +86,11 @@ fn streaming_read_matches_batch_under_fault_storm() {
     let batch = drive.run(&cfg);
     for chunk in [2usize, 3, 41, 500] {
         let streamed = stream_read(&drive, &cfg, chunk);
-        assert_eq!(streamed.bits.as_deref(), batch.decoded_bits(), "chunk {chunk}");
+        assert_eq!(
+            streamed.bits.as_deref(),
+            batch.decoded_bits(),
+            "chunk {chunk}"
+        );
         assert_eq!(
             streamed.snr_db.map(f64::to_bits),
             batch.snr_db().map(f64::to_bits),
@@ -224,7 +228,10 @@ fn failed_decode_surfaces_error_instead_of_empty_bits() {
     let streamed = stream_read(&DriveBy::new(tag8(&[true; 4]), 2.0), &cfg, 64);
     assert_eq!(streamed.verdict, PassVerdict::NoTag);
     assert!(streamed.bits.is_none());
-    assert!(streamed.error.is_some(), "typed error travels with the read");
+    assert!(
+        streamed.error.is_some(),
+        "typed error travels with the read"
+    );
 }
 
 /// Erasure indices are sanitized at the verdict boundary: aliased

@@ -19,8 +19,10 @@
 //! (the tests pin their bits). The search is nonetheless cheap: DE
 //! only asks whether a trial beats its target, so the objective gets
 //! that target's cost and stops as soon as a sound lower bound of the
-//! trial's cost clears it (see `FlatTop::cost`). About 80% of trials
-//! stop early; every cost the search keeps is exact.
+//! trial's cost clears it (see `FlatTop::cost`). The bound holds over
+//! any subset of the 82 pattern points, and the points that decided
+//! earlier trials are visited first, so about 80% of trials stop
+//! after about 7 points; every cost the search keeps is exact.
 
 use crate::stack::PsvaaStack;
 use ros_cache::{GeomCache, Key, KeyBuilder, TableKind};
@@ -60,8 +62,9 @@ impl ShapingProfile {
 const N_SCAN: usize = 61;
 /// In-window points, spanning the target width.
 const N_IN: usize = 21;
-/// Scan points evaluated between two checks of the pruning bound.
-const CHECK_EVERY: usize = 4;
+/// Pattern points of one evaluation: the in-window points (indices
+/// `0..N_IN`, window order), then the scan points (scan order).
+const N_POINTS: usize = N_IN + N_SCAN;
 /// Relative slack of the pruning bound: a trial is abandoned only when
 /// its lower bound exceeds `cutoff + PRUNE_SLACK·max(1, |cutoff|)`.
 /// It sits many orders of magnitude above the few-ulp rounding of the
@@ -87,46 +90,64 @@ const CLAMPED_COST_FLOOR: f64 = 360.0;
 ///   dominates, since a deep null anywhere in the window is fatal for
 ///   height-mismatch robustness.
 ///
-/// The sines of all 82 angles are computed once per search, with the
+/// The sines of all 82 points are computed once per search, with the
 /// same expressions per angle as a fresh evaluation, so every pattern
 /// sample, and with it every cost and the DE trajectory, keeps its
 /// bits. [`Self::cost`] reuses the row buffers and never allocates.
 struct FlatTop {
-    /// `sin ε` of the in-window points, in window order.
-    sin_in: [f64; N_IN],
-    /// `sin ε` of the scan points, centre first.
-    sin_scan: [f64; N_SCAN],
+    /// `sin ε` per pattern point, by point index.
+    sin: [f64; N_POINTS],
+    /// The order [`Self::cost`] visits the points in. It starts with
+    /// the scan centre, then alternates window and scan points, each
+    /// centre-out; after every evaluation the lowest in-window and the
+    /// highest scan point move to the front.
+    order: [usize; N_POINTS],
+    /// The current candidate's powers, by point index.
+    power: [f64; N_POINTS],
     /// The mirrored full phase profile of the current candidate.
     phases: Vec<f64>,
     /// Per row: `2k·z` about the stack centre, and the phase weight.
     rows: Vec<(f64, f64)>,
+    /// Pattern points evaluated over every call so far.
+    points: usize,
 }
 
 impl FlatTop {
     fn new(n_rows: usize, target_width_rad: f64) -> Self {
         let scan_half = target_width_rad * 1.5;
-        let scan_sin =
-            |i: usize| (-scan_half + 2.0 * scan_half * i.as_f64() / (N_SCAN - 1).as_f64()).sin();
-        // Centre first: a flat top peaks near boresight, so the partial
-        // peak reaches the true one early and the bound bites early.
-        let centre = N_SCAN / 2;
-        let sin_scan = std::array::from_fn(|j| {
-            let off = j.div_ceil(2);
-            scan_sin(if j % 2 == 1 {
-                centre - off
-            } else {
-                centre + off
-            })
-        });
         let half_w = target_width_rad / 2.0;
-        let sin_in = std::array::from_fn(|i| {
-            (-half_w + target_width_rad * i.as_f64() / (N_IN - 1).as_f64()).sin()
+        let sin = std::array::from_fn(|i| {
+            if i < N_IN {
+                (-half_w + target_width_rad * i.as_f64() / (N_IN - 1).as_f64()).sin()
+            } else {
+                let j = i - N_IN;
+                (-scan_half + 2.0 * scan_half * j.as_f64() / (N_SCAN - 1).as_f64()).sin()
+            }
+        });
+        // The `j`-th of `n` points counted outwards from the centre.
+        let centre_out = |j: usize, n: usize| {
+            let off = j.div_ceil(2);
+            if j % 2 == 1 {
+                n / 2 - off
+            } else {
+                n / 2 + off
+            }
+        };
+        // A flat top peaks near boresight, so the scan centre leads.
+        let order = std::array::from_fn(|k| {
+            if k < 2 * N_IN && k % 2 == 1 {
+                centre_out(k / 2, N_IN)
+            } else {
+                N_IN + centre_out(if k < 2 * N_IN { k / 2 } else { k - N_IN }, N_SCAN)
+            }
         });
         FlatTop {
-            sin_in,
-            sin_scan,
+            sin,
+            order,
+            power: [0.0; N_POINTS],
             phases: vec![0.0; n_rows],
             rows: vec![(0.0, 0.0); n_rows],
+            points: 0,
         }
     }
 
@@ -134,43 +155,84 @@ impl FlatTop {
     /// when it is `≤ cutoff`, otherwise some value above `cutoff`
     /// (`f64::INFINITY` when the evaluation stopped early).
     ///
-    /// The in-window powers come first, then the scan points. Every
-    /// [`CHECK_EVERY`] scan points, the cost formula is evaluated at the
-    /// partial peak `P′ ≤ P`. Above the 1e-12 floor the cost is
-    /// `10·log10(pM) − 40·log10(pm) + 30·log10(P)`, nondecreasing in
-    /// `P`; once the worst level clamps it is at least 360. So
-    /// `cost(P) ≥ min(cost(P′), 360)`, and a trial whose bound clears
-    /// the cutoff (plus [`PRUNE_SLACK`]) is abandoned.
+    /// The points are visited in [`Self::order`]. Whenever a point
+    /// raises the partial peak `P′`, or moves the partial in-window
+    /// extremes `pM′`/`pm′`, the cost formula is evaluated at them.
+    /// Above the 1e-12 floor the cost is
+    /// `10·log10(pM) − 40·log10(pm) + 30·log10(P)`: nondecreasing in
+    /// `pM` and `P`, nonincreasing in `pm`. Once the worst level clamps
+    /// it is at least 360. Since `pM′ ≤ pM`, `pm′ ≥ pm` and `P′ ≤ P`
+    /// (and `pM′ ≥ pm′`), the true cost is at least
+    /// `min(cost(pM′, pm′, P′), 360)` (DESIGN.md §9), and a trial whose
+    /// bound clears the cutoff (plus [`PRUNE_SLACK`]) is abandoned.
+    ///
+    /// Afterwards the points that decided this call, its lowest
+    /// in-window and highest scan power, move to the front of the
+    /// order, so the next losing trial meets them first. The exact
+    /// cost is formed from the powers in window order, and `max`/`min`
+    /// do not depend on order, so the order never changes its bits.
     fn cost(&mut self, half: &[f64], cutoff: f64) -> f64 {
         self.set_rows(half);
-        let rows = &self.rows;
-        let p_in: [f64; N_IN] = std::array::from_fn(|i| power(rows, self.sin_in[i]));
-        let p_min = p_in.iter().copied().fold(f64::INFINITY, f64::min);
-        let p_max = p_in.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let prune = cutoff.is_finite();
         let limit = cutoff + PRUNE_SLACK * cutoff.abs().max(1.0);
-
-        // `max` does not depend on order, so the centre-first scan
-        // finds the same peak.
-        let mut peak = 1e-30_f64;
-        for (j, &s) in self.sin_scan.iter().enumerate() {
-            peak = peak.max(power(rows, s));
-            if cutoff.is_finite()
-                && j % CHECK_EVERY == CHECK_EVERY - 1
+        let (mut p_min, mut p_max, mut peak) = (f64::INFINITY, f64::NEG_INFINITY, 1e-30_f64);
+        // Point indices of the lowest in-window and highest scan power.
+        let (mut lowest, mut highest) = (None, None);
+        let mut abandoned = false;
+        for &i in &self.order {
+            let p = power(&self.rows, self.sin[i]);
+            self.power[i] = p;
+            self.points += 1;
+            let moved = if i < N_IN {
+                let (lower, higher) = (p < p_min, p > p_max);
+                if lower {
+                    p_min = p;
+                    lowest = Some(i);
+                }
+                if higher {
+                    p_max = p;
+                }
+                lower || higher
+            } else if p > peak {
+                peak = p;
+                highest = Some(i);
+                true
+            } else {
+                false
+            };
+            if prune
+                && moved
+                && lowest.is_some()
                 && level_cost(level_db(p_max, peak), level_db(p_min, peak)).min(CLAMPED_COST_FLOOR)
                     > limit
             {
-                return f64::INFINITY;
+                abandoned = true;
+                break;
             }
+        }
+        for point in [lowest, highest].into_iter().flatten() {
+            self.promote(point);
+        }
+        if abandoned {
+            return f64::INFINITY;
         }
 
         let mut worst_in = f64::INFINITY;
         let mut best_in = f64::NEG_INFINITY;
-        for &p in &p_in {
+        for &p in &self.power[..N_IN] {
             let db = level_db(p, peak);
             worst_in = worst_in.min(db);
             best_in = best_in.max(db);
         }
         level_cost(best_in, worst_in)
+    }
+
+    /// Moves `point` to the front of the order, keeping the others'
+    /// relative order.
+    fn promote(&mut self, point: usize) {
+        if let Some(at) = self.order.iter().position(|&i| i == point) {
+            self.order[..=at].rotate_right(1);
+        }
     }
 
     /// Row geometry from the §4.3 height coupling, computed directly
@@ -251,7 +313,7 @@ fn mirror_into(half: &[f64], phases: &mut [f64]) {
 /// # Panics
 /// Panics when `n_rows < 2`.
 pub fn optimize_flat_top(n_rows: usize, target_width_rad: f64) -> ShapingProfile {
-    let result = flat_top_search(n_rows, target_width_rad);
+    let result = flat_top_search(&mut FlatTop::new(n_rows, target_width_rad));
     ShapingProfile {
         phases: mirror(&result.x, n_rows),
         target_width_rad,
@@ -262,11 +324,12 @@ pub fn optimize_flat_top(n_rows: usize, target_width_rad: f64) -> ShapingProfile
 ///
 /// The search runs the asynchronous `minimize`, and every downstream
 /// amplitude calibration (ASK levels, cached standard profiles) is
-/// frozen to its exact trajectory. One [`FlatTop`] serves the whole
+/// frozen to its exact trajectory. `objective` serves the whole
 /// search: a trial is abandoned once its bound shows it cannot beat its
 /// target, and every cost the search keeps is exact, so pruning leaves
 /// the trajectory bit for bit as it was.
-fn flat_top_search(n_rows: usize, target_width_rad: f64) -> ros_optim::DeResult {
+fn flat_top_search(objective: &mut FlatTop) -> ros_optim::DeResult {
+    let n_rows = objective.rows.len();
     assert!(n_rows >= 2, "beam shaping needs at least 2 rows");
     let half_len = n_rows / 2 + n_rows % 2;
     let bounds = vec![(0.0, std::f64::consts::TAU * 0.9); half_len];
@@ -279,7 +342,6 @@ fn flat_top_search(n_rows: usize, target_width_rad: f64) -> ros_optim::DeResult 
         seed: 0x0b3a_0000 + cast::u64_from_usize(n_rows),
         ..Default::default()
     };
-    let mut objective = FlatTop::new(n_rows, target_width_rad);
     minimize(|half, cutoff| objective.cost(half, cutoff), &bounds, &cfg)
 }
 
@@ -319,9 +381,24 @@ pub fn shaped_stack(n_rows: usize) -> PsvaaStack {
     standard_profile(n_rows).build()
 }
 
-/// [`shaped_stack`] with the profile memoized in an injected cache.
+/// Structural cache key for the standard stack: a whole-tag layout,
+/// keyed like the profile it is built from.
+fn standard_stack_key(n_rows: usize) -> Key {
+    KeyBuilder::new("antenna.shaping.standard_stack")
+        .usize(n_rows)
+        .f64(deg_to_rad(10.0))
+        .finish()
+}
+
+/// [`shaped_stack`] memoized in an injected cache: the profile under
+/// [`TableKind::Shaping`] and the stack built from it under
+/// [`TableKind::Pattern`] each build once per cache, and every call
+/// returns a clone sharing that stack's one row table.
 pub fn shaped_stack_in(cache: &GeomCache, n_rows: usize) -> PsvaaStack {
-    standard_profile_in(cache, n_rows).build()
+    let stack = cache.get_or_build(TableKind::Pattern, standard_stack_key(n_rows), || {
+        standard_profile_in(cache, n_rows).build()
+    });
+    PsvaaStack::clone(&stack)
 }
 
 #[cfg(test)]
@@ -459,13 +536,22 @@ mod tests {
 
     #[test]
     fn standard_search_prunes_most_trials() {
-        let r = flat_top_search(8, deg_to_rad(10.0));
+        let mut objective = FlatTop::new(8, deg_to_rad(10.0));
+        let r = flat_top_search(&mut objective);
         // Population 32, so all but the first 32 evaluations are trials.
         let trials = r.evaluations - 32;
         assert!(
             r.pruned * 10 >= trials * 7,
             "pruned {} of {trials} trials",
             r.pruned
+        );
+        // 805 full evaluations take 66,010 of these points; a pruned
+        // trial takes about 7 (149,641 in all when only the partial
+        // peak was bounded).
+        assert!(
+            objective.points <= 95_000,
+            "{} pattern points",
+            objective.points
         );
     }
 
@@ -529,7 +615,7 @@ mod tests {
     /// the scan edges, which the centre-first scan reaches last, so
     /// the partial peak stays far below the true one for most checks.
     fn deep_null_half(width: f64) -> [f64; 2] {
-        let s = FlatTop::new(3, width).sin_in[N_IN - 1];
+        let s = FlatTop::new(3, width).sin[N_IN - 1];
         let k = std::f64::consts::TAU / ros_em::constants::LAMBDA_CENTER_M;
         let h_per_rad = crate::stack::height_per_phase_m_per_rad();
         // z = (h_outer + h_middle) / 2 = base + (φ + π/2)·h_per_rad.
@@ -611,6 +697,42 @@ mod tests {
             let mut cutoffs = vec![exact, exact.next_up(), exact.next_down()];
             cutoffs.extend(scales.iter().map(|s| exact * s));
             for cutoff in cutoffs {
+                check_contract(&mut ft, &half, exact, cutoff);
+            }
+        }
+
+        /// One [`FlatTop`] carried through a sequence of evaluations, as
+        /// DE carries it: the order each call leaves behind never
+        /// changes a later exact cost. Each step draws a half-profile
+        /// (at 3 rows, sometimes the deep-null one) and a cutoff
+        /// (infinite, on the cost, one ulp to either side, or 0.5–1.5×
+        /// the cost), and checks the contract against the oracle.
+        #[test]
+        fn carried_order_keeps_the_cutoff_contract(
+            rows_pick in 0usize..6,
+            genes in proptest::prop::collection::vec(0.0f64..1.0, 128..=128),
+            picks in proptest::prop::collection::vec(0u8..5, 8..=8),
+            scales in proptest::prop::collection::vec(0.5f64..1.5, 8..=8),
+            deep_null in proptest::prop::collection::vec(0u8..4, 8..=8),
+        ) {
+            let n_rows = [2, 3, 5, 8, 16, 32][rows_pick];
+            let half_len = n_rows / 2 + n_rows % 2;
+            let width = deg_to_rad(10.0);
+            let mut ft = FlatTop::new(n_rows, width);
+            for (step, genes) in genes.chunks(16).enumerate() {
+                let half: Vec<f64> = if n_rows == 3 && deep_null[step] == 0 {
+                    deep_null_half(width).to_vec()
+                } else {
+                    genes[..half_len].iter().map(|g| g * std::f64::consts::TAU * 0.9).collect()
+                };
+                let exact = reference_cost(&half, n_rows, width);
+                let cutoff = match picks[step] {
+                    0 => f64::INFINITY,
+                    1 => exact,
+                    2 => exact.next_up(),
+                    3 => exact.next_down(),
+                    _ => exact * scales[step],
+                };
                 check_contract(&mut ft, &half, exact, cutoff);
             }
         }

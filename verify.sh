@@ -1,8 +1,8 @@
 #!/bin/sh
 # Pre-merge verification: build, test, determinism at multiple thread
-# counts, then the static-analysis gates (clippy and ros-lint). Each
-# stage must pass before the next runs; any failure aborts with a
-# non-zero exit.
+# counts, then the static-analysis gates (rustfmt, clippy and
+# ros-lint). Each stage must pass before the next runs; any failure
+# aborts with a non-zero exit.
 set -eu
 
 cd "$(dirname "$0")"
@@ -57,6 +57,15 @@ cargo test -q --release -p ros-tests \
 # scaffolding.
 echo "==> allocation budget (tests/alloc_budget.rs, release)"
 cargo test -q --release -p ros-tests --test alloc_budget
+
+# Formatting gate: every workspace package (the members `crates/*`,
+# `examples` and `tests`) must be rustfmt-clean. The vendored
+# stand-ins under vendor/ keep their upstream layout, and the
+# standalone rosbench package is not a workspace member.
+echo "==> cargo fmt --check (workspace crates, tests, examples)"
+for manifest in crates/*/Cargo.toml examples/Cargo.toml tests/Cargo.toml; do
+    cargo fmt --check --manifest-path "$manifest"
+done
 
 # Compiler-side gate: [workspace.lints] in the root Cargo.toml (plus
 # clippy.toml) denies unwrap/expect, the panic family, print output,

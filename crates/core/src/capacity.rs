@@ -11,7 +11,6 @@ use ros_em::units::cast::AsF64;
 
 /// Complete §5.3 capacity/limit analysis of a spatial code.
 #[derive(Clone, Copy, Debug)]
-// lint: allow-dead-pub(returned by analyze; callers bind fields, never the name)
 pub struct CapacityAnalysis {
     /// Bits the tag encodes.
     pub bits: usize,

@@ -73,7 +73,6 @@ impl Default for DetectorConfig {
 
 /// A scored cluster.
 #[derive(Clone, Copy, Debug)]
-// lint: allow-dead-pub(element of score_clusters and Outcome::clusters; callers bind fields, never the name)
 pub struct ScoredCluster {
     /// Geometry summary.
     pub summary: ClusterSummary,

@@ -17,7 +17,6 @@ use ros_em::units::cast::AsF64;
 
 /// A fused multi-pass decision.
 #[derive(Clone, Debug)]
-// lint: allow-dead-pub(returned by fuse_amplitudes/fuse_majority; callers bind fields, never the name)
 pub struct FusedDecode {
     /// Fused bits.
     pub bits: Vec<bool>,

@@ -32,7 +32,6 @@ use ros_em::Vec3;
 
 /// Near-field decode result.
 #[derive(Clone, Debug)]
-// lint: allow-dead-pub(returned by decode_nearfield; callers bind fields, never the name)
 pub struct NearFieldDecodeResult {
     /// Decoded bits.
     pub bits: Vec<bool>,

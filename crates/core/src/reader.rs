@@ -861,7 +861,6 @@ impl PassVerdict {
 /// Per-frame fault exposure of one pass (populated only when a fault
 /// plan was attached; indexed by decoding-frame number).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-// lint: allow-dead-pub(element of Outcome::frame_verdicts; callers bind fields, never the name)
 pub struct FrameVerdict {
     /// Decoding-frame index.
     pub index: usize,
@@ -905,7 +904,6 @@ impl FrameVerdict {
 
 /// One decoded tag in a multi-tag scene.
 #[derive(Clone, Debug)]
-// lint: allow-dead-pub(element of Outcome::all_tags; callers bind fields, never the name)
 pub struct DecodedTag {
     /// Detected tag centre \[m\].
     pub center: Vec3,

@@ -21,7 +21,6 @@ use std::sync::Arc;
 
 /// One mounted PSVAA stack of a tag.
 #[derive(Clone, Debug)]
-// lint: allow-dead-pub(returned by Tag::stacks; callers bind fields, never the name)
 pub struct TagStack {
     /// Horizontal position relative to the reference stack \[m\].
     pub x_m: f64,

@@ -37,7 +37,6 @@ pub(crate) fn height_per_phase_m_per_rad() -> f64 {
 
 /// One row of a stack.
 #[derive(Clone, Debug)]
-// lint: allow-dead-pub(returned by PsvaaStack::rows; callers bind fields, never the name)
 pub struct StackRow {
     /// Height of the row centre above the stack bottom \[m\].
     pub z_m: f64,

@@ -71,7 +71,6 @@ impl TableKind {
 
 /// Monotonic per-kind lookup accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-// lint: allow-dead-pub(returned by StatsSnapshot::kind; callers bind fields, never the name)
 pub struct CacheStats {
     /// Lookups that found the key's slot already reserved, built or
     /// still building.
@@ -90,7 +89,6 @@ pub struct CacheStats {
 /// A point-in-time copy of every kind's [`CacheStats`] plus the entry
 /// count, used both for assertions and for delta-based obs export.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-// lint: allow-dead-pub(returned by GeomCache::snapshot; callers bind methods, never the name)
 pub struct StatsSnapshot {
     /// Per-kind stats, indexed by [`TableKind::ALL`] order.
     pub by_kind: [CacheStats; 3],

@@ -318,6 +318,10 @@ impl Degrees {
     /// Converts to radians — the only sanctioned degree→radian
     /// conversion in the workspace.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned degree-to-radian conversion"
+    )]
     pub fn radians(self) -> Radians {
         Radians(self.0.to_radians())
     }
@@ -339,6 +343,10 @@ impl Radians {
     /// Converts to degrees — the only sanctioned radian→degree
     /// conversion in the workspace.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned radian-to-degree conversion"
+    )]
     pub fn degrees(self) -> Degrees {
         Degrees(self.0.to_degrees())
     }

@@ -134,13 +134,11 @@ impl<T> State<T> {
 }
 
 /// The sending half of a bounded channel; clone it for MPSC fan-in.
-// lint: allow-dead-pub(returned by bounded; callers bind it, never write the name)
 pub struct Sender<T> {
     shared: Arc<Shared<T>>,
 }
 
 /// The receiving half of a bounded channel (single consumer).
-// lint: allow-dead-pub(returned by bounded; callers bind it, never write the name)
 pub struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }

@@ -70,7 +70,6 @@ where
 }
 
 /// `std::thread::Scope`, but each worker enters its spawner's run and pin.
-// lint: allow-dead-pub(argument type of scope's closure; callers never spell the name)
 pub struct Scope<'scope, 'env: 'scope> {
     inner: &'scope std::thread::Scope<'scope, 'env>,
 }

@@ -103,7 +103,6 @@ impl TimeWindow {
 /// One fault stream: a kind, its per-frame firing rate, and the time
 /// window it is active in.
 #[derive(Clone, Copy, Debug, PartialEq)]
-// lint: allow-dead-pub(element of FaultPlan::specs, built through FaultPlan::with; callers never write the name)
 pub struct FaultSpec {
     /// What to inject.
     pub kind: FaultKind,

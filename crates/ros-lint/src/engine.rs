@@ -5,8 +5,6 @@
 //! report. It never prints and never exits — `xtask` owns the terminal
 //! and the exit code.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{self, Token};
@@ -22,9 +20,8 @@ pub enum FileRole {
     /// `crates/{bench,xtask}/src` — measurement harnesses: the
     /// crate-wide rules apply, the library-API rules do not.
     Harness,
-    /// Integration tests, examples, per-crate `tests/` and `benches/`
-    /// — scanned only as a reference corpus (for `dead-pub`), no rules
-    /// applied.
+    /// Integration tests, examples and per-crate `tests/` — scanned
+    /// only as a reference corpus (for `dead-pub`), no rules applied.
     Reference,
 }
 
@@ -46,12 +43,6 @@ pub struct FileAnalysis {
     pub tokens: Vec<Token>,
     /// Structural facts (items, test regions).
     pub facts: FileFacts,
-    /// `lint: allow-…(…)` markers by 1-based line.
-    pub markers: BTreeMap<usize, Vec<String>>,
-    /// Marker lines that suppressed at least one rule probe this run —
-    /// what `stale-suppression` subtracts from the declared markers.
-    /// Interior mutability because rules hold `&FileAnalysis`.
-    pub used_markers: RefCell<BTreeSet<usize>>,
 }
 
 impl FileAnalysis {
@@ -59,13 +50,6 @@ impl FileAnalysis {
     pub fn new(rel: String, crate_name: String, role: FileRole, text: String) -> Self {
         let tokens = lexer::lex(&text);
         let facts = scan::analyze(&text, &tokens);
-        let mut markers: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-        for t in tokens.iter().filter(|t| t.is_trivia()) {
-            let body = t.text(&text);
-            if body.contains("lint: allow-") {
-                markers.entry(t.line).or_default().push(body.to_string());
-            }
-        }
         FileAnalysis {
             rel,
             crate_name,
@@ -73,29 +57,7 @@ impl FileAnalysis {
             text,
             tokens,
             facts,
-            markers,
-            used_markers: RefCell::new(BTreeSet::new()),
         }
-    }
-
-    /// True when `line` (or the line above it) carries a
-    /// `lint: allow-<which>(` marker. A hit records the marker line as
-    /// used, so rules must only probe once the finding would otherwise
-    /// be reported (`stale-suppression` audits the leftovers).
-    pub fn has_marker(&self, line: usize, which: &str) -> bool {
-        let probe = |l: usize| {
-            let hit = self
-                .markers
-                .get(&l)
-                .is_some_and(|ms| ms.iter().any(|m| m.contains(which)));
-            if hit {
-                self.used_markers.borrow_mut().insert(l);
-            }
-            hit
-        };
-        let same = probe(line);
-        let above = line > 1 && probe(line - 1);
-        same || above
     }
 
     /// True for files where the library-API rules apply.
@@ -105,9 +67,8 @@ impl FileAnalysis {
 }
 
 /// Walks the workspace and analyzes every relevant Rust file:
-/// `crates/*/src` (rule targets) plus `crates/*/{tests,benches}`,
-/// `tests/`, and `examples/` (reference corpus). Files come back
-/// sorted by path.
+/// `crates/*/src` (rule targets) plus `crates/*/tests`, `tests/`, and
+/// `examples/` (reference corpus). Files come back sorted by path.
 pub fn load_workspace(root: &Path) -> std::io::Result<Vec<FileAnalysis>> {
     let mut paths: Vec<(PathBuf, String, FileRole)> = Vec::new();
 
@@ -130,11 +91,9 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Vec<FileAnalysis>> {
             };
             collect_rs(&src, &mut paths, &name, role)?;
         }
-        for sub in ["tests", "benches"] {
-            let reference = dir.join(sub);
-            if reference.is_dir() {
-                collect_rs(&reference, &mut paths, &name, FileRole::Reference)?;
-            }
+        let reference = dir.join("tests");
+        if reference.is_dir() {
+            collect_rs(&reference, &mut paths, &name, FileRole::Reference)?;
         }
     }
     for (sub, crate_name) in [("tests", "ros-tests"), ("examples", "ros-examples")] {
@@ -210,24 +169,6 @@ mod tests {
             FileRole::Library,
             src.to_string(),
         )
-    }
-
-    #[test]
-    fn marker_probes_finding_line_and_line_above() {
-        let f = fa(
-            "// lint: allow-dead-pub(above)\npub fn a() {}\npub fn b() {} // lint: allow-dead-pub(same)\n\npub fn c() {}\n",
-        );
-        assert!(f.has_marker(2, "allow-dead-pub"));
-        assert!(f.has_marker(3, "allow-dead-pub"));
-        assert!(!f.has_marker(5, "allow-dead-pub"));
-        // Marker names do not cross-suppress.
-        assert!(!f.has_marker(2, "allow-typed-conversions"));
-    }
-
-    #[test]
-    fn marker_in_string_literal_is_not_a_marker() {
-        let f = fa("let s = \"lint: allow-dead-pub(nope)\";\npub fn a() {}\n");
-        assert!(!f.has_marker(2, "allow-dead-pub"));
     }
 
     #[test]

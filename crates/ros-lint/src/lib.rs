@@ -2,12 +2,15 @@
 //!
 //! rustc and clippy gate the generic conventions (no `unwrap`, no
 //! `panic!`, no printing, no bare `as` casts, no raw thread spawns or
-//! wall-clock reads, documented pub items) through the root
+//! wall-clock reads, no `f64::to_radians`/`to_degrees` outside
+//! `ros_em::units`, documented pub items) through the root
 //! `[workspace.lints]` table and `clippy.toml`. This crate keeps the
-//! rules those tools cannot express because they need the whole
+//! three rules those tools cannot express because they need the whole
 //! workspace or this repo's own vocabulary: a cross-crate reference
-//! graph (`dead-pub`), unit-typed dB/angle math, and an audit of its
-//! own suppression markers. Behaviour a test can measure is measured,
+//! graph that follows declarations (`dead-pub`), no inline dB-to-linear
+//! `powf` formulas (`typed-conversions`), and no bare `f64` `*_db`/
+//! `*_deg` parameters (`typed-db-params`). No rule takes a suppression
+//! marker. Behaviour a test can measure is measured,
 //! not guessed: the zero-allocation steady-state frame is
 //! `tests/alloc_budget.rs`'s counting allocator (DESIGN.md §14), and
 //! lock discipline is a test proving each of the workspace's three

@@ -57,7 +57,7 @@ mod tests {
                 rule: "typed-conversions",
                 file: "crates/b/src/y.rs".to_string(),
                 line: 9,
-                message: "inline `.to_radians()` conversion".to_string(),
+                message: "inline `10f64.powf(` conversion".to_string(),
             },
         ];
         let r = human_report(&findings, 42);

@@ -1,20 +1,21 @@
 //! The rule engine: stable rule IDs and the checks.
 //!
 //! Two rule shapes exist. *Per-file* rules see one analyzed file at a
-//! time (`typed-conversions`, `typed-db-params`). *Workspace* rules see
-//! every file at once (`dead-pub` builds a cross-crate reference graph;
-//! `stale-suppression` audits the markers the other rules consumed).
-//! All rules work on the token stream from [`crate::lexer`] through
-//! [`CodeView`] — string literals, comments, and `#[cfg(test)]` regions
-//! cannot fool them the way they fooled the old line scanner.
+//! time (`typed-conversions`, `typed-db-params`). The *workspace* rule
+//! sees every file at once (`dead-pub` builds a cross-crate reference
+//! graph). All rules work on the token stream from [`crate::lexer`]
+//! through [`CodeView`] — string literals, comments, and
+//! `#[cfg(test)]` regions cannot fool them the way they fooled the old
+//! line scanner. No rule takes a suppression marker: a finding is
+//! fixed, not excused.
 //!
 //! The generic conventions (unwrap, panic, print, raw casts, raw
 //! spawns, wall-clock reads, hash collections, float equality, pub
-//! docs) are rustc and clippy lints configured in the root `Cargo.toml`
-//! and `clippy.toml`, not rules here. The zero-allocation frame is not
-//! a rule either: `tests/alloc_budget.rs` measures it (DESIGN.md §14).
-//! Rule IDs are stable: they name the `lint: allow-<rule>(reason)`
-//! markers and the report tags.
+//! docs, `f64::to_radians`/`to_degrees`) are rustc and clippy lints
+//! configured in the root `Cargo.toml` and `clippy.toml`, not rules
+//! here. The zero-allocation frame is not a rule either:
+//! `tests/alloc_budget.rs` measures it (DESIGN.md §14). Rule IDs are
+//! stable: they are the report tags and the `--explain` keys.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -89,11 +90,6 @@ impl<'a> CodeView<'a> {
         self.kind(ci) == Some(TokenKind::Ident) && self.text(ci) == id
     }
 
-    /// True when the ci-th code token is an identifier in `set`.
-    pub fn ident_in(&self, ci: usize, set: &[&str]) -> bool {
-        self.kind(ci) == Some(TokenKind::Ident) && set.contains(&self.text(ci))
-    }
-
     /// Token index (into `fa.tokens`) of the ci-th code token.
     pub fn tok_idx(&self, ci: usize) -> usize {
         self.code.get(ci).copied().unwrap_or(0)
@@ -107,7 +103,6 @@ impl<'a> CodeView<'a> {
 }
 
 /// Static description of one rule.
-// lint: allow-dead-pub(element of RULES and returned by rule(); callers read fields, never the name)
 pub struct RuleInfo {
     /// Stable identifier (report tag, `--explain` key).
     pub id: &'static str,
@@ -116,20 +111,23 @@ pub struct RuleInfo {
     /// Why the rule exists — which workspace invariant it guards
     /// (`xtask lint --explain` prints this).
     pub rationale: &'static str,
-    /// How to fix a finding (including the marker escape, if any).
+    /// How to fix a finding.
     pub fix: &'static str,
 }
 
-/// The rule catalog, in report order: the unit-safety and API rules,
-/// then the audit of the suppression markers they consume.
+/// The rule catalog, in report order: the unit-safety rules, then the
+/// API rule.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "typed-conversions",
-        summary: "inline dB/angle conversion idioms forbidden outside ros_em::units",
-        rationale: "Sign/factor errors in hand-rolled dB and angle math caused real \
-                    regressions; one audited module owns the formulas.",
-        fix: "Go through ros_em::units (Degrees/Radians, DbPower/DbAmplitude) or \
-              ros_em::db.",
+        summary: "inline dB-to-linear `powf` idioms forbidden outside ros_em::units",
+        rationale: "Sign/factor errors in hand-rolled dB math caused real regressions; \
+                    one audited module owns the formulas. Clippy cannot see the idiom \
+                    (a literal base `10f64.powf(…)` or a `/ 10.0` divisor inside the \
+                    exponent) and cannot ban `powf` outright, which has legitimate \
+                    non-dB uses. The angle half is clippy's: `f64::to_radians` and \
+                    `f64::to_degrees` are `disallowed-methods` in clippy.toml.",
+        fix: "Go through ros_em::units (DbPower/DbAmplitude) or ros_em::db.",
     },
     RuleInfo {
         id: "typed-db-params",
@@ -146,20 +144,13 @@ pub const RULES: &[RuleInfo] = &[
                     of the same name counts as a reference to an item, except for a \
                     `pub mod`: a module counts as referenced only where its name is a \
                     path segment (`m::x`, `a::m`) or sits in a `use` declaration, so a \
-                    same-named method or field cannot keep an orphan module alive.",
-        fix: "Delete it, demote to pub(crate), or mark `lint: allow-dead-pub(reason)` \
-              with the keep justification. A module that outside code reaches only \
-              through crate-root `pub use` re-exports should be a private `mod`.",
-    },
-    RuleInfo {
-        id: "stale-suppression",
-        summary: "a `lint: allow-*` marker no longer does anything",
-        rationale: "A suppression that outlives its finding is a silent hole: the \
-                    next real violation on that line inherits the stale excuse. \
-                    Auditing markers keeps the escape hatches honest.",
-        fix: "Delete the marker, or move it onto the line it was meant to \
-              annotate. Unknown `allow-<name>` markers are typos: fix the rule \
-              name.",
+                    same-named method or field cannot keep an orphan module alive. A \
+                    pub type is also referenced when the declaration of a referenced \
+                    pub item of its crate names it (a fn signature with its `where` \
+                    clause, a struct or enum body, a const's, static's or alias's \
+                    type): callers bind such a type without spelling its name.",
+        fix: "Delete it or demote to pub(crate). A module that outside code reaches \
+              only through crate-root `pub use` re-exports should be a private `mod`.",
     },
 ];
 
@@ -181,7 +172,7 @@ pub struct Finding {
     pub message: String,
 }
 
-/// The one file allowed to spell out raw dB/angle conversions.
+/// The one file allowed to spell out raw dB conversions.
 const UNITS_MODULE: &str = "crates/ros-em/src/units.rs";
 
 /// Runs every rule over the analyzed workspace; findings come back
@@ -192,9 +183,6 @@ pub fn check_all(files: &[FileAnalysis]) -> Vec<Finding> {
         check_file(fa, &mut out);
     }
     dead_pub(files, &mut out);
-    // Must run after every other rule: it audits which markers the
-    // probes above actually consumed.
-    stale_suppression(files, &mut out);
     out.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
@@ -231,23 +219,6 @@ fn typed_conversions(v: &CodeView<'_>, out: &mut Vec<Finding>) {
     for ci in 0..v.len() {
         if v.in_test(ci) {
             continue;
-        }
-        // `.to_radians()` / `.to_degrees()`
-        if v.is_punct(ci, ".")
-            && v.ident_in(ci + 1, &["to_radians", "to_degrees"])
-            && v.is_punct(ci + 2, "(")
-        {
-            push(
-                out,
-                "typed-conversions",
-                v.fa,
-                v.line(ci + 1),
-                format!(
-                    "inline `.{}()` conversion; go through ros_em::units \
-                     (Degrees/Radians, DbPower/DbAmplitude) or ros_em::db",
-                    v.text(ci + 1)
-                ),
-            );
         }
         if v.is_punct(ci, ".") && v.is_ident(ci + 1, "powf") && v.is_punct(ci + 2, "(") {
             // `10f64.powf(…)`-style literal base.
@@ -313,7 +284,7 @@ fn typed_db_params(fa: &FileAnalysis, out: &mut Vec<Finding>) {
         {
             continue;
         }
-        let Some((sig_start, sig_end)) = item.sig else {
+        let Some((sig_start, sig_end)) = item.decl else {
             continue;
         };
         // Walk the signature tokens for `<name>_db: f64` / `<name>_deg: f64`.
@@ -349,66 +320,6 @@ fn typed_db_params(fa: &FileAnalysis, out: &mut Vec<Finding>) {
                         if suffix == "_deg" { "Degrees" } else { "Db" }
                     ),
                 );
-            }
-        }
-    }
-}
-
-/// Marker names the rules consult, with the owning rule id —
-/// `stale-suppression`'s registry for spotting typos.
-const KNOWN_MARKERS: &[(&str, &str)] = &[("dead-pub", "dead-pub")];
-
-/// Audits the suppression surface: every `lint: allow-*` marker whose
-/// line no rule probe consumed this run, and every `allow-<name>`
-/// naming no known rule.
-/// Runs last in [`check_all`] (marker use is recorded by the other
-/// rules' probes). Doc comments are exempt — prose *about* markers is
-/// not a marker — and so are test regions.
-fn stale_suppression(files: &[FileAnalysis], out: &mut Vec<Finding>) {
-    for fa in files.iter().filter(|f| f.role != FileRole::Reference) {
-        let used = fa.used_markers.borrow();
-        for (ti, t) in fa.tokens.iter().enumerate() {
-            if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
-                continue;
-            }
-            if fa.facts.in_test.get(ti).copied().unwrap_or(false) {
-                continue;
-            }
-            let mut rest = t.text(&fa.text);
-            while let Some(at) = rest.find("lint: allow-") {
-                let after = &rest[at + "lint: allow-".len()..];
-                let name: String = after
-                    .chars()
-                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
-                    .collect();
-                rest = &after[name.len()..];
-                match KNOWN_MARKERS.iter().find(|(m, _)| *m == name) {
-                    None => push(
-                        out,
-                        "stale-suppression",
-                        fa,
-                        t.line,
-                        format!(
-                            "unknown suppression marker `lint: allow-{name}(…)`; no \
-                             rule consults it — fix the marker name or remove it"
-                        ),
-                    ),
-                    Some((_, rule_id)) => {
-                        if !used.contains(&t.line) {
-                            push(
-                                out,
-                                "stale-suppression",
-                                fa,
-                                t.line,
-                                format!(
-                                    "`lint: allow-{name}(…)` suppresses nothing (rule \
-                                     `{rule_id}` reports no finding on this line or \
-                                     the one below); remove the stale marker"
-                                ),
-                            );
-                        }
-                    }
-                }
             }
         }
     }
@@ -474,7 +385,10 @@ impl<'a> Refs<'a> {
 /// count any same-named identifier as a reference; a `pub mod` counts
 /// only a path occurrence (next to `::`, or inside a `use`
 /// declaration), so a method or field that shares its name cannot keep
-/// an orphan module alive.
+/// an orphan module alive. A pub type also counts as referenced when
+/// the declaration of a referenced pub item in the same crate names it
+/// (a returned struct, a field's element type, a closure's argument
+/// type in a `where` clause), followed transitively.
 fn dead_pub(files: &[FileAnalysis], out: &mut Vec<Finding>) {
     let mut any = Refs::default();
     let mut paths = Refs::default();
@@ -500,19 +414,43 @@ fn dead_pub(files: &[FileAnalysis], out: &mut Vec<Finding>) {
         }
     }
 
+    // Each library crate's pub API, in file order.
+    let mut api: BTreeMap<&str, Vec<(&FileAnalysis, &Item)>> = BTreeMap::new();
     for fa in files.iter().filter(|f| f.is_library()) {
         for item in fa.facts.items.iter().filter(|i| is_api_item(i)) {
-            let refs = if matches!(item.kind, ItemKind::Mod) {
-                &paths
-            } else {
-                &any
-            };
-            if refs.reach(&fa.crate_name, &item.name) {
-                continue;
+            api.entry(&fa.crate_name).or_default().push((fa, item));
+        }
+    }
+
+    for (krate, items) in api {
+        let mut live: Vec<bool> = items
+            .iter()
+            .map(|(_, item)| {
+                let refs = if matches!(item.kind, ItemKind::Mod) {
+                    &paths
+                } else {
+                    &any
+                };
+                refs.reach(krate, &item.name)
+            })
+            .collect();
+        // Signature reach: a type that a live item's declaration names
+        // is live too, and its own declaration may name further types.
+        let mut work: Vec<usize> = (0..items.len()).filter(|&k| live[k]).collect();
+        while let Some(k) = work.pop() {
+            let (fa, item) = items[k];
+            for name in decl_idents(fa, item) {
+                for (j, (_, ty)) in items.iter().enumerate() {
+                    if !live[j] && is_type_item(ty) && ty.name == name {
+                        live[j] = true;
+                        work.push(j);
+                    }
+                }
             }
-            // Marker probe after the reference check: a marker on a
-            // referenced item suppresses nothing and must read stale.
-            if fa.has_marker(item.line, "lint: allow-dead-pub(") {
+        }
+
+        for ((fa, item), live) in items.iter().zip(live) {
+            if live {
                 continue;
             }
             push(
@@ -521,15 +459,32 @@ fn dead_pub(files: &[FileAnalysis], out: &mut Vec<Finding>) {
                 fa,
                 item.line,
                 format!(
-                    "pub {} `{}` is never referenced outside `{}`; demote to pub(crate), \
-                     delete it, or mark `lint: allow-dead-pub(reason)`",
+                    "pub {} `{}` is never referenced outside `{}`; demote to pub(crate) \
+                     or delete it",
                     item_kind_str(item.kind),
                     item.name,
-                    fa.crate_name
+                    krate
                 ),
             );
         }
     }
+}
+
+/// Item kinds that a declaration can name as a type.
+fn is_type_item(item: &Item) -> bool {
+    matches!(
+        item.kind,
+        ItemKind::Struct | ItemKind::Enum | ItemKind::Union | ItemKind::TypeAlias
+    )
+}
+
+/// The identifiers in `item`'s declaration span.
+fn decl_idents<'a>(fa: &'a FileAnalysis, item: &Item) -> impl Iterator<Item = &'a str> {
+    let (start, end) = item.decl.unwrap_or((0, 0));
+    fa.tokens[start..end.min(fa.tokens.len())]
+        .iter()
+        .filter(|t| t.kind == TokenKind::Ident)
+        .map(|t| t.text(&fa.text))
 }
 
 #[cfg(test)]
@@ -571,6 +526,14 @@ mod tests {
             .collect()
     }
 
+    /// `dead-pub` findings over `files`, as `file:line` strings.
+    fn dead_pub_hits(files: &[FileAnalysis]) -> Vec<String> {
+        all_hits(files)
+            .into_iter()
+            .filter_map(|h| h.strip_prefix("dead-pub:").map(str::to_string))
+            .collect()
+    }
+
     #[test]
     fn flags_db_suffixed_f64_params_across_lines() {
         let src = "pub fn g(\n    gain_db: f64,\n    az_deg: f64,\n) -> f64 { gain_db + az_deg }\n";
@@ -584,30 +547,39 @@ mod tests {
         assert!(scan_str(src).is_empty());
     }
 
+    /// `10f64.powf(x / 10.0)` — the probe the lexer and test-region
+    /// tests use: the literal base and the `/ 10.0` divisor each report.
+    const DB_PROBE: &str = "10f64.powf(x / 10.0)";
+
     #[test]
     fn flags_inline_conversions_outside_units() {
-        let hits = scan_str("fn f(a: f64) -> f64 { a.to_radians() }\n");
-        assert_eq!(hits, ["typed-conversions:1"]);
-        let hits = scan_str("fn f(a: f64) -> f64 { 10f64.powf(a / 10.0) }\n");
+        let hits = scan_str(&format!("fn f(x: f64) -> f64 {{ {DB_PROBE} }}\n"));
         assert_eq!(hits, ["typed-conversions:1", "typed-conversions:1"]);
+        // A non-dB `powf` is not a conversion.
+        assert!(scan_str("fn f(c: f64) -> f64 { c.powf(1.5) }\n").is_empty());
     }
 
     #[test]
     fn units_module_may_convert() {
-        let src = "fn f(a: f64) -> f64 { a.to_radians() }\n";
-        assert!(hits_in("crates/ros-em/src/units.rs", src).is_empty());
+        let src = format!("fn f(x: f64) -> f64 {{ {DB_PROBE} }}\n");
+        assert!(hits_in("crates/ros-em/src/units.rs", &src).is_empty());
     }
 
     #[test]
     fn block_comments_span_lines() {
-        let src = "/*\n a.to_radians()\n*/\nfn f() {}\n";
-        assert!(scan_str(src).is_empty());
+        let src = format!("/*\n {DB_PROBE}\n*/\nfn f() {{}}\n");
+        assert!(scan_str(&src).is_empty());
     }
 
     #[test]
     fn code_resumes_after_test_block() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(a: f64) -> f64 { a.to_radians() }\n}\nfn f(a: f64) -> f64 { a.to_radians() }\n";
-        assert_eq!(scan_str(src), ["typed-conversions:5"]);
+        let src = format!(
+            "#[cfg(test)]\nmod tests {{\n    fn t(x: f64) -> f64 {{ {DB_PROBE} }}\n}}\nfn f(x: f64) -> f64 {{ {DB_PROBE} }}\n"
+        );
+        assert_eq!(
+            scan_str(&src),
+            ["typed-conversions:5", "typed-conversions:5"]
+        );
     }
 
     // ---- structural cases the old line scanner got wrong ----
@@ -616,22 +588,25 @@ mod tests {
     fn char_double_quote_regression() {
         // The old Scanner treated `'"'` as opening a string and
         // swallowed the rest of the line, hiding the conversion.
-        let src = "fn f(a: f64) -> f64 { let c = '\"'; a.to_radians() }\n";
-        assert_eq!(scan_str(src), ["typed-conversions:1"]);
+        let src = format!("fn f(x: f64) -> f64 {{ let c = '\"'; {DB_PROBE} }}\n");
+        assert_eq!(
+            scan_str(&src),
+            ["typed-conversions:1", "typed-conversions:1"]
+        );
     }
 
     #[test]
     fn nested_block_comment_regression() {
         // The old Scanner closed the comment at the first `*/`.
-        let src = "/* outer /* inner */ a.to_radians() */\nfn f() {}\n";
-        assert!(scan_str(src).is_empty());
+        let src = format!("/* outer /* inner */ {DB_PROBE} */\nfn f() {{}}\n");
+        assert!(scan_str(&src).is_empty());
     }
 
     #[test]
     fn multi_hash_raw_string_regression() {
         // The old Scanner did not recognize `r##"…"##` at all.
-        let src = "fn f() { let s = r##\"a.to_radians() \"# 10f64.powf(x)\"##; }\n";
-        assert!(scan_str(src).is_empty());
+        let src = format!("fn f() {{ let s = r##\"{DB_PROBE} \"# 10f64.powf(x)\"##; }}\n");
+        assert!(scan_str(&src).is_empty());
     }
 
     // ---- dead-pub ----
@@ -685,18 +660,12 @@ mod tests {
     #[test]
     fn dead_pub_module_counts_only_path_references() {
         let module = "//! m\n/// D.\npub mod taper;\n";
-        let dead_pub_hits = |files: &[FileAnalysis]| -> Vec<String> {
-            all_hits(files)
-                .into_iter()
-                .filter(|h| h.starts_with("dead-pub"))
-                .collect()
-        };
         // A same-named method call in another crate does not reach the module.
         let api = fa("crates/ros-antenna/src/lib.rs", module);
         let method = fa("crates/core/src/u.rs", "//! m\nfn f(x: W) { x.taper(); }\n");
         assert_eq!(
             dead_pub_hits(&[api, method]),
-            ["dead-pub:crates/ros-antenna/src/lib.rs:3"]
+            ["crates/ros-antenna/src/lib.rs:3"]
         );
         // A `use` path does, and so does an entry in a `use` group.
         for import in [
@@ -710,10 +679,64 @@ mod tests {
     }
 
     #[test]
-    fn dead_pub_marker_suppresses() {
-        let src = "//! m\n/// D.\n// lint: allow-dead-pub(API symmetry)\npub fn kept() {}\n";
-        let f = fa("crates/ros-em/src/s.rs", src);
-        assert!(all_hits(&[f]).iter().all(|h| !h.starts_with("dead-pub")));
+    fn dead_pub_type_named_by_a_referenced_signature_is_clean() {
+        // `Snapshot` is only returned by `snapshot`, and `Rows` only by a
+        // `where` clause; callers bind both without spelling the name.
+        let api = fa(
+            "crates/ros-cache/src/s.rs",
+            "//! m\n/// D.\npub struct Snapshot;\n/// D.\npub struct Rows;\n\
+             /// D.\npub fn snapshot() -> Snapshot { Snapshot }\n\
+             /// D.\npub fn scope<F>(f: F) where F: FnOnce(&Rows) {}\n",
+        );
+        let user = fa(
+            "crates/core/src/u.rs",
+            "//! m\nfn f() { let s = ros_cache::snapshot(); ros_cache::scope(|r| {}); }\n",
+        );
+        assert!(dead_pub_hits(&[api, user]).is_empty());
+    }
+
+    #[test]
+    fn dead_pub_field_element_of_a_referenced_struct_is_clean() {
+        // `Verdict` is the element type of a referenced struct's field,
+        // and `Kind` a field of `Verdict` in turn: reach iterates.
+        let api = fa(
+            "crates/core/src/s.rs",
+            "//! m\n/// D.\npub struct Outcome {\n    /// D.\n    pub verdicts: Vec<Verdict>,\n}\n\
+             /// D.\npub struct Verdict {\n    /// D.\n    pub kind: Kind,\n}\n\
+             /// D.\npub enum Kind { A }\n",
+        );
+        let user = fa(
+            "tests/e2e.rs",
+            "fn t(o: ros_core::Outcome) { o.verdicts; }\n",
+        );
+        assert!(dead_pub_hits(&[api, user]).is_empty());
+    }
+
+    #[test]
+    fn dead_pub_type_named_by_an_unreferenced_signature_is_flagged() {
+        let api = fa(
+            "crates/core/src/s.rs",
+            "//! m\n/// D.\npub struct Orphan;\n/// D.\npub fn make() -> Orphan { Orphan }\n",
+        );
+        assert_eq!(
+            dead_pub_hits(&[api]),
+            ["crates/core/src/s.rs:3", "crates/core/src/s.rs:5"]
+        );
+    }
+
+    #[test]
+    fn dead_pub_type_named_only_in_a_fn_body_is_flagged() {
+        // A body is not a declaration, and a private fn is not API.
+        let api = fa(
+            "crates/core/src/s.rs",
+            "//! m\n/// D.\npub struct Hidden;\n\
+             /// D.\npub fn used() { let _h = Hidden; }\nfn private() -> Hidden { Hidden }\n",
+        );
+        let user = fa(
+            "crates/ros-serve/src/u.rs",
+            "//! m\nfn f() { ros_core::used(); }\n",
+        );
+        assert_eq!(dead_pub_hits(&[api, user]), ["crates/core/src/s.rs:3"]);
     }
 
     #[test]
@@ -728,82 +751,7 @@ mod tests {
             assert!(!r.rationale.is_empty(), "{} has no rationale", r.id);
             assert!(!r.fix.is_empty(), "{} has no fix guidance", r.id);
         }
-        assert_eq!(RULES.len(), 4);
-    }
-
-    fn rule_hits(files: &[FileAnalysis], id: &str) -> Vec<Finding> {
-        check_all(files)
-            .into_iter()
-            .filter(|v| v.rule == id)
-            .collect()
-    }
-
-    // ---- stale-suppression ----
-
-    #[test]
-    fn stale_suppression_flags_unconsumed_and_unknown_markers() {
-        let src = "\
-//! m
-// lint: allow-dead-pub(legacy shim)
-fn quiet() {}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        let hits = rule_hits(&[f], "stale-suppression");
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 2);
-        assert!(
-            hits[0].message.contains("suppresses nothing"),
-            "{}",
-            hits[0].message
-        );
-        assert!(hits[0].message.contains("dead-pub"), "{}", hits[0].message);
-
-        // A typo, and rules clippy or a test now owns or that were
-        // retired: none is consulted.
-        for marker in [
-            "allow-pancake(typo)",
-            "allow-cast(exact)",
-            "allow-nondet-iter(count only)",
-            "allow-lock-order(legacy)",
-            "allow-alloc(setup only)",
-        ] {
-            let src = format!("//! m\n// lint: {marker}\nfn f() {{}}\n");
-            let f = fa("crates/ros-dsp/src/s.rs", &src);
-            let hits = rule_hits(&[f], "stale-suppression");
-            assert_eq!(hits.len(), 1, "{hits:?}");
-            assert!(
-                hits[0].message.contains("unknown suppression marker"),
-                "{}",
-                hits[0].message
-            );
-        }
-    }
-
-    #[test]
-    fn stale_suppression_clean_cases() {
-        // A consumed marker is live, not stale (and the finding stays
-        // suppressed).
-        let src = "//! m\n/// D.\n// lint: allow-dead-pub(API symmetry)\npub fn kept() {}\n";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        let hits = all_hits(&[f]);
-        assert!(hits.is_empty(), "{hits:?}");
-        // Markers in test regions are the test's business.
-        let src = "\
-//! m
-#[cfg(test)]
-mod tests {
-    // lint: allow-dead-pub(never fires)
-    fn t() {}
-}
-";
-        let f = fa("crates/ros-dsp/src/s.rs", src);
-        assert!(rule_hits(&[f], "stale-suppression").is_empty());
-        // Reference files are not audited.
-        let f = fa(
-            "tests/e2e.rs",
-            "// lint: allow-dead-pub(stale here)\nfn t() {}\n",
-        );
-        assert!(rule_hits(&[f], "stale-suppression").is_empty());
+        assert_eq!(RULES.len(), 3);
     }
 
     #[test]

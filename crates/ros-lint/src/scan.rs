@@ -3,7 +3,8 @@
 //! This is not a parser — it is the minimal structural recovery the
 //! lint rules need: which tokens are inside `#[cfg(test)]` regions,
 //! which `pub` items exist (with their names, lines, and whether a doc
-//! comment is attached), and where each `fn` signature ends. It walks
+//! comment is attached), and which tokens declare each item (a fn's
+//! signature, a type's body, a const's type). It walks
 //! item positions recursively through `mod` and `impl` blocks, skips
 //! function bodies and type bodies wholesale, and recovers from
 //! anything it does not understand by advancing one token — like the
@@ -68,10 +69,14 @@ pub struct Item {
     /// The item is a method of a trait `impl` block (`impl T for U`);
     /// such fns inherit the trait's API surface and docs.
     pub in_trait_impl: bool,
-    /// For fns: token-index range `[start, end)` of the signature —
-    /// from the `fn` keyword up to (not including) the body `{` or
-    /// the terminating `;`.
-    pub sig: Option<(usize, usize)>,
+    /// Token-index range `[start, end)` of the declaration — the
+    /// tokens that name the types an item exposes. For fns: the
+    /// signature, from the `fn` keyword up to (not including) the body
+    /// `{` or the terminating `;`, so a `where` clause is inside. For
+    /// structs, enums and unions: the whole definition. For consts and
+    /// statics: the keyword up to the `=`; for type aliases: through
+    /// the `;`. `None` for traits, modules, `use` and macros.
+    pub decl: Option<(usize, usize)>,
 }
 
 /// Everything the rules need to know about one file's structure.
@@ -357,7 +362,7 @@ impl Scanner<'_> {
         has_doc: bool,
         in_test: bool,
         in_trait_impl: bool,
-        sig: Option<(usize, usize)>,
+        decl: Option<(usize, usize)>,
     ) {
         self.facts.items.push(Item {
             kind,
@@ -367,7 +372,7 @@ impl Scanner<'_> {
             has_doc,
             in_test,
             in_trait_impl,
-            sig,
+            decl,
         });
     }
 
@@ -490,24 +495,28 @@ impl Scanner<'_> {
         } else {
             String::new()
         };
-        self.push(kind, name, vis, line, has_doc, in_test, false, None);
         // Body: `{ … }` (fields/variants/methods — skipped as item
         // positions), tuple `( … );`, or unit `;`.
         let mut i = name_i + 1;
-        while i < end {
+        let next = loop {
+            if i >= end {
+                break end;
+            }
             if self.is_punct(i, "{") {
-                return self.skip_group(i, end, "{", "}");
+                break self.skip_group(i, end, "{", "}");
             }
             if self.is_punct(i, "(") {
                 i = self.skip_group(i, end, "(", ")");
                 continue;
             }
             if self.is_punct(i, ";") {
-                return i + 1;
+                break i + 1;
             }
             i += 1;
-        }
-        end
+        };
+        let decl = (kind != ItemKind::Trait).then_some((kw, next));
+        self.push(kind, name, vis, line, has_doc, in_test, false, decl);
+        next
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -528,7 +537,21 @@ impl Scanner<'_> {
             String::new()
         };
         let next = self.skip_to_semi(kw, end);
-        self.push(kind, name, vis, line, has_doc, in_test, false, None);
+        let decl_end = if kind == ItemKind::TypeAlias {
+            next
+        } else {
+            (kw..next).find(|&i| self.is_punct(i, "=")).unwrap_or(next)
+        };
+        self.push(
+            kind,
+            name,
+            vis,
+            line,
+            has_doc,
+            in_test,
+            false,
+            Some((kw, decl_end)),
+        );
         next
     }
 
@@ -658,7 +681,33 @@ pub fn after() {}
         assert_eq!(item(&f, "q").kind, ItemKind::Fn);
         assert_eq!(item(&f, "c").kind, ItemKind::Fn, "const fn is a fn");
         assert_eq!(item(&f, "N").kind, ItemKind::Const);
-        assert!(item(&f, "q").sig.is_some());
+        assert!(item(&f, "q").decl.is_some());
+    }
+
+    #[test]
+    fn declaration_spans_cover_signatures_bodies_and_types() {
+        let src = "\
+pub struct S { pub v: Vec<E> }
+pub const K: &[(u8, E)] = &[(1, E::A)];
+pub type A = Vec<E>;
+pub fn f<F>(g: F) where F: Fn(&E) { g(&E::A) }
+pub trait T { fn m(&self) -> E; }
+";
+        let f = facts(src);
+        let toks = lexer::lex(src);
+        let decl = |name: &str| -> String {
+            let (s, e) = item(&f, name).decl.expect("decl span");
+            toks[s..e]
+                .iter()
+                .map(|t| t.text(src))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        assert_eq!(decl("S"), "struct S { pub v : Vec < E > }");
+        assert_eq!(decl("K"), "const K : & [ ( u8 , E ) ]");
+        assert_eq!(decl("A"), "type A = Vec < E > ;");
+        assert_eq!(decl("f"), "fn f < F > ( g : F ) where F : Fn ( & E )");
+        assert!(item(&f, "T").decl.is_none());
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn new_violation_fails_gate_until_fixed() {
     ws.write("crates/demo/src/lib.rs", CLEAN_LIB);
     ws.write(
         "crates/demo/src/conv.rs",
-        "//! Conversion module.\n\n/// Steers by an angle given in degrees.\npub fn steer(az: f64) -> f64 {\n    az.to_radians().sin()\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert_eq!(super::steer(0.0), 0.0); }\n}\n",
+        "//! Conversion module.\n\n/// Scales by a gain given in dB.\npub fn scale(x: f64, gain: f64) -> f64 {\n    x * 10f64.powf(gain / 10.0)\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert_eq!(super::scale(1.0, 0.0), 1.0); }\n}\n",
     );
 
     // Any finding fails the gate.
@@ -91,12 +91,17 @@ fn new_violation_fails_gate_until_fixed() {
     );
     let files = load_workspace(&ws.root).expect("walk");
     assert!(files.iter().all(|f| f.role != FileRole::Reference));
-    assert_eq!(ros_lint::rules::check_all(&files).len(), 1);
+    // The literal base and the `/ 10.0` divisor each report.
+    let findings = ros_lint::rules::check_all(&files);
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert!(findings
+        .iter()
+        .all(|f| f.rule == "typed-conversions" && f.line == 5));
 
     // Fixed through the typed-units path: the gate goes green.
     ws.write(
         "crates/demo/src/conv.rs",
-        "//! Conversion module.\n\n/// Steers by an angle.\npub fn steer(az: Degrees) -> f64 {\n    az.radians().sin()\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert_eq!(super::steer(Degrees(0.0)), 0.0); }\n}\n",
+        "//! Conversion module.\n\n/// Scales by a gain.\npub fn scale(x: f64, gain: Db) -> f64 {\n    x * gain.ratio()\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert_eq!(super::scale(1.0, Db(0.0)), 1.0); }\n}\n",
     );
     let outcome = run_gate(&ws.root).expect("gate runs");
     assert!(outcome.passed, "{}", outcome.human_report);
@@ -112,54 +117,4 @@ fn library_internals_compose_outside_the_gate() {
     let facts = scan::analyze(src, &toks);
     assert_eq!(facts.items.len(), 1);
     assert!(facts.items[0].has_doc);
-}
-
-/// Runs the gate and returns the `[rule-id]` finding lines from the
-/// human report, plus whether the gate passed.
-fn gate_rule_lines(ws: &TempWs, rule: &str) -> (bool, Vec<String>) {
-    let outcome = run_gate(&ws.root).expect("gate runs");
-    let tag = format!("[{rule}]");
-    let lines = outcome
-        .human_report
-        .lines()
-        .filter(|l| l.contains(&tag))
-        .map(str::to_string)
-        .collect();
-    (outcome.passed, lines)
-}
-
-#[test]
-fn stale_suppression_e2e_catches_dead_marker_and_passes_after_removal() {
-    let ws = TempWs::new("stale");
-    ws.write(
-        "crates/eps/src/lib.rs",
-        "//! Eps crate.\n\n\
-         /// Compares within tolerance; the marker outlived its finding.\n\
-         // lint: allow-dead-pub(legacy export)\n\
-         pub fn close(a: f64, b: f64) -> bool {\n\
-             (a - b).abs() < 1e-9\n\
-         }\n\n\
-         #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert!(super::close(0.0, 0.0)); }\n}\n",
-    );
-    let (passed, lines) = gate_rule_lines(&ws, "stale-suppression");
-    assert!(!passed);
-    assert_eq!(lines.len(), 1, "{lines:?}");
-    assert!(
-        lines[0].contains("crates/eps/src/lib.rs:4") && lines[0].contains("dead-pub"),
-        "{lines:?}"
-    );
-
-    // Fixed: the marker is gone.
-    ws.write(
-        "crates/eps/src/lib.rs",
-        "//! Eps crate.\n\n\
-         /// Compares within tolerance.\n\
-         pub fn close(a: f64, b: f64) -> bool {\n\
-             (a - b).abs() < 1e-9\n\
-         }\n\n\
-         #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert!(super::close(0.0, 0.0)); }\n}\n",
-    );
-    let (passed, lines) = gate_rule_lines(&ws, "stale-suppression");
-    assert!(passed, "{lines:?}");
-    assert!(lines.is_empty(), "{lines:?}");
 }

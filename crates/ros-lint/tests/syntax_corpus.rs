@@ -33,7 +33,6 @@ fn code_view_accessors_round_trip() {
     let view = CodeView::new(&f);
     assert!(!view.is_empty());
     assert!(view.is_ident(0, "fn"));
-    assert!(view.ident_in(1, &["a", "z"]));
     assert!(view.is_punct(2, "("));
     assert_eq!(view.text(1), "a");
     assert_eq!(view.line(0), 1);
@@ -107,7 +106,7 @@ proptest! {
             prop_assert_eq!(&it.name, &format!("f{i}"));
             // The signature opens on `fn` and runs right up to the
             // body's `{`.
-            let (ss, se) = it.sig.expect("fn sig span");
+            let (ss, se) = it.decl.expect("fn sig span");
             prop_assert!(ss < se && se < f.tokens.len());
             prop_assert_eq!(f.tokens[ss].text(&src), "fn");
             prop_assert_eq!(f.tokens[se].text(&src), "{");

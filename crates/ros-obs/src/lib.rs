@@ -118,7 +118,6 @@ pub fn init_from_env() {
 /// Inert (no allocation, no clock read) when the level is
 /// [`Level::Off`] at construction.
 #[must_use = "a span measures the scope it is bound to; bind it to a `_span` local"]
-// lint: allow-dead-pub(RAII guard returned by span(); callers never spell the name)
 pub struct Span {
     id: Hist,
     /// `None` when telemetry was off at construction.

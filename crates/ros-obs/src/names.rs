@@ -22,7 +22,6 @@
 
 /// Metric kinds (mirrored by each run's metric table).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-// lint: allow-dead-pub(tuple component of ALL; consumed positionally)
 pub enum Kind {
     /// Monotonic event count.
     Counter,
@@ -103,18 +102,15 @@ pub const ALL: &[(&str, Kind)] = &[
 
 /// The id of a [`Kind::Counter`] row of [`ALL`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-// lint: allow-dead-pub(parameter type of ros_obs::count; callers pass the consts)
 pub struct Counter(pub(crate) usize);
 
 /// The id of a [`Kind::Gauge`] row of [`ALL`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-// lint: allow-dead-pub(parameter type of ros_obs::gauge; callers pass the consts)
 pub struct Gauge(pub(crate) usize);
 
 /// The id of a [`Kind::Histogram`] row of [`ALL`]; a span's id is its
 /// `time.<stage>` row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-// lint: allow-dead-pub(parameter type of ros_obs::{hist, span}; callers pass the consts)
 pub struct Hist(pub(crate) usize);
 
 /// The index of `name` in [`ALL`]. Evaluated at compile time for every

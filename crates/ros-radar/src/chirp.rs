@@ -86,41 +86,6 @@ impl ChirpConfig {
     }
 }
 
-/// Designs a chirp configuration meeting range/velocity requirements.
-///
-/// Given the maximum unambiguous range and radial speed the
-/// application needs, picks the slope and chirp interval that deliver
-/// them with the TI front-end's fixed sampling rate and sample count,
-/// and reports the resulting resolutions. Returns `None` when the
-/// requirements are mutually unsatisfiable with this front-end (the
-/// range–velocity product exceeds what `f_s·λ/8` allows).
-pub fn design_chirp(
-    max_range_m: f64,
-    max_speed_mps: f64,
-    base: &ChirpConfig,
-) -> Option<(ChirpConfig, crate::doppler::BurstConfig)> {
-    assert!(max_range_m > 0.0 && max_speed_mps > 0.0);
-    // Range bound fixes the slope: f_s·c/(2·slope) ≥ max_range.
-    let slope = base.sample_rate_hz * C / (2.0 * max_range_m);
-    // The chirp must still be sampled in full.
-    let chirp_time = base.n_samples.as_f64() / base.sample_rate_hz;
-    // Speed bound fixes the chirp interval: λ/(4·T_c) ≥ max_speed.
-    let lambda = base.wavelength_m();
-    let t_c = lambda / (4.0 * max_speed_mps);
-    if t_c < chirp_time {
-        return None; // cannot sweep fast enough between chirps
-    }
-    let cfg = ChirpConfig {
-        slope_hz_per_s: slope,
-        ..*base
-    };
-    let burst = crate::doppler::BurstConfig {
-        n_chirps: 32,
-        chirp_interval_s: t_c,
-    };
-    Some((cfg, burst))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,34 +131,5 @@ mod tests {
     fn wavelength_at_79ghz() {
         let c = ChirpConfig::ti_default();
         assert!((c.wavelength_m() - 3.794e-3).abs() < 1e-5);
-    }
-
-    #[test]
-    fn design_meets_requirements() {
-        let base = ChirpConfig::ti_default();
-        let (cfg, burst) = design_chirp(30.0, 10.0, &base).expect("feasible");
-        assert!(cfg.max_range_m() >= 30.0 * 0.999);
-        let v_max = burst.max_unambiguous_speed_mps(cfg.wavelength_m());
-        assert!(v_max >= 10.0 * 0.999);
-        // Range resolution degrades as max range grows (lower slope,
-        // less swept bandwidth) — the classic trade.
-        assert!(cfg.range_resolution_m() > base.range_resolution_m());
-    }
-
-    #[test]
-    fn design_rejects_impossible_combination() {
-        let base = ChirpConfig::ti_default();
-        // 200 m/s unambiguous speed needs T_c < 4.7 µs — shorter than
-        // the 51.2 µs sampled chirp.
-        assert!(design_chirp(10.0, 200.0, &base).is_none());
-    }
-
-    #[test]
-    fn design_roundtrip_on_paper_numbers() {
-        // The paper's own config (≈11.4 m, ≈15.8 m/s) is reproducible.
-        let base = ChirpConfig::ti_default();
-        let (cfg, burst) = design_chirp(11.0, 15.0, &base).expect("feasible");
-        assert!((cfg.slope_hz_per_s - 68.2e12).abs() < 1e12);
-        assert!(burst.chirp_interval_s >= 51.2e-6);
     }
 }

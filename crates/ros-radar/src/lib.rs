@@ -24,7 +24,6 @@
 
 pub mod array;
 pub mod chirp;
-pub mod doppler;
 pub mod echo;
 pub mod frontend;
 pub mod impairments;

@@ -60,7 +60,6 @@ impl Default for CorridorConfig {
 
 /// One scheduled drive-by pass of the corridor.
 #[derive(Clone, Copy, Debug)]
-// lint: allow-dead-pub(schedule element of encounters(); bound and destructured, never named cross-crate)
 pub struct Encounter {
     /// Pass identity (also the canonical log-order key).
     pub pass: PassId,

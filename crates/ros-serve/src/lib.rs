@@ -34,8 +34,7 @@
 //! `cache_hits`/`cache_misses`.
 
 pub mod corridor;
-// lint: allow-dead-pub(consumed through the crate-root re-exports below)
-pub mod service;
+mod service;
 
 pub use corridor::{CorridorConfig, Encounter};
 pub use service::{run_corridor_uncached, run_corridor_with, ServeReport};

@@ -13,11 +13,6 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-# Bench targets are not built by `cargo test`; compile them so a
-# library API change cannot leave them broken unseen.
-echo "==> cargo check --workspace --benches"
-cargo check --workspace --benches
-
 # The executor honours ROS_EXEC_THREADS as the pool-size default; the
 # determinism suite must hold whether the process defaults to one
 # worker or several (it also pins 1/2/8 internally -- this exercises
@@ -70,19 +65,21 @@ done
 # Compiler-side gate: [workspace.lints] in the root Cargo.toml (plus
 # clippy.toml) denies unwrap/expect, the panic family, print output,
 # bare `as` casts, float equality, undocumented pub items, hash
-# collections, and raw thread spawns or wall-clock reads outside
-# ros-exec and the ros-obs clock. Lib and bin targets only, so #[cfg(test)] code stays exempt;
-# a stale #[expect(...)] fails the build too. `-D warnings` turns every
-# default-level clippy and rustc warning into a failure as well. The
-# vendored stand-ins (rand, proptest, criterion) sit inside the
+# collections, raw thread spawns or wall-clock reads outside ros-exec
+# and the ros-obs clock, and `f64::to_radians`/`to_degrees` outside
+# ros_em::units. Lib and bin targets only, so #[cfg(test)] code stays
+# exempt; a stale #[expect(...)] fails the build too. `-D warnings`
+# turns every default-level clippy and rustc warning into a failure as
+# well. The vendored stand-ins (rand, proptest) sit inside the
 # workspace directory, so cargo makes them implicit members: they are
 # excluded, and --no-deps keeps them out of the lint run as
 # dependencies.
 echo "==> cargo clippy (workspace crates, warnings denied)"
-cargo clippy --workspace --exclude rand --exclude proptest --exclude criterion --no-deps -- -D warnings
+cargo clippy --workspace --exclude rand --exclude proptest --no-deps -- -D warnings
 
 # Workspace-analysis gate (ros-lint): the rules clippy cannot express
-# (dead-pub, typed units, suppression audit). Any finding fails.
+# (dead-pub, the dB-formula half of typed-conversions, typed-db-params).
+# Any finding fails.
 echo "==> xtask lint (ros-lint gate)"
 cargo run -q -p xtask -- lint
 

@@ -119,32 +119,45 @@ pub(crate) fn synthesize_signal(
     Frame { data, pose }
 }
 
-/// Echoes whose phasor chains one lane-pair pass advances together.
+/// Echoes whose phasor chains one lane-group pass advances together.
 /// Each chain's rotate waits on its previous step, so one chain per
 /// pass leaves the core idle for the multiply latency; four
 /// independent chains fill that wait while their phasors and rotations
 /// still fit in registers. Chosen by measurement on rosbench
-/// `full_pass` (2-vCPU x86-64, SSE2 baseline, 12 s runs, two lanes):
-/// groups of 2, 3 and 6 gave `op_ms_p50` 90–98, 82–85 and 81–82 ms
-/// against 80–83 ms for 4; six is no faster, so the smaller register
-/// set stays.
+/// `full_pass` (2-vCPU x86-64): at two SSE2 lanes (12 s runs), groups
+/// of 2, 3 and 6 gave `op_ms_p50` 90–98, 82–85 and 81–82 ms against
+/// 80–83 ms for 4; at four AVX lanes (two 10 s runs each), groups of
+/// 2, 3, 6 and 8 gave 59.7–61.7, 55.6–58.3, 57.9–59.7 and 54.7–55.0 ms
+/// against 54.8–55.3 ms for 4. Eight is no faster, so the smaller
+/// register set stays at both widths.
 const SYNTH_GROUP: usize = 4;
 
-/// Antenna lanes one pass advances side by side. Two lanes of `f64`
-/// fill one 128-bit SSE2 register, so each step of the literal
-/// `Complex64::mul` expansion runs as packed `mulpd`/`addpd`/`subpd`
-/// on portable arrays. Chosen by measurement on the same host and
-/// runs: with groups of 4, one lane gave 94–99 ms and four lanes (two
-/// registers per value) 87–89 ms against 80–83 ms for two.
+/// Antenna lanes one pass advances side by side where the host has no
+/// AVX (and on every non-x86 target). Two lanes of `f64` fill one
+/// 128-bit SSE2 register, so each step of the literal `Complex64::mul`
+/// expansion runs as packed `mulpd`/`addpd`/`subpd` on portable
+/// arrays. Chosen by measurement on the same host and 12 s runs with
+/// SSE2 code only: with groups of 4, one lane gave 94–99 ms and four
+/// lanes (two SSE2 registers per value) 87–89 ms against 80–83 ms for
+/// two.
 const SYNTH_LANES: usize = 2;
 
-/// Reusable scratch for [`synthesize_signal_into`]: the lane-pair
+/// Antenna lanes per pass under the `avx` target feature: four lanes
+/// of `f64` fill one 256-bit register, one lane per antenna of the TI
+/// radar ([`RadarArray::ti_default`]). In the same 10 s runs on the
+/// same AVX host, the two-lane kernel forced on read 75.8–77.8 ms
+/// against 54.8–55.3 ms for four lanes.
+#[cfg(target_arch = "x86_64")]
+const SYNTH_LANES_AVX: usize = 4;
+
+/// Reusable scratch for [`synthesize_signal_into`]: the lane-group
 /// interleaved split-complex accumulator planes
-/// (`acc_re[(p·n + j)·SYNTH_LANES + l]` holds sample `j` of antenna
-/// `k = p·SYNTH_LANES + l`) plus every live echo's per-sample rotation
-/// and its start phasors (`starts[e·k_pad + k]`, `k_pad` = `k_rx`
-/// rounded up to whole lane groups, padded lanes zero). One scratch per
-/// worker keeps the batch path allocation-free after warm-up.
+/// (`acc_re[(p·n + j)·L + l]` holds sample `j` of antenna `k = p·L + l`
+/// at lane width `L`) plus every live echo's per-sample rotation and
+/// its start phasors (`starts[e·k_pad + k]`, `k_pad` = `k_rx` rounded
+/// up to whole lane groups of the width the call runs at, padded lanes
+/// zero). One scratch per worker keeps the batch path allocation-free
+/// after warm-up; both widths lay it out afresh on every call.
 #[derive(Clone, Debug, Default)]
 pub struct SynthScratch {
     acc_re: Vec<f64>,
@@ -156,23 +169,70 @@ pub struct SynthScratch {
 /// Scratch-buffer twin of [`synthesize_signal`]: writes the identical
 /// noiseless frame into `frame`, reusing `scratch` between calls.
 ///
+/// Runs [`synthesize_lanes`] four lanes wide inside an `avx`
+/// target-feature function when the host has AVX (detected at run
+/// time), two lanes wide otherwise. Both widths are the same source
+/// and give the same bits.
+pub(crate) fn synthesize_signal_into(
+    chirp: &ChirpConfig,
+    array: &RadarArray,
+    pose: Pose,
+    echoes: &[Echo],
+    scratch: &mut SynthScratch,
+    frame: &mut Frame,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: `synthesize_avx` needs only the `avx` target feature,
+        // and the `is_x86_feature_detected!("avx")` check above has just
+        // confirmed that this host supports it.
+        unsafe { synthesize_avx(chirp, array, pose, echoes, scratch, frame) };
+        return;
+    }
+    synthesize_lanes::<SYNTH_LANES>(chirp, array, pose, echoes, scratch, frame);
+}
+
+/// [`synthesize_lanes`] at [`SYNTH_LANES_AVX`], compiled with the
+/// `avx` target feature so each lane-group step is one 256-bit
+/// operation. Only `avx`: the reference rounds each product and each
+/// sum of the rotation, and a fused multiply-add rounds the pair once,
+/// so an FMA kernel would change the bits. The compiler never fuses
+/// separate operations on its own, so enabling `fma` would buy nothing
+/// here and would only shut out AVX hosts without it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn synthesize_avx(
+    chirp: &ChirpConfig,
+    array: &RadarArray,
+    pose: Pose,
+    echoes: &[Echo],
+    scratch: &mut SynthScratch,
+    frame: &mut Frame,
+) {
+    synthesize_lanes::<SYNTH_LANES_AVX>(chirp, array, pose, echoes, scratch, frame);
+}
+
+/// The IF tone kernel at lane width `L`.
+///
 /// A precompute pass applies the reference's skips in the same order
 /// and collects each live echo's rotation and start phasors. Then, per
-/// group of [`SYNTH_LANES`] antenna lanes, groups of [`SYNTH_GROUP`]
-/// echoes walk the samples together with their phasors held in locals,
-/// so the independent rotate chains overlap and each step covers both
+/// group of `L` antenna lanes, groups of [`SYNTH_GROUP`] echoes walk
+/// the samples together with their phasors held in locals, so the
+/// independent rotate chains overlap and each step covers all `L`
 /// lanes in one packed operation; a scalar-echo pass takes the last
-/// `m mod G`. An odd `k_rx` leaves one padded lane that starts from
-/// zero phasors and is never copied out.
+/// `m mod G`. A `k_rx` that is not a multiple of `L` leaves padded
+/// lanes that start from zero phasors and are never copied out.
 ///
-/// Bit-identity with the reference holds because every accumulator
-/// cell still receives its echoes' phasors one add at a time in the
-/// original echo order, starting from zero, and every phasor step is
-/// the literal expansion of `Complex64::mul`,
+/// Bit-identity with the reference holds at every `L` because every
+/// accumulator cell still receives its echoes' phasors one add at a
+/// time in the original echo order, starting from zero, and every
+/// phasor step is the literal expansion of `Complex64::mul`,
 /// `(pr·cr − pi·ci, pr·ci + pi·cr)`, with no fused multiply-add. Only
 /// the loop nest and the lane packing change, never the per-element
-/// operation sequence.
-pub(crate) fn synthesize_signal_into(
+/// operation sequence. Always inlined, so the `avx` instantiation is
+/// compiled with its caller's target feature.
+#[inline(always)]
+fn synthesize_lanes<const L: usize>(
     chirp: &ChirpConfig,
     array: &RadarArray,
     pose: Pose,
@@ -182,7 +242,7 @@ pub(crate) fn synthesize_signal_into(
 ) {
     let n = chirp.n_samples;
     let k_rx = array.n_rx;
-    let k_pad = k_rx.div_ceil(SYNTH_LANES) * SYNTH_LANES;
+    let k_pad = k_rx.div_ceil(L) * L;
     let lambda = chirp.wavelength_m();
 
     frame.pose = pose;
@@ -243,20 +303,20 @@ pub(crate) fn synthesize_signal_into(
     let m = rots.len();
     let grouped = m - m % SYNTH_GROUP;
     let planes = acc_re
-        .chunks_exact_mut(SYNTH_LANES * n)
-        .zip(acc_im.chunks_exact_mut(SYNTH_LANES * n));
+        .chunks_exact_mut(L * n)
+        .zip(acc_im.chunks_exact_mut(L * n));
     for (p, (plane_re, plane_im)) in planes.enumerate() {
-        let (plane_re, _) = plane_re.as_chunks_mut::<SYNTH_LANES>();
-        let (plane_im, _) = plane_im.as_chunks_mut::<SYNTH_LANES>();
-        let k0 = p * SYNTH_LANES;
+        let (plane_re, _) = plane_re.as_chunks_mut::<L>();
+        let (plane_im, _) = plane_im.as_chunks_mut::<L>();
+        let k0 = p * L;
         let groups = rots
             .chunks_exact(SYNTH_GROUP)
             .zip(starts.chunks_exact(SYNTH_GROUP * k_pad));
         for (r, s) in groups {
-            add_tones::<SYNTH_GROUP>(r, s, k0, plane_re, plane_im);
+            add_tones::<SYNTH_GROUP, L>(r, s, k0, plane_re, plane_im);
         }
         for e in grouped..m {
-            add_tones::<1>(
+            add_tones::<1, L>(
                 &rots[e..=e],
                 &starts[e * k_pad..(e + 1) * k_pad],
                 k0,
@@ -266,13 +326,11 @@ pub(crate) fn synthesize_signal_into(
         }
     }
 
-    // A short last row group leaves the padded lane behind.
-    let planes = acc_re
-        .chunks_exact(SYNTH_LANES * n)
-        .zip(acc_im.chunks_exact(SYNTH_LANES * n));
-    for (rows, (plane_re, plane_im)) in frame.data.chunks_mut(SYNTH_LANES).zip(planes) {
-        let (plane_re, _) = plane_re.as_chunks::<SYNTH_LANES>();
-        let (plane_im, _) = plane_im.as_chunks::<SYNTH_LANES>();
+    // A short last row group leaves the padded lanes behind.
+    let planes = acc_re.chunks_exact(L * n).zip(acc_im.chunks_exact(L * n));
+    for (rows, (plane_re, plane_im)) in frame.data.chunks_mut(L).zip(planes) {
+        let (plane_re, _) = plane_re.as_chunks::<L>();
+        let (plane_im, _) = plane_im.as_chunks::<L>();
         for (l, row) in rows.iter_mut().enumerate() {
             for (s, (re, im)) in row.iter_mut().zip(plane_re.iter().zip(plane_im)) {
                 *s = Complex64::new(re[l], im[l]);
@@ -288,25 +346,23 @@ pub(crate) fn synthesize_signal_into(
 /// order, then each phasor takes one `Complex64::mul` step by its
 /// rotation; the lanes share the rotation and run side by side.
 #[inline(always)]
-fn add_tones<const G: usize>(
+fn add_tones<const G: usize, const L: usize>(
     rots: &[Complex64],
     starts: &[Complex64],
     k0: usize,
-    plane_re: &mut [[f64; SYNTH_LANES]],
-    plane_im: &mut [[f64; SYNTH_LANES]],
+    plane_re: &mut [[f64; L]],
+    plane_im: &mut [[f64; L]],
 ) {
     let k_pad = starts.len() / G;
     let start = |g: usize, l: usize| starts[g * k_pad + k0 + l];
-    let mut pr: [[f64; SYNTH_LANES]; G] =
-        std::array::from_fn(|g| std::array::from_fn(|l| start(g, l).re));
-    let mut pi: [[f64; SYNTH_LANES]; G] =
-        std::array::from_fn(|g| std::array::from_fn(|l| start(g, l).im));
+    let mut pr: [[f64; L]; G] = std::array::from_fn(|g| std::array::from_fn(|l| start(g, l).re));
+    let mut pi: [[f64; L]; G] = std::array::from_fn(|g| std::array::from_fn(|l| start(g, l).im));
     let cr: [f64; G] = std::array::from_fn(|g| rots[g].re);
     let ci: [f64; G] = std::array::from_fn(|g| rots[g].im);
     for (sr, si) in plane_re.iter_mut().zip(plane_im.iter_mut()) {
         let (mut ar, mut ai) = (*sr, *si);
         for g in 0..G {
-            for l in 0..SYNTH_LANES {
+            for l in 0..L {
                 ar[l] += pr[g][l];
                 ai[l] += pi[g][l];
                 let (a, b) = (pr[g][l], pi[g][l]);
@@ -557,6 +613,18 @@ mod tests {
         assert_eq!(radar_pattern(2.0), 0.0); // >90°
     }
 
+    /// A noiseless-synthesis entry with [`synthesize_signal_into`]'s
+    /// signature.
+    type SynthInto = fn(&ChirpConfig, &RadarArray, Pose, &[Echo], &mut SynthScratch, &mut Frame);
+
+    /// The generic kernel at both widths, whatever this host runs, and
+    /// the dispatched entry: each must match [`synthesize_signal`].
+    const KERNELS: [(&str, SynthInto); 3] = [
+        ("L = 2", synthesize_lanes::<2>),
+        ("L = 4", synthesize_lanes::<4>),
+        ("dispatched", synthesize_signal_into),
+    ];
+
     #[test]
     fn signal_into_bit_identical_to_direct() {
         let (ti, a, _) = setup();
@@ -570,20 +638,22 @@ mod tests {
         // The TI chirp, and one with no samples at all.
         for c in [ti, ChirpConfig { n_samples: 0, ..ti }] {
             let direct = synthesize_signal(&c, &a, pose, &echoes);
-            let mut scratch = SynthScratch::default();
-            let mut frame = Frame {
-                data: vec![vec![Complex64::new(9.0, 9.0); 3]; 7], // wrong shape, dirty
-                pose: Pose::side_looking(Vec3::ZERO),
-            };
-            // Twice through the same scratch: reuse must not change bits.
-            for _ in 0..2 {
-                synthesize_signal_into(&c, &a, pose, &echoes, &mut scratch, &mut frame);
-                assert_eq!(frame.n_rx(), direct.n_rx());
-                assert_eq!(frame.n_samples(), direct.n_samples());
-                for (da, fa) in direct.data.iter().zip(&frame.data) {
-                    for (d, f) in da.iter().zip(fa) {
-                        assert_eq!(d.re.to_bits(), f.re.to_bits());
-                        assert_eq!(d.im.to_bits(), f.im.to_bits());
+            for (name, synth) in KERNELS {
+                let mut scratch = SynthScratch::default();
+                let mut frame = Frame {
+                    data: vec![vec![Complex64::new(9.0, 9.0); 3]; 7], // wrong shape, dirty
+                    pose: Pose::side_looking(Vec3::ZERO),
+                };
+                // Twice through the same scratch: reuse must not change bits.
+                for _ in 0..2 {
+                    synth(&c, &a, pose, &echoes, &mut scratch, &mut frame);
+                    assert_eq!(frame.n_rx(), direct.n_rx(), "{name}");
+                    assert_eq!(frame.n_samples(), direct.n_samples(), "{name}");
+                    for (da, fa) in direct.data.iter().zip(&frame.data) {
+                        for (d, f) in da.iter().zip(fa) {
+                            assert_eq!(d.re.to_bits(), f.re.to_bits(), "{name}");
+                            assert_eq!(d.im.to_bits(), f.im.to_bits(), "{name}");
+                        }
                     }
                 }
             }
@@ -593,13 +663,15 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
-        /// The grouped kernel against the per-echo reference, bit for
-        /// bit: echo counts from none through three full groups plus a
-        /// remainder, with zero-amplitude (kind 0) and behind-the-array
-        /// (kind 1) echoes at random positions, and antenna counts that
-        /// leave a padded lane (1, 3, 5) or fill one or more lane pairs
-        /// (2, 4, 8). One scratch is reused while the counts shrink and
-        /// grow (the call list, then the same list reversed).
+        /// The grouped kernel at two and four lanes, and the dispatched
+        /// entry, against the per-echo reference, bit for bit: echo
+        /// counts from none through three full groups plus a remainder,
+        /// with zero-amplitude (kind 0) and behind-the-array (kind 1)
+        /// echoes at random positions, and antenna counts that leave
+        /// padded lanes (1, 3, 5 at either width; 2 at four lanes) or
+        /// fill one or more lane groups (2, 4, 8). Each path reuses one
+        /// scratch while the counts shrink and grow (the call list,
+        /// then the same list reversed).
         #[test]
         fn grouped_signal_into_bit_identical_to_direct(
             calls in proptest::prop::collection::vec(
@@ -615,27 +687,29 @@ mod tests {
         ) {
             let (c, ti, _) = setup();
             let pose = Pose::side_looking(Vec3::new(0.1, -0.2, 0.0));
-            let mut scratch = SynthScratch::default();
-            let mut frame = Frame { data: Vec::new(), pose };
-            for (rx, spec) in calls.iter().chain(calls.iter().rev()) {
-                let a = RadarArray { n_rx: [1, 2, 3, 4, 5, 8][*rx], ..ti };
-                let echoes: Vec<Echo> = spec
-                    .iter()
-                    .map(|&(kind, x, y, phase)| match kind {
-                        0 => Echo::new(Vec3::new(x, y, 0.0), Complex64::ZERO),
-                        1 => Echo::new(Vec3::new(x, -y, 0.0), Complex64::from_polar(1e-3, phase)),
-                        _ => Echo::new(Vec3::new(x, y, 0.0), Complex64::from_polar(1e-3 / y, phase)),
-                    })
-                    .collect();
-                let direct = synthesize_signal(&c, &a, pose, &echoes);
-                synthesize_signal_into(&c, &a, pose, &echoes, &mut scratch, &mut frame);
-                proptest::prop_assert_eq!(frame.n_rx(), a.n_rx);
-                proptest::prop_assert_eq!(frame.n_samples(), direct.n_samples());
-                for (da, fa) in direct.data.iter().zip(&frame.data) {
-                    for (d, f) in da.iter().zip(fa) {
-                        proptest::prop_assert_eq!(d.re.to_bits(), f.re.to_bits());
-                        proptest::prop_assert_eq!(d.im.to_bits(), f.im.to_bits());
-                    }
+            let bits = |f: &Frame| -> Vec<u64> {
+                f.data.iter().flatten().flat_map(|s| [s.re.to_bits(), s.im.to_bits()]).collect()
+            };
+            for (name, synth) in KERNELS {
+                let mut scratch = SynthScratch::default();
+                let mut frame = Frame { data: Vec::new(), pose };
+                for (rx, spec) in calls.iter().chain(calls.iter().rev()) {
+                    let a = RadarArray { n_rx: [1, 2, 3, 4, 5, 8][*rx], ..ti };
+                    let echoes: Vec<Echo> = spec
+                        .iter()
+                        .map(|&(kind, x, y, phase)| match kind {
+                            0 => Echo::new(Vec3::new(x, y, 0.0), Complex64::ZERO),
+                            1 => Echo::new(Vec3::new(x, -y, 0.0), Complex64::from_polar(1e-3, phase)),
+                            _ => Echo::new(Vec3::new(x, y, 0.0), Complex64::from_polar(1e-3 / y, phase)),
+                        })
+                        .collect();
+                    let direct = synthesize_signal(&c, &a, pose, &echoes);
+                    synth(&c, &a, pose, &echoes, &mut scratch, &mut frame);
+                    proptest::prop_assert!(
+                        frame.n_rx() == a.n_rx && frame.n_samples() == direct.n_samples(),
+                        "{name}: frame shape"
+                    );
+                    proptest::prop_assert!(bits(&frame) == bits(&direct), "{name}: bits differ");
                 }
             }
         }

@@ -134,3 +134,76 @@ fn golden_snr_and_sampling() {
         GOLDEN_MEDIAN_RSS_DBM
     );
 }
+
+/// Golden FNV-1a hash of one short full-pipeline pass (see
+/// [`full_pipeline_digest`]): the only Tier-1 pin of IF-level output
+/// in absolute terms, so a change to IF synthesis, noise, detection,
+/// clustering, the spotlight or the decoder that moves a single bit
+/// fails here.
+const GOLDEN_FULL_DIGEST: u64 = 0xf601_12ca_da96_02db;
+
+/// The word the full-pipeline pass encodes and must read back.
+const FULL_WORD: [bool; 4] = [true, true, false, true];
+
+/// FNV-1a over the 8 bytes of each value, in order.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// One IF-level drive-by of a 32-row 4-bit tag past the urban-curb
+/// scene (echo gather, IF synthesis, detect, DBSCAN, discrimination,
+/// spotlight, decode), every 8th frame over a ±1 m span, hashed over
+/// the `f64::to_bits` of the RSS trace, the SNR and the detected
+/// centre, and the decoded bits.
+fn full_pipeline_digest() -> (u64, Outcome) {
+    use ros_scene::ScenePreset;
+    let tag = SpatialCode::paper_4bit()
+        .encode(&FULL_WORD)
+        .expect("4-bit word encodes");
+    let mut drive = DriveBy::new(tag, 3.0)
+        .with_scene(ScenePreset::UrbanCurb, 0x5ce_11e)
+        .with_seed(SEED);
+    drive.half_span_m = 1.0;
+    let cfg = ReaderConfig {
+        frame_stride: 8,
+        ..ReaderConfig::full()
+    };
+    let out = drive.run(&cfg);
+    let mut words = Vec::new();
+    for s in &out.rss_trace {
+        words.extend(
+            [
+                s.radar_pos.x,
+                s.radar_pos.y,
+                s.radar_pos.z,
+                s.rss.re,
+                s.rss.im,
+            ]
+            .map(f64::to_bits),
+        );
+    }
+    words.push(out.snr_db().unwrap_or(f64::NAN).to_bits());
+    if let Some(c) = out.detected_center {
+        words.extend([c.x, c.y, c.z].map(f64::to_bits));
+    }
+    words.extend(out.bits().iter().map(|&b| u64::from(b)));
+    (fnv1a(words), out)
+}
+
+#[test]
+fn golden_full_pipeline_pass() {
+    let (digest, out) = full_pipeline_digest();
+    assert!(out.detected_center.is_some(), "tag not detected");
+    assert_eq!(out.bits(), FULL_WORD, "decoded payload drifted");
+    assert_eq!(
+        digest, GOLDEN_FULL_DIGEST,
+        "full-pipeline digest drifted: {digest:#018x}"
+    );
+}

@@ -67,8 +67,10 @@ done
 # bare `as` casts, float equality, undocumented pub items, hash
 # collections, raw thread spawns or wall-clock reads outside ros-exec
 # and the ros-obs clock, and `f64::to_radians`/`to_degrees` outside
-# ros_em::units. Lib and bin targets only, so #[cfg(test)] code stays
-# exempt; a stale #[expect(...)] fails the build too. `-D warnings`
+# ros_em::units, and any `unsafe` block without a `// SAFETY:`
+# comment naming why it holds. Lib and bin targets only, so
+# #[cfg(test)] code stays exempt; a stale #[expect(...)] fails the
+# build too. `-D warnings`
 # turns every default-level clippy and rustc warning into a failure as
 # well. The vendored stand-ins (rand, proptest) sit inside the
 # workspace directory, so cargo makes them implicit members: they are

@@ -37,7 +37,7 @@ use ros_radar::pointcloud::{PointCloud, RadarPoint};
 use ros_radar::processing::DetectScratch;
 use ros_radar::radar::{CaptureScratch, FmcwRadar, RadarMode};
 use ros_scene::objects::ClutterObject;
-use ros_scene::reflector::{EchoContext, Reflector, SceneEcho};
+use ros_scene::reflector::{EchoContext, EchoLink, SceneEcho};
 use ros_scene::tracking::TrackingError;
 use ros_scene::trajectory::{LateralProfile, ManoeuvreTrajectory, Trajectory};
 use ros_scene::weather::FogLevel;
@@ -677,14 +677,15 @@ impl DriveBy {
     }
 }
 
-/// The echo sources of one pass, resolved once: the echo context,
-/// every tag's radar-independent rows ([`ResolvedTag`]) and the
-/// clutter. Both frame loops export it per frame, in the order the
-/// echoes have always accumulated: the tag (its rows, then its board
-/// echoes when `tx == rx`), each extra tag the same way, then the
-/// clutter through [`Reflector::echoes`].
+/// The echo sources of one pass, resolved once: the echo context with
+/// its range-independent radar-equation terms ([`EchoLink`]), every
+/// tag's radar-independent rows ([`ResolvedTag`]) and the clutter.
+/// Both frame loops export it per frame, in the order the echoes have
+/// always accumulated: the tag (its rows, then its board echoes when
+/// `tx == rx`), each extra tag the same way, then the clutter through
+/// [`ClutterObject::for_each_echo`].
 pub(crate) struct EchoScene {
-    ctx: EchoContext,
+    link: EchoLink,
     tags: Vec<ResolvedTag>,
     clutter: Vec<ClutterObject>,
 }
@@ -695,7 +696,7 @@ impl EchoScene {
         let ctx = drive.context();
         let freq_hz = ctx.budget.freq_hz;
         EchoScene {
-            ctx,
+            link: EchoLink::new(ctx),
             tags: std::iter::once(&drive.tag)
                 .chain(&drive.extra_tags)
                 .map(|t| t.resolved_at(freq_hz))
@@ -714,12 +715,10 @@ impl EchoScene {
         mut each: impl FnMut(SceneEcho),
     ) {
         for tag in &self.tags {
-            tag.echoes(radar_pos, tx, rx, &self.ctx, &mut each);
+            tag.echoes(radar_pos, tx, rx, &self.link, &mut each);
         }
         for c in &self.clutter {
-            for e in c.echoes(radar_pos, tx, rx, &self.ctx) {
-                each(e);
-            }
+            c.for_each_echo(radar_pos, tx, rx, &self.link, &mut each);
         }
     }
 

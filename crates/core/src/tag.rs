@@ -16,7 +16,7 @@ use ros_cache::GeomCache;
 use ros_em::jones::Polarization;
 use ros_em::units::cast::{self, AsF64};
 use ros_em::{Complex64, Vec3};
-use ros_scene::reflector::{EchoContext, Reflector, SceneEcho};
+use ros_scene::reflector::{EchoContext, EchoLink, Reflector, SceneEcho};
 use std::sync::Arc;
 
 /// One mounted PSVAA stack of a tag.
@@ -428,14 +428,14 @@ impl ResolvedTag {
         radar_pos: Vec3,
         tx: Polarization,
         rx: Polarization,
-        ctx: &EchoContext,
+        link: &EchoLink,
         each: &mut impl FnMut(SceneEcho),
     ) {
         let az = boresight_azimuth(self.mount, self.yaw, radar_pos);
         self.rows_at(radar_pos, az, tx, rx, &mut |pos, f| {
             each(SceneEcho {
                 pos,
-                amp: ctx.echo_amplitude_at(f, radar_pos, pos),
+                amp: link.echo_amplitude_at(f, radar_pos, pos),
             });
         });
         if tx != rx || az.cos() <= 0.0 {
@@ -447,7 +447,7 @@ impl ResolvedTag {
             let f = Complex64::from_polar(self.board_amp * g, phase);
             each(SceneEcho {
                 pos,
-                amp: ctx.echo_amplitude_at(f, radar_pos, pos),
+                amp: link.echo_amplitude_at(f, radar_pos, pos),
             });
         }
     }
@@ -462,8 +462,13 @@ impl Reflector for Tag {
         ctx: &EchoContext,
     ) -> Vec<SceneEcho> {
         let mut echoes = Vec::new();
-        self.resolved_at(ctx.budget.freq_hz)
-            .echoes(radar_pos, tx, rx, ctx, &mut |e| echoes.push(e));
+        self.resolved_at(ctx.budget.freq_hz).echoes(
+            radar_pos,
+            tx,
+            rx,
+            &EchoLink::new(*ctx),
+            &mut |e| echoes.push(e),
+        );
         echoes
     }
 

@@ -32,13 +32,35 @@ use crate::units::{Db, DbAmplitude, DbPower, Dbm, Hertz, Meters};
 /// * `rcs_dbsm` — target radar cross-section, dB relative to 1 m²
 /// * `d` — one-way radar-to-target distance
 pub fn received_power(pt: Dbm, gt: Db, gr: Db, freq: Hertz, rcs_dbsm: Db, d: Meters) -> Dbm {
+    received_power_head(pt, gt, gr, freq, rcs_dbsm) - spreading_loss(d)
+}
+
+/// The range-independent head of [`received_power`]'s left fold,
+/// `pt + gt + gr + λ² + σ − (4π)³`: everything before `− d⁴`. A caller
+/// that evaluates many ranges against one link computes it once and
+/// subtracts [`spreading_loss_db`] per range, which is bit-identical to
+/// the whole fold because the fold's order is unchanged.
+fn received_power_head(pt: Dbm, gt: Db, gr: Db, freq: Hertz, rcs_dbsm: Db) -> Dbm {
     let lambda = freq.wavelength();
-    // λ² and d⁴ are amplitude-like lengths entering as even powers:
-    // λ² is 20·log₁₀(λ) on the dB scale, d⁴ is 40·log₁₀(d).
+    // λ² is an amplitude-like length entering as an even power:
+    // 20·log₁₀(λ) on the dB scale.
     let lambda_sq = DbAmplitude::from_ratio(lambda.value()).as_power();
-    let d4 = 2.0 * DbAmplitude::from_ratio(d.value()).as_power();
     let four_pi_cubed = 3.0 * DbPower::from_ratio(4.0 * std::f64::consts::PI);
-    pt + gt + gr + lambda_sq + rcs_dbsm - four_pi_cubed - d4
+    pt + gt + gr + lambda_sq + rcs_dbsm - four_pi_cubed
+}
+
+/// The radar equation's two-way spreading term `d⁴`, 40·log₁₀(d) on
+/// the dB scale (twice the amplitude-like 20·log₁₀(d)).
+fn spreading_loss(d: Meters) -> Db {
+    2.0 * DbAmplitude::from_ratio(d.value()).as_power()
+}
+
+/// Raw-`f64` form of the `d⁴` spreading term (metres in, dB out):
+/// `RadarLinkBudget::received_power_dbm(σ, d)` equals
+/// [`RadarLinkBudget::received_power_head_dbm`]`(σ) − spreading_loss_db(d)`
+/// bit for bit.
+pub fn spreading_loss_db(d_m: f64) -> f64 {
+    spreading_loss(Meters::new(d_m)).value()
 }
 
 /// Raw-`f64` form of [`received_power`] (all dB-family values on the
@@ -179,6 +201,22 @@ impl RadarLinkBudget {
     pub fn received_power_dbm(&self, rcs_dbsm: f64, d_m: f64) -> f64 {
         self.received_power(Db::new(rcs_dbsm), Meters::new(d_m))
             .value()
+    }
+
+    /// The range-independent head of [`Self::received_power_dbm`] for
+    /// a target of RCS `rcs_dbsm` \[dBm\]: subtracting
+    /// [`spreading_loss_db`]`(d)` gives `received_power_dbm(rcs_dbsm, d)`
+    /// bit for bit, so a caller that evaluates many ranges against one
+    /// budget pays for the head's two `log₁₀` once.
+    pub fn received_power_head_dbm(&self, rcs_dbsm: f64) -> f64 {
+        received_power_head(
+            self.eirp(),
+            Db::ZERO,
+            self.total_rx_gain(),
+            self.freq(),
+            Db::new(rcs_dbsm),
+        )
+        .value()
     }
 
     /// Margin of the received power over the noise floor, i.e. the

@@ -229,10 +229,35 @@ where
 /// shared state), never on scratch *contents* left by other items;
 /// scratch is working memory, not a carrier of results.
 ///
-/// At most `min(threads(), scratches.len(), items.len())` workers run;
-/// with one worker the call degenerates to a plain serial loop over
-/// `scratches[0]` with no thread machinery and no allocation at all,
-/// which is what the steady-state allocation-budget tests pin.
+/// The one-item case of [`par_for_each_chunk_mut`], whose worker split,
+/// serial fast path and panics it shares.
+pub fn par_for_each_mut<S, T, F>(scratches: &mut [S], items: &mut [T], f: F)
+where
+    S: Send,
+    T: Send,
+    F: Fn(&mut S, usize, &mut T) + Sync,
+{
+    par_for_each_chunk_mut(scratches, items, 1, |scratch, start, chunk| {
+        for (j, item) in chunk.iter_mut().enumerate() {
+            f(scratch, start + j, item);
+        }
+    });
+}
+
+/// [`par_for_each_mut`] over consecutive chunks of `chunk` items (the
+/// last may be shorter; a `chunk` of 0 counts as 1): `f(&mut
+/// scratches[w], start, &mut items[start..start + len])` for every
+/// chunk, and a worker always takes whole chunks. Lets a kernel that
+/// processes several items together (the IF tone loop packs two frames
+/// into one vector register) see the same chunk boundaries at any
+/// thread count, so its results cannot depend on the split.
+///
+/// At most `min(threads(), scratches.len(), number of chunks)` workers
+/// run, each on a contiguous run of chunks; with one worker the call
+/// degenerates to a plain serial loop over `scratches[0]` with no
+/// thread machinery and no allocation at all, which is what the
+/// steady-state allocation-budget tests pin. The multi-worker branch
+/// collects no handles either.
 ///
 /// # Panics
 /// Panics if `scratches` is empty while `items` is not, and propagates
@@ -241,11 +266,11 @@ where
     clippy::disallowed_methods,
     reason = "ros-exec is the workspace's one spawn boundary"
 )]
-pub fn par_for_each_mut<S, T, F>(scratches: &mut [S], items: &mut [T], f: F)
+pub fn par_for_each_chunk_mut<S, T, F>(scratches: &mut [S], items: &mut [T], chunk: usize, f: F)
 where
     S: Send,
     T: Send,
-    F: Fn(&mut S, usize, &mut T) + Sync,
+    F: Fn(&mut S, usize, &mut [T]) + Sync,
 {
     let n = items.len();
     if n == 0 {
@@ -255,39 +280,39 @@ where
         !scratches.is_empty(),
         "par_for_each_mut needs at least one scratch arena"
     );
-    let workers = threads().max(1).min(scratches.len()).min(n);
+    let chunk = chunk.max(1);
+    let n_chunks = n.div_ceil(chunk);
+    let workers = threads().max(1).min(scratches.len()).min(n_chunks);
+    let run = |scratch: &mut S, base: usize, part: &mut [T]| {
+        for (c, items) in part.chunks_mut(chunk).enumerate() {
+            f(scratch, base + c * chunk, items);
+        }
+    };
     if workers <= 1 {
         // Serial fast path: no thread setup, identical evaluation order.
-        let scratch = &mut scratches[0];
-        for (i, item) in items.iter_mut().enumerate() {
-            f(scratch, i, item);
-        }
+        run(&mut scratches[0], 0, items);
         return;
     }
-    let chunk_len = n.div_ceil(workers);
+    let per_worker = n_chunks.div_ceil(workers) * chunk;
     std::thread::scope(|scope| {
         // Walk both slices with split_at_mut so each spawned worker
-        // owns a disjoint (scratch, chunk) pair. No handle vector is
-        // collected: the scope joins every worker on exit and re-raises
-        // the first panic, so the spawn loop itself stays
+        // owns a disjoint (scratch, run of chunks) pair. No handle
+        // vector is collected: the scope joins every worker on exit and
+        // re-raises the first panic, so the spawn loop itself stays
         // allocation-free (thread spawning is the OS's business).
         let mut rest_items: &mut [T] = items;
         let mut rest_scratch: &mut [S] = scratches;
         let mut start = 0usize;
         while !rest_items.is_empty() {
-            let take = chunk_len.min(rest_items.len());
-            let (chunk, items_tail) = rest_items.split_at_mut(take);
+            let take = per_worker.min(rest_items.len());
+            let (part, items_tail) = rest_items.split_at_mut(take);
             rest_items = items_tail;
             let (scratch, scratch_tail) = rest_scratch.split_at_mut(1);
             rest_scratch = scratch_tail;
             let scratch = &mut scratch[0];
             let base = start;
-            let f = &f;
-            scope.spawn(inherit(move || {
-                for (j, item) in chunk.iter_mut().enumerate() {
-                    f(scratch, base + j, item);
-                }
-            }));
+            let run = &run;
+            scope.spawn(inherit(move || run(scratch, base, part)));
             start += take;
         }
     });
@@ -529,6 +554,45 @@ mod tests {
         });
         let expect: Vec<u64> = (0..100).map(|i| 2 * i).collect();
         assert_eq!(items, expect);
+    }
+
+    #[test]
+    fn for_each_chunk_mut_hands_out_whole_chunks() {
+        // Every chunk starts on a multiple of `chunk`, is full except
+        // possibly the last, and reaches `f` exactly once, whatever
+        // the worker count.
+        for t in [1usize, 2, 3, 8] {
+            let _pin = ThreadGuard::pin(Some(t));
+            for chunk in [0usize, 1, 2, 3, 5] {
+                let step = chunk.max(1);
+                for n in [1usize, 2, 7, 20] {
+                    let mut items = vec![(usize::MAX, 0usize); n];
+                    let mut scratches = vec![0usize; t];
+                    par_for_each_chunk_mut(
+                        &mut scratches,
+                        &mut items,
+                        chunk,
+                        |calls, start, part| {
+                            *calls += 1;
+                            assert_eq!(start % step, 0, "t={t} chunk={chunk} n={n}");
+                            assert_eq!(
+                                part.len(),
+                                step.min(n - start),
+                                "t={t} chunk={chunk} n={n}"
+                            );
+                            for (j, item) in part.iter_mut().enumerate() {
+                                assert_eq!(item.0, usize::MAX, "item visited twice");
+                                *item = (start, j);
+                            }
+                        },
+                    );
+                    let expect: Vec<(usize, usize)> =
+                        (0..n).map(|i| (i - i % step, i % step)).collect();
+                    assert_eq!(items, expect, "t={t} chunk={chunk} n={n}");
+                    assert_eq!(scratches.iter().sum::<usize>(), n.div_ceil(step));
+                }
+            }
+        }
     }
 
     #[test]

@@ -93,6 +93,8 @@ pub const ALL: &[(&str, Kind)] = &[
     ("time.reader.run_full", Kind::Histogram),
     ("time.reader.gather_echoes", Kind::Histogram),
     ("time.radar.capture_batch", Kind::Histogram),
+    ("time.radar.capture_noise", Kind::Histogram),
+    ("time.radar.capture_synth", Kind::Histogram),
     ("time.reader.detect", Kind::Histogram),
     ("time.dsp.dbscan", Kind::Histogram),
     ("time.detector.score", Kind::Histogram),
@@ -206,6 +208,8 @@ mod ids {
     pub const TIME_READER_RUN_FULL: Hist = hist("time.reader.run_full");
     pub const TIME_READER_GATHER_ECHOES: Hist = hist("time.reader.gather_echoes");
     pub const TIME_RADAR_CAPTURE_BATCH: Hist = hist("time.radar.capture_batch");
+    pub const TIME_RADAR_CAPTURE_NOISE: Hist = hist("time.radar.capture_noise");
+    pub const TIME_RADAR_CAPTURE_SYNTH: Hist = hist("time.radar.capture_synth");
     pub const TIME_READER_DETECT: Hist = hist("time.reader.detect");
     pub const TIME_DSP_DBSCAN: Hist = hist("time.dsp.dbscan");
     pub const TIME_DETECTOR_SCORE: Hist = hist("time.detector.score");

@@ -119,22 +119,25 @@ pub(crate) fn synthesize_signal(
     Frame { data, pose }
 }
 
-/// Echoes whose phasor chains one lane-group pass advances together.
-/// Each chain's rotate waits on its previous step, so one chain per
-/// pass leaves the core idle for the multiply latency; four
+/// Echo slots whose phasor chains one lane-group pass advances
+/// together. Each chain's rotate waits on its previous step, so one
+/// chain per pass leaves the core idle for the multiply latency; four
 /// independent chains fill that wait while their phasors and rotations
 /// still fit in registers. Chosen by measurement on rosbench
 /// `full_pass` (2-vCPU x86-64): at two SSE2 lanes (12 s runs), groups
 /// of 2, 3 and 6 gave `op_ms_p50` 90–98, 82–85 and 81–82 ms against
 /// 80–83 ms for 4; at four AVX lanes (two 10 s runs each), groups of
 /// 2, 3, 6 and 8 gave 59.7–61.7, 55.6–58.3, 57.9–59.7 and 54.7–55.0 ms
-/// against 54.8–55.3 ms for 4. Eight is no faster, so the smaller
-/// register set stays at both widths.
+/// against 54.8–55.3 ms for 4; at eight AVX-512 lanes (five 10 s runs
+/// each), groups of 2 and 8 gave medians of 53.9 and 48.2 ms against
+/// 48.2 ms for 4 (run-to-run spread about 47–54 ms for all three).
+/// Eight is no faster at any width even with 32 zmm registers, so the
+/// smaller register set stays at every width.
 const SYNTH_GROUP: usize = 4;
 
-/// Antenna lanes one pass advances side by side where the host has no
-/// AVX (and on every non-x86 target). Two lanes of `f64` fill one
-/// 128-bit SSE2 register, so each step of the literal `Complex64::mul`
+/// Lanes one pass advances side by side where the host has no AVX
+/// (and on every non-x86 target). Two lanes of `f64` fill one 128-bit
+/// SSE2 register, so each step of the literal `Complex64::mul`
 /// expansion runs as packed `mulpd`/`addpd`/`subpd` on portable
 /// arrays. Chosen by measurement on the same host and 12 s runs with
 /// SSE2 code only: with groups of 4, one lane gave 94–99 ms and four
@@ -142,22 +145,59 @@ const SYNTH_GROUP: usize = 4;
 /// two.
 const SYNTH_LANES: usize = 2;
 
-/// Antenna lanes per pass under the `avx` target feature: four lanes
-/// of `f64` fill one 256-bit register, one lane per antenna of the TI
-/// radar ([`RadarArray::ti_default`]). In the same 10 s runs on the
-/// same AVX host, the two-lane kernel forced on read 75.8–77.8 ms
-/// against 54.8–55.3 ms for four lanes.
+/// Lanes per pass under the `avx` target feature: four lanes of `f64`
+/// fill one 256-bit register, one frame of the TI radar
+/// ([`RadarArray::ti_default`], four antennas). In the same 10 s runs
+/// on the same AVX host, the two-lane kernel forced on read
+/// 75.8–77.8 ms against 54.8–55.3 ms for four lanes.
 #[cfg(target_arch = "x86_64")]
 const SYNTH_LANES_AVX: usize = 4;
 
-/// Reusable scratch for [`synthesize_signal_into`]: the lane-group
-/// interleaved split-complex accumulator planes
-/// (`acc_re[(p·n + j)·L + l]` holds sample `j` of antenna `k = p·L + l`
-/// at lane width `L`) plus every live echo's per-sample rotation and
-/// its start phasors (`starts[e·k_pad + k]`, `k_pad` = `k_rx` rounded
-/// up to whole lane groups of the width the call runs at, padded lanes
-/// zero). One scratch per worker keeps the batch path allocation-free
-/// after warm-up; both widths lay it out afresh on every call.
+/// Lanes per pass under the `avx512f` target feature: eight lanes of
+/// `f64` fill one 512-bit register, two frames of the TI radar side by
+/// side. On an AVX-512 host (10 s runs of rosbench `full_pass`), the
+/// four-lane kernel forced on read 51.7–57.0 ms against 47.0–53.4 ms
+/// for eight lanes.
+#[cfg(target_arch = "x86_64")]
+const SYNTH_LANES_AVX512: usize = 8;
+
+/// Frames one lane group of width `lanes` holds: as many whole frames
+/// of `k_rx` antennas as fit, and at least one (a frame wider than the
+/// register spans several lane groups).
+fn frames_per_group(lanes: usize, k_rx: usize) -> usize {
+    (lanes / k_rx.max(1)).max(1)
+}
+
+/// The number of consecutive frames [`synthesize_signal_into`] packs
+/// into one lane group on this host for `k_rx` antennas. A batch that
+/// hands each worker whole runs of this many frames gives every frame
+/// the same partner at any thread count (the bits do not depend on the
+/// partner either; see [`synthesize_lanes`]).
+pub(crate) fn synth_group_frames(k_rx: usize) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return frames_per_group(SYNTH_LANES_AVX512, k_rx);
+        }
+        if std::arch::is_x86_feature_detected!("avx") {
+            return frames_per_group(SYNTH_LANES_AVX, k_rx);
+        }
+    }
+    frames_per_group(SYNTH_LANES, k_rx)
+}
+
+/// Reusable scratch for [`synthesize_signal_into`], laid out afresh
+/// for each frame group at the lane width the call runs at. A group of
+/// `F` frames occupies lanes `q = f·k_rx + k` (frame `f`, antenna
+/// `k`), `k_pad` = `F·k_rx` rounded up to whole lane groups of width
+/// `L`. The split-complex accumulator planes are lane-group
+/// interleaved (`acc_re[(p·n + j)·L + l]` holds sample `j` of lane
+/// `q = p·L + l`). Echo slot `e` holds, per lane, the `e`-th live echo
+/// of that lane's frame: its per-sample rotation `rots[e·k_pad + q]`
+/// and start phasor `starts[e·k_pad + q]`. A frame with fewer live
+/// echoes than the group's most, and every padded lane, gets a unit
+/// rotation and a zero start phasor in the slots it lacks. One scratch
+/// per worker keeps the batch path allocation-free after warm-up.
 #[derive(Clone, Debug, Default)]
 pub struct SynthScratch {
     acc_re: Vec<f64>,
@@ -166,30 +206,56 @@ pub struct SynthScratch {
     starts: Vec<Complex64>,
 }
 
-/// Scratch-buffer twin of [`synthesize_signal`]: writes the identical
-/// noiseless frame into `frame`, reusing `scratch` between calls.
+/// Scratch-buffer twin of [`synthesize_signal`] for a run of frames:
+/// writes the identical noiseless frame for each job into the frame of
+/// the same index in `frames` (the two slices are the same length),
+/// reusing `scratch` between calls.
 ///
-/// Runs [`synthesize_lanes`] four lanes wide inside an `avx`
-/// target-feature function when the host has AVX (detected at run
-/// time), two lanes wide otherwise. Both widths are the same source
-/// and give the same bits.
+/// Runs [`synthesize_lanes`] eight lanes wide inside an `avx512f`
+/// target-feature function when the host has AVX-512, four lanes wide
+/// inside an `avx` one when it has AVX (both detected at run time), and
+/// two lanes wide otherwise. All widths are the same source and give
+/// the same bits.
 pub(crate) fn synthesize_signal_into(
     chirp: &ChirpConfig,
     array: &RadarArray,
-    pose: Pose,
-    echoes: &[Echo],
+    jobs: &[(Pose, Vec<Echo>)],
     scratch: &mut SynthScratch,
-    frame: &mut Frame,
+    frames: &mut [Frame],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: `synthesize_avx` needs only the `avx` target feature,
-        // and the `is_x86_feature_detected!("avx")` check above has just
-        // confirmed that this host supports it.
-        unsafe { synthesize_avx(chirp, array, pose, echoes, scratch, frame) };
-        return;
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `synthesize_avx512` needs only the `avx512f`
+            // target feature, and the `is_x86_feature_detected!("avx512f")`
+            // check above has just confirmed that this host supports it.
+            unsafe { synthesize_avx512(chirp, array, jobs, scratch, frames) };
+            return;
+        }
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: `synthesize_avx` needs only the `avx` target
+            // feature, and the `is_x86_feature_detected!("avx")` check
+            // above has just confirmed that this host supports it.
+            unsafe { synthesize_avx(chirp, array, jobs, scratch, frames) };
+            return;
+        }
     }
-    synthesize_lanes::<SYNTH_LANES>(chirp, array, pose, echoes, scratch, frame);
+    synthesize_lanes::<SYNTH_LANES>(chirp, array, jobs, scratch, frames);
+}
+
+/// [`synthesize_lanes`] at [`SYNTH_LANES_AVX512`], compiled with the
+/// `avx512f` target feature so each lane-group step is one 512-bit
+/// operation. Only `avx512f`, for the reason [`synthesize_avx`] gives.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn synthesize_avx512(
+    chirp: &ChirpConfig,
+    array: &RadarArray,
+    jobs: &[(Pose, Vec<Echo>)],
+    scratch: &mut SynthScratch,
+    frames: &mut [Frame],
+) {
+    synthesize_lanes::<SYNTH_LANES_AVX512>(chirp, array, jobs, scratch, frames);
 }
 
 /// [`synthesize_lanes`] at [`SYNTH_LANES_AVX`], compiled with the
@@ -204,62 +270,88 @@ pub(crate) fn synthesize_signal_into(
 fn synthesize_avx(
     chirp: &ChirpConfig,
     array: &RadarArray,
-    pose: Pose,
-    echoes: &[Echo],
+    jobs: &[(Pose, Vec<Echo>)],
     scratch: &mut SynthScratch,
-    frame: &mut Frame,
+    frames: &mut [Frame],
 ) {
-    synthesize_lanes::<SYNTH_LANES_AVX>(chirp, array, pose, echoes, scratch, frame);
+    synthesize_lanes::<SYNTH_LANES_AVX>(chirp, array, jobs, scratch, frames);
 }
 
-/// The IF tone kernel at lane width `L`.
+/// The IF tone kernel at lane width `L`, over consecutive groups of
+/// `F = max(1, L / k_rx)` frames.
 ///
-/// A precompute pass applies the reference's skips in the same order
-/// and collects each live echo's rotation and start phasors. Then, per
-/// group of `L` antenna lanes, groups of [`SYNTH_GROUP`] echoes walk
-/// the samples together with their phasors held in locals, so the
-/// independent rotate chains overlap and each step covers all `L`
-/// lanes in one packed operation; a scalar-echo pass takes the last
-/// `m mod G`. A `k_rx` that is not a multiple of `L` leaves padded
-/// lanes that start from zero phasors and are never copied out.
+/// Per group, a precompute pass applies the reference's skips in the
+/// same order, frame by frame, and gives each live echo the next echo
+/// slot of its frame's lanes: one rotation and `k_rx` start phasors
+/// (the [`SynthScratch`] layout). Then, per lane group of `L` lanes,
+/// runs of [`SYNTH_GROUP`] slots walk the samples together with their
+/// phasors held in locals, so the independent rotate chains overlap
+/// and each step covers all `L` lanes, whichever frames they belong
+/// to, in one packed operation; a one-slot pass takes the last
+/// `m mod G` slots. Today's four-antenna frame fills one AVX register
+/// (`F = 1`) and two frames fill one AVX-512 register (`F = 2`).
 ///
-/// Bit-identity with the reference holds at every `L` because every
-/// accumulator cell still receives its echoes' phasors one add at a
-/// time in the original echo order, starting from zero, and every
-/// phasor step is the literal expansion of `Complex64::mul`,
-/// `(pr·cr − pi·ci, pr·ci + pi·cr)`, with no fused multiply-add. Only
-/// the loop nest and the lane packing change, never the per-element
-/// operation sequence. Always inlined, so the `avx` instantiation is
-/// compiled with its caller's target feature.
+/// Bit-identity with the reference holds at every `L` and for every
+/// pairing of frames. Every accumulator cell receives its own frame's
+/// live echoes one add at a time in the original echo order, starting
+/// from `+0`, and every phasor step is the literal expansion of
+/// `Complex64::mul`, `(pr·cr − pi·ci, pr·ci + pi·cr)`, with no fused
+/// multiply-add. The slots a lane's frame lacks (and padded lanes)
+/// hold a `+0` start phasor under a unit rotation, which stays `+0` at
+/// every step (`0·1 − 0·0 = +0`, `0·0 + 0·1 = +0`), so they only ever
+/// add `+0`. A round-to-nearest sum is `−0` only when both addends are
+/// `−0`, so a cell that starts at `+0` and only gains sums never holds
+/// `−0`, and adding `+0` to it is a bitwise no-op. Hence a frame's
+/// samples do not depend on which frame shares its lane group, nor on
+/// how many slots the group runs. Only the loop nest and the lane
+/// packing change, never a cell's operation sequence. Always inlined,
+/// so each target-feature instantiation is compiled with its caller's
+/// feature.
 #[inline(always)]
 fn synthesize_lanes<const L: usize>(
     chirp: &ChirpConfig,
     array: &RadarArray,
-    pose: Pose,
-    echoes: &[Echo],
+    jobs: &[(Pose, Vec<Echo>)],
     scratch: &mut SynthScratch,
-    frame: &mut Frame,
+    frames: &mut [Frame],
+) {
+    let per_group = frames_per_group(L, array.n_rx);
+    for (group, out) in jobs.chunks(per_group).zip(frames.chunks_mut(per_group)) {
+        synthesize_group::<L>(chirp, array, group, scratch, out);
+    }
+}
+
+/// One frame group of [`synthesize_lanes`].
+#[inline(always)]
+fn synthesize_group<const L: usize>(
+    chirp: &ChirpConfig,
+    array: &RadarArray,
+    jobs: &[(Pose, Vec<Echo>)],
+    scratch: &mut SynthScratch,
+    frames: &mut [Frame],
 ) {
     let n = chirp.n_samples;
     let k_rx = array.n_rx;
-    let k_pad = k_rx.div_ceil(L) * L;
+    let k_pad = (jobs.len() * k_rx).div_ceil(L) * L;
     let lambda = chirp.wavelength_m();
 
-    frame.pose = pose;
-    frame.data.truncate(k_rx);
-    while frame.data.len() < k_rx {
-        frame.data.push(Vec::default());
-    }
-    for row in frame.data.iter_mut() {
-        // Length fix-up only: every element is overwritten by the
-        // final copy out of the accumulator planes, so a warm row of
-        // the right length needs no zero-fill pass.
-        if row.len() != n {
-            row.clear();
-            row.resize(n, Complex64::ZERO);
+    for ((pose, _), frame) in jobs.iter().zip(frames.iter_mut()) {
+        frame.pose = *pose;
+        frame.data.truncate(k_rx);
+        while frame.data.len() < k_rx {
+            frame.data.push(Vec::default());
+        }
+        for row in frame.data.iter_mut() {
+            // Length fix-up only: every element is overwritten by the
+            // final copy out of the accumulator planes, so a warm row
+            // of the right length needs no zero-fill pass.
+            if row.len() != n {
+                row.clear();
+                row.resize(n, Complex64::ZERO);
+            }
         }
     }
-    if n == 0 {
+    if n == 0 || k_pad == 0 {
         // Nothing to synthesize, and the planes below are chunked by a
         // width that must not be zero.
         return;
@@ -273,34 +365,42 @@ fn synthesize_lanes<const L: usize>(
     } = scratch;
     rots.clear();
     starts.clear();
-    for echo in echoes {
-        if echo.amp == Complex64::ZERO {
-            continue;
+    for (f, (pose, echoes)) in jobs.iter().enumerate() {
+        let mut slot = f * k_rx;
+        for echo in echoes {
+            if echo.amp == Complex64::ZERO {
+                continue;
+            }
+            let range = pose.range_to(echo.pos);
+            let az = pose.azimuth_to(echo.pos);
+            let g = radar_pattern(az);
+            // Gain is non-negative, so `<=` keeps the exact-zero skip
+            // behavior while avoiding an exact float comparison.
+            if g <= 0.0 {
+                continue;
+            }
+            // Two-way radar antenna pattern.
+            let amp = echo.amp * (g * g);
+            let f_beat = chirp.beat_frequency_hz(range);
+            let w = std::f64::consts::TAU * f_beat / chirp.sample_rate_hz;
+            if slot >= rots.len() {
+                // A new echo slot: every lane starts as padding.
+                rots.resize(rots.len() + k_pad, Complex64::ONE);
+                starts.resize(starts.len() + k_pad, Complex64::ZERO);
+            }
+            rots[slot..slot + k_rx].fill(Complex64::cis(w));
+            for (k, s) in starts[slot..slot + k_rx].iter_mut().enumerate() {
+                *s = amp * Complex64::cis(array.steering_phase(k, az, lambda));
+            }
+            slot += k_pad;
         }
-        let range = pose.range_to(echo.pos);
-        let az = pose.azimuth_to(echo.pos);
-        let g = radar_pattern(az);
-        // Gain is non-negative, so `<=` keeps the exact-zero skip
-        // behavior while avoiding an exact float comparison.
-        if g <= 0.0 {
-            continue;
-        }
-        // Two-way radar antenna pattern.
-        let amp = echo.amp * (g * g);
-        let f_beat = chirp.beat_frequency_hz(range);
-        let w = std::f64::consts::TAU * f_beat / chirp.sample_rate_hz;
-        rots.push(Complex64::cis(w));
-        for k in 0..k_rx {
-            starts.push(amp * Complex64::cis(array.steering_phase(k, az, lambda)));
-        }
-        starts.resize(starts.len() + k_pad - k_rx, Complex64::ZERO);
     }
 
     acc_re.clear();
     acc_re.resize(k_pad * n, 0.0);
     acc_im.clear();
     acc_im.resize(k_pad * n, 0.0);
-    let m = rots.len();
+    let m = rots.len() / k_pad;
     let grouped = m - m % SYNTH_GROUP;
     let planes = acc_re
         .chunks_exact_mut(L * n)
@@ -309,42 +409,37 @@ fn synthesize_lanes<const L: usize>(
         let (plane_re, _) = plane_re.as_chunks_mut::<L>();
         let (plane_im, _) = plane_im.as_chunks_mut::<L>();
         let k0 = p * L;
-        let groups = rots
-            .chunks_exact(SYNTH_GROUP)
+        let runs = rots
+            .chunks_exact(SYNTH_GROUP * k_pad)
             .zip(starts.chunks_exact(SYNTH_GROUP * k_pad));
-        for (r, s) in groups {
+        for (r, s) in runs {
             add_tones::<SYNTH_GROUP, L>(r, s, k0, plane_re, plane_im);
         }
         for e in grouped..m {
-            add_tones::<1, L>(
-                &rots[e..=e],
-                &starts[e * k_pad..(e + 1) * k_pad],
-                k0,
-                plane_re,
-                plane_im,
-            );
+            let slot = e * k_pad..(e + 1) * k_pad;
+            add_tones::<1, L>(&rots[slot.clone()], &starts[slot], k0, plane_re, plane_im);
         }
     }
 
-    // A short last row group leaves the padded lanes behind.
-    let planes = acc_re.chunks_exact(L * n).zip(acc_im.chunks_exact(L * n));
-    for (rows, (plane_re, plane_im)) in frame.data.chunks_mut(L).zip(planes) {
-        let (plane_re, _) = plane_re.as_chunks::<L>();
-        let (plane_im, _) = plane_im.as_chunks::<L>();
-        for (l, row) in rows.iter_mut().enumerate() {
-            for (s, (re, im)) in row.iter_mut().zip(plane_re.iter().zip(plane_im)) {
-                *s = Complex64::new(re[l], im[l]);
-            }
+    // Padded lanes are never copied out.
+    let rows = frames.iter_mut().flat_map(|frame| frame.data.iter_mut());
+    for (q, row) in rows.enumerate() {
+        let plane = (q / L) * L * n..(q / L + 1) * L * n;
+        let (plane_re, _) = acc_re[plane.clone()].as_chunks::<L>();
+        let (plane_im, _) = acc_im[plane].as_chunks::<L>();
+        let l = q % L;
+        for (s, (re, im)) in row.iter_mut().zip(plane_re.iter().zip(plane_im)) {
+            *s = Complex64::new(re[l], im[l]);
         }
     }
 }
 
-/// Adds `G` echoes' tones onto one lane group. `rots` holds the `G`
-/// rotations and `starts` their start phasors echo-major (`k_pad` per
-/// echo); lane `l` of the group takes `starts[g·k_pad + k0 + l]`. Per
-/// sample, each lane's cell gains the `G` current phasors in echo
-/// order, then each phasor takes one `Complex64::mul` step by its
-/// rotation; the lanes share the rotation and run side by side.
+/// Adds `G` echo slots' tones onto one lane group. `rots` and `starts`
+/// hold the `G` slots' rotations and start phasors slot-major (`k_pad`
+/// lanes per slot); lane `l` of the group takes entry `g·k_pad + k0 + l`
+/// of each. Per sample, each lane's cell gains the `G` current phasors
+/// in slot order, then each phasor takes one `Complex64::mul` step by
+/// its own lane's rotation.
 #[inline(always)]
 fn add_tones<const G: usize, const L: usize>(
     rots: &[Complex64],
@@ -354,11 +449,13 @@ fn add_tones<const G: usize, const L: usize>(
     plane_im: &mut [[f64; L]],
 ) {
     let k_pad = starts.len() / G;
-    let start = |g: usize, l: usize| starts[g * k_pad + k0 + l];
-    let mut pr: [[f64; L]; G] = std::array::from_fn(|g| std::array::from_fn(|l| start(g, l).re));
-    let mut pi: [[f64; L]; G] = std::array::from_fn(|g| std::array::from_fn(|l| start(g, l).im));
-    let cr: [f64; G] = std::array::from_fn(|g| rots[g].re);
-    let ci: [f64; G] = std::array::from_fn(|g| rots[g].im);
+    let lane = |v: &[Complex64], g: usize, l: usize| v[g * k_pad + k0 + l];
+    let mut pr: [[f64; L]; G] =
+        std::array::from_fn(|g| std::array::from_fn(|l| lane(starts, g, l).re));
+    let mut pi: [[f64; L]; G] =
+        std::array::from_fn(|g| std::array::from_fn(|l| lane(starts, g, l).im));
+    let cr: [[f64; L]; G] = std::array::from_fn(|g| std::array::from_fn(|l| lane(rots, g, l).re));
+    let ci: [[f64; L]; G] = std::array::from_fn(|g| std::array::from_fn(|l| lane(rots, g, l).im));
     for (sr, si) in plane_re.iter_mut().zip(plane_im.iter_mut()) {
         let (mut ar, mut ai) = (*sr, *si);
         for g in 0..G {
@@ -366,8 +463,8 @@ fn add_tones<const G: usize, const L: usize>(
                 ar[l] += pr[g][l];
                 ai[l] += pi[g][l];
                 let (a, b) = (pr[g][l], pi[g][l]);
-                pr[g][l] = a * cr[g] - b * ci[g];
-                pi[g][l] = a * ci[g] + b * cr[g];
+                pr[g][l] = a * cr[g][l] - b * ci[g][l];
+                pi[g][l] = a * ci[g][l] + b * cr[g][l];
             }
         }
         *sr = ar;
@@ -375,33 +472,13 @@ fn add_tones<const G: usize, const L: usize>(
     }
 }
 
-/// Unit-variance complex Gaussian draws for one frame's thermal noise:
-/// `out[k][n]` pairs with sample `n` of antenna `k`. Draws consume the
-/// RNG in exactly the order [`synthesize_frame`] does (antenna-major,
-/// sample-major, one [`gaussian_pair`] per sample giving re then im),
-/// so pre-drawing packets for a batch and applying them later is
-/// bit-identical to the serial capture loop.
-pub(crate) fn draw_noise<R: Rng>(
-    n_rx: usize,
-    n_samples: usize,
-    rng: &mut R,
-) -> Vec<Vec<Complex64>> {
-    (0..n_rx)
-        .map(|_| {
-            (0..n_samples)
-                .map(|_| {
-                    let (re, im) = gaussian_pair(rng);
-                    Complex64::new(re, im)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Fills a pre-sized slice with unit-variance complex Gaussian draws in
-/// the [`draw_noise`] order (element-major, one pair per sample). Lets
-/// a batch interleave per-frame noise and phase-walk draws into flat
-/// segments of one reusable buffer.
+/// Fills a pre-sized slice with unit-variance complex Gaussian draws,
+/// element-major, one [`gaussian_pair`] per sample giving re then im:
+/// for one frame, `out[k·n_samples + j]` pairs with sample `j` of
+/// antenna `k`. [`synthesize_frame`] draws one frame this way, and a
+/// batch interleaves per-frame noise and phase-walk draws into flat
+/// segments of one reusable buffer in the same RNG order, so pre-drawn
+/// packets applied later are bit-identical to the serial capture loop.
 pub(crate) fn fill_noise<R: Rng>(rng: &mut R, out: &mut [Complex64]) {
     for g in out.iter_mut() {
         let (re, im) = gaussian_pair(rng);
@@ -409,23 +486,13 @@ pub(crate) fn fill_noise<R: Rng>(rng: &mut R, out: &mut [Complex64]) {
     }
 }
 
-/// [`add_noise`] for a flat antenna-major noise buffer laid out
-/// `noise[k·n_samples + j]` (see [`fill_noise`]). Deterministic; safe
-/// on worker threads.
+/// Adds pre-drawn unit-variance noise from a flat antenna-major buffer
+/// laid out `noise[k·n_samples + j]` (see [`fill_noise`]), scaled by
+/// `sigma`, onto a frame. Deterministic; safe on worker threads.
 pub(crate) fn add_noise_from_slice(frame: &mut Frame, noise: &[Complex64], sigma: f64) {
     let n = frame.n_samples();
     for (k, ant) in frame.data.iter_mut().enumerate() {
         let nz = &noise[k * n..(k + 1) * n];
-        for (s, g) in ant.iter_mut().zip(nz) {
-            *s += Complex64::new(g.re * sigma, g.im * sigma);
-        }
-    }
-}
-
-/// Adds pre-drawn unit-variance noise (from [`draw_noise`]), scaled by
-/// `sigma`, onto a frame. Deterministic; safe on worker threads.
-pub(crate) fn add_noise(frame: &mut Frame, noise: &[Vec<Complex64>], sigma: f64) {
-    for (ant, nz) in frame.data.iter_mut().zip(noise) {
         for (s, g) in ant.iter_mut().zip(nz) {
             *s += Complex64::new(g.re * sigma, g.im * sigma);
         }
@@ -445,8 +512,9 @@ pub fn synthesize_frame<R: Rng>(
     rng: &mut R,
 ) -> Frame {
     let mut frame = synthesize_signal(chirp, array, pose, echoes);
-    let noise = draw_noise(array.n_rx, chirp.n_samples, rng);
-    add_noise(
+    let mut noise = vec![Complex64::ZERO; array.n_rx * chirp.n_samples];
+    fill_noise(rng, &mut noise);
+    add_noise_from_slice(
         &mut frame,
         &noise,
         per_sample_noise_sigma(budget, chirp, array),
@@ -615,46 +683,115 @@ mod tests {
 
     /// A noiseless-synthesis entry with [`synthesize_signal_into`]'s
     /// signature.
-    type SynthInto = fn(&ChirpConfig, &RadarArray, Pose, &[Echo], &mut SynthScratch, &mut Frame);
+    type SynthInto =
+        fn(&ChirpConfig, &RadarArray, &[(Pose, Vec<Echo>)], &mut SynthScratch, &mut [Frame]);
 
-    /// The generic kernel at both widths, whatever this host runs, and
+    /// The generic kernel at every width, whatever this host runs, and
     /// the dispatched entry: each must match [`synthesize_signal`].
-    const KERNELS: [(&str, SynthInto); 3] = [
+    const KERNELS: [(&str, SynthInto); 4] = [
         ("L = 2", synthesize_lanes::<2>),
         ("L = 4", synthesize_lanes::<4>),
+        ("L = 8", synthesize_lanes::<8>),
         ("dispatched", synthesize_signal_into),
     ];
+
+    /// Every sample of a run of frames as the bit patterns of its parts.
+    fn frame_bits(frames: &[Frame]) -> Vec<u64> {
+        frames
+            .iter()
+            .flat_map(|f| f.data.iter().flatten())
+            .flat_map(|s| [s.re.to_bits(), s.im.to_bits()])
+            .collect()
+    }
+
+    /// Runs every kernel over `jobs` twice through one scratch (reuse
+    /// must not change bits) into dirty, wrongly shaped frames, and
+    /// checks each frame against the per-echo reference.
+    fn check_batch(c: &ChirpConfig, a: &RadarArray, jobs: &[(Pose, Vec<Echo>)], what: &str) {
+        let direct: Vec<Frame> = jobs
+            .iter()
+            .map(|(pose, echoes)| synthesize_signal(c, a, *pose, echoes))
+            .collect();
+        for (name, synth) in KERNELS {
+            let mut scratch = SynthScratch::default();
+            let dirty = Frame {
+                data: vec![vec![Complex64::new(9.0, 9.0); 3]; 7],
+                pose: Pose::side_looking(Vec3::ZERO),
+            };
+            let mut frames = vec![dirty; jobs.len()];
+            for _ in 0..2 {
+                synth(c, a, jobs, &mut scratch, &mut frames);
+                for (d, f) in direct.iter().zip(&frames) {
+                    assert_eq!(f.n_rx(), d.n_rx(), "{name}, {what}");
+                    assert_eq!(f.n_samples(), d.n_samples(), "{name}, {what}");
+                }
+                assert!(
+                    frame_bits(&frames) == frame_bits(&direct),
+                    "{name}, {what}: bits differ"
+                );
+            }
+        }
+    }
 
     #[test]
     fn signal_into_bit_identical_to_direct() {
         let (ti, a, _) = setup();
-        let pose = Pose::side_looking(Vec3::new(0.2, -0.1, 0.0));
-        let echoes = [
-            Echo::new(Vec3::new(0.5, 3.0, 0.0), Complex64::from_polar(2e-3, 0.4)),
-            Echo::new(Vec3::new(-1.0, 4.0, 0.0), Complex64::from_polar(7e-4, -1.1)),
-            Echo::new(Vec3::new(0.0, -2.0, 0.0), Complex64::from_polar(1e-3, 0.0)), // behind
-            Echo::new(Vec3::new(1.0, 1.0, 0.0), Complex64::ZERO),                   // skipped
+        let echo = |x: f64, y: f64, amp: f64, phase: f64| {
+            Echo::new(Vec3::new(x, y, 0.0), Complex64::from_polar(amp, phase))
+        };
+        let behind = echo(0.0, -2.0, 1e-3, 0.0);
+        let skipped = Echo::new(Vec3::new(1.0, 1.0, 0.0), Complex64::ZERO);
+        // Nine live echoes (two full slot runs and one left over) among
+        // a behind-the-array and a zero-amplitude one.
+        let mut full: Vec<Echo> = (0..9)
+            .map(|i| {
+                let t = f64::from(i);
+                echo(
+                    -1.2 + 0.3 * t,
+                    2.0 + 0.4 * t,
+                    2e-3 / (1.0 + t),
+                    0.7 * t - 2.0,
+                )
+            })
+            .collect();
+        full.insert(3, behind);
+        full.insert(6, skipped);
+        let frames: [Vec<Echo>; 5] = [
+            full,
+            vec![skipped, behind, skipped], // all dead
+            vec![behind, echo(0.5, 3.0, 2e-3, 0.4)],
+            Vec::new(),
+            vec![
+                echo(-1.0, 4.0, 7e-4, -1.1),
+                skipped,
+                echo(0.3, 1.5, 1e-3, 2.9),
+            ],
+        ];
+        let pose = |i: usize| Pose::side_looking(Vec3::new(0.2 + 0.05 * i as f64, -0.1, 0.0));
+        let batch = |order: &[usize]| -> Vec<(Pose, Vec<Echo>)> {
+            order
+                .iter()
+                .map(|&i| (pose(i), frames[i].clone()))
+                .collect()
+        };
+        // Batches of 1, 2, 3 and 5 frames whose live counts differ: a
+        // full frame alone, paired with an all-dead one in both orders,
+        // and runs that leave a lone trailing frame.
+        let orders: [&[usize]; 6] = [
+            &[0],
+            &[0, 1],
+            &[1, 0],
+            &[1, 2, 0],
+            &[3, 4, 2],
+            &[0, 1, 2, 3, 4],
         ];
         // The TI chirp, and one with no samples at all.
         for c in [ti, ChirpConfig { n_samples: 0, ..ti }] {
-            let direct = synthesize_signal(&c, &a, pose, &echoes);
-            for (name, synth) in KERNELS {
-                let mut scratch = SynthScratch::default();
-                let mut frame = Frame {
-                    data: vec![vec![Complex64::new(9.0, 9.0); 3]; 7], // wrong shape, dirty
-                    pose: Pose::side_looking(Vec3::ZERO),
-                };
-                // Twice through the same scratch: reuse must not change bits.
-                for _ in 0..2 {
-                    synth(&c, &a, pose, &echoes, &mut scratch, &mut frame);
-                    assert_eq!(frame.n_rx(), direct.n_rx(), "{name}");
-                    assert_eq!(frame.n_samples(), direct.n_samples(), "{name}");
-                    for (da, fa) in direct.data.iter().zip(&frame.data) {
-                        for (d, f) in da.iter().zip(fa) {
-                            assert_eq!(d.re.to_bits(), f.re.to_bits(), "{name}");
-                            assert_eq!(d.im.to_bits(), f.im.to_bits(), "{name}");
-                        }
-                    }
+            for n_rx in [1, 2, 3, 4, 5, 8] {
+                let a = RadarArray { n_rx, ..a };
+                for order in orders {
+                    let what = format!("n = {}, n_rx = {n_rx}, frames {order:?}", c.n_samples);
+                    check_batch(&c, &a, &batch(order), &what);
                 }
             }
         }
@@ -663,93 +800,73 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
-        /// The grouped kernel at two and four lanes, and the dispatched
-        /// entry, against the per-echo reference, bit for bit: echo
-        /// counts from none through three full groups plus a remainder,
-        /// with zero-amplitude (kind 0) and behind-the-array (kind 1)
-        /// echoes at random positions, and antenna counts that leave
-        /// padded lanes (1, 3, 5 at either width; 2 at four lanes) or
-        /// fill one or more lane groups (2, 4, 8). Each path reuses one
-        /// scratch while the counts shrink and grow (the call list,
-        /// then the same list reversed).
+        /// The grouped kernel at two, four and eight lanes, and the
+        /// dispatched entry, against the per-echo reference, bit for
+        /// bit: batches of one to five frames, each with its own pose
+        /// and echo count from none through three full slot runs plus a
+        /// remainder, with zero-amplitude (kind 0) and behind-the-array
+        /// (kind 1) echoes at random positions, so frames that share a
+        /// lane group differ in live count. Antenna counts leave padded
+        /// lanes (1, 3, 5; 2 at four lanes and up), fill lane groups
+        /// with several frames each (1, 2, 4 at eight lanes) or span
+        /// several lane groups (8). Each path reuses one scratch while
+        /// the counts shrink and grow (the call list, then the same
+        /// list reversed).
         #[test]
         fn grouped_signal_into_bit_identical_to_direct(
             calls in proptest::prop::collection::vec(
                 (
                     0usize..6,
                     proptest::prop::collection::vec(
-                        (0u8..6, -2.0f64..2.0, 0.3f64..6.0, -3.2f64..3.2),
-                        0..=3 * SYNTH_GROUP + 1,
+                        (
+                            -0.5f64..0.5,
+                            proptest::prop::collection::vec(
+                                (0u8..6, -2.0f64..2.0, 0.3f64..6.0, -3.2f64..3.2),
+                                0..=3 * SYNTH_GROUP + 1,
+                            ),
+                        ),
+                        1..=5,
                     ),
                 ),
                 2..5,
             )
         ) {
             let (c, ti, _) = setup();
-            let pose = Pose::side_looking(Vec3::new(0.1, -0.2, 0.0));
-            let bits = |f: &Frame| -> Vec<u64> {
-                f.data.iter().flatten().flat_map(|s| [s.re.to_bits(), s.im.to_bits()]).collect()
-            };
             for (name, synth) in KERNELS {
                 let mut scratch = SynthScratch::default();
-                let mut frame = Frame { data: Vec::new(), pose };
-                for (rx, spec) in calls.iter().chain(calls.iter().rev()) {
+                let mut frames = Vec::new();
+                for (rx, batch) in calls.iter().chain(calls.iter().rev()) {
                     let a = RadarArray { n_rx: [1, 2, 3, 4, 5, 8][*rx], ..ti };
-                    let echoes: Vec<Echo> = spec
+                    let jobs: Vec<(Pose, Vec<Echo>)> = batch
                         .iter()
-                        .map(|&(kind, x, y, phase)| match kind {
-                            0 => Echo::new(Vec3::new(x, y, 0.0), Complex64::ZERO),
-                            1 => Echo::new(Vec3::new(x, -y, 0.0), Complex64::from_polar(1e-3, phase)),
-                            _ => Echo::new(Vec3::new(x, y, 0.0), Complex64::from_polar(1e-3 / y, phase)),
+                        .map(|(dx, spec)| {
+                            let pose = Pose::side_looking(Vec3::new(*dx, -0.2, 0.0));
+                            let echoes = spec
+                                .iter()
+                                .map(|&(kind, x, y, phase)| match kind {
+                                    0 => Echo::new(Vec3::new(x, y, 0.0), Complex64::ZERO),
+                                    1 => Echo::new(Vec3::new(x, -y, 0.0), Complex64::from_polar(1e-3, phase)),
+                                    _ => Echo::new(Vec3::new(x, y, 0.0), Complex64::from_polar(1e-3 / y, phase)),
+                                })
+                                .collect();
+                            (pose, echoes)
                         })
                         .collect();
-                    let direct = synthesize_signal(&c, &a, pose, &echoes);
-                    synth(&c, &a, pose, &echoes, &mut scratch, &mut frame);
+                    let direct: Vec<Frame> = jobs
+                        .iter()
+                        .map(|(pose, echoes)| synthesize_signal(&c, &a, *pose, echoes))
+                        .collect();
+                    frames.resize(jobs.len(), Frame { data: Vec::new(), pose: jobs[0].0 });
+                    synth(&c, &a, &jobs, &mut scratch, &mut frames);
                     proptest::prop_assert!(
-                        frame.n_rx() == a.n_rx && frame.n_samples() == direct.n_samples(),
+                        frames.iter().all(|f| f.n_rx() == a.n_rx && f.n_samples() == c.n_samples),
                         "{name}: frame shape"
                     );
-                    proptest::prop_assert!(bits(&frame) == bits(&direct), "{name}: bits differ");
+                    proptest::prop_assert!(
+                        frame_bits(&frames) == frame_bits(&direct),
+                        "{name}: bits differ"
+                    );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn noise_into_matches_nested_draws() {
-        let (n_rx, n_samples) = (4usize, 64usize);
-        let nested = draw_noise(n_rx, n_samples, &mut StdRng::seed_from_u64(42));
-        let mut flat = vec![Complex64::new(1.0, 1.0); 5]; // dirty, wrong length
-        flat.clear();
-        flat.resize(n_rx * n_samples, Complex64::ZERO);
-        fill_noise(&mut StdRng::seed_from_u64(42), &mut flat);
-        assert_eq!(flat.len(), n_rx * n_samples);
-        for k in 0..n_rx {
-            for j in 0..n_samples {
-                let a = nested[k][j];
-                let b = flat[k * n_samples + j];
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
-        }
-
-        // Applying the flat buffer matches applying the nested one.
-        let (c, a, _) = setup();
-        let pose = Pose::side_looking(Vec3::ZERO);
-        let echo = Echo::new(Vec3::new(0.0, 3.0, 0.0), Complex64::from_polar(1e-3, 0.2));
-        let mut f1 = synthesize_signal(&c, &a, pose, &[echo]);
-        let mut f2 = f1.clone();
-        let nested = draw_noise(f1.n_rx(), f1.n_samples(), &mut StdRng::seed_from_u64(7));
-        let mut flat = Vec::new();
-        flat.clear();
-        flat.resize(f2.n_rx() * f2.n_samples(), Complex64::ZERO);
-        fill_noise(&mut StdRng::seed_from_u64(7), &mut flat);
-        add_noise(&mut f1, &nested, 0.31);
-        add_noise_from_slice(&mut f2, &flat, 0.31);
-        for (da, fa) in f1.data.iter().zip(&f2.data) {
-            for (d, s) in da.iter().zip(fa) {
-                assert_eq!(d.re.to_bits(), s.re.to_bits());
-                assert_eq!(d.im.to_bits(), s.im.to_bits());
             }
         }
     }

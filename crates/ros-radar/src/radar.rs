@@ -108,11 +108,14 @@ impl FmcwRadar {
     ///
     /// The RNG is consumed serially up front — per frame, the thermal
     /// noise draws then the impairment phase walk, exactly the order
-    /// the serial loop uses — into flat segments of the scratch arena.
-    /// The deterministic synthesis then fans out over
-    /// [`ros_exec::par_for_each_mut`] with one [`SynthScratch`] per
-    /// worker, so output frames (and every intermediate) depend only on
-    /// the job order, never on thread scheduling.
+    /// the serial loop uses — into flat segments of the scratch arena
+    /// (span `radar.capture_noise`). The deterministic synthesis then
+    /// fans out over [`ros_exec::par_for_each_chunk_mut`] with one
+    /// [`SynthScratch`] per worker (span `radar.capture_synth`); each
+    /// worker takes whole runs of the frames the IF tone kernel packs
+    /// into one lane group. Output frames (and every intermediate)
+    /// depend only on the job order, never on thread scheduling. The
+    /// two spans open once per batch, not per frame.
     fn capture_batch_into<R: Rng>(
         &self,
         jobs: &[(Pose, Vec<Echo>)],
@@ -140,18 +143,22 @@ impl FmcwRadar {
             walks,
             synth,
         } = scratch;
-        noise.clear();
-        noise.resize(n_jobs * k_rx * n, Complex64::ZERO);
-        walks.clear();
-        walks.resize(if clean { 0 } else { n_jobs * n }, 0.0);
-        for i in 0..n_jobs {
-            crate::frontend::fill_noise(rng, &mut noise[i * k_rx * n..(i + 1) * k_rx * n]);
-            if !clean {
-                self.impairments
-                    .fill_walk(rng, &mut walks[i * n..(i + 1) * n]);
+        {
+            let _noise = ros_obs::span(names::TIME_RADAR_CAPTURE_NOISE);
+            noise.clear();
+            noise.resize(n_jobs * k_rx * n, Complex64::ZERO);
+            walks.clear();
+            walks.resize(if clean { 0 } else { n_jobs * n }, 0.0);
+            for i in 0..n_jobs {
+                crate::frontend::fill_noise(rng, &mut noise[i * k_rx * n..(i + 1) * k_rx * n]);
+                if !clean {
+                    self.impairments
+                        .fill_walk(rng, &mut walks[i * n..(i + 1) * n]);
+                }
             }
         }
 
+        let _synth = ros_obs::span(names::TIME_RADAR_CAPTURE_SYNTH);
         let want = ros_exec::threads().max(1);
         synth.truncate(want);
         while synth.len() < want {
@@ -161,27 +168,28 @@ impl FmcwRadar {
         let sigma = crate::frontend::per_sample_noise_sigma(&self.budget, &self.chirp, &self.array);
         let noise = &*noise;
         let walks = &*walks;
-        ros_exec::par_for_each_mut(synth, out, |synth_scratch, i, frame| {
-            let (pose, echoes) = &jobs[i];
+        let group = crate::frontend::synth_group_frames(k_rx);
+        ros_exec::par_for_each_chunk_mut(synth, out, group, |synth_scratch, i0, frames| {
             crate::frontend::synthesize_signal_into(
                 &self.chirp,
                 &self.array,
-                *pose,
-                echoes,
+                &jobs[i0..i0 + frames.len()],
                 synth_scratch,
-                frame,
+                frames,
             );
-            crate::frontend::add_noise_from_slice(
-                frame,
-                &noise[i * k_rx * n..(i + 1) * k_rx * n],
-                sigma,
-            );
-            let walk = if clean {
-                &[][..]
-            } else {
-                &walks[i * n..(i + 1) * n]
-            };
-            self.impairments.apply_with_walk(frame, walk);
+            for (i, frame) in (i0..).zip(frames.iter_mut()) {
+                crate::frontend::add_noise_from_slice(
+                    frame,
+                    &noise[i * k_rx * n..(i + 1) * k_rx * n],
+                    sigma,
+                );
+                let walk = if clean {
+                    &[][..]
+                } else {
+                    &walks[i * n..(i + 1) * n]
+                };
+                self.impairments.apply_with_walk(frame, walk);
+            }
         });
     }
 

@@ -6,7 +6,7 @@
 //! paper's Fig. 13 measurements: background objects reject 16–19 dB of
 //! cross-polarized energy and span class-dependent point-cloud sizes.
 
-use crate::reflector::{EchoContext, Reflector, SceneEcho};
+use crate::reflector::{EchoContext, EchoLink, Reflector, SceneEcho};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ros_em::jones::{JonesMatrix, Polarization};
@@ -176,6 +176,32 @@ impl ClutterObject {
     pub fn class(&self) -> ObjectClass {
         self.class
     }
+
+    /// Calls `each` for every scatterer's echo for a radar at
+    /// `radar_pos`, in scatterer order, with `link`'s per-pass terms
+    /// (what [`Reflector::echoes`] collects, without the `Vec`).
+    pub fn for_each_echo(
+        &self,
+        radar_pos: Vec3,
+        tx: Polarization,
+        rx: Polarization,
+        link: &EchoLink,
+        mut each: impl FnMut(SceneEcho),
+    ) {
+        // Split the total RCS across the scatterers (power split).
+        let sigma_total = ros_em::db::db_to_pow(self.class.rcs_dbsm());
+        let per_point_amp = (sigma_total / self.offsets.len().as_f64()).sqrt();
+        let chan = self.jones.channel(tx, rx);
+
+        for (off, &phi) in self.offsets.iter().zip(&self.phases) {
+            let pos = self.center + *off;
+            let f = chan * Complex64::from_polar(per_point_amp, phi);
+            each(SceneEcho {
+                pos,
+                amp: link.echo_amplitude_at(f, radar_pos, pos),
+            });
+        }
+    }
 }
 
 impl Reflector for ClutterObject {
@@ -186,23 +212,9 @@ impl Reflector for ClutterObject {
         rx: Polarization,
         ctx: &EchoContext,
     ) -> Vec<SceneEcho> {
-        // Split the total RCS across the scatterers (power split).
-        let sigma_total = ros_em::db::db_to_pow(self.class.rcs_dbsm());
-        let per_point_amp = (sigma_total / self.offsets.len().as_f64()).sqrt();
-        let chan = self.jones.channel(tx, rx);
-
-        self.offsets
-            .iter()
-            .zip(&self.phases)
-            .map(|(off, &phi)| {
-                let pos = self.center + *off;
-                let f = chan * Complex64::from_polar(per_point_amp, phi);
-                SceneEcho {
-                    pos,
-                    amp: ctx.echo_amplitude_at(f, radar_pos, pos),
-                }
-            })
-            .collect()
+        let mut echoes = Vec::with_capacity(self.offsets.len());
+        self.for_each_echo(radar_pos, tx, rx, &EchoLink::new(*ctx), |e| echoes.push(e));
+        echoes
     }
 
     fn center(&self) -> Vec3 {

@@ -73,33 +73,96 @@ impl EchoContext {
         radar_pos: Vec3,
         scatterer_pos: Vec3,
     ) -> Complex64 {
-        let d_direct = radar_pos.distance(scatterer_pos);
-        let direct = self.echo_amplitude(f, d_direct);
-        match self.ground_coeff {
-            None => direct,
-            Some(gamma) => {
-                // Image of the scatterer below the road plane (z = 0).
-                let image = Vec3::new(scatterer_pos.x, scatterer_pos.y, -scatterer_pos.z);
-                let d_bounce = radar_pos.distance(image);
-                // One-way direct + one-way bounced, both directions:
-                // two cross terms of amplitude γ and one double-bounce
-                // of γ². Each uses the mean path for the spreading loss.
-                let cross_path = (d_direct + d_bounce) / 2.0;
-                let cross = self.echo_amplitude(f, cross_path)
-                    * Complex64::from_polar(
-                        gamma.abs(),
-                        if gamma < 0.0 {
-                            std::f64::consts::PI
-                        } else {
-                            0.0
-                        },
-                    )
-                    * phase_for_extra_path(d_bounce - d_direct, self.budget.freq_hz);
-                let double = self.echo_amplitude(f, d_bounce)
-                    * Complex64::real(gamma * gamma)
-                    * phase_for_extra_path(2.0 * (d_bounce - d_direct), self.budget.freq_hz);
-                direct + cross * 2.0 + double
-            }
+        two_ray(self, f, radar_pos, scatterer_pos, |f, d| {
+            self.echo_amplitude(f, d)
+        })
+    }
+}
+
+/// An [`EchoContext`] with its range-independent terms evaluated once:
+/// the radar equation's head at σ = 1 m² (everything before `− d⁴`,
+/// which costs two `log₁₀`) and the carrier wavelength. A pass builds
+/// one and reuses it for every echo, so each echo pays for its own
+/// `d⁴` and fog loss alone. Its amplitudes equal
+/// [`EchoContext::echo_amplitude_at`]'s bit for bit: the radar
+/// equation's left fold keeps its order, split where the range enters.
+#[derive(Clone, Copy, Debug)]
+pub struct EchoLink {
+    ctx: EchoContext,
+    unit_head_dbm: f64,
+    lambda_m: f64,
+}
+
+impl EchoLink {
+    /// Evaluates `ctx`'s range-independent terms.
+    pub fn new(ctx: EchoContext) -> Self {
+        EchoLink {
+            ctx,
+            unit_head_dbm: ctx.budget.received_power_head_dbm(0.0),
+            lambda_m: ros_em::constants::wavelength(ctx.budget.freq_hz),
+        }
+    }
+
+    /// [`EchoContext::echo_amplitude`] with the hoisted terms.
+    fn echo_amplitude(&self, f: Complex64, d_m: f64) -> Complex64 {
+        if d_m <= 0.0 {
+            return Complex64::ZERO;
+        }
+        let p_unit_dbm = self.unit_head_dbm - ros_em::radar_eq::spreading_loss_db(d_m);
+        let fog_db = fog_round_trip_db(self.ctx.fog, d_m);
+        let scale = ros_em::db::db_to_lin(p_unit_dbm - fog_db);
+        let phase = -2.0 * std::f64::consts::TAU * d_m / self.lambda_m; // −4πd/λ
+        f * Complex64::from_polar(scale, phase)
+    }
+
+    /// [`EchoContext::echo_amplitude_at`] with the hoisted terms.
+    pub fn echo_amplitude_at(
+        &self,
+        f: Complex64,
+        radar_pos: Vec3,
+        scatterer_pos: Vec3,
+    ) -> Complex64 {
+        two_ray(&self.ctx, f, radar_pos, scatterer_pos, |f, d| {
+            self.echo_amplitude(f, d)
+        })
+    }
+}
+
+/// The two-ray composition behind both `echo_amplitude_at` forms, with
+/// `one_way(f, d)` the round-trip amplitude over mean path `d`.
+fn two_ray(
+    ctx: &EchoContext,
+    f: Complex64,
+    radar_pos: Vec3,
+    scatterer_pos: Vec3,
+    one_way: impl Fn(Complex64, f64) -> Complex64,
+) -> Complex64 {
+    let d_direct = radar_pos.distance(scatterer_pos);
+    let direct = one_way(f, d_direct);
+    match ctx.ground_coeff {
+        None => direct,
+        Some(gamma) => {
+            // Image of the scatterer below the road plane (z = 0).
+            let image = Vec3::new(scatterer_pos.x, scatterer_pos.y, -scatterer_pos.z);
+            let d_bounce = radar_pos.distance(image);
+            // One-way direct + one-way bounced, both directions:
+            // two cross terms of amplitude γ and one double-bounce
+            // of γ². Each uses the mean path for the spreading loss.
+            let cross_path = (d_direct + d_bounce) / 2.0;
+            let cross = one_way(f, cross_path)
+                * Complex64::from_polar(
+                    gamma.abs(),
+                    if gamma < 0.0 {
+                        std::f64::consts::PI
+                    } else {
+                        0.0
+                    },
+                )
+                * phase_for_extra_path(d_bounce - d_direct, ctx.budget.freq_hz);
+            let double = one_way(f, d_bounce)
+                * Complex64::real(gamma * gamma)
+                * phase_for_extra_path(2.0 * (d_bounce - d_direct), ctx.budget.freq_hz);
+            direct + cross * 2.0 + double
         }
     }
 }
@@ -194,6 +257,38 @@ mod tests {
         let via_at = ctx.echo_amplitude_at(Complex64::ONE, radar, target);
         let direct = ctx.echo_amplitude(Complex64::ONE, radar.distance(target));
         assert!((via_at - direct).abs() < 1e-15);
+    }
+
+    #[test]
+    fn echo_link_matches_context_bit_for_bit() {
+        // Distances from the zero guard through sub-metre, the unit
+        // range and far field, every fog level, ground bounce off and
+        // on: the hoisted amplitude must equal the per-echo one.
+        let radar = Vec3::new(0.1, -0.2, 0.7);
+        let f = Complex64::from_polar(0.3, 1.1);
+        for fog in FogLevel::ALL {
+            for ground in [None, Some(-0.6), Some(0.4)] {
+                let ctx = EchoContext {
+                    fog,
+                    ground_coeff: ground,
+                    ..EchoContext::ti_clear()
+                };
+                let link = EchoLink::new(ctx);
+                for i in 0..400 {
+                    let t = f64::from(i);
+                    let target = Vec3::new(0.37 * t.sin(), 0.05 * t - 0.2, 0.02 * t);
+                    let want = ctx.echo_amplitude_at(f, radar, target);
+                    let got = link.echo_amplitude_at(f, radar, target);
+                    assert_eq!(
+                        (want.re.to_bits(), want.im.to_bits()),
+                        (got.re.to_bits(), got.im.to_bits()),
+                        "{fog:?}, ground {ground:?}, target {target:?}"
+                    );
+                }
+                let at_radar = link.echo_amplitude_at(f, radar, radar);
+                assert_eq!(at_radar, ctx.echo_amplitude_at(f, radar, radar));
+            }
+        }
     }
 
     #[test]

@@ -15,11 +15,14 @@
 //!
 //! * capture — `FmcwRadar::capture_batch_with` → `capture_batch_into`
 //!   (`frontend::fill_noise` / `gaussian_pair`,
-//!   `Impairments::fill_walk`, then per frame
-//!   `frontend::synthesize_signal_into`, `add_noise_from_slice` and
-//!   `Impairments::apply_with_walk`). The radar carries the
-//!   `Impairments::eval_board` profile so the impairment kernels run;
-//!   a clean front-end skips them.
+//!   `Impairments::fill_walk`, then per frame group
+//!   `frontend::synthesize_signal_into` and per frame
+//!   `add_noise_from_slice` and `Impairments::apply_with_walk`). The
+//!   radar carries the `Impairments::eval_board` profile so the
+//!   impairment kernels run; a clean front-end skips them. The five
+//!   capture jobs make two frame pairs and a lone trailing frame where
+//!   the IF tone kernel packs two frames per lane group (AVX-512), and
+//!   five single-frame groups elsewhere.
 //! * detect — `FmcwRadar::detect_with` → `processing::detect_points_core`
 //!   (`range_spectra_into` over `FftPlan::process_forward`,
 //!   `range_power_profile_into`, `cfar::ca_cfar_into`,
@@ -33,7 +36,7 @@
 //!
 //! Two steady-state paths stay outside the per-frame contract:
 //!
-//! * the multi-worker branch of `ros_exec::par_for_each_mut` spawns
+//! * the multi-worker branch of `ros_exec::par_for_each_chunk_mut` spawns
 //!   scoped threads, and spawning allocates. The budget runs pinned to
 //!   one worker, whose serial branch allocates nothing.
 //! * `ResolvedTag::export_rows` runs inside per-frame echo gathering,

@@ -30,6 +30,8 @@ const MATRIX_SEED: u64 = 0xfa17;
 /// `skeleton(&lines)` — see `run_traced()` below.
 const EXPECTED: &[&str] = &[
     "span:reader.gather_echoes",
+    "span:radar.capture_noise",
+    "span:radar.capture_synth",
     "span:radar.capture_batch",
     "span:reader.detect",
     "dbscan",
@@ -65,6 +67,8 @@ const EXPECTED: &[&str] = &[
     "metric:time.reader.run_full",
     "metric:time.reader.gather_echoes",
     "metric:time.radar.capture_batch",
+    "metric:time.radar.capture_noise",
+    "metric:time.radar.capture_synth",
     "metric:time.reader.detect",
     "metric:time.dsp.dbscan",
     "metric:time.detector.score",

@@ -38,6 +38,8 @@ const SEED: u64 = 90125;
 /// Regenerate by printing `skeleton(&run_traced(1))`.
 const EXPECTED: &[&str] = &[
     "span:reader.gather_echoes",
+    "span:radar.capture_noise",
+    "span:radar.capture_synth",
     "span:radar.capture_batch",
     "span:reader.detect",
     "dbscan",
@@ -68,6 +70,8 @@ const EXPECTED: &[&str] = &[
     "metric:time.reader.run_full",
     "metric:time.reader.gather_echoes",
     "metric:time.radar.capture_batch",
+    "metric:time.radar.capture_noise",
+    "metric:time.radar.capture_synth",
     "metric:time.reader.detect",
     "metric:time.dsp.dbscan",
     "metric:time.detector.score",

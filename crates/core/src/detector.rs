@@ -176,15 +176,19 @@ where
 }
 
 /// Picks the best tag candidate (smallest RSS loss among `is_tag`
-/// clusters), if any.
-pub fn pick_tag(clusters: &[ScoredCluster]) -> Option<&ScoredCluster> {
-    let best = clusters.iter().filter(|c| c.is_tag).min_by(|a, b| {
-        a.features
-            .rss_loss_db()
-            .total_cmp(&b.features.rss_loss_db())
-    });
+/// clusters), if any, and returns its index in `clusters`.
+pub fn pick_tag(clusters: &[ScoredCluster]) -> Option<usize> {
+    let best = clusters
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.is_tag)
+        .min_by(|(_, a), (_, b)| {
+            a.features
+                .rss_loss_db()
+                .total_cmp(&b.features.rss_loss_db())
+        });
     match best {
-        Some(c) => ros_obs::event(
+        Some((_, c)) => ros_obs::event(
             "detector.pick",
             &[
                 ("found", true.into()),
@@ -195,7 +199,7 @@ pub fn pick_tag(clusters: &[ScoredCluster]) -> Option<&ScoredCluster> {
         ),
         None => ros_obs::event("detector.pick", &[("found", false.into())]),
     }
-    best
+    best.map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -258,7 +262,7 @@ mod tests {
                 (-38.0, -52.0) // 14 dB loss but huge bbox → rejected
             }
         });
-        let tag = pick_tag(&clusters).expect("tag candidate");
+        let tag = &clusters[pick_tag(&clusters).expect("tag candidate")];
         assert!((tag.features.rss_loss_db() - 13.0).abs() < 1e-9);
         assert!(tag.features.size_m2 <= 0.05);
     }

@@ -570,12 +570,10 @@ impl DriveBy {
             (native, native - loss)
         });
 
-        let tag_center = pick_tag(&clusters).map(|c| {
-            Vec3::new(
-                c.features.center.x,
-                c.features.center.y,
-                self.radar_height_m,
-            )
+        let picked = pick_tag(&clusters);
+        let tag_center = picked.map(|i| {
+            let c = &clusters[i].features.center;
+            Vec3::new(c.x, c.y, self.radar_height_m)
         });
 
         // Decode by spotlighting the detected centre (fall back to the
@@ -607,14 +605,24 @@ impl DriveBy {
         .map(|()| dec.clone());
 
         // Decode every tag-classified cluster independently (multi-tag
-        // advertising boards, §5.3).
+        // advertising boards, §5.3). The picked cluster's trace and
+        // decode are the ones above, so it takes their result as is.
         let mut all_tags = Vec::new();
-        for c in clusters.iter().filter(|c| c.is_tag) {
+        for (i, c) in clusters.iter().enumerate().filter(|(_, c)| c.is_tag) {
             let center = Vec3::new(
                 c.features.center.x,
                 c.features.center.y,
                 self.radar_height_m,
             );
+            if Some(i) == picked {
+                if let Ok(decode) = &decode_result {
+                    all_tags.push(DecodedTag {
+                        center,
+                        decode: decode.clone(),
+                    });
+                }
+                continue;
+            }
             let trace: Vec<RssSample> = switched_frames
                 .iter()
                 .map(|(frame, pos_believed)| RssSample {
@@ -688,6 +696,9 @@ pub(crate) struct EchoScene {
     link: EchoLink,
     tags: Vec<ResolvedTag>,
     clutter: Vec<ClutterObject>,
+    /// The most echoes one radar position receives, plus one for an
+    /// interference burst: the capacity [`EchoScene::gather`] reserves.
+    pub(crate) max_echoes: usize,
 }
 
 impl EchoScene {
@@ -695,13 +706,22 @@ impl EchoScene {
     pub(crate) fn new(drive: &DriveBy) -> Self {
         let ctx = drive.context();
         let freq_hz = ctx.budget.freq_hz;
+        let tags: Vec<ResolvedTag> = std::iter::once(&drive.tag)
+            .chain(&drive.extra_tags)
+            .map(|t| t.resolved_at(freq_hz))
+            .collect();
+        let clutter = drive.clutter.clone();
+        let max_echoes = tags.iter().map(ResolvedTag::max_echoes).sum::<usize>()
+            + clutter
+                .iter()
+                .map(|c| c.class().n_scatterers())
+                .sum::<usize>()
+            + 1;
         EchoScene {
             link: EchoLink::new(ctx),
-            tags: std::iter::once(&drive.tag)
-                .chain(&drive.extra_tags)
-                .map(|t| t.resolved_at(freq_hz))
-                .collect(),
-            clutter: drive.clutter.clone(),
+            tags,
+            clutter,
+            max_echoes,
         }
     }
 
@@ -723,9 +743,10 @@ impl EchoScene {
     }
 
     /// Every echo for a radar at `radar_pos`, in scene order — one
-    /// IF-synthesis job's echo list.
+    /// IF-synthesis job's echo list. The list is sized once for the
+    /// scene's most echoes and a burst, so it never grows.
     fn gather(&self, radar_pos: Vec3, (tx, rx): (Polarization, Polarization)) -> Vec<Echo> {
-        let mut echoes = Vec::new();
+        let mut echoes = Vec::with_capacity(self.max_echoes);
         self.for_each(radar_pos, tx, rx, |e| echoes.push(Echo::new(e.pos, e.amp)));
         echoes
     }

@@ -372,6 +372,12 @@ pub(crate) struct ResolvedTag {
 }
 
 impl ResolvedTag {
+    /// The most echoes [`ResolvedTag::echoes`] emits for one radar
+    /// position: every row and every board scatter centre.
+    pub(crate) fn max_echoes(&self) -> usize {
+        self.rows.len() + self.board.len()
+    }
+
     /// Calls `each(world position, complex RCS amplitude √m²)` for
     /// every row, in row order, as seen from `radar_pos` with azimuth
     /// `az` from boresight. Behind the tag (zero retro-response) no
@@ -691,7 +697,8 @@ mod tests {
         /// positions (some behind the tags), tag yaw and column bow,
         /// co- or cross-polarization (board echoes only in co-pol), a
         /// cached or uncached tag, and a `ScenePreset` clutter set.
-        /// `Reflector::echoes` on each tag matches the oracle too.
+        /// `Reflector::echoes` on each tag matches the oracle too, and
+        /// the scene's echo bound leaves room for an interference burst.
         #[test]
         fn resolved_scene_matches_per_frame_reflectors(
             radars in proptest::prop::collection::vec(
@@ -742,6 +749,7 @@ mod tests {
                 let radar = Vec3::new(x, y, z);
                 let mut got = Vec::new();
                 scene.for_each(radar, tx, rx, |e| got.push(echo_bits(&e)));
+                proptest::prop_assert!(got.len() < scene.max_echoes);
                 let mut want = Vec::new();
                 for t in std::iter::once(&drive.tag).chain(&drive.extra_tags) {
                     let oracle: Vec<[u64; 5]> = per_frame_tag_echoes(t, radar, tx, rx, &ctx)

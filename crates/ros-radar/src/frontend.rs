@@ -75,10 +75,11 @@ pub(crate) fn per_sample_noise_sigma(
     (total / 2.0).sqrt()
 }
 
-/// Synthesizes the *deterministic* part of an IF frame: every echo's
-/// beat tone with steering phases and the radar's own antenna pattern,
-/// but **no thermal noise**. Pure function of its inputs — safe to run
-/// on worker threads ([`synthesize_frame`] layers the noise on top).
+/// The per-echo reference the IF kernel is checked against: every
+/// echo's beat tone with steering phases and the radar's own antenna
+/// pattern, but **no thermal noise**, one echo and one antenna at a
+/// time. [`synthesize_signal_into`] must match it bit for bit.
+#[cfg(test)]
 pub(crate) fn synthesize_signal(
     chirp: &ChirpConfig,
     array: &RadarArray,
@@ -186,6 +187,24 @@ pub(crate) fn synth_group_frames(k_rx: usize) -> usize {
     frames_per_group(SYNTH_LANES, k_rx)
 }
 
+/// Lays `out` out for `jobs`: one frame per job, with the job's pose
+/// and `k_rx` rows of `n` samples. Surplus frames are dropped. A warm
+/// row of the right length keeps its stale samples and costs nothing:
+/// the capture's noise draw overwrites every one of them.
+pub(crate) fn size_frames(jobs: &[(Pose, Vec<Echo>)], k_rx: usize, n: usize, out: &mut Vec<Frame>) {
+    out.resize_with(jobs.len(), || Frame {
+        data: Vec::new(),
+        pose: Pose::side_looking(ros_em::Vec3::ZERO),
+    });
+    for (frame, (pose, _)) in out.iter_mut().zip(jobs) {
+        frame.pose = *pose;
+        frame.data.resize_with(k_rx, Vec::new);
+        for row in &mut frame.data {
+            row.resize(n, Complex64::ZERO);
+        }
+    }
+}
+
 /// Reusable scratch for [`synthesize_signal_into`], laid out afresh
 /// for each frame group at the lane width the call runs at. A group of
 /// `F` frames occupies lanes `q = f·k_rx + k` (frame `f`, antenna
@@ -198,18 +217,23 @@ pub(crate) fn synth_group_frames(k_rx: usize) -> usize {
 /// echoes than the group's most, and every padded lane, gets a unit
 /// rotation and a zero start phasor in the slots it lacks. One scratch
 /// per worker keeps the batch path allocation-free after warm-up.
+/// `steer` holds the `k_rx` steering phasors of the last tag column the
+/// precompute evaluated (see [`synthesize_group`]).
 #[derive(Clone, Debug, Default)]
 pub struct SynthScratch {
     acc_re: Vec<f64>,
     acc_im: Vec<f64>,
     rots: Vec<Complex64>,
     starts: Vec<Complex64>,
+    steer: Vec<Complex64>,
 }
 
-/// Scratch-buffer twin of [`synthesize_signal`] for a run of frames:
-/// writes the identical noiseless frame for each job into the frame of
-/// the same index in `frames` (the two slices are the same length),
-/// reusing `scratch` between calls.
+/// The IF kernel for a run of frames: adds each job's noiseless signal
+/// (bit-identical to the per-echo reference) onto the frame of the same
+/// index in `frames` (the two slices are the same length), reusing
+/// `scratch` between calls. Each frame arrives laid out by
+/// [`size_frames`] with unit-variance noise in its rows, and every
+/// sample leaves as `signal + σ·noise`.
 ///
 /// Runs [`synthesize_lanes`] eight lanes wide inside an `avx512f`
 /// target-feature function when the host has AVX-512, four lanes wide
@@ -220,6 +244,7 @@ pub(crate) fn synthesize_signal_into(
     chirp: &ChirpConfig,
     array: &RadarArray,
     jobs: &[(Pose, Vec<Echo>)],
+    sigma: f64,
     scratch: &mut SynthScratch,
     frames: &mut [Frame],
 ) {
@@ -229,18 +254,18 @@ pub(crate) fn synthesize_signal_into(
             // SAFETY: `synthesize_avx512` needs only the `avx512f`
             // target feature, and the `is_x86_feature_detected!("avx512f")`
             // check above has just confirmed that this host supports it.
-            unsafe { synthesize_avx512(chirp, array, jobs, scratch, frames) };
+            unsafe { synthesize_avx512(chirp, array, jobs, sigma, scratch, frames) };
             return;
         }
         if std::arch::is_x86_feature_detected!("avx") {
             // SAFETY: `synthesize_avx` needs only the `avx` target
             // feature, and the `is_x86_feature_detected!("avx")` check
             // above has just confirmed that this host supports it.
-            unsafe { synthesize_avx(chirp, array, jobs, scratch, frames) };
+            unsafe { synthesize_avx(chirp, array, jobs, sigma, scratch, frames) };
             return;
         }
     }
-    synthesize_lanes::<SYNTH_LANES>(chirp, array, jobs, scratch, frames);
+    synthesize_lanes::<SYNTH_LANES>(chirp, array, jobs, sigma, scratch, frames);
 }
 
 /// [`synthesize_lanes`] at [`SYNTH_LANES_AVX512`], compiled with the
@@ -252,10 +277,11 @@ fn synthesize_avx512(
     chirp: &ChirpConfig,
     array: &RadarArray,
     jobs: &[(Pose, Vec<Echo>)],
+    sigma: f64,
     scratch: &mut SynthScratch,
     frames: &mut [Frame],
 ) {
-    synthesize_lanes::<SYNTH_LANES_AVX512>(chirp, array, jobs, scratch, frames);
+    synthesize_lanes::<SYNTH_LANES_AVX512>(chirp, array, jobs, sigma, scratch, frames);
 }
 
 /// [`synthesize_lanes`] at [`SYNTH_LANES_AVX`], compiled with the
@@ -271,10 +297,11 @@ fn synthesize_avx(
     chirp: &ChirpConfig,
     array: &RadarArray,
     jobs: &[(Pose, Vec<Echo>)],
+    sigma: f64,
     scratch: &mut SynthScratch,
     frames: &mut [Frame],
 ) {
-    synthesize_lanes::<SYNTH_LANES_AVX>(chirp, array, jobs, scratch, frames);
+    synthesize_lanes::<SYNTH_LANES_AVX>(chirp, array, jobs, sigma, scratch, frames);
 }
 
 /// The IF tone kernel at lane width `L`, over consecutive groups of
@@ -290,6 +317,18 @@ fn synthesize_avx(
 /// to, in one packed operation; a one-slot pass takes the last
 /// `m mod G` slots. Today's four-antenna frame fills one AVX register
 /// (`F = 1`) and two frames fill one AVX-512 register (`F = 2`).
+/// Finally each frame's noise rows become `signal + σ·noise`.
+///
+/// The precompute evaluates a tag column once. The rows of one stack
+/// share their world `x` and `y` bit for bit and differ only in `z`,
+/// and [`Pose::azimuth_to`] reads only `x`, `y` and the frame's pose, so
+/// they share the azimuth, the pattern gain and the `k_rx` steering
+/// phasors. Each frame keeps the last live echo's `(x, y)` bits with its
+/// gain and phasors; a live echo with the same bits reuses them, and
+/// any other echo evaluates them afresh. Range, beat rotation and
+/// `amp·(g·g)·phasor` stay per echo. Each reused value is the output of
+/// the same deterministic call on the same input bits, so this changes
+/// no bit.
 ///
 /// Bit-identity with the reference holds at every `L` and for every
 /// pairing of frames. Every accumulator cell receives its own frame's
@@ -312,12 +351,13 @@ fn synthesize_lanes<const L: usize>(
     chirp: &ChirpConfig,
     array: &RadarArray,
     jobs: &[(Pose, Vec<Echo>)],
+    sigma: f64,
     scratch: &mut SynthScratch,
     frames: &mut [Frame],
 ) {
     let per_group = frames_per_group(L, array.n_rx);
     for (group, out) in jobs.chunks(per_group).zip(frames.chunks_mut(per_group)) {
-        synthesize_group::<L>(chirp, array, group, scratch, out);
+        synthesize_group::<L>(chirp, array, group, sigma, scratch, out);
     }
 }
 
@@ -327,6 +367,7 @@ fn synthesize_group<const L: usize>(
     chirp: &ChirpConfig,
     array: &RadarArray,
     jobs: &[(Pose, Vec<Echo>)],
+    sigma: f64,
     scratch: &mut SynthScratch,
     frames: &mut [Frame],
 ) {
@@ -334,23 +375,6 @@ fn synthesize_group<const L: usize>(
     let k_rx = array.n_rx;
     let k_pad = (jobs.len() * k_rx).div_ceil(L) * L;
     let lambda = chirp.wavelength_m();
-
-    for ((pose, _), frame) in jobs.iter().zip(frames.iter_mut()) {
-        frame.pose = *pose;
-        frame.data.truncate(k_rx);
-        while frame.data.len() < k_rx {
-            frame.data.push(Vec::default());
-        }
-        for row in frame.data.iter_mut() {
-            // Length fix-up only: every element is overwritten by the
-            // final copy out of the accumulator planes, so a warm row
-            // of the right length needs no zero-fill pass.
-            if row.len() != n {
-                row.clear();
-                row.resize(n, Complex64::ZERO);
-            }
-        }
-    }
     if n == 0 || k_pad == 0 {
         // Nothing to synthesize, and the planes below are chunked by a
         // width that must not be zero.
@@ -362,23 +386,39 @@ fn synthesize_group<const L: usize>(
         acc_im,
         rots,
         starts,
+        steer,
     } = scratch;
     rots.clear();
     starts.clear();
+    steer.resize(k_rx, Complex64::ZERO);
     for (f, (pose, echoes)) in jobs.iter().enumerate() {
         let mut slot = f * k_rx;
+        // The last evaluated column: its `(x, y)` bits and pattern gain
+        // (its steering phasors are in `steer`).
+        let mut column: Option<(u64, u64, f64)> = None;
         for echo in echoes {
             if echo.amp == Complex64::ZERO {
                 continue;
             }
-            let range = pose.range_to(echo.pos);
-            let az = pose.azimuth_to(echo.pos);
-            let g = radar_pattern(az);
+            let key = (echo.pos.x.to_bits(), echo.pos.y.to_bits());
+            let g = match column {
+                Some((x, y, g)) if (x, y) == key => g,
+                _ => {
+                    let az = pose.azimuth_to(echo.pos);
+                    for (k, s) in steer.iter_mut().enumerate() {
+                        *s = Complex64::cis(array.steering_phase(k, az, lambda));
+                    }
+                    let g = radar_pattern(az);
+                    column = Some((key.0, key.1, g));
+                    g
+                }
+            };
             // Gain is non-negative, so `<=` keeps the exact-zero skip
             // behavior while avoiding an exact float comparison.
             if g <= 0.0 {
                 continue;
             }
+            let range = pose.range_to(echo.pos);
             // Two-way radar antenna pattern.
             let amp = echo.amp * (g * g);
             let f_beat = chirp.beat_frequency_hz(range);
@@ -389,8 +429,8 @@ fn synthesize_group<const L: usize>(
                 starts.resize(starts.len() + k_pad, Complex64::ZERO);
             }
             rots[slot..slot + k_rx].fill(Complex64::cis(w));
-            for (k, s) in starts[slot..slot + k_rx].iter_mut().enumerate() {
-                *s = amp * Complex64::cis(array.steering_phase(k, az, lambda));
+            for (s, phasor) in starts[slot..slot + k_rx].iter_mut().zip(steer.iter()) {
+                *s = amp * *phasor;
             }
             slot += k_pad;
         }
@@ -421,7 +461,8 @@ fn synthesize_group<const L: usize>(
         }
     }
 
-    // Padded lanes are never copied out.
+    // Padded lanes are never copied out. Each row holds its unit noise
+    // draws and leaves as `signal + σ·noise`.
     let rows = frames.iter_mut().flat_map(|frame| frame.data.iter_mut());
     for (q, row) in rows.enumerate() {
         let plane = (q / L) * L * n..(q / L + 1) * L * n;
@@ -429,7 +470,7 @@ fn synthesize_group<const L: usize>(
         let (plane_im, _) = acc_im[plane].as_chunks::<L>();
         let l = q % L;
         for (s, (re, im)) in row.iter_mut().zip(plane_re.iter().zip(plane_im)) {
-            *s = Complex64::new(re[l], im[l]);
+            *s = Complex64::new(re[l] + sigma * s.re, im[l] + sigma * s.im);
         }
     }
 }
@@ -473,12 +514,10 @@ fn add_tones<const G: usize, const L: usize>(
 }
 
 /// Fills a pre-sized slice with unit-variance complex Gaussian draws,
-/// element-major, one [`gaussian_pair`] per sample giving re then im:
-/// for one frame, `out[k·n_samples + j]` pairs with sample `j` of
-/// antenna `k`. [`synthesize_frame`] draws one frame this way, and a
-/// batch interleaves per-frame noise and phase-walk draws into flat
-/// segments of one reusable buffer in the same RNG order, so pre-drawn
-/// packets applied later are bit-identical to the serial capture loop.
+/// one [`gaussian_pair`] per sample giving re then im. A capture draws
+/// each frame's rows this way, antenna by antenna, straight into the
+/// output frame, and the IF kernel scales them by σ as it adds the
+/// signal.
 pub(crate) fn fill_noise<R: Rng>(rng: &mut R, out: &mut [Complex64]) {
     for g in out.iter_mut() {
         let (re, im) = gaussian_pair(rng);
@@ -486,20 +525,9 @@ pub(crate) fn fill_noise<R: Rng>(rng: &mut R, out: &mut [Complex64]) {
     }
 }
 
-/// Adds pre-drawn unit-variance noise from a flat antenna-major buffer
-/// laid out `noise[k·n_samples + j]` (see [`fill_noise`]), scaled by
-/// `sigma`, onto a frame. Deterministic; safe on worker threads.
-pub(crate) fn add_noise_from_slice(frame: &mut Frame, noise: &[Complex64], sigma: f64) {
-    let n = frame.n_samples();
-    for (k, ant) in frame.data.iter_mut().enumerate() {
-        let nz = &noise[k * n..(k + 1) * n];
-        for (s, g) in ant.iter_mut().zip(nz) {
-            *s += Complex64::new(g.re * sigma, g.im * sigma);
-        }
-    }
-}
-
-/// Synthesizes the IF frame for a set of echoes.
+/// Synthesizes the IF frame for a set of echoes: a one-job capture
+/// through [`FmcwRadar::capture`](crate::radar::FmcwRadar::capture) on
+/// a clean front-end, so it takes the batch's one noise path.
 ///
 /// `rng` drives the AWGN; pass a seeded RNG for reproducible
 /// experiments.
@@ -511,15 +539,14 @@ pub fn synthesize_frame<R: Rng>(
     echoes: &[Echo],
     rng: &mut R,
 ) -> Frame {
-    let mut frame = synthesize_signal(chirp, array, pose, echoes);
-    let mut noise = vec![Complex64::ZERO; array.n_rx * chirp.n_samples];
-    fill_noise(rng, &mut noise);
-    add_noise_from_slice(
-        &mut frame,
-        &noise,
-        per_sample_noise_sigma(budget, chirp, array),
-    );
-    frame
+    let radar = crate::radar::FmcwRadar {
+        chirp: *chirp,
+        array: *array,
+        budget: *budget,
+        cfar: ros_dsp::cfar::CfarParams::default(),
+        impairments: crate::impairments::Impairments::default(),
+    };
+    radar.capture(pose, echoes, rng)
 }
 
 /// Standard normal *pair* via the Marsaglia polar method (avoids a
@@ -681,19 +708,22 @@ mod tests {
         assert_eq!(radar_pattern(2.0), 0.0); // >90°
     }
 
-    /// A noiseless-synthesis entry with [`synthesize_signal_into`]'s
-    /// signature.
+    /// An IF-kernel entry with [`synthesize_signal_into`]'s signature.
     type SynthInto =
-        fn(&ChirpConfig, &RadarArray, &[(Pose, Vec<Echo>)], &mut SynthScratch, &mut [Frame]);
+        fn(&ChirpConfig, &RadarArray, &[(Pose, Vec<Echo>)], f64, &mut SynthScratch, &mut [Frame]);
 
     /// The generic kernel at every width, whatever this host runs, and
-    /// the dispatched entry: each must match [`synthesize_signal`].
+    /// the dispatched entry: each must match [`reference`].
     const KERNELS: [(&str, SynthInto); 4] = [
         ("L = 2", synthesize_lanes::<2>),
         ("L = 4", synthesize_lanes::<4>),
         ("L = 8", synthesize_lanes::<8>),
         ("dispatched", synthesize_signal_into),
     ];
+
+    /// The noise scale of the kernel checks, near the echo amplitudes
+    /// so that both halves of `signal + σ·noise` carry bits.
+    const SIGMA: f64 = 3e-4;
 
     /// Every sample of a run of frames as the bit patterns of its parts.
     fn frame_bits(frames: &[Frame]) -> Vec<u64> {
@@ -704,33 +734,86 @@ mod tests {
             .collect()
     }
 
+    /// `jobs`' frames as a capture hands them to the kernel: laid out by
+    /// [`size_frames`] from NaN-filled, wrongly shaped, surplus frames,
+    /// with seeded unit noise in every row.
+    fn noisy_frames(c: &ChirpConfig, a: &RadarArray, jobs: &[(Pose, Vec<Echo>)]) -> Vec<Frame> {
+        let dirty = Frame {
+            data: vec![vec![Complex64::new(f64::NAN, 9.0); 3]; 7],
+            pose: Pose::side_looking(Vec3::ZERO),
+        };
+        let mut frames = vec![dirty; jobs.len() + 2];
+        size_frames(jobs, a.n_rx, c.n_samples, &mut frames);
+        let mut rng = StdRng::seed_from_u64(7);
+        for row in frames.iter_mut().flat_map(|f| f.data.iter_mut()) {
+            fill_noise(&mut rng, row);
+        }
+        frames
+    }
+
+    /// The per-echo reference with the noise added on top, one sample
+    /// at a time: `s += σ·g`.
+    fn reference(
+        c: &ChirpConfig,
+        a: &RadarArray,
+        jobs: &[(Pose, Vec<Echo>)],
+        noise: &[Frame],
+    ) -> Vec<Frame> {
+        jobs.iter()
+            .zip(noise)
+            .map(|((pose, echoes), nz)| {
+                let mut f = synthesize_signal(c, a, *pose, echoes);
+                for (ant, nz) in f.data.iter_mut().zip(&nz.data) {
+                    for (s, g) in ant.iter_mut().zip(nz) {
+                        *s += Complex64::new(g.re * SIGMA, g.im * SIGMA);
+                    }
+                }
+                f
+            })
+            .collect()
+    }
+
     /// Runs every kernel over `jobs` twice through one scratch (reuse
-    /// must not change bits) into dirty, wrongly shaped frames, and
-    /// checks each frame against the per-echo reference.
+    /// must not change bits), each time from freshly laid-out noisy
+    /// frames, and checks each frame against [`reference`].
     fn check_batch(c: &ChirpConfig, a: &RadarArray, jobs: &[(Pose, Vec<Echo>)], what: &str) {
-        let direct: Vec<Frame> = jobs
-            .iter()
-            .map(|(pose, echoes)| synthesize_signal(c, a, *pose, echoes))
-            .collect();
+        let noise = noisy_frames(c, a, jobs);
+        assert_eq!(noise.len(), jobs.len(), "{what}");
+        for (f, (pose, _)) in noise.iter().zip(jobs) {
+            assert_eq!(f.pose, *pose, "{what}");
+            assert_eq!(f.n_rx(), a.n_rx, "{what}");
+            assert!(f.data.iter().all(|row| row.len() == c.n_samples), "{what}");
+        }
+        let direct = reference(c, a, jobs, &noise);
         for (name, synth) in KERNELS {
             let mut scratch = SynthScratch::default();
-            let dirty = Frame {
-                data: vec![vec![Complex64::new(9.0, 9.0); 3]; 7],
-                pose: Pose::side_looking(Vec3::ZERO),
-            };
-            let mut frames = vec![dirty; jobs.len()];
             for _ in 0..2 {
-                synth(c, a, jobs, &mut scratch, &mut frames);
-                for (d, f) in direct.iter().zip(&frames) {
-                    assert_eq!(f.n_rx(), d.n_rx(), "{name}, {what}");
-                    assert_eq!(f.n_samples(), d.n_samples(), "{name}, {what}");
-                }
+                let mut frames = noise.clone();
+                synth(c, a, jobs, SIGMA, &mut scratch, &mut frames);
                 assert!(
                     frame_bits(&frames) == frame_bits(&direct),
                     "{name}, {what}: bits differ"
                 );
             }
         }
+    }
+
+    /// `rows` echoes of one tag column: the same `x` and `y` bits, each
+    /// row 88 mm above the last (so each has its own range), with
+    /// amplitudes and phases that differ per row.
+    fn column(x: f64, y: f64, rows: usize) -> impl Iterator<Item = Echo> {
+        (0..rows).map(move |r| {
+            let t = r as f64;
+            Echo::new(
+                Vec3::new(x, y, -0.1 + 0.088 * t),
+                Complex64::from_polar(1e-3 / (1.0 + 0.3 * t), 0.5 * t - 1.0),
+            )
+        })
+    }
+
+    /// The next `f64` above a positive `x`: one ulp apart.
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
     }
 
     #[test]
@@ -756,7 +839,27 @@ mod tests {
             .collect();
         full.insert(3, behind);
         full.insert(6, skipped);
-        let frames: [Vec<Echo>; 5] = [
+        // Tag columns, each a run of rows sharing (x, y) at different
+        // z: a six-row run; two columns one ulp apart in x, then in y; a
+        // run broken by another echo and then resumed; one x with rows
+        // behind the radar (g ≤ 0) and then in front of it, so a cache
+        // keyed on x alone reuses the wrong gain; a run with
+        // zero-amplitude rows inside it.
+        let mut with_gaps: Vec<Echo> = column(1.1, 3.3, 5).collect();
+        with_gaps[1].amp = Complex64::ZERO;
+        with_gaps[3].amp = Complex64::ZERO;
+        let columns: Vec<Echo> = column(-0.6, 2.5, 6)
+            .chain(column(0.4, 3.0, 3))
+            .chain(column(next_up(0.4), 3.0, 3))
+            .chain(column(next_up(0.4), next_up(3.0), 2))
+            .chain(column(0.2, 2.8, 2))
+            .chain([echo(-0.3, 4.1, 5e-4, 0.9)])
+            .chain(column(0.2, 2.8, 3))
+            .chain(column(-0.9, -1.5, 3))
+            .chain(column(-0.9, 2.2, 3))
+            .chain(with_gaps)
+            .collect();
+        let frames: [Vec<Echo>; 6] = [
             full,
             vec![skipped, behind, skipped], // all dead
             vec![behind, echo(0.5, 3.0, 2e-3, 0.4)],
@@ -766,6 +869,7 @@ mod tests {
                 skipped,
                 echo(0.3, 1.5, 1e-3, 2.9),
             ],
+            columns,
         ];
         let pose = |i: usize| Pose::side_looking(Vec3::new(0.2 + 0.05 * i as f64, -0.1, 0.0));
         let batch = |order: &[usize]| -> Vec<(Pose, Vec<Echo>)> {
@@ -776,14 +880,18 @@ mod tests {
         };
         // Batches of 1, 2, 3 and 5 frames whose live counts differ: a
         // full frame alone, paired with an all-dead one in both orders,
-        // and runs that leave a lone trailing frame.
-        let orders: [&[usize]; 6] = [
+        // and runs that leave a lone trailing frame; the column frame
+        // alone, leading a pair and inside a triple.
+        let orders: [&[usize]; 9] = [
             &[0],
             &[0, 1],
             &[1, 0],
             &[1, 2, 0],
             &[3, 4, 2],
             &[0, 1, 2, 3, 4],
+            &[5],
+            &[5, 0],
+            &[2, 5, 1],
         ];
         // The TI chirp, and one with no samples at all.
         for c in [ti, ChirpConfig { n_samples: 0, ..ti }] {
@@ -797,21 +905,55 @@ mod tests {
         }
     }
 
+    /// One proptest echo spec, `((kind, rows), x, y, phase)`, as echoes
+    /// in scene order. Kind 0 is a zero-amplitude run, 1 a column behind
+    /// the radar, 2 a column with zero-amplitude rows inside it, 3 two
+    /// columns one ulp apart in x, 4 one x with rows behind and then in
+    /// front of the radar, 5 a run broken by another echo and resumed;
+    /// any other kind is a plain column.
+    fn spec_echoes(((kind, rows), x, y, phase): ((u8, usize), f64, f64, f64)) -> Vec<Echo> {
+        let at = |x: f64, y: f64| -> Vec<Echo> {
+            column(x, y, rows)
+                .map(|e| Echo::new(e.pos, e.amp * Complex64::from_polar(1.0 / y.abs(), phase)))
+                .collect()
+        };
+        match kind {
+            0 => at(x, y)
+                .into_iter()
+                .map(|e| Echo::new(e.pos, Complex64::ZERO))
+                .collect(),
+            1 => at(x, -y),
+            2 => {
+                let mut run = at(x, y);
+                for e in run.iter_mut().skip(1).step_by(2) {
+                    e.amp = Complex64::ZERO;
+                }
+                run
+            }
+            3 => [at(x, y), at(next_up(x.abs()).copysign(x), y)].concat(),
+            4 => [at(x, -y), at(x, y)].concat(),
+            5 => [at(x, y), at(y - 3.0, 2.0 * y), at(x, y)].concat(),
+            _ => at(x, y),
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
         /// The grouped kernel at two, four and eight lanes, and the
-        /// dispatched entry, against the per-echo reference, bit for
-        /// bit: batches of one to five frames, each with its own pose
-        /// and echo count from none through three full slot runs plus a
-        /// remainder, with zero-amplitude (kind 0) and behind-the-array
-        /// (kind 1) echoes at random positions, so frames that share a
-        /// lane group differ in live count. Antenna counts leave padded
-        /// lanes (1, 3, 5; 2 at four lanes and up), fill lane groups
-        /// with several frames each (1, 2, 4 at eight lanes) or span
-        /// several lane groups (8). Each path reuses one scratch while
-        /// the counts shrink and grow (the call list, then the same
-        /// list reversed).
+        /// dispatched entry, against the per-echo reference plus noise,
+        /// bit for bit: batches of one to five frames, each with its own
+        /// pose and from none through several slot runs of echoes. The
+        /// echoes come in tag-column runs of one to three rows sharing
+        /// (x, y) at different z ([`spec_echoes`]): zero-amplitude runs,
+        /// columns behind the radar or partly behind it, zero-amplitude
+        /// rows inside a run, columns one ulp apart in x and runs broken
+        /// by another echo, so frames that share a lane group differ in
+        /// live count. Antenna counts leave padded lanes (1, 3, 5; 2 at
+        /// four lanes and up), fill lane groups with several frames each
+        /// (1, 2, 4 at eight lanes) or span several lane groups (8). Each
+        /// path reuses one scratch while the counts shrink and grow (the
+        /// call list, then the same list reversed).
         #[test]
         fn grouped_signal_into_bit_identical_to_direct(
             calls in proptest::prop::collection::vec(
@@ -821,8 +963,8 @@ mod tests {
                         (
                             -0.5f64..0.5,
                             proptest::prop::collection::vec(
-                                (0u8..6, -2.0f64..2.0, 0.3f64..6.0, -3.2f64..3.2),
-                                0..=3 * SYNTH_GROUP + 1,
+                                ((0u8..8, 1usize..4), -2.0f64..2.0, 0.3f64..6.0, -3.2f64..3.2),
+                                0..=2 * SYNTH_GROUP + 1,
                             ),
                         ),
                         1..=5,
@@ -834,34 +976,18 @@ mod tests {
             let (c, ti, _) = setup();
             for (name, synth) in KERNELS {
                 let mut scratch = SynthScratch::default();
-                let mut frames = Vec::new();
                 for (rx, batch) in calls.iter().chain(calls.iter().rev()) {
                     let a = RadarArray { n_rx: [1, 2, 3, 4, 5, 8][*rx], ..ti };
                     let jobs: Vec<(Pose, Vec<Echo>)> = batch
                         .iter()
                         .map(|(dx, spec)| {
                             let pose = Pose::side_looking(Vec3::new(*dx, -0.2, 0.0));
-                            let echoes = spec
-                                .iter()
-                                .map(|&(kind, x, y, phase)| match kind {
-                                    0 => Echo::new(Vec3::new(x, y, 0.0), Complex64::ZERO),
-                                    1 => Echo::new(Vec3::new(x, -y, 0.0), Complex64::from_polar(1e-3, phase)),
-                                    _ => Echo::new(Vec3::new(x, y, 0.0), Complex64::from_polar(1e-3 / y, phase)),
-                                })
-                                .collect();
-                            (pose, echoes)
+                            (pose, spec.iter().flat_map(|s| spec_echoes(*s)).collect())
                         })
                         .collect();
-                    let direct: Vec<Frame> = jobs
-                        .iter()
-                        .map(|(pose, echoes)| synthesize_signal(&c, &a, *pose, echoes))
-                        .collect();
-                    frames.resize(jobs.len(), Frame { data: Vec::new(), pose: jobs[0].0 });
-                    synth(&c, &a, &jobs, &mut scratch, &mut frames);
-                    proptest::prop_assert!(
-                        frames.iter().all(|f| f.n_rx() == a.n_rx && f.n_samples() == c.n_samples),
-                        "{name}: frame shape"
-                    );
+                    let mut frames = noisy_frames(&c, &a, &jobs);
+                    let direct = reference(&c, &a, &jobs, &frames);
+                    synth(&c, &a, &jobs, SIGMA, &mut scratch, &mut frames);
                     proptest::prop_assert!(
                         frame_bits(&frames) == frame_bits(&direct),
                         "{name}: bits differ"

@@ -71,32 +71,18 @@ impl Impairments {
         if self.is_clean() {
             return;
         }
-        let walk = self.draw_walk(frame.n_samples(), rng);
+        let mut walk = vec![0.0; frame.n_samples()];
+        self.fill_walk(rng, &mut walk);
         self.apply_with_walk(frame, &walk);
     }
 
-    /// Draws the per-frame phase random walk (the only stochastic part
-    /// of the impairment chain). Consumes the RNG exactly as [`apply`]
-    /// does — zero draws when phase noise is off — so walks can be
-    /// pre-drawn serially for a batch and applied on worker threads
-    /// via [`apply_with_walk`] with bit-identical results.
-    pub(crate) fn draw_walk<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<f64> {
-        // Phase noise: one random walk shared by all antennas (common
-        // LO), refreshed per frame.
-        let mut walk = vec![0.0f64; n];
-        if self.phase_noise_rad_per_sample > 0.0 {
-            let mut acc = 0.0;
-            for w in walk.iter_mut() {
-                acc += (rng.gen::<f64>() - 0.5) * 2.0 * self.phase_noise_rad_per_sample;
-                *w = acc;
-            }
-        }
-        walk
-    }
-
-    /// Fills a pre-sized slice with the [`draw_walk`] phase walk (same
-    /// RNG consumption; the slice is zeroed first). Lets a batch carve
-    /// per-frame walk segments out of one reusable flat buffer.
+    /// Fills a pre-sized slice with the per-frame phase random walk,
+    /// the only stochastic part of the impairment chain: one walk
+    /// shared by all antennas (common LO), refreshed per frame, and
+    /// zero draws when phase noise is off. A batch pre-draws the walks
+    /// serially into segments of one reusable flat buffer and applies
+    /// them on worker threads via [`apply_with_walk`] with bit-identical
+    /// results.
     pub(crate) fn fill_walk<R: Rng>(&self, rng: &mut R, out: &mut [f64]) {
         out.fill(0.0);
         if self.phase_noise_rad_per_sample > 0.0 {
@@ -232,20 +218,21 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let direct = imp.draw_walk(256, &mut StdRng::seed_from_u64(33));
             let mut rng = StdRng::seed_from_u64(33);
-            let mut out = vec![5.0; 3]; // dirty, wrong length
-            out.clear();
-            out.resize(256, 0.0);
+            let mut out = vec![5.0; 256]; // dirty
             imp.fill_walk(&mut rng, &mut out);
-            assert_eq!(direct.len(), out.len());
-            for (a, b) in direct.iter().zip(&out) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            // The walk drawn one step at a time: a running sum of
+            // uniform steps, or zeros and no draws with phase noise off.
+            let mut direct = StdRng::seed_from_u64(33);
+            let mut acc = 0.0f64;
+            for w in &out {
+                if imp.phase_noise_rad_per_sample > 0.0 {
+                    acc += (direct.gen::<f64>() - 0.5) * 2.0 * imp.phase_noise_rad_per_sample;
+                }
+                assert_eq!(w.to_bits(), acc.to_bits());
             }
             // Both must leave the RNG at the same point.
-            let mut rng2 = StdRng::seed_from_u64(33);
-            let _ = imp.draw_walk(256, &mut rng2);
-            assert_eq!(rng.gen::<u64>(), rng2.gen::<u64>());
+            assert_eq!(rng.gen::<u64>(), direct.gen::<u64>());
         }
     }
 

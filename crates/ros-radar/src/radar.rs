@@ -3,7 +3,7 @@
 use crate::array::RadarArray;
 use crate::chirp::ChirpConfig;
 use crate::echo::{Echo, Pose};
-use crate::frontend::{synthesize_frame, Frame, SynthScratch};
+use crate::frontend::{Frame, SynthScratch};
 use crate::impairments::Impairments;
 use crate::pointcloud::RadarPoint;
 use crate::processing;
@@ -39,12 +39,12 @@ impl RadarMode {
 }
 
 /// Reusable per-batch scratch arena for [`FmcwRadar::capture_batch_with`]:
-/// the pre-drawn flat noise/phase-walk buffers plus one
-/// [`SynthScratch`] per worker thread. A long-lived pipeline keeps one
-/// of these per run so steady-state frames allocate nothing.
+/// the pre-drawn flat phase-walk buffer plus one [`SynthScratch`] per
+/// worker thread. The thermal noise needs no buffer of its own: it is
+/// drawn straight into the output frames. A long-lived pipeline keeps
+/// one of these per run so steady-state frames allocate nothing.
 #[derive(Clone, Debug, Default)]
 pub struct CaptureScratch {
-    noise: Vec<Complex64>,
     walks: Vec<f64>,
     synth: Vec<SynthScratch>,
 }
@@ -77,12 +77,18 @@ impl FmcwRadar {
     }
 
     /// Captures one frame of IF data from the given echoes, applying
-    /// the configured front-end impairments.
+    /// the configured front-end impairments: a one-job batch, so the
+    /// serial and the batch capture share one path.
     pub fn capture<R: Rng>(&self, pose: Pose, echoes: &[Echo], rng: &mut R) -> Frame {
         ros_obs::count(names::RADAR_FRAMES_SYNTHESIZED, 1);
-        let mut frame = synthesize_frame(&self.chirp, &self.array, &self.budget, pose, echoes, rng);
-        self.impairments.apply(&mut frame, rng);
-        frame
+        let mut out = Vec::with_capacity(1);
+        self.capture_batch_into(
+            &[(pose, echoes.to_vec())],
+            rng,
+            &mut CaptureScratch::default(),
+            &mut out,
+        );
+        out.swap_remove(0)
     }
 
     /// Captures a batch of frames into `out`, bit-identical to calling
@@ -106,16 +112,19 @@ impl FmcwRadar {
 
     /// The batch-capture kernel behind [`FmcwRadar::capture_batch_with`].
     ///
-    /// The RNG is consumed serially up front — per frame, the thermal
-    /// noise draws then the impairment phase walk, exactly the order
-    /// the serial loop uses — into flat segments of the scratch arena
-    /// (span `radar.capture_noise`). The deterministic synthesis then
-    /// fans out over [`ros_exec::par_for_each_chunk_mut`] with one
-    /// [`SynthScratch`] per worker (span `radar.capture_synth`); each
-    /// worker takes whole runs of the frames the IF tone kernel packs
-    /// into one lane group. Output frames (and every intermediate)
-    /// depend only on the job order, never on thread scheduling. The
-    /// two spans open once per batch, not per frame.
+    /// First `out` is laid out, one frame of `k_rx` rows per job. Then
+    /// the RNG is consumed serially (span `radar.capture_noise`): per
+    /// frame, unit-variance thermal noise drawn straight into its rows,
+    /// antenna by antenna, then the impairment phase walk into a flat
+    /// segment of the scratch arena, exactly the order the serial loop
+    /// uses. The deterministic synthesis then fans out over
+    /// [`ros_exec::par_for_each_chunk_mut`] with one [`SynthScratch`]
+    /// per worker (span `radar.capture_synth`); each worker takes whole
+    /// runs of the frames the IF tone kernel packs into one lane group,
+    /// turns every noise row into `signal + σ·noise` and applies the
+    /// impairments. Output frames (and every intermediate) depend only
+    /// on the job order, never on thread scheduling. The two spans open
+    /// once per batch, not per frame.
     fn capture_batch_into<R: Rng>(
         &self,
         jobs: &[(Pose, Vec<Echo>)],
@@ -125,32 +134,21 @@ impl FmcwRadar {
     ) {
         let n = self.chirp.n_samples;
         let k_rx = self.array.n_rx;
-        let n_jobs = jobs.len();
-        out.truncate(n_jobs);
-        while out.len() < n_jobs {
-            out.push(Frame {
-                data: Vec::default(),
-                pose: jobs[out.len()].0,
-            });
-        }
-        if n_jobs == 0 {
+        crate::frontend::size_frames(jobs, k_rx, n, out);
+        if jobs.is_empty() {
             return;
         }
 
         let clean = self.impairments.is_clean();
-        let CaptureScratch {
-            noise,
-            walks,
-            synth,
-        } = scratch;
+        let CaptureScratch { walks, synth } = scratch;
         {
             let _noise = ros_obs::span(names::TIME_RADAR_CAPTURE_NOISE);
-            noise.clear();
-            noise.resize(n_jobs * k_rx * n, Complex64::ZERO);
             walks.clear();
-            walks.resize(if clean { 0 } else { n_jobs * n }, 0.0);
-            for i in 0..n_jobs {
-                crate::frontend::fill_noise(rng, &mut noise[i * k_rx * n..(i + 1) * k_rx * n]);
+            walks.resize(if clean { 0 } else { jobs.len() * n }, 0.0);
+            for (i, frame) in out.iter_mut().enumerate() {
+                for row in &mut frame.data {
+                    crate::frontend::fill_noise(rng, row);
+                }
                 if !clean {
                     self.impairments
                         .fill_walk(rng, &mut walks[i * n..(i + 1) * n]);
@@ -166,7 +164,6 @@ impl FmcwRadar {
         }
 
         let sigma = crate::frontend::per_sample_noise_sigma(&self.budget, &self.chirp, &self.array);
-        let noise = &*noise;
         let walks = &*walks;
         let group = crate::frontend::synth_group_frames(k_rx);
         ros_exec::par_for_each_chunk_mut(synth, out, group, |synth_scratch, i0, frames| {
@@ -174,15 +171,11 @@ impl FmcwRadar {
                 &self.chirp,
                 &self.array,
                 &jobs[i0..i0 + frames.len()],
+                sigma,
                 synth_scratch,
                 frames,
             );
             for (i, frame) in (i0..).zip(frames.iter_mut()) {
-                crate::frontend::add_noise_from_slice(
-                    frame,
-                    &noise[i * k_rx * n..(i + 1) * k_rx * n],
-                    sigma,
-                );
                 let walk = if clean {
                     &[][..]
                 } else {
@@ -321,10 +314,23 @@ mod tests {
         }
     }
 
+    /// Every frame's pose and samples as bit patterns.
+    fn capture_bits(frames: &[Frame]) -> Vec<u64> {
+        frames
+            .iter()
+            .flat_map(|f| {
+                let p = f.pose.pos;
+                let samples = f.data.iter().flatten();
+                [p.x, p.y, p.z, f.pose.yaw]
+                    .into_iter()
+                    .chain(samples.flat_map(|s| [s.re, s.im]))
+            })
+            .map(f64::to_bits)
+            .collect()
+    }
+
     #[test]
     fn capture_batch_into_reuses_scratch_across_sizes_and_threads() {
-        let mut radar = FmcwRadar::ti_eval();
-        radar.impairments = Impairments::eval_board();
         let make_jobs = |count: usize| -> Vec<(Pose, Vec<Echo>)> {
             (0..count)
                 .map(|i| {
@@ -332,31 +338,76 @@ mod tests {
                         Vec3::new(-0.8 + 0.4 * i as f64, 3.2, 0.0),
                         Complex64::from_polar(10f64.powf(-38.0 / 20.0), 0.2 * i as f64),
                     );
-                    (Pose::side_looking(Vec3::ZERO), vec![echo])
+                    (
+                        Pose::side_looking(Vec3::new(0.1 * i as f64, 0.0, 0.0)),
+                        vec![echo],
+                    )
                 })
                 .collect()
         };
-        // One scratch arena survives shrinking and growing batches at
-        // several thread counts; every run must match the serial loop.
-        let mut scratch = CaptureScratch::default();
-        let mut out = Vec::new();
-        for (n_threads, n_jobs) in [(1usize, 6usize), (2, 3), (8, 6), (2, 1)] {
-            let _guard = ros_exec::ThreadGuard::pin(Some(n_threads));
-            let mut rng = StdRng::seed_from_u64(1234);
-            let serial: Vec<Frame> = make_jobs(n_jobs)
-                .iter()
-                .map(|(pose, echoes)| radar.capture(*pose, echoes, &mut rng))
-                .collect();
-            let mut rng = StdRng::seed_from_u64(1234);
-            radar.capture_batch_with(&make_jobs(n_jobs), &mut rng, &mut scratch, &mut out);
-            assert_eq!(out.len(), serial.len());
-            for (a, b) in serial.iter().zip(&out) {
-                for (ra, rb) in a.data.iter().zip(&b.data) {
-                    for (sa, sb) in ra.iter().zip(rb) {
-                        assert_eq!(sa.re.to_bits(), sb.re.to_bits());
-                        assert_eq!(sa.im.to_bits(), sb.im.to_bits());
+        let nan = Complex64::new(f64::NAN, f64::NAN);
+        for impairments in [Impairments::default(), Impairments::eval_board()] {
+            let mut radar = FmcwRadar::ti_eval();
+            radar.impairments = impairments;
+            // One scratch arena and one output survive shrinking and
+            // growing batches at several thread counts. Before each
+            // call the warm output is poisoned: NaN samples, a short
+            // row, a missing and a surplus antenna row, a wrong pose and
+            // two frames more than the batch has jobs. Every run must
+            // equal a fresh capture and the serial loop bit for bit.
+            let mut scratch = CaptureScratch::default();
+            let mut out = Vec::new();
+            for (n_threads, n_jobs) in [(1usize, 6usize), (2, 3), (8, 6), (2, 1), (1, 2), (8, 5)] {
+                let _guard = ros_exec::ThreadGuard::pin(Some(n_threads));
+                let jobs = make_jobs(n_jobs);
+                let mut rng = StdRng::seed_from_u64(1234);
+                let serial: Vec<Frame> = jobs
+                    .iter()
+                    .map(|(pose, echoes)| radar.capture(*pose, echoes, &mut rng))
+                    .collect();
+                let mut fresh = Vec::new();
+                let mut rng = StdRng::seed_from_u64(1234);
+                radar.capture_batch_with(
+                    &jobs,
+                    &mut rng,
+                    &mut CaptureScratch::default(),
+                    &mut fresh,
+                );
+
+                out.resize_with(n_jobs + 2, || Frame {
+                    data: Vec::new(),
+                    pose: Pose::side_looking(Vec3::ZERO),
+                });
+                for (i, frame) in out.iter_mut().enumerate() {
+                    frame.pose = Pose::side_looking(Vec3::new(9.0, 9.0, 9.0));
+                    for row in frame.data.iter_mut() {
+                        row.fill(nan);
+                    }
+                    match i % 3 {
+                        0 => frame.data.push(vec![nan; 3]),
+                        1 => frame.data.iter_mut().for_each(|row| row.truncate(17)),
+                        _ => {
+                            frame.data.pop();
+                        }
                     }
                 }
+                let mut rng = StdRng::seed_from_u64(1234);
+                radar.capture_batch_with(&jobs, &mut rng, &mut scratch, &mut out);
+                let what = format!("{impairments:?}, {n_threads} threads, {n_jobs} jobs");
+                assert_eq!(out.len(), n_jobs, "{what}");
+                assert!(
+                    out.iter().all(|f| f.n_rx() == radar.array.n_rx
+                        && f.data.iter().all(|r| r.len() == radar.chirp.n_samples)),
+                    "{what}: frame shape"
+                );
+                assert!(
+                    capture_bits(&out) == capture_bits(&fresh),
+                    "{what}: warm != fresh"
+                );
+                assert!(
+                    capture_bits(&out) == capture_bits(&serial),
+                    "{what}: batch != serial"
+                );
             }
         }
     }

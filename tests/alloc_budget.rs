@@ -14,10 +14,11 @@
 //! The measured loop reaches every steady-state kernel:
 //!
 //! * capture — `FmcwRadar::capture_batch_with` → `capture_batch_into`
-//!   (`frontend::fill_noise` / `gaussian_pair`,
+//!   (`frontend::size_frames`, `frontend::fill_noise` /
+//!   `gaussian_pair` straight into the output rows,
 //!   `Impairments::fill_walk`, then per frame group
-//!   `frontend::synthesize_signal_into` and per frame
-//!   `add_noise_from_slice` and `Impairments::apply_with_walk`). The
+//!   `frontend::synthesize_signal_into`, whose copy-out adds the
+//!   noise, and per frame `Impairments::apply_with_walk`). The
 //!   radar carries the `Impairments::eval_board` profile so the
 //!   impairment kernels run; a clean front-end skips them. The five
 //!   capture jobs make two frame pairs and a lone trailing frame where

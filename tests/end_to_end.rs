@@ -169,6 +169,29 @@ fn full_pipeline_reads_advertising_board() {
     // Note: spotlighting tag A's centre decodes tag A's bits even with
     // tag B 1.8 m away (the board story of Fig. 16a).
     assert_eq!(near_a.decode.bits, bits_a.to_vec());
+    let near_b = tags
+        .iter()
+        .find(|t| (t.center.x - 1.8).abs() < 0.5)
+        .expect("tag B cluster");
+    assert_eq!(near_b.decode.bits, bits_b.to_vec());
+    // The picked tag's entry is the pass's own decode, taken as is.
+    let center = outcome.detected_center.expect("a tag was picked");
+    let main = outcome.decode.as_ref().expect("the pass decodes");
+    let (picked, other) = if near_a.center == center {
+        (near_a, near_b)
+    } else {
+        (near_b, near_a)
+    };
+    assert_eq!(picked.center, center);
+    assert_eq!(picked.decode.bits, main.bits);
+    assert_eq!(
+        picked.decode.snr_linear.to_bits(),
+        main.snr_linear.to_bits()
+    );
+    // The other tag is still spotlighted at its own centre and decoded
+    // on its own.
+    assert_ne!(other.decode.bits, main.bits);
+    assert_ne!(other.decode.snr_linear.to_bits(), main.snr_linear.to_bits());
 }
 
 #[test]

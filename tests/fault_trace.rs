@@ -41,8 +41,6 @@ const EXPECTED: &[&str] = &[
     "span:reader.spotlight",
     "decode.result",
     "span:decode",
-    "decode.result",
-    "span:decode",
     "reader.pass",
     "span:reader.run_full",
     "metric:radar.frames_synthesized",

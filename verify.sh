@@ -34,6 +34,22 @@ echo "==> rosbench build + unit tests (standalone benchmark package)"
 cargo build --release --offline --manifest-path crates/bench/src/bin/rosbench/Cargo.toml
 cargo test --offline --manifest-path crates/bench/src/bin/rosbench/Cargo.toml
 
+# Same-bits gate: one smoke operation of every rosbench workload (about
+# 5 s) must print the recorded output digests, so a speed change that
+# moves a bit fails here and not only at benchmark time. A change that
+# moves bits on purpose (ROADMAP items 7 and 8) updates these digests
+# together with the goldens.
+echo "==> rosbench smoke digests (same bits)"
+SMOKE_OUT=target/rosbench_smoke.txt
+cargo run -q --release --offline --manifest-path crates/bench/src/bin/rosbench/Cargo.toml -- \
+    --workload all --smoke >"$SMOKE_OUT" 2>&1
+for digest in 4e671e3544162dc9 0da22a8c409fcacf dab8d98d121709e5; do
+    grep -q "output_digest=$digest" "$SMOKE_OUT" || {
+        echo "verify: rosbench smoke output lacks digest $digest (see $SMOKE_OUT)" >&2
+        exit 1
+    }
+done
+
 # Telemetry and worker pins are per run: these suites take no lock, so
 # run their tests overlapped on purpose to catch any cross-talk.
 # leaf_locks nests cache builds, telemetry and channel traffic under a

@@ -513,15 +513,55 @@ fn add_tones<const G: usize, const L: usize>(
     }
 }
 
-/// Fills a pre-sized slice with unit-variance complex Gaussian draws,
-/// one [`gaussian_pair`] per sample giving re then im. A capture draws
-/// each frame's rows this way, antenna by antenna, straight into the
-/// output frame, and the IF kernel scales them by σ as it adds the
-/// signal.
+/// Candidate pairs one [`fill_noise`] round draws at most.
+const NOISE_ROUND: usize = 256;
+
+/// Fills a pre-sized slice with unit-variance complex Gaussian draws:
+/// the Marsaglia polar method, re then im from one accepted candidate,
+/// bit for bit the values and the RNG words of one [`gaussian_pair`]
+/// per sample. A capture draws each frame's rows this way, antenna by
+/// antenna, straight into the output frame, and the IF kernel scales
+/// them by σ as it adds the signal.
+///
+/// The draw runs in rounds rather than candidate by candidate. A round
+/// takes `min(samples left, NOISE_ROUND)` candidate pairs in one bulk
+/// uniform draw, forms `x`, `y` and `s` and compacts the accepted ones
+/// in order without a branch, then runs `ln`, `/` and `sqrt` over
+/// those alone, so no mispredicted rejection stalls the loop and the
+/// transcendental calls of consecutive samples overlap. A round draws
+/// no more candidates than samples are left, and each candidate yields
+/// at most one sample, so the serial loop would draw every one of them
+/// too: the RNG stops on the same word. Each value is the same IEEE
+/// operation on the same inputs as the serial loop's (no fused
+/// multiply-add, no vector `ln`).
 pub(crate) fn fill_noise<R: Rng>(rng: &mut R, out: &mut [Complex64]) {
-    for g in out.iter_mut() {
-        let (re, im) = gaussian_pair(rng);
-        *g = Complex64::new(re, im);
+    let mut uniforms = [0.0f64; 2 * NOISE_ROUND];
+    let mut xs = [0.0f64; NOISE_ROUND];
+    let mut ys = [0.0f64; NOISE_ROUND];
+    let mut ss = [0.0f64; NOISE_ROUND];
+    let mut filled = 0;
+    while filled < out.len() {
+        let candidates = (out.len() - filled).min(NOISE_ROUND);
+        let uniforms = &mut uniforms[..2 * candidates];
+        rng.fill_unit_f64(uniforms);
+        let mut accepted = 0;
+        for pair in uniforms.as_chunks::<2>().0 {
+            let x = 2.0 * pair[0] - 1.0;
+            let y = 2.0 * pair[1] - 1.0;
+            let s = x * x + y * y;
+            // Written unconditionally; the slot is kept only when `s`
+            // is accepted (the same test as `gaussian_pair`'s).
+            xs[accepted] = x;
+            ys[accepted] = y;
+            ss[accepted] = s;
+            accepted += usize::from((f64::MIN_POSITIVE..1.0).contains(&s));
+        }
+        let rows = &mut out[filled..filled + accepted];
+        for (((g, &x), &y), &s) in rows.iter_mut().zip(&xs).zip(&ys).zip(&ss) {
+            let f = (-2.0 * s.ln() / s).sqrt();
+            *g = Complex64::new(x * f, y * f);
+        }
+        filled += accepted;
     }
 }
 
@@ -550,13 +590,14 @@ pub fn synthesize_frame<R: Rng>(
 }
 
 /// Standard normal *pair* via the Marsaglia polar method (avoids a
-/// rand_distr dep). Noise is always consumed as (re, im) pairs, and the
-/// polar transform hands back two independent normals per accepted
-/// candidate — for the cost of one `ln` + one `sqrt` and **no** trig,
-/// where the one-at-a-time Box–Muller this replaced spent an `ln`, a
-/// `sqrt` *and* a `cos` per single normal. The rejection loop (≈21.5%
-/// of candidates fall outside the unit disc) is deterministic for a
+/// rand_distr dep), one candidate at a time: the reference
+/// [`fill_noise`]'s batched rounds are tested against. Noise is always
+/// consumed as (re, im) pairs, and the polar transform hands back two
+/// independent normals per accepted candidate — for the cost of one
+/// `ln` + one `sqrt` and **no** trig. The rejection loop (≈21.5% of
+/// candidates fall outside the unit disc) is deterministic for a
 /// seeded RNG, which is all the capture pipeline requires.
+#[cfg(test)]
 fn gaussian_pair<R: Rng>(rng: &mut R) -> (f64, f64) {
     loop {
         let x = 2.0 * rng.gen::<f64>() - 1.0;
@@ -576,7 +617,7 @@ fn gaussian_pair<R: Rng>(rng: &mut R) -> (f64, f64) {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use ros_em::Vec3;
 
     fn setup() -> (ChirpConfig, RadarArray, RadarLinkBudget) {
@@ -995,6 +1036,120 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`fill_noise`]'s reference: one [`gaussian_pair`] per sample.
+    fn serial_noise<R: Rng>(rng: &mut R, out: &mut [Complex64]) {
+        for g in out {
+            let (re, im) = gaussian_pair(rng);
+            *g = Complex64::new(re, im);
+        }
+    }
+
+    fn noise_bits(row: &[Complex64]) -> Vec<(u64, u64)> {
+        row.iter()
+            .map(|g| (g.re.to_bits(), g.im.to_bits()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The batched polar draw against the serial loop, bit for bit,
+        /// from any seed, after 0–200 words read singly (so draws start
+        /// at odd word indices and pairs straddle buffer edges), over
+        /// rows of 0–1100 samples (several rounds, a short last one).
+        /// Both must leave the RNG on the same word.
+        #[test]
+        fn fill_noise_matches_serial_polar(
+            seed in proptest::any::<u64>(),
+            skip in 0usize..201,
+            len in 0usize..1101,
+        ) {
+            let mut batched = StdRng::seed_from_u64(seed);
+            for _ in 0..skip {
+                batched.next_u32();
+            }
+            let mut serial = batched.clone();
+            let mut got = vec![Complex64::new(f64::NAN, f64::NAN); len];
+            let mut want = got.clone();
+            fill_noise(&mut batched, &mut got);
+            serial_noise(&mut serial, &mut want);
+            proptest::prop_assert!(noise_bits(&got) == noise_bits(&want), "samples differ");
+            for _ in 0..4 {
+                proptest::prop_assert_eq!(batched.next_u64(), serial.next_u64());
+            }
+        }
+    }
+
+    /// Hands out scripted `next_u64` words and panics past the end, so
+    /// a draw that takes one word too many fails.
+    struct Replay {
+        words: Vec<u64>,
+        at: usize,
+    }
+
+    impl rand::RngCore for Replay {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.at += 1;
+            self.words[self.at - 1]
+        }
+    }
+
+    #[test]
+    fn fill_noise_rejection_edges_match_serial_polar() {
+        // Candidate word pairs and whether the polar test accepts them:
+        // s = 0 (both uniforms exactly 1/2), s = 2, s exactly 1, s one
+        // rounding below 1, the smallest nonzero s (x = 2^-52, y = 0).
+        const HALF: u64 = 1 << 63;
+        let edges = [
+            ((HALF, HALF), false),
+            ((0, 0), false),
+            ((0, HALF), false),
+            ((u64::MAX, HALF), true),
+            ((HALF + (1 << 11), HALF), true),
+        ];
+        let unit = |w: u64| 2.0 * ((w >> 11) as f64 / (1u64 << 53) as f64) - 1.0;
+        let mut tail = StdRng::seed_from_u64(21);
+        let mut words = Vec::new();
+        let mut len = 0;
+        // Runs of edges between ordinary candidates, over several
+        // rounds, ending on an acceptance: the serial loop's last word.
+        for k in 0..700 {
+            let ((a, b), accepted) = if k % 3 == 0 {
+                let (a, b) = (tail.next_u64(), tail.next_u64());
+                let s = unit(a) * unit(a) + unit(b) * unit(b);
+                ((a, b), (f64::MIN_POSITIVE..1.0).contains(&s))
+            } else {
+                edges[k % edges.len()]
+            };
+            words.extend([a, b]);
+            len += usize::from(accepted);
+        }
+        let ((a, b), _) = edges[3];
+        words.extend([a, b]);
+        len += 1;
+
+        let mut batched = Replay {
+            words: words.clone(),
+            at: 0,
+        };
+        let mut serial = Replay { words, at: 0 };
+        let mut got = vec![Complex64::new(f64::NAN, f64::NAN); len];
+        let mut want = got.clone();
+        fill_noise(&mut batched, &mut got);
+        serial_noise(&mut serial, &mut want);
+        assert_eq!(noise_bits(&got), noise_bits(&want));
+        assert!(got.iter().all(|g| g.re.is_finite() && g.im.is_finite()));
+        assert_eq!(
+            batched.at,
+            batched.words.len(),
+            "every scripted word, no more"
+        );
+        assert_eq!(serial.at, serial.words.len());
     }
 
     #[test]

@@ -84,13 +84,17 @@ impl Impairments {
     /// them on worker threads via [`apply_with_walk`] with bit-identical
     /// results.
     pub(crate) fn fill_walk<R: Rng>(&self, rng: &mut R, out: &mut [f64]) {
-        out.fill(0.0);
         if self.phase_noise_rad_per_sample > 0.0 {
+            // One bulk draw of the steps' uniforms, then the running sum
+            // in place.
+            rng.fill_unit_f64(out);
             let mut acc = 0.0;
             for w in out.iter_mut() {
-                acc += (rng.gen::<f64>() - 0.5) * 2.0 * self.phase_noise_rad_per_sample;
+                acc += (*w - 0.5) * 2.0 * self.phase_noise_rad_per_sample;
                 *w = acc;
             }
+        } else {
+            out.fill(0.0);
         }
     }
 

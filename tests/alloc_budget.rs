@@ -14,9 +14,10 @@
 //! The measured loop reaches every steady-state kernel:
 //!
 //! * capture — `FmcwRadar::capture_batch_with` → `capture_batch_into`
-//!   (`frontend::size_frames`, `frontend::fill_noise` /
-//!   `gaussian_pair` straight into the output rows,
-//!   `Impairments::fill_walk`, then per frame group
+//!   (`frontend::size_frames`, `frontend::fill_noise` straight into
+//!   the output rows, its polar rounds in stack arrays,
+//!   `Impairments::fill_walk`, both fed by bulk uniform draws from
+//!   `StdRng`'s inline word buffer, then per frame group
 //!   `frontend::synthesize_signal_into`, whose copy-out adds the
 //!   noise, and per frame `Impairments::apply_with_walk`). The
 //!   radar carries the `Impairments::eval_board` profile so the

@@ -26,8 +26,10 @@
 //! resolves the echo scene once: each tag's row positions, weights and
 //! row array, and the cache lookups for its row tables. Per frame, the
 //! spotlight gate is aimed once (the pose and the tag's range and
-//! azimuth sine), and each echo's azimuth feeds both the radar pattern
-//! and the gate. Per chunk it plans the frames serially, maps their
+//! azimuth sine). Per tag column, the terms that depend only on the
+//! column's azimuth (the radar pattern and the azimuth gate) are
+//! evaluated once through a [`ColumnMemo`]; per echo, only the range
+//! gate. Per chunk it plans the frames serially, maps their
 //! clean spotlight RSS (over the `ros_exec` pool when [`DriveBy::run`]
 //! drains it, on one worker otherwise) and draws the noise serially.
 //! The echoes accumulate in the order they always have, so the bits
@@ -50,7 +52,7 @@ use ros_em::jones::Polarization;
 use ros_em::units::cast::AsF64;
 use ros_em::{Complex64, Vec3};
 use ros_fault::{FaultSchedule, FrameFaults};
-use ros_radar::echo::Pose;
+use ros_radar::echo::{ColumnMemo, Pose};
 use ros_radar::radar::FmcwRadar;
 use ros_scene::tracking::TrackingStream;
 use ros_scene::trajectory::{ManoeuvreTrajectory, Trajectory};
@@ -517,11 +519,10 @@ impl DriveBySource {
             .map(|b| ros_em::db::db_to_lin(-b.attenuation_db))
             .fold(1.0, f64::min);
         let gate = self.spot.aim(pos_true, drive.tag.mount());
+        let mut column = ColumnMemo::default();
         let mut rss = Complex64::ZERO;
         self.scene.for_each(pos_true, self.tx, self.rx, |e| {
-            let az = gate.pose.azimuth_to(e.pos);
-            let g = ros_radar::frontend::radar_pattern(az);
-            rss += e.amp * (g * g * gate.gain(e.pos, az) * block_amp);
+            rss += gate.echo_rss(&mut column, e.pos, e.amp, block_amp);
         });
         rss
     }
@@ -643,8 +644,51 @@ struct SpotlightGate<'a> {
 }
 
 impl SpotlightGate<'_> {
+    /// The gated clean RSS of one echo at `pos` with amplitude `amp`,
+    /// under blockage attenuation `block_amp`:
+    /// `amp · (g·g · |g_range·g_az| · block_amp)`, with `g` the radar
+    /// pattern gain. `g` and `g_az` depend only on the echo's azimuth,
+    /// so `column` evaluates them once per tag column; `g_range` stays
+    /// per echo.
+    fn echo_rss(
+        &self,
+        column: &mut ColumnMemo<(f64, f64)>,
+        pos: Vec3,
+        amp: Complex64,
+        block_amp: f64,
+    ) -> Complex64 {
+        let (g, g_az) = column.get_or_eval(pos, || self.column_gains(pos));
+        let g_range = self.range_gain(pos);
+        amp * (g * g * (g_range * g_az).abs() * block_amp)
+    }
+
+    /// The azimuth part of the gate for an echo at `pos`: the radar
+    /// pattern gain and the azimuth Dirichlet of the beamformer.
+    fn column_gains(&self, pos: Vec3) -> (f64, f64) {
+        let m = self.model;
+        let az = self.pose.azimuth_to(pos);
+        let g = ros_radar::frontend::radar_pattern(az);
+        let du = az.sin() - self.target_sin_az;
+        let g_az = ros_em::special::dirichlet(
+            std::f64::consts::TAU * m.rx_spacing_m * du / m.lambda,
+            m.n_rx,
+        );
+        (g, g_az)
+    }
+
+    /// The range part of the gate for an echo at `pos`: the range
+    /// Dirichlet of the single-bin DFT.
+    fn range_gain(&self, pos: Vec3) -> f64 {
+        let m = self.model;
+        let dr = self.pose.range_to(pos) - self.target_range_m;
+        let df = 2.0 * m.slope * dr / ros_em::constants::C;
+        ros_em::special::dirichlet(std::f64::consts::TAU * df / m.fs, m.n_fft)
+    }
+
     /// Combined range × azimuth spotlight gate for an echo at `e_pos`,
-    /// whose azimuth from the pose is `az` \[rad\].
+    /// whose azimuth from the pose is `az` \[rad\]: the per-echo
+    /// oracle [`SpotlightGate::echo_rss`] is checked against.
+    #[cfg(test)]
     fn gain(&self, e_pos: Vec3, az: f64) -> f64 {
         let m = self.model;
         let dr = self.pose.range_to(e_pos) - self.target_range_m;
@@ -850,6 +894,126 @@ mod tests {
         assert_eq!(reads.len(), 1);
         assert_eq!(reads[0].pass, pid());
         assert_eq!(reader.buffered(), 0);
+    }
+
+    /// `echoes` through the memoized gate and through the per-echo
+    /// oracle (the whole gate evaluated for every echo), both summed in
+    /// order: every term and the sum agree bit for bit.
+    fn assert_gate_matches_oracle(gate: &SpotlightGate<'_>, echoes: &[(Vec3, Complex64)]) {
+        for block_amp in [1.0, 0.25] {
+            let mut column = ColumnMemo::default();
+            let (mut fast, mut oracle) = (Complex64::ZERO, Complex64::ZERO);
+            for (i, &(pos, amp)) in echoes.iter().enumerate() {
+                let a = gate.echo_rss(&mut column, pos, amp, block_amp);
+                let az = gate.pose.azimuth_to(pos);
+                let g = ros_radar::frontend::radar_pattern(az);
+                let b = amp * (g * g * gate.gain(pos, az) * block_amp);
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (b.re.to_bits(), b.im.to_bits()),
+                    "echo {i} at {pos:?}: {a:?} vs {b:?}"
+                );
+                fast += a;
+                oracle += b;
+            }
+            assert_eq!(
+                (fast.re.to_bits(), fast.im.to_bits()),
+                (oracle.re.to_bits(), oracle.im.to_bits())
+            );
+        }
+    }
+
+    /// Every echo `drive`'s scene sends a radar at `radar_pos`, in scene
+    /// order, with the reader's polarizations and with co-polarized
+    /// ports (which adds the board echoes).
+    fn scene_echoes(drive: &DriveBy, radar_pos: Vec3) -> Vec<(Vec3, Complex64)> {
+        let scene = EchoScene::new(drive);
+        let native = drive.radar.array.native_pol;
+        let (tx, rx) = ros_radar::radar::RadarMode::PolarizationSwitched.polarizations(native);
+        let mut echoes = Vec::new();
+        for (tx, rx) in [(tx, rx), (native, native)] {
+            scene.for_each(radar_pos, tx, rx, |e| echoes.push((e.pos, e.amp)));
+        }
+        echoes
+    }
+
+    #[test]
+    fn column_memoized_gate_bit_identical_to_per_echo_oracle() {
+        let radar = FmcwRadar::ti_eval();
+        let model = SpotlightModel::new(&radar);
+        let code = |rows| SpatialCode {
+            rows_per_stack: rows,
+            ..SpatialCode::paper_4bit()
+        };
+        let bits = [true, false, true, true];
+        let straight8 = DriveBy::new(code(8).encode(&bits).unwrap(), 2.0);
+        let straight32 = DriveBy::new(code(32).encode(&bits).unwrap(), 2.0);
+        let bowed = DriveBy::new(
+            code(32).encode(&bits).unwrap().with_column_bow(0.0004, 3),
+            2.0,
+        );
+        // Two tags side by side, a tripod between them.
+        let side_by_side = DriveBy::new(code(8).encode(&bits).unwrap(), 2.0)
+            .with_extra_tag(
+                code(8)
+                    .encode(&[false, true, true, false])
+                    .unwrap()
+                    .mounted_at(Vec3::new(0.6, 2.0, 1.0)),
+            )
+            .with_clutter(ros_scene::objects::ClutterObject::new(
+                ros_scene::objects::ObjectClass::Tripod,
+                Vec3::new(0.3, 2.2, 0.8),
+                7,
+            ));
+        let mut scene_echo_count = 0;
+        for drive in [&straight8, &straight32, &bowed, &side_by_side] {
+            let target = drive.tag.mount();
+            // Along the pass, and behind the tag.
+            for radar_pos in [
+                Vec3::new(-4.0, 0.0, 1.0),
+                Vec3::new(-0.7, 0.0, 1.0),
+                Vec3::new(0.0, 0.0, 1.0),
+                Vec3::new(1.3, 0.0, 1.0),
+                Vec3::new(0.2, 3.5, 1.0),
+            ] {
+                let echoes = scene_echoes(drive, radar_pos);
+                scene_echo_count += echoes.len();
+                assert_gate_matches_oracle(&model.aim(radar_pos, target), &echoes);
+            }
+        }
+        assert!(scene_echo_count > 1000, "{scene_echo_count} scene echoes");
+
+        // Hand-built columns: a clutter echo between two rows of one
+        // column; the same x at another y; columns one ulp apart in x,
+        // then in y; a column at −0 against one at +0.
+        let up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let amp = Complex64::from_polar(1e-4, 0.3);
+        let at = |x: f64, y: f64, z: f64| (Vec3::new(x, y, z), amp);
+        let echoes = [
+            at(0.4, 2.0, 0.9),
+            at(0.4, 2.0, 1.0),
+            at(0.25, 2.6, 0.4),
+            at(0.4, 2.0, 1.1),
+            at(0.4, 3.0, 1.1),
+            at(0.4, 3.0, 1.2),
+            at(up(0.4), 3.0, 1.2),
+            at(up(0.4), up(3.0), 1.2),
+            at(up(0.4), up(3.0), 1.3),
+            at(0.0, 2.0, 1.0),
+            at(-0.0, 2.0, 1.0),
+            at(-0.5, 2.0, 1.0),
+            at(-0.5, 2.0, 0.9),
+        ];
+        let target = Vec3::new(0.0, 2.0, 1.0);
+        for radar_pos in [
+            Vec3::new(-1.1, 0.0, 1.0),
+            Vec3::new(0.0, 0.0, 1.0),
+            Vec3::new(0.9, 0.0, 1.0),
+            // Behind every echo: the radar pattern is zero.
+            Vec3::new(0.1, 4.0, 1.0),
+        ] {
+            assert_gate_matches_oracle(&model.aim(radar_pos, target), &echoes);
+        }
     }
 
     #[test]

@@ -66,9 +66,72 @@ impl Pose {
     }
 }
 
+/// The values one pose derives from a tag column's azimuth, kept for
+/// the last column evaluated.
+///
+/// The rows of one tag stack share their world `x` and `y` bit for bit
+/// and differ only in `z`, and [`Pose::azimuth_to`] reads only `x`, `y`
+/// and the pose, so every value computed from the azimuth alone is the
+/// same for each row of the column. The memo keys a column on the bits
+/// of `x` and `y`, never on float equality: a bowed column (rows that
+/// differ in `x` or `y`), or a column one ulp from the last, evaluates
+/// afresh. A reused value is the output of the same deterministic call
+/// on the same input bits, so memoizing changes no bit. One memo
+/// serves one pose: start a new one (`default()`, which has seen no
+/// column) when the pose changes.
+#[derive(Clone, Debug, Default)]
+pub struct ColumnMemo<T> {
+    last: Option<(u64, u64, T)>,
+}
+
+impl<T: Copy> ColumnMemo<T> {
+    /// The value for the column through `pos`: the kept one when
+    /// `pos.x` and `pos.y` have the last column's bits, else `eval()`,
+    /// which is then kept.
+    #[inline]
+    pub fn get_or_eval(&mut self, pos: Vec3, eval: impl FnOnce() -> T) -> T {
+        let key = (pos.x.to_bits(), pos.y.to_bits());
+        match self.last {
+            Some((x, y, v)) if (x, y) == key => v,
+            _ => {
+                let v = eval();
+                self.last = Some((key.0, key.1, v));
+                v
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn column_memo_reuses_only_on_equal_xy_bits() {
+        let mut memo = ColumnMemo::default();
+        let mut evals = 0;
+        let mut at = |x: f64, y: f64, z: f64| {
+            memo.get_or_eval(Vec3::new(x, y, z), || {
+                evals += 1;
+                (x, y)
+            })
+        };
+        // Rows of one column: one evaluation.
+        assert_eq!(at(0.4, 3.0, 0.0), (0.4, 3.0));
+        assert_eq!(at(0.4, 3.0, 0.1), (0.4, 3.0));
+        // One ulp apart in x, then in y; the same x at another y.
+        let up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        assert_eq!(at(up(0.4), 3.0, 0.2), (up(0.4), 3.0));
+        assert_eq!(at(up(0.4), up(3.0), 0.2), (up(0.4), up(3.0)));
+        assert_eq!(at(up(0.4), 2.0, 0.2), (up(0.4), 2.0));
+        // +0 and −0 compare equal as floats but are other bits.
+        assert_eq!(at(0.0, 1.0, 0.0).0.to_bits(), 0.0f64.to_bits());
+        assert_eq!(at(-0.0, 1.0, 0.0).0.to_bits(), (-0.0f64).to_bits());
+        // Only the last column is kept.
+        assert_eq!(at(0.4, 3.0, 0.0), (0.4, 3.0));
+        drop(at);
+        assert_eq!(evals, 7);
+    }
 
     #[test]
     fn echo_power() {

@@ -16,7 +16,7 @@
 
 use crate::array::RadarArray;
 use crate::chirp::ChirpConfig;
-use crate::echo::{Echo, Pose};
+use crate::echo::{ColumnMemo, Echo, Pose};
 use rand::Rng;
 use ros_em::radar_eq::RadarLinkBudget;
 use ros_em::units::cast::AsF64;
@@ -319,16 +319,12 @@ fn synthesize_avx(
 /// (`F = 1`) and two frames fill one AVX-512 register (`F = 2`).
 /// Finally each frame's noise rows become `signal + σ·noise`.
 ///
-/// The precompute evaluates a tag column once. The rows of one stack
-/// share their world `x` and `y` bit for bit and differ only in `z`,
-/// and [`Pose::azimuth_to`] reads only `x`, `y` and the frame's pose, so
-/// they share the azimuth, the pattern gain and the `k_rx` steering
-/// phasors. Each frame keeps the last live echo's `(x, y)` bits with its
-/// gain and phasors; a live echo with the same bits reuses them, and
-/// any other echo evaluates them afresh. Range, beat rotation and
-/// `amp·(g·g)·phasor` stay per echo. Each reused value is the output of
-/// the same deterministic call on the same input bits, so this changes
-/// no bit.
+/// The precompute evaluates a tag column once: each frame's
+/// [`ColumnMemo`] keeps the last live echo's pattern gain (its `k_rx`
+/// steering phasors in the scratch's `steer`), and a live echo of the
+/// same column reuses both. Range, beat rotation and
+/// `amp·(g·g)·phasor` stay per echo. This changes no bit (see
+/// [`ColumnMemo`]).
 ///
 /// Bit-identity with the reference holds at every `L` and for every
 /// pairing of frames. Every accumulator cell receives its own frame's
@@ -393,26 +389,20 @@ fn synthesize_group<const L: usize>(
     steer.resize(k_rx, Complex64::ZERO);
     for (f, (pose, echoes)) in jobs.iter().enumerate() {
         let mut slot = f * k_rx;
-        // The last evaluated column: its `(x, y)` bits and pattern gain
-        // (its steering phasors are in `steer`).
-        let mut column: Option<(u64, u64, f64)> = None;
+        // The last evaluated column's pattern gain; its steering
+        // phasors are in `steer`.
+        let mut column = ColumnMemo::default();
         for echo in echoes {
             if echo.amp == Complex64::ZERO {
                 continue;
             }
-            let key = (echo.pos.x.to_bits(), echo.pos.y.to_bits());
-            let g = match column {
-                Some((x, y, g)) if (x, y) == key => g,
-                _ => {
-                    let az = pose.azimuth_to(echo.pos);
-                    for (k, s) in steer.iter_mut().enumerate() {
-                        *s = Complex64::cis(array.steering_phase(k, az, lambda));
-                    }
-                    let g = radar_pattern(az);
-                    column = Some((key.0, key.1, g));
-                    g
+            let g = column.get_or_eval(echo.pos, || {
+                let az = pose.azimuth_to(echo.pos);
+                for (k, s) in steer.iter_mut().enumerate() {
+                    *s = Complex64::cis(array.steering_phase(k, az, lambda));
                 }
-            };
+                radar_pattern(az)
+            });
             // Gain is non-negative, so `<=` keeps the exact-zero skip
             // behavior while avoiding an exact float comparison.
             if g <= 0.0 {

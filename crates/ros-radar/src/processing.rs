@@ -11,7 +11,7 @@ use crate::chirp::ChirpConfig;
 use crate::frontend::Frame;
 use crate::pointcloud::RadarPoint;
 use ros_dsp::cfar::{ca_cfar_into, CfarParams, Detection};
-use ros_dsp::fft::{fft_in_place, FftPlan};
+use ros_dsp::fft::FftPlan;
 use ros_dsp::peaks::{find_peaks_into, Peak, PeakParams};
 use ros_dsp::window::WindowTable;
 use ros_dsp::PlanCache;
@@ -27,10 +27,10 @@ pub(crate) const AOA_GRID_STEP_RAD: f64 = 0.01;
 
 /// Per-antenna normalized range spectra: `out[k][bin] = FFT(s_k)/N`.
 ///
-/// Direct reference implementation; the batch/steady-state pipeline
-/// uses the planned [`range_spectra_into`] twin, which is pinned
-/// bit-identical to this one.
-pub fn range_spectra(frame: &Frame) -> Vec<Vec<Complex64>> {
+/// The direct reference the planned [`range_spectra_into`] is checked
+/// against bit for bit.
+#[cfg(test)]
+fn range_spectra(frame: &Frame) -> Vec<Vec<Complex64>> {
     frame
         .data
         .iter()
@@ -40,17 +40,18 @@ pub fn range_spectra(frame: &Frame) -> Vec<Vec<Complex64>> {
             // defensively otherwise.
             let n = buf.len().next_power_of_two();
             buf.resize(n, Complex64::ZERO);
-            fft_in_place(&mut buf);
+            ros_dsp::fft::fft_in_place(&mut buf);
             let scale = 1.0 / ant.len().as_f64();
             buf.iter().map(|&c| c * scale).collect()
         })
         .collect()
 }
 
-/// Scratch-buffer twin of [`range_spectra`]: identical spectra written
-/// into `out` via a precomputed [`FftPlan`] (which must be sized for
-/// the frame's zero-padded length, `n_samples.next_power_of_two()`).
-/// Allocation-free once the rows have grown to capacity.
+/// Per-antenna normalized range spectra, `out[k][bin] = FFT(s_k)/N`,
+/// written into `out` via a precomputed [`FftPlan`] (which must be
+/// sized for the frame's zero-padded length,
+/// `n_samples.next_power_of_two()`). Allocation-free once the rows
+/// have grown to capacity.
 pub(crate) fn range_spectra_into(frame: &Frame, plan: &FftPlan, out: &mut Vec<Vec<Complex64>>) {
     let k_rx = frame.data.len();
     out.truncate(k_rx);
@@ -70,8 +71,10 @@ pub(crate) fn range_spectra_into(frame: &Frame, plan: &FftPlan, out: &mut Vec<Ve
 }
 
 /// Non-coherently integrated range power profile \[mW per bin\],
-/// averaged over antennas.
-pub fn range_power_profile(spectra: &[Vec<Complex64>]) -> Vec<f64> {
+/// averaged over antennas: the reference [`range_power_profile_into`]
+/// is checked against.
+#[cfg(test)]
+fn range_power_profile(spectra: &[Vec<Complex64>]) -> Vec<f64> {
     let n = spectra[0].len();
     let k = spectra.len().as_f64();
     (0..n)
@@ -79,8 +82,8 @@ pub fn range_power_profile(spectra: &[Vec<Complex64>]) -> Vec<f64> {
         .collect()
 }
 
-/// Scratch-buffer twin of [`range_power_profile`]: identical profile
-/// written into `out` (cleared first).
+/// Non-coherently integrated range power profile \[mW per bin\],
+/// averaged over antennas, written into `out` (cleared first).
 pub fn range_power_profile_into(spectra: &[Vec<Complex64>], out: &mut Vec<f64>) {
     out.clear();
     let n = spectra[0].len();
@@ -90,19 +93,32 @@ pub fn range_power_profile_into(spectra: &[Vec<Complex64>], out: &mut Vec<f64>) 
     }
 }
 
+/// Number of azimuths on the AoA grid.
+fn aoa_grid_len() -> usize {
+    cast::floor_usize(2.0 * AOA_GRID_HALF_RAD / AOA_GRID_STEP_RAD) + 1
+}
+
+/// Azimuth `i` of the AoA grid \[rad\].
+fn aoa_grid_az(i: usize) -> f64 {
+    -AOA_GRID_HALF_RAD + i.as_f64() * AOA_GRID_STEP_RAD
+}
+
 /// Beamforming pseudo-spectrum at one range bin: power versus azimuth
-/// over the AoA grid. Returns `(azimuths, powers)`.
-pub fn aoa_spectrum(
+/// over the AoA grid, steering phasors evaluated per call. Returns
+/// `(azimuths, powers)`: the reference [`aoa_spectrum_into`] is checked
+/// against.
+#[cfg(test)]
+fn aoa_spectrum(
     spectra: &[Vec<Complex64>],
     bin: usize,
     array: &RadarArray,
     lambda_m: f64,
 ) -> (Vec<f64>, Vec<f64>) {
-    let n_az = cast::floor_usize(2.0 * AOA_GRID_HALF_RAD / AOA_GRID_STEP_RAD) + 1;
+    let n_az = aoa_grid_len();
     let mut azs = Vec::with_capacity(n_az);
     let mut pws = Vec::with_capacity(n_az);
     for i in 0..n_az {
-        let az = -AOA_GRID_HALF_RAD + i.as_f64() * AOA_GRID_STEP_RAD;
+        let az = aoa_grid_az(i);
         let mut y = Complex64::ZERO;
         for (k, s) in spectra.iter().enumerate() {
             let w = Complex64::cis(-array.steering_phase(k, az, lambda_m));
@@ -114,35 +130,70 @@ pub fn aoa_spectrum(
     (azs, pws)
 }
 
-/// Scratch-buffer twin of [`aoa_spectrum`]: identical `(azimuths,
-/// powers)` grids written into `azs`/`pws` (cleared first).
-pub fn aoa_spectrum_into(
+/// The AoA sweep's steering phasors, `cis(−φ_k(az))` for every grid
+/// azimuth and antenna (azimuth-major, `n_rx` per azimuth). They depend
+/// only on the antenna count, the element spacing and λ, so the table
+/// is filled on the first sweep and again only when one of those
+/// changes (compared by bits).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SteeringTable {
+    key: Option<(usize, u64, u64)>,
+    phasors: Vec<Complex64>,
+}
+
+impl SteeringTable {
+    /// The phasors of `n_rx` antennas of `array`'s spacing at
+    /// wavelength `lambda_m`, filling the table if it holds another
+    /// array or wavelength.
+    fn phasors(&mut self, n_rx: usize, array: &RadarArray, lambda_m: f64) -> &[Complex64] {
+        let key = (n_rx, array.rx_spacing_m.to_bits(), lambda_m.to_bits());
+        if self.key != Some(key) {
+            self.phasors.clear();
+            for i in 0..aoa_grid_len() {
+                let az = aoa_grid_az(i);
+                self.phasors.extend(
+                    (0..n_rx).map(|k| Complex64::cis(-array.steering_phase(k, az, lambda_m))),
+                );
+            }
+            self.key = Some(key);
+        }
+        &self.phasors
+    }
+}
+
+/// Beamforming pseudo-spectrum at one range bin: power versus azimuth
+/// over the AoA grid, written into `azs`/`pws` (cleared first). The
+/// steering phasors come from `table`.
+pub(crate) fn aoa_spectrum_into(
     spectra: &[Vec<Complex64>],
     bin: usize,
     array: &RadarArray,
     lambda_m: f64,
+    table: &mut SteeringTable,
     azs: &mut Vec<f64>,
     pws: &mut Vec<f64>,
 ) {
     azs.clear();
     pws.clear();
-    let n_az = cast::floor_usize(2.0 * AOA_GRID_HALF_RAD / AOA_GRID_STEP_RAD) + 1;
-    for i in 0..n_az {
-        let az = -AOA_GRID_HALF_RAD + i.as_f64() * AOA_GRID_STEP_RAD;
+    let n_rx = spectra.len();
+    let phasors = table.phasors(n_rx, array, lambda_m);
+    for i in 0..aoa_grid_len() {
+        let weights = &phasors[i * n_rx..(i + 1) * n_rx];
         let mut y = Complex64::ZERO;
-        for (k, s) in spectra.iter().enumerate() {
-            let w = Complex64::cis(-array.steering_phase(k, az, lambda_m));
-            y += w * s[bin];
+        for (w, s) in weights.iter().zip(spectra) {
+            y += *w * s[bin];
         }
-        azs.push(az);
-        pws.push((y / spectra.len().as_f64()).norm_sqr());
+        azs.push(aoa_grid_az(i));
+        pws.push((y / n_rx.as_f64()).norm_sqr());
     }
 }
 
 /// Reusable scratch arena for [`detect_points_with`]: the plan cache
-/// (FFT plan per padded frame length, window table for the spotlight)
-/// plus every intermediate buffer of the detect chain. One per worker
-/// or per run; steady-state frames allocate nothing.
+/// (FFT plan per padded frame length, window table for the spotlight),
+/// every intermediate buffer of the detect chain, and the AoA sweep's
+/// steering table (filled on the first detection, refilled only for
+/// another array or wavelength). One per worker or per run;
+/// steady-state frames allocate nothing.
 #[derive(Clone, Debug, Default)]
 pub struct DetectScratch {
     plans: PlanCache,
@@ -163,6 +214,7 @@ struct DetectBufs {
     spectra: Vec<Vec<Complex64>>,
     profile: Vec<f64>,
     detections: Vec<Detection>,
+    steering: SteeringTable,
     azs: Vec<f64>,
     pws: Vec<f64>,
     peaks: Vec<Peak>,
@@ -222,6 +274,7 @@ fn detect_points_core(
         spectra,
         profile,
         detections,
+        steering,
         azs,
         pws,
         peaks,
@@ -238,7 +291,7 @@ fn detect_points_core(
         if range < 0.3 {
             continue; // direct leakage region
         }
-        aoa_spectrum_into(spectra, det.index, array, lambda, azs, pws);
+        aoa_spectrum_into(spectra, det.index, array, lambda, steering, azs, pws);
         find_peaks_into(
             pws,
             &PeakParams {
@@ -467,13 +520,62 @@ mod tests {
         let lambda = c.wavelength_m();
         let (direct_azs, direct_pws) = aoa_spectrum(&direct_spectra, 12, &a, lambda);
         let (mut azs, mut pws) = (vec![1.0; 2], Vec::new());
-        aoa_spectrum_into(&spectra, 12, &a, lambda, &mut azs, &mut pws);
+        let mut table = SteeringTable::default();
+        aoa_spectrum_into(&spectra, 12, &a, lambda, &mut table, &mut azs, &mut pws);
         for (d, v) in direct_azs
             .iter()
             .zip(&azs)
             .chain(direct_pws.iter().zip(&pws))
         {
             assert_eq!(d.to_bits(), v.to_bits());
+        }
+    }
+
+    #[test]
+    fn aoa_steering_table_follows_array_and_wavelength() {
+        // One scratch swept over two arrays (another antenna count,
+        // another spacing) and two wavelengths, back and forth: every
+        // sweep matches the per-call steering of `aoa_spectrum` bit for
+        // bit, so a table filled for one array or λ is never read for
+        // another.
+        let p1 = Vec3::new(-1.0, 2.5, 0.0);
+        let p2 = Vec3::new(1.5, 4.5, 0.0);
+        let (f, c, a4) = capture(&[strong_echo(p1), strong_echo(p2)], 22);
+        let plan = FftPlan::new(f.n_samples().next_power_of_two());
+        let mut spectra = Vec::new();
+        range_spectra_into(&f, &plan, &mut spectra);
+        let three = RadarArray { n_rx: 3, ..a4 };
+        let wide = RadarArray {
+            rx_spacing_m: a4.rx_spacing_m * 1.5,
+            ..a4
+        };
+        let lambda = c.wavelength_m();
+        let mut scratch = DetectScratch::default();
+        let (mut azs, mut pws) = (Vec::new(), Vec::new());
+        let sweeps = [
+            (&a4, lambda, 4),
+            (&a4, lambda * 1.01, 4),
+            (&wide, lambda * 1.01, 4),
+            (&three, lambda * 1.01, 3),
+            (&a4, lambda, 4),
+            (&a4, lambda, 4),
+        ];
+        for (array, lambda, n_rx) in sweeps {
+            for bin in [12, 30] {
+                let rows = &spectra[..n_rx];
+                let (direct_azs, direct_pws) = aoa_spectrum(rows, bin, array, lambda);
+                let table = &mut scratch.bufs.steering;
+                aoa_spectrum_into(rows, bin, array, lambda, table, &mut azs, &mut pws);
+                assert_eq!(direct_azs.len(), azs.len());
+                assert_eq!(direct_pws.len(), pws.len());
+                for (d, v) in direct_azs
+                    .iter()
+                    .zip(&azs)
+                    .chain(direct_pws.iter().zip(&pws))
+                {
+                    assert_eq!(d.to_bits(), v.to_bits(), "{n_rx} antennas, λ {lambda}");
+                }
+            }
         }
     }
 

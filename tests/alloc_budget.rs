@@ -28,7 +28,9 @@
 //! * detect — `FmcwRadar::detect_with` → `processing::detect_points_core`
 //!   (`range_spectra_into` over `FftPlan::process_forward`,
 //!   `range_power_profile_into`, `cfar::ca_cfar_into`,
-//!   `aoa_spectrum_into`, `peaks::find_peaks_into`).
+//!   `aoa_spectrum_into` reading the scratch's AoA steering table,
+//!   which the first detection of warm-up fills once,
+//!   `peaks::find_peaks_into`).
 //! * spotlight — `FmcwRadar::spotlight_with` →
 //!   `goertzel::single_bin_windowed_each`.
 //! * decode — `decode_into` → `decode_core` (`resample_uniform_into`,

@@ -30,6 +30,15 @@ ROS_EXEC_THREADS=4 cargo test -q -p ros-tests --test determinism
 # package outside the workspace, so the stages above never compile it.
 # Build and unit-test it here: a library API change that breaks the
 # benchmark fails verify instead of surfacing at benchmark time.
+#
+# Each rosbench build rewrites the package's committed lock file, so
+# keep a copy and put it back when verify exits, passing or failing,
+# and a run leaves the tracked tree as it found it.
+ROSBENCH_LOCK=crates/bench/src/bin/rosbench/Cargo.lock
+ROSBENCH_LOCK_SAVED=target/rosbench-Cargo.lock.saved
+cp "$ROSBENCH_LOCK" "$ROSBENCH_LOCK_SAVED"
+trap 'cp "$ROSBENCH_LOCK_SAVED" "$ROSBENCH_LOCK" && rm -f "$ROSBENCH_LOCK_SAVED"' EXIT
+trap 'exit 1' INT TERM
 echo "==> rosbench build + unit tests (standalone benchmark package)"
 cargo build --release --offline --manifest-path crates/bench/src/bin/rosbench/Cargo.toml
 cargo test --offline --manifest-path crates/bench/src/bin/rosbench/Cargo.toml

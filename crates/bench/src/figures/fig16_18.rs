@@ -7,7 +7,7 @@
 //! * Fig. 17 — angular field of view,
 //! * Fig. 18 — vehicle speed.
 
-use crate::util::{f, note, Table};
+use crate::util::{f, note, snr_median, Table};
 use ros_core::encode::SpatialCode;
 use ros_core::reader::{DriveBy, ReaderConfig};
 use ros_em::constants::mph_to_mps;
@@ -92,14 +92,9 @@ pub fn fig16c() {
                 .with_seed(1700 + seed);
             drive.half_span_m = 8.0;
             let o = drive.run(&ReaderConfig::fast());
-            if let Some(s) = o.snr_db() {
-                snrs.push(s);
-            }
+            snrs.push(o.snr_db());
         }
-        t.row(vec![
-            fog.label().into(),
-            f(ros_dsp::stats::median(&snrs), 1),
-        ]);
+        t.row(vec![fog.label().into(), snr_median(&snrs)]);
     }
     t.emit("fig16c");
     note("median SNR stays above 15 dB across all fog levels.");
@@ -123,9 +118,9 @@ pub fn fig16d() {
                 .with_seed(1800 + seed);
             drive.half_span_m = 8.0;
             let o = drive.run(&ReaderConfig::fast());
-            snrs.push(o.snr_db().unwrap_or(0.0));
+            snrs.push(o.snr_db());
         }
-        t.row(vec![f(pct, 0), f(ros_dsp::stats::median(&snrs), 1)]);
+        t.row(vec![f(pct, 0), snr_median(&snrs)]);
     }
     t.emit("fig16d");
     note("≈20 dB below 6% drift, degrading beyond as coding peaks distort.");
@@ -205,9 +200,9 @@ pub fn fig18() {
             let mut cfg = ReaderConfig::fast();
             cfg.frame_stride = 1;
             let o = drive.run(&cfg);
-            snrs.push(o.snr_db().unwrap_or(0.0));
+            snrs.push(o.snr_db());
         }
-        t.row(vec![f(mph, 0), f(ros_dsp::stats::median(&snrs), 1)]);
+        t.row(vec![f(mph, 0), snr_median(&snrs)]);
     }
     t.emit("fig18");
     note("SNR consistently above 14 dB at 10–30 mph (larger spread than cart tests).");

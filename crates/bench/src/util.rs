@@ -82,7 +82,36 @@ pub fn f(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
 }
 
+/// Median decode SNR \[dB\] over the passes that decoded, with how many
+/// did: `"16.7 (decoded 3/4)"`. A failed pass has no SNR, so it never
+/// enters the median as a number; a row where no pass decoded reads
+/// `"failed (decoded 0/4)"`.
+pub fn snr_median(snrs: &[Option<f64>]) -> String {
+    let decoded: Vec<f64> = snrs.iter().flatten().copied().collect();
+    let n = snrs.len();
+    if decoded.is_empty() {
+        return format!("failed (decoded 0/{n})");
+    }
+    let median = ros_dsp::stats::median(&decoded);
+    format!("{} (decoded {}/{n})", f(median, 1), decoded.len())
+}
+
 /// Prints a paper-comparison note under a table.
 pub fn note(text: &str) {
     println!("   paper: {text}\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failed_pass_does_not_enter_the_snr_median() {
+        // Counting the failure as 0 dB would give a median of 10.0.
+        assert_eq!(
+            snr_median(&[Some(20.0), None, Some(10.0)]),
+            "15.0 (decoded 2/3)"
+        );
+        assert_eq!(snr_median(&[None, None]), "failed (decoded 0/2)");
+    }
 }

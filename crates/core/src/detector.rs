@@ -82,57 +82,39 @@ pub struct ScoredCluster {
     pub is_tag: bool,
 }
 
-/// Clusters a merged point cloud into geometric summaries plus each
-/// cluster's member point indices into the cloud (for per-point RSS
-/// statistics).
-pub(crate) fn cluster_members(
-    cloud: &PointCloud,
-    cfg: &DetectorConfig,
-) -> Vec<(ClusterSummary, Vec<usize>)> {
-    let xy = cloud.xy();
-    let (labels, _) = dbscan(&xy, &cfg.dbscan);
-    summarize_clusters(&xy, &labels)
-        .into_iter()
-        .filter(|s| s.count >= cfg.min_points)
-        .map(|s| {
-            let members: Vec<usize> = labels
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| **l == ros_dsp::dbscan::Label::Cluster(s.id))
-                .map(|(i, _)| i)
-                .collect();
-            (s, members)
-        })
-        .collect()
-}
-
 /// Clusters a merged point cloud and scores every cluster.
 ///
-/// `rss_probe` supplies, for a cluster (by member indices, centre, and
-/// the centres of every *other* cluster), the pair of median RSS
-/// values `(native_dbm, switched_dbm)`: native from the cluster's own
-/// detected point powers, switched by spotlighting the centre across
-/// the pass — skipping frames where another cluster shares the same
-/// range–azimuth cell.
+/// `rss_probe` supplies, for a cluster (by its centre and the centres
+/// of every *other* cluster), the pair of RSS values
+/// `(native_dbm, switched_dbm)`. The reader spotlights the centre in
+/// the native and the switched frame taken at the same pose: native is
+/// the median native spotlight, and switched is native minus the median
+/// per-pose loss. Frames where another cluster shares the centre's
+/// range–azimuth cell are skipped.
 pub fn score_clusters<F>(
     cloud: &PointCloud,
     cfg: &DetectorConfig,
     mut rss_probe: F,
 ) -> Vec<ScoredCluster>
 where
-    F: FnMut(&[usize], Vec3, &[Vec3]) -> (f64, f64),
+    F: FnMut(Vec3, &[Vec3]) -> (f64, f64),
 {
     let _span = ros_obs::span(names::TIME_DETECTOR_SCORE);
-    let with_members = cluster_members(cloud, cfg);
-    let centers: Vec<Vec3> = with_members
+    let xy = cloud.xy();
+    let (labels, _) = dbscan(&xy, &cfg.dbscan);
+    let summaries: Vec<ClusterSummary> = summarize_clusters(&xy, &labels)
+        .into_iter()
+        .filter(|s| s.count >= cfg.min_points)
+        .collect();
+    let centers: Vec<Vec3> = summaries
         .iter()
-        .map(|(s, _)| Vec3::new(s.cx, s.cy, 0.0))
+        .map(|s| Vec3::new(s.cx, s.cy, 0.0))
         .collect();
 
-    with_members
+    summaries
         .into_iter()
         .enumerate()
-        .map(|(i, (s, members))| {
+        .map(|(i, s)| {
             let center = centers[i];
             let others: Vec<Vec3> = centers
                 .iter()
@@ -140,7 +122,7 @@ where
                 .filter(|(j, _)| *j != i)
                 .map(|(_, c)| *c)
                 .collect();
-            let (native, switched) = rss_probe(&members, center, &others);
+            let (native, switched) = rss_probe(center, &others);
             let features = ClusterFeatures {
                 center,
                 n_points: s.count,
@@ -238,7 +220,7 @@ mod tests {
     #[test]
     fn two_clusters_found_and_scored() {
         let cloud = test_cloud();
-        let clusters = score_clusters(&cloud, &DetectorConfig::default(), |_, c, _| {
+        let clusters = score_clusters(&cloud, &DetectorConfig::default(), |c, _| {
             // Tag near (0, 2): loss 13 dB; tree: loss 17 dB.
             if c.y < 3.0 {
                 (-40.0, -53.0)
@@ -255,7 +237,7 @@ mod tests {
     #[test]
     fn pick_tag_prefers_smallest_loss() {
         let cloud = test_cloud();
-        let clusters = score_clusters(&cloud, &DetectorConfig::default(), |_, c, _| {
+        let clusters = score_clusters(&cloud, &DetectorConfig::default(), |c, _| {
             if c.y < 3.0 {
                 (-40.0, -53.0) // 13 dB loss, compact → tag
             } else {
@@ -270,7 +252,7 @@ mod tests {
     #[test]
     fn large_cluster_rejected_even_with_low_loss() {
         let cloud = test_cloud();
-        let clusters = score_clusters(&cloud, &DetectorConfig::default(), |_, _, _| (-40.0, -53.0));
+        let clusters = score_clusters(&cloud, &DetectorConfig::default(), |_, _| (-40.0, -53.0));
         // Both clusters have tag-like loss; only the compact one passes.
         let tags: Vec<_> = clusters.iter().filter(|c| c.is_tag).collect();
         assert_eq!(tags.len(), 1);
@@ -280,7 +262,7 @@ mod tests {
     #[test]
     fn high_loss_cluster_rejected() {
         let cloud = test_cloud();
-        let clusters = score_clusters(&cloud, &DetectorConfig::default(), |_, _, _| (-40.0, -58.0));
+        let clusters = score_clusters(&cloud, &DetectorConfig::default(), |_, _| (-40.0, -58.0));
         // 18 dB loss everywhere: nothing passes.
         assert!(pick_tag(&clusters).is_none());
     }
@@ -298,7 +280,7 @@ mod tests {
             })
             .collect();
         cloud.add_frame(&pts, &pose);
-        let clusters = score_clusters(&cloud, &DetectorConfig::default(), |_, _, _| (-40.0, -53.0));
+        let clusters = score_clusters(&cloud, &DetectorConfig::default(), |_, _| (-40.0, -53.0));
         assert!(clusters.is_empty());
     }
 

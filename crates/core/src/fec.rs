@@ -15,11 +15,6 @@
 /// of panicking so faulted decode paths degrade gracefully.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FecError {
-    /// The value does not fit in 4 bits.
-    OversizedNibble {
-        /// The offending value.
-        value: u8,
-    },
     /// A coded stream whose length is not a multiple of 7.
     LengthNotMultipleOf7 {
         /// The offending length.
@@ -37,9 +32,6 @@ pub enum FecError {
 impl std::fmt::Display for FecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FecError::OversizedNibble { value } => {
-                write!(f, "value {value} does not fit in a 4-bit nibble")
-            }
             FecError::LengthNotMultipleOf7 { len } => {
                 write!(f, "coded length {len} is not a multiple of 7")
             }
@@ -56,20 +48,9 @@ impl std::fmt::Display for FecError {
 
 impl std::error::Error for FecError {}
 
-/// Encodes a 4-bit nibble (low bits of `nibble`) into 7 coded bits.
+/// Encodes the low 4 bits of `nibble` into 7 coded bits.
 ///
 /// Bit layout (1-indexed): p1 p2 d1 p4 d2 d3 d4.
-///
-/// # Errors
-/// [`FecError::OversizedNibble`] when `nibble >= 16`.
-pub fn hamming74_encode(nibble: u8) -> Result<[bool; 7], FecError> {
-    if nibble >= 16 {
-        return Err(FecError::OversizedNibble { value: nibble });
-    }
-    Ok(encode_nibble(nibble))
-}
-
-/// Infallible core: encodes the low 4 bits of `nibble`.
 fn encode_nibble(nibble: u8) -> [bool; 7] {
     let d1 = nibble & 1 != 0;
     let d2 = nibble & 2 != 0;
@@ -185,7 +166,7 @@ mod tests {
     #[test]
     fn all_nibbles_roundtrip() {
         for n in 0..16u8 {
-            let code = hamming74_encode(n).unwrap();
+            let code = encode_nibble(n);
             let (back, fixed) = hamming74_decode(code);
             assert_eq!(back, n);
             assert_eq!(fixed, None);
@@ -196,7 +177,7 @@ mod tests {
     fn every_single_flip_corrected() {
         for n in 0..16u8 {
             for flip in 0..7 {
-                let mut code = hamming74_encode(n).unwrap();
+                let mut code = encode_nibble(n);
                 code[flip] = !code[flip];
                 let (back, fixed) = hamming74_decode(code);
                 assert_eq!(back, n, "nibble {n}, flip {flip}");
@@ -255,15 +236,6 @@ mod tests {
                 message_len: 8
             })
         );
-    }
-
-    #[test]
-    fn oversized_nibble_is_typed_error() {
-        assert_eq!(
-            hamming74_encode(16),
-            Err(FecError::OversizedNibble { value: 16 })
-        );
-        assert!(hamming74_encode(15).is_ok());
     }
 
     #[test]

@@ -21,10 +21,7 @@
 //!   field, speed bound, link budget),
 //! * [`ask`] — the §8 multi-level (ASK) coding extension: 2 bits per
 //!   slot via per-stack row counts,
-//! * [`fec`] — Hamming(7,4) error protection over RoS messages (§8),
-//! * [`fusion`] — multi-pass (fleet/commuter) reading combination,
-//! * [`signpost`] — the road-sign codebook of the paper's Fig. 1
-//!   scenario (\"1111 → traffic light ahead\").
+//! * [`fec`] — Hamming(7,4) error protection over RoS messages (§8).
 //!
 //! ## Quick start
 //!
@@ -48,12 +45,9 @@ pub mod decode;
 pub(crate) mod detector;
 pub mod encode;
 pub mod fec;
-pub mod fusion;
-pub mod localize;
 pub mod nearfield;
 pub mod rcs_model;
 pub mod reader;
-pub mod signpost;
 pub mod stream;
 pub mod tag;
 

@@ -157,7 +157,7 @@ pub fn rcs_spectrum_windowed_into(
     }
 }
 
-/// The chirp-Z arc parameters `(w, a)` that [`rcs_spectrum_czt`]'s
+/// The chirp-Z arc parameters `(w, a)` that `rcs_spectrum_czt`'s
 /// zoom transform evaluates for an `rcs_len`-point input and `n_bins`
 /// output bins over `[0, max_spacing_m]` — exactly the expressions
 /// `ros_dsp::czt::zoom_spectrum` computes, so a `CztPlan` resolved
@@ -178,7 +178,7 @@ pub fn czt_zoom_params(
     (w, a)
 }
 
-/// Scratch-buffer twin of [`rcs_spectrum_czt`]: identical `(spacings,
+/// Scratch-buffer twin of `rcs_spectrum_czt`: identical `(spacings,
 /// mags)` via a precomputed window table and a [`CztPlan`] resolved
 /// from [`czt_zoom_params`]. Allocation-free once the buffers have
 /// grown to capacity.
@@ -231,6 +231,7 @@ pub fn rcs_spectrum_czt_into(
 /// The zoom evaluates exactly the band the decoder inspects, so it
 /// reaches the same resolution as a `zero_pad`-ed FFT at a fraction of
 /// the transform length.
+#[cfg(test)]
 pub fn rcs_spectrum_czt(
     rcs: &[f64],
     u_max: f64,

@@ -502,7 +502,7 @@ impl DriveBy {
         let spot_table = WindowTable::new(Window::Hann, self.radar.chirp.n_samples);
         let range_res = self.radar.chirp.range_resolution_m();
         let h = self.radar_height_m;
-        let clusters = score_clusters(&cloud, &cfg.detector, |members, center2d, others2d| {
+        let clusters = score_clusters(&cloud, &cfg.detector, |center2d, others2d| {
             // Cluster centroids live on the road plane; objects (and
             // the radar) sit at the radar height.
             let center = Vec3::new(center2d.x, center2d.y, h);
@@ -523,7 +523,6 @@ impl DriveBy {
             // spotlight coverage and geometry bias cancel in the
             // difference. Frames where another cluster shares the
             // range–azimuth cell are skipped.
-            let _ = members;
             // Frames with a weak native return would push the switched
             // measurement under the noise floor and clip the loss, so
             // only strong frames contribute to the pair statistics.

@@ -211,13 +211,6 @@ impl Tag {
             .fold(0.0, f64::max)
     }
 
-    /// Azimuth of `radar_pos` from the tag's boresight \[rad\].
-    ///
-    /// The tag faces −y (toward the road); positive azimuth toward +x.
-    pub fn azimuth_from_boresight(&self, radar_pos: Vec3) -> f64 {
-        boresight_azimuth(self.mount, self.yaw, radar_pos)
-    }
-
     /// Exports every PSVAA row of every stack as a scatterer:
     /// `(world position, complex RCS amplitude √m²)` for the given
     /// radar position and polarizations.
@@ -510,9 +503,9 @@ mod tests {
     fn boresight_azimuth_convention() {
         let tag = small_tag(&[true; 4]).mounted_at(Vec3::new(0.0, 2.0, 0.0));
         // Radar on the road directly in front: azimuth 0.
-        assert!((tag.azimuth_from_boresight(Vec3::new(0.0, 0.0, 0.0))).abs() < 1e-12);
+        assert!((boresight_azimuth(tag.mount, tag.yaw, Vec3::new(0.0, 0.0, 0.0))).abs() < 1e-12);
         // Radar down-road (+x): positive azimuth.
-        assert!(tag.azimuth_from_boresight(Vec3::new(2.0, 0.0, 0.0)) > 0.0);
+        assert!(boresight_azimuth(tag.mount, tag.yaw, Vec3::new(2.0, 0.0, 0.0)) > 0.0);
     }
 
     #[test]
@@ -614,7 +607,7 @@ mod tests {
         ctx: &EchoContext,
     ) -> Vec<SceneEcho> {
         let freq_hz = ctx.budget.freq_hz;
-        let az = tag.azimuth_from_boresight(radar_pos);
+        let az = boresight_azimuth(tag.mount, tag.yaw, radar_pos);
         let (sin_y, cos_y) = tag.yaw.sin_cos();
         let mut out = Vec::new();
         let row = VanAttaArray::new(ArrayKind::Psvaa, 3);
@@ -774,7 +767,7 @@ mod tests {
         let tag = small_tag(&[true; 4])
             .mounted_at(Vec3::new(0.0, 2.0, 0.0))
             .with_yaw(deg_to_rad(10.0));
-        let az = tag.azimuth_from_boresight(Vec3::new(0.0, 0.0, 0.0));
+        let az = boresight_azimuth(tag.mount, tag.yaw, Vec3::new(0.0, 0.0, 0.0));
         assert!((az + deg_to_rad(10.0)).abs() < 1e-12);
     }
 }

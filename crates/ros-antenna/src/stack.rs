@@ -18,7 +18,6 @@
 use crate::patch;
 use crate::vaa::{ArrayKind, VanAttaArray};
 use ros_cache::{GeomCache, Key, KeyBuilder, TableKind};
-use ros_em::jones::Polarization;
 use ros_em::prelude::*;
 use ros_em::units::cast::AsF64;
 use std::sync::Arc;
@@ -240,27 +239,6 @@ impl PsvaaStack {
         })
     }
 
-    /// Complete monostatic stack response: the row's azimuth PSVAA
-    /// response times the far-field elevation array factor.
-    ///
-    /// `az`/`el` are the radar's azimuth from broadside and elevation
-    /// from the stack-centre horizontal \[rad\].
-    pub fn response(
-        &self,
-        az: f64,
-        el: f64,
-        freq_hz: f64,
-        tx: Polarization,
-        rx: Polarization,
-    ) -> Complex64 {
-        // All rows share one azimuth response (same PSVAA design); use
-        // the first row's array as representative, *without* its extra
-        // line (phase weights are applied in the elevation factor).
-        let row = VanAttaArray::new(ArrayKind::Psvaa, 3);
-        let row_field = row.monostatic_field(az, freq_hz, tx, rx);
-        row_field * self.elevation_array_factor(el, freq_hz)
-    }
-
     /// [`Self::row_scatterers`] memoized in an injected cache: one
     /// table per exact (layout, frequency). The reader's per-pass
     /// frequency is fixed, so a drive-by pays one build and every
@@ -402,20 +380,13 @@ mod tests {
     }
 
     #[test]
-    fn response_combines_azimuth_and_elevation() {
+    fn elevation_factor_carries_stack_gain_and_selectivity() {
         let s = PsvaaStack::uniform(16);
-        let on = s
-            .response(0.0, 0.0, FC, Polarization::V, Polarization::H)
-            .norm_sqr();
-        let off_el = s
-            .response(0.0, deg_to_rad(5.0), FC, Polarization::V, Polarization::H)
-            .norm_sqr();
+        let on = s.elevation_array_factor(0.0, FC).norm_sqr();
+        let off_el = s.elevation_array_factor(deg_to_rad(5.0), FC).norm_sqr();
         assert!(on / off_el > 10.0, "elevation selectivity missing");
         // 16 rows: +24 dB power over a single PSVAA at boresight.
-        let single = VanAttaArray::new(ArrayKind::Psvaa, 3)
-            .monostatic_field(0.0, FC, Polarization::V, Polarization::H)
-            .norm_sqr();
-        let gain_db = 10.0 * (on / single).log10();
+        let gain_db = 10.0 * on.log10();
         assert!((gain_db - 24.1).abs() < 0.5, "stack gain {gain_db} dB");
     }
 

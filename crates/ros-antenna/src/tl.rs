@@ -27,13 +27,6 @@ pub fn guided_wavelength(freq_hz: f64) -> f64 {
     LAMBDA_GUIDED_79GHZ_M * F_CENTER_HZ / freq_hz
 }
 
-/// Effective relative permittivity of the strip-line
-/// (`ε_eff = (c / (f·λg))²` ≈ 3.5 for the Rogers 4350B stackup).
-pub fn effective_permittivity() -> f64 {
-    let c = ros_em::constants::C;
-    (c / (F_CENTER_HZ * LAMBDA_GUIDED_79GHZ_M)).powi(2)
-}
-
 /// A physical transmission line of fixed length.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TransmissionLine {
@@ -51,11 +44,6 @@ impl TransmissionLine {
         TransmissionLine { length_m }
     }
 
-    /// A line of `n` guided wavelengths (at 79 GHz) plus `extra_m`.
-    pub fn of_guided_wavelengths(n: f64, extra_m: f64) -> Self {
-        TransmissionLine::new(n * LAMBDA_GUIDED_79GHZ_M + extra_m)
-    }
-
     /// Electrical phase delay at `freq_hz` \[rad\] (positive number;
     /// the propagating wave accrues `e^{-jφ}`).
     #[inline]
@@ -68,12 +56,6 @@ impl TransmissionLine {
     #[inline]
     pub fn amplitude(&self) -> f64 {
         ros_em::db::db_to_lin(-TL_LOSS_DB_PER_M * self.length_m)
-    }
-
-    /// One-way power loss in dB (positive number).
-    #[inline]
-    pub fn loss_db(&self) -> f64 {
-        TL_LOSS_DB_PER_M * self.length_m
     }
 
     /// Full complex transfer coefficient at `freq_hz`:
@@ -159,23 +141,16 @@ mod tests {
     }
 
     #[test]
-    fn effective_permittivity_plausible() {
-        let er = effective_permittivity();
-        // Between the Rogers 4450F (3.52) and 4350B (3.66) bulk values.
-        assert!(er > 3.3 && er < 3.7, "ε_eff = {er}");
-    }
-
-    #[test]
     fn phase_is_2pi_per_guided_wavelength() {
-        let tl = TransmissionLine::of_guided_wavelengths(3.0, 0.0);
+        let tl = TransmissionLine::new(3.0 * LAMBDA_GUIDED_79GHZ_M);
         assert!((tl.phase(F_CENTER_HZ) - 3.0 * std::f64::consts::TAU).abs() < 1e-9);
     }
 
     #[test]
     fn phase_misalignment_grows_with_length_difference() {
         // §4.1: misalignment between band edges ∝ length difference.
-        let short = TransmissionLine::of_guided_wavelengths(1.0, 0.0);
-        let long = TransmissionLine::of_guided_wavelengths(9.0, 0.0);
+        let short = TransmissionLine::new(LAMBDA_GUIDED_79GHZ_M);
+        let long = TransmissionLine::new(9.0 * LAMBDA_GUIDED_79GHZ_M);
         let mis = |tl: &TransmissionLine| (tl.phase(81.0e9) - tl.phase(77.0e9)).abs();
         assert!(mis(&long) > 8.0 * mis(&short) * 0.99);
     }
@@ -197,7 +172,6 @@ mod tests {
     #[test]
     fn loss_matches_paper_example() {
         let tl = TransmissionLine::new(0.108);
-        assert!((tl.loss_db() - 11.0).abs() < 1e-9);
         assert!((tl.amplitude() - 10f64.powf(-11.0 / 20.0)).abs() < 1e-12);
     }
 

@@ -179,11 +179,6 @@ impl VanAttaArray {
         self.pairs.len()
     }
 
-    /// Number of patch elements.
-    pub fn n_elements(&self) -> usize {
-        self.element_x.len()
-    }
-
     /// Physical width of the row \[m\] (3λ for the 3-pair design, §5).
     pub fn width_m(&self) -> f64 {
         match (self.element_x.first(), self.element_x.last()) {
@@ -203,11 +198,6 @@ impl VanAttaArray {
     /// Extra line length currently applied \[m\].
     pub(crate) fn extra_line_m(&self) -> f64 {
         self.extra_line_m
-    }
-
-    /// The phase weight the extra line introduces at `freq_hz` \[rad\].
-    pub fn phase_weight(&self, freq_hz: f64) -> f64 {
-        TransmissionLine::new(self.extra_line_m).phase(freq_hz)
     }
 
     /// Complex scattered field amplitude \[√m²\] for a plane wave
@@ -586,7 +576,6 @@ mod tests {
         let base = VanAttaArray::new(ArrayKind::Psvaa, 3);
         let shifted = VanAttaArray::new(ArrayKind::Psvaa, 3).with_extra_line(lg / 4.0);
         // λg/4 of extra line = 90° of phase weight.
-        assert!((shifted.phase_weight(FC) - std::f64::consts::FRAC_PI_2).abs() < 1e-9);
         let th = deg_to_rad(20.0);
         let f0 = base.monostatic_field(th, FC, Polarization::V, Polarization::H);
         let f1 = shifted.monostatic_field(th, FC, Polarization::V, Polarization::H);
@@ -602,7 +591,6 @@ mod tests {
     #[test]
     fn geometry_accessors() {
         let arr = VanAttaArray::new(ArrayKind::Psvaa, 3);
-        assert_eq!(arr.n_elements(), 6);
         assert_eq!(arr.n_pairs(), 3);
         assert_eq!(arr.kind(), ArrayKind::Psvaa);
         // §5: a PSVAA is 3λ wide.

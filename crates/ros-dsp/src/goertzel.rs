@@ -8,7 +8,7 @@
 //! all-antennas-at-once [`single_bin_windowed_each`]) and anywhere else
 //! a matched single-tone correlation is needed.
 
-use crate::window::{Window, WindowTable};
+use crate::window::WindowTable;
 use ros_em::units::cast::AsF64;
 use ros_em::Complex64;
 
@@ -34,10 +34,11 @@ pub fn single_bin(signal: &[Complex64], cycles_per_sample: f64) -> Complex64 {
 /// Windowed single-bin DFT, compensated for the window's coherent
 /// gain so tone amplitudes stay calibrated. The direct reference the
 /// table-driven [`single_bin_windowed_each`] is pinned against.
+#[cfg(test)]
 pub fn single_bin_windowed(
     signal: &[Complex64],
     cycles_per_sample: f64,
-    window: Window,
+    window: crate::window::Window,
 ) -> Complex64 {
     if signal.is_empty() {
         return Complex64::ZERO;
@@ -59,7 +60,7 @@ pub fn single_bin_windowed(
 /// side against the shared phasor chain.
 const SINGLE_BIN_LANES: usize = 4;
 
-/// [`single_bin_windowed`] of every signal in `signals` (e.g. one per
+/// `single_bin_windowed` of every signal in `signals` (e.g. one per
 /// Rx antenna), driven by a precomputed [`WindowTable`]: `each(k, y)`
 /// receives signal `k`'s result, in order.
 ///
@@ -67,7 +68,7 @@ const SINGLE_BIN_LANES: usize = 4;
 /// over the samples advances it once and updates up to
 /// [`SINGLE_BIN_LANES`] accumulators per step. Each signal's sum still
 /// gets the terms `s·ph·w` in sample order from the same `ph` values,
-/// so every result is bit-identical to [`single_bin_windowed`] for a
+/// so every result is bit-identical to `single_bin_windowed` for a
 /// table of matching shape and length. Allocation-free: the table
 /// carries the coherent gain the direct version recomputes. This is
 /// the form the spotlight beamformer uses on the per-frame hot path.
@@ -124,6 +125,7 @@ pub fn single_bin_windowed_each<S: AsRef<[Complex64]>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::Window;
 
     fn tone(n: usize, cycles_per_sample: f64, amp: f64, phase: f64) -> Vec<Complex64> {
         (0..n)

@@ -11,7 +11,7 @@
 //! flanking saddles — robust against sidelobe shoulders), and a minimum
 //! index separation (greedy, strongest first).
 
-use ros_em::units::cast::{self, AsF64};
+use ros_em::units::cast::AsF64;
 
 /// A detected peak.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -196,29 +196,6 @@ fn parabolic_refine(data: &[f64], i: usize) -> f64 {
     i.as_f64() + delta.clamp(-0.5, 0.5)
 }
 
-/// Value of the largest element (0.0 for an empty slice) — convenience
-/// for normalizing spectra before peak thresholding.
-pub fn max_value(data: &[f64]) -> f64 {
-    data.iter().cloned().fold(0.0_f64, f64::max)
-}
-
-/// Interpolated amplitude of `data` at fractional index `x` (linear).
-pub fn sample_at(data: &[f64], x: f64) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    if x <= 0.0 {
-        return data[0];
-    }
-    let last = (data.len() - 1).as_f64();
-    if x >= last {
-        return data[data.len() - 1];
-    }
-    let i = cast::floor_usize(x);
-    let t = x - i.as_f64();
-    data[i] * (1.0 - t) + data[i + 1] * t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,22 +291,6 @@ mod tests {
         let p = find_peaks(&d, &PeakParams::default());
         assert_eq!(p.len(), 1);
         assert!((p[0].refined_index - vertex).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sample_at_interpolates() {
-        let d = [0.0, 10.0, 20.0];
-        assert_eq!(sample_at(&d, 0.5), 5.0);
-        assert_eq!(sample_at(&d, 1.0), 10.0);
-        assert_eq!(sample_at(&d, -1.0), 0.0);
-        assert_eq!(sample_at(&d, 99.0), 20.0);
-        assert_eq!(sample_at(&[], 1.0), 0.0);
-    }
-
-    #[test]
-    fn max_value_handles_empty() {
-        assert_eq!(max_value(&[]), 0.0);
-        assert_eq!(max_value(&[1.0, 7.0, 3.0]), 7.0);
     }
 
     #[test]

@@ -203,15 +203,6 @@ pub fn resample_uniform(mut samples: Vec<Sample>, x0: f64, x1: f64, n: usize) ->
         .collect()
 }
 
-/// Mean sample spacing of a sorted trace — used to check the §5.3
-/// Nyquist condition `δ_s ≤ λ/(4·d_{M−1}/λ)…` before decoding.
-pub fn mean_spacing(samples: &[Sample]) -> Option<f64> {
-    if samples.len() < 2 {
-        return None;
-    }
-    Some((samples[samples.len() - 1].x - samples[0].x) / (samples.len() - 1).as_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,13 +316,5 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "len={len}");
             }
         }
-    }
-
-    #[test]
-    fn mean_spacing_uniform() {
-        let v: Vec<Sample> = (0..5).map(|i| s(i as f64 * 0.5, 0.0)).collect();
-        assert_eq!(mean_spacing(&v), Some(0.5));
-        assert_eq!(mean_spacing(&v[..1]), None);
-        assert_eq!(mean_spacing(&[]), None);
     }
 }

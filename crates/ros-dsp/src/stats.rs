@@ -23,11 +23,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len().as_f64()
 }
 
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Linear-interpolated quantile, `q ∈ [0, 1]`; 0.0 for an empty slice.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     if xs.is_empty() {
@@ -126,7 +121,6 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&xs), 2.5);
         assert_eq!(variance(&xs), 1.25);
-        assert!((std_dev(&xs) - 1.1180).abs() < 1e-4);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[5.0]), 0.0);
     }

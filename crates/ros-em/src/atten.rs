@@ -84,11 +84,6 @@ pub(crate) fn fog_one_way(level: FogLevel, d: Meters) -> Db {
     level.specific_attenuation() * (d.value() / 100.0)
 }
 
-/// Raw-`f64` form of [`fog_one_way`] (metres in, dB out).
-pub fn fog_one_way_db(level: FogLevel, d_m: f64) -> f64 {
-    fog_one_way(level, Meters::new(d_m)).value()
-}
-
 /// Round-trip fog loss for a monostatic radar at distance `d`,
 /// including the tag surface film.
 pub(crate) fn fog_round_trip(level: FogLevel, d: Meters) -> Db {
@@ -123,8 +118,11 @@ mod tests {
     #[test]
     fn heavy_fog_matches_paper_anchor() {
         // 2 dB per 100 m one-way.
-        assert!((fog_one_way_db(FogLevel::Heavy, 100.0) - 2.0).abs() < 1e-12);
-        assert_eq!(fog_one_way_db(FogLevel::Clear, 1000.0), 0.0);
+        assert!((fog_one_way(FogLevel::Heavy, Meters::new(100.0)).value() - 2.0).abs() < 1e-12);
+        assert_eq!(
+            fog_one_way(FogLevel::Clear, Meters::new(1000.0)).value(),
+            0.0
+        );
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! * **power ratios** — `pow_to_db` / `db_to_pow` (10·log₁₀),
 //! * **amplitude (field) ratios** — `lin_to_db` / `db_to_lin` (20·log₁₀).
 //!
-//! Absolute helpers convert between dBm and watts/milliwatts.
+//! [`dbm_to_mw`] converts an absolute dBm level to milliwatts.
 //!
 //! These are the ergonomic `f64` entry points; the arithmetic itself
 //! lives in the typed layer ([`crate::units`]), which is the only
 //! place in the workspace allowed to spell out `10^(x/10)`-style
 //! expressions (enforced by `xtask lint`).
 
-use crate::units::{Db, DbAmplitude, DbPower, Dbm, Watts};
+use crate::units::{Db, DbAmplitude, DbPower, Dbm};
 
 /// Converts a linear **power** ratio to decibels (10·log₁₀).
 #[inline]
@@ -38,28 +38,10 @@ pub fn db_to_lin(db: f64) -> f64 {
     DbAmplitude::new(db).ratio()
 }
 
-/// Converts milliwatts to dBm.
-#[inline]
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    Dbm::from_milliwatts(mw).value()
-}
-
 /// Converts dBm to milliwatts.
 #[inline]
 pub fn dbm_to_mw(dbm: f64) -> f64 {
     Dbm::new(dbm).to_milliwatts()
-}
-
-/// Converts watts to dBm.
-#[inline]
-pub fn w_to_dbm(w: f64) -> f64 {
-    Watts::new(w).to_dbm().value()
-}
-
-/// Converts dBm to watts.
-#[inline]
-pub fn dbm_to_w(dbm: f64) -> f64 {
-    Dbm::new(dbm).to_watts().value()
 }
 
 /// Sums an iterator of powers expressed in dB into a total in dB.
@@ -95,9 +77,6 @@ mod tests {
 
     #[test]
     fn dbm_conversions() {
-        assert!((mw_to_dbm(1.0) - 0.0).abs() < 1e-12);
-        assert!((w_to_dbm(1.0) - 30.0).abs() < 1e-12);
-        assert!((dbm_to_w(30.0) - 1.0).abs() < 1e-12);
         assert!((dbm_to_mw(20.0) - 100.0).abs() < 1e-9);
     }
 

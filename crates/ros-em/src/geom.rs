@@ -55,24 +55,6 @@ impl Vec3 {
         y: 0.0,
         z: 0.0,
     };
-    /// Unit vector along +x.
-    pub const X: Vec3 = Vec3 {
-        x: 1.0,
-        y: 0.0,
-        z: 0.0,
-    };
-    /// Unit vector along +y.
-    pub const Y: Vec3 = Vec3 {
-        x: 0.0,
-        y: 1.0,
-        z: 0.0,
-    };
-    /// Unit vector along +z.
-    pub const Z: Vec3 = Vec3 {
-        x: 0.0,
-        y: 0.0,
-        z: 1.0,
-    };
 
     /// Creates a vector from components.
     #[inline]
@@ -92,37 +74,10 @@ impl Vec3 {
         self.x * self.x + self.y * self.y + self.z * self.z
     }
 
-    /// Dot product.
-    #[inline]
-    pub fn dot(self, o: Vec3) -> f64 {
-        self.x * o.x + self.y * o.y + self.z * o.z
-    }
-
-    /// Cross product.
-    #[inline]
-    pub fn cross(self, o: Vec3) -> Vec3 {
-        Vec3::new(
-            self.y * o.z - self.z * o.y,
-            self.z * o.x - self.x * o.z,
-            self.x * o.y - self.y * o.x,
-        )
-    }
-
     /// Distance to another point.
     #[inline]
     pub fn distance(self, o: Vec3) -> f64 {
         (self - o).norm()
-    }
-
-    /// Unit vector in this direction; `None` for the zero vector.
-    #[inline]
-    pub fn normalized(self) -> Option<Vec3> {
-        let n = self.norm();
-        if n <= 0.0 {
-            None
-        } else {
-            Some(self / n)
-        }
     }
 
     /// Horizontal (x–y plane) range to another point.
@@ -145,12 +100,6 @@ impl Vec3 {
         let dz = target.z - self.z;
         let g = self.ground_distance(target);
         dz.atan2(g)
-    }
-
-    /// Linear interpolation: `self + t·(o − self)`.
-    #[inline]
-    pub fn lerp(self, o: Vec3, t: f64) -> Vec3 {
-        self + (o - self) * t
     }
 }
 
@@ -234,27 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn norm_and_dot() {
+    fn norm_and_norm_sqr() {
         let v = Vec3::new(3.0, 4.0, 0.0);
         assert_eq!(v.norm(), 5.0);
         assert_eq!(v.norm_sqr(), 25.0);
-        assert_eq!(Vec3::X.dot(Vec3::Y), 0.0);
-        assert_eq!(v.dot(v), 25.0);
-    }
-
-    #[test]
-    fn cross_is_right_handed() {
-        assert_eq!(Vec3::X.cross(Vec3::Y), Vec3::Z);
-        assert_eq!(Vec3::Y.cross(Vec3::Z), Vec3::X);
-        assert_eq!(Vec3::Z.cross(Vec3::X), Vec3::Y);
-        assert_eq!(Vec3::X.cross(Vec3::X), Vec3::ZERO);
-    }
-
-    #[test]
-    fn normalized_unit_or_none() {
-        assert_eq!(Vec3::ZERO.normalized(), None);
-        let u = Vec3::new(0.0, 0.0, 9.0).normalized().unwrap();
-        assert_eq!(u, Vec3::Z);
     }
 
     #[test]
@@ -268,13 +200,10 @@ mod tests {
     }
 
     #[test]
-    fn distance_and_lerp() {
+    fn distance_and_ground_distance() {
         let a = Vec3::new(0.0, 0.0, 0.0);
         let b = Vec3::new(2.0, 0.0, 0.0);
         assert_eq!(a.distance(b), 2.0);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 0.0, 0.0));
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.ground_distance(Vec3::new(3.0, 4.0, 100.0)), 5.0);
     }
 

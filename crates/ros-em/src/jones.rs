@@ -126,24 +126,6 @@ impl JonesMatrix {
         JonesMatrix { vv, vh, hv, hh }
     }
 
-    /// The identity operator: reflection that preserves polarization
-    /// exactly (an idealized clutter object).
-    pub const IDENTITY: JonesMatrix = JonesMatrix {
-        vv: Complex64::ONE,
-        vh: Complex64::ZERO,
-        hv: Complex64::ZERO,
-        hh: Complex64::ONE,
-    };
-
-    /// A perfect polarization switcher: V in → H out and vice versa
-    /// (an idealized PSVAA, before the −6 dB amplitude penalty).
-    pub const SWITCHER: JonesMatrix = JonesMatrix {
-        vv: Complex64::ZERO,
-        vh: Complex64::ONE,
-        hv: Complex64::ONE,
-        hh: Complex64::ZERO,
-    };
-
     /// Clutter reflection with imperfect polarization purity.
     ///
     /// Real objects leak some energy into the cross polarization; §7.2
@@ -162,18 +144,6 @@ impl JonesMatrix {
         )
     }
 
-    /// The PSVAA operator: polarization switching with the −6 dB RCS
-    /// penalty of §4.2 (half the elements re-radiate ⇒ field amplitude
-    /// halved ⇒ RCS −6 dB).
-    pub fn psvaa() -> JonesMatrix {
-        JonesMatrix::new(
-            Complex64::ZERO,
-            Complex64::real(0.5),
-            Complex64::real(0.5),
-            Complex64::ZERO,
-        )
-    }
-
     /// Applies the operator to an incident field.
     #[inline]
     pub fn apply(self, e: JonesVector) -> JonesVector {
@@ -185,27 +155,6 @@ impl JonesMatrix {
     #[inline]
     pub fn channel(self, tx: Polarization, rx: Polarization) -> Complex64 {
         self.apply(tx.jones()).project(rx)
-    }
-
-    /// Scales every coefficient by a complex factor.
-    #[inline]
-    pub fn scale(self, k: Complex64) -> JonesMatrix {
-        JonesMatrix::new(self.vv * k, self.vh * k, self.hv * k, self.hh * k)
-    }
-}
-
-/// Matrix sum (coherent superposition of two reflectors at the same
-/// location).
-impl Add for JonesMatrix {
-    type Output = JonesMatrix;
-    #[inline]
-    fn add(self, o: JonesMatrix) -> JonesMatrix {
-        JonesMatrix::new(
-            self.vv + o.vv,
-            self.vh + o.vh,
-            self.hv + o.hv,
-            self.hh + o.hh,
-        )
     }
 }
 
@@ -229,33 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_preserves_polarization() {
-        let m = JonesMatrix::IDENTITY;
-        let co = m.channel(Polarization::V, Polarization::V);
-        let cross = m.channel(Polarization::V, Polarization::H);
-        assert_eq!(co, Complex64::ONE);
-        assert_eq!(cross, Complex64::ZERO);
-    }
-
-    #[test]
-    fn switcher_swaps_polarization() {
-        let m = JonesMatrix::SWITCHER;
-        assert_eq!(m.channel(Polarization::V, Polarization::H), Complex64::ONE);
-        assert_eq!(m.channel(Polarization::V, Polarization::V), Complex64::ZERO);
-        assert_eq!(m.channel(Polarization::H, Polarization::V), Complex64::ONE);
-    }
-
-    #[test]
-    fn psvaa_has_6db_penalty() {
-        let m = JonesMatrix::psvaa();
-        let g = m.channel(Polarization::V, Polarization::H);
-        let power_db = 10.0 * g.norm_sqr().log10();
-        assert!((power_db + 6.0206).abs() < 1e-3);
-        // No co-pol retro return from the ideal PSVAA model.
-        assert_eq!(m.channel(Polarization::V, Polarization::V), Complex64::ZERO);
-    }
-
-    #[test]
     fn clutter_rejection_matches_spec() {
         for rej in [16.0, 17.5, 19.0] {
             let m = JonesMatrix::clutter(Db::new(rej));
@@ -267,15 +189,6 @@ mod tests {
                 "rejection {rej} measured {measured}"
             );
         }
-    }
-
-    #[test]
-    fn matrix_scale_and_add() {
-        let m = JonesMatrix::IDENTITY.scale(Complex64::real(2.0));
-        assert_eq!(m.vv, Complex64::real(2.0));
-        let s = JonesMatrix::IDENTITY + JonesMatrix::SWITCHER;
-        assert_eq!(s.vv, Complex64::ONE);
-        assert_eq!(s.vh, Complex64::ONE);
     }
 
     #[test]

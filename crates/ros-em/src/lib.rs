@@ -11,8 +11,8 @@
 //! * [`radar_eq`] — the monostatic radar equation and link budgets,
 //! * [`atten`] — atmospheric (fog / rain) attenuation at mmWave,
 //! * [`db`] — decibel conversions,
-//! * [`special`] — special functions (`erfc`, `sinc`) used by the
-//!   OOK bit-error-rate model.
+//! * [`special`] — `erfc` for the OOK bit-error-rate model and the
+//!   `dirichlet` array-factor kernel.
 //!
 //! The crate is deliberately dependency-free: it contains only `std`
 //! numerics so that the physics layer stays auditable.

@@ -84,18 +84,6 @@ pub fn received_power_dbm(
     .value()
 }
 
-/// Free-space one-way path loss (for completeness; the radar equation
-/// above already folds the round trip in).
-pub(crate) fn free_space_path_loss(freq: Hertz, d: Meters) -> Db {
-    let lambda = freq.wavelength();
-    DbAmplitude::from_ratio(4.0 * std::f64::consts::PI * d.value() / lambda.value()).as_power()
-}
-
-/// Raw-`f64` form of [`free_space_path_loss`] (Hz and metres in, dB out).
-pub fn free_space_path_loss_db(freq_hz: f64, d_m: f64) -> f64 {
-    free_space_path_loss(Hertz::new(freq_hz), Meters::new(d_m)).value()
-}
-
 /// A complete monostatic radar link budget in the paper's §5.3 form.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RadarLinkBudget {
@@ -158,11 +146,6 @@ impl RadarLinkBudget {
             + Db::new(self.rx_processing_gain_db)
     }
 
-    /// Raw-`f64` form of [`Self::total_rx_gain`].
-    pub fn total_rx_gain_db(&self) -> f64 {
-        self.total_rx_gain().value()
-    }
-
     /// The decoder-referred noise floor.
     ///
     /// §5.3: `L₀ = c₀ · N_F · B_IF · G_ra · G_rs` (all factors multiply,
@@ -217,12 +200,6 @@ impl RadarLinkBudget {
             Db::new(rcs_dbsm),
         )
         .value()
-    }
-
-    /// Margin of the received power over the noise floor, i.e. the
-    /// §5.3 decode criterion `P_r − L₀`.
-    pub fn snr(&self, rcs: Db, d: Meters) -> Db {
-        Db::new(self.received_power(rcs, d).value() - self.noise_floor().value())
     }
 
     /// Raw-`f64` form of [`Self::snr`] (dBsm and metres in, dB out).
@@ -280,19 +257,12 @@ mod tests {
     }
 
     #[test]
-    fn fspl_reference_value() {
-        // FSPL at 1 m, 79 GHz ≈ 70.4 dB.
-        let l = free_space_path_loss_db(79e9, 1.0);
-        assert!((l - 70.4).abs() < 0.1, "got {l}");
-    }
-
-    #[test]
     fn ti_noise_floor_matches_paper() {
         // §5.3: minimum RSS level is −62 dBm for the TI radar.
         let b = RadarLinkBudget::ti_eval();
         let floor = b.noise_floor_dbm();
         assert!((floor - (-62.0)).abs() < 0.6, "floor {floor}");
-        assert!((b.total_rx_gain_db() - 55.0).abs() < 1e-9);
+        assert!((b.total_rx_gain().value() - 55.0).abs() < 1e-9);
     }
 
     #[test]

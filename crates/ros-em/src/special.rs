@@ -1,10 +1,10 @@
 //! Special functions used by the RoS performance models.
 //!
 //! The OOK bit-error-rate model (§7.1) needs the complementary error
-//! function, and array-factor math uses the normalized sinc and the
-//! Dirichlet (periodic sinc) kernels. `std` provides none of these, so
-//! we implement them here with accuracy sufficient for link-level
-//! modelling (relative error < 1e-7 for `erfc`).
+//! function, and array-factor math uses the Dirichlet (periodic sinc)
+//! kernel. `std` provides neither, so we implement them here with
+//! accuracy sufficient for link-level modelling (relative error < 1e-7
+//! for `erfc`).
 
 use crate::units::cast::{self, AsF64};
 
@@ -30,26 +30,6 @@ pub fn erfc(x: f64) -> f64 {
         ans
     } else {
         2.0 - ans
-    }
-}
-
-/// Error function `erf(x)`.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
-/// Gaussian Q-function: the tail probability of a standard normal.
-pub fn q_function(x: f64) -> f64 {
-    0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-/// Normalized sinc: `sin(πx)/(πx)` with `sinc(0) = 1`.
-pub fn sinc(x: f64) -> f64 {
-    if x == 0.0 {
-        1.0
-    } else {
-        let px = std::f64::consts::PI * x;
-        px.sin() / px
     }
 }
 
@@ -100,27 +80,6 @@ mod tests {
         for x in [0.1, 0.7, 1.3, 2.4] {
             assert!((erfc(-x) - (2.0 - erfc(x))).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn erf_complement() {
-        for x in [-2.0, -0.5, 0.0, 0.5, 2.0] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn q_function_anchors() {
-        assert!((q_function(0.0) - 0.5).abs() < 1e-7);
-        // Q(1.96) ≈ 0.025 (the 95% two-sided z-score).
-        assert!((q_function(1.96) - 0.025).abs() < 1e-4);
-    }
-
-    #[test]
-    fn sinc_values() {
-        assert_eq!(sinc(0.0), 1.0);
-        assert!(sinc(1.0).abs() < 1e-15);
-        assert!(sinc(0.5) > 0.63 && sinc(0.5) < 0.64);
     }
 
     #[test]

@@ -452,12 +452,6 @@ pub mod cast {
         }
     }
 
-    /// Nearest integer of `x` as a `usize`, clamped to `[0, usize::MAX]`.
-    #[inline]
-    pub fn round_usize(x: f64) -> usize {
-        floor_usize(x + 0.5)
-    }
-
     /// Ceiling of `x` as a `usize`, clamped to `[0, usize::MAX]`.
     #[inline]
     pub fn ceil_usize(x: f64) -> usize {
@@ -490,12 +484,6 @@ pub mod cast {
     )]
     pub fn u64_from_usize(n: usize) -> u64 {
         n as u64
-    }
-
-    /// Converts a `u64` to `usize`, saturating on 32-bit platforms.
-    #[inline]
-    pub fn usize_from_u64(n: u64) -> usize {
-        usize::try_from(n).unwrap_or(usize::MAX)
     }
 }
 
@@ -592,10 +580,8 @@ mod tests {
         assert_eq!(4096usize.as_f64(), 4096.0);
         assert_eq!((1u64 << 53).as_f64(), 9007199254740992.0);
         assert_eq!(cast::floor_usize(7.99), 7);
-        assert_eq!(cast::round_usize(7.5), 8);
         assert_eq!(cast::ceil_usize(7.01), 8);
         assert_eq!(cast::u64_from_usize(7), 7u64);
-        assert_eq!(cast::usize_from_u64(7), 7usize);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 
 mod de;
 mod pso;
-pub mod testfn;
+#[cfg(test)]
+mod testfn;
 
 pub use de::{minimize, DeConfig, DeResult, Strategy};
 pub use pso::{minimize_pso, PsoConfig};

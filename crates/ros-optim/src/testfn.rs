@@ -1,7 +1,5 @@
-//! Standard optimization benchmark functions.
-//!
-//! Used both for testing the DE implementation and as living
-//! documentation of the minimizer's calling convention.
+//! Standard optimization benchmark functions, the objectives the DE
+//! and PSO tests minimize.
 
 use ros_em::units::cast::AsF64;
 

@@ -34,46 +34,18 @@ impl RadarArray {
     pub fn steering_phase(&self, k: usize, az: f64, lambda_m: f64) -> f64 {
         -std::f64::consts::TAU * k.as_f64() * self.rx_spacing_m * az.sin() / lambda_m
     }
-
-    /// Complex steering vector for azimuth `az`.
-    pub fn steering_vector(&self, az: f64, lambda_m: f64) -> Vec<ros_em::Complex64> {
-        (0..self.n_rx)
-            .map(|k| ros_em::Complex64::cis(self.steering_phase(k, az, lambda_m)))
-            .collect()
-    }
-
-    /// Approximate two-way −3 dB beamwidth \[rad\]: `0.886·λ/(N·d)`.
-    pub fn beamwidth_rad(&self, lambda_m: f64) -> f64 {
-        0.886 * lambda_m / (self.n_rx.as_f64() * self.rx_spacing_m)
-    }
-
-    /// Angular resolution \[rad\] ≈ `λ/(N·d)` (§3.2: 14.3° for N = 8
-    /// on the TI radar; 28.6° for the 4-Rx configuration used here).
-    pub fn angle_resolution_rad(&self, lambda_m: f64) -> f64 {
-        lambda_m / (self.n_rx.as_f64() * self.rx_spacing_m)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ros_em::constants::LAMBDA_CENTER_M;
-    use ros_em::geom::rad_to_deg;
 
     #[test]
     fn ti_array_basics() {
         let a = RadarArray::ti_default();
         assert_eq!(a.n_rx, 4);
         assert!((a.rx_spacing_m - LAMBDA_CENTER_M / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn angle_resolution_matches_paper() {
-        // §7.1: "4 Rx antennas are used to achieve a beamwidth around
-        // 28.6°" — λ/(N·d) with N = 4, d = λ/2 is 0.5 rad = 28.6°.
-        let a = RadarArray::ti_default();
-        let res = rad_to_deg(a.angle_resolution_rad(LAMBDA_CENTER_M));
-        assert!((res - 28.6).abs() < 0.2, "resolution {res}°");
     }
 
     #[test]
@@ -85,24 +57,11 @@ mod tests {
     }
 
     #[test]
-    fn steering_vector_progressive_phase() {
+    fn steering_phase_progresses_per_antenna() {
         let a = RadarArray::ti_default();
         let az = 0.3;
-        let sv = a.steering_vector(az, LAMBDA_CENTER_M);
-        assert_eq!(sv.len(), 4);
-        let step = ros_em::geom::wrap_angle(sv[1].arg() - sv[0].arg());
-        let expected = -std::f64::consts::PI * az.sin();
-        assert!((step - expected).abs() < 1e-9);
-        // Unit-magnitude entries.
-        for v in sv {
-            assert!((v.abs() - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn beamwidth_reasonable() {
-        let a = RadarArray::ti_default();
-        let bw = rad_to_deg(a.beamwidth_rad(LAMBDA_CENTER_M));
-        assert!(bw > 20.0 && bw < 30.0, "beamwidth {bw}°");
+        let step =
+            a.steering_phase(1, az, LAMBDA_CENTER_M) - a.steering_phase(0, az, LAMBDA_CENTER_M);
+        assert!((step + std::f64::consts::PI * az.sin()).abs() < 1e-9);
     }
 }

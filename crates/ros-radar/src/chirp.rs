@@ -79,11 +79,6 @@ impl ChirpConfig {
     pub fn wavelength_m(&self) -> f64 {
         C / self.carrier_hz
     }
-
-    /// Chirp duration actually sampled \[s\].
-    pub fn sampled_duration_s(&self) -> f64 {
-        self.n_samples.as_f64() / self.sample_rate_hz
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +90,6 @@ mod tests {
         let c = ChirpConfig::ti_default();
         // 256 samples at 5 Msps = 51.2 µs of a 66 MHz/µs sweep.
         assert!((c.bandwidth_hz() - 3.3792e9).abs() < 1e6);
-        assert!((c.sampled_duration_s() - 51.2e-6).abs() < 1e-12);
     }
 
     #[test]

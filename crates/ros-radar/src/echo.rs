@@ -21,11 +21,6 @@ impl Echo {
     pub fn new(pos: Vec3, amp: Complex64) -> Self {
         Echo { pos, amp }
     }
-
-    /// Received power in dBm (−∞ for a zero amplitude).
-    pub fn power_dbm(&self) -> f64 {
-        10.0 * self.amp.norm_sqr().max(1e-300).log10()
-    }
 }
 
 /// The radar's pose: position plus boresight direction.
@@ -131,12 +126,6 @@ mod tests {
         assert_eq!(at(0.4, 3.0, 0.0), (0.4, 3.0));
         drop(at);
         assert_eq!(evals, 7);
-    }
-
-    #[test]
-    fn echo_power() {
-        let e = Echo::new(Vec3::ZERO, Complex64::from_polar(1e-3, 0.5));
-        assert!((e.power_dbm() - (-60.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -556,11 +556,12 @@ pub(crate) fn fill_noise<R: Rng>(rng: &mut R, out: &mut [Complex64]) {
 }
 
 /// Synthesizes the IF frame for a set of echoes: a one-job capture
-/// through [`FmcwRadar::capture`](crate::radar::FmcwRadar::capture) on
-/// a clean front-end, so it takes the batch's one noise path.
+/// through `FmcwRadar::capture` on a clean front-end, so it takes the
+/// batch's one noise path.
 ///
 /// `rng` drives the AWGN; pass a seeded RNG for reproducible
 /// experiments.
+#[cfg(test)]
 pub fn synthesize_frame<R: Rng>(
     chirp: &ChirpConfig,
     array: &RadarArray,

@@ -79,6 +79,7 @@ impl FmcwRadar {
     /// Captures one frame of IF data from the given echoes, applying
     /// the configured front-end impairments: a one-job batch, so the
     /// serial and the batch capture share one path.
+    #[cfg(test)]
     pub fn capture<R: Rng>(&self, pose: Pose, echoes: &[Echo], rng: &mut R) -> Frame {
         ros_obs::count(names::RADAR_FRAMES_SYNTHESIZED, 1);
         let mut out = Vec::with_capacity(1);
@@ -92,7 +93,7 @@ impl FmcwRadar {
     }
 
     /// Captures a batch of frames into `out`, bit-identical to calling
-    /// [`FmcwRadar::capture`] once per job in order, at any thread
+    /// `FmcwRadar::capture` once per job in order, at any thread
     /// count. A long-lived pipeline keeps one [`CaptureScratch`] alive
     /// across batches so warm frames allocate nothing. The telemetry
     /// (batch span + frame counter) stays outside the hot-path kernel,

@@ -47,18 +47,6 @@ impl ObjectClass {
         ObjectClass::Tree,
     ];
 
-    /// Every modelled class, including the extended roadway set.
-    pub const EXTENDED: [ObjectClass; 8] = [
-        ObjectClass::Tripod,
-        ObjectClass::ParkingMeter,
-        ObjectClass::StreetLamp,
-        ObjectClass::RoadSign,
-        ObjectClass::Pedestrian,
-        ObjectClass::Tree,
-        ObjectClass::Guardrail,
-        ObjectClass::ParkedCar,
-    ];
-
     /// Human-readable label.
     pub fn label(self) -> &'static str {
         match self {
@@ -301,7 +289,12 @@ mod tests {
 
     #[test]
     fn labels_unique() {
-        let mut labels: Vec<&str> = ObjectClass::EXTENDED.iter().map(|c| c.label()).collect();
+        let extended = [ObjectClass::Guardrail, ObjectClass::ParkedCar];
+        let mut labels: Vec<&str> = ObjectClass::ALL
+            .iter()
+            .chain(&extended)
+            .map(|c| c.label())
+            .collect();
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), 8);

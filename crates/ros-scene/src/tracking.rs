@@ -53,12 +53,6 @@ impl TrackingError {
         let mut stream = TrackingStream::new(*self);
         truth.iter().map(|&p| stream.advance(p)).collect()
     }
-
-    /// The believed-vs-true position error at the end of a track of
-    /// length `travel_m` \[m\] (drift component only).
-    pub fn terminal_error_m(&self, travel_m: f64) -> f64 {
-        self.drift * travel_m
-    }
 }
 
 /// Incremental realization of a [`TrackingError`]: yields believed
@@ -145,12 +139,6 @@ mod tests {
         // Start pinned, end overshoots by 5%.
         assert_eq!(b[0], t[0]);
         assert!((b[10].x - 10.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn terminal_error_matches() {
-        let e = TrackingError::drift(0.08);
-        assert!((e.terminal_error_m(6.0) - 0.48).abs() < 1e-12);
     }
 
     #[test]

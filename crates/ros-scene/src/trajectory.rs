@@ -65,12 +65,6 @@ impl Trajectory {
     pub fn positions(&self, times: &[f64]) -> Vec<Vec3> {
         times.iter().map(|&t| self.position_at(t)).collect()
     }
-
-    /// Travel distance between consecutive frames at `frame_rate_hz`
-    /// with `stride` \[m\] — the §5.3 Nyquist quantity δs.
-    pub fn frame_spacing_m(&self, frame_rate_hz: f64, stride: usize) -> f64 {
-        self.speed_mps() * stride.as_f64() / frame_rate_hz
-    }
 }
 
 /// A trajectory with heading changes: piecewise description of real
@@ -161,7 +155,6 @@ mod tests {
         assert!((times[1] - times[0] - 1e-3).abs() < 1e-12);
         let strided = t.frame_times(1000.0, 10);
         assert_eq!(strided.len(), 101);
-        assert!((t.frame_spacing_m(1000.0, 10) - 0.02).abs() < 1e-12);
     }
 
     #[test]

@@ -1,31 +1,4 @@
-//! Weather conditions (Fig. 16c).
-//!
-//! Thin wrapper re-exporting the `ros-em` attenuation model plus a
-//! convenience sweep used by the fog experiment.
+//! Weather conditions (Fig. 16c): the `ros-em` fog levels, re-exported
+//! for scene and reader configuration.
 
-pub use ros_em::atten::{fog_one_way_db, fog_round_trip_db, rain_one_way_db, FogLevel};
-
-/// Round-trip amplitude factor (< 1) for a monostatic path of `d_m`
-/// metres in the given fog.
-pub fn fog_amplitude_factor(level: FogLevel, d_m: f64) -> f64 {
-    ros_em::db::db_to_lin(-fog_round_trip_db(level, d_m))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn amplitude_factor_bounds() {
-        assert_eq!(fog_amplitude_factor(FogLevel::Clear, 100.0), 1.0);
-        let f = fog_amplitude_factor(FogLevel::Heavy, 6.0);
-        assert!(f < 1.0 && f > 0.8);
-    }
-
-    #[test]
-    fn factor_decreases_with_distance() {
-        let near = fog_amplitude_factor(FogLevel::Heavy, 2.0);
-        let far = fog_amplitude_factor(FogLevel::Heavy, 6.0);
-        assert!(far < near);
-    }
-}
+pub use ros_em::atten::FogLevel;

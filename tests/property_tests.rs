@@ -192,31 +192,6 @@ proptest! {
         let sum: f64 = e.values.iter().sum();
         prop_assert!((trace - sum).abs() < 1e-8 * (1.0 + trace.abs()));
     }
-
-    /// Majority-vote fusion of unanimous passes returns the consensus.
-    #[test]
-    fn unanimous_fusion(bits in prop::collection::vec(any::<bool>(), 1..8), n in 1usize..6) {
-        use ros_core::decode::DecodeResult;
-        let mk = || DecodeResult {
-            bits: bits.clone(),
-            slot_amplitudes: bits.iter().map(|&b| if b { 10.0 } else { 0.5 }).collect(),
-            snr_linear: 100.0,
-            spectrum_spacings_m: vec![],
-            spectrum_mags: vec![],
-            n_samples_used: 10,
-            n_samples_nonfinite: 0,
-            erasures: vec![],
-        };
-        let passes: Vec<DecodeResult> = (0..n).map(|_| mk()).collect();
-        let vote = ros_core::fusion::fuse_majority(&passes);
-        prop_assert_eq!(&vote.bits, &bits);
-        let amp = ros_core::fusion::fuse_amplitudes(&passes);
-        // Amplitude fusion may only disagree on all-zero messages
-        // (nothing above the absolute gate).
-        if bits.iter().any(|&b| b) {
-            prop_assert_eq!(&amp.bits, &bits);
-        }
-    }
 }
 
 // Round-trip properties for the `ros_em::units` newtypes — the other

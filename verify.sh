@@ -10,6 +10,17 @@ cd "$(dirname "$0")"
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+# The example binaries assert their own round trips (decode, the 8-bit
+# multi-tag word, ASK/FEC recovery), so build-only would let one break
+# silently. Run every [[bin]] that examples/Cargo.toml lists; reading
+# the names from the manifest leaves no list here to fall out of step.
+echo "==> examples (every [[bin]] in examples/Cargo.toml, release)"
+for example in $(awk '/^\[\[bin\]\]/ { bin = 1; next } /^\[/ { bin = 0 }
+        bin && /^name *=/ { gsub(/^name *= *"|"$/, ""); print }' examples/Cargo.toml); do
+    echo "    $example"
+    cargo run -q --release -p ros-examples --bin "$example" >/dev/null
+done
+
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 

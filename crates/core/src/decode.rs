@@ -20,7 +20,6 @@
 
 use crate::encode::SpatialCode;
 use crate::rcs_model;
-use ros_dsp::czt::CztPlan;
 use ros_dsp::fft::FftPlan;
 use ros_dsp::plan::PlanCache;
 use ros_dsp::resample::{resample_uniform_into, Sample};
@@ -30,6 +29,7 @@ use ros_em::radar_eq::RadarLinkBudget;
 use ros_em::units::cast::AsF64;
 use ros_em::{Complex64, Vec3};
 use ros_obs::names;
+use ros_radar::frontend::radar_pattern;
 
 /// One spotlight measurement.
 #[derive(Clone, Copy, Debug)]
@@ -65,9 +65,6 @@ pub struct DecoderConfig {
     pub envelope_budget: Option<RadarLinkBudget>,
     /// Spectral taper applied before the FFT.
     pub window: ros_dsp::window::Window,
-    /// Use the chirp-Z zoom transform instead of a zero-padded FFT
-    /// (identical peaks, band-targeted evaluation).
-    pub use_czt: bool,
 }
 
 impl Default for DecoderConfig {
@@ -80,7 +77,6 @@ impl Default for DecoderConfig {
             erasure_margin: 0.10,
             envelope_budget: Some(RadarLinkBudget::ti_eval()),
             window: ros_dsp::window::Window::Hann,
-            use_czt: false,
         }
     }
 }
@@ -148,7 +144,7 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Per-decoder scratch arena: memoized FFT/CZT/window plans plus every
+/// Per-decoder scratch arena: memoized FFT/window plans plus every
 /// intermediate buffer [`decode_into`] touches. One arena per worker
 /// (or long-lived reader) turns the steady-state decode into a
 /// zero-allocation kernel; results are bit-identical to [`decode`].
@@ -163,11 +159,6 @@ impl DecodeScratch {
     pub fn new() -> Self {
         DecodeScratch::default()
     }
-
-    /// The plan cache, for pre-warming outside the hot path.
-    pub fn plans(&mut self) -> &mut PlanCache {
-        &mut self.plans
-    }
 }
 
 /// Reusable intermediate buffers for one decode pass.
@@ -178,20 +169,8 @@ struct DecodeBufs {
     grid: Vec<f64>,
     centred: Vec<f64>,
     fft_work: Vec<Complex64>,
-    czt_in: Vec<Complex64>,
-    czt_work: Vec<Complex64>,
-    czt_out: Vec<Complex64>,
     ones: Vec<f64>,
     zeros: Vec<f64>,
-}
-
-/// The spectrum transform resolved by the [`decode_into`] prologue:
-/// either a zero-padded FFT plan or a CZT zoom plan, borrowed from the
-/// arena's [`PlanCache`] for the duration of the kernel.
-#[derive(Clone, Copy, Debug)]
-enum SpectrumPlan<'a> {
-    Fft(&'a FftPlan),
-    Czt(&'a CztPlan),
 }
 
 /// Decodes a spotlight RSS trace against a known spatial code.
@@ -238,28 +217,15 @@ pub fn decode_into(
 ) -> Result<(), DecodeError> {
     let _span = ros_obs::span(names::TIME_DECODE);
     ros_obs::count(names::DECODE_ATTEMPTS, 1);
-    let lambda = ros_em::constants::LAMBDA_CENTER_M;
-    let max_span_m = (code.max_pair_spacing_m() / lambda + 8.0) * lambda;
 
-    // Resolve every plan this configuration needs (cache misses build
-    // here, outside the kernel); the combined resolvers hand back
-    // coexisting shared references.
+    // Resolve the window table and FFT plan this configuration needs
+    // (cache misses build here, outside the kernel).
     let DecodeScratch { plans, bufs } = scratch;
-    let (table, plan) = if cfg.use_czt {
-        let u_max = (cfg.fov_rad / 2.0).sin();
-        let (w, a) =
-            rcs_model::czt_zoom_params(cfg.n_grid, u_max, lambda, max_span_m, cfg.n_grid * 2);
-        let (table, czt) =
-            plans.window_and_czt(cfg.window, cfg.n_grid, cfg.n_grid, cfg.n_grid * 2, w, a);
-        (table, SpectrumPlan::Czt(czt))
-    } else {
-        let (table, fft) = plans.window_and_fft(
-            cfg.window,
-            cfg.n_grid,
-            (cfg.n_grid * cfg.zero_pad).next_power_of_two(),
-        );
-        (table, SpectrumPlan::Fft(fft))
-    };
+    let (table, plan) = plans.window_and_fft(
+        cfg.window,
+        cfg.n_grid,
+        (cfg.n_grid * cfg.zero_pad).next_power_of_two(),
+    );
 
     let res = decode_core(
         samples,
@@ -267,7 +233,6 @@ pub fn decode_into(
         tag_axis_yaw,
         code,
         cfg,
-        max_span_m,
         table,
         plan,
         bufs,
@@ -287,13 +252,13 @@ pub fn decode_into(
         }
         Ok(()) => {
             if ros_obs::enabled() {
-                let max_amp = out.slot_amplitudes.iter().fold(0.0, |m, &a| f64::max(m, a));
                 ros_obs::count(names::DECODE_OK, 1);
                 ros_obs::hist(names::DECODE_SNR_DB, stats::snr_db(out.snr_linear));
                 for a in &out.slot_amplitudes {
                     ros_obs::hist(names::DECODE_SLOT_AMP, *a);
                 }
                 if ros_obs::detail() {
+                    let t = decision_level(cfg, &out.slot_amplitudes);
                     for (i, (a, b)) in out.slot_amplitudes.iter().zip(&out.bits).enumerate() {
                         ros_obs::event_detail(
                             "decode.slot",
@@ -301,7 +266,7 @@ pub fn decode_into(
                                 ("idx", i.into()),
                                 ("amp", (*a).into()),
                                 ("bit", (*b).into()),
-                                ("margin", (a - cfg.threshold * max_amp).into()),
+                                ("margin", (a - t).into()),
                             ],
                         );
                     }
@@ -344,9 +309,8 @@ fn decode_core(
     tag_axis_yaw: f64,
     code: &SpatialCode,
     cfg: &DecoderConfig,
-    max_span_m: f64,
     table: &WindowTable,
-    plan: SpectrumPlan<'_>,
+    plan: &FftPlan,
     bufs: &mut DecodeBufs,
     out: &mut DecodeResult,
 ) -> Result<(), DecodeError> {
@@ -358,9 +322,6 @@ fn decode_core(
         grid,
         centred,
         fft_work,
-        czt_in,
-        czt_work,
-        czt_out,
         ones,
         zeros,
     } = bufs;
@@ -400,7 +361,7 @@ fn decode_core(
             let unit_dbm = budget.received_power_dbm(0.0, d);
             // …and the radar's own two-way pattern toward the tag.
             let az_radar = -v.x.atan2(-v.y);
-            let g = radar_pattern_proxy(az_radar);
+            let g = radar_pattern(az_radar);
             let env = ros_em::db::db_to_pow(unit_dbm) * g.powi(4);
             if env > 0.0 {
                 p /= env;
@@ -413,36 +374,22 @@ fn decode_core(
     }
     let n_used = trace.len();
 
-    // 3: uniform resample + spectrum (zero-padded FFT or CZT zoom).
-    // Raw spacings/magnitudes land directly in the result buffers; the
+    // 3: uniform resample + zero-padded FFT spectrum. Raw
+    // spacings/magnitudes land directly in the result buffers; the
     // magnitudes are normalized in place once the noise RMS is known.
     resample_uniform_into(trace, -u_max, u_max, cfg.n_grid, sort_aux, grid);
-    match plan {
-        SpectrumPlan::Fft(p) => rcs_model::rcs_spectrum_windowed_into(
-            grid,
-            u_max,
-            lambda,
-            cfg.zero_pad,
-            table,
-            p,
-            centred,
-            fft_work,
-            &mut out.spectrum_spacings_m,
-            &mut out.spectrum_mags,
-        ),
-        SpectrumPlan::Czt(p) => rcs_model::rcs_spectrum_czt_into(
-            grid,
-            max_span_m,
-            table,
-            p,
-            centred,
-            czt_in,
-            czt_work,
-            czt_out,
-            &mut out.spectrum_spacings_m,
-            &mut out.spectrum_mags,
-        ),
-    }
+    rcs_model::rcs_spectrum_windowed_into(
+        grid,
+        u_max,
+        lambda,
+        cfg.zero_pad,
+        table,
+        plan,
+        centred,
+        fft_work,
+        &mut out.spectrum_spacings_m,
+        &mut out.spectrum_mags,
+    );
     let spacings = &out.spectrum_spacings_m;
 
     // 4: coding-slot amplitudes, peak-searched within ±0.5λ (tolerant
@@ -505,16 +452,14 @@ fn decode_core(
         *m /= noise_rms;
     }
 
-    // 5: threshold into bits and estimate SNR. The effective decision
-    // level is `T = max(threshold·max_amp, 4·noise_rms)`; amplitudes
-    // inside the `±erasure_margin·T` dead zone around it decode as
-    // erasures — the bit is still reported but flagged as untrusted,
-    // which the reader surfaces as a `PartialDecode` verdict.
-    let max_amp = out.slot_amplitudes.iter().fold(0.0, |m, &a| f64::max(m, a));
-    let effective_t = (cfg.threshold * max_amp).max(4.0);
+    // 5: threshold into bits and estimate SNR. Amplitudes inside the
+    // `±erasure_margin·T` dead zone around the decision level `T`
+    // decode as erasures — the bit is still reported but flagged as
+    // untrusted, which the reader surfaces as a `PartialDecode` verdict.
+    let effective_t = decision_level(cfg, &out.slot_amplitudes);
     out.bits.clear();
     for &a in out.slot_amplitudes.iter() {
-        out.bits.push(a > cfg.threshold * max_amp && a > 4.0);
+        out.bits.push(a > effective_t);
     }
     out.erasures.clear();
     if cfg.erasure_margin > 0.0 {
@@ -542,16 +487,12 @@ fn decode_core(
     Ok(())
 }
 
-/// The radar's two-way element pattern used for envelope compensation.
-/// Mirrors `ros_radar::frontend::radar_pattern` without taking a
-/// dependency on the radar crate.
-fn radar_pattern_proxy(az: f64) -> f64 {
-    let c = az.cos();
-    if c <= 0.0 {
-        0.0
-    } else {
-        c.powf(1.5)
-    }
+/// The level a noise-normalized slot amplitude must exceed to decode
+/// as 1: `T = max(threshold·max_amp, 4)`, the larger of the relative
+/// threshold and four times the band noise RMS.
+fn decision_level(cfg: &DecoderConfig, slot_amplitudes: &[f64]) -> f64 {
+    let max_amp = slot_amplitudes.iter().fold(0.0, |m, &a| f64::max(m, a));
+    (cfg.threshold * max_amp).max(4.0)
 }
 
 #[cfg(test)]
@@ -579,7 +520,7 @@ mod tests {
             for e in &echoes {
                 // Radar two-way pattern toward each scatterer.
                 let az = (e.pos.x - pos.x).atan2(e.pos.y - pos.y);
-                let g = radar_pattern_proxy(az);
+                let g = radar_pattern(az);
                 rss += e.amp * (g * g);
             }
             if let Some(floor) = noise_dbm {
@@ -786,24 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn czt_decoder_matches_fft_decoder() {
-        let tag = code8()
-            .encode(&[true, false, true, true])
-            .unwrap()
-            .mounted_at(Vec3::new(0.0, 2.5, 0.0));
-        let trace = synth_trace(&tag, 2.5, Some(-62.0), 9);
-        let fft_cfg = DecoderConfig::default();
-        let czt_cfg = DecoderConfig {
-            use_czt: true,
-            ..Default::default()
-        };
-        let a = decode(&trace, tag.mount(), 0.0, tag.code(), &fft_cfg).unwrap();
-        let b = decode(&trace, tag.mount(), 0.0, tag.code(), &czt_cfg).unwrap();
-        assert_eq!(a.bits, b.bits);
-        assert!((a.snr_db() - b.snr_db()).abs() < 2.0);
-    }
-
-    #[test]
     fn decode_into_bit_identical_to_decode() {
         let tag = code8()
             .encode(&[true, false, true, true])
@@ -812,14 +735,10 @@ mod tests {
         let trace = synth_trace(&tag, 2.0, Some(-62.0), 11);
         let mut scratch = DecodeScratch::new();
         let mut out = DecodeResult::default();
-        // One arena across FFT and CZT configs of different plan sizes,
-        // each decoded twice (dirty buffers on the second pass).
+        // One arena across configs of different plan sizes, each decoded
+        // twice (dirty buffers on the second pass).
         for cfg in [
             DecoderConfig::default(),
-            DecoderConfig {
-                use_czt: true,
-                ..Default::default()
-            },
             DecoderConfig {
                 n_grid: 256,
                 zero_pad: 4,
@@ -860,8 +779,49 @@ mod tests {
                 }
             }
         }
-        // All three configs' plans stayed cached in the one arena.
-        assert!(scratch.plans().len() >= 5);
+    }
+
+    /// The value of `"key":` in one JSON event line, up to the next
+    /// `,` or `}`.
+    fn field<'a>(line: &'a str, key: &str) -> &'a str {
+        let pat = format!("\"{key}\":");
+        let start = line.find(&pat).expect("field present") + pat.len();
+        let rest = &line[start..];
+        &rest[..rest.find([',', '}']).expect("field terminated")]
+    }
+
+    #[test]
+    fn slot_margin_is_measured_from_the_deciding_level() {
+        // A weak pass whose relative threshold sits below the 4·noise
+        // floor: slots between the two decode as 0, so their reported
+        // margin must be negative.
+        let tag = code8()
+            .encode(&[true, false, true, true])
+            .unwrap()
+            .mounted_at(Vec3::new(0.0, 2.0, 0.0));
+        let trace = synth_trace(&tag, 2.0, Some(-50.0), 0);
+        let cfg = DecoderConfig::default();
+        let (r, lines) = ros_obs::capture_scope(ros_obs::Level::Detail, || {
+            decode(&trace, tag.mount(), 0.0, tag.code(), &cfg).unwrap()
+        });
+        let max_amp = r.slot_amplitudes.iter().cloned().fold(0.0, f64::max);
+        assert!(cfg.threshold * max_amp < 4.0, "fixture must be weak");
+        assert!(
+            r.slot_amplitudes
+                .iter()
+                .any(|&a| a > cfg.threshold * max_amp && a <= 4.0),
+            "fixture must have a slot between the two levels"
+        );
+        let slots: Vec<&String> = lines
+            .iter()
+            .filter(|l| l.contains("\"ev\":\"decode.slot\""))
+            .collect();
+        assert_eq!(slots.len(), r.bits.len());
+        for (line, &bit) in slots.iter().zip(&r.bits) {
+            let margin: f64 = field(line, "margin").parse().unwrap();
+            assert_eq!(field(line, "bit"), bit.to_string(), "{line}");
+            assert_eq!(bit, margin > 0.0, "{line}");
+        }
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! frequency spectrum whose coding-band peaks carry the bits. With
 //! `u ∈ [−1, 1]` the spacing resolution is λ/4 (§5.1).
 
-use ros_dsp::czt::CztPlan;
 use ros_dsp::fft::{magnitudes, spectrum_padded, FftPlan};
 use ros_dsp::window::{Window, WindowTable};
 use ros_em::units::cast::AsF64;
@@ -157,110 +156,6 @@ pub fn rcs_spectrum_windowed_into(
     }
 }
 
-/// The chirp-Z arc parameters `(w, a)` that `rcs_spectrum_czt`'s
-/// zoom transform evaluates for an `rcs_len`-point input and `n_bins`
-/// output bins over `[0, max_spacing_m]` — exactly the expressions
-/// `ros_dsp::czt::zoom_spectrum` computes, so a `CztPlan` resolved
-/// with these parameters is bit-identical to the direct path.
-pub fn czt_zoom_params(
-    rcs_len: usize,
-    u_max: f64,
-    lambda_m: f64,
-    max_spacing_m: f64,
-    n_bins: usize,
-) -> (Complex64, Complex64) {
-    let span_u = 2.0 * u_max;
-    let cycles_per_sample_per_m = 2.0 / lambda_m * span_u / (rcs_len - 1).as_f64();
-    let f_end = max_spacing_m * cycles_per_sample_per_m;
-    let df = (f_end - 0.0) / (n_bins - 1).as_f64();
-    let a = Complex64::cis(std::f64::consts::TAU * 0.0);
-    let w = Complex64::cis(-std::f64::consts::TAU * df);
-    (w, a)
-}
-
-/// Scratch-buffer twin of `rcs_spectrum_czt`: identical `(spacings,
-/// mags)` via a precomputed window table and a [`CztPlan`] resolved
-/// from [`czt_zoom_params`]. Allocation-free once the buffers have
-/// grown to capacity.
-#[allow(clippy::too_many_arguments)]
-pub fn rcs_spectrum_czt_into(
-    rcs: &[f64],
-    max_spacing_m: f64,
-    table: &WindowTable,
-    plan: &CztPlan,
-    centred: &mut Vec<f64>,
-    czt_in: &mut Vec<Complex64>,
-    work: &mut Vec<Complex64>,
-    czt_out: &mut Vec<Complex64>,
-    spacings: &mut Vec<f64>,
-    mags: &mut Vec<f64>,
-) {
-    assert!(!rcs.is_empty());
-    let n_bins = plan.output_len();
-    assert!(n_bins >= 2, "CZT plan must produce at least two bins");
-    assert_eq!(
-        plan.input_len(),
-        rcs.len(),
-        "CZT plan input length mismatch"
-    );
-    let mean = rcs.iter().sum::<f64>() / rcs.len().as_f64();
-    centred.clear();
-    for &r in rcs {
-        centred.push(r - mean);
-    }
-    table.taper(centred);
-
-    czt_in.clear();
-    for &v in centred.iter() {
-        czt_in.push(Complex64::real(v));
-    }
-    plan.process(czt_in, work, czt_out);
-
-    spacings.clear();
-    mags.clear();
-    for (i, c) in czt_out.iter().enumerate() {
-        spacings.push(max_spacing_m * i.as_f64() / (n_bins - 1).as_f64());
-        mags.push(c.abs());
-    }
-}
-
-/// The RCS frequency spectrum evaluated with the chirp-Z transform:
-/// fine bins over `[0, max_spacing_m]` only, instead of zero-padding
-/// the whole axis. Output format matches [`rcs_spectrum`].
-///
-/// The zoom evaluates exactly the band the decoder inspects, so it
-/// reaches the same resolution as a `zero_pad`-ed FFT at a fraction of
-/// the transform length.
-#[cfg(test)]
-pub fn rcs_spectrum_czt(
-    rcs: &[f64],
-    u_max: f64,
-    lambda_m: f64,
-    max_spacing_m: f64,
-    n_bins: usize,
-    window: Window,
-) -> (Vec<f64>, Vec<f64>) {
-    assert!(!rcs.is_empty() && u_max > 0.0 && n_bins >= 2);
-    let mean = rcs.iter().sum::<f64>() / rcs.len().as_f64();
-    let mut centred: Vec<f64> = rcs.iter().map(|&r| r - mean).collect();
-    window.apply(&mut centred);
-
-    // Spacing s ↔ frequency 2s/λ cycles per u ↔ cycles/sample via the
-    // grid step span_u/(len−1).
-    let span_u = 2.0 * u_max;
-    let cycles_per_sample_per_m = 2.0 / lambda_m * span_u / (rcs.len() - 1).as_f64();
-    let f_end = max_spacing_m * cycles_per_sample_per_m;
-    let spec = ros_dsp::czt::zoom_spectrum(&centred, 0.0, f_end, n_bins);
-
-    let mut spacings = Vec::with_capacity(n_bins);
-    let mut mags = Vec::with_capacity(n_bins);
-    for (i, c) in spec.iter().enumerate() {
-        spacings.push(max_spacing_m * i.as_f64() / (n_bins - 1).as_f64());
-        mags.push(c.abs());
-    }
-    (spacings, mags)
-}
-
 /// Finds the spectrum magnitude at (nearest to) a target spacing.
 pub fn magnitude_at_spacing(spacings_m: &[f64], mags: &[f64], target_m: f64) -> f64 {
     assert_eq!(spacings_m.len(), mags.len());
@@ -381,23 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn czt_spectrum_matches_fft_spectrum() {
-        let pos = paper_positions();
-        let rcs = sample_rcs_factor(&pos, LAM, 1.0, 512);
-        let (s_fft, m_fft) = rcs_spectrum(&rcs, 1.0, LAM, 8);
-        let (s_czt, m_czt) = rcs_spectrum_czt(&rcs, 1.0, LAM, 25.0 * LAM, 1024, Window::Hann);
-        // Compare coding-peak amplitudes between the two spectra.
-        for slot in [6.0, 7.5, 9.0, 10.5] {
-            let a = magnitude_at_spacing(&s_fft, &m_fft, slot * LAM);
-            let b = magnitude_at_spacing(&s_czt, &m_czt, slot * LAM);
-            assert!(
-                (a - b).abs() < 0.05 * a.max(b),
-                "slot {slot}λ: fft {a} vs czt {b}"
-            );
-        }
-    }
-
-    #[test]
     fn windowed_into_bit_identical_to_direct() {
         let pos = paper_positions();
         let rcs = sample_rcs_factor(&pos, LAM, 1.0, 200);
@@ -429,45 +307,6 @@ mod tests {
             }
             for (a, b) in mags.iter().zip(&want_m) {
                 assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn czt_into_bit_identical_to_direct() {
-        let pos = paper_positions();
-        // Non-power-of-two trace length to exercise the CZT fully.
-        let rcs = sample_rcs_factor(&pos, LAM, 1.0, 171);
-        let max_spacing = 25.0 * LAM;
-        let n_bins = 300;
-        let (w, a) = czt_zoom_params(rcs.len(), 1.0, LAM, max_spacing, n_bins);
-        let plan = CztPlan::new(rcs.len(), n_bins, w, a);
-        let table = WindowTable::new(Window::Hann, rcs.len());
-        let mut centred = Vec::new();
-        let (mut czt_in, mut work, mut czt_out) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut spacings, mut mags) = (Vec::new(), Vec::new());
-        for _ in 0..2 {
-            rcs_spectrum_czt_into(
-                &rcs,
-                max_spacing,
-                &table,
-                &plan,
-                &mut centred,
-                &mut czt_in,
-                &mut work,
-                &mut czt_out,
-                &mut spacings,
-                &mut mags,
-            );
-            let (want_s, want_m) =
-                rcs_spectrum_czt(&rcs, 1.0, LAM, max_spacing, n_bins, Window::Hann);
-            assert_eq!(spacings.len(), want_s.len());
-            assert_eq!(mags.len(), want_m.len());
-            for (x, y) in spacings.iter().zip(&want_s) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            for (x, y) in mags.iter().zip(&want_m) {
-                assert_eq!(x.to_bits(), y.to_bits());
             }
         }
     }

@@ -575,16 +575,22 @@ impl DriveBy {
             Vec3::new(c.x, c.y, self.radar_height_m)
         });
 
+        // The RSS trace at one centre: every switched frame spotlighted
+        // there, then the stream faults applied.
+        let spotlight_trace = |center: Vec3| -> Vec<RssSample> {
+            let raw = ros_exec::par_map(&switched_frames, |(frame, pos_believed)| RssSample {
+                radar_pos: *pos_believed,
+                rss: self.radar.spotlight_with(frame, center, &spot_table),
+            });
+            apply_stream_faults(raw, schedule.as_ref())
+        };
+
         // Decode by spotlighting the detected centre (fall back to the
         // true mount if detection failed, flagged in the outcome).
         let spot = tag_center.unwrap_or(self.tag.mount());
-        let samples: Vec<RssSample> = {
+        let samples = {
             let _spotlight = ros_obs::span(names::TIME_READER_SPOTLIGHT);
-            let raw = ros_exec::par_map(&switched_frames, |(frame, pos_believed)| RssSample {
-                radar_pos: *pos_believed,
-                rss: self.radar.spotlight_with(frame, spot, &spot_table),
-            });
-            apply_stream_faults(raw, schedule.as_ref())
+            spotlight_trace(spot)
         };
         ros_obs::count(names::READER_FRAMES, samples.len());
 
@@ -622,14 +628,7 @@ impl DriveBy {
                 }
                 continue;
             }
-            let trace: Vec<RssSample> = switched_frames
-                .iter()
-                .map(|(frame, pos_believed)| RssSample {
-                    radar_pos: *pos_believed,
-                    rss: self.radar.spotlight_with(frame, center, &spot_table),
-                })
-                .collect();
-            let trace = apply_stream_faults(trace, schedule.as_ref());
+            let trace = spotlight_trace(center);
             if decode_into(
                 &trace,
                 center,

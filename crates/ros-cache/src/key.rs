@@ -11,9 +11,8 @@
 //! are copied in whole and its own fingerprint is folded into the
 //! outer one ([`KeyBuilder::nested`]).
 //!
-//! `f64`s are keyed by their `to_bits()` bit pattern, exactly like
-//! `ros_dsp::plan::PlanCache` keys CZT arcs: two calls share a table
-//! only when the computation would be bit-identical. Because the full
+//! `f64`s are keyed by their `to_bits()` bit pattern: two calls share
+//! a table only when the computation would be bit-identical. Because the full
 //! byte encoding participates in `Eq`/`Ord`, equality is *exact* — the
 //! fingerprint only accelerates comparisons, it never decides them —
 //! so a hash collision can at worst slow a lookup down, never alias

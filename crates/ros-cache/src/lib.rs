@@ -6,8 +6,8 @@
 //! inputs. This crate memoizes them behind one explicit, *injected*
 //! store:
 //!
-//! * [`key::KeyBuilder`] turns exact inputs (f64s by bit pattern, as
-//!   `ros-dsp::plan` keys CZT arcs) into structural [`key::Key`]s.
+//! * [`key::KeyBuilder`] turns exact inputs (f64s by bit pattern)
+//!   into structural [`key::Key`]s.
 //! * [`GeomCache`] maps keys to shared immutable `Arc<T>` tables with
 //!   bounded capacity, deterministic insertion-order eviction,
 //!   explicit [`GeomCache::clear`]/[`GeomCache::invalidate_kind`], and

@@ -2,7 +2,7 @@
 //!
 //! Two call sites drive the requirements:
 //!
-//! 1. **Range processing** (paper Eq. 3): an IFFT over 256 IF samples
+//! 1. **Range processing** (paper Eq. 3): an FFT over 256 IF samples
 //!    per chirp — small, power-of-two, hot path.
 //! 2. **RCS frequency spectrum** (paper Eq. 7): an FFT over the
 //!    RSS-vs-`u` trace, heavily zero-padded so sub-wavelength stack
@@ -99,13 +99,13 @@ fn transform(data: &mut [Complex64], inverse: bool) {
 /// A precomputed radix-2 FFT plan for one transform size.
 ///
 /// FFTW-style setup/execute split: [`FftPlan::new`] does all the
-/// trigonometry (per-stage twiddle tables, both signs) and the
-/// bit-reversal permutation once; [`FftPlan::process_forward`] /
-/// [`FftPlan::process_inverse`] then run allocation-free inside the
-/// steady-state frame. Twiddles are generated with the *same*
-/// `w = w · w_len` recurrence the direct [`fft_in_place`] butterfly
-/// uses, so planned transforms are bit-identical to the direct ones —
-/// a property pinned by the plan-identity proptests.
+/// trigonometry (per-stage forward twiddle tables) and the
+/// bit-reversal permutation once; [`FftPlan::process_forward`] then
+/// runs allocation-free inside the steady-state frame. Twiddles are
+/// generated with the *same* `w = w · w_len` recurrence the direct
+/// [`fft_in_place`] butterfly uses, so planned transforms are
+/// bit-identical to the direct ones — a property pinned by the
+/// plan-identity proptests.
 #[derive(Clone, Debug)]
 pub struct FftPlan {
     n: usize,
@@ -113,8 +113,6 @@ pub struct FftPlan {
     rev: Vec<u32>,
     /// Concatenated per-stage forward twiddles (len/2 entries per stage).
     fwd: Vec<Complex64>,
-    /// Same layout, inverse sign.
-    inv: Vec<Complex64>,
 }
 
 impl FftPlan {
@@ -144,25 +142,22 @@ impl FftPlan {
             }
             j |= m;
         }
-        // Twiddle tables via the exact butterfly recurrence (not
-        // `cis(k·ang)`), so table[k] has the same bits as the running
+        // Twiddles via the exact butterfly recurrence (not
+        // `cis(k·ang)`), so fwd[k] has the same bits as the running
         // `w` in the direct implementation.
         let mut fwd = Vec::new();
-        let mut inv = Vec::new();
-        for (sign, table) in [(-1.0f64, &mut fwd), (1.0f64, &mut inv)] {
-            let mut len = 2;
-            while len <= n {
-                let ang = sign * std::f64::consts::TAU / len.as_f64();
-                let wlen = Complex64::cis(ang);
-                let mut w = Complex64::ONE;
-                for _ in 0..len / 2 {
-                    table.push(w);
-                    w *= wlen;
-                }
-                len <<= 1;
+        let mut len = 2;
+        while len <= n {
+            let ang = -std::f64::consts::TAU / len.as_f64();
+            let wlen = Complex64::cis(ang);
+            let mut w = Complex64::ONE;
+            for _ in 0..len / 2 {
+                fwd.push(w);
+                w *= wlen;
             }
+            len <<= 1;
         }
-        FftPlan { n, rev, fwd, inv }
+        FftPlan { n, rev, fwd }
     }
 
     /// Transform size this plan was built for.
@@ -181,23 +176,6 @@ impl FftPlan {
     /// # Panics
     /// Panics if `data.len()` differs from the planned size.
     pub fn process_forward(&self, data: &mut [Complex64]) {
-        self.butterflies(data, &self.fwd);
-    }
-
-    /// In-place inverse FFT normalized by `1/N`; bit-identical to
-    /// [`ifft_in_place`].
-    ///
-    /// # Panics
-    /// Panics if `data.len()` differs from the planned size.
-    pub fn process_inverse(&self, data: &mut [Complex64]) {
-        self.butterflies(data, &self.inv);
-        let n = self.n.as_f64();
-        for v in data.iter_mut() {
-            *v = *v / n;
-        }
-    }
-
-    fn butterflies(&self, data: &mut [Complex64], twiddles: &[Complex64]) {
         let n = self.n;
         assert_eq!(data.len(), n, "plan is for length {n}");
         if n <= 1 {
@@ -214,7 +192,7 @@ impl FftPlan {
         let mut len = 2;
         while len <= n {
             let half = len / 2;
-            let stage = &twiddles[base..base + half];
+            let stage = &self.fwd[base..base + half];
             let mut i = 0;
             while i < n {
                 for k in 0..half {
@@ -412,21 +390,6 @@ mod tests {
             let mut b = a.clone();
             fft_in_place(&mut a);
             plan.process_forward(&mut b);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "n={n}");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn plan_inverse_bit_identical_to_direct() {
-        for n in [1usize, 2, 16, 128] {
-            let plan = FftPlan::new(n);
-            let mut a = ramp(n);
-            let mut b = a.clone();
-            ifft_in_place(&mut a);
-            plan.process_inverse(&mut b);
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.re.to_bits(), y.re.to_bits(), "n={n}");
                 assert_eq!(x.im.to_bits(), y.im.to_bits(), "n={n}");

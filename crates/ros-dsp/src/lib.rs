@@ -25,7 +25,6 @@
 //! unit- and property-tested.
 
 pub mod cfar;
-pub mod czt;
 pub mod dbscan;
 pub mod eig;
 pub mod fft;

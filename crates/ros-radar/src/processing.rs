@@ -189,8 +189,7 @@ pub(crate) fn aoa_spectrum_into(
 }
 
 /// Reusable scratch arena for [`detect_points_with`]: the plan cache
-/// (FFT plan per padded frame length, window table for the spotlight),
-/// every intermediate buffer of the detect chain, and the AoA sweep's
+/// (FFT plan per padded frame length), every intermediate buffer of the detect chain, and the AoA sweep's
 /// steering table (filled on the first detection, refilled only for
 /// another array or wavelength). One per worker or per run;
 /// steady-state frames allocate nothing.
@@ -198,14 +197,6 @@ pub(crate) fn aoa_spectrum_into(
 pub struct DetectScratch {
     plans: PlanCache,
     bufs: DetectBufs,
-}
-
-impl DetectScratch {
-    /// The scratch's plan cache, for resolving additional plans (e.g.
-    /// the spotlight window table) in a prologue.
-    pub fn plans(&mut self) -> &mut PlanCache {
-        &mut self.plans
-    }
 }
 
 /// The non-plan working buffers of the detect chain.

@@ -1,15 +1,14 @@
 //! The zero-allocation steady-state budget (the plan/arena contract).
 //!
-//! DESIGN.md §14: after a warm-up pass has resolved every FFT/CZT/
-//! window plan and grown every scratch buffer to its high-water mark,
+//! DESIGN.md §14: after a warm-up pass has resolved every FFT plan and
+//! window table and grown every scratch buffer to its high-water mark,
 //! a steady-state frame — capture → detect → spotlight → decode — must
 //! perform **zero** heap allocations. This test is the one enforcer of
 //! that budget: a counting global allocator measures it. Warm-up runs
 //! the exact per-frame work that the measured rounds repeat (same job
-//! seeds, same trace, both the FFT and CZT decode configurations), so
-//! every buffer capacity the measurement needs has already been
-//! reached, and any allocation observed afterwards is a real
-//! steady-state regression.
+//! seeds, same trace, same decoder configuration), so every buffer
+//! capacity the measurement needs has already been reached, and any
+//! allocation observed afterwards is a real steady-state regression.
 //!
 //! The measured loop reaches every steady-state kernel:
 //!
@@ -34,9 +33,8 @@
 //! * spotlight — `FmcwRadar::spotlight_with` →
 //!   `goertzel::single_bin_windowed_each`.
 //! * decode — `decode_into` → `decode_core` (`resample_uniform_into`,
-//!   `WindowTable::taper`, `rcs_spectrum_windowed_into` on the FFT
-//!   configuration, `rcs_spectrum_czt_into` → `CztPlan::process` →
-//!   `FftPlan::process_forward`/`process_inverse` on the CZT one).
+//!   `WindowTable::taper`, `rcs_spectrum_windowed_into` →
+//!   `FftPlan::process_forward`).
 //!
 //! Two steady-state paths stay outside the per-frame contract:
 //!
@@ -114,7 +112,7 @@ struct Fixture {
     trace: Vec<RssSample>,
     tag_center: Vec3,
     code: SpatialCode,
-    configs: [DecoderConfig; 2],
+    decoder: DecoderConfig,
 }
 
 fn capture_jobs() -> Vec<(Pose, Vec<Echo>)> {
@@ -151,7 +149,7 @@ fn drive_by_trace() -> (Vec<RssSample>, Vec3, SpatialCode) {
 }
 
 /// One steady-state frame: batch capture, per-frame detection and
-/// spotlight, then a decode per configuration. Returns a value folded
+/// spotlight, then one decode of the trace. Returns a value folded
 /// from every stage so nothing is optimized away.
 fn steady_frame(fx: &Fixture, seed: u64, arena: &mut Arena) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -169,20 +167,17 @@ fn steady_frame(fx: &Fixture, seed: u64, arena: &mut Arena) -> f64 {
             .spotlight_with(frame, fx.spot_target, &fx.spot_table)
             .abs();
     }
-    for cfg in &fx.configs {
-        decode_into(
-            &fx.trace,
-            fx.tag_center,
-            0.0,
-            &fx.code,
-            cfg,
-            &mut arena.decode,
-            &mut arena.result,
-        )
-        .expect("steady-state decode stays on the success path");
-        acc += arena.result.snr_linear;
-    }
-    acc
+    decode_into(
+        &fx.trace,
+        fx.tag_center,
+        0.0,
+        &fx.code,
+        &fx.decoder,
+        &mut arena.decode,
+        &mut arena.result,
+    )
+    .expect("steady-state decode stays on the success path");
+    acc + arena.result.snr_linear
 }
 
 #[test]
@@ -205,13 +200,7 @@ fn steady_state_frame_allocates_nothing() {
         trace,
         tag_center,
         code,
-        configs: [
-            DecoderConfig::default(),
-            DecoderConfig {
-                use_czt: true,
-                ..DecoderConfig::default()
-            },
-        ],
+        decoder: DecoderConfig::default(),
     };
     let mut arena = Arena {
         capture: CaptureScratch::default(),
@@ -223,7 +212,7 @@ fn steady_state_frame_allocates_nothing() {
     };
 
     // Warm-up: one full cycle over the capture seeds resolves every
-    // plan (FFT, CZT, window tables) and grows every buffer to the
+    // plan (FFT plans, window tables) and grows every buffer to the
     // sizes the measured rounds will revisit.
     let mut warm = 0.0;
     for &seed in &CAPTURE_SEEDS {

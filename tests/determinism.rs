@@ -279,58 +279,51 @@ fn planned_decode_bit_identical_across_thread_counts() {
     .mounted_at(Vec3::new(0.0, 2.0, 0.0));
     let trace = planned_decode_trace(&tag);
 
-    for cfg in [
-        DecoderConfig::default(),
-        DecoderConfig {
-            use_czt: true,
-            ..DecoderConfig::default()
-        },
-    ] {
-        let reference = with_threads(1, || decode(&trace, tag.mount(), 0.0, tag.code(), &cfg))
-            .expect("fixture decodes");
-        assert_eq!(reference.bits, vec![true, false, true, true]);
-        // One scratch arena survives the whole sweep: plan reuse across
-        // repeated decodes must not perturb a single bit either.
-        let mut scratch = DecodeScratch::new();
-        for t in THREAD_COUNTS {
-            let mut out = DecodeResult::default();
-            with_threads(t, || {
-                decode_into(
-                    &trace,
-                    tag.mount(),
-                    0.0,
-                    tag.code(),
-                    &cfg,
-                    &mut scratch,
-                    &mut out,
-                )
-            })
-            .expect("planned fixture decodes");
-            assert_eq!(out.bits, reference.bits, "bits@{t}");
-            assert_eq!(out.erasures, reference.erasures, "erasures@{t}");
-            assert_eq!(
-                out.snr_linear.to_bits(),
-                reference.snr_linear.to_bits(),
-                "snr@{t}"
-            );
-            assert_eq!(out.n_samples_used, reference.n_samples_used);
-            assert_eq!(out.n_samples_nonfinite, reference.n_samples_nonfinite);
-            assert_f64_bits_eq(
-                &reference.slot_amplitudes,
-                &out.slot_amplitudes,
-                &format!("planned slot amps@{t}"),
-            );
-            assert_f64_bits_eq(
-                &reference.spectrum_spacings_m,
-                &out.spectrum_spacings_m,
-                &format!("planned spacings@{t}"),
-            );
-            assert_f64_bits_eq(
-                &reference.spectrum_mags,
-                &out.spectrum_mags,
-                &format!("planned mags@{t}"),
-            );
-        }
+    let cfg = DecoderConfig::default();
+    let reference = with_threads(1, || decode(&trace, tag.mount(), 0.0, tag.code(), &cfg))
+        .expect("fixture decodes");
+    assert_eq!(reference.bits, vec![true, false, true, true]);
+    // One scratch arena survives the whole sweep: plan reuse across
+    // repeated decodes must not perturb a single bit either.
+    let mut scratch = DecodeScratch::new();
+    for t in THREAD_COUNTS {
+        let mut out = DecodeResult::default();
+        with_threads(t, || {
+            decode_into(
+                &trace,
+                tag.mount(),
+                0.0,
+                tag.code(),
+                &cfg,
+                &mut scratch,
+                &mut out,
+            )
+        })
+        .expect("planned fixture decodes");
+        assert_eq!(out.bits, reference.bits, "bits@{t}");
+        assert_eq!(out.erasures, reference.erasures, "erasures@{t}");
+        assert_eq!(
+            out.snr_linear.to_bits(),
+            reference.snr_linear.to_bits(),
+            "snr@{t}"
+        );
+        assert_eq!(out.n_samples_used, reference.n_samples_used);
+        assert_eq!(out.n_samples_nonfinite, reference.n_samples_nonfinite);
+        assert_f64_bits_eq(
+            &reference.slot_amplitudes,
+            &out.slot_amplitudes,
+            &format!("planned slot amps@{t}"),
+        );
+        assert_f64_bits_eq(
+            &reference.spectrum_spacings_m,
+            &out.spectrum_spacings_m,
+            &format!("planned spacings@{t}"),
+        );
+        assert_f64_bits_eq(
+            &reference.spectrum_mags,
+            &out.spectrum_mags,
+            &format!("planned mags@{t}"),
+        );
     }
 }
 

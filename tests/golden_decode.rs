@@ -4,7 +4,7 @@
 //! driven past at 2 m standoff in fast mode with a fixed seed. The
 //! decoded bits, the per-bit normalized peak amplitudes, and the SNR
 //! are pinned to checked-in golden values, so *any* numerical drift in
-//! the RCS model, the sampling geometry, the resampler, the CZT
+//! the RCS model, the sampling geometry, the resampler, the spectrum
 //! decoder, or the executor wiring shows up as a loud diff instead of
 //! a silent quality regression.
 //!

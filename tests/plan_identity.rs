@@ -1,15 +1,13 @@
 //! Property tests for the plan layer: every planned transform must be
 //! **bit-identical** (`f64::to_bits`) to its direct, allocating
-//! reference at arbitrary sizes — including non-power-of-two CZT
-//! lengths — and plan reuse through a [`PlanCache`] (across sizes,
-//! through dirty scratch buffers, and across an arena reset) must
+//! reference at arbitrary sizes, and plan reuse through a
+//! [`PlanCache`] (across sizes and through dirty scratch buffers) must
 //! never change a single bit. This is the correctness half of the
 //! zero-allocation steady-state contract (DESIGN.md §14); the
 //! allocation half lives in `alloc_budget.rs`.
 
 use proptest::prelude::*;
-use ros_dsp::czt::{czt, CztPlan};
-use ros_dsp::fft::{fft_in_place, ifft_in_place, FftPlan};
+use ros_dsp::fft::{fft_in_place, FftPlan};
 use ros_dsp::plan::PlanCache;
 use ros_dsp::resample::{resample_uniform, resample_uniform_into, Sample};
 use ros_dsp::window::{Window, WindowTable};
@@ -34,13 +32,11 @@ fn assert_complex_bits_eq(a: &[Complex64], b: &[Complex64]) -> Result<(), TestCa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A planned forward+inverse FFT matches the direct in-place
-    /// transforms bitwise at every power-of-two size, and the plan
-    /// stays correct when reused.
+    /// A planned FFT matches the direct in-place transform bitwise at
+    /// every power-of-two size, and the plan stays correct when reused.
     #[test]
     fn fft_plan_bit_identical_to_direct(
         values in prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..257),
-        inverse in any::<bool>(),
     ) {
         let n = values.len().next_power_of_two();
         let mut direct = to_complex(&values);
@@ -48,53 +44,15 @@ proptest! {
         let mut planned = direct.clone();
 
         let plan = FftPlan::new(n);
-        if inverse {
-            ifft_in_place(&mut direct);
-            plan.process_inverse(&mut planned);
-        } else {
-            fft_in_place(&mut direct);
-            plan.process_forward(&mut planned);
-        }
+        fft_in_place(&mut direct);
+        plan.process_forward(&mut planned);
         assert_complex_bits_eq(&direct, &planned)?;
 
         // Second pass through the same plan: still bit-identical.
         let mut again = direct.clone();
-        if inverse {
-            ifft_in_place(&mut direct);
-            plan.process_inverse(&mut again);
-        } else {
-            fft_in_place(&mut direct);
-            plan.process_forward(&mut again);
-        }
+        fft_in_place(&mut direct);
+        plan.process_forward(&mut again);
         assert_complex_bits_eq(&direct, &again)?;
-    }
-
-    /// A planned CZT matches the direct `czt` bitwise for arbitrary
-    /// (including non-power-of-two) input and output lengths and
-    /// arbitrary unit-circle arc parameters — and reusing the plan
-    /// through dirty scratch buffers changes nothing.
-    #[test]
-    fn czt_plan_bit_identical_to_direct(
-        values in prop::collection::vec((-1e2f64..1e2, -1e2f64..1e2), 1..193),
-        m in 1usize..193,
-        w_angle in -0.2f64..0.2,
-        a_angle in -3.0f64..3.0,
-    ) {
-        let x = to_complex(&values);
-        let w = Complex64::cis(w_angle);
-        let a = Complex64::cis(a_angle);
-        let direct = czt(&x, m, w, a);
-
-        let plan = CztPlan::new(x.len(), m, w, a);
-        // Deliberately dirty, wrongly-sized scratch: the kernel must
-        // resize and overwrite, never blend in stale contents.
-        let mut work = vec![Complex64::new(7.0, -7.0); 3];
-        let mut out = vec![Complex64::new(-1.0, 1.0); 5];
-        plan.process(&x, &mut work, &mut out);
-        assert_complex_bits_eq(&direct, &out)?;
-
-        plan.process(&x, &mut work, &mut out);
-        assert_complex_bits_eq(&direct, &out)?;
     }
 
     /// The scratch-buffer resampler matches the direct one bitwise for
@@ -158,77 +116,5 @@ fn plan_cache_reuse_across_sizes_is_bit_identical() {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
-    }
-    // Four distinct FFT sizes were cached; nothing was evicted.
-    assert_eq!(cache.len(), 4);
-
-    // CZT plans of different (size, arc) coexist in the same cache.
-    let x: Vec<Complex64> = (0..37).map(|i| Complex64::real(i as f64)).collect();
-    let (mut work, mut out) = (Vec::new(), Vec::new());
-    for m in [5usize, 21, 37, 5] {
-        let w = Complex64::cis(-0.07);
-        let a = Complex64::cis(0.0);
-        cache.czt(x.len(), m, w, a).process(&x, &mut work, &mut out);
-        let direct = czt(&x, m, w, a);
-        for (d, p) in direct.iter().zip(&out) {
-            assert_eq!(d.re.to_bits(), p.re.to_bits());
-            assert_eq!(d.im.to_bits(), p.im.to_bits());
-        }
-    }
-    assert_eq!(cache.len(), 4 + 3);
-}
-
-/// Arena reset: clearing the cache mid-stream and re-resolving the
-/// same parameters rebuilds plans whose output is bit-identical —
-/// reset costs build time, never correctness.
-#[test]
-fn plan_cache_reset_rebuilds_bit_identical_plans() {
-    let mut cache = PlanCache::new();
-    let signal: Vec<Complex64> = (0..48)
-        .map(|i| Complex64::new((i as f64 * 0.73).sin(), (i as f64 * 0.31).cos()))
-        .collect();
-    let w = Complex64::cis(-0.04);
-    let a = Complex64::cis(0.9);
-
-    let mut fft_before = signal.clone();
-    fft_before.resize(64, Complex64::ZERO);
-    cache.fft(64).process_forward(&mut fft_before);
-    let (mut work, mut out_before) = (Vec::new(), Vec::new());
-    cache
-        .czt(signal.len(), 30, w, a)
-        .process(&signal, &mut work, &mut out_before);
-    let taper_before = {
-        let mut v: Vec<f64> = signal.iter().map(|c| c.re).collect();
-        cache.window(Window::Hamming, v.len()).taper(&mut v);
-        v
-    };
-    assert_eq!(cache.len(), 3);
-
-    cache.clear();
-    assert!(cache.is_empty());
-
-    let mut fft_after = signal.clone();
-    fft_after.resize(64, Complex64::ZERO);
-    cache.fft(64).process_forward(&mut fft_after);
-    let mut out_after = Vec::new();
-    cache
-        .czt(signal.len(), 30, w, a)
-        .process(&signal, &mut work, &mut out_after);
-    let taper_after = {
-        let mut v: Vec<f64> = signal.iter().map(|c| c.re).collect();
-        cache.window(Window::Hamming, v.len()).taper(&mut v);
-        v
-    };
-
-    for (b, afters) in fft_before.iter().zip(&fft_after) {
-        assert_eq!(b.re.to_bits(), afters.re.to_bits());
-        assert_eq!(b.im.to_bits(), afters.im.to_bits());
-    }
-    for (b, afters) in out_before.iter().zip(&out_after) {
-        assert_eq!(b.re.to_bits(), afters.re.to_bits());
-        assert_eq!(b.im.to_bits(), afters.im.to_bits());
-    }
-    for (b, afters) in taper_before.iter().zip(&taper_after) {
-        assert_eq!(b.to_bits(), afters.to_bits());
     }
 }

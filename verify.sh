@@ -28,9 +28,9 @@ cargo test --workspace -q
 # determinism suite must hold whether the process defaults to one
 # worker or several (it also pins 1/2/8 internally -- this exercises
 # the env-override path on top). The suite runs the planned stage entry
-# points (capture_batch_with + detect_with, decode_into under FFT and
-# CZT plans), so plan/scratch reuse is re-proven bit-identical across
-# thread counts on every verify pass.
+# points (capture_batch_with + detect_with, decode_into), so
+# plan/scratch reuse is re-proven bit-identical across thread counts
+# on every verify pass.
 echo "==> determinism suite at ROS_EXEC_THREADS=1"
 ROS_EXEC_THREADS=1 cargo test -q -p ros-tests --test determinism
 
@@ -82,10 +82,9 @@ cargo test -q --release -p ros-tests \
 
 # Steady-state allocation budget, the one enforcer of the zero-alloc
 # frame: after warm-up, planned frames (capture with an impaired
-# front-end -> detect -> spotlight -> decode under FFT and CZT plans)
-# must allocate nothing, measured by a counting allocator. Release
-# mode so the measured path is the shipped code, not debug
-# scaffolding.
+# front-end -> detect -> spotlight -> decode) must allocate nothing,
+# measured by a counting allocator. Release mode so the measured path
+# is the shipped code, not debug scaffolding.
 echo "==> allocation budget (tests/alloc_budget.rs, release)"
 cargo test -q --release -p ros-tests --test alloc_budget
 
